@@ -10,7 +10,7 @@ BENCH_GATE = ^BenchmarkFig9PerFlow$$|^BenchmarkTable1Comparison$$|^BenchmarkRepl
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
+.PHONY: all build vet test race bench-test lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
 
 all: ci
 
@@ -27,6 +27,15 @@ test:
 # 10-minute per-package timeout on small (1–2 core) runners.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# bench-test builds and tests the benchmark module. bench/ is a module
+# of its own (BENCHMARK.json's contract), so `./...` above never
+# compiles it, yet it is written against the data-plane, control-plane
+# and archiver API of this module: this target is what notices when a
+# change here breaks it. Every workload runs at about 1/1000 scale with
+# all its checks.
+bench-test:
+	(cd bench && $(GO) vet ./... && $(GO) test -race ./...)
 
 # lint runs the cheap per-package syntactic passes; lint-deep the
 # whole-program dataflow passes (call graph, hotpath propagation,
@@ -113,4 +122,4 @@ federation:
 docs:
 	$(GO) run ./cmd/docscheck README.md ARCHITECTURE.md EXPERIMENTS.md OPERATIONS.md DESIGN.md
 
-ci: build vet test race lint lint-deep docs
+ci: build vet test race bench-test lint lint-deep docs

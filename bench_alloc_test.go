@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -69,123 +70,107 @@ func TestAllocFreeDataPlanePerPacket(t *testing.T) {
 	})
 }
 
-// TestAllocFreeDataPlaneInstrumented repeats the per-packet assertions
-// with self-telemetry enabled: RegisterObs must not change the
-// allocation profile, because every hook on the packet path is an
-// atomic add into preallocated counter/histogram storage.
+// TestAllocFreeDataPlaneInstrumented repeats the front-end assertions
+// with self-telemetry enabled, at one shard and at four (where every
+// shard mutates one shared set of counters): RegisterObs must not
+// change the allocation profile, because every hook on the packet path
+// is an atomic add into preallocated counter/histogram storage.
 func TestAllocFreeDataPlaneInstrumented(t *testing.T) {
-	dp := dataplane.New(dataplane.Config{})
-	dp.RegisterObs(obs.NewRegistry())
+	for _, shards := range []int{1, 4} {
+		p := dataplane.NewPipes(dataplane.Config{}, shards)
+		p.RegisterObs(obs.NewRegistry())
+		label := fmt.Sprintf("instrumented shards=%d ", shards)
+		assertPerPacketAllocFree(t, p, label)
+		assertBatchAllocFree(t, p, label)
+	}
+}
+
+// TestAllocFreePipesPerPacket extends the per-packet contract to the
+// front-end. One shard processes each copy in place — the profile must
+// be identical to the bare pipeline. Above one shard the per-packet
+// cost is parse + lock + batch append into pre-allocated capacity:
+// still zero allocations per packet (shard-goroutine spawns are
+// per-barrier and amortised, never per-packet).
+func TestAllocFreePipesPerPacket(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		assertPerPacketAllocFree(t, dataplane.NewPipes(dataplane.Config{}, shards),
+			fmt.Sprintf("shards=%d ", shards))
+	}
+}
+
+func assertPerPacketAllocFree(t *testing.T, p *dataplane.Pipes, label string) {
+	t.Helper()
 	ft := allocFlow()
 	data := packet.NewTCP(ft, 1, 0, packet.FlagACK|packet.FlagPSH, 1448)
 	ack := packet.NewTCP(ft.Reverse(), 1, 1449, packet.FlagACK, 0)
 
 	seq := uint64(1)
 	at := simtime.Millisecond
-	assertZeroAllocs(t, "instrumented ingress data", func() {
+	assertZeroAllocs(t, label+"pipes ingress data", func() {
 		data.SeqExt = seq
 		data.IPID = uint16(seq)
 		seq += 1448
 		at += 10 * simtime.Microsecond
-		dp.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
+		p.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
 	})
 
 	ackNo := uint64(1449)
-	assertZeroAllocs(t, "instrumented ingress ack", func() {
+	assertZeroAllocs(t, label+"pipes ingress ack", func() {
 		ack.AckExt = ackNo
 		ackNo += 1448
 		at += 10 * simtime.Microsecond
-		dp.ProcessCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: at})
+		p.ProcessCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: at})
 	})
 
-	assertZeroAllocs(t, "instrumented egress", func() {
+	assertZeroAllocs(t, label+"pipes egress", func() {
 		at += 10 * simtime.Microsecond
-		dp.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Egress, At: at})
+		p.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Egress, At: at})
 	})
-}
-
-// TestAllocFreePipesPerPacket extends the per-packet contract to the
-// sharded front-end. At shards=1 every call forwards synchronously —
-// the profile must be identical to the bare pipeline. At shards>1 the
-// per-packet cost is parse + lock + batch append into pre-allocated
-// capacity: still zero allocations per packet (flush-worker spawns are
-// per-barrier and amortised, never per-packet).
-func TestAllocFreePipesPerPacket(t *testing.T) {
-	ft := allocFlow()
-	for _, shards := range []int{1, 4} {
-		p := dataplane.NewPipes(dataplane.Config{}, shards)
-		data := packet.NewTCP(ft, 1, 0, packet.FlagACK|packet.FlagPSH, 1448)
-		ack := packet.NewTCP(ft.Reverse(), 1, 1449, packet.FlagACK, 0)
-
-		name := func(s string) string { return s }
-		if shards > 1 {
-			name = func(s string) string { return s + " (sharded enqueue)" }
-		}
-		seq := uint64(1)
-		at := simtime.Millisecond
-		assertZeroAllocs(t, name("pipes ingress data"), func() {
-			data.SeqExt = seq
-			data.IPID = uint16(seq)
-			seq += 1448
-			at += 10 * simtime.Microsecond
-			p.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
-		})
-
-		ackNo := uint64(1449)
-		assertZeroAllocs(t, name("pipes ingress ack"), func() {
-			ack.AckExt = ackNo
-			ackNo += 1448
-			at += 10 * simtime.Microsecond
-			p.ProcessCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: at})
-		})
-
-		assertZeroAllocs(t, name("pipes egress"), func() {
-			at += 10 * simtime.Microsecond
-			p.ProcessCopy(tap.Copy{Pkt: data, Point: tap.Egress, At: at})
-		})
-	}
 }
 
 // TestAllocFreeBatchPath pins the batch execution path: filling a
 // capacity-retained Front and draining it through ProcessFront
 // run-to-completion allocates nothing per batch at shards 1 and 4
 // (front append into retained capacity, hoisted counter commits,
-// memoised flow-ID hashing — no per-view work that could allocate).
+// memoised flow-ID hashing — no per-view work that could allocate; one
+// flow keeps one shard busy, which the flushing goroutine replays
+// itself).
 func TestAllocFreeBatchPath(t *testing.T) {
-	ft := allocFlow()
 	for _, shards := range []int{1, 4} {
-		p := dataplane.NewPipes(dataplane.Config{}, shards)
-		data := packet.NewTCP(ft, 1, 0, packet.FlagACK|packet.FlagPSH, 1448)
-		ack := packet.NewTCP(ft.Reverse(), 1, 1449, packet.FlagACK, 0)
-
-		const batch = 64
-		f := dataplane.NewFront(batch)
-		seq := uint64(1)
-		at := simtime.Millisecond
-		name := "batch fill+drain"
-		if shards > 1 {
-			name = "batch fill+drain (sharded)"
-		}
-		assertZeroAllocs(t, name, func() {
-			for i := 0; i < batch; i++ {
-				at += 10 * simtime.Microsecond
-				switch i % 4 {
-				case 0, 1:
-					data.SeqExt = seq
-					data.IPID = uint16(seq)
-					seq += 1448
-					f.AppendCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
-				case 2:
-					f.AppendCopy(tap.Copy{Pkt: data, Point: tap.Egress, At: at})
-				default:
-					ack.AckExt = seq
-					f.AppendCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: at})
-				}
-			}
-			p.ProcessFront(f)
-			f.Reset()
-		})
+		assertBatchAllocFree(t, dataplane.NewPipes(dataplane.Config{}, shards),
+			fmt.Sprintf("shards=%d ", shards))
 	}
+}
+
+func assertBatchAllocFree(t *testing.T, p *dataplane.Pipes, label string) {
+	t.Helper()
+	ft := allocFlow()
+	data := packet.NewTCP(ft, 1, 0, packet.FlagACK|packet.FlagPSH, 1448)
+	ack := packet.NewTCP(ft.Reverse(), 1, 1449, packet.FlagACK, 0)
+
+	const batch = 64
+	f := dataplane.NewFront(batch)
+	seq := uint64(1)
+	at := simtime.Second
+	assertZeroAllocs(t, label+"batch fill+drain", func() {
+		for i := 0; i < batch; i++ {
+			at += 10 * simtime.Microsecond
+			switch i % 4 {
+			case 0, 1:
+				data.SeqExt = seq
+				data.IPID = uint16(seq)
+				seq += 1448
+				f.AppendCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
+			case 2:
+				f.AppendCopy(tap.Copy{Pkt: data, Point: tap.Egress, At: at})
+			default:
+				ack.AckExt = seq
+				f.AppendCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: at})
+			}
+		}
+		p.ProcessFront(f)
+		f.Reset()
+	})
 }
 
 // TestAllocFreeGenerationRead pins the reconfiguration model's hot

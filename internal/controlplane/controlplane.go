@@ -250,9 +250,9 @@ type ControlPlane struct {
 	started bool
 }
 
-// New wires a control plane to a data plane — a single *DataPlane or
-// the sharded *Pipes front-end, both of which implement
-// dataplane.Plane — and a report sink. Call Start to begin extraction.
+// New wires a control plane to a data plane — *dataplane.Pipes at any
+// pipe count, or a scenario's scripted dataplane.Plane — and a report
+// sink. Call Start to begin extraction.
 //
 // p4:gen-init
 func New(e *simtime.Engine, dp dataplane.Plane, sink Sink, cfg Config) *ControlPlane {

@@ -22,7 +22,7 @@ func flowTuple(srcPort uint16) packet.FiveTuple {
 
 // feedFlow injects n data packets of payload bytes at the given rate
 // into the data plane via TAP ingress copies, starting at start.
-func feedFlow(dp *dataplane.DataPlane, ft packet.FiveTuple, start simtime.Time, n int, payload int, gap simtime.Time) simtime.Time {
+func feedFlow(dp *dataplane.Pipes, ft packet.FiveTuple, start simtime.Time, n int, payload int, gap simtime.Time) simtime.Time {
 	at := start
 	for i := 0; i < n; i++ {
 		p := packet.NewTCP(ft, uint64(1+i*payload), 0, packet.FlagACK|packet.FlagPSH, payload)
@@ -33,9 +33,9 @@ func feedFlow(dp *dataplane.DataPlane, ft packet.FiveTuple, start simtime.Time, 
 	return at
 }
 
-func newCP(sink Sink, cfg Config) (*simtime.Engine, *dataplane.DataPlane, *ControlPlane) {
+func newCP(sink Sink, cfg Config) (*simtime.Engine, *dataplane.Pipes, *ControlPlane) {
 	e := simtime.NewEngine()
-	dp := dataplane.New(dataplane.Config{LongFlowBytes: 10_000})
+	dp := dataplane.NewPipes(dataplane.Config{LongFlowBytes: 10_000}, 1)
 	cp := New(e, dp, sink, cfg)
 	return e, dp, cp
 }
@@ -583,7 +583,7 @@ func TestAgingWindowEvictsIdleUnannouncedFlows(t *testing.T) {
 	})
 	e.Run(3 * simtime.Second)
 
-	if dp.Stats.Evictions == 0 {
+	if dp.StatsSnapshot().Evictions == 0 {
 		t.Fatal("aging sweep evicted nothing")
 	}
 	// The flow's history survives in the sketch tier.

@@ -2,10 +2,11 @@
 // pure Go: per-flow registers (bytes, packets, loss, RTT, flight,
 // queue delay), a count-min sketch, and microburst/long-flow
 // detection, all driven by TAP copies at line rate with zero
-// allocations per packet. DataPlane is one pipe; Pipes shards flows
-// across several pipes by canonical flow-key hash — Tofino's
-// multi-pipe model — and presents the merged view the control plane
-// extracts from (see DESIGN.md §5.4 for the merge semantics).
+// allocations per packet. DataPlane is one pipe; Pipes drives one or
+// more of them — flows sharded by canonical flow-key hash, Tofino's
+// multi-pipe model — and is the surface the control plane extracts
+// from: each register declares in New how its cells merge across
+// pipes (see DESIGN.md §5.4).
 package dataplane
 
 import (
@@ -127,8 +128,7 @@ type LongFlowEvent struct {
 	At simtime.Time
 	// Bytes is the sketch's byte estimate when the threshold tripped.
 	Bytes uint64
-	// Shard is the pipe that observed the flow (always 0 on an
-	// unsharded pipeline; see Pipes).
+	// Shard is the pipe that observed the flow (see Pipes).
 	Shard int
 }
 
@@ -143,8 +143,7 @@ type MicroburstEvent struct {
 	PeakDelay simtime.Time
 	// Packets counts the packets that rode the burst.
 	Packets int
-	// Shard is the pipe whose egress queue saw the burst (always 0 on
-	// an unsharded pipeline; see Pipes).
+	// Shard is the pipe whose egress queue saw the burst (see Pipes).
 	Shard int
 }
 
@@ -161,6 +160,20 @@ type Stats struct {
 	SkippedPackets uint64 // filtered out by the monitor table
 	AliasedPackets uint64 // packets the admission gate routed to the sketch tier
 	Evictions      uint64 // flow-table cells evicted by the aging sweep
+}
+
+// add accumulates another pipe's counters (Pipes.StatsSnapshot).
+func (s *Stats) add(o Stats) {
+	s.IngressCopies += o.IngressCopies
+	s.EgressCopies += o.EgressCopies
+	s.RTTSamples += o.RTTSamples
+	s.EACKEvictions += o.EACKEvictions
+	s.QSigMismatches += o.QSigMismatches
+	s.SlotCollisions += o.SlotCollisions
+	s.Microbursts += o.Microbursts
+	s.SkippedPackets += o.SkippedPackets
+	s.AliasedPackets += o.AliasedPackets
+	s.Evictions += o.Evictions
 }
 
 // flightNoSample marks a flight-size window with no observations yet.
@@ -244,15 +257,19 @@ type DataPlane struct {
 	qBaseTs    simtime.Time
 	qBaseInit  bool
 	lastQDelay simtime.Time
-	lastEgress simtime.Time
 
 	// OnLongFlow and OnMicroburst deliver data-plane digests to the
 	// control plane.
 	OnLongFlow   func(LongFlowEvent)
 	OnMicroburst func(MicroburstEvent)
 
-	// registry indexes every register instance by P4 name for the
-	// runtime API (register reads by name, like bfrt/P4Runtime).
+	// regs holds every register instance in declaration order (a
+	// register's slot indexes it, identically on every shard), the
+	// first perFlow of them indexed by flow-table cell; registry indexes
+	// the same instances by P4 name for the runtime API (register reads
+	// by name, like bfrt/P4Runtime).
+	regs     []*Register
+	perFlow  int
 	registry map[string]*Register
 
 	// obs is the optional self-telemetry hook (RegisterObs); nil keeps
@@ -353,29 +370,40 @@ func New(cfg Config) *DataPlane {
 			DupExpectedInserts: cfg.DupFilterInserts,
 			DupTargetFP:        cfg.DupFilterFP,
 		}),
-		eackSig:    NewRegister("eack_sig", cfg.EACKTableSize),
-		eackTS:     NewRegisterWidth("eack_ts", cfg.EACKTableSize, 48),
-		qSig:       NewRegisterWidth("qsig", cfg.QSigTableSize, 48),
-		qTS:        NewRegisterWidth("qts", cfg.QSigTableSize, 48),
-		cms:        NewCMS(cfg.CMSWidth, cfg.CMSDepth),
+		eackSig: NewRegister("eack_sig", cfg.EACKTableSize),
+		eackTS:  NewRegisterWidth("eack_ts", cfg.EACKTableSize, 48),
+		qSig:    NewRegisterWidth("qsig", cfg.QSigTableSize, 48),
+		qTS:     NewRegisterWidth("qts", cfg.QSigTableSize, 48),
+		cms:     NewCMS(cfg.CMSWidth, cfg.CMSDepth),
 		monitorTable: NewTable("monitored_subnets", 256,
 			[]MatchKind{MatchLPM}, []int{32}),
 	}
 	d.monitorTable.DefaultAction = "monitor"
 	d.registry = make(map[string]*Register)
-	for _, r := range []*Register{
-		d.bytesReg, d.pktsReg, d.prevSeqReg, d.pktLossReg, d.rttReg,
-		d.qdelayReg, d.highSeqReg, d.highAckReg, d.flightReg,
-		d.flightMaxW, d.flightMinW, d.lastArrReg, d.maxIATReg,
-		d.firstSeen, d.lastSeen, d.finSeenReg, d.announced, d.ownerLo,
-		d.rttHist, d.eackSig, d.eackTS, d.qSig, d.qTS,
-	} {
-		d.registry[r.Name()] = r
-	}
+	d.declare(mergeSum, d.bytesReg, d.pktsReg, d.pktLossReg, d.flightReg, d.rttHist)
+	d.declare(mergeFirst, d.firstSeen)
+	d.declare(mergeMin, d.flightMinW)
+	d.declare(mergeMax, d.prevSeqReg, d.rttReg, d.qdelayReg, d.highSeqReg, d.highAckReg,
+		d.flightMaxW, d.lastArrReg, d.maxIATReg, d.lastSeen, d.finSeenReg, d.announced, d.ownerLo)
+	// The port-level signature tables go last: every register before
+	// them is per-flow state (FlowTableMemoryBytes).
+	d.perFlow = len(d.regs)
+	d.declare(mergeMax, d.eackSig, d.eackTS, d.qSig, d.qTS)
 	for i := 0; i < n; i++ {
 		d.flightMinW.Write(uint32(i), flightNoSample)
 	}
 	return d
+}
+
+// declare enters registers into the pipeline's register file under
+// one cross-pipe merge rule: the single place a register's name, slot
+// and rule are bound.
+func (d *DataPlane) declare(rule mergeRule, regs ...*Register) {
+	for _, r := range regs {
+		r.merge, r.slot = rule, len(d.regs)
+		d.regs = append(d.regs, r)
+		d.registry[r.Name()] = r
+	}
 }
 
 // Config returns the pipeline configuration after defaulting.
@@ -384,7 +412,7 @@ func (d *DataPlane) Config() Config { return d.cfg }
 // view is the parsed, value-typed form of one TAP copy: every packet
 // field the measurement program reads, captured before the tap pair
 // recycles the packet. The sharded front-end (Pipes) batches views and
-// replays them on worker goroutines, so nothing downstream of
+// replays them on per-shard goroutines, so nothing downstream of
 // parseCopy may retain a *packet.Packet.
 type view struct {
 	key      FlowKey
@@ -774,7 +802,6 @@ func (d *DataPlane) processEgress(v *view) {
 		d.qdelayReg.Write(slot, uint64(qdelay))
 	}
 	d.lastQDelay = qdelay
-	d.lastEgress = now
 	d.detectMicroburst(qdelay, now)
 }
 
@@ -857,33 +884,12 @@ func (d *DataPlane) updateQBaseline(q float64, now simtime.Time, scale float64) 
 // what a control plane sampling the queue would read.
 func (d *DataPlane) CurrentQueueDelay() simtime.Time { return d.lastQDelay }
 
-// SetLongFlowHandler installs the long-flow digest callback (part of
-// the Plane interface shared with the sharded front-end).
-func (d *DataPlane) SetLongFlowHandler(fn func(LongFlowEvent)) { d.OnLongFlow = fn }
-
-// SetMicroburstHandler installs the microburst digest callback (part
-// of the Plane interface shared with the sharded front-end).
-func (d *DataPlane) SetMicroburstHandler(fn func(MicroburstEvent)) { d.OnMicroburst = fn }
-
-// StatsSnapshot returns the pipeline-internal event counters (part of
-// the Plane interface; for a single pipe it is simply a copy of
-// Stats).
-func (d *DataPlane) StatsSnapshot() Stats { return d.Stats }
-
-// Flush is the Plane barrier reduced to the single-pipe contract: a
-// DataPlane processes every copy synchronously inside ProcessCopy or
-// ProcessFront, so when Flush is called there is no batched work to
-// replay and no deferred event to deliver, and the method is a
-// guaranteed no-op. Callers holding a Plane may therefore call Flush
-// unconditionally; only the sharded front-end turns it into a real
-// barrier (see Pipes.Flush).
-func (d *DataPlane) Flush() {}
-
 // Plane is the pipeline surface the control plane drives: per-flow
 // extraction, window resets, flow release, sketch clearing and the
-// data-plane digest hooks. Both a single *DataPlane and the sharded
-// *Pipes front-end implement it, so control-plane code is agnostic to
-// how many pipes carry traffic.
+// data-plane digest hooks. *Pipes implements it at every pipe count
+// (a bare *DataPlane is the per-shard unit Pipes drives, not a Plane);
+// the interface exists so scenarios can script a stand-in plane under
+// the real control plane.
 type Plane interface {
 	// ReadFlow extracts the merged per-flow snapshot for a flow and
 	// its reverse direction.
@@ -904,7 +910,7 @@ type Plane interface {
 	ClearCMS()
 	// Flush establishes the barrier: all batched packet work is
 	// replayed and joined, and deferred events are delivered, before
-	// Flush returns. A no-op on an unsharded pipeline.
+	// Flush returns.
 	Flush()
 	// SetLongFlowHandler and SetMicroburstHandler install the digest
 	// callbacks that deliver data-plane events upward.

@@ -15,8 +15,8 @@ import (
 //
 // A Front is not safe for concurrent use: exactly one goroutine may
 // fill or drain it at a time. Ownership passes wholesale — the sharded
-// front-end hands each shard's front to one worker, and the worker
-// hands it back empty.
+// front-end hands each shard's front to one goroutine, which hands it
+// back empty.
 type Front struct {
 	views []view
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -13,7 +14,8 @@ import (
 // measures the wall-clock cost of each control-plane register read.
 // Every mutation is an atomic add — the per-packet path stays
 // zero-allocation with instrumentation enabled (bench_alloc_test.go
-// asserts this).
+// asserts this) and every shard of a Pipes shares one dpObs, so the
+// p4_dataplane_* series mean the same thing at every shard count.
 type dpObs struct {
 	ingressCopies *obs.Counter
 	egressCopies  *obs.Counter
@@ -29,11 +31,30 @@ type dpObs struct {
 	extractNs *obs.Histogram
 }
 
-// RegisterObs wires the pipeline's self-telemetry into r. Call it
-// before traffic starts and do not call it concurrently with packet
-// processing; the uninstrumented pipeline pays only a nil check.
-func (d *DataPlane) RegisterObs(r *obs.Registry) {
-	d.obs = &dpObs{
+// RegisterObs wires the data plane's self-telemetry into r: the
+// p4_dataplane_* pipeline series, summed over shards, and the
+// p4_pipes_* batch-execution view with one gauge group per shard as
+// the skew view (the registry has no label support, so shards are
+// distinguished by a name infix, e.g.
+// p4_pipes_shard0_ingress_copies_total). Call it before traffic starts
+// and do not call it concurrently with packet processing; the
+// uninstrumented pipeline pays only a nil check.
+//
+// Gauges read shard state under the front-end mutex without forcing a
+// barrier: a scrape shows the world as of the last flush rather than
+// replaying packet work on the scrape thread (barrier points must stay
+// driven by the simulation, not by wall-clock scrapes). One-shard
+// ingest runs outside that mutex, so there the registry's Sync hook
+// must serialise scrapes with the simulation step.
+func (p *Pipes) RegisterObs(r *obs.Registry) {
+	// Batch shape: how many views each drained front carried and the
+	// simulated time span it covered (fill latency in simtime —
+	// deterministic, unlike wall clock).
+	p.frontViews = r.NewHistogram("p4_pipes_front_views",
+		"Views per front drained through the batch path, power-of-two buckets.")
+	p.frontSpanNs = r.NewHistogram("p4_pipes_front_span_ns",
+		"Simulated fill span (last-first timestamp, ns) per drained front, power-of-two buckets.")
+	o := &dpObs{
 		ingressCopies: r.NewCounter("p4_dataplane_ingress_copies_total", "TAP ingress copies processed."),
 		egressCopies:  r.NewCounter("p4_dataplane_egress_copies_total", "TAP egress copies processed."),
 		rttSamples:    r.NewCounter("p4_dataplane_rtt_samples_total", "Algorithm 1 RTT samples produced."),
@@ -46,15 +67,53 @@ func (d *DataPlane) RegisterObs(r *obs.Registry) {
 		burstNs:       r.NewHistogram("p4_dataplane_microburst_duration_ns", "Microburst duration (ns), power-of-two buckets."),
 		extractNs:     r.NewHistogram("p4_dataplane_extract_wall_ns", "Wall-clock latency of one ReadFlow register extraction (ns)."),
 	}
+	for _, d := range p.shards {
+		d.obs = o
+	}
 	// Occupancy is scanned at scrape time (never on the packet path).
-	// The scan reads single-threaded register state, so the registry's
-	// Sync hook must serialise scrapes with the simulation step.
-	r.NewGaugeFunc("p4_dataplane_flow_table_occupancy", "Register cells currently owned by a flow.",
-		d.OccupiedCells)
-	r.NewGaugeFunc("p4_dataplane_flow_table_size", "Configured per-flow register cells.",
-		func() uint64 { return uint64(d.cfg.FlowTableSize) })
-	r.NewGaugeFunc("p4_dataplane_sketch_memory_bytes", "Lean sketch tier storage footprint.",
-		d.LeanMemoryBytes)
+	r.NewGaugeFunc("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last barrier).",
+		p.lockedGauge(func() uint64 {
+			var n uint64
+			for _, d := range p.shards {
+				n += d.OccupiedCells()
+			}
+			return n
+		}))
+	r.NewGaugeFunc("p4_dataplane_flow_table_size", "Configured per-flow register cells per shard.",
+		func() uint64 { return uint64(p.Config().FlowTableSize) })
+	r.NewGaugeFunc("p4_dataplane_sketch_memory_bytes", "Lean sketch tier storage footprint, summed over shards.",
+		p.LeanMemoryBytes)
+	r.NewGaugeFunc("p4_pipes_shards", "Configured data-plane pipes.",
+		func() uint64 { return uint64(p.n) })
+	r.NewGaugeFunc("p4_pipes_flushes_total", "Barrier flushes executed.",
+		p.lockedGauge(func() uint64 { return p.flushes }))
+	r.NewGaugeFunc("p4_pipes_batched_views_total", "TAP copies batched through the partition (none at one shard).",
+		p.lockedGauge(func() uint64 { return p.batchedViews }))
+	for i, d := range p.shards {
+		prefix := fmt.Sprintf("p4_pipes_shard%d_", i)
+		help := fmt.Sprintf(" (pipe %d).", i)
+		r.NewGaugeFunc(prefix+"ingress_copies_total", "TAP ingress copies processed"+help,
+			p.lockedGauge(func() uint64 { return d.Stats.IngressCopies }))
+		r.NewGaugeFunc(prefix+"egress_copies_total", "TAP egress copies processed"+help,
+			p.lockedGauge(func() uint64 { return d.Stats.EgressCopies }))
+		r.NewGaugeFunc(prefix+"rtt_samples_total", "Algorithm 1 RTT samples produced"+help,
+			p.lockedGauge(func() uint64 { return d.Stats.RTTSamples }))
+		r.NewGaugeFunc(prefix+"microbursts_total", "Microburst events detected"+help,
+			p.lockedGauge(func() uint64 { return d.Stats.Microbursts }))
+		r.NewGaugeFunc(prefix+"flow_table_occupancy", "Flow-table cells owned"+help,
+			p.lockedGauge(d.OccupiedCells))
+	}
+}
+
+// lockedGauge serialises a gauge read with packet batching and shard
+// replay (replay only runs while the mutex is held, so a locked read
+// never races shard state above one shard).
+func (p *Pipes) lockedGauge(read func() uint64) func() uint64 {
+	return func() uint64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return read()
+	}
 }
 
 // OccupiedCells counts flow-table register cells currently owned by a

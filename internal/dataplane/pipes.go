@@ -2,9 +2,7 @@ package dataplane
 
 import (
 	"net/netip"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -17,58 +15,59 @@ import (
 // shard while bounding the state replayed at each barrier.
 const pipeBatch = 1024
 
-// Pipes is the multi-pipe front-end: it partitions flows across N
-// independent DataPlane shards the way a Tofino's traffic manager
-// spreads ports across pipes, each pipe owning a private register
-// file, CMS and microburst detector. Both directions of a flow land
-// on the same shard (the partition hashes the canonical of the key
-// and its reverse), so Algorithm 1's eACK matching and RTT pairing
-// keep working unchanged inside one shard.
+// Pipes is the data plane as the control plane sees it: N ≥ 1
+// independent DataPlane shards behind one surface, flows partitioned
+// the way a Tofino's traffic manager spreads ports across pipes, each
+// pipe owning a private register file, CMS and microburst detector.
+// Both directions of a flow land on the same shard (the partition
+// hashes the canonical of the key and its reverse), so Algorithm 1's
+// eACK matching and RTT pairing keep working unchanged inside one
+// shard.
 //
-// With shards == 1 every call forwards synchronously to the single
-// pipe — byte-identical behaviour and an unchanged 0 allocs/op hot
-// path. With shards > 1, ProcessCopy parses the TAP copy into a value
-// view and appends it to the owning shard's pre-allocated batch;
-// batches are replayed by a bounded worker pool (one worker never
-// touches two shards at once) and joined at a barrier before any
-// state is read. Packets destined to distinct shards commute — shard
-// state is disjoint by construction — so the deferred replay produces
-// exactly the per-shard state a serial run would, and every read API
-// (ReadFlow, StatsSnapshot, registers, occupancy, CMS) flushes first
-// and then merges across shards (see DESIGN.md §5.4 for the merge
-// semantics per register kind).
+// Every control-plane method is one path at every shard count: take
+// the mutex, replay whatever is batched (the barrier), then visit the
+// shards — reads through mergedRead, which applies the merge rule each
+// register declares and is the identity at one shard. Only ingest
+// chooses by shard count. One shard runs each copy or front straight
+// through its pipe, with digests delivered inline in packet order and
+// the hot path at 0 allocs/op. Above one shard, ProcessCopy parses the
+// TAP copy into a value view and appends it to the owning shard's
+// pre-allocated front; fronts are replayed one goroutine per shard
+// with work and joined at the barrier before any state is read.
+// Packets destined to distinct shards commute — shard state is
+// disjoint by construction — so the deferred replay produces exactly
+// the per-shard state a serial run would (DESIGN.md §5.4).
 //
-// Concurrency contract: all methods are safe for concurrent use at
-// any shard count (shards > 1 serialises on an internal mutex; at
-// shards == 1 the caller must serialise, as with a bare DataPlane).
-// Long-flow and microburst handlers run while that mutex is held and
-// must not call back into Pipes.
+// Concurrency contract: control-plane methods are safe for concurrent
+// use at any shard count. Ingest is too above one shard (it serialises
+// on the same mutex); at one shard ingest is lock-free and the caller
+// must serialise it with everything else, as with a bare DataPlane.
+// Long-flow and microburst handlers above one shard run while the
+// mutex is held and must not call back into Pipes.
 type Pipes struct {
 	shards []*DataPlane
 	n      int
 
-	// OnLongFlow and OnMicroburst deliver the merged event streams.
-	// Events carry the originating shard id; at shards > 1 they are
+	// onLongFlow and onMicroburst deliver the merged event streams.
+	// Events carry the originating shard id; above one shard they are
 	// delivered at the next barrier, in shard order, with original
-	// timestamps. Set them via SetLongFlowHandler/SetMicroburstHandler.
-	OnLongFlow   func(LongFlowEvent)
-	OnMicroburst func(MicroburstEvent)
+	// timestamps.
+	onLongFlow   func(LongFlowEvent)
+	onMicroburst func(MicroburstEvent)
 
-	mu      sync.Mutex
-	fronts  []*Front
-	work    []int        // scratch: shards with a non-empty front this flush
-	cursor  atomic.Int64 // work-stealing cursor for the flush workers
-	workers int
+	mu     sync.Mutex
+	fronts []*Front       // per-shard pending views; nil at one shard
+	replay sync.WaitGroup // joins a flush's shard goroutines; used under mu
 
 	// Batch-shape telemetry (RegisterObs): views per drained front and
 	// the simulated time span each front covers. Atomic observes, so
-	// flush workers may record them concurrently.
+	// concurrent shard replays may record them.
 	frontViews  *obs.Histogram
 	frontSpanNs *obs.Histogram
 
 	// Per-shard deferred event buffers, appended by shard hooks during
-	// worker replay (single writer per index) and drained in shard
-	// order at the barrier.
+	// replay (single writer per index) and drained in shard order at
+	// the barrier.
 	lfPend [][]LongFlowEvent
 	mbPend [][]MicroburstEvent
 
@@ -79,7 +78,7 @@ type Pipes struct {
 // NewPipes builds shards independent pipelines behind one front-end.
 // shards < 1 is treated as 1. Every shard gets the same Config (same
 // FlowTableSize, so a flow aliases the same cell index on whichever
-// shard owns it — the property the merge semantics rely on).
+// shard owns it — the property the merge rules rely on).
 func NewPipes(cfg Config, shards int) *Pipes {
 	if shards < 1 {
 		shards = 1
@@ -96,36 +95,30 @@ func NewPipes(cfg Config, shards int) *Pipes {
 		d.tuning = shared
 		d.tun = shared.Current()
 	}
-	if shards == 1 {
-		d := p.shards[0]
-		d.OnLongFlow = func(ev LongFlowEvent) {
-			if p.OnLongFlow != nil {
-				p.OnLongFlow(ev)
+	if p.n == 1 {
+		// Synchronous ingest: digests go straight up, in packet order.
+		p.shards[0].OnLongFlow = func(ev LongFlowEvent) {
+			if p.onLongFlow != nil {
+				p.onLongFlow(ev)
 			}
 		}
-		d.OnMicroburst = func(ev MicroburstEvent) {
-			if p.OnMicroburst != nil {
-				p.OnMicroburst(ev)
+		p.shards[0].OnMicroburst = func(ev MicroburstEvent) {
+			if p.onMicroburst != nil {
+				p.onMicroburst(ev)
 			}
 		}
 		return p
 	}
-	p.workers = runtime.GOMAXPROCS(0)
-	if p.workers > shards {
-		p.workers = shards
-	}
 	p.fronts = make([]*Front, shards)
-	p.work = make([]int, 0, shards)
 	p.lfPend = make([][]LongFlowEvent, shards)
 	p.mbPend = make([][]MicroburstEvent, shards)
-	for i := range p.shards {
-		i := i
+	for i, d := range p.shards {
 		p.fronts[i] = NewFront(pipeBatch)
-		p.shards[i].OnLongFlow = func(ev LongFlowEvent) {
+		d.OnLongFlow = func(ev LongFlowEvent) {
 			ev.Shard = i
 			p.lfPend[i] = append(p.lfPend[i], ev)
 		}
-		p.shards[i].OnMicroburst = func(ev MicroburstEvent) {
+		d.OnMicroburst = func(ev MicroburstEvent) {
 			ev.Shard = i
 			p.mbPend[i] = append(p.mbPend[i], ev)
 		}
@@ -138,7 +131,7 @@ func (p *Pipes) NumShards() int { return p.n }
 
 // Shard exposes one underlying pipe for white-box tests and per-shard
 // telemetry. Reading shard state directly while traffic is in flight
-// at shards > 1 bypasses the barrier; call a merged read first.
+// above one shard bypasses the barrier; call a merged read first.
 func (p *Pipes) Shard(i int) *DataPlane { return p.shards[i] }
 
 // Config returns the (defaulted) per-shard pipeline configuration.
@@ -172,11 +165,11 @@ func shardOf(k FlowKey, n int) int {
 	return int(uint32(canonicalKey(k).Hash()) % uint32(n))
 }
 
-// ProcessCopy implements tap.Monitor. At shards == 1 it forwards
-// synchronously. At shards > 1 it parses the copy into a value view
-// (the tap pair may recycle the packet immediately) and appends it to
-// the owning shard's pre-allocated batch — no per-packet goroutines,
-// no per-packet allocation; a full batch triggers a barrier flush.
+// ProcessCopy implements tap.Monitor. One shard processes the copy in
+// place. Above one shard the copy is parsed into a value view (the tap
+// pair may recycle the packet immediately) and appended to the owning
+// shard's pre-allocated front — no per-packet goroutines, no
+// per-packet allocation; a full front triggers a barrier flush.
 //
 // p4:hotpath
 func (p *Pipes) ProcessCopy(c tap.Copy) {
@@ -197,12 +190,12 @@ func (p *Pipes) ProcessCopy(c tap.Copy) {
 
 // ProcessFront ingests a whole pre-parsed front in one call — the bulk
 // counterpart of ProcessCopy for producers (the replay front-end) that
-// batch upstream of the partition. At shards == 1 the front drains
-// straight through the single pipe run-to-completion, with events
-// delivered inline exactly as ProcessCopy would. At shards > 1 the
-// mutex is taken once per front instead of once per packet: every view
-// is moved to its owning shard's front and the batch is replayed to
-// the barrier before ProcessFront returns, so the caller may reuse f
+// batch upstream of the partition. One shard drains the front straight
+// through its pipe run-to-completion, with events delivered inline
+// exactly as ProcessCopy would. Above one shard the mutex is taken
+// once per front instead of once per packet: every view is moved to
+// its owning shard's front and the batch is replayed to the barrier
+// before ProcessFront returns. Either way the caller may reuse f
 // (Reset and refill) immediately.
 //
 // p4:hotpath
@@ -211,11 +204,7 @@ func (p *Pipes) ProcessFront(f *Front) {
 		return
 	}
 	if p.n == 1 {
-		if p.frontViews != nil {
-			p.frontViews.Observe(uint64(f.Len()))
-			p.frontSpanNs.Observe(uint64(f.Span()))
-		}
-		p.shards[0].ProcessFront(f)
+		p.drain(0, f)
 		return
 	}
 	b := f.views
@@ -228,237 +217,234 @@ func (p *Pipes) ProcessFront(f *Front) {
 	p.mu.Unlock() //p4:lint-exempt hotpathprop: pairs with the exempted Lock above
 }
 
-// Flush forces the barrier: every batched view is replayed on its
-// shard and joined before Flush returns. The engine (or any caller
-// about to read state) uses it to re-establish the serial-equivalent
-// view. A no-op at shards == 1, where the single pipe's synchronous
-// contract (see DataPlane.Flush) already holds.
-func (p *Pipes) Flush() {
-	if p.n == 1 {
-		return
-	}
-	p.mu.Lock()
-	p.flushLocked()
-	p.mu.Unlock()
-}
-
-// flushLocked replays all pending batches. Shards with work are
-// handed to min(GOMAXPROCS, pending) workers via a stealing cursor;
-// each worker replays whole shards, so per-shard state stays
-// single-writer. The WaitGroup join is the barrier (and the
-// happens-before edge making worker writes visible to the caller).
-// Deferred shard events are delivered after the join, in shard order.
-func (p *Pipes) flushLocked() {
-	work := p.work[:0]
-	for i := range p.fronts {
-		if p.fronts[i].Len() > 0 {
-			work = append(work, i)
-		}
-	}
-	p.work = work
-	if len(work) == 0 {
-		return
-	}
-	p.flushes++
-	if w := min(p.workers, len(work)); w <= 1 {
-		for _, i := range work {
-			p.replayShard(i)
-		}
-	} else {
-		p.cursor.Store(0)
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(p.cursor.Add(1)) - 1
-					if j >= len(p.work) {
-						return
-					}
-					p.replayShard(p.work[j])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	p.deliverPendingLocked()
-}
-
-// replayShard drains one shard's front through its pipeline
-// run-to-completion. Called either serially or from exactly one flush
-// worker at a time; the histogram observes are atomic, so concurrent
-// workers may record them.
-func (p *Pipes) replayShard(i int) {
-	f := p.fronts[i]
+// drain runs front f through shard i run-to-completion. The histogram
+// observes are atomic, so concurrent shard replays may record them.
+//
+// p4:hotpath
+func (p *Pipes) drain(i int, f *Front) {
 	if p.frontViews != nil {
 		p.frontViews.Observe(uint64(f.Len()))
 		p.frontSpanNs.Observe(uint64(f.Span()))
 	}
 	p.shards[i].ProcessFront(f)
-	f.Reset()
 }
 
-// deliverPendingLocked drains the deferred long-flow and microburst
-// buffers in shard order. Handlers run under the front-end mutex and
-// must not call back into Pipes.
-func (p *Pipes) deliverPendingLocked() {
-	for i := 0; i < p.n; i++ {
-		if evs := p.lfPend[i]; len(evs) > 0 {
-			for _, ev := range evs {
-				if p.OnLongFlow != nil {
-					p.OnLongFlow(ev)
-				}
-			}
-			p.lfPend[i] = evs[:0]
-		}
-		if evs := p.mbPend[i]; len(evs) > 0 {
-			for _, ev := range evs {
-				if p.OnMicroburst != nil {
-					p.OnMicroburst(ev)
-				}
-			}
-			p.mbPend[i] = evs[:0]
+// Flush forces the barrier: every batched view is replayed on its
+// shard and joined, and deferred events are delivered, before Flush
+// returns. The engine (or any caller about to read state) uses it to
+// re-establish the serial-equivalent view.
+func (p *Pipes) Flush() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+}
+
+// flushLocked replays all pending fronts, one goroutine per shard with
+// work — the caller's own for the first, so a flush that found one
+// shard busy spawns and allocates nothing — and leaves placement to
+// the Go scheduler. Each shard is replayed by exactly one goroutine,
+// so per-shard state stays single-writer; the WaitGroup join is the
+// barrier (and the happens-before edge making the writes visible to
+// the caller). Deferred shard events are delivered after the join, in
+// shard order.
+func (p *Pipes) flushLocked() {
+	mine := -1
+	for i, f := range p.fronts {
+		switch {
+		case f.Len() == 0:
+		case mine < 0:
+			mine = i
+		default:
+			p.replay.Add(1)
+			go func() {
+				defer p.replay.Done()
+				p.replayShard(i)
+			}()
 		}
 	}
+	if mine < 0 {
+		return
+	}
+	p.flushes++
+	p.replayShard(mine)
+	p.replay.Wait()
+	for i := range p.shards {
+		for _, ev := range p.lfPend[i] {
+			if p.onLongFlow != nil {
+				p.onLongFlow(ev)
+			}
+		}
+		p.lfPend[i] = p.lfPend[i][:0]
+		for _, ev := range p.mbPend[i] {
+			if p.onMicroburst != nil {
+				p.onMicroburst(ev)
+			}
+		}
+		p.mbPend[i] = p.mbPend[i][:0]
+	}
+}
+
+// replayShard drains shard i's pending front and hands it back empty.
+func (p *Pipes) replayShard(i int) {
+	p.drain(i, p.fronts[i])
+	p.fronts[i].Reset()
+}
+
+// onShards is the control plane's way into shard state: under the
+// mutex and after the barrier, visit every shard in order.
+func (p *Pipes) onShards(visit func(*DataPlane)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+	for _, d := range p.shards {
+		visit(d)
+	}
+}
+
+// mergedRead returns cell idx of reg — one of shard 0's registers —
+// combined across every shard by the rule reg declares. It is the only
+// place the cross-shard merge is written down; the caller holds the
+// mutex and has flushed.
+func (p *Pipes) mergedRead(reg *Register, idx uint32) uint64 {
+	v := reg.Read(idx)
+	for _, d := range p.shards[1:] {
+		o := d.regs[reg.slot].Read(idx)
+		switch reg.merge {
+		case mergeSum:
+			v += o
+		case mergeMax:
+			v = max(v, o)
+		case mergeMin:
+			v = min(v, o)
+		case mergeFirst:
+			if v == 0 || (o != 0 && o < v) {
+				v = o
+			}
+		}
+	}
+	return v
 }
 
 // SetLongFlowHandler installs the merged long-flow digest callback.
 func (p *Pipes) SetLongFlowHandler(fn func(LongFlowEvent)) {
-	if p.n == 1 {
-		p.OnLongFlow = fn
-		return
-	}
 	p.mu.Lock()
-	p.OnLongFlow = fn
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.onLongFlow = fn
 }
 
 // SetMicroburstHandler installs the merged microburst callback.
 func (p *Pipes) SetMicroburstHandler(fn func(MicroburstEvent)) {
-	if p.n == 1 {
-		p.OnMicroburst = fn
-		return
-	}
 	p.mu.Lock()
-	p.OnMicroburst = fn
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	p.onMicroburst = fn
 }
 
-// ReadFlow flushes, then merges the per-flow snapshot across shards:
-// additive registers sum (bytes, packets, loss, flight), timestamps
-// and high-water marks take the max (RTT, queue delay, last seen,
-// window flight max, max IAT), first-write-wins registers take the
-// smallest non-zero value (first seen), the window flight minimum
-// takes the min (its no-sample sentinel is all-ones, so min is the
-// correct identity), and flags OR. Because every shard uses the same
-// FlowTableSize, a flow aliases the same cell index everywhere and
-// the merged value equals what a single pipe would hold — including
-// under cell aliasing (DESIGN.md §5.4).
+// ReadFlow flushes, then assembles the per-flow snapshot from merged
+// cells: the value a single pipe fed the whole trace would hold.
 func (p *Pipes) ReadFlow(id, revID FlowID) FlowSnapshot {
-	if p.n == 1 {
-		return p.shards[0].ReadFlow(id, revID)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+	return p.shards[0].snapshot(p.mergedRead, id, revID)
+}
+
+// ReadRTTHist flushes, then extracts the flow's in-register RTT
+// histogram from merged cells.
+func (p *Pipes) ReadRTTHist(id FlowID) RTTHist {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+	return p.shards[0].rttHistogram(p.mergedRead, id)
+}
+
+// ReadRegister flushes, then reads one merged register cell by P4
+// name. Returns false for an unknown register.
+func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, bool) {
+	reg := p.shards[0].RegisterByName(name)
+	if reg == nil {
+		return 0, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	var s FlowSnapshot
-	s.FlightMinW = flightNoSample
-	for _, d := range p.shards {
-		m := d.ReadFlow(id, revID)
-		s.Bytes += m.Bytes
-		s.Pkts += m.Pkts
-		s.PktLoss += m.PktLoss
-		s.Flight += m.Flight
-		s.RTT = max(s.RTT, m.RTT)
-		s.QDelay = max(s.QDelay, m.QDelay)
-		s.FlightMaxW = max(s.FlightMaxW, m.FlightMaxW)
-		s.MaxIAT = max(s.MaxIAT, m.MaxIAT)
-		s.LastSeen = max(s.LastSeen, m.LastSeen)
-		if m.FirstSeen != 0 && (s.FirstSeen == 0 || m.FirstSeen < s.FirstSeen) {
-			s.FirstSeen = m.FirstSeen
-		}
-		if m.FlightMinW < s.FlightMinW {
-			s.FlightMinW = m.FlightMinW
-		}
-		s.FinSeen = s.FinSeen || m.FinSeen
-	}
-	return s
+	return p.mergedRead(reg, idx), true
 }
+
+// WriteRegister flushes, then writes the value to the cell on every
+// shard (the runtime API's register reset semantics). Returns false
+// for an unknown register.
+func (p *Pipes) WriteRegister(name string, idx uint32, v uint64) bool {
+	reg := p.shards[0].RegisterByName(name)
+	if reg == nil {
+		return false
+	}
+	p.onShards(func(d *DataPlane) { d.regs[reg.slot].Write(idx, v) })
+	return true
+}
+
+// RegisterNames lists the per-shard register instances (identical on
+// every shard), sorted.
+func (p *Pipes) RegisterNames() []string { return p.shards[0].RegisterNames() }
 
 // ResetWindow flushes, then clears the per-window registers on every
 // shard (only the owning shard holds state, but a broadcast is what a
 // multi-pipe control plane issues).
 func (p *Pipes) ResetWindow(id FlowID) {
-	if p.n == 1 {
-		p.shards[0].ResetWindow(id)
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		d.ResetWindow(id)
-	}
+	p.onShards(func(d *DataPlane) { d.ResetWindow(id) })
 }
 
 // ReleaseFlow flushes, then releases the flow's cells on every shard.
 func (p *Pipes) ReleaseFlow(id FlowID) {
-	if p.n == 1 {
-		p.shards[0].ReleaseFlow(id)
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		d.ReleaseFlow(id)
-	}
+	p.onShards(func(d *DataPlane) { d.ReleaseFlow(id) })
 }
 
-// ReadRTTHist flushes, then sums the flow's in-register RTT histogram
-// buckets across shards (only the owning shard holds samples, but the
-// additive merge is also correct under cross-shard cell aliasing).
-func (p *Pipes) ReadRTTHist(id FlowID) RTTHist {
-	if p.n == 1 {
-		return p.shards[0].ReadRTTHist(id)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	var h RTTHist
-	for _, d := range p.shards {
-		m := d.ReadRTTHist(id)
-		for b := range h.Buckets {
-			h.Buckets[b] += m.Buckets[b]
-		}
-	}
-	return h
-}
+// ClearCMS flushes, then clears every shard's long-flow sketch.
+func (p *Pipes) ClearCMS() { p.onShards((*DataPlane).ClearCMS) }
 
 // AgeFlows flushes, then runs the aging sweep on every shard and
 // returns the total number of cells evicted.
 func (p *Pipes) AgeFlows(now, window simtime.Time) int {
-	if p.n == 1 {
-		return p.shards[0].AgeFlows(now, window)
-	}
+	evicted := 0
+	p.onShards(func(d *DataPlane) { evicted += d.AgeFlows(now, window) })
+	return evicted
+}
+
+// StatsSnapshot flushes, then returns the pipeline counters summed
+// across shards.
+func (p *Pipes) StatsSnapshot() Stats {
+	var s Stats
+	p.onShards(func(d *DataPlane) { s.add(d.Stats) })
+	return s
+}
+
+// OccupiedCells flushes, then sums flow-table occupancy across shards
+// (shard flow sets are disjoint, so the sum is the union's size up to
+// per-shard cell aliasing).
+func (p *Pipes) OccupiedCells() uint64 {
+	var n uint64
+	p.onShards(func(d *DataPlane) { n += d.OccupiedCells() })
+	return n
+}
+
+// SkipSubnet programs the skip entry into every shard's monitor table
+// (the paper's control plane programs all pipes identically),
+// stopping at the first error.
+func (p *Pipes) SkipSubnet(prefix netip.Prefix) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	evicted := 0
 	for _, d := range p.shards {
-		evicted += d.AgeFlows(now, window)
+		if err := d.SkipSubnet(prefix); err != nil {
+			return err
+		}
 	}
-	return evicted
+	return nil
 }
 
 // EstimateFlow flushes, then answers from the flow's owning shard: the
 // partition sends both directions of a key to one shard, so its
 // two-tier estimate is the whole-traffic answer.
 func (p *Pipes) EstimateFlow(key FlowKey) FlowEstimate {
-	if p.n == 1 {
-		return p.shards[0].EstimateFlow(key)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
@@ -466,7 +452,7 @@ func (p *Pipes) EstimateFlow(key FlowKey) FlowEstimate {
 }
 
 // FlowTableMemoryBytes sums the exact tier's storage footprint across
-// shards; LeanMemoryBytes sums the sketch tier's.
+// shards (fixed at construction, so no barrier).
 func (p *Pipes) FlowTableMemoryBytes() uint64 {
 	var b uint64
 	for _, d := range p.shards {
@@ -483,209 +469,4 @@ func (p *Pipes) LeanMemoryBytes() uint64 {
 		b += d.LeanMemoryBytes()
 	}
 	return b
-}
-
-// ClearCMS flushes, then clears every shard's long-flow sketch.
-func (p *Pipes) ClearCMS() {
-	if p.n == 1 {
-		p.shards[0].ClearCMS()
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		d.ClearCMS()
-	}
-}
-
-// EstimateKey flushes, then sums the sketch estimate across shards
-// (each shard's CMS counted only its own packets, so the sum is the
-// whole-traffic estimate a single sketch would give, modulo the
-// one-sided CMS overestimation error each shard contributes).
-func (p *Pipes) EstimateKey(k FlowKey) uint64 {
-	if p.n == 1 {
-		return p.shards[0].Sketch().EstimateKey(k)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	var est uint64
-	for _, d := range p.shards {
-		est += d.Sketch().EstimateKey(k)
-	}
-	return est
-}
-
-// StatsSnapshot flushes, then returns the pipeline counters summed
-// across shards.
-func (p *Pipes) StatsSnapshot() Stats {
-	if p.n == 1 {
-		return p.shards[0].Stats
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	var s Stats
-	for _, d := range p.shards {
-		s.IngressCopies += d.Stats.IngressCopies
-		s.EgressCopies += d.Stats.EgressCopies
-		s.RTTSamples += d.Stats.RTTSamples
-		s.EACKEvictions += d.Stats.EACKEvictions
-		s.QSigMismatches += d.Stats.QSigMismatches
-		s.SlotCollisions += d.Stats.SlotCollisions
-		s.Microbursts += d.Stats.Microbursts
-		s.SkippedPackets += d.Stats.SkippedPackets
-		s.AliasedPackets += d.Stats.AliasedPackets
-		s.Evictions += d.Stats.Evictions
-	}
-	return s
-}
-
-// OccupiedCells flushes, then sums flow-table occupancy across shards
-// (shard flow sets are disjoint, so the sum is the union's size up to
-// per-shard cell aliasing).
-func (p *Pipes) OccupiedCells() uint64 {
-	if p.n == 1 {
-		return p.shards[0].OccupiedCells()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	var n uint64
-	for _, d := range p.shards {
-		n += d.OccupiedCells()
-	}
-	return n
-}
-
-// CurrentQueueDelay flushes, then returns the most recent queuing
-// delay across shards — the freshest egress observation on any pipe.
-func (p *Pipes) CurrentQueueDelay() simtime.Time {
-	if p.n == 1 {
-		return p.shards[0].CurrentQueueDelay()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	var latest simtime.Time
-	var q simtime.Time
-	for _, d := range p.shards {
-		if d.lastEgress >= latest {
-			latest = d.lastEgress
-			q = d.lastQDelay
-		}
-	}
-	return q
-}
-
-// RegisterNames lists the per-shard register instances (identical on
-// every shard), sorted.
-func (p *Pipes) RegisterNames() []string { return p.shards[0].RegisterNames() }
-
-// HasRegister reports whether the pipeline declares a register with
-// this P4 name.
-func (p *Pipes) HasRegister(name string) bool { return p.shards[0].RegisterByName(name) != nil }
-
-// RegisterWidth returns the declared bit width of a register, or 0 if
-// unknown.
-func (p *Pipes) RegisterWidth(name string) int {
-	r := p.shards[0].RegisterByName(name)
-	if r == nil {
-		return 0
-	}
-	return r.Width()
-}
-
-// ReadRegister flushes, then merges one register cell across shards
-// using the register's kind: additive counters sum; first-write-wins
-// stamps take the smallest non-zero value; the window flight minimum
-// takes the min; everything else (timestamps, high-water marks,
-// signatures) takes the max, which on signature tables picks the one
-// shard that owns the cell. Returns false for an unknown register.
-func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, bool) {
-	if p.shards[0].RegisterByName(name) == nil {
-		return 0, false
-	}
-	if p.n == 1 {
-		return p.shards[0].RegisterByName(name).Read(idx), true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	return p.mergeRegisterLocked(name, idx), true
-}
-
-// mergeRegisterLocked applies the per-kind merge for one cell.
-func (p *Pipes) mergeRegisterLocked(name string, idx uint32) uint64 {
-	switch name {
-	case "flow_bytes", "flow_pkts", "pkt_loss", "flight", "rtt_hist":
-		var sum uint64
-		for _, d := range p.shards {
-			sum += d.RegisterByName(name).Read(idx)
-		}
-		return sum
-	case "first_seen":
-		var first uint64
-		for _, d := range p.shards {
-			v := d.RegisterByName(name).Read(idx)
-			if v != 0 && (first == 0 || v < first) {
-				first = v
-			}
-		}
-		return first
-	case "flight_min_w":
-		m := uint64(flightNoSample)
-		for _, d := range p.shards {
-			if v := d.RegisterByName(name).Read(idx); v < m {
-				m = v
-			}
-		}
-		return m
-	default:
-		var m uint64
-		for _, d := range p.shards {
-			if v := d.RegisterByName(name).Read(idx); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-}
-
-// WriteRegister flushes, then writes the value to the cell on every
-// shard (the runtime API's register reset semantics). Returns false
-// for an unknown register.
-func (p *Pipes) WriteRegister(name string, idx uint32, v uint64) bool {
-	if p.shards[0].RegisterByName(name) == nil {
-		return false
-	}
-	if p.n == 1 {
-		p.shards[0].RegisterByName(name).Write(idx, v)
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		d.RegisterByName(name).Write(idx, v)
-	}
-	return true
-}
-
-// SkipSubnet programs the skip entry into every shard's monitor table
-// (the paper's control plane programs all pipes identically).
-func (p *Pipes) SkipSubnet(prefix netip.Prefix) error {
-	if p.n == 1 {
-		return p.shards[0].SkipSubnet(prefix)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		if err := d.SkipSubnet(prefix); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -91,10 +92,14 @@ func buildTraceIdx(idxs []int, pktsPerFlow int) []tap.Copy {
 	return trace
 }
 
+// traceConfig is the pipeline configuration of the merge-property
+// traces: a long-flow threshold low enough that every flow announces.
+var traceConfig = Config{LongFlowBytes: 64 << 10}
+
 // runTrace feeds the trace through a fresh front-end with the given
 // shard count, collecting long-flow announcements.
 func runTrace(trace []tap.Copy, shards int) (*Pipes, []LongFlowEvent) {
-	p := NewPipes(Config{LongFlowBytes: 64 << 10}, shards)
+	p := NewPipes(traceConfig, shards)
 	var announced []LongFlowEvent
 	p.SetLongFlowHandler(func(ev LongFlowEvent) { announced = append(announced, ev) })
 	for _, c := range trace {
@@ -104,81 +109,99 @@ func runTrace(trace []tap.Copy, shards int) (*Pipes, []LongFlowEvent) {
 	return p, announced
 }
 
+// runSinglePipe is the reference of every sharding property: one bare
+// DataPlane — the unit Pipes drives — fed the whole trace.
+func runSinglePipe(trace []tap.Copy) (*DataPlane, []LongFlowEvent) {
+	d := New(traceConfig)
+	var announced []LongFlowEvent
+	d.OnLongFlow = func(ev LongFlowEvent) { announced = append(announced, ev) }
+	for _, c := range trace {
+		d.ProcessCopy(c)
+	}
+	return d, announced
+}
+
+// perFlowRegister reports whether a register is indexed by flow-table
+// cell. The others are the port-level signature tables (eack_*, q*): hashed
+// scratch state in which a never-consumed stamp survives on its own
+// shard but is overwritten on a single pipe, so their cells are not
+// comparable one to one and the properties check them through what
+// they produce (RTT samples, queue delays, mismatch counters).
+func perFlowRegister(d *DataPlane, name string) bool {
+	return d.RegisterByName(name).slot < d.perFlow
+}
+
+// AssertMergedEqualsSinglePipe is the differential property itself:
+// every merged read of got equals what the single pipe want holds.
+// Exported to the package's external tests (the fuzz target imports
+// internal/replay, which imports this package).
+func AssertMergedEqualsSinglePipe(t testing.TB, got *Pipes, want *DataPlane, flows []packet.FiveTuple) {
+	t.Helper()
+	for _, ft := range flows {
+		id, rev := HashFiveTuple(ft), HashReverse(ft)
+		if g, w := got.ReadFlow(id, rev), want.ReadFlow(id, rev); g != w {
+			t.Fatalf("flow %v: merged snapshot %+v, single-pipe %+v", ft, g, w)
+		}
+		if g, w := got.ReadRTTHist(id), want.ReadRTTHist(id); g != w {
+			t.Fatalf("flow %v: merged RTT histogram %v, single-pipe %v", ft, g, w)
+		}
+		for _, key := range []FlowKey{KeyOf(ft), KeyOf(ft.Reverse())} {
+			if g, w := got.EstimateFlow(key), want.EstimateFlow(key); g != w {
+				t.Fatalf("flow %v: merged estimate %+v, single-pipe %+v", ft, g, w)
+			}
+		}
+	}
+	for _, name := range got.RegisterNames() {
+		if !perFlowRegister(want, name) {
+			continue
+		}
+		reg := want.RegisterByName(name)
+		for idx := uint32(0); idx < uint32(reg.Size()); idx++ {
+			if g, _ := got.ReadRegister(name, idx); g != reg.Read(idx) {
+				t.Fatalf("register %s[%d]: merged %d, single-pipe %d", name, idx, g, reg.Read(idx))
+			}
+		}
+	}
+	if g, w := got.StatsSnapshot(), want.Stats; g != w {
+		t.Fatalf("merged stats %+v, single-pipe %+v", g, w)
+	}
+	if g, w := got.OccupiedCells(), want.OccupiedCells(); g != w {
+		t.Fatalf("merged occupancy %d, single-pipe %d", g, w)
+	}
+}
+
 // TestPipesMergePropertyMatchesSinglePipe is the sharding correctness
-// property: for the same packet trace, the merged scrape totals at
-// shards=N must equal the single-pipe totals — per-flow bytes, packet
-// and loss counters, pipeline statistics (ingress/egress copies, RTT
-// samples), occupancy and the announced long-flow set. Shard state is
-// disjoint and every shard uses the same table geometry, so summing
-// (or max/min/OR-ing, per register kind) reproduces the single-pipe
-// cells exactly (DESIGN.md §5.4).
+// property: for the same alias-free packet trace, every merged read at
+// shards=N — per-flow snapshots, RTT histograms, two-tier estimates,
+// every per-flow register cell, pipeline statistics, occupancy — must
+// equal what one bare DataPlane fed the whole trace holds, and the
+// same flows must be announced. Shard state is disjoint and every
+// shard uses the same table geometry, so merging by each register's
+// declared rule reproduces the single-pipe cells exactly (DESIGN.md
+// §5.4). shards=1 is one more input: there the general read path must
+// be the identity on the unit it wraps.
 func TestPipesMergePropertyMatchesSinglePipe(t *testing.T) {
 	const flows, pkts = 24, 60
 	idxs := aliasFreeFlowIdx(flows)
-	for _, shards := range []int{2, 3, 4, 8} {
-		shards := shards
+	tuples := make([]packet.FiveTuple, flows)
+	for k, i := range idxs {
+		tuples[k] = traceFlow(i)
+	}
+	base, baseEvents := runSinglePipe(buildTraceIdx(idxs, pkts))
+	if st := base.Stats; st.AliasedPackets+st.EACKEvictions+st.QSigMismatches != 0 {
+		t.Fatalf("reference trace is not alias-free: %+v", st)
+	}
+	for _, shards := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			base, baseEvents := runTrace(buildTraceIdx(idxs, pkts), 1)
 			sharded, shardedEvents := runTrace(buildTraceIdx(idxs, pkts), shards)
+			AssertMergedEqualsSinglePipe(t, sharded, base, tuples)
 
-			for _, i := range idxs {
-				ft := traceFlow(i)
-				id, rev := HashFiveTuple(ft), HashReverse(ft)
-				want := base.ReadFlow(id, rev)
-				got := sharded.ReadFlow(id, rev)
-				if got.Bytes != want.Bytes || got.Pkts != want.Pkts || got.PktLoss != want.PktLoss {
-					t.Fatalf("flow %d: merged bytes/pkts/loss %d/%d/%d, single-pipe %d/%d/%d",
-						i, got.Bytes, got.Pkts, got.PktLoss, want.Bytes, want.Pkts, want.PktLoss)
-				}
-				if got.RTT != want.RTT || got.FinSeen != want.FinSeen {
-					t.Fatalf("flow %d: merged RTT/fin %v/%v, single-pipe %v/%v",
-						i, got.RTT, got.FinSeen, want.RTT, want.FinSeen)
-				}
-				if got.FirstSeen != want.FirstSeen || got.LastSeen != want.LastSeen {
-					t.Fatalf("flow %d: merged first/last seen %v/%v, single-pipe %v/%v",
-						i, got.FirstSeen, got.LastSeen, want.FirstSeen, want.LastSeen)
-				}
-			}
-
-			ws, gs := base.StatsSnapshot(), sharded.StatsSnapshot()
-			if gs.IngressCopies != ws.IngressCopies || gs.EgressCopies != ws.EgressCopies {
-				t.Fatalf("merged copies %d/%d, single-pipe %d/%d",
-					gs.IngressCopies, gs.EgressCopies, ws.IngressCopies, ws.EgressCopies)
-			}
-			if gs.RTTSamples != ws.RTTSamples {
-				t.Fatalf("merged RTT samples %d, single-pipe %d", gs.RTTSamples, ws.RTTSamples)
-			}
-			// Occupancy is not merge-exact under cell aliasing: two flow
-			// directions sharing one cell on a single pipe occupy one cell
-			// each when the partition separates them. The sum is bounded
-			// below by the single-pipe count and above by the number of
-			// flow directions (each of the `flows` 5-tuples plus its ACK
-			// direction owns at most one cell per shard).
-			occ, baseOcc := sharded.OccupiedCells(), base.OccupiedCells()
-			if occ < baseOcc || occ > uint64(2*flows) {
-				t.Fatalf("merged occupancy %d outside [%d, %d]", occ, baseOcc, 2*flows)
-			}
-
-			// Announcements: every flow the single pipe announced is also
-			// announced when sharded. The sharded set may be strictly
-			// larger under cell aliasing — on one pipe two data flows
-			// sharing a cell share the announced latch, so the second is
-			// suppressed; the partition separates them and un-suppresses
-			// the announcement (more faithful, not less).
-			gotIDs := announcedIDs(shardedEvents)
-			for _, id := range announcedIDs(baseEvents) {
-				j := sort.Search(len(gotIDs), func(k int) bool { return gotIDs[k] >= id })
-				if j == len(gotIDs) || gotIDs[j] != id {
-					t.Fatalf("flow %08x announced on the single pipe but not when sharded", uint32(id))
-				}
-			}
-			if len(shardedEvents) < len(baseEvents) || len(shardedEvents) > flows {
-				t.Fatalf("announced %d long flows, single-pipe %d, trace has %d", len(shardedEvents), len(baseEvents), flows)
+			gotIDs, wantIDs := announcedIDs(shardedEvents), announcedIDs(baseEvents)
+			if len(wantIDs) != flows || !slices.Equal(gotIDs, wantIDs) {
+				t.Fatalf("announced %d flows %v, single pipe announced %d of %d: %v",
+					len(gotIDs), gotIDs, len(wantIDs), flows, wantIDs)
 			}
 			for _, ev := range shardedEvents {
-				if ev.Shard < 0 || ev.Shard >= shards {
-					t.Fatalf("event shard %d out of range [0,%d)", ev.Shard, shards)
-				}
 				if want := shardOf(KeyOf(ev.Tuple), shards); ev.Shard != want {
 					t.Fatalf("event shard %d, partition says %d", ev.Shard, want)
 				}
@@ -232,8 +255,8 @@ func TestPipesShardSpread(t *testing.T) {
 	}
 }
 
-// TestPipesSingleShardForwardsSynchronously pins the shards=1 fast
-// path: no batching, events delivered inline during ProcessCopy.
+// TestPipesSingleShardForwardsSynchronously pins the one-shard ingest
+// branch: no batching, events delivered inline during ProcessCopy.
 func TestPipesSingleShardForwardsSynchronously(t *testing.T) {
 	p := NewPipes(Config{LongFlowBytes: 2048}, 1)
 	fired := 0
@@ -290,7 +313,7 @@ func TestPipesDeferredEventsCarryShard(t *testing.T) {
 // TestPipesConcurrentExtraction hammers every merged read API from
 // reader goroutines while a writer streams a trace through
 // ProcessCopy — the -race test for the sharded front-end's locking
-// (flush workers included). Final totals must still match the trace.
+// (shard replay goroutines included). Final totals must still match the trace.
 func TestPipesConcurrentExtraction(t *testing.T) {
 	trace := buildTrace(16, 40)
 	p := NewPipes(Config{}, 4)
@@ -311,9 +334,9 @@ func TestPipesConcurrentExtraction(t *testing.T) {
 				p.ReadFlow(HashFiveTuple(ft), HashReverse(ft))
 				p.StatsSnapshot()
 				p.OccupiedCells()
-				p.CurrentQueueDelay()
+				p.ReadRTTHist(HashFiveTuple(ft))
 				p.ReadRegister("flow_bytes", 7)
-				p.EstimateKey(KeyOf(ft))
+				p.EstimateFlow(KeyOf(ft))
 			}
 		}()
 	}
@@ -360,5 +383,72 @@ func TestPipesRegisterMergeSemantics(t *testing.T) {
 	}
 	if v, _ := sharded.ReadRegister("flow_bytes", 3); v != 0 {
 		t.Fatalf("cell not reset on every shard: %d", v)
+	}
+}
+
+// TestRegisterMergeRulesPinned pins the declared cross-shard merge rule
+// of every register the pipeline exposes: a new register must state a
+// rule in New (the zero rule is none) and be entered here, so it
+// cannot inherit one silently.
+func TestRegisterMergeRulesPinned(t *testing.T) {
+	want := map[string]mergeRule{
+		"flow_bytes": mergeSum, "flow_pkts": mergeSum, "pkt_loss": mergeSum,
+		"flight": mergeSum, "rtt_hist": mergeSum,
+		"first_seen":   mergeFirst,
+		"flight_min_w": mergeMin,
+		"prev_seq":     mergeMax, "rtt": mergeMax, "qdelay": mergeMax,
+		"high_seq": mergeMax, "high_ack": mergeMax, "flight_max_w": mergeMax,
+		"last_arrival": mergeMax, "max_iat_w": mergeMax, "last_seen": mergeMax,
+		"fin_seen": mergeMax, "announced": mergeMax, "owner_lo": mergeMax,
+		"eack_sig": mergeMax, "eack_ts": mergeMax, "qsig": mergeMax, "qts": mergeMax,
+	}
+	d := New(Config{})
+	names := d.RegisterNames()
+	if len(names) != len(want) {
+		t.Fatalf("pipeline declares %d registers, table pins %d", len(names), len(want))
+	}
+	for slot, r := range d.regs {
+		if r.slot != slot || d.RegisterByName(r.Name()) != r {
+			t.Errorf("register %s: slot %d at position %d, or not in the registry", r.Name(), r.slot, slot)
+		}
+		table := slot >= d.perFlow
+		if want := r == d.eackSig || r == d.eackTS || r == d.qSig || r == d.qTS; table != want {
+			t.Errorf("register %s: declared as a port-level table %v, want %v", r.Name(), table, want)
+		}
+	}
+	for _, name := range names {
+		rule, ok := want[name]
+		if got := d.RegisterByName(name).merge; !ok || got != rule {
+			t.Errorf("register %s declares merge rule %d, table pins %d (listed: %v)", name, got, rule, ok)
+		}
+	}
+}
+
+// TestMergedReadRules drives mergedRead through each rule on cells
+// written by hand, including the identities a silent shard contributes
+// (zero for sum/max/first, all-ones for the windowed minimum).
+func TestMergedReadRules(t *testing.T) {
+	p := NewPipes(Config{}, 3)
+	write := func(name string, vals ...uint64) *Register {
+		for i, v := range vals {
+			p.Shard(i).RegisterByName(name).Write(5, v)
+		}
+		return p.Shard(0).RegisterByName(name)
+	}
+	for _, tc := range []struct {
+		name string
+		vals []uint64
+		want uint64
+	}{
+		{"flow_bytes", []uint64{7, 0, 11}, 18},
+		{"last_seen", []uint64{3, 9, 0}, 9},
+		{"first_seen", []uint64{0, 9, 4}, 4},
+		{"first_seen", []uint64{6, 0, 0}, 6},
+		{"flight_min_w", []uint64{flightNoSample, 12, flightNoSample}, 12},
+		{"flight_min_w", []uint64{flightNoSample, flightNoSample, flightNoSample}, flightNoSample},
+	} {
+		if got := p.mergedRead(write(tc.name, tc.vals...), 5); got != tc.want {
+			t.Errorf("%s %v: merged %d, want %d", tc.name, tc.vals, got, tc.want)
+		}
 	}
 }

@@ -29,6 +29,12 @@ type FlowSnapshot struct {
 // any sample.
 func (s FlowSnapshot) HasFlightWindow() bool { return s.FlightMinW != flightNoSample }
 
+// cellReader reads one cell of one of a pipeline's registers. A single
+// pipe reads its own array ((*Register).Read); Pipes merges the cell
+// across shards (Pipes.mergedRead). It is the only thing in which the
+// two read paths differ.
+type cellReader func(r *Register, idx uint32) uint64
+
 // ReadFlow performs the control plane's per-flow register reads. id is
 // the flow's own hash; revID is its reversed ID (for the RTT join).
 // The snapshot is returned by value — the extraction tick reads every
@@ -36,6 +42,12 @@ func (s FlowSnapshot) HasFlightWindow() bool { return s.FlightMinW != flightNoSa
 // heap-allocation-free (callers needing bulk register dumps pass their
 // own buffer to Register.Snapshot instead).
 func (d *DataPlane) ReadFlow(id, revID FlowID) FlowSnapshot {
+	return d.snapshot((*Register).Read, id, revID)
+}
+
+// snapshot assembles a flow's snapshot from d's register set, every
+// cell fetched through read.
+func (d *DataPlane) snapshot(read cellReader, id, revID FlowID) FlowSnapshot {
 	// Self-telemetry: the wall-clock cost of one register extraction
 	// (the equivalent of a bfrt read RPC). Only when instrumented —
 	// the uninstrumented read pays a single nil check.
@@ -44,18 +56,18 @@ func (d *DataPlane) ReadFlow(id, revID FlowID) FlowSnapshot {
 	}
 	idx := uint32(id)
 	return FlowSnapshot{
-		Bytes:      d.bytesReg.Read(idx),
-		Pkts:       d.pktsReg.Read(idx),
-		PktLoss:    d.pktLossReg.Read(idx),
-		RTT:        simtime.Time(d.rttReg.Read(uint32(revID))),
-		QDelay:     simtime.Time(d.qdelayReg.Read(idx)),
-		Flight:     d.flightReg.Read(idx),
-		FlightMaxW: d.flightMaxW.Read(idx),
-		FlightMinW: d.flightMinW.Read(idx),
-		MaxIAT:     simtime.Time(d.maxIATReg.Read(idx)),
-		FirstSeen:  simtime.Time(d.firstSeen.Read(idx)),
-		LastSeen:   simtime.Time(d.lastSeen.Read(idx)),
-		FinSeen:    d.finSeenReg.Read(idx) == 1,
+		Bytes:      read(d.bytesReg, idx),
+		Pkts:       read(d.pktsReg, idx),
+		PktLoss:    read(d.pktLossReg, idx),
+		RTT:        simtime.Time(read(d.rttReg, uint32(revID))),
+		QDelay:     simtime.Time(read(d.qdelayReg, idx)),
+		Flight:     read(d.flightReg, idx),
+		FlightMaxW: read(d.flightMaxW, idx),
+		FlightMinW: read(d.flightMinW, idx),
+		MaxIAT:     simtime.Time(read(d.maxIATReg, idx)),
+		FirstSeen:  simtime.Time(read(d.firstSeen, idx)),
+		LastSeen:   simtime.Time(read(d.lastSeen, idx)),
+		FinSeen:    read(d.finSeenReg, idx) == 1,
 	}
 }
 

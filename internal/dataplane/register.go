@@ -16,7 +16,34 @@ type Register struct {
 	// regwidth static-analysis pass checks masks, shifts and
 	// conversions against.
 	width int
+	// merge is how one cell combines across pipes and slot is the
+	// register's position in its pipeline's declaration order, the same
+	// on every shard; DataPlane.declare sets both (see Pipes.mergedRead).
+	merge mergeRule
+	slot  int
 }
+
+// mergeRule is a register's cross-pipe merge: what the control plane
+// reads for one cell when several pipes each hold a copy of the
+// array. Every shard has the same table geometry, so a flow indexes
+// the same cell on whichever shard owns it and the merged cell equals
+// what a single pipe fed the whole trace would hold. The zero value is
+// deliberately not a rule: New states one for every register.
+type mergeRule uint8
+
+const (
+	// mergeSum: additive counters (bytes, packets, loss, flight,
+	// histogram buckets).
+	mergeSum mergeRule = iota + 1
+	// mergeMax: timestamps, high-water marks and flags — and the
+	// signature tables, where only the owning pipe's cell is non-zero.
+	mergeMax
+	// mergeFirst: first-write-wins stamps take the smallest non-zero.
+	mergeFirst
+	// mergeMin: the windowed minimum, whose no-sample sentinel is
+	// all-ones and therefore the identity.
+	mergeMin
+)
 
 // NewRegister allocates a register array of full 64-bit cells.
 func NewRegister(name string, size int) *Register {

@@ -201,10 +201,15 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 // the distribution belongs to the flow whose segments were timed), so
 // pass the data-direction flow ID.
 func (d *DataPlane) ReadRTTHist(id FlowID) RTTHist {
+	return d.rttHistogram((*Register).Read, id)
+}
+
+// rttHistogram copies the flow's histogram cells out through read.
+func (d *DataPlane) rttHistogram(read cellReader, id FlowID) RTTHist {
 	var h RTTHist
 	base := (uint32(id) % d.tableN) * RTTHistBuckets
 	for b := uint32(0); b < RTTHistBuckets; b++ {
-		h.Buckets[b] = d.rttHist.Read(base + b)
+		h.Buckets[b] = read(d.rttHist, base+b)
 	}
 	return h
 }
@@ -261,13 +266,7 @@ func (d *DataPlane) Lean() *sketch.Lean { return d.lean }
 // the accuracy-vs-memory trade the scale sweep tables.
 func (d *DataPlane) FlowTableMemoryBytes() uint64 {
 	var b uint64
-	for _, r := range []*Register{
-		d.bytesReg, d.pktsReg, d.prevSeqReg, d.pktLossReg, d.rttReg,
-		d.qdelayReg, d.highSeqReg, d.highAckReg, d.flightReg,
-		d.flightMaxW, d.flightMinW, d.lastArrReg, d.maxIATReg,
-		d.firstSeen, d.lastSeen, d.finSeenReg, d.announced, d.ownerLo,
-		d.rttHist,
-	} {
+	for _, r := range d.regs[:d.perFlow] {
 		b += uint64(r.Size()) * 8
 	}
 	return b + uint64(len(d.ownerKeys))*13

@@ -384,7 +384,14 @@ func runWireStorm(cfg ReconfigConfig, res *ReconfigResult) func(cp *controlplane
 		serveDone := make(chan struct{})
 		go func() {
 			defer close(serveDone)
-			psconfig.ServeConfigWith(ln, cp, psconfig.ServeOptions{})
+			// One slot per storm command: the client below never waits for
+			// a handler to exit, and a handler holds its slot until it is
+			// next scheduled after its response was read. Under CPU
+			// contention the default 64 slots filled with finished,
+			// merely-runnable handlers; the busy rejection then met the
+			// client's own write on the synchronous pipe and both sat out
+			// their 5 s deadlines, failing a command that must be accepted.
+			psconfig.ServeConfigWith(ln, cp, psconfig.ServeOptions{MaxConns: cfg.StormCommands})
 		}()
 
 		noopRate, _ := psconfig.ParseConfigP4([]string{"--metric", "rtt", "--samples_per_second", "2"})

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestReconfigUnderLoad runs the reconfiguration harness at reduced
 // scale: a tuning storm against a live replay stream, a wire-channel
@@ -59,4 +62,31 @@ func TestReconfigUnderLoad(t *testing.T) {
 	if !res.Passed() {
 		t.Error("Passed() must agree with the individual invariants")
 	}
+}
+
+// TestReconfigWireStormCountIsStable is the regression for the
+// seed-42 storm line flipping 80/79/78 accepted between runs: 64
+// default-size storms, eight at a time so the runs contend for the CPU
+// the way a busy host does, must each accept exactly the two no-op
+// commands in every five.
+func TestReconfigWireStormCountIsStable(t *testing.T) {
+	cfg := ReconfigConfig{}.withDefaults()
+	want := uint64(2 * cfg.StormCommands / 5)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				res := &ReconfigResult{Config: cfg}
+				_, cp := reconfigScenario(cfg, 0, runWireStorm(cfg, res))
+				if res.StormAccepted != want || cp.ConfigGenerations().Seq != want {
+					t.Errorf("storm accepted %d commands (seq %d), want %d: %d rejected / %d faulted / %d malformed",
+						res.StormAccepted, cp.ConfigGenerations().Seq, want,
+						res.StormRejected, res.StormFaulted, res.StormMalformed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

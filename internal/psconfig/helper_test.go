@@ -13,7 +13,7 @@ import (
 func newRealControlPlane(t *testing.T) *controlplane.ControlPlane {
 	t.Helper()
 	e := simtime.NewEngine()
-	dp := dataplane.New(dataplane.Config{})
+	dp := dataplane.NewPipes(dataplane.Config{}, 1)
 	sink := &controlplane.MemorySink{}
 	cp := controlplane.New(e, dp, sink, controlplane.Config{LinkCapacityBps: 1e9})
 	cp.Start()
