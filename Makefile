@@ -10,7 +10,7 @@ BENCH_GATE = ^BenchmarkFig9PerFlow$$|^BenchmarkTable1Comparison$$|^BenchmarkRepl
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
+.PHONY: all build vet test race bench-test bench-pairs lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
 
 all: ci
 
@@ -36,6 +36,18 @@ race:
 # all its checks.
 bench-test:
 	(cd bench && $(GO) vet ./... && $(GO) test -race ./...)
+
+# bench-pairs is how a performance claim is measured: N interleaved
+# runs of one benchmark workload on BASE and on this checkout,
+# alternating which side goes first, then bench's own -compare (median
+# delta against BENCHMARK.json's bound, spread of each side) and the
+# count of pairs this checkout won. BASE is built in .bench_build/.
+#   make bench-pairs BASE=HEAD~1 W=elephants N=10
+BASE ?= HEAD~1
+W ?= elephants
+N ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(BASE) $(W) $(N)
 
 # lint runs the cheap per-package syntactic passes; lint-deep the
 # whole-program dataflow passes (call graph, hotpath propagation,

@@ -480,7 +480,7 @@ func BenchmarkSketchUpdate(b *testing.B) {
 			lean.Observe(k, 1488)
 			if lean.SeenSeq(k, uint64(j/nkeys)*1448+1) {
 				dups++
-				lean.CountLoss(k)
+				lean.CountLoss(k.Hash())
 			}
 		}
 		var worst uint64

@@ -1,31 +1,30 @@
 package dataplane
 
 import (
-	"fmt"
-
 	"repro/internal/packet"
+	"repro/internal/sketch"
 )
 
-// CMS is a count-min sketch (Cormode & Muthukrishnan), the structure
-// the paper's data plane uses to detect long flows before dedicating
-// per-flow register state to them (§4). Counters accumulate bytes.
-type CMS struct {
-	width uint32
-	depth uint32
-	rows  [][]uint64
-}
+// CMS is the count-min sketch the paper's data plane uses to detect
+// long flows before dedicating per-flow register state to them (§4),
+// counting bytes: a sketch.CMS addressed by longFlowHash of the flow
+// key. The packet path bypasses these methods and adds the hashes it
+// computed at parse.
+type CMS struct{ s *sketch.CMS }
 
 // NewCMS builds a sketch with the given geometry. Width is the number
-// of counters per row; depth is the number of independent hash rows.
+// of counters per row; depth is the number of hash rows.
 func NewCMS(width, depth int) *CMS {
-	if width <= 0 || depth <= 0 {
-		panic(fmt.Sprintf("dataplane: invalid CMS geometry %dx%d", width, depth))
-	}
-	rows := make([][]uint64, depth)
-	for i := range rows {
-		rows[i] = make([]uint64, width)
-	}
-	return &CMS{width: uint32(width), depth: uint32(depth), rows: rows}
+	return &CMS{sketch.NewCMS(sketch.GeometryOf(width, depth))}
+}
+
+// cmsHash is longFlowHash from the key alone. crcPair is the fast
+// fixed-length CRC routine; the reversed ID it also yields is unused.
+//
+// p4:hotpath
+func cmsHash(k *FlowKey) sketch.Hash {
+	id, _ := crcPair(k)
+	return longFlowHash(id, k.sketchKey().Hash())
 }
 
 // Update adds count bytes to the flow's counters and returns the new
@@ -34,20 +33,11 @@ func (c *CMS) Update(ft packet.FiveTuple, count uint64) uint64 {
 	return c.UpdateKey(KeyOf(ft), count)
 }
 
-// UpdateKey is Update for a pre-packed flow key — the per-packet path,
-// which packs the key once and derives every row hash from it.
+// UpdateKey is Update for a pre-packed flow key.
 //
 // p4:hotpath
 func (c *CMS) UpdateKey(k FlowKey, count uint64) uint64 {
-	est := ^uint64(0)
-	for row := uint32(0); row < c.depth; row++ {
-		idx := k.hashAt(row) % c.width
-		c.rows[row][idx] += count
-		if v := c.rows[row][idx]; v < est {
-			est = v
-		}
-	}
-	return est
+	return c.s.Add(cmsHash(&k), count)
 }
 
 // Estimate returns the sketch's byte estimate for the flow without
@@ -60,22 +50,9 @@ func (c *CMS) Estimate(ft packet.FiveTuple) uint64 {
 //
 // p4:hotpath
 func (c *CMS) EstimateKey(k FlowKey) uint64 {
-	est := ^uint64(0)
-	for row := uint32(0); row < c.depth; row++ {
-		idx := k.hashAt(row) % c.width
-		if v := c.rows[row][idx]; v < est {
-			est = v
-		}
-	}
-	return est
+	return c.s.At(cmsHash(&k))
 }
 
 // Clear zeroes the sketch. The data plane periodically resets it so
 // stale flows do not saturate the counters.
-func (c *CMS) Clear() {
-	for _, row := range c.rows {
-		for i := range row {
-			row[i] = 0
-		}
-	}
-}
+func (c *CMS) Clear() { c.s.Clear() }

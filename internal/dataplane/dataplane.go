@@ -276,54 +276,12 @@ type DataPlane struct {
 	// the pipeline uninstrumented at the cost of one branch per packet.
 	obs *dpObs
 
-	// idCache memoises flow-key CRC hashing across packets (see
-	// flowIDs). Plain fields: a pipe is single-writer by contract.
-	idCache [idCacheSize]idCacheEntry
-
 	// batch holds the per-batch hoisted state ProcessFront threads
 	// through the inner loop (monitor-table run cache, deferred
 	// counter deltas); zeroed at each batch start.
 	batch batchState
 
 	Stats Stats
-}
-
-// idCacheSize is the number of direct-mapped flow-ID memo entries. Four
-// entries cover the handful of flows that interleave at packet
-// granularity on one pipe; the index mixes direction-symmetric key
-// bytes so a flow and its ACK stream share an entry.
-const idCacheSize = 4
-
-// idCacheEntry memoises one packed key (and its reverse) with both CRC
-// flow IDs, so same-flow packet runs — and the egress copies and ACKs
-// that follow — skip the hash entirely.
-type idCacheEntry struct {
-	key, rkey FlowKey
-	fwd, rev  FlowID
-	ok        bool
-}
-
-// flowIDs returns the forward and reversed CRC flow IDs for a packed
-// key, consulting the direct-mapped memo first. The memo is a pure
-// function cache — entries never go stale — and the index is
-// direction-symmetric, so an ACK hits the entry its data stream filled.
-//
-// p4:hotpath
-func (d *DataPlane) flowIDs(k FlowKey) (FlowID, FlowID) {
-	slot := &d.idCache[(k[3]^k[7]^k[9]^k[11])&(idCacheSize-1)]
-	if slot.ok {
-		if k == slot.key {
-			return slot.fwd, slot.rev
-		}
-		if k == slot.rkey {
-			return slot.rev, slot.fwd
-		}
-	}
-	r := k.Reverse()
-	slot.key, slot.rkey = k, r
-	slot.fwd, slot.rev = k.Hash(), r.Hash()
-	slot.ok = true
-	return slot.fwd, slot.rev
 }
 
 // New builds a pipeline with the given configuration. The tunable
@@ -415,8 +373,7 @@ func (d *DataPlane) Config() Config { return d.cfg }
 // replays them on per-shard goroutines, so nothing downstream of
 // parseCopy may retain a *packet.Packet.
 type view struct {
-	key      FlowKey
-	tuple    packet.FiveTuple
+	flowHash
 	at       simtime.Time
 	dstKey   uint64 // packed IPv4 destination, monitor-table key
 	seqExt   uint64
@@ -432,41 +389,27 @@ type view struct {
 }
 
 // parseCopy extracts the pipeline's working set from a TAP copy. The
-// packed flow key is computed exactly once here; every derived hash
-// (flow ID, reversed ID, CMS rows) reuses its bytes. Egress copies
-// parse light: the egress program (queue-delay pairing + microburst
-// detection) reads only the flow hash, the IP ID and the timestamp,
-// so the full header capture would be pure per-packet overhead on
-// half the TAP stream.
+// flow key is packed and hashed exactly once, here (flowHash.hash): the
+// match-action stages, the shard choice and both sketch tiers reuse
+// the view's hashes. Egress copies parse light: the egress program
+// (queue-delay pairing + microburst detection) reads only the flow
+// hash, the IP ID and the timestamp, so the full header capture would
+// be pure per-packet overhead on half the TAP stream.
 //
 // p4:hotpath
-func parseCopy(c tap.Copy) view {
+func parseCopy(v *view, c tap.Copy) {
 	pkt := c.Pkt
-	if c.Point == tap.Egress {
-		return view{
-			key:   KeyOf(pkt.FiveTuple()),
-			at:    c.At,
-			ipid:  pkt.IPID,
-			point: tap.Egress,
-		}
-	}
 	ft := pkt.FiveTuple()
-	return view{
-		key:      KeyOf(ft),
-		tuple:    ft,
-		at:       c.At,
-		dstKey:   ipKey(pkt.DstIP),
-		seqExt:   pkt.SeqExt,
-		ackExt:   pkt.AckExt,
-		expAck:   pkt.ExpectedAck(),
-		point:    c.Point,
-		totalLen: pkt.TotalLen,
-		ipid:     pkt.IPID,
-		proto:    pkt.Proto,
-		flags:    pkt.Flags,
-		data:     pkt.CarriesData(),
-		ackOnly:  pkt.IsACKOnly(),
+	v.key.pack(&ft)
+	v.hash()
+	v.at, v.ipid, v.point = c.At, pkt.IPID, c.Point
+	if c.Point == tap.Egress {
+		return
 	}
+	v.dstKey = ipKey(pkt.DstIP)
+	v.seqExt, v.ackExt, v.expAck = pkt.SeqExt, pkt.AckExt, pkt.ExpectedAck()
+	v.totalLen, v.proto, v.flags = pkt.TotalLen, pkt.Proto, pkt.Flags
+	v.data, v.ackOnly = pkt.CarriesData(), pkt.IsACKOnly()
 }
 
 // ProcessCopy implements tap.Monitor. Ingress copies drive the
@@ -478,7 +421,8 @@ func parseCopy(c tap.Copy) view {
 //
 // p4:hotpath
 func (d *DataPlane) ProcessCopy(c tap.Copy) {
-	v := parseCopy(c)
+	var v view
+	parseCopy(&v, c)
 	// The monitor table may be reprogrammed between two per-packet
 	// calls; only a batch pins it (see batchState).
 	d.batch.monOK = false
@@ -509,8 +453,8 @@ type batchState struct {
 // idiom. Per-view cost approaches a few array ops: the copy-count
 // statistics and their obs hooks are accumulated in registers and
 // committed once per batch, the monitor-table decision is cached
-// across same-destination runs, and flow-ID CRCs hit the memo for
-// same-flow runs. State after ProcessFront is byte-identical to
+// across same-destination runs, and every view arrives already hashed.
+// State after ProcessFront is byte-identical to
 // feeding the same views through ProcessCopy one at a time (the batch
 // equivalence property test pins this). The front may be reused by the
 // caller as soon as ProcessFront returns.
@@ -602,8 +546,7 @@ func (d *DataPlane) processIngress(v *view) {
 		return
 	}
 
-	key := v.key
-	id, revID := d.flowIDs(key)
+	id := v.id
 	idx := uint32(id) % d.tableN
 
 	// Stamp the ingress time for queuing-delay pairing with the egress
@@ -617,7 +560,7 @@ func (d *DataPlane) processIngress(v *view) {
 	// Admission gate: only the cell's owner writes the exact per-flow
 	// registers; everyone else is counted in the sketch tier with
 	// (ε, δ)-bounded error instead of silently corrupting the cell.
-	if !d.admitCell(idx, id, key) {
+	if !d.admitCell(idx, id, v.key) {
 		d.leanIngress(v)
 		return
 	}
@@ -636,9 +579,9 @@ func (d *DataPlane) processIngress(v *view) {
 
 	switch {
 	case v.data:
-		d.processData(v, key, id, revID, idx, now)
+		d.processData(v, idx, now)
 	case v.ackOnly:
-		d.processAck(v, id, revID, now)
+		d.processAck(v, now)
 	}
 }
 
@@ -646,7 +589,7 @@ func (d *DataPlane) processIngress(v *view) {
 // long-flow, flight and IAT bookkeeping.
 //
 // p4:hotpath
-func (d *DataPlane) processData(v *view, key FlowKey, id, revID FlowID, idx uint32, now simtime.Time) {
+func (d *DataPlane) processData(v *view, idx uint32, now simtime.Time) {
 	// Inter-arrival time (the mmWave blockage signal, §5.4.3).
 	if last := d.lastArrReg.Read(idx); last != 0 {
 		iat := uint64(now) - last
@@ -655,14 +598,14 @@ func (d *DataPlane) processData(v *view, key FlowKey, id, revID FlowID, idx uint
 	d.lastArrReg.Write(idx, uint64(now))
 
 	// Long-flow detection via the count-min sketch.
-	est := d.cms.UpdateKey(key, uint64(v.totalLen))
+	est := d.cms.s.Add(longFlowHash(v.id, v.h), uint64(v.totalLen))
 	if est >= d.tun.LongFlowBytes && d.announced.Read(idx) == 0 {
 		d.announced.Write(idx, 1)
 		if d.OnLongFlow != nil {
 			d.OnLongFlow(LongFlowEvent{
-				ID:    id,
-				RevID: revID,
-				Tuple: v.tuple,
+				ID:    v.id,
+				RevID: v.revID,
+				Tuple: v.key.Tuple(),
 				At:    now,
 				Bytes: est,
 			})
@@ -678,8 +621,7 @@ func (d *DataPlane) processData(v *view, key FlowKey, id, revID FlowID, idx uint
 	// during the admitted era must still test positive in the sketch
 	// tier. The result is discarded — the exact counter below owns
 	// loss accounting while the flow holds its cell.
-	lk := sketch.Key(key)
-	d.lean.SeenSeq(&lk, v.seqExt)
+	d.lean.SeenSeq(v.key.sketchKey(), v.seqExt)
 
 	// Algorithm 1, Seq branch: a sequence number below the previous one
 	// is a retransmission, i.e. evidence of packet loss.
@@ -691,8 +633,8 @@ func (d *DataPlane) processData(v *view, key FlowKey, id, revID FlowID, idx uint
 
 		// Store the expected-ACK signature and timestamp.
 		eack := v.expAck
-		sig := uint64(revID)<<32 | (eack & 0xffffffff)
-		eidx := hash2(revID, eack)
+		sig := uint64(v.revID)<<32 | (eack & 0xffffffff)
+		eidx := hash2(v.revID, eack)
 		if old := d.eackSig.Read(eidx); old != 0 && old != sig {
 			d.Stats.EACKEvictions++
 		}
@@ -710,7 +652,8 @@ func (d *DataPlane) processData(v *view, key FlowKey, id, revID FlowID, idx uint
 // advance the data flow's acknowledged high-water mark.
 //
 // p4:hotpath
-func (d *DataPlane) processAck(v *view, id, revID FlowID, now simtime.Time) {
+func (d *DataPlane) processAck(v *view, now simtime.Time) {
+	id, revID := v.id, v.revID
 	// The data flow's cell: histogram, high-ACK and flight writes land
 	// there, so they require the reverse direction to own it.
 	rslot := uint32(revID) % d.tableN
@@ -776,7 +719,7 @@ func (d *DataPlane) updateFlight(idx uint32, now simtime.Time) {
 // p4:hotpath
 func (d *DataPlane) processEgress(v *view) {
 	now := v.at
-	id, _ := d.flowIDs(v.key)
+	id := v.id
 	qidx := hash2(id, uint64(v.ipid))
 	want := uint64(id)<<16 | uint64(v.ipid)
 	if d.qSig.Read(qidx) != want {

@@ -41,7 +41,8 @@ func (f *Front) Reset() { f.views = f.views[:0] }
 //
 // p4:hotpath
 func (f *Front) AppendCopy(c tap.Copy) {
-	f.views = append(f.views, parseCopy(c))
+	f.views = append(f.views, view{})
+	parseCopy(&f.views[len(f.views)-1], c)
 }
 
 // append adds an already-parsed view (the sharded front-end parses

@@ -3,8 +3,12 @@ package dataplane
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"math/bits"
+	"net/netip"
 
 	"repro/internal/packet"
+	"repro/internal/sketch"
 )
 
 // FlowID is the hash of a flow's 5-tuple — the identity the data plane
@@ -18,9 +22,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // FlowKey is the wire-format 5-tuple as the parser extracts it: source
 // IP, destination IP, source port, destination port, protocol — 13 bytes
 // in network byte order. It is a comparable array, so it works as a map
-// key, and the per-packet pipeline packs it exactly once: every derived
-// hash (flow ID, reversed ID, CMS rows) re-reads these bytes instead of
-// re-marshalling through net/netip accessors.
+// key, and the per-packet pipeline packs and hashes it exactly once, at
+// parse (flowHash.hash).
 type FlowKey [13]byte
 
 // KeyOf packs a 5-tuple into its wire-format key.
@@ -28,14 +31,33 @@ type FlowKey [13]byte
 // p4:hotpath
 func KeyOf(ft packet.FiveTuple) FlowKey {
 	var k FlowKey
-	src := ft.SrcIP.As4()
-	dst := ft.DstIP.As4()
-	copy(k[0:4], src[:])
-	copy(k[4:8], dst[:])
-	binary.BigEndian.PutUint16(k[8:10], ft.SrcPort)
-	binary.BigEndian.PutUint16(k[10:12], ft.DstPort)
-	k[12] = uint8(ft.Proto)
+	k.pack(&ft)
 	return k
+}
+
+// pack fills the key in place. The parser packs straight into the view
+// and hashes from there (flowHash.hash): its stores are the widths the
+// hash routines load, and no copy of the key sits between the two, so
+// the loads forward from the store buffer.
+//
+// p4:hotpath
+func (k *FlowKey) pack(ft *packet.FiveTuple) {
+	src, dst := ft.SrcIP.As4(), ft.DstIP.As4()
+	binary.LittleEndian.PutUint64(k[0:8],
+		uint64(binary.LittleEndian.Uint32(src[:]))|uint64(binary.LittleEndian.Uint32(dst[:]))<<32)
+	binary.BigEndian.PutUint32(k[8:12], uint32(ft.SrcPort)<<16|uint32(ft.DstPort))
+	k[12] = uint8(ft.Proto)
+}
+
+// Tuple unpacks the key: the inverse of KeyOf.
+func (k FlowKey) Tuple() packet.FiveTuple {
+	return packet.FiveTuple{
+		SrcIP:   netip.AddrFrom4([4]byte(k[0:4])),
+		DstIP:   netip.AddrFrom4([4]byte(k[4:8])),
+		SrcPort: binary.BigEndian.Uint16(k[8:10]),
+		DstPort: binary.BigEndian.Uint16(k[10:12]),
+		Proto:   packet.Proto(k[12]),
+	}
 }
 
 // Reverse returns the key with source and destination fields swapped —
@@ -60,18 +82,6 @@ func (k FlowKey) Hash() FlowID {
 	return FlowID(crcSum(k[:]))
 }
 
-// hashAt computes a CMS row hash: the key's bytes hashed with a
-// row-specific seed, emulating the independent hash units of the
-// hardware sketch.
-//
-// p4:hotpath
-func (k FlowKey) hashAt(row uint32) uint32 {
-	var buf [17]byte
-	copy(buf[0:13], k[:])
-	binary.BigEndian.PutUint32(buf[13:17], 0x9e3779b9*(row+1))
-	return crcSum(buf[:])
-}
-
 // HashFiveTuple computes the flow ID from a 5-tuple: a CRC hash over
 // source IP, destination IP, source port, destination port and protocol.
 func HashFiveTuple(ft packet.FiveTuple) FlowID {
@@ -87,12 +97,79 @@ func HashReverse(ft packet.FiveTuple) FlowID {
 
 // hash2 combines a flow ID with a second word (an expected ACK number,
 // an IP ID) into a register index, the way the pipeline builds the
-// packet signatures of Algorithm 1.
+// packet signatures of Algorithm 1: a CRC over the 12 bytes
+// big-endian(id) ‖ big-endian(v).
 //
 // p4:hotpath
-func hash2(id FlowID, v uint64) uint32 {
-	var buf [12]byte
-	binary.BigEndian.PutUint32(buf[0:4], uint32(id))
-	binary.BigEndian.PutUint64(buf[4:12], v)
-	return crcSum(buf[:])
+func hash2(id FlowID, v uint64) uint32 { return crc12(uint32(id), v) }
+
+// flowHash is a flow key together with everything the pipeline ever
+// hashes from it, computed in one place (hash) once per packet or per
+// control-plane query: the paper's parser computes a flow's
+// identity once and every later stage reuses it.
+type flowHash struct {
+	key FlowKey
+	// id and revID are the CRC flow IDs of the key and of its reverse
+	// (FlowKey.Hash / HashReverse). They choose the register cell and
+	// the shard and seed the signature indexes.
+	id, revID FlowID
+	// h is the key's 64-bit mix: every count-min row index, in the
+	// long-flow sketch (through longFlowHash) and in the lean tier,
+	// derives from it.
+	h sketch.Hash
+}
+
+// longFlowHash is the Hash the long-flow sketch is addressed by: the
+// key's mix h with its low word, where the row walk starts, replaced by
+// the flow ID bit-reversed. The sketch's multiply-shift reduction keeps
+// a word's top bits, so row 0 is indexed by the ID's low bits — the
+// bits that pick the register cell. Flows that hold cells of their own
+// therefore never share row 0 (at any power-of-two width the table size
+// divides; the defaults are 8192 and 2048), their estimates are exact,
+// and each is announced by the packet that takes it over the threshold.
+// With every row drawn from the mix, one or two of 1500 equal flows
+// share all four rows with others and are announced at half the volume,
+// long before the rest; the paper's sketch rows are CRC units, which
+// keep closely numbered keys apart the same way.
+//
+// p4:hotpath
+func longFlowHash(id FlowID, h sketch.Hash) sketch.Hash {
+	return h&^math.MaxUint32 | sketch.Hash(bits.Reverse32(uint32(id)))
+}
+
+// hash fills in the hashes of f.key.
+//
+// p4:hotpath
+func (f *flowHash) hash() {
+	f.id, f.revID = crcPair(&f.key)
+	f.h = f.key.sketchKey().Hash()
+}
+
+// hashFlow hashes a packed key.
+func hashFlow(k FlowKey) flowHash {
+	f := flowHash{key: k}
+	f.hash()
+	return f
+}
+
+// sketchKey views the key as the sketch package's key type (the same
+// 13 bytes).
+//
+// p4:hotpath
+func (k *FlowKey) sketchKey() *sketch.Key { return (*sketch.Key)(k) }
+
+// shard is the partition function: the flow ID of the canonical
+// direction — the lexicographically smaller of the key and its reverse
+// — modulo the pipe count. Both directions of a flow share it, so a
+// flow's data and its ACK stream land on the same pipe (Algorithm 1
+// stores eACK state under the reversed ID and the ACK must find it).
+//
+// p4:hotpath
+func (f *flowHash) shard(n int) int {
+	k, id := &f.key, f.id
+	src, dst := binary.BigEndian.Uint32(k[0:4]), binary.BigEndian.Uint32(k[4:8])
+	if src > dst || (src == dst && binary.BigEndian.Uint16(k[8:10]) > binary.BigEndian.Uint16(k[10:12])) {
+		id = f.revID
+	}
+	return int(uint32(id) % uint32(n))
 }

@@ -20,7 +20,7 @@ const pipeBatch = 1024
 // the way a Tofino's traffic manager spreads ports across pipes, each
 // pipe owning a private register file, CMS and microburst detector.
 // Both directions of a flow land on the same shard (the partition
-// hashes the canonical of the key and its reverse), so Algorithm 1's
+// takes the flow ID of the canonical direction), so Algorithm 1's
 // eACK matching and RTT pairing keep working unchanged inside one
 // shard.
 //
@@ -137,34 +137,6 @@ func (p *Pipes) Shard(i int) *DataPlane { return p.shards[i] }
 // Config returns the (defaulted) per-shard pipeline configuration.
 func (p *Pipes) Config() Config { return p.shards[0].Config() }
 
-// canonicalKey returns the lexicographically smaller of a flow key and
-// its reverse: one stable representative for both directions, so the
-// partition below sends a flow's data and its ACK stream to the same
-// shard (Algorithm 1 stores eACK state under the reversed ID and the
-// ACK must find it).
-//
-// p4:hotpath
-func canonicalKey(k FlowKey) FlowKey {
-	r := k.Reverse()
-	for i := 0; i < len(k); i++ {
-		if k[i] != r[i] {
-			if r[i] < k[i] {
-				return r
-			}
-			return k
-		}
-	}
-	return k
-}
-
-// shardOf is the partition function: FlowKey.Hash() of the canonical
-// key, modulo the pipe count.
-//
-// p4:hotpath
-func shardOf(k FlowKey, n int) int {
-	return int(uint32(canonicalKey(k).Hash()) % uint32(n))
-}
-
 // ProcessCopy implements tap.Monitor. One shard processes the copy in
 // place. Above one shard the copy is parsed into a value view (the tap
 // pair may recycle the packet immediately) and appended to the owning
@@ -177,8 +149,9 @@ func (p *Pipes) ProcessCopy(c tap.Copy) {
 		p.shards[0].ProcessCopy(c)
 		return
 	}
-	v := parseCopy(c)
-	s := shardOf(v.key, p.n)
+	var v view
+	parseCopy(&v, c)
+	s := v.shard(p.n)
 	p.mu.Lock() //p4:lint-exempt hotpathprop: the batch mutex is the documented serial-equivalence barrier; the critical section only appends to a pre-sized front and is never held across I/O
 	p.fronts[s].append(&v)
 	p.batchedViews++
@@ -210,7 +183,7 @@ func (p *Pipes) ProcessFront(f *Front) {
 	b := f.views
 	p.mu.Lock() //p4:lint-exempt hotpathprop: one acquisition per front, not per packet — this hoist is the point of the batch path
 	for k := range b {
-		p.fronts[shardOf(b[k].key, p.n)].append(&b[k])
+		p.fronts[b[k].shard(p.n)].append(&b[k])
 	}
 	p.batchedViews += uint64(len(b))
 	p.flushLocked()
@@ -445,10 +418,11 @@ func (p *Pipes) SkipSubnet(prefix netip.Prefix) error {
 // partition sends both directions of a key to one shard, so its
 // two-tier estimate is the whole-traffic answer.
 func (p *Pipes) EstimateFlow(key FlowKey) FlowEstimate {
+	f := hashFlow(key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	return p.shards[shardOf(key, p.n)].EstimateFlow(key)
+	return p.shards[f.shard(p.n)].estimate(&f)
 }
 
 // FlowTableMemoryBytes sums the exact tier's storage footprint across

@@ -153,11 +153,10 @@ func (d *DataPlane) ownsCell(idx uint32, id FlowID, key FlowKey) bool {
 //
 // p4:hotpath
 func (d *DataPlane) leanIngress(v *view) {
-	lk := sketch.Key(v.key)
-	d.lean.Observe(&lk, uint64(v.totalLen))
+	d.lean.ObserveHash(v.h, uint64(v.totalLen))
 	if v.data && v.proto == packet.ProtoTCP {
-		if d.lean.SeenSeq(&lk, v.seqExt) {
-			d.lean.CountLoss(&lk)
+		if d.lean.SeenSeq(v.key.sketchKey(), v.seqExt) {
+			d.lean.CountLoss(v.h)
 		}
 	}
 }
@@ -182,8 +181,7 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 		if last == 0 || now-last <= window {
 			continue
 		}
-		lk := sketch.Key(d.ownerKeys[i])
-		d.lean.Fold(&lk, d.bytesReg.Read(i), d.pktsReg.Read(i), d.pktLossReg.Read(i))
+		d.lean.Fold(d.ownerKeys[i].sketchKey().Hash(), d.bytesReg.Read(i), d.pktsReg.Read(i), d.pktLossReg.Read(i))
 		d.ReleaseFlow(FlowID(i))
 		evicted++
 	}
@@ -239,13 +237,17 @@ type FlowEstimate struct {
 // adds its exact cell on top of whatever sketch residue pre-admission
 // or post-eviction traffic left.
 func (d *DataPlane) EstimateFlow(key FlowKey) FlowEstimate {
-	lk := sketch.Key(key)
+	f := hashFlow(key)
+	return d.estimate(&f)
+}
+
+// estimate is EstimateFlow for an already-hashed key.
+func (d *DataPlane) estimate(f *flowHash) FlowEstimate {
 	var e FlowEstimate
-	e.Bytes, e.Pkts, e.Loss = d.lean.Estimate(&lk)
+	e.Bytes, e.Pkts, e.Loss = d.lean.EstimateHash(f.h)
 	e.BytesBound, e.PktsBound, e.LossBound = d.lean.Bounds()
-	id := key.Hash()
-	idx := uint32(id) % d.tableN
-	if d.ownsCell(idx, id, key) {
+	idx := uint32(f.id) % d.tableN
+	if d.ownsCell(idx, f.id, f.key) {
 		e.Admitted = true
 		e.ExactBytes = d.bytesReg.Read(idx)
 		e.ExactPkts = d.pktsReg.Read(idx)

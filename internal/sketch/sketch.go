@@ -9,8 +9,10 @@
 //
 // Every update path is pure array arithmetic over preallocated storage
 // (the p4:hotpath contract): no allocation, no locking, no stdlib hash
-// interface. Accuracy guarantees, per key k with true count a(k) and N
-// total inserted count:
+// interface. A key is hashed once (Key.Hash); every row index of every
+// sketch derives from that one word, so the packet path hashes at parse
+// and passes the Hash down. Accuracy guarantees, per key k with true
+// count a(k) and N total inserted count:
 //
 //	Estimate(k) ≥ a(k)                               (never undercounts)
 //	P[ Estimate(k) > a(k) + ε·N ] ≤ δ                (CMS, Cormode & Muthukrishnan)
@@ -47,13 +49,22 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashRow hashes the key under a row seed: the 13 bytes load as one
-// 64-bit word plus a 40-bit tail, each folded through the splitmix64
-// finalizer. Distinct seeds emulate the independent hash units a
-// hardware sketch dedicates per row.
+// Hash is a key's one 64-bit mix. The data plane computes it once per
+// packet, at parse, and every count-min row index in both tiers is
+// derived from it (rowWalk).
+type Hash uint64
+
+// Hash mixes the key into its Hash.
 //
 // p4:hotpath
-func (k *Key) hashRow(seed uint64) uint64 {
+func (k *Key) Hash() Hash { return Hash(k.mix(0)) }
+
+// mix hashes the key under a seed: the 13 bytes load as one 64-bit
+// word plus a 40-bit tail, each folded through the splitmix64
+// finalizer. The dup filter seeds it with the sequence number.
+//
+// p4:hotpath
+func (k *Key) mix(seed uint64) uint64 {
 	lo := binary.LittleEndian.Uint64(k[0:8])
 	hi := uint64(k[8]) | uint64(k[9])<<8 | uint64(k[10])<<16 |
 		uint64(k[11])<<24 | uint64(k[12])<<32
@@ -68,7 +79,7 @@ func (k *Key) hashRow(seed uint64) uint64 {
 type Geometry struct {
 	// Width is the number of counters per row: ⌈e/ε⌉ for a requested ε.
 	Width int
-	// Depth is the number of independent hash rows: ⌈ln(1/δ)⌉ for a
+	// Depth is the number of hash rows: ⌈ln(1/δ)⌉ for a
 	// requested δ.
 	Depth int
 	// Epsilon is the delivered relative error: overcount ≤ ε·N where N
@@ -80,9 +91,7 @@ type Geometry struct {
 }
 
 // GeometryFor derives the smallest geometry meeting a requested
-// (ε, δ) bound: width = ⌈e/ε⌉, depth = ⌈ln(1/δ)⌉, then recomputes the
-// delivered bound from the rounded-up dimensions (ε' = e/width,
-// δ' = e^-depth).
+// (ε, δ) bound: width = ⌈e/ε⌉, depth = ⌈ln(1/δ)⌉.
 func GeometryFor(epsilon, delta float64) Geometry {
 	if !(epsilon > 0 && epsilon < 1) || math.IsNaN(epsilon) {
 		panic(fmt.Sprintf("sketch: epsilon %g out of range (0,1)", epsilon))
@@ -90,29 +99,30 @@ func GeometryFor(epsilon, delta float64) Geometry {
 	if !(delta > 0 && delta < 1) || math.IsNaN(delta) {
 		panic(fmt.Sprintf("sketch: delta %g out of range (0,1)", delta))
 	}
-	g := Geometry{
-		Width: int(math.Ceil(math.E / epsilon)),
-		Depth: int(math.Ceil(math.Log(1 / delta))),
+	return GeometryOf(int(math.Ceil(math.E/epsilon)), max(1, int(math.Ceil(math.Log(1/delta)))))
+}
+
+// GeometryOf is the geometry of given dimensions with the bound they
+// deliver: ε = e/width, δ = e^-depth.
+func GeometryOf(width, depth int) Geometry {
+	return Geometry{
+		Width:   width,
+		Depth:   depth,
+		Epsilon: math.E / float64(width),
+		Delta:   math.Exp(-float64(depth)),
 	}
-	if g.Depth < 1 {
-		g.Depth = 1
-	}
-	g.Epsilon = math.E / float64(g.Width)
-	g.Delta = math.Exp(-float64(g.Depth))
-	return g
 }
 
 // CMS is a count-min sketch with its analytical error bound attached.
-// Rows are stored flat (depth × width) for cache locality; row seeds
-// are fixed at construction so two sketches with the same geometry
-// index identically (what lets the sharded data plane sum estimates
-// across pipes).
+// Rows are stored flat (depth × width) for cache locality. Row indexes
+// are a pure function of the key's Hash and the geometry, so two
+// sketches with the same geometry index identically (what lets the
+// lean tier's three sketches share one index set per packet, and the
+// sharded data plane sum estimates across pipes).
 type CMS struct {
 	width uint64
-	depth int
 	rows  []uint64 // flat: rows[r*width : (r+1)*width]
-	seeds []uint64
-	total uint64 // total count inserted (the N of the ε·N bound)
+	total uint64   // total count inserted (the N of the ε·N bound)
 	geom  Geometry
 }
 
@@ -122,50 +132,67 @@ func NewCMS(g Geometry) *CMS {
 	if g.Width <= 0 || g.Depth <= 0 {
 		panic(fmt.Sprintf("sketch: invalid CMS geometry %dx%d", g.Width, g.Depth))
 	}
-	c := &CMS{
-		width: uint64(g.Width),
-		depth: g.Depth,
-		rows:  make([]uint64, g.Width*g.Depth),
-		seeds: make([]uint64, g.Depth),
-		geom:  g,
-	}
-	for r := range c.seeds {
-		c.seeds[r] = mix64(uint64(r) + 0x6a09e667f3bcc909)
-	}
-	return c
+	return &CMS{width: uint64(g.Width), rows: make([]uint64, g.Width*g.Depth), geom: g}
 }
 
 // Geometry returns the sketch's shape and delivered (ε, δ) bound.
 func (c *CMS) Geometry() Geometry { return c.geom }
 
-// Update adds count to the key's counters in every row.
+// rowWalk splits a Hash into the Kirsch–Mitzenmacher pair every row
+// index derives from: row r hashes to x + r·step (mod 2³²). step is
+// odd, hence never zero, so the rows cannot all collapse onto one
+// index.
 //
 // p4:hotpath
-func (c *CMS) Update(k *Key, count uint64) {
-	base := uint64(0)
-	for r := 0; r < c.depth; r++ {
-		c.rows[base+k.hashRow(c.seeds[r])%c.width] += count
-		base += c.width
+func rowWalk(h Hash) (x, step uint32) { return uint32(h), uint32(h>>32) | 1 }
+
+// cell is the flat index of the counter a row hash x selects in the
+// row starting at base: a multiply-shift reduction of x onto [0, width).
+//
+// p4:hotpath
+func (c *CMS) cell(base uint64, x uint32) uint64 { return base + (uint64(x)*c.width)>>32 }
+
+// Add adds count to the hashed key's counter in every row and returns
+// the key's new estimate.
+//
+// p4:hotpath
+func (c *CMS) Add(h Hash, count uint64) uint64 {
+	est := ^uint64(0)
+	x, step := rowWalk(h)
+	for base := uint64(0); base < uint64(len(c.rows)); base += c.width {
+		p := &c.rows[c.cell(base, x)]
+		*p += count
+		est = min(est, *p)
+		x += step
 	}
 	c.total += count
+	return est
 }
 
-// Estimate returns the key's count estimate: the minimum across rows.
+// At returns the hashed key's count estimate: the minimum across rows.
 // Never below the true count; above it by more than ErrorBound with
 // probability at most Geometry().Delta.
 //
 // p4:hotpath
-func (c *CMS) Estimate(k *Key) uint64 {
+func (c *CMS) At(h Hash) uint64 {
 	est := ^uint64(0)
-	base := uint64(0)
-	for r := 0; r < c.depth; r++ {
-		if v := c.rows[base+k.hashRow(c.seeds[r])%c.width]; v < est {
-			est = v
-		}
-		base += c.width
+	x, step := rowWalk(h)
+	for base := uint64(0); base < uint64(len(c.rows)); base += c.width {
+		est = min(est, c.rows[c.cell(base, x)])
+		x += step
 	}
 	return est
 }
+
+// Update is Add for a caller holding only the key.
+//
+// p4:hotpath
+func (c *CMS) Update(k *Key, count uint64) { c.Add(k.Hash(), count) }
+
+// Estimate is At for a caller holding only the key.
+//
+// p4:hotpath
+func (c *CMS) Estimate(k *Key) uint64 { return c.At(k.Hash()) }
 
 // Total returns the total count inserted since construction (or the
 // last Clear) — the N the ε·N bound scales with.
@@ -255,7 +282,7 @@ func NewDupFilterBits(logBits, hashes int) *DupFilter {
 //
 // p4:hotpath
 func (f *DupFilter) TestAndSet(k *Key, seq uint64) bool {
-	h1 := k.hashRow(seq)
+	h1 := k.mix(seq)
 	h2 := mix64(h1) | 1
 	seen := true
 	for i := 0; i < f.hashes; i++ {
@@ -332,7 +359,8 @@ func (c Config) withDefaults() Config {
 // sketches sharing one geometry, plus the retransmission dup filter.
 // It is what a data-plane pipe updates for every packet the exact
 // register tier did not admit, and what evicted exact-tier flows fold
-// into.
+// into. Counting methods take the key's Hash; Observe and Estimate
+// also come in a Key form for callers that hold only the key.
 type Lean struct {
 	bytes, pkts, loss *CMS
 	dup               *DupFilter
@@ -355,13 +383,27 @@ func NewLean(cfg Config) *Lean {
 // Geometry returns the counting sketches' shared geometry.
 func (l *Lean) Geometry() Geometry { return l.bytes.Geometry() }
 
-// Observe counts one packet of wireBytes for the key.
+// ObserveHash counts one packet of wireBytes for the hashed key. The
+// byte and packet sketches share a geometry, so one walk of the rows
+// serves both.
 //
 // p4:hotpath
-func (l *Lean) Observe(k *Key, wireBytes uint64) {
-	l.bytes.Update(k, wireBytes)
-	l.pkts.Update(k, 1)
+func (l *Lean) ObserveHash(h Hash, wireBytes uint64) {
+	x, step := rowWalk(h)
+	for base := uint64(0); base < uint64(len(l.bytes.rows)); base += l.bytes.width {
+		i := l.bytes.cell(base, x)
+		l.bytes.rows[i] += wireBytes
+		l.pkts.rows[i]++
+		x += step
+	}
+	l.bytes.total += wireBytes
+	l.pkts.total++
 }
+
+// Observe is ObserveHash for a caller holding only the key.
+//
+// p4:hotpath
+func (l *Lean) Observe(k *Key, wireBytes uint64) { l.ObserveHash(k.Hash(), wireBytes) }
 
 // SeenSeq records a TCP data packet's (key, seq) in the dup filter and
 // reports whether it was already present — a retransmission (or a
@@ -372,33 +414,31 @@ func (l *Lean) SeenSeq(k *Key, seq uint64) bool {
 	return l.dup.TestAndSet(k, seq)
 }
 
-// CountLoss adds one loss event for the key.
+// CountLoss adds one loss event for the hashed key.
 //
 // p4:hotpath
-func (l *Lean) CountLoss(k *Key) {
-	l.loss.Update(k, 1)
-}
+func (l *Lean) CountLoss(h Hash) { l.loss.Add(h, 1) }
 
 // Fold adds a flow's exact-tier totals into the sketches — the
 // eviction path: the flow's history must survive its register cells.
-func (l *Lean) Fold(k *Key, bytes, pkts, loss uint64) {
-	if bytes > 0 {
-		l.bytes.Update(k, bytes)
-	}
-	if pkts > 0 {
-		l.pkts.Update(k, pkts)
-	}
-	if loss > 0 {
-		l.loss.Update(k, loss)
-	}
+func (l *Lean) Fold(h Hash, bytes, pkts, loss uint64) {
+	l.bytes.Add(h, bytes)
+	l.pkts.Add(h, pkts)
+	l.loss.Add(h, loss)
 }
 
-// Estimate returns the key's byte, packet and loss estimates.
+// EstimateHash returns the hashed key's byte, packet and loss
+// estimates.
 //
 // p4:hotpath
-func (l *Lean) Estimate(k *Key) (bytes, pkts, loss uint64) {
-	return l.bytes.Estimate(k), l.pkts.Estimate(k), l.loss.Estimate(k)
+func (l *Lean) EstimateHash(h Hash) (bytes, pkts, loss uint64) {
+	return l.bytes.At(h), l.pkts.At(h), l.loss.At(h)
 }
+
+// Estimate is EstimateHash for a caller holding only the key.
+//
+// p4:hotpath
+func (l *Lean) Estimate(k *Key) (bytes, pkts, loss uint64) { return l.EstimateHash(k.Hash()) }
 
 // Bounds returns the current analytical overcount bounds (⌈ε·N⌉ per
 // sketch, each holding with probability ≥ 1-δ).
