@@ -10,7 +10,7 @@ BENCH_GATE = ^BenchmarkFig9PerFlow$$|^BenchmarkTable1Comparison$$|^BenchmarkRepl
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test bench-pairs lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
+.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
 
 all: ci
 
@@ -43,11 +43,21 @@ bench-test:
 # delta against BENCHMARK.json's bound, spread of each side) and the
 # count of pairs this checkout won. BASE is built in .bench_build/.
 #   make bench-pairs BASE=HEAD~1 W=elephants N=10
+#   SEED="42 2026" make bench-pairs ...   (N pairs and a verdict per seed)
 BASE ?= HEAD~1
 W ?= elephants
 N ?= 10
 bench-pairs:
 	bash scripts/bench_pairs.sh $(BASE) $(W) $(N)
+
+# bench-scaling asks whether a second pipe pays for itself on this
+# host: N alternated runs of `elephants` (one shard) and
+# `elephants_2shard`, both medians and their ratio; fails on negative
+# scaling when there are at least two CPUs. Timing, so the nightly
+# workflow runs it, not `make ci`.
+#   make bench-scaling N=5
+bench-scaling:
+	bash scripts/bench_scaling.sh $(N)
 
 # lint runs the cheap per-package syntactic passes; lint-deep the
 # whole-program dataflow passes (call graph, hotpath propagation,

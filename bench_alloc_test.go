@@ -90,7 +90,7 @@ func TestAllocFreeDataPlaneInstrumented(t *testing.T) {
 // be identical to the bare pipeline. Above one shard the per-packet
 // cost is parse + lock + batch append into pre-allocated capacity:
 // still zero allocations per packet (shard-goroutine spawns are
-// per-barrier and amortised, never per-packet).
+// per-launch and amortised, never per-packet).
 func TestAllocFreePipesPerPacket(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		assertPerPacketAllocFree(t, dataplane.NewPipes(dataplane.Config{}, shards),
@@ -132,9 +132,9 @@ func assertPerPacketAllocFree(t *testing.T, p *dataplane.Pipes, label string) {
 // capacity-retained Front and draining it through ProcessFront
 // run-to-completion allocates nothing per batch at shards 1 and 4
 // (in-place parse and hash into retained capacity, hoisted counter
-// commits — no per-view work that could allocate; one
-// flow keeps one shard busy, which the flushing goroutine replays
-// itself).
+// commits — no per-view work that could allocate; one flow keeps one
+// shard busy, and a launch that finds one shard busy replays it in
+// place instead of spawning).
 func TestAllocFreeBatchPath(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		assertBatchAllocFree(t, dataplane.NewPipes(dataplane.Config{}, shards),
@@ -171,6 +171,48 @@ func assertBatchAllocFree(t *testing.T, p *dataplane.Pipes, label string) {
 		p.ProcessFront(f)
 		f.Reset()
 	})
+}
+
+// TestAllocBoundShardedLaunch pins what the sharded batch path may
+// allocate once more than one shard has work: the closure of the go
+// statement that hands a shard its front — one per busy shard per
+// front, 2/1024 per record on the benchmark's two-shard workload — and
+// nothing per view.
+func TestAllocBoundShardedLaunch(t *testing.T) {
+	const shards, flows, batch = 2, 8, 256
+	p := dataplane.NewPipes(dataplane.Config{}, shards)
+	data := make([]*packet.Packet, flows)
+	for i := range data {
+		ft := allocFlow()
+		ft.SrcPort += uint16(i)
+		data[i] = packet.NewTCP(ft, 1, 0, packet.FlagACK|packet.FlagPSH, 1448)
+	}
+	f := dataplane.NewFront(batch)
+	seq := uint64(1)
+	at := simtime.Second
+	run := func() {
+		for i := 0; i < batch; i++ {
+			at += 10 * simtime.Microsecond
+			d := data[i%flows]
+			d.SeqExt = seq
+			d.IPID = uint16(seq)
+			seq += 1448
+			f.AppendCopy(tap.Copy{Pkt: d, Point: tap.Ingress, At: at})
+		}
+		p.ProcessFront(f)
+		f.Reset()
+	}
+	run()
+	p.Flush()
+	for i := 0; i < shards; i++ {
+		if p.Shard(i).Stats.IngressCopies == 0 {
+			t.Fatalf("shard %d got none of %d flows: the launch never spawned", i, flows)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, run); avg > shards {
+		t.Errorf("two busy shards: %.2f allocs per front, want at most %d (one per busy shard)", avg, shards)
+	}
+	p.Flush()
 }
 
 // TestAllocFreeGenerationRead pins the reconfiguration model's hot

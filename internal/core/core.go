@@ -51,8 +51,8 @@ type Options struct {
 	// Shards is the number of independent data-plane pipes the flows
 	// are partitioned across (the multi-pipe model of a Tofino ASIC).
 	// 0 or 1 runs the single-pipe pipeline with byte-identical output;
-	// higher values batch per-shard work and replay it in parallel at
-	// barriers (see dataplane.Pipes).
+	// higher values batch per-shard work and replay it in parallel
+	// between barriers (see dataplane.Pipes).
 	Shards int
 	// ControlPlane tunes extraction and alerting; LinkCapacityBps and
 	// BufferBytes are filled in from the topology automatically.

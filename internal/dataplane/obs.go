@@ -41,11 +41,13 @@ type dpObs struct {
 // uninstrumented pipeline pays only a nil check.
 //
 // Gauges read shard state under the front-end mutex without forcing a
-// barrier: a scrape shows the world as of the last flush rather than
-// replaying packet work on the scrape thread (barrier points must stay
-// driven by the simulation, not by wall-clock scrapes). One-shard
-// ingest runs outside that mutex, so there the registry's Sync hook
-// must serialise scrapes with the simulation step.
+// barrier: a scrape waits for the replay in flight and shows the world
+// as of the last completed replay. It launches nothing pending and
+// delivers no events — handlers mutate control-plane state and belong
+// to the simulation's goroutine, and barrier points must stay driven by
+// the simulation, not by wall-clock scrapes. One-shard ingest runs
+// outside that mutex, so there the registry's Sync hook must serialise
+// scrapes with the simulation step.
 func (p *Pipes) RegisterObs(r *obs.Registry) {
 	// Batch shape: how many views each drained front carried and the
 	// simulated time span it covered (fill latency in simtime —
@@ -71,7 +73,7 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		d.obs = o
 	}
 	// Occupancy is scanned at scrape time (never on the packet path).
-	r.NewGaugeFunc("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last barrier).",
+	r.NewGaugeFunc("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last completed replay).",
 		p.lockedGauge(func() uint64 {
 			var n uint64
 			for _, d := range p.shards {
@@ -85,7 +87,7 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		p.LeanMemoryBytes)
 	r.NewGaugeFunc("p4_pipes_shards", "Configured data-plane pipes.",
 		func() uint64 { return uint64(p.n) })
-	r.NewGaugeFunc("p4_pipes_flushes_total", "Barrier flushes executed.",
+	r.NewGaugeFunc("p4_pipes_flushes_total", "Launches that handed at least one pending front to a shard.",
 		p.lockedGauge(func() uint64 { return p.flushes }))
 	r.NewGaugeFunc("p4_pipes_batched_views_total", "TAP copies batched through the partition (none at one shard).",
 		p.lockedGauge(func() uint64 { return p.batchedViews }))
@@ -106,12 +108,14 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 }
 
 // lockedGauge serialises a gauge read with packet batching and shard
-// replay (replay only runs while the mutex is held, so a locked read
-// never races shard state above one shard).
+// replay: a replay outlives the ingest call that launched it, so the
+// read waits for the one in flight, and no other can start while the
+// mutex is held. Waiting is all it does — see RegisterObs.
 func (p *Pipes) lockedGauge(read func() uint64) func() uint64 {
 	return func() uint64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
+		p.replay.Wait()
 		return read()
 	}
 }

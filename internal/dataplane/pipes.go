@@ -25,39 +25,50 @@ const pipeBatch = 1024
 // shard.
 //
 // Every control-plane method is one path at every shard count: take
-// the mutex, replay whatever is batched (the barrier), then visit the
-// shards — reads through mergedRead, which applies the merge rule each
-// register declares and is the identity at one shard. Only ingest
-// chooses by shard count. One shard runs each copy or front straight
-// through its pipe, with digests delivered inline in packet order and
-// the hot path at 0 allocs/op. Above one shard, ProcessCopy parses the
-// TAP copy into a value view and appends it to the owning shard's
-// pre-allocated front; fronts are replayed one goroutine per shard
-// with work and joined at the barrier before any state is read.
-// Packets destined to distinct shards commute — shard state is
-// disjoint by construction — so the deferred replay produces exactly
-// the per-shard state a serial run would (DESIGN.md §5.4).
+// the mutex, replay whatever is batched and join it (the barrier), then
+// visit the shards — reads through mergedRead, which applies the merge
+// rule each register declares and is the identity at one shard. Only
+// ingest chooses by shard count. One shard runs each copy or front
+// straight through its pipe, with digests delivered inline in packet
+// order and the hot path at 0 allocs/op. Above one shard ingest is
+// pipelined, the way Tofino's pipes run on their own until the control
+// plane extracts registers: ProcessCopy and ProcessFront move parsed
+// views into the owning shard's pending front, a launch hands every
+// pending front to its shard — one goroutine per shard with work — and
+// returns, and the shards run while the producer fills and partitions
+// the next front. A replay is joined by the next launch and by every
+// barrier: points in the program, not in time. Packets destined to
+// distinct shards commute — shard state is disjoint by construction —
+// so the deferred replay produces exactly the per-shard state a serial
+// run would (DESIGN.md §5.4).
 //
 // Concurrency contract: control-plane methods are safe for concurrent
 // use at any shard count. Ingest is too above one shard (it serialises
 // on the same mutex); at one shard ingest is lock-free and the caller
 // must serialise it with everything else, as with a bare DataPlane.
-// Long-flow and microburst handlers above one shard run while the
-// mutex is held and must not call back into Pipes.
+// Long-flow and microburst handlers above one shard run at a join,
+// while the mutex is held, on the goroutine that ingests or reads —
+// never on a shard's goroutine and never on a metrics scrape — and
+// must not call back into Pipes.
 type Pipes struct {
 	shards []*DataPlane
 	n      int
 
 	// onLongFlow and onMicroburst deliver the merged event streams.
 	// Events carry the originating shard id; above one shard they are
-	// delivered at the next barrier, in shard order, with original
-	// timestamps.
+	// delivered when the replay that raised them is joined, in shard
+	// order, with original timestamps.
 	onLongFlow   func(LongFlowEvent)
 	onMicroburst func(MicroburstEvent)
 
+	// Two sets of per-shard fronts, nil at one shard: ingest appends to
+	// fronts under mu; flight is the set the last launch handed to the
+	// shards, theirs alone until replay is waited on. A launch swaps
+	// them.
 	mu     sync.Mutex
-	fronts []*Front       // per-shard pending views; nil at one shard
-	replay sync.WaitGroup // joins a flush's shard goroutines; used under mu
+	fronts []*Front
+	flight []*Front
+	replay sync.WaitGroup // the replay in flight; Add and Wait under mu
 
 	// Batch-shape telemetry (RegisterObs): views per drained front and
 	// the simulated time span each front covers. Atomic observes, so
@@ -66,8 +77,8 @@ type Pipes struct {
 	frontSpanNs *obs.Histogram
 
 	// Per-shard deferred event buffers, appended by shard hooks during
-	// replay (single writer per index) and drained in shard order at
-	// the barrier.
+	// replay (single writer per index) and drained in shard order when
+	// the replay is joined.
 	lfPend [][]LongFlowEvent
 	mbPend [][]MicroburstEvent
 
@@ -110,10 +121,12 @@ func NewPipes(cfg Config, shards int) *Pipes {
 		return p
 	}
 	p.fronts = make([]*Front, shards)
+	p.flight = make([]*Front, shards)
 	p.lfPend = make([][]LongFlowEvent, shards)
 	p.mbPend = make([][]MicroburstEvent, shards)
 	for i, d := range p.shards {
 		p.fronts[i] = NewFront(pipeBatch)
+		p.flight[i] = NewFront(pipeBatch)
 		d.OnLongFlow = func(ev LongFlowEvent) {
 			ev.Shard = i
 			p.lfPend[i] = append(p.lfPend[i], ev)
@@ -130,8 +143,10 @@ func NewPipes(cfg Config, shards int) *Pipes {
 func (p *Pipes) NumShards() int { return p.n }
 
 // Shard exposes one underlying pipe for white-box tests and per-shard
-// telemetry. Reading shard state directly while traffic is in flight
-// above one shard bypasses the barrier; call a merged read first.
+// telemetry. Above one shard the pipe belongs to its replay goroutine
+// from a launch until the next join, so reading it directly is a data
+// race unless a barrier (Flush or any merged read) came first and
+// nothing was ingested since.
 func (p *Pipes) Shard(i int) *DataPlane { return p.shards[i] }
 
 // Config returns the (defaulted) per-shard pipeline configuration.
@@ -140,8 +155,8 @@ func (p *Pipes) Config() Config { return p.shards[0].Config() }
 // ProcessCopy implements tap.Monitor. One shard processes the copy in
 // place. Above one shard the copy is parsed into a value view (the tap
 // pair may recycle the packet immediately) and appended to the owning
-// shard's pre-allocated front — no per-packet goroutines, no
-// per-packet allocation; a full front triggers a barrier flush.
+// shard's pre-allocated pending front — no per-packet goroutines, no
+// per-packet allocation; a full front triggers a launch.
 //
 // p4:hotpath
 func (p *Pipes) ProcessCopy(c tap.Copy) {
@@ -156,7 +171,7 @@ func (p *Pipes) ProcessCopy(c tap.Copy) {
 	p.fronts[s].append(&v)
 	p.batchedViews++
 	if p.fronts[s].Len() >= pipeBatch {
-		p.flushLocked()
+		p.launchLocked()
 	}
 	p.mu.Unlock() //p4:lint-exempt hotpathprop: pairs with the exempted Lock above
 }
@@ -166,10 +181,12 @@ func (p *Pipes) ProcessCopy(c tap.Copy) {
 // batch upstream of the partition. One shard drains the front straight
 // through its pipe run-to-completion, with events delivered inline
 // exactly as ProcessCopy would. Above one shard the mutex is taken
-// once per front instead of once per packet: every view is moved to
-// its owning shard's front and the batch is replayed to the barrier
-// before ProcessFront returns. Either way the caller may reuse f
-// (Reset and refill) immediately.
+// once per front instead of once per packet: every view is copied to
+// its owning shard's pending front while the previous front is still
+// being replayed, then the launch joins that replay, delivers its
+// events and starts this one. ProcessFront does not wait for it: state
+// and events of this front are due at the next barrier or ingest call.
+// Either way the caller may reuse f (Reset and refill) immediately.
 //
 // p4:hotpath
 func (p *Pipes) ProcessFront(f *Front) {
@@ -186,7 +203,7 @@ func (p *Pipes) ProcessFront(f *Front) {
 		p.fronts[b[k].shard(p.n)].append(&b[k])
 	}
 	p.batchedViews += uint64(len(b))
-	p.flushLocked()
+	p.launchLocked()
 	p.mu.Unlock() //p4:lint-exempt hotpathprop: pairs with the exempted Lock above
 }
 
@@ -202,46 +219,65 @@ func (p *Pipes) drain(i int, f *Front) {
 	p.shards[i].ProcessFront(f)
 }
 
-// Flush forces the barrier: every batched view is replayed on its
-// shard and joined, and deferred events are delivered, before Flush
-// returns. The engine (or any caller about to read state) uses it to
-// re-establish the serial-equivalent view.
+// Flush forces the barrier: every batched view has been replayed on its
+// shard and deferred events have been delivered before Flush returns,
+// and nothing is pending or in flight. The engine (or any caller about
+// to read state) uses it to re-establish the serial-equivalent view.
 func (p *Pipes) Flush() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
 }
 
-// flushLocked replays all pending fronts, one goroutine per shard with
-// work — the caller's own for the first, so a flush that found one
-// shard busy spawns and allocates nothing — and leaves placement to
-// the Go scheduler. Each shard is replayed by exactly one goroutine,
-// so per-shard state stays single-writer; the WaitGroup join is the
-// barrier (and the happens-before edge making the writes visible to
-// the caller). Deferred shard events are delivered after the join, in
-// shard order.
+// flushLocked is the barrier: launch what is pending, then join it.
 func (p *Pipes) flushLocked() {
-	mine := -1
+	p.launchLocked()
+	p.joinLocked()
+}
+
+// launchLocked joins the replay in flight, then hands every pending
+// front to its shard: the two sets swap and each shard with work gets
+// one goroutine, placed by the Go scheduler, which nobody waits for
+// here. A launch that finds one shard busy replays it on the caller's
+// goroutine instead, spawning and allocating nothing. Each shard is
+// replayed by exactly one goroutine at a time, so per-shard state stays
+// single-writer.
+func (p *Pipes) launchLocked() {
+	p.joinLocked()
+	busy, last := 0, 0
 	for i, f := range p.fronts {
-		switch {
-		case f.Len() == 0:
-		case mine < 0:
-			mine = i
-		default:
-			p.replay.Add(1)
-			go func() {
-				defer p.replay.Done()
-				p.replayShard(i)
-			}()
+		if f.Len() > 0 {
+			busy, last = busy+1, i
 		}
 	}
-	if mine < 0 {
+	if busy == 0 {
 		return
 	}
 	p.flushes++
-	p.replayShard(mine)
+	p.fronts, p.flight = p.flight, p.fronts
+	if busy == 1 {
+		p.replayShard(last)
+		return
+	}
+	for i, f := range p.flight {
+		if f.Len() == 0 {
+			continue
+		}
+		p.replay.Add(1)
+		go func() {
+			defer p.replay.Done()
+			p.replayShard(i)
+		}()
+	}
+}
+
+// joinLocked waits for the replay in flight — the happens-before edge
+// that makes the shards' writes visible to the caller — and delivers
+// the events it deferred, in shard order. With nothing in flight and
+// nothing deferred it does nothing.
+func (p *Pipes) joinLocked() {
 	p.replay.Wait()
-	for i := range p.shards {
+	for i := range p.lfPend {
 		for _, ev := range p.lfPend[i] {
 			if p.onLongFlow != nil {
 				p.onLongFlow(ev)
@@ -257,10 +293,11 @@ func (p *Pipes) flushLocked() {
 	}
 }
 
-// replayShard drains shard i's pending front and hands it back empty.
+// replayShard drains the front shard i was handed and leaves it empty
+// for the next swap.
 func (p *Pipes) replayShard(i int) {
-	p.drain(i, p.fronts[i])
-	p.fronts[i].Reset()
+	p.drain(i, p.flight[i])
+	p.flight[i].Reset()
 }
 
 // onShards is the control plane's way into shard state: under the

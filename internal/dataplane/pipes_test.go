@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/simtime"
 	"repro/internal/tap"
@@ -451,4 +452,165 @@ func TestMergedReadRules(t *testing.T) {
 			t.Errorf("%s %v: merged %d, want %d", tc.name, tc.vals, got, tc.want)
 		}
 	}
+}
+
+// announceFront parses into f four data segments of each of the first
+// flows trace flows, starting at segment k0 — enough bytes to cross
+// announceConfig's long-flow threshold on the second segment of a flow.
+func announceFront(f *Front, flows, k0 int) {
+	for k := k0; k < k0+4; k++ {
+		for i := 0; i < flows; i++ {
+			data := packet.NewTCP(traceFlow(i), uint64(1+k*1448), 0, packet.FlagACK|packet.FlagPSH, 1448)
+			data.IPID = uint16(i*1000 + k + 1)
+			at := simtime.Time(k+1)*simtime.Millisecond + simtime.Time(i)*simtime.Microsecond
+			f.AppendCopy(tap.Copy{Pkt: data, Point: tap.Ingress, At: at})
+		}
+	}
+}
+
+var announceConfig = Config{LongFlowBytes: 2048}
+
+// TestPipesEventsDeliveredAtJoinPoints pins where the events of a front
+// reach the handler above one shard: not when ProcessFront returns (the
+// replay it launched is still the shards' business), not from a metrics
+// scrape (which only waits), but by the time any barrier or the next
+// ingest call returns — all of them, in shard order, with the timestamp
+// of the packet that raised them.
+func TestPipesEventsDeliveredAtJoinPoints(t *testing.T) {
+	const shards, flows = 4, 12
+	ref := New(announceConfig)
+	wantAt := map[FlowID]simtime.Time{}
+	ref.OnLongFlow = func(ev LongFlowEvent) { wantAt[ev.ID] = ev.At }
+	f := NewFront(64)
+	announceFront(f, flows, 0)
+	ref.ProcessFront(f)
+	if len(wantAt) != flows {
+		t.Fatalf("reference announced %d of %d flows", len(wantAt), flows)
+	}
+
+	ft := traceFlow(0)
+	for _, join := range []struct {
+		name string
+		call func(p *Pipes)
+	}{
+		{"Flush", func(p *Pipes) { p.Flush() }},
+		{"ReadFlow", func(p *Pipes) { p.ReadFlow(HashFiveTuple(ft), HashReverse(ft)) }},
+		{"StatsSnapshot", func(p *Pipes) { p.StatsSnapshot() }},
+		{"AgeFlows", func(p *Pipes) { p.AgeFlows(simtime.Second, 10*simtime.Second) }},
+		{"next ProcessFront", func(p *Pipes) {
+			next := NewFront(64)
+			announceFront(next, flows, 4)
+			p.ProcessFront(next)
+		}},
+	} {
+		t.Run(join.name, func(t *testing.T) {
+			p := NewPipes(announceConfig, shards)
+			r := obs.NewRegistry()
+			p.RegisterObs(r)
+			var got []LongFlowEvent
+			p.SetLongFlowHandler(func(ev LongFlowEvent) { got = append(got, ev) })
+
+			p.ProcessFront(f)
+			if len(got) != 0 {
+				t.Fatalf("%d events delivered by the ProcessFront that launched their replay", len(got))
+			}
+			r.Snapshot()
+			if len(got) != 0 {
+				t.Fatalf("a scrape delivered %d events", len(got))
+			}
+			join.call(p)
+			if len(got) != flows {
+				t.Fatalf("%d of %d events delivered when %s returned", len(got), flows, join.name)
+			}
+			busy := map[int]bool{}
+			for k, ev := range got {
+				busy[ev.Shard] = true
+				if k > 0 && ev.Shard < got[k-1].Shard {
+					t.Fatalf("event %d from shard %d follows one from shard %d", k, ev.Shard, got[k-1].Shard)
+				}
+				if ev.At != wantAt[ev.ID] {
+					t.Fatalf("flow %08x announced at %v, its packet was stamped %v", uint32(ev.ID), ev.At, wantAt[ev.ID])
+				}
+			}
+			if len(busy) < 2 {
+				t.Fatalf("only %d shard busy: the replay never left the caller's goroutine", len(busy))
+			}
+		})
+	}
+}
+
+// TestPipesFlushLeavesNothingInFlight pins the barrier's postcondition:
+// after Flush no view is pending and no replay is running — the shards
+// may be read directly (the race detector checks that claim) and add up
+// to the merged snapshot — and a second Flush finds nothing to do.
+func TestPipesFlushLeavesNothingInFlight(t *testing.T) {
+	p := NewPipes(traceConfig, 4)
+	r := obs.NewRegistry()
+	p.RegisterObs(r)
+	trace := buildTrace(16, 40)
+	f := NewFront(64)
+	for k, c := range trace {
+		if k%5 == 0 {
+			p.ProcessCopy(c) // left pending across the next launch
+			continue
+		}
+		if f.AppendCopy(c); f.Len() == 64 {
+			p.ProcessFront(f)
+			f.Reset()
+		}
+	}
+	p.ProcessFront(f)
+	p.Flush()
+
+	var sum Stats
+	for i := 0; i < p.NumShards(); i++ {
+		sum.add(p.Shard(i).Stats)
+		if n := p.fronts[i].Len() + p.flight[i].Len(); n != 0 {
+			t.Fatalf("shard %d holds %d views after Flush", i, n)
+		}
+	}
+	if got := p.StatsSnapshot(); got != sum {
+		t.Fatalf("shards sum to %+v after Flush, merged snapshot %+v", sum, got)
+	}
+	if want := uint64(len(trace)); sum.IngressCopies+sum.EgressCopies != want {
+		t.Fatalf("%d copies processed, %d offered", sum.IngressCopies+sum.EgressCopies, want)
+	}
+	launches := r.Snapshot()["p4_pipes_flushes_total"]
+	if launches.(uint64) == 0 {
+		t.Fatal("no launch counted")
+	}
+	p.Flush()
+	if again := r.Snapshot()["p4_pipes_flushes_total"]; again != launches {
+		t.Fatalf("p4_pipes_flushes_total moved from %v to %v on an idle Flush", launches, again)
+	}
+}
+
+// TestPipesMixedIngestKeepsShardOrder interleaves single copies and
+// fronts of uneven length, so that copies wait in the pending set while
+// a front is partitioned behind them and the sets swap under both. Any
+// view overtaking another of its shard would change what Algorithm 1
+// matches and counts; every merged read must equal the single pipe's.
+func TestPipesMixedIngestKeepsShardOrder(t *testing.T) {
+	const flows, pkts = 24, 60
+	idxs := aliasFreeFlowIdx(flows)
+	tuples := make([]packet.FiveTuple, flows)
+	for k, i := range idxs {
+		tuples[k] = traceFlow(i)
+	}
+	base, _ := runSinglePipe(buildTraceIdx(idxs, pkts))
+
+	p := NewPipes(traceConfig, 3)
+	f := NewFront(64)
+	trace := buildTraceIdx(idxs, pkts)
+	for k := 0; k < len(trace); {
+		for n := 1 + k%3; n > 0 && k < len(trace); n, k = n-1, k+1 {
+			p.ProcessCopy(trace[k])
+		}
+		for n := 7 + k%41; n > 0 && k < len(trace); n, k = n-1, k+1 {
+			f.AppendCopy(trace[k])
+		}
+		p.ProcessFront(f)
+		f.Reset()
+	}
+	AssertMergedEqualsSinglePipe(t, p, base, tuples)
 }

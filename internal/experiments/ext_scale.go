@@ -233,7 +233,7 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 		flowOf := func(r *replay.Record) int {
 			// Inverse of the Synth addressing: low 16 bits from the
 			// host bytes, high bits from the source port offset.
-			return int(r.SrcIP[2])<<8 | int(r.SrcIP[3]) | (int(r.SrcPort) - 40000) << 16
+			return int(r.SrcIP[2])<<8 | int(r.SrcIP[3]) | (int(r.SrcPort)-40000)<<16
 		}
 		for shadow.Next(&rec) {
 			if rec.Point != 0 || rec.DstPort != 5201 {
@@ -268,7 +268,10 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 		Gbps:    run.Gbps(),
 	}
 
-	// Audit pass 1, pre-eviction: tier split, exactness, bounds.
+	// Audit pass 1, pre-eviction: tier split, exactness, bounds. The
+	// shards are read directly here: Runner.Run ended on Flush and a
+	// merged StatsSnapshot and nothing was ingested since, so no replay
+	// is in flight (dataplane.Pipes.Shard).
 	dupFP := 0.0
 	for i := 0; i < shards; i++ {
 		if r := plane.Shard(i).Lean().DupFPRate(); r > dupFP {
