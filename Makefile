@@ -2,15 +2,12 @@
 
 GO ?= go
 
-# The headline exhibits the benchmark-regression gate judges.
-BENCH_GATE = ^BenchmarkFig9PerFlow$$|^BenchmarkTable1Comparison$$|^BenchmarkReplayThroughput$$|^BenchmarkSketchUpdate$$|^BenchmarkScaleSweep$$
-
 # The coverage ratchet: `make cover` (and CI's cover job) fails when
 # total statement coverage drops below this. Raise it in the PR that
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint lint-deep chaos bench benchcmp replay-bench cover obs scale docs ci
+.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint lint-deep chaos replay-bench cover obs scale federation docs ci
 
 all: ci
 
@@ -80,23 +77,11 @@ chaos:
 	$(GO) test -race -timeout 30m -run 'TestExtOutage|TestReconfig' ./internal/experiments
 	$(GO) run ./cmd/p4lint -only goleak ./internal/resilient ./internal/faultnet
 
-# bench re-measures the gated exhibits and records them as the new
-# committed baseline (BENCH_9.json). Run it on a quiet machine after an
-# intentional performance change, and commit the result.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 1x . | tee bench.out
-	$(GO) run ./cmd/benchcmp -write BENCH_9.json < bench.out
-
-# benchcmp is the regression gate: a fresh run must stay within 10%
-# ns/op of the committed baseline.
-benchcmp:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 1x . | tee bench.out
-	$(GO) run ./cmd/benchcmp -baseline BENCH_9.json -max-regress-pct 10 < bench.out
-
 # replay-bench streams a large synthetic workload through the batch
-# ingest path and prints the machine's packets/sec and Gbps (the
-# interactive counterpart of BenchmarkReplayThroughput; EXPERIMENTS.md
-# records representative numbers).
+# ingest path and prints the machine's packets/sec and Gbps (the bare
+# data plane, without the control plane and archiver that bench/'s
+# `elephants` workload drives; EXPERIMENTS.md records representative
+# numbers).
 replay-bench:
 	$(GO) run ./cmd/replay -n 5000000
 

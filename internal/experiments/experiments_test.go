@@ -105,6 +105,9 @@ func TestFig10UtilizationAndFairnessDip(t *testing.T) {
 	if mean < 0.85 {
 		t.Fatalf("late utilization %.2f, want near 1", mean)
 	}
+	if r.Fairness.Len() == 0 {
+		t.Fatal("no fairness series")
+	}
 	// Fairness dips below 0.9 right after the join, then converges
 	// (paper: ~20 s of unfairness while the three flows converge).
 	if r.UnfairWindow == 0 {
@@ -259,12 +262,22 @@ func TestScales(t *testing.T) {
 	}
 }
 
+// TestFig9Deterministic also runs the exhibit through the sharded
+// front-end (-shards 2 and 4): every flow must stay visible whichever
+// pipe owns it, and the run must stay seed-deterministic.
 func TestFig9Deterministic(t *testing.T) {
-	cfg := Fig9Config{Duration: 8 * simtime.Second, JoinAt: 3 * simtime.Second, Seed: 11}
-	sa := fingerprint(RunFig9(cfg))
-	sb := fingerprint(RunFig9(cfg))
-	if sa != sb {
-		t.Fatalf("same seed produced different results:\n%s\nvs\n%s", sa, sb)
+	for _, shards := range []int{1, 2, 4} {
+		cfg := Fig9Config{Scale: Fast(), Duration: 8 * simtime.Second, JoinAt: 3 * simtime.Second, Seed: 11}
+		cfg.Scale.Shards = shards
+		ra := RunFig9(cfg)
+		if len(ra.Throughput) != 3 {
+			t.Fatalf("shards=%d: throughput series for %d destinations, want 3", shards, len(ra.Throughput))
+		}
+		sa := fingerprint(ra)
+		sb := fingerprint(RunFig9(cfg))
+		if sa != sb {
+			t.Fatalf("shards=%d: same seed produced different results:\n%s\nvs\n%s", shards, sa, sb)
+		}
 	}
 }
 

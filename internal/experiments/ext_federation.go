@@ -364,20 +364,6 @@ func (m *fedMember) memberInfo() p4runtime.MemberInfo {
 	}
 }
 
-// waitStats polls one member shipper until cond holds — drains and
-// spool replays are asynchronous wall-clock processes, so phases
-// synchronise on observed counters, never on sleeps.
-func (m *fedMember) waitStats(cond func(resilient.Stats) bool) error {
-	deadline := time.Now().Add(30 * time.Second) //p4:lint-exempt determinism: the federation scenario drives real TCP shippers; this is a convergence timeout, not measured output
-	for time.Now().Before(deadline) {            //p4:lint-exempt determinism: same convergence timeout as above
-		if cond(m.shipper.Stats()) {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return fmt.Errorf("experiments: federation member %s did not converge; shipper %s", m.id, m.shipper.Stats())
-}
-
 // RunFederation runs the fleet scenario and returns the exact fleet
 // accounting. It returns an error only when the harness itself fails
 // (missing spool root, a phase that never converges) — measured
@@ -600,7 +586,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			// asynchronous wall-clock process, and rejoining first would
 			// let still-queued records ship directly instead of taking
 			// the spill→replay path the chaos phase exists to exercise.
-			if err := victim.waitStats(func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
+			if err := waitShipper(victim.shipper, "federation member "+victim.id.String(), func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
 				return nil, fmt.Errorf("experiments: federation victim never spilled: %w", err)
 			}
 			victim.archLn.Refuse(false)
@@ -624,7 +610,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	// shipping path in order so every delivered line is ingested
 	// before the counters are read.
 	for _, m := range members {
-		if err := m.waitStats(func(s resilient.Stats) bool { return s.Queued == 0 && s.SpoolPending == 0 }); err != nil {
+		if err := waitShipper(m.shipper, "federation member "+m.id.String(), func(s resilient.Stats) bool { return s.Queued == 0 && s.SpoolPending == 0 }); err != nil {
 			return nil, err
 		}
 		if err := m.shipper.Close(); err != nil {

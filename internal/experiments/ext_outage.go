@@ -128,18 +128,19 @@ type outageHarness struct {
 
 func (h *outageHarness) archived() uint64 { return h.pipeline.Stats().Received }
 
-// waitShip polls the shipper and archiver until cond holds; outages and
-// recoveries are asynchronous wall-clock processes, so phases
-// synchronise on observed counters, never on sleeps.
-func (h *outageHarness) waitShip(cond func(resilient.Stats) bool) error {
-	deadline := time.Now().Add(30 * time.Second) //p4:lint-exempt determinism: the outage scenario drives a real TCP shipper; this is a convergence timeout, not measured output
+// waitShipper polls a shipper until cond holds. Outages, drains and
+// spool replays are asynchronous wall-clock processes, so scenario
+// phases synchronise on observed counters, never on sleeps; what names
+// the waiter in the timeout error.
+func waitShipper(s *resilient.Shipper, what string, cond func(resilient.Stats) bool) error {
+	deadline := time.Now().Add(30 * time.Second) //p4:lint-exempt determinism: the scenarios drive real TCP shippers; this is a convergence timeout, not measured output
 	for time.Now().Before(deadline) {            //p4:lint-exempt determinism: same convergence timeout as above
-		if cond(h.shipper.Stats()) {
+		if cond(s.Stats()) {
 			return nil
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return fmt.Errorf("experiments: outage phase timed out; shipper %s", h.shipper.Stats())
+	return fmt.Errorf("experiments: %s did not converge; shipper %s", what, s.Stats())
 }
 
 // RunExtOutage runs the archiver-outage scenario and returns the exact
@@ -201,7 +202,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	// situation a fail-fast exporter cannot survive at all.
 	sys.Run(third)
 	logf("phase 1 [0s, %v): archiver down at startup, emitted=%d", third, h.counter.Count())
-	if err := h.waitShip(func(s resilient.Stats) bool {
+	if err := waitShipper(h.shipper, "outage phase 1", func(s resilient.Stats) bool {
 		return s.BreakerOpens >= 1 && s.Queued == 0
 	}); err != nil {
 		return nil, err
@@ -211,7 +212,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	// Phase 2: recovery — the disk spool must replay before new
 	// records, preserving emission order.
 	h.listener.Refuse(false)
-	if err := h.waitShip(func(s resilient.Stats) bool {
+	if err := waitShipper(h.shipper, "outage phase 2", func(s resilient.Stats) bool {
 		return s.Queued == 0 && s.SpoolPending == 0 && s.Replayed > 0
 	}); err != nil {
 		return nil, err
@@ -226,14 +227,14 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	h.listener.CutAll()
 	logf("phase 3 [%v, %v): archiver killed mid-run, emitted=%d", third, 2*third, h.counter.Count())
 	sys.Run(cfg.Duration)
-	if err := h.waitShip(func(s resilient.Stats) bool { return s.Queued == 0 }); err != nil {
+	if err := waitShipper(h.shipper, "outage phase 3", func(s resilient.Stats) bool { return s.Queued == 0 }); err != nil {
 		return nil, err
 	}
 	logf("phase 3 settled: %s", h.shipper.Stats())
 
 	// Phase 4: final recovery and clean shutdown.
 	h.listener.Refuse(false)
-	if err := h.waitShip(func(s resilient.Stats) bool {
+	if err := waitShipper(h.shipper, "outage phase 4", func(s resilient.Stats) bool {
 		return s.Queued == 0 && s.SpoolPending == 0
 	}); err != nil {
 		return nil, err

@@ -4,7 +4,7 @@
 // path, bypassing the netsim event loop entirely. Where the simulator
 // answers "what does the pipeline measure", replay answers "how fast
 // does the pipeline go": the Runner reports wall-clock packets/sec and
-// Gbps, the numbers BenchmarkReplayThroughput gates in CI.
+// Gbps (bench/'s elephants workload is the gated reading of this path).
 //
 // The package deliberately lives outside the deterministic simulation
 // scope: record timestamps are simulated time (so the pipeline's

@@ -221,6 +221,9 @@ func TestRunnerMatchesPerPacketPath(t *testing.T) {
 		if got.Packets != n {
 			t.Fatalf("shards=%d: runner saw %d records, serial %d", shards, got.Packets, n)
 		}
+		if got.Stats.RTTSamples == 0 {
+			t.Fatalf("shards=%d: no RTT samples — the workload does not exercise the program", shards)
+		}
 		if got.Stats != serial.StatsSnapshot() {
 			t.Fatalf("shards=%d: stats diverge\n batch %+v\nserial %+v",
 				shards, got.Stats, serial.StatsSnapshot())

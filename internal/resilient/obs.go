@@ -18,7 +18,8 @@ import (
 // shipper moves records between states under the same lock the
 // snapshot takes). The trace ring records report-lifecycle and
 // ladder-transition events: ship, retry, replay, spill, fallback,
-// drop, dial, connect, breaker_open, breaker_close, spool_abandon.
+// drop, dial_fail (until the breaker opens), connect, breaker_open,
+// breaker_close, spool_abandon.
 func (s *Shipper) RegisterObs(r *obs.Registry) {
 	s.RegisterObsAs(r, "p4_shipper")
 }

@@ -364,7 +364,13 @@ func (s *Shipper) connectStep() bool {
 		return true
 	}
 	s.consecFail++
-	s.tev("dial_fail", uint64(s.consecFail), 0)
+	if !s.breakerOpen {
+		// Traced only up to the breaker transition (at most
+		// BreakerFailures per outage): an outage's worth of failed dials
+		// would push breaker_open and the last ship out of the trace
+		// ring. DialAttempts counts the rest.
+		s.tev("dial_fail", uint64(s.consecFail), 0)
+	}
 	s.maybeOpenBreaker()
 	if s.breakerOpen {
 		// Spill what arrived while dialing before going back to sleep.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/faultnet"
+	"repro/internal/obs"
 )
 
 // testArchiver accepts connections from a faultnet listener and
@@ -559,6 +561,46 @@ func TestBackoffScheduleIsDeterministicAndBounded(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should jitter differently")
+	}
+}
+
+// A long outage must not push the ladder transitions out of the trace
+// ring: failed dials are traced only until the breaker opens. The run
+// goroutine is driven entirely by the injected Dial and Sleep, so the
+// test waits on nothing but that goroutine's exit.
+func TestLongOutageKeepsBreakerOpenInTrace(t *testing.T) {
+	const dials = 2048 // twice the 1024-entry ring
+	const breakerFailures = 3
+	registered := make(chan struct{})
+	failed := 0 // touched only by the run goroutine until it exits
+	s, err := New(Config{
+		Dial: func() (net.Conn, error) {
+			<-registered
+			failed++
+			return nil, errors.New("archiver down")
+		},
+		Sleep:           func(time.Duration) bool { return failed < dials },
+		BreakerFailures: breakerFailures,
+		Fallback:        &lockedBuffer{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RegisterObs(obs.NewRegistry())
+	close(registered)
+	<-s.done // Sleep returned false after the last dial; run finalized
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if failed != dials || s.Stats().DialAttempts != dials {
+		t.Fatalf("failed dials = %d, DialAttempts = %d, want %d", failed, s.Stats().DialAttempts, dials)
+	}
+	kinds := map[string]int{}
+	for _, ev := range s.trace.Load().Snapshot(nil) {
+		kinds[ev.Kind]++
+	}
+	if kinds["breaker_open"] != 1 || kinds["dial_fail"] != breakerFailures {
+		t.Fatalf("trace ring after %d failed dials: %v, want 1 breaker_open and %d dial_fail", dials, kinds, breakerFailures)
 	}
 }
 
