@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	p4lint [-only locks,timeunits,...] [-syntactic|-deep] [-json|-gha] [pattern ...]
+//	p4lint [-only locks,timeunits,...] [-json|-gha] [pattern ...]
 //
 // Patterns are directories, optionally ending in /... to recurse
 // (default "./..."). Examples:
 //
 //	go run ./cmd/p4lint ./...
 //	go run ./cmd/p4lint -only regwidth ./internal/dataplane
-//	go run ./cmd/p4lint -deep ./...
 //	go run ./cmd/p4lint -json ./internal/... > lint.json
 //	go run ./cmd/p4lint -gha ./...   # GitHub Actions ::error annotations
 package main
@@ -28,8 +27,6 @@ import (
 
 func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	syntactic := flag.Bool("syntactic", false, "run only the per-package syntactic passes (cheap, no call graph)")
-	deep := flag.Bool("deep", false, "run only the whole-program dataflow passes (hotpathprop, atomicmix, lockorder, determinism)")
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	asGHA := flag.Bool("gha", false, "emit diagnostics as GitHub Actions ::error annotations")
 	flag.Usage = usage
@@ -41,12 +38,6 @@ func main() {
 	}
 
 	analyzers := analysis.All()
-	if *syntactic {
-		analyzers = analysis.Syntactic()
-	}
-	if *deep {
-		analyzers = analysis.Deep()
-	}
 	if *only != "" {
 		var err error
 		analyzers, err = analysis.ByName(strings.Split(*only, ","))
@@ -98,7 +89,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: p4lint [-only a,b] [-deep] [-json|-gha] [pattern ...]\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: p4lint [-only a,b] [-json|-gha] [pattern ...]\n\nanalyzers:\n")
 	for _, a := range analysis.All() {
 		fmt.Fprintf(os.Stderr, "  %-13s %s\n", a.Name, a.Doc)
 	}

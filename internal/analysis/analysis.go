@@ -85,14 +85,11 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{})
 }
 
 // All returns the full registry of passes, in reporting order: the
-// per-package syntactic passes first, then the whole-program dataflow
-// passes.
+// per-package syntactic passes (one AST walk each) first, then the
+// whole-program dataflow passes, which build the module call graph and
+// run cross-package fixpoints. One run loads and type-checks the
+// program once for all of them; -only selects a subset.
 func All() []*Analyzer {
-	return append(Syntactic(), Deep()...)
-}
-
-// Syntactic returns the per-package passes (cheap: one AST walk each).
-func Syntactic() []*Analyzer {
 	return []*Analyzer{
 		LocksAnalyzer,
 		TimeUnitsAnalyzer,
@@ -101,13 +98,7 @@ func Syntactic() []*Analyzer {
 		GoLeakAnalyzer,
 		HotAllocAnalyzer,
 		DocCommentAnalyzer,
-	}
-}
 
-// Deep returns the whole-program dataflow passes (slower: they build
-// the module call graph and run cross-package fixpoints).
-func Deep() []*Analyzer {
-	return []*Analyzer{
 		HotPathPropAnalyzer,
 		AtomicMixAnalyzer,
 		LockOrderAnalyzer,

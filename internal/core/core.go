@@ -180,7 +180,8 @@ func NewSystem(opts Options) *System {
 	const interSwitchDelay = 2 * simtime.Millisecond
 	bigBuffer := 1 << 30
 
-	// Internal hosts <-> core switch.
+	// wireHost connects a host to its switch and returns the downlink
+	// (switch→host), the convenient impairment point.
 	wireHost := func(h *tcp.Host, sw *switchsim.Switch, bps float64, delay simtime.Time) *netsim.Link {
 		up := netsim.NewLink(e, h.Name()+"-up", sw, bps, delay, rng.Fork())
 		h.AttachUplink(up)
@@ -188,6 +189,7 @@ func NewSystem(opts Options) *System {
 		sw.AddRoute(netip.PrefixFrom(h.IP(), 32), down, bigBuffer)
 		return down
 	}
+	// Internal hosts <-> core switch.
 	wireHost(s.InternalDTN, s.CoreSwitch, opts.AccessBps, hostDelay)
 	wireHost(s.LocalPerfNode, s.CoreSwitch, opts.AccessBps, hostDelay)
 
@@ -204,8 +206,8 @@ func NewSystem(opts Options) *System {
 		if extDelay < 0 {
 			extDelay = 0
 		}
-		s.ExternalAccessLinks[i] = wireHostWithReturn(s, s.ExternalDTNs[i], opts.AccessBps, extDelay, bigBuffer)
-		wireHostWithReturn(s, s.ExternalPerf[i], opts.AccessBps, extDelay, bigBuffer)
+		s.ExternalAccessLinks[i] = wireHost(s.ExternalDTNs[i], s.AggSwitch, opts.AccessBps, extDelay)
+		wireHost(s.ExternalPerf[i], s.AggSwitch, opts.AccessBps, extDelay)
 	}
 
 	// Measurement chain: TAPs on the core switch feed the P4 pipeline.
@@ -245,16 +247,6 @@ func NewSystem(opts Options) *System {
 
 	s.Scheduler = pscheduler.New(e, s.Pipeline)
 	return s
-}
-
-// wireHostWithReturn connects an external host to the agg switch and
-// returns the downlink (agg→host), the convenient impairment point.
-func wireHostWithReturn(s *System, h *tcp.Host, bps float64, delay simtime.Time, buffer int) *netsim.Link {
-	up := netsim.NewLink(s.Engine, h.Name()+"-up", s.AggSwitch, bps, delay, s.RNG.Fork())
-	h.AttachUplink(up)
-	down := netsim.NewLink(s.Engine, h.Name()+"-down", h, bps, delay, s.RNG.Fork())
-	s.AggSwitch.AddRoute(netip.PrefixFrom(h.IP(), 32), down, buffer)
-	return down
 }
 
 // Start launches the control plane's extraction tickers. Call after

@@ -55,18 +55,6 @@ func (s *System) MicroburstReports() []controlplane.Report {
 	return reps
 }
 
-// LimitationVerdicts returns the most recent limitation classification
-// per destination IP.
-func (s *System) LimitationVerdicts() map[string]string {
-	out := make(map[string]string)
-	for _, r := range s.Reports.ByKind(controlplane.KindLimitation) {
-		if isExternal(r.DstIP) {
-			out[r.DstIP] = r.Limitation
-		}
-	}
-	return out
-}
-
 // FlowSummaries returns the terminated-long-flow reports.
 func (s *System) FlowSummaries() []controlplane.Report {
 	return s.Reports.ByKind(controlplane.KindFlowSummary)

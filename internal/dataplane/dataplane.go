@@ -147,8 +147,9 @@ type MicroburstEvent struct {
 	Shard int
 }
 
-// Stats counts pipeline-internal events, exposed for tests and the
-// ablation benchmarks.
+// Stats counts pipeline-internal events — once, here: tests, the
+// ablation benchmarks and the p4_dataplane_*_total series all read
+// these fields (RegisterObs).
 type Stats struct {
 	IngressCopies  uint64
 	EgressCopies   uint64
@@ -272,9 +273,13 @@ type DataPlane struct {
 	perFlow  int
 	registry map[string]*Register
 
-	// obs is the optional self-telemetry hook (RegisterObs); nil keeps
-	// the pipeline uninstrumented at the cost of one branch per packet.
+	// obs is the optional sample histograms (RegisterObs); nil keeps
+	// the pipeline uninstrumented at the cost of one branch per sample.
 	obs *dpObs
+
+	// one is the front ProcessCopy parses a lone copy into: capacity
+	// one, owned by the pipe, so the per-packet path allocates nothing.
+	one Front
 
 	// batch holds the per-batch hoisted state ProcessFront threads
 	// through the inner loop (monitor-table run cache, deferred
@@ -322,6 +327,7 @@ func New(cfg Config) *DataPlane {
 		rttHist:    NewRegisterWidth("rtt_hist", n*RTTHistBuckets, 32),
 		ownerKeys:  make([]FlowKey, n),
 		tableN:     uint32(n),
+		one:        *NewFront(1),
 		lean: sketch.NewLean(sketch.Config{
 			Epsilon:            cfg.SketchEpsilon,
 			Delta:              cfg.SketchDelta,
@@ -416,22 +422,16 @@ func parseCopy(v *view, c tap.Copy) {
 // measurement algorithms; egress copies close the queuing-delay
 // measurement and feed the microburst detector. Copies are not retained:
 // the TAP pair may recycle the packet as soon as this returns.
-// ProcessCopy is the batch of one: the run-to-completion path over a
-// whole Front is ProcessFront.
+// ProcessCopy is the front of one: the copy is parsed into the pipe's
+// own one-view front and drained by ProcessFront, so a lone packet pins
+// one tuning generation and sees the monitor table as it is now (a
+// front never outlives the call), exactly like a batch.
 //
 // p4:hotpath
 func (d *DataPlane) ProcessCopy(c tap.Copy) {
-	var v view
-	parseCopy(&v, c)
-	// The monitor table may be reprogrammed between two per-packet
-	// calls; only a batch pins it (see batchState).
-	d.batch.monOK = false
-	// A batch of one still pins exactly one tuning generation: the
-	// packet cannot see a half-applied reconfiguration.
-	g := d.tuning.Acquire()
-	d.tun = g.Value()
-	d.processView(&v)
-	d.tuning.Release(g)
+	d.one.Reset()
+	d.one.AppendCopy(c)
+	d.ProcessFront(&d.one)
 }
 
 // batchState is the state ProcessFront hoists out of the batch inner
@@ -450,14 +450,15 @@ type batchState struct {
 
 // ProcessFront drains a parsed batch through the entire ingress/egress
 // match-action program run-to-completion — the yanet2 packet_front
-// idiom. Per-view cost approaches a few array ops: the copy-count
-// statistics and their obs hooks are accumulated in registers and
-// committed once per batch, the monitor-table decision is cached
-// across same-destination runs, and every view arrives already hashed.
-// State after ProcessFront is byte-identical to
-// feeding the same views through ProcessCopy one at a time (the batch
-// equivalence property test pins this). The front may be reused by the
-// caller as soon as ProcessFront returns.
+// idiom — and is the only place a view is dispatched to the two
+// programs. Per-view cost approaches a few array ops: the copy counts
+// are accumulated in registers and committed once per batch, the
+// monitor-table decision is cached across same-destination runs, and
+// every view arrives already hashed. State after ProcessFront is
+// byte-identical to feeding the same views through ProcessCopy — the
+// front of one — one at a time (the batch equivalence property test
+// pins this). The front may be reused by the caller as soon as
+// ProcessFront returns.
 //
 // p4:hotpath
 func (d *DataPlane) ProcessFront(f *Front) {
@@ -484,33 +485,7 @@ func (d *DataPlane) ProcessFront(f *Front) {
 	}
 	d.Stats.IngressCopies += ingress
 	d.Stats.EgressCopies += egress
-	if o := d.obs; o != nil {
-		o.ingressCopies.Add(ingress)
-		o.egressCopies.Add(egress)
-	}
 	d.tuning.Release(g)
-}
-
-// processView runs one parsed copy through the match-action stages.
-// It is the replay entry point the sharded front-end uses after
-// batching; ProcessCopy is parseCopy + processView.
-//
-// p4:hotpath
-func (d *DataPlane) processView(v *view) {
-	switch v.point {
-	case tap.Ingress:
-		d.Stats.IngressCopies++
-		if o := d.obs; o != nil {
-			o.ingressCopies.Inc()
-		}
-		d.processIngress(v)
-	case tap.Egress:
-		d.Stats.EgressCopies++
-		if o := d.obs; o != nil {
-			o.egressCopies.Inc()
-		}
-		d.processEgress(v)
-	}
 }
 
 // processIngress executes the per-packet measurement program: byte and
@@ -540,9 +515,6 @@ func (d *DataPlane) processIngress(v *view) {
 	}
 	if skip {
 		d.Stats.SkippedPackets++
-		if o := d.obs; o != nil {
-			o.skipped.Inc()
-		}
 		return
 	}
 
@@ -676,7 +648,6 @@ func (d *DataPlane) processAck(v *view, now simtime.Time) {
 			}
 			d.Stats.RTTSamples++
 			if o := d.obs; o != nil {
-				o.rttSamples.Inc()
 				o.rttNs.Observe(rtt)
 			}
 		}
@@ -791,7 +762,6 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 		d.inBurst = false
 		d.Stats.Microbursts++
 		if o := d.obs; o != nil {
-			o.microbursts.Inc()
 			o.burstNs.Observe(uint64(now - d.burstStart))
 		}
 		if d.OnMicroburst != nil {
@@ -860,10 +830,6 @@ type Plane interface {
 	SetLongFlowHandler(func(LongFlowEvent))
 	SetMicroburstHandler(func(MicroburstEvent))
 }
-
-// MonitorTable exposes the monitored-subnets match-action table for
-// control-plane programming (directly or through the p4runtime layer).
-func (d *DataPlane) MonitorTable() *Table { return d.monitorTable }
 
 // RegisterByName looks up a register instance by its P4 name, the way
 // the switch runtime API addresses state. Returns nil when unknown.

@@ -70,15 +70,6 @@ func (r *Register) Name() string { return r.name }
 // Width returns the declared bit width of each cell.
 func (r *Register) Width() int { return r.width }
 
-// MaxValue returns the largest value representable in the declared
-// width.
-func (r *Register) MaxValue() uint64 {
-	if r.width >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(r.width)) - 1
-}
-
 // Size returns the number of cells.
 func (r *Register) Size() int { return len(r.cells) }
 

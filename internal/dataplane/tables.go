@@ -184,8 +184,3 @@ func (t *Table) entryMatches(e *TableEntry, key []uint64) bool {
 	}
 	return true
 }
-
-// Entries returns a copy of the programmed entries, best-match first.
-func (t *Table) Entries() []TableEntry {
-	return append([]TableEntry(nil), t.entries...)
-}

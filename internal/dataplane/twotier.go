@@ -132,9 +132,6 @@ func (d *DataPlane) admitCell(idx uint32, id FlowID, key FlowKey) bool {
 		d.Stats.SlotCollisions++
 	}
 	d.Stats.AliasedPackets++
-	if o := d.obs; o != nil {
-		o.aliased.Inc()
-	}
 	return false
 }
 
@@ -185,12 +182,7 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 		d.ReleaseFlow(FlowID(i))
 		evicted++
 	}
-	if evicted > 0 {
-		d.Stats.Evictions += uint64(evicted)
-		if o := d.obs; o != nil {
-			o.evictions.Add(uint64(evicted))
-		}
-	}
+	d.Stats.Evictions += uint64(evicted)
 	return evicted
 }
 

@@ -320,17 +320,13 @@ func (l *limitSource) Next(r *replay.Record) bool {
 // fedMember is one simulated switch: data plane, replay stream, report
 // path, shipper, config channel and coordinator client.
 type fedMember struct {
-	id      federation.Identity
-	sink    controlplane.Sink // identity stamp → counter → shipper
-	counter *controlplane.CountingSink
-	shipper *resilient.Shipper
-	plane   *dataplane.Pipes
-	synth   *replay.Synth
-	perRnd  int
-	flowLo  int // the member's site flow-number base
-
-	archLn *faultnet.Listener
-	input  *psarchiver.TCPInput
+	id     federation.Identity
+	sink   controlplane.Sink // identity stamp → the leg's counter → shipper
+	leg    *shipLeg
+	plane  *dataplane.Pipes
+	synth  *replay.Synth
+	perRnd int
+	flowLo int // the member's site flow-number base
 
 	cfgLn   *faultnet.Listener
 	cfgAddr string
@@ -338,19 +334,6 @@ type fedMember struct {
 	cfgDone chan struct{}
 
 	client *p4runtime.Client
-}
-
-// synthFlowKey reconstructs the forward (data-direction) wire-format
-// flow key of synth flow number g, inverting the Synth addressing.
-func synthFlowKey(g int) dataplane.FlowKey {
-	var k dataplane.FlowKey
-	k[0], k[1], k[2], k[3] = 10, 0, byte(g>>8), byte(g)
-	k[4], k[5], k[6], k[7] = 10, 1, byte(g>>8), byte(g)
-	port := uint16(40000 + g>>16)
-	k[8], k[9] = byte(port>>8), byte(port)
-	k[10], k[11] = byte(5201>>8), byte(5201&0xff)
-	k[12] = 6
-	return k
 }
 
 // memberInfo builds the member's membership announcement with its
@@ -433,29 +416,18 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			}
 			m.perRnd = m.synth.Packets / cfg.Rounds
 
-			m.archLn = faultnet.NewListener()
-			m.input = psarchiver.NewInputFromListener(pipeline, m.archLn)
-
 			spoolDir := filepath.Join(cfg.SpoolRoot, site.Name+"_"+m.id.Switch)
 			if err := os.MkdirAll(spoolDir, 0o755); err != nil {
 				return nil, fmt.Errorf("experiments: federation spool dir: %w", err)
 			}
-			shipper, err := resilient.New(resilient.Config{ //p4:lint-exempt determinism: the shipper's internal wall-clock (write deadlines, backoff stamps) never reaches the scenario's counted output
-				Dial:       m.archLn.Dial,
-				MemSpool:   4096,
-				SpoolDir:   spoolDir,
-				BackoffMin: time.Millisecond,
-				BackoffMax: 8 * time.Millisecond,
-				Seed:       cfg.Seed + uint64(len(members)),
-			})
+			leg, err := newShipLeg(faultnet.NewListener(), pipeline, 4096, spoolDir, cfg.Seed+uint64(len(members)))
 			if err != nil {
 				return nil, err
 			}
-			m.shipper = shipper
-			m.counter = &controlplane.CountingSink{Next: shipper}
-			m.sink = controlplane.IdentitySink{SiteID: m.id.Site, SwitchID: m.id.Switch, Next: m.counter}
+			m.leg = leg
+			m.sink = controlplane.IdentitySink{SiteID: m.id.Site, SwitchID: m.id.Switch, Next: leg.counter}
 			if cfg.Obs != nil {
-				m.shipper.RegisterObsAs(cfg.Obs, "p4_shipper_"+m.id.Site+"_"+m.id.Switch)
+				leg.shipper.RegisterObsAs(cfg.Obs, "p4_shipper_"+m.id.Site+"_"+m.id.Switch)
 			}
 
 			m.runtime = federation.NewMemberRuntime(controlplane.RuntimeConfig{})
@@ -499,7 +471,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		var total uint64
 		for i := 0; i < cfg.SampleFlows && i*stride < cfg.FlowsPerSite; i++ {
 			g := m.flowLo + i*stride
-			est := m.plane.EstimateFlow(synthFlowKey(g))
+			est := m.plane.EstimateFlow(replay.SynthFlowKey(g))
 			sampled = append(sampled, float64(est.Bytes))
 			total += est.Bytes
 			m.sink.Emit(controlplane.Report{
@@ -560,8 +532,8 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			// Kill: partition the victim — archiver and config channels
 			// refuse and cut, heartbeats stop. Measurement continues.
 			partitioned = true
-			victim.archLn.Refuse(true)
-			victim.archLn.CutAll()
+			victim.leg.ln.Refuse(true)
+			victim.leg.ln.CutAll()
 			victim.cfgLn.Refuse(true)
 			logf("round %d: victim %s partitioned (archiver+config refused, heartbeats stopped)", round, victim.id)
 		case 4:
@@ -586,10 +558,10 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			// asynchronous wall-clock process, and rejoining first would
 			// let still-queued records ship directly instead of taking
 			// the spill→replay path the chaos phase exists to exercise.
-			if err := waitShipper(victim.shipper, "federation member "+victim.id.String(), func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
+			if err := victim.leg.wait("federation member "+victim.id.String(), func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
 				return nil, fmt.Errorf("experiments: federation victim never spilled: %w", err)
 			}
-			victim.archLn.Refuse(false)
+			victim.leg.ln.Refuse(false)
 			victim.cfgLn.Refuse(false)
 			partitioned = false
 			staleGen := victim.runtime.Seq()
@@ -610,15 +582,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	// shipping path in order so every delivered line is ingested
 	// before the counters are read.
 	for _, m := range members {
-		if err := waitShipper(m.shipper, "federation member "+m.id.String(), func(s resilient.Stats) bool { return s.Queued == 0 && s.SpoolPending == 0 }); err != nil {
-			return nil, err
-		}
-		if err := m.shipper.Close(); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range members {
-		if err := m.input.Close(); err != nil {
+		if err := m.leg.drainClose("federation member " + m.id.String()); err != nil {
 			return nil, err
 		}
 		_ = m.cfgLn.Close()
@@ -632,14 +596,14 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	res.FleetSeq = coord.FleetSeq()
 	res.Coord = coord.Counters()
 	for _, m := range members {
-		res.TornLines += m.input.Errors()
+		res.TornLines += m.leg.input.Errors()
 		acct := MemberAccounting{
 			Site:      m.id.Site,
 			Switch:    m.id.Switch,
-			Emitted:   m.counter.Count(),
+			Emitted:   m.leg.counter.Count(),
 			Archived:  uint64(res.Fleet.MemberDocs(m.id.Site, m.id.Switch)),
 			ConfigSeq: m.runtime.Seq(),
-			Ship:      m.shipper.Stats(),
+			Ship:      m.leg.shipper.Stats(),
 		}
 		res.Members = append(res.Members, acct)
 		if m == victim {

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/obs"
@@ -115,34 +113,6 @@ func (r *OutageResult) Render() string {
 	return b.String()
 }
 
-// outageHarness wires the full shipping path over an in-memory
-// fault-injection listener.
-type outageHarness struct {
-	listener *faultnet.Listener
-	pipeline *psarchiver.Pipeline
-	store    *psarchiver.Store
-	input    *psarchiver.TCPInput
-	shipper  *resilient.Shipper
-	counter  *controlplane.CountingSink
-}
-
-func (h *outageHarness) archived() uint64 { return h.pipeline.Stats().Received }
-
-// waitShipper polls a shipper until cond holds. Outages, drains and
-// spool replays are asynchronous wall-clock processes, so scenario
-// phases synchronise on observed counters, never on sleeps; what names
-// the waiter in the timeout error.
-func waitShipper(s *resilient.Shipper, what string, cond func(resilient.Stats) bool) error {
-	deadline := time.Now().Add(30 * time.Second) //p4:lint-exempt determinism: the scenarios drive real TCP shippers; this is a convergence timeout, not measured output
-	for time.Now().Before(deadline) {            //p4:lint-exempt determinism: same convergence timeout as above
-		if cond(s.Stats()) {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return fmt.Errorf("experiments: %s did not converge; shipper %s", what, s.Stats())
-}
-
 // RunExtOutage runs the archiver-outage scenario and returns the exact
 // accounting. It returns an error only if a phase fails to converge
 // (a harness bug, not a measured outcome).
@@ -152,39 +122,27 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 		return nil, fmt.Errorf("experiments: outage scenario requires SpoolDir")
 	}
 
-	h := &outageHarness{listener: faultnet.NewListener()}
 	// Down at startup: refusal is armed before the shipper exists, so
 	// even its very first dial fails.
-	h.listener.Refuse(true)
-	h.pipeline = psarchiver.NewPipeline()
-	h.store = psarchiver.NewStore()
-	h.pipeline.OpenSearchOutput(h.store)
-	h.input = psarchiver.NewInputFromListener(h.pipeline, h.listener)
-
-	shipper, err := resilient.New(resilient.Config{ //p4:lint-exempt determinism: the shipper's internal wall-clock (write deadlines, backoff stamps) never reaches the scenario's counted output
-		Dial:       h.listener.Dial,
-		MemSpool:   cfg.MemSpool,
-		SpoolDir:   cfg.SpoolDir,
-		BackoffMin: time.Millisecond,
-		BackoffMax: 8 * time.Millisecond,
-		Seed:       cfg.Seed,
-	})
+	ln := faultnet.NewListener()
+	ln.Refuse(true)
+	pipeline := psarchiver.NewPipeline()
+	pipeline.OpenSearchOutput(psarchiver.NewStore())
+	leg, err := newShipLeg(ln, pipeline, cfg.MemSpool, cfg.SpoolDir, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	h.shipper = shipper
-	h.counter = &controlplane.CountingSink{Next: shipper}
 	if cfg.Obs != nil {
-		h.shipper.RegisterObs(cfg.Obs)
-		h.input.RegisterObs(cfg.Obs)
-		h.pipeline.RegisterObs(cfg.Obs)
+		leg.shipper.RegisterObs(cfg.Obs)
+		leg.input.RegisterObs(cfg.Obs)
+		pipeline.RegisterObs(cfg.Obs)
 	}
 
 	sys := core.NewSystem(core.Options{
 		BottleneckBps: cfg.Scale.Bottleneck(),
 		RTTs:          RTTs(),
 		Seed:          cfg.Seed,
-		ExtraSink:     h.counter,
+		ExtraSink:     leg.counter,
 		Shards:        cfg.Scale.Shards,
 	})
 	sys.Start()
@@ -201,58 +159,47 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	// Phase 1: the archiver is down before the collector starts — the
 	// situation a fail-fast exporter cannot survive at all.
 	sys.Run(third)
-	logf("phase 1 [0s, %v): archiver down at startup, emitted=%d", third, h.counter.Count())
-	if err := waitShipper(h.shipper, "outage phase 1", func(s resilient.Stats) bool {
+	logf("phase 1 [0s, %v): archiver down at startup, emitted=%d", third, leg.counter.Count())
+	if err := leg.wait("outage phase 1", func(s resilient.Stats) bool {
 		return s.BreakerOpens >= 1 && s.Queued == 0
 	}); err != nil {
 		return nil, err
 	}
-	logf("phase 1 settled: %s", h.shipper.Stats())
+	logf("phase 1 settled: %s", leg.shipper.Stats())
 
 	// Phase 2: recovery — the disk spool must replay before new
 	// records, preserving emission order.
-	h.listener.Refuse(false)
-	if err := waitShipper(h.shipper, "outage phase 2", func(s resilient.Stats) bool {
+	ln.Refuse(false)
+	if err := leg.wait("outage phase 2", func(s resilient.Stats) bool {
 		return s.Queued == 0 && s.SpoolPending == 0 && s.Replayed > 0
 	}); err != nil {
 		return nil, err
 	}
-	logf("phase 2 recovered: %s", h.shipper.Stats())
+	logf("phase 2 recovered: %s", leg.shipper.Stats())
 
 	// Phase 3: healthy running, then the archiver process dies mid-run:
 	// every live connection is cut (possibly mid-record) and the port
 	// refuses.
 	sys.Run(2 * third)
-	h.listener.Refuse(true)
-	h.listener.CutAll()
-	logf("phase 3 [%v, %v): archiver killed mid-run, emitted=%d", third, 2*third, h.counter.Count())
+	ln.Refuse(true)
+	ln.CutAll()
+	logf("phase 3 [%v, %v): archiver killed mid-run, emitted=%d", third, 2*third, leg.counter.Count())
 	sys.Run(cfg.Duration)
-	if err := waitShipper(h.shipper, "outage phase 3", func(s resilient.Stats) bool { return s.Queued == 0 }); err != nil {
+	if err := leg.wait("outage phase 3", func(s resilient.Stats) bool { return s.Queued == 0 }); err != nil {
 		return nil, err
 	}
-	logf("phase 3 settled: %s", h.shipper.Stats())
+	logf("phase 3 settled: %s", leg.shipper.Stats())
 
 	// Phase 4: final recovery and clean shutdown.
-	h.listener.Refuse(false)
-	if err := waitShipper(h.shipper, "outage phase 4", func(s resilient.Stats) bool {
-		return s.Queued == 0 && s.SpoolPending == 0
-	}); err != nil {
-		return nil, err
-	}
-	if err := h.shipper.Close(); err != nil {
-		return nil, err
-	}
-	// input.Close closes the faultnet listener too and waits for the
-	// serving goroutines, so every delivered line is processed before
-	// the counters are read.
-	if err := h.input.Close(); err != nil {
+	ln.Refuse(false)
+	if err := leg.drainClose("outage phase 4"); err != nil {
 		return nil, err
 	}
 
-	res.Emitted = h.counter.Count()
-	res.Ship = h.shipper.Stats()
-	res.Archived = h.archived()
-	res.TornLines = h.input.Errors()
+	res.Emitted = leg.counter.Count()
+	res.Ship = leg.shipper.Stats()
+	res.Archived = pipeline.Stats().Received
+	res.TornLines = leg.input.Errors()
 	logf("phase 4 shut down: %s", res.Ship)
 	return res, nil
 }

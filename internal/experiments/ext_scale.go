@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/dataplane"
+	"repro/internal/packet"
 	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/sketch"
@@ -164,18 +165,6 @@ func (c ScaleSweepConfig) synthSource(flows int) *replay.Synth {
 	}
 }
 
-// recordKey packs a record's 5-tuple into the data plane's wire-format
-// flow key.
-func recordKey(r *replay.Record) dataplane.FlowKey {
-	var k dataplane.FlowKey
-	copy(k[0:4], r.SrcIP[:])
-	copy(k[4:8], r.DstIP[:])
-	k[8], k[9] = byte(r.SrcPort>>8), byte(r.SrcPort)
-	k[10], k[11] = byte(r.DstPort>>8), byte(r.DstPort)
-	k[12] = r.Proto
-	return k
-}
-
 // RunScaleSweep replays each flow population through a fresh pipeline
 // and audits the two-tier guarantees against sampled ground truth.
 func RunScaleSweep(cfg ScaleSweepConfig) *ScaleSweepResult {
@@ -218,46 +207,35 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 		samples = flows
 	}
 	truth := make(map[dataplane.FlowKey]*flowTruth, samples)
-	var keys []dataplane.FlowKey
-	{
-		stride := flows / samples
-		shadow := cfg.synthSource(flows)
-		var rec replay.Record
-		// The sampled keys are discovered from the stream itself: the
-		// first `samples` distinct forward keys at the stride. Forward
-		// records carry DstPort 5201.
-		want := make(map[int]bool, samples)
-		for i := 0; i < samples; i++ {
-			want[i*stride] = true
+	keys := make([]dataplane.FlowKey, samples)
+	stride := flows / samples
+	for i := range keys {
+		keys[i] = replay.SynthFlowKey(i * stride)
+		truth[keys[i]] = &flowTruth{}
+	}
+	shadow := cfg.synthSource(flows)
+	var (
+		rec replay.Record
+		pkt packet.Packet
+	)
+	for shadow.Next(&rec) {
+		if rec.Point != 0 {
+			continue // egress copies carry no truth
 		}
-		flowOf := func(r *replay.Record) int {
-			// Inverse of the Synth addressing: low 16 bits from the
-			// host bytes, high bits from the source port offset.
-			return int(r.SrcIP[2])<<8 | int(r.SrcIP[3]) | (int(r.SrcPort)-40000)<<16
+		// Keyed as the data plane's parser keys it; reverse ACKs and
+		// unsampled flows miss the map.
+		rec.Fill(&pkt)
+		t := truth[dataplane.KeyOf(pkt.FiveTuple())]
+		if t == nil {
+			continue
 		}
-		for shadow.Next(&rec) {
-			if rec.Point != 0 || rec.DstPort != 5201 {
-				continue // egress copies and reverse ACKs carry no forward truth
-			}
-			f := flowOf(&rec)
-			if !want[f] {
-				continue
-			}
-			k := recordKey(&rec)
-			t := truth[k]
-			if t == nil {
-				t = &flowTruth{}
-				truth[k] = t
-				keys = append(keys, k)
-			}
-			t.bytes += uint64(rec.TotalLen)
-			t.pkts++
-			t.dataPkts++
-			if rec.Seq < t.maxSeq {
-				t.loss++
-			} else {
-				t.maxSeq = rec.Seq
-			}
+		t.bytes += uint64(rec.TotalLen)
+		t.pkts++
+		t.dataPkts++
+		if rec.Seq < t.maxSeq {
+			t.loss++
+		} else {
+			t.maxSeq = rec.Seq
 		}
 	}
 

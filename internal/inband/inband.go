@@ -33,11 +33,6 @@ func HopLatency(h HopMetadata) simtime.Time { return h.EgressAt - h.IngressAt }
 //
 // Stack manipulation helpers operate on the packet's INT field.
 
-// Push appends one hop's metadata to the packet's INT stack.
-func Push(pkt *packet.Packet, md HopMetadata) {
-	pkt.INTStack = append(pkt.INTStack, md)
-}
-
 // Extract removes and returns the packet's INT stack (the sink
 // operation: telemetry leaves the packet before delivery).
 func Extract(pkt *packet.Packet) []HopMetadata {

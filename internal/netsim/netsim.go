@@ -91,12 +91,6 @@ func (l *Link) Name() string { return l.name }
 // Dst returns the receiving node.
 func (l *Link) Dst() Node { return l.dst }
 
-// Bandwidth returns the link rate in bits per second.
-func (l *Link) Bandwidth() float64 { return l.bandwidth }
-
-// PropagationDelay returns the one-way delay.
-func (l *Link) PropagationDelay() simtime.Time { return l.delay }
-
 // SerializationDelay returns how long the link needs to clock out a
 // packet of n bytes.
 func (l *Link) SerializationDelay(n int) simtime.Time {

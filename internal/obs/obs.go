@@ -16,8 +16,11 @@
 //     with instrumentation enabled.
 //  2. Scrapes see consistent snapshots where consistency carries
 //     meaning: multi-metric invariants (the resilient shipper's ladder
-//     accounting) are rendered by a Collect callback that reads one
-//     mutex-guarded snapshot, not by independent gauges.
+//     accounting, the data plane's per-shard groups and their sums)
+//     are rendered by a Collect callback that reads one mutex-guarded
+//     snapshot, not by independent gauges. An event a layer already
+//     counts in its own state is read from there at scrape time, not
+//     counted a second time in a Counter beside it.
 //  3. Instrumentation is opt-in and nil-safe: packages hold a nil
 //     metrics struct until RegisterObs wires them to a Registry, so
 //     the uninstrumented configuration pays only a nil check.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -243,14 +242,4 @@ func (v *varsWriter) Histo(name, help string, s HistogramSnapshot) {
 		"sum":     s.Sum,
 		"buckets": buckets,
 	}
-}
-
-// MetricNames returns the registered metric names, sorted — a test and
-// debugging convenience.
-func (r *Registry) MetricNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	return names
 }

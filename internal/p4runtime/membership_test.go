@@ -1,8 +1,11 @@
 package p4runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -279,6 +282,63 @@ func TestServeShutdownNoLeak(t *testing.T) {
 	}
 	for _, c := range clients {
 		c.Close()
+	}
+	ln.Close()
+	waitCond(t, func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestRequestLineCap bounds what one connection can make the server
+// buffer: a request line of exactly maxRequestBytes (newline included)
+// is served, and a longer one gets one error response, after which the
+// server closes the connection and its goroutine exits — the client
+// never closes its end here.
+func TestRequestLineCap(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fm := &fakeMembership{}
+	s := NewServer(nil)
+	s.Members = fm
+	ln := faultnet.NewListener()
+	go Serve(ln, s)
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(conn)
+
+	info := member("sw1", 0)
+	line, err := json.Marshal(Request{Op: OpMemberRegister, Member: &info})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = append(line, bytes.Repeat([]byte(" "), maxRequestBytes-1-len(line))...)
+	if _, err := conn.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := dec.Decode(&resp); err != nil || !resp.OK || resp.Ack == nil {
+		t.Fatalf("request at the cap: %+v err=%v", resp, err)
+	}
+
+	// The pipe is synchronous and the server stops reading at the cap,
+	// so the rest of the write fails once the server hangs up.
+	wrote := make(chan error, 1)
+	go func() {
+		// Well-formed so far: a decoder with no cap would keep buffering.
+		_, err := conn.Write(append([]byte(`{"register":"`), bytes.Repeat([]byte("x"), 16*maxRequestBytes)...))
+		wrote <- err
+	}()
+	resp = Response{}
+	if err := dec.Decode(&resp); err != nil || resp.OK || !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("oversized request: %+v err=%v", resp, err)
+	}
+	if err := dec.Decode(&resp); err == nil {
+		t.Fatal("connection still open after an oversized request")
+	}
+	if err := <-wrote; err == nil {
+		t.Fatal("server read an oversized line to its end")
+	}
+	if regs, _ := fm.counts(); regs != 1 {
+		t.Fatalf("%d registrations, want the one at the cap", regs)
 	}
 	ln.Close()
 	waitCond(t, func() bool { return runtime.NumGoroutine() <= before })

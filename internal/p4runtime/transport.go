@@ -2,6 +2,7 @@ package p4runtime
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -21,16 +22,35 @@ func Serve(ln net.Listener, s *Server) {
 	}
 }
 
+// maxRequestBytes bounds one request line, newline included. The
+// largest legitimate request (a member registration) is a few hundred
+// bytes; the port is open by default, so an unbounded line is an
+// unbounded buffer.
+const maxRequestBytes = 64 << 10
+
 func serveConn(conn net.Conn, s *Server) {
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	r := bufio.NewReaderSize(conn, maxRequestBytes)
 	enc := json.NewEncoder(conn)
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			// Best effort: the peer may still be writing the rest of
+			// the line and never read this.
+			_ = enc.Encode(errResp("request exceeds %d bytes", maxRequestBytes))
 			return
 		}
-		if err := enc.Encode(s.Handle(req)); err != nil {
+		// A final request the peer did not terminate still counts.
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var req Request
+			if json.Unmarshal(line, &req) != nil {
+				return
+			}
+			if enc.Encode(s.Handle(req)) != nil {
+				return
+			}
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -49,11 +69,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p4runtime: dial %s: %w", addr, err)
 	}
-	return &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		enc:  json.NewEncoder(conn),
-	}, nil
+	return NewClient(conn), nil
 }
 
 // NewClient wraps an already-established connection (a faultnet pipe
@@ -112,24 +128,22 @@ func (c *Client) ListRegisters() ([]string, error) {
 // MemberRegister registers (or re-registers) a fleet member with the
 // coordinator behind this server.
 func (c *Client) MemberRegister(info MemberInfo) (MemberAck, error) {
-	resp, err := c.Do(Request{Op: OpMemberRegister, Member: &info})
-	if err != nil {
-		return MemberAck{}, err
-	}
-	if resp.Ack == nil {
-		return MemberAck{}, fmt.Errorf("p4runtime: register: empty ack")
-	}
-	return *resp.Ack, nil
+	return c.memberOp(OpMemberRegister, info)
 }
 
 // MemberHeartbeat refreshes a member's liveness deadline.
 func (c *Client) MemberHeartbeat(info MemberInfo) (MemberAck, error) {
-	resp, err := c.Do(Request{Op: OpMemberHeartbeat, Member: &info})
+	return c.memberOp(OpMemberHeartbeat, info)
+}
+
+// memberOp runs one acknowledged membership operation.
+func (c *Client) memberOp(op Op, info MemberInfo) (MemberAck, error) {
+	resp, err := c.Do(Request{Op: op, Member: &info})
 	if err != nil {
 		return MemberAck{}, err
 	}
 	if resp.Ack == nil {
-		return MemberAck{}, fmt.Errorf("p4runtime: heartbeat: empty ack")
+		return MemberAck{}, fmt.Errorf("p4runtime: %s: empty ack", op)
 	}
 	return *resp.Ack, nil
 }

@@ -227,19 +227,6 @@ func (p *Packet) WireLen() int {
 	return EthernetHeaderLen + int(p.TotalLen)
 }
 
-// TransportHeaderLen returns the transport header size implied by the
-// header fields.
-func (p *Packet) TransportHeaderLen() int {
-	switch p.Proto {
-	case ProtoTCP:
-		return int(p.DataOffset) * 4
-	case ProtoUDP:
-		return UDPHeaderLen
-	default:
-		return 0
-	}
-}
-
 // IsACKOnly reports whether the packet is a pure TCP acknowledgment:
 // the ACK flag set and no payload. Algorithm 1 classifies packets into
 // "Seq" (carries data) and "ACK" using the TCP flags and total length;

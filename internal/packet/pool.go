@@ -52,10 +52,6 @@ func (p *Packet) Release() {
 	pool.Put(p)
 }
 
-// Pooled reports whether the packet is arena-owned (Release will recycle
-// it). Exposed for tests and ownership assertions.
-func (p *Packet) Pooled() bool { return p.pooled }
-
 // ClonePooled copies the packet into an arena slot, reusing that slot's
 // retained SACK/INT backing arrays. TAPs use it for mirror copies when
 // the attached monitor is known not to retain them.

@@ -159,22 +159,20 @@ type TCPInput struct {
 	ln       net.Listener
 	wg       sync.WaitGroup
 
-	// obs is the optional self-telemetry hook (RegisterObs). Atomic:
-	// registration may race the per-connection goroutines.
-	obs atomic.Pointer[inputObs]
+	// Always counted, by the per-connection goroutines; RegisterObs
+	// and Errors read them.
+	conns  atomic.Uint64
+	lines  atomic.Uint64 // NDJSON lines, decodable or not
+	errors atomic.Uint64 // undecodable lines, oversized lines, read errors
 
-	mu       sync.Mutex
-	closed   bool
-	errCount uint64 // undecodable lines, guarded by mu
+	mu     sync.Mutex
+	closed bool
 }
 
-// Errors returns the number of undecodable lines seen so far. It is
-// safe to call while connections are being served.
-func (in *TCPInput) Errors() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.errCount
-}
+// Errors returns the number of undecodable lines, oversized lines and
+// read errors seen so far. It is safe to call while connections are
+// being served.
+func (in *TCPInput) Errors() uint64 { return in.errors.Load() }
 
 // NewTCPInput starts the plugin listening on addr (e.g.
 // "127.0.0.1:0"). Close must be called to release the socket.
@@ -218,25 +216,14 @@ func (in *TCPInput) acceptLoop() {
 // oversized line or a read error, with no trace in any counter.)
 const maxLineBytes = 1 << 20
 
-func (in *TCPInput) countError() {
-	in.mu.Lock()
-	in.errCount++
-	in.mu.Unlock()
-	if o := in.obs.Load(); o != nil {
-		o.errors.Inc()
-	}
-}
-
 func (in *TCPInput) handleLine(line []byte) {
 	if len(line) == 0 {
 		return
 	}
-	if o := in.obs.Load(); o != nil {
-		o.lines.Inc()
-	}
+	in.lines.Add(1)
 	var doc Document
 	if err := json.Unmarshal(line, &doc); err != nil {
-		in.countError()
+		in.errors.Add(1)
 		return
 	}
 	in.pipeline.Process(doc)
@@ -245,9 +232,7 @@ func (in *TCPInput) handleLine(line []byte) {
 func (in *TCPInput) serve(conn net.Conn) {
 	defer in.wg.Done()
 	defer conn.Close()
-	if o := in.obs.Load(); o != nil {
-		o.conns.Inc()
-	}
+	in.conns.Add(1)
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	tooLong := false
@@ -258,7 +243,7 @@ func (in *TCPInput) serve(conn net.Conn) {
 			if len(buf) > maxLineBytes {
 				// One error for the whole oversized line, however many
 				// reads it spans; the rest of it is discarded below.
-				in.countError()
+				in.errors.Add(1)
 				tooLong = true
 				buf = buf[:0]
 			}
@@ -287,7 +272,7 @@ func (in *TCPInput) serve(conn net.Conn) {
 			// Read error (connection reset and friends): count it so
 			// the loss is visible, then let the accept loop keep
 			// serving other connections.
-			in.countError()
+			in.errors.Add(1)
 			return
 		}
 	}

@@ -2,21 +2,14 @@ package psarchiver
 
 import "repro/internal/obs"
 
-// inputObs is the TCP input's optional self-telemetry.
-type inputObs struct {
-	conns  *obs.Counter
-	lines  *obs.Counter
-	errors *obs.Counter
-}
-
-// RegisterObs wires the input plugin's ingest and error rates into r.
-// Safe to call while connections are being served (the hook pointer is
-// atomic); events before registration are visible only in Errors().
+// RegisterObs exposes the input plugin's ingest and error counts, which
+// the plugin keeps whether or not anyone scrapes them. Safe to call
+// while connections are being served.
 func (in *TCPInput) RegisterObs(r *obs.Registry) {
-	in.obs.Store(&inputObs{
-		conns:  r.NewCounter("p4_archiver_input_connections_total", "Connections accepted by the TCP input."),
-		lines:  r.NewCounter("p4_archiver_input_lines_total", "NDJSON lines ingested (decodable or not)."),
-		errors: r.NewCounter("p4_archiver_input_errors_total", "Undecodable lines, oversized lines and read errors."),
+	r.Collect(func(w obs.MetricWriter) {
+		w.Counter("p4_archiver_input_connections_total", "Connections accepted by the TCP input.", in.conns.Load())
+		w.Counter("p4_archiver_input_lines_total", "NDJSON lines ingested (decodable or not).", in.lines.Load())
+		w.Counter("p4_archiver_input_errors_total", "Undecodable lines, oversized lines and read errors.", in.errors.Load())
 	})
 }
 

@@ -78,6 +78,31 @@ func TestSynthShape(t *testing.T) {
 	}
 }
 
+// TestSynthFlowKey: the exported key of flow number g is the key the
+// data plane's parser gives the first data record the generator emits
+// for that flow, wherever FlowBase puts the split between base and
+// index, across the 2^16 boundary where the port starts to carry bits.
+func TestSynthFlowKey(t *testing.T) {
+	for _, g := range []int{0, 1, 255, 65535, 65536, 199999} {
+		for _, base := range []int{0, g / 2, g} {
+			// One round: every flow opens with a data segment, so the
+			// last record is flow g's first.
+			src := &Synth{Flows: g - base + 1, FlowBase: base, Packets: g - base + 1}
+			var rec Record
+			for src.Next(&rec) {
+			}
+			var pkt packet.Packet
+			rec.Fill(&pkt)
+			if rec.Point != 0 || !pkt.CarriesData() {
+				t.Fatalf("g=%d base=%d: record %+v is not an ingress data segment", g, base, rec)
+			}
+			if got, want := SynthFlowKey(g), dataplane.KeyOf(pkt.FiveTuple()); got != want {
+				t.Errorf("g=%d base=%d: SynthFlowKey %v, generator emits %v", g, base, got, want)
+			}
+		}
+	}
+}
+
 // TestRecordRoundTrip: encode/decode is the identity, through the
 // Writer/Reader pair.
 func TestRecordRoundTrip(t *testing.T) {

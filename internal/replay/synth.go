@@ -1,6 +1,12 @@
 package replay
 
-import "repro/internal/simtime"
+import (
+	"net/netip"
+
+	"repro/internal/dataplane"
+	"repro/internal/packet"
+	"repro/internal/simtime"
+)
 
 // Synth generates a deterministic synthetic workload in trace-record
 // form: round-robined TCP flows sending MSS-sized segments, with pure
@@ -52,6 +58,35 @@ type Synth struct {
 	sent     []uint64 // cumulative data segments per flow
 	sinceAck []uint64 // data segments since the flow's last pure ACK
 	ipid     []uint16
+}
+
+// synthServerPort is the receiver's iperf3-style port on every flow.
+const synthServerPort = 5201
+
+// synthEndpoints is the Synth addressing: flow number g (FlowBase
+// included) runs 10.0.x.y -> 10.1.x.y with the low 16 bits of g in the
+// host bytes and any higher bits folded into the sender's port, so
+// flows stay pairwise-distinct 5-tuples past 65536 of them while
+// numbers below 2^16 keep the original byte-identical addressing (port
+// 40000).
+func synthEndpoints(g int) (src, dst [4]byte, port uint16) {
+	src = [4]byte{10, 0, byte(g >> 8), byte(g)}
+	dst = [4]byte{10, 1, byte(g >> 8), byte(g)}
+	return src, dst, uint16(40000 + g>>16)
+}
+
+// SynthFlowKey returns the forward (data-direction) flow key of Synth
+// flow number g, FlowBase included: the key the data plane files the
+// flow's data segments under.
+func SynthFlowKey(g int) dataplane.FlowKey {
+	src, dst, port := synthEndpoints(g)
+	return dataplane.KeyOf(packet.FiveTuple{
+		SrcIP:   netip.AddrFrom4(src),
+		DstIP:   netip.AddrFrom4(dst),
+		SrcPort: port,
+		DstPort: synthServerPort,
+		Proto:   packet.ProtoTCP,
+	})
 }
 
 func (s *Synth) defaults() {
@@ -111,15 +146,7 @@ func (s *Synth) Next(r *Record) bool {
 	}
 	s.at += uint64(s.Spacing)
 
-	// Flow g's endpoints: 10.0.x.y -> 10.1.x.y with the low 16 bits of
-	// the flow number in the host bytes and any higher bits folded into
-	// the iperf3-style source port, so flows stay pairwise-distinct
-	// 5-tuples past 65536 of them while numbers below 2^16 keep the
-	// original byte-identical addressing (port 40000).
-	g := f + s.FlowBase
-	src := [4]byte{10, 0, byte(g >> 8), byte(g)}
-	dst := [4]byte{10, 1, byte(g >> 8), byte(g)}
-	port := uint16(40000 + g>>16)
+	src, dst, port := synthEndpoints(f + s.FlowBase)
 
 	if s.sinceAck[f] >= uint64(s.AckEvery) {
 		s.sinceAck[f] = 0
@@ -129,7 +156,7 @@ func (s *Synth) Next(r *Record) bool {
 			Ack:     s.seq[f],
 			SrcIP:   dst,
 			DstIP:   src,
-			SrcPort: 5201,
+			SrcPort: synthServerPort,
 			DstPort: port,
 			// IPv4 + TCP headers only.
 			TotalLen: 40,
@@ -158,7 +185,7 @@ func (s *Synth) Next(r *Record) bool {
 		SrcIP:    src,
 		DstIP:    dst,
 		SrcPort:  port,
-		DstPort:  5201,
+		DstPort:  synthServerPort,
 		TotalLen: uint16(40 + s.MSS),
 		IPID:     s.ipid[f],
 		Proto:    6,

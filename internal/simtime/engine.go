@@ -230,15 +230,6 @@ func (e *Engine) AtCall(t Time, call CallFunc, a, b any) {
 	e.push(event{at: t, seq: e.seq, call: call, a: a, b: b})
 }
 
-// ScheduleCall runs call(now+delay, a, b) after delay, clamping negative
-// delays to zero like Schedule.
-func (e *Engine) ScheduleCall(delay Time, call CallFunc, a, b any) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.AtCall(e.now+delay, call, a, b)
-}
-
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 

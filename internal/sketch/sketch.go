@@ -297,10 +297,6 @@ func (f *DupFilter) TestAndSet(k *Key, seq uint64) bool {
 	return seen
 }
 
-// Inserts returns the number of TestAndSet calls since construction or
-// the last Clear.
-func (f *DupFilter) Inserts() uint64 { return f.inserts }
-
 // FPRate returns the analytical false-positive probability at the
 // current fill: (1 - e^(-k·n/m))^k with n the actual insert count.
 func (f *DupFilter) FPRate() float64 {

@@ -233,9 +233,6 @@ func (c *Conn) Config() Config { return c.cfg }
 // Cwnd returns the current congestion window in bytes.
 func (c *Conn) Cwnd() float64 { return c.cc.window() }
 
-// FlightSize returns the bytes in flight (sent, unacknowledged).
-func (c *Conn) FlightSize() int { return int(c.sndNxt - c.sndUna) }
-
 // SmoothedRTT returns the sender's smoothed RTT estimate.
 func (c *Conn) SmoothedRTT() simtime.Time { return c.rto.srtt }
 

@@ -75,9 +75,6 @@ func (h *Host) Engine() *simtime.Engine { return h.engine }
 // switch). Must be called before any traffic is generated.
 func (h *Host) AttachUplink(l *netsim.Link) { h.uplink = l }
 
-// Uplink returns the host's outbound link.
-func (h *Host) Uplink() *netsim.Link { return h.uplink }
-
 // send transmits a packet out the access link.
 func (h *Host) send(pkt *packet.Packet) {
 	if h.uplink == nil {

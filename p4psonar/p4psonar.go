@@ -141,11 +141,6 @@ type (
 	CoexistenceResult = experiments.CoexistenceResult
 )
 
-// RunCoexistence runs the CUBIC/BBR extension experiment.
-func RunCoexistence(cfg CoexistenceConfig) *CoexistenceResult {
-	return experiments.RunExtCoexistence(cfg)
-}
-
 // In-band Network Telemetry extension (AmLight-style, from the paper's
 // related work).
 type (
@@ -156,9 +151,6 @@ type (
 	// INTHop is one hop's metadata entry.
 	INTHop = inband.HopMetadata
 )
-
-// NewINTCollector creates an empty INT collector.
-func NewINTCollector() *INTCollector { return inband.NewCollector() }
 
 // ExtractINT strips a packet's telemetry stack (the sink operation).
 var ExtractINT = inband.Extract
