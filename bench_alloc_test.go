@@ -7,11 +7,14 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/obs"
 	"repro/internal/packet"
+	"repro/internal/resilient"
 	"repro/internal/simtime"
 	"repro/internal/sketch"
 	"repro/internal/tap"
@@ -404,5 +407,46 @@ func TestAllocFreeRTTHistogram(t *testing.T) {
 	})
 	if count == 0 {
 		t.Fatal("histogram empty after sampled ACKs")
+	}
+}
+
+// TestAllocFreeReportPath pins the report path's allocation budget, the
+// counterpart of the per-packet assertions above for what happens after
+// the extraction tick: encoding a report into a reused buffer and
+// decoding a line whose strings the connection has seen before allocate
+// nothing, and Shipper.Emit allocates the line it queues and nothing
+// else.
+func TestAllocFreeReportPath(t *testing.T) {
+	r := controlplane.Report{
+		Kind: controlplane.KindMetric, TimeNs: 2_200_000_000, SiteID: "alpha", SwitchID: "sw1",
+		FlowID: "9f3c2a7d5be01846", RevID: "46180eb5d7a2c3f9", SrcIP: "10.0.3.17", DstIP: "10.1.0.1",
+		SrcPort: 40017, DstPort: 5201, Proto: "tcp",
+		Metric: controlplane.MetricRTT, Value: 20.125, Unit: "ms", RTTP50Ms: 16.777216, RTTP95Ms: 33.554432, RTTP99Ms: 33.554432,
+	}
+	buf := make([]byte, 0, 512)
+	assertZeroAllocs(t, "AppendJSONLine into a reused buffer", func() {
+		buf, _ = r.AppendJSONLine(buf[:0])
+	})
+
+	line := buf[:len(buf)-1]
+	var strs controlplane.Interner
+	var back controlplane.Report
+	assertZeroAllocs(t, "ParseJSONLine of an interned line", func() {
+		if !back.ParseJSONLine(line, &strs) {
+			t.Fatal("the typed decoder declined the encoder's own line")
+		}
+	})
+	if back != r {
+		t.Fatalf("decoded %+v, want %+v", back, r)
+	}
+
+	s, err := resilient.New(resilient.Config{Fallback: io.Discard}) // terminal mode: the queue drains into Discard
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Emit(r)
+	if avg := testing.AllocsPerRun(200, func() { s.Emit(r) }); avg > 1 {
+		t.Errorf("Shipper.Emit: %.2f allocs/op, want at most 1 (the queued line)", avg)
 	}
 }

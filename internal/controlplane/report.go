@@ -11,6 +11,11 @@ package controlplane
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"strconv"
+	"strings"
+	"unsafe"
 
 	"repro/internal/simtime"
 )
@@ -156,11 +161,391 @@ func (r Report) Time() simtime.Time { return simtime.Time(r.TimeNs) }
 // MarshalJSONLine renders the report as one JSON line, the format the
 // Logstash TCP input plugin ingests.
 func (r Report) MarshalJSONLine() ([]byte, error) {
-	b, err := json.Marshal(r)
+	// Encoded on the stack, then copied out at its exact size: one
+	// allocation for any line up to 512 B (a metric line is 220–330 B).
+	var scratch [512]byte
+	line, err := r.AppendJSONLine(scratch[:0])
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), line...), nil
+}
+
+// Field is one row of Report_v1's schema: the JSON name and omitempty
+// flag from the struct tag, the Go kind, and the offset that reaches
+// the value without reflection. The table is derived once, at start-up,
+// from Report's own tags, so the struct above is the only place the
+// schema is spelled; AppendJSONLine, ParseJSONLine and the accessors
+// psarchiver.Document reads through all walk this table.
+type Field struct {
+	name      string
+	key       string // `"name":`, as AppendJSONLine writes it
+	kind      reflect.Kind
+	bits      int // of a numeric kind
+	off       uintptr
+	omitEmpty bool
+}
+
+var (
+	schema      = buildSchema()
+	fieldByName = func() map[string]*Field {
+		m := make(map[string]*Field, len(schema))
+		for i := range schema {
+			m[schema[i].name] = &schema[i]
+		}
+		return m
+	}()
+	timeField = fieldByName["time_ns"]
+)
+
+func buildSchema() []Field {
+	t := reflect.TypeOf(Report{})
+	out := make([]Field, t.NumField())
+	if len(out) > len(Interner{}.last) {
+		panic("controlplane: Interner.last is shorter than Report_v1's schema")
+	}
+	for i := range out {
+		sf := t.Field(i)
+		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		switch sf.Type.Kind() {
+		case reflect.String, reflect.Int64, reflect.Int, reflect.Uint64, reflect.Uint16, reflect.Float64:
+		default:
+			panic("controlplane: the Report_v1 codec has no case for Report." + sf.Name + " (" + sf.Type.String() + ")")
+		}
+		out[i] = Field{name: name, key: `"` + name + `":`, kind: sf.Type.Kind(), off: sf.Offset, omitEmpty: opts == "omitempty"}
+		if sf.Type.Kind() != reflect.String {
+			out[i].bits = sf.Type.Bits()
+		}
+	}
+	return out
+}
+
+// LookupField returns the schema row for a JSON name, nil when Report_v1
+// has no such field.
+func LookupField(name string) *Field { return fieldByName[name] }
+
+func (f *Field) signed() bool { return f.kind == reflect.Int64 || f.kind == reflect.Int }
+
+// load reads an integer field, a signed one as its two's complement.
+func (f *Field) load(p unsafe.Pointer) uint64 {
+	switch f.kind {
+	case reflect.Int64:
+		return uint64(*(*int64)(p))
+	case reflect.Int:
+		return uint64(*(*int)(p))
+	case reflect.Uint16:
+		return uint64(*(*uint16)(p))
+	}
+	return *(*uint64)(p)
+}
+
+// store writes an integer field; v is in the field's range.
+func (f *Field) store(p unsafe.Pointer, v uint64) {
+	switch f.kind {
+	case reflect.Int64:
+		*(*int64)(p) = int64(v)
+	case reflect.Int:
+		*(*int)(p) = int(v)
+	case reflect.Uint16:
+		*(*uint16)(p) = uint16(v)
+	default:
+		*(*uint64)(p) = v
+	}
+}
+
+// Str reads a string field; "" for a numeric one. An omitempty field at
+// "" is a field the wire never carried.
+func (f *Field) Str(r *Report) string {
+	if f.kind != reflect.String {
+		return ""
+	}
+	return *(*string)(unsafe.Add(unsafe.Pointer(r), f.off))
+}
+
+// Float reads a numeric field as the float64 a JSON decoder would have
+// produced for it; 0 for a string field, and for an omitempty field the
+// wire never carried.
+func (f *Field) Float(r *Report) float64 {
+	p := unsafe.Add(unsafe.Pointer(r), f.off)
+	switch {
+	case f.kind == reflect.String:
+		return 0
+	case f.kind == reflect.Float64:
+		return *(*float64)(p)
+	case f.signed():
+		return float64(int64(f.load(p)))
+	}
+	return float64(f.load(p))
+}
+
+// AppendJSONLine appends the report as one NDJSON line, byte for byte
+// what json.Marshal(r) plus '\n' produces (field order, omitempty, the
+// 'f'/'e' float rule, HTML-safe strings), without reflection or
+// allocation when dst has room. A string that needs an escape or a
+// non-finite float — neither of which the control plane emits — is
+// handed to encoding/json itself.
+//
+// p4:hotpath
+func (r *Report) AppendJSONLine(dst []byte) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, '{')
+	for i := range schema {
+		f := &schema[i]
+		p := unsafe.Add(unsafe.Pointer(r), f.off)
+		switch f.kind {
+		case reflect.String:
+			s := *(*string)(p)
+			if s == "" && f.omitEmpty {
+				continue
+			}
+			if !plain(s) {
+				return r.appendSlow(dst[:start])
+			}
+			dst = append(dst, f.key...)
+			dst = append(dst, '"')
+			dst = append(dst, s...)
+			dst = append(dst, '"')
+		case reflect.Float64:
+			v := *(*float64)(p)
+			if v == 0 && f.omitEmpty {
+				continue
+			}
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return r.appendSlow(dst[:start])
+			}
+			dst = append(dst, f.key...)
+			dst = appendFloat(dst, v)
+		default:
+			v := f.load(p)
+			if v == 0 && f.omitEmpty {
+				continue
+			}
+			dst = append(dst, f.key...)
+			if f.signed() {
+				dst = strconv.AppendInt(dst, int64(v), 10)
+			} else {
+				dst = strconv.AppendUint(dst, v, 10)
+			}
+		}
+		dst = append(dst, ',')
+	}
+	dst[len(dst)-1] = '}' // kind and time_ns are never omitted
+	dst = append(dst, '\n')
+	return dst, nil
+}
+
+// appendSlow is AppendJSONLine through encoding/json.
+//
+// p4:hotpath-exempt: only a string needing an escape or a non-finite float gets here, and the control plane emits neither
+func (r *Report) appendSlow(dst []byte) ([]byte, error) {
+	b, err := json.Marshal(*r) // by value: r must not escape on the fast path's account
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: encoding report: %w", err)
 	}
-	return append(b, '\n'), nil
+	return append(append(dst, b...), '\n'), nil
+}
+
+// plain reports whether encoding/json writes s between quotes as it
+// stands: printable ASCII with none of the characters its HTML-safe
+// encoder escapes.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendFloat is encoding/json's float64 rule: shortest round-trip
+// digits, exponent form below 1e-6 and from 1e21, a two-digit negative
+// exponent's leading zero dropped (e-09 → e-9).
+func appendFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// Interner is the bounded table of strings one report stream repeats
+// (kinds, units, flow IDs, addresses): a decoded document then shares
+// each with every other document that carries it instead of owning a
+// copy. It belongs to one goroutine — one per archiver connection.
+type Interner struct {
+	last [64]string // per schema field, the previous line's value: most fields repeat it
+	seen map[string]string
+}
+
+// internMax bounds an Interner. A full table is emptied and refilled, so
+// a long-lived connection whose flows churn keeps interning the current
+// ones.
+const internMax = 16384
+
+// str returns b, the value of schema field i, as a string.
+func (in *Interner) str(i int, b []byte) string {
+	if in == nil {
+		return string(b)
+	}
+	if in.last[i] != string(b) {
+		s, ok := in.seen[string(b)]
+		if !ok {
+			s = in.add(string(b))
+		}
+		in.last[i] = s
+	}
+	return in.last[i]
+}
+
+// add is the miss path of str.
+//
+// p4:hotpath-exempt: a string's first appearance on a connection; the steady state is the two lookups in str
+func (in *Interner) add(s string) string {
+	if in.seen == nil || len(in.seen) >= internMax {
+		in.seen = make(map[string]string)
+	}
+	in.seen[s] = s
+	return s
+}
+
+// ParseJSONLine fills r from a line of exactly the shape AppendJSONLine
+// writes — one flat object, schema keys in schema order with time_ns
+// among them, strings of printable ASCII without escapes, JSON-grammar
+// numbers inside each field's range, no omitempty field spelled at zero
+// — taking its strings from in (nil: fresh copies). It reports false,
+// with r in no particular state, for every other line, valid JSON or
+// not; the caller then asks encoding/json, so which lines are accepted
+// and what they mean stays that package's decision.
+//
+// p4:hotpath
+func (r *Report) ParseJSONLine(line []byte, in *Interner) bool {
+	n := len(line) - 1
+	if n < 1 || line[0] != '{' || line[n] != '}' {
+		return false
+	}
+	*r = Report{}
+	sawTime := false
+	for i, next := 1, 0; i < n; next++ {
+		// The key: the first field from the cursor on whose `"name":` is
+		// here. A key outside the schema, out of the encoder's order or
+		// repeated runs the cursor off the table.
+		rest := line[i:n]
+		for ; next < len(schema); next++ {
+			k := schema[next].key
+			if len(rest) > len(k) && rest[len(k)-2] == '"' && rest[1] == k[1] && string(rest[:len(k)]) == k {
+				break
+			}
+		}
+		if next == len(schema) {
+			return false
+		}
+		f := &schema[next]
+		i += len(f.key)
+		p := unsafe.Add(unsafe.Pointer(r), f.off)
+		if f.kind == reflect.String {
+			start := i + 1
+			if line[i] != '"' {
+				return false
+			}
+			for i = start; i < n && line[i] != '"'; i++ {
+				if c := line[i]; c < 0x20 || c > 0x7e || c == '\\' {
+					return false
+				}
+			}
+			if i == n || (i == start && f.omitEmpty) {
+				return false
+			}
+			*(*string)(p) = in.str(next, line[start:i])
+			i++
+		} else {
+			w := f.parseNumber(p, line[i:n])
+			if w == 0 {
+				return false
+			}
+			i += w
+		}
+		sawTime = sawTime || f == timeField
+		if i < n {
+			if line[i] != ',' || i+1 == n {
+				return false
+			}
+			i++
+		}
+	}
+	return sawTime
+}
+
+// parseNumber stores the JSON number b starts with in a numeric field
+// and returns its width: 0 if there is none, if the field cannot hold it
+// exactly (5201.0 or 70000 in a port) or if it is the zero an omitempty
+// field is never written with.
+func (f *Field) parseNumber(p unsafe.Pointer, b []byte) int {
+	w := jsonNumber(b)
+	if w == 0 {
+		return 0
+	}
+	text := unsafe.String(&b[0], w)
+	var zero bool
+	var err error
+	switch {
+	case f.kind == reflect.Float64:
+		var v float64
+		v, err = strconv.ParseFloat(text, 64)
+		*(*float64)(p), zero = v, v == 0
+	case f.signed():
+		var v int64
+		v, err = strconv.ParseInt(text, 10, f.bits)
+		f.store(p, uint64(v))
+		zero = v == 0
+	default:
+		var v uint64
+		v, err = strconv.ParseUint(text, 10, f.bits)
+		f.store(p, v)
+		zero = v == 0
+	}
+	if err != nil || (zero && f.omitEmpty) {
+		return 0
+	}
+	return w
+}
+
+// jsonNumber returns the width of the JSON-grammar number b starts with,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which is narrower than
+// what strconv's parsers accept; 0 if there is none.
+func jsonNumber(b []byte) int {
+	i := 0
+	digits := func() bool {
+		start := i
+		for i < len(b) && b[i]-'0' <= 9 {
+			i++
+		}
+		return i > start
+	}
+	if b[0] == '-' {
+		i++
+	}
+	if start := i; !digits() || (b[start] == '0' && i > start+1) {
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; !digits() {
+			return 0
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return 0
+		}
+	}
+	return i
 }
 
 // Sink receives the control plane's reports. The perfSONAR archiver's

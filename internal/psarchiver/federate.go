@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/controlplane"
 	"repro/internal/metrics"
 )
 
@@ -102,25 +103,26 @@ func CrossSite(store *Store, prefix string) FleetAggregate {
 	docsByMember := make(map[memberKey]int)
 	flows := make(map[string]*flowObs)
 
+	siteField, switchField := controlplane.LookupField("site_id"), controlplane.LookupField("switch_id")
 	var agg FleetAggregate
 	for _, index := range store.Indices() {
 		if !strings.HasPrefix(index, prefix+"-") {
 			continue
 		}
-		for _, doc := range store.Search(Query{Index: index}) {
+		store.scan(Query{Index: index}, func(doc *Document) {
 			agg.Documents++
-			site, sw := doc.Str("site_id"), doc.Str("switch_id")
+			site, sw := doc.str(siteField, "site_id"), doc.str(switchField, "switch_id")
 			if site == "" && sw == "" {
 				agg.Unstamped++
-				continue
+				return
 			}
 			docsByMember[memberKey{site, sw}]++
-			if doc.Str("kind") != "flow_summary" {
-				continue
+			if doc.str(kindField, "kind") != controlplane.KindFlowSummary {
+				return
 			}
 			id := doc.Str("flow_id")
 			if id == "" {
-				continue
+				return
 			}
 			bytes, _ := doc.Float("bytes")
 			packets, _ := doc.Float("packets")
@@ -137,7 +139,7 @@ func CrossSite(store *Store, prefix string) FleetAggregate {
 				f.maxPackets = packets
 			}
 			f.sites[site] = true
-		}
+		})
 	}
 
 	// Per-site rollups from the member counts and flow observations.

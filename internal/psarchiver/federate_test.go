@@ -6,14 +6,14 @@ import (
 )
 
 func flowDoc(site, sw, flow string, bytes, packets float64) Document {
-	return Document{
+	return Document{Extra: obj{
 		"kind":      "flow_summary",
 		"site_id":   site,
 		"switch_id": sw,
 		"flow_id":   flow,
 		"bytes":     bytes,
 		"packets":   packets,
-	}
+	}}
 }
 
 func fleetStore() *Store {
@@ -28,7 +28,7 @@ func fleetStore() *Store {
 	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw2", "f2", 1500, 20))
 	s.Index("p4-psonar-throughput", flowDoc("beta", "sw1", "f3", 6000, 60))
 	// An aggregate document counts toward member accounting but not flows.
-	s.Index("p4-psonar-aggregate", Document{"kind": "aggregate", "site_id": "beta", "switch_id": "sw1"})
+	s.Index("p4-psonar-aggregate", Document{Extra: obj{"kind": "aggregate", "site_id": "beta", "switch_id": "sw1"}})
 	// Unstamped: a single-switch stream sharing the store.
 	s.Index("p4-psonar-throughput", flowDoc("", "", "legacy", 100, 1))
 	// Outside the prefix: ignored entirely.

@@ -3,7 +3,6 @@ package psarchiver
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -15,50 +14,68 @@ import (
 
 // Filter transforms a document in the Logstash pipeline; returning
 // false drops the event.
-type Filter func(Document) bool
+type Filter func(*Document) bool
 
 // Output ships a processed document, like Logstash's output plugins.
 type Output func(index string, doc Document)
 
+// indexPrefix namespaces the destination indices: a document lands in
+// "p4-psonar-<kind>", the way perfSONAR's Logstash configuration routes
+// test results.
+const indexPrefix = "p4-psonar"
+
+var kindField = controlplane.LookupField("kind")
+
+// indexNames holds the index of every kind the control plane emits, so
+// routing a report formats nothing.
+var indexNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, kind := range []string{
+		controlplane.KindMetric, controlplane.KindAggregate, controlplane.KindFlowSummary,
+		controlplane.KindMicroburst, controlplane.KindAlert, controlplane.KindLimitation, "unknown",
+	} {
+		m[kind] = indexPrefix + "-" + kind
+	}
+	return m
+}()
+
 // Pipeline is the Logstash stand-in of Figure 7: events enter from an
-// input plugin, pass the filter chain, and exit through the output.
-// IndexFor routes each document to an OpenSearch index by its report
-// kind, the way perfSONAR's Logstash configuration routes test results.
+// input plugin, pass the filter chain, and exit through the output,
+// routed to an OpenSearch index by their report kind.
 type Pipeline struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the two chains; Process copies them out once per document
 	filters []Filter
 	outputs []Output
 
-	// IndexPrefix namespaces the destination indices; documents land in
-	// "<prefix>-<kind>". Default "p4-psonar".
-	IndexPrefix string
-
-	// Stats, guarded by mu: the TCP input writes them from
-	// per-connection goroutines while callers poll. Read via Stats().
-	received uint64
-	dropped  uint64
-	shipped  uint64
+	// The TCP input counts from per-connection goroutines while callers
+	// poll. received is bumped before the document's shipped or dropped,
+	// and Stats loads it last, so no snapshot shows more documents
+	// leaving than entering.
+	received atomic.Uint64
+	dropped  atomic.Uint64
+	shipped  atomic.Uint64
 }
 
-// PipelineStats is a consistent snapshot of the pipeline counters.
+// PipelineStats is a snapshot of the pipeline counters in which
+// Received >= Shipped + Dropped, with equality once the pipeline is idle.
 type PipelineStats struct {
 	Received uint64
 	Dropped  uint64
 	Shipped  uint64
 }
 
-// Stats returns the current counters under the pipeline lock.
+// Stats returns the current counters.
 func (p *Pipeline) Stats() PipelineStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PipelineStats{Received: p.received, Dropped: p.dropped, Shipped: p.shipped}
+	st := PipelineStats{Dropped: p.dropped.Load(), Shipped: p.shipped.Load()}
+	st.Received = p.received.Load()
+	return st
 }
 
 // NewPipeline builds a pipeline with the standard metadata filter
 // installed (the "adds the metadata required by the OpenSearch
 // database" step of Figure 7).
 func NewPipeline() *Pipeline {
-	p := &Pipeline{IndexPrefix: "p4-psonar"}
+	p := &Pipeline{}
 	p.AddFilter(AddMetadata)
 	return p
 }
@@ -79,76 +96,51 @@ func (p *Pipeline) AddOutput(o Output) {
 
 // OpenSearchOutput wires the pipeline's output plugin to a Store.
 func (p *Pipeline) OpenSearchOutput(store *Store) {
-	p.AddOutput(func(index string, doc Document) {
-		store.Index(index, doc)
-	})
+	p.AddOutput(store.Index)
 }
 
 // AddMetadata is the default filter: it stamps the document with the
-// fields the OpenSearch output needs, producing Report_v2.
-func AddMetadata(doc Document) bool {
-	if _, ok := doc["time_ns"]; ok {
-		doc["@timestamp_ns"] = doc["time_ns"]
+// fields the OpenSearch output needs — @version, host, pipeline, and
+// @timestamp_ns when there is a time_ns to copy — producing Report_v2.
+func AddMetadata(doc *Document) bool {
+	doc.meta = true
+	if t, ok := doc.Extra["time_ns"]; ok { // a document that did not arrive typed
+		doc.Extra["@timestamp_ns"] = t
 	}
-	doc["@version"] = "1"
-	doc["host"] = "p4-switch-cp"
-	doc["pipeline"] = "p4-psonar"
 	return true
 }
 
 // Process pushes one document through filters and outputs.
 func (p *Pipeline) Process(doc Document) {
+	p.received.Add(1)
 	p.mu.Lock()
-	filters := p.filters
-	outputs := p.outputs
-	prefix := p.IndexPrefix
-	p.received++
+	filters, outputs := p.filters, p.outputs
 	p.mu.Unlock()
 
 	for _, f := range filters {
-		if !f(doc) {
-			p.mu.Lock()
-			p.dropped++
-			p.mu.Unlock()
+		if !f(&doc) {
+			p.dropped.Add(1)
 			return
 		}
 	}
-	kind := doc.Str("kind")
+	kind := doc.str(kindField, "kind")
 	if kind == "" {
 		kind = "unknown"
 	}
-	index := fmt.Sprintf("%s-%s", prefix, kind)
+	index, ok := indexNames[kind]
+	if !ok {
+		index = indexPrefix + "-" + kind // pscheduler_* documents, foreign kinds
+	}
 	for _, o := range outputs {
 		o(index, doc)
 	}
-	p.mu.Lock()
-	p.shipped++
-	p.mu.Unlock()
+	p.shipped.Add(1)
 }
 
 // Emit implements controlplane.Sink, the in-simulation input plugin:
 // the control plane hands Report_v1 records straight to the pipeline.
 func (p *Pipeline) Emit(r controlplane.Report) {
-	doc, err := reportToDoc(r)
-	if err != nil {
-		p.mu.Lock()
-		p.dropped++
-		p.mu.Unlock()
-		return
-	}
-	p.Process(doc)
-}
-
-func reportToDoc(r controlplane.Report) (Document, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, err
-	}
-	var doc Document
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, err
-	}
-	return doc, nil
+	p.Process(NewDocument(r, nil))
 }
 
 // TCPInput is the Logstash TCP input plugin [12 in the paper]: it
@@ -164,6 +156,9 @@ type TCPInput struct {
 	conns  atomic.Uint64
 	lines  atomic.Uint64 // NDJSON lines, decodable or not
 	errors atomic.Uint64 // undecodable lines, oversized lines, read errors
+	// Lines the typed decoder declined and encoding/json decoded: none
+	// from this repository's shippers, so a count means foreign traffic.
+	fallbacks atomic.Uint64
 
 	mu     sync.Mutex
 	closed bool
@@ -216,15 +211,20 @@ func (in *TCPInput) acceptLoop() {
 // oversized line or a read error, with no trace in any counter.)
 const maxLineBytes = 1 << 20
 
-func (in *TCPInput) handleLine(line []byte) {
+// handleLine decodes one line and feeds it to the pipeline.
+func (in *TCPInput) handleLine(line []byte, strs *controlplane.Interner) {
 	if len(line) == 0 {
 		return
 	}
 	in.lines.Add(1)
 	var doc Document
-	if err := json.Unmarshal(line, &doc); err != nil {
+	fallback, err := doc.decode(line, strs)
+	if err != nil {
 		in.errors.Add(1)
 		return
+	}
+	if fallback {
+		in.fallbacks.Add(1)
 	}
 	in.pipeline.Process(doc)
 }
@@ -235,6 +235,7 @@ func (in *TCPInput) serve(conn net.Conn) {
 	in.conns.Add(1)
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
+	var strs controlplane.Interner // this connection's repeating strings
 	tooLong := false
 	for {
 		chunk, err := r.ReadSlice('\n')
@@ -255,17 +256,19 @@ func (in *TCPInput) serve(conn net.Conn) {
 			if !tooLong {
 				// Trim like bufio.ScanLines did: the newline plus an
 				// optional carriage return.
-				in.handleLine(bytes.TrimRight(buf, "\r\n"))
+				in.handleLine(bytes.TrimRight(buf, "\r\n"), &strs)
 			}
 			tooLong = false
 			buf = buf[:0]
 		case bufio.ErrBufferFull:
 			// Mid-line: keep accumulating (or discarding).
 		case io.EOF:
-			// A trailing unterminated line still counts (mid-line
-			// resets surface here as an undecodable fragment).
-			if !tooLong {
-				in.handleLine(buf)
+			// An unterminated tail is a torn record, whether or not what
+			// arrived of it parses: the newline is what the shipper
+			// counts as delivery, so it will send this record again.
+			if !tooLong && len(buf) > 0 {
+				in.lines.Add(1)
+				in.errors.Add(1)
 			}
 			return
 		default:

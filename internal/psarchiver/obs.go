@@ -10,12 +10,13 @@ func (in *TCPInput) RegisterObs(r *obs.Registry) {
 		w.Counter("p4_archiver_input_connections_total", "Connections accepted by the TCP input.", in.conns.Load())
 		w.Counter("p4_archiver_input_lines_total", "NDJSON lines ingested (decodable or not).", in.lines.Load())
 		w.Counter("p4_archiver_input_errors_total", "Undecodable lines, oversized lines and read errors.", in.errors.Load())
+		w.Counter("p4_archiver_input_fallback_lines_total", "Lines the typed Report_v1 decoder declined and encoding/json decoded.", in.fallbacks.Load())
 	})
 }
 
-// RegisterObs exposes the pipeline counters as one consistent gauge
-// group: received/dropped/shipped are read from a single mutex-guarded
-// snapshot per scrape.
+// RegisterObs exposes the pipeline counters as one gauge group read
+// through Stats, whose load order keeps received >= shipped + dropped in
+// every scrape.
 func (p *Pipeline) RegisterObs(r *obs.Registry) {
 	r.Collect(func(w obs.MetricWriter) {
 		st := p.Stats()

@@ -5,22 +5,115 @@
 // in-simulation), gain the OpenSearch metadata Logstash adds
 // (Report_v2), and land in the store, where dashboards and experiments
 // query them.
+//
+// A Document is a value, not a map: the typed controlplane.Report, one
+// flag for the four constant fields Logstash adds, and a map only for
+// what Report_v1's schema does not describe. A line of the shape
+// Report.AppendJSONLine writes is decoded straight into the struct; any
+// other line is kept as the map encoding/json decodes it into, so which
+// lines are accepted, and what Str and Float then read, is what it was
+// when a Document was that map.
 package psarchiver
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/controlplane"
 )
 
 // Document is one stored record: the Report_v2 of Figure 7, i.e. the
-// report fields plus Logstash-added metadata.
-type Document map[string]interface{}
+// report fields plus Logstash-added metadata. Read it with Str and
+// Float, which answer as the JSON object would: a Report_v1 field
+// holding its zero is a key the wire never carried (every such field but
+// kind and time_ns is omitempty), so it reads absent.
+type Document struct {
+	// Report holds the Report_v1 fields of a document that arrived typed
+	// (Pipeline.Emit, a line the typed decoder took); time_ns is then
+	// the exact int64 the switch stamped, not a float64 that went
+	// through JSON.
+	Report controlplane.Report
+	// Extra holds what the schema does not describe: a pscheduler
+	// result's own keys, or all of a line the typed decoder declined, as
+	// encoding/json decoded it. Copies of a Document share it.
+	Extra map[string]interface{}
 
-// Float reads a numeric field, tolerating the float64/int64 variants
-// JSON decoding produces.
-func (d Document) Float(key string) (float64, bool) {
-	switch v := d[key].(type) {
+	hasTime bool // Report.TimeNs is the document's time_ns (a foreign line's stays in Extra)
+	meta    bool // AddMetadata ran: @version, host, pipeline and @timestamp_ns are present
+}
+
+// NewDocument wraps a report, with any keys outside Report_v1's schema
+// in extra (nil for none), without touching JSON.
+func NewDocument(r controlplane.Report, extra map[string]interface{}) Document {
+	return Document{Report: r, Extra: extra, hasTime: true}
+}
+
+var errNotObject = errors.New("psarchiver: a document is a JSON object")
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (d *Document) UnmarshalJSON(b []byte) error {
+	_, err := d.decode(b, nil)
+	return err
+}
+
+// decode fills d from one JSON line, reporting whether the typed decoder
+// declined it and encoding/json was asked. JSON that is not an object —
+// null, which decodes into a nil map without an error, included — is an
+// error, never a document.
+func (d *Document) decode(line []byte, in *controlplane.Interner) (fallback bool, err error) {
+	if d.Report.ParseJSONLine(line, in) { // which clears the report itself
+		d.Extra, d.hasTime, d.meta = nil, true, false
+		return false, nil
+	}
+	*d = Document{}
+	if err := json.Unmarshal(line, &d.Extra); err != nil {
+		return true, err
+	}
+	if d.Extra == nil {
+		return true, errNotObject
+	}
+	return true, nil
+}
+
+// The constants AddMetadata stamps.
+var metaFields = map[string]string{"@version": "1", "host": "p4-switch-cp", "pipeline": "p4-psonar"}
+
+// Str reads a string field; "" when it is absent or not a string.
+func (d *Document) Str(key string) string { return d.str(controlplane.LookupField(key), key) }
+
+// Float reads a numeric field, tolerating the integer variants a
+// caller-built Extra may hold beside encoding/json's float64.
+func (d *Document) Float(key string) (float64, bool) {
+	return d.float(controlplane.LookupField(key), key)
+}
+
+// str and float are Str and Float with the schema lookup done — once per
+// query rather than once per document, on the store's scan.
+func (d *Document) str(f *controlplane.Field, key string) string {
+	if f != nil {
+		if s := f.Str(&d.Report); s != "" {
+			return s
+		}
+	} else if s, ok := metaFields[key]; ok && d.meta {
+		return s
+	}
+	s, _ := d.Extra[key].(string)
+	return s
+}
+
+func (d *Document) float(f *controlplane.Field, key string) (float64, bool) {
+	if d.hasTime && (key == "time_ns" || key == "@timestamp_ns" && d.meta) {
+		return float64(d.Report.TimeNs), true
+	}
+	if f != nil {
+		if v := f.Float(&d.Report); v != 0 {
+			return v, true
+		}
+	}
+	switch v := d.Extra[key].(type) {
 	case float64:
 		return v, true
 	case int64:
@@ -31,14 +124,6 @@ func (d Document) Float(key string) (float64, bool) {
 		return float64(v), true
 	}
 	return 0, false
-}
-
-// Str reads a string field.
-func (d Document) Str(key string) string {
-	if s, ok := d[key].(string); ok {
-		return s
-	}
-	return ""
 }
 
 // Query selects documents from an index.
@@ -59,26 +144,75 @@ type Query struct {
 // safe for concurrent use (the live collector writes from a goroutine).
 type Store struct {
 	mu      sync.RWMutex
-	indices map[string][]Document
+	indices map[string]*index
 }
+
+// index holds its documents by value in append-only segments: a stored
+// document is written once and never moves, so growing an index copies
+// nothing and a scan reads them in place.
+type index struct {
+	segs [][]Document
+	n    int
+}
+
+// Segments start small, so an index of a few documents costs a few
+// kilobytes, and double up to maxSegmentDocs (~400 KB of documents).
+const (
+	minSegmentDocs = 16
+	maxSegmentDocs = 1024
+)
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{indices: make(map[string][]Document)}
+	return &Store{indices: make(map[string]*index)}
 }
 
 // Index appends a document to an index, creating it on first use.
-func (s *Store) Index(index string, doc Document) {
+func (s *Store) Index(name string, doc Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.indices[index] = append(s.indices[index], doc)
+	ix := s.indices[name]
+	if ix == nil {
+		ix = &index{}
+		s.indices[name] = ix
+	}
+	ix.add(&doc)
+}
+
+// add is Index's steady state: one copy into the open segment.
+//
+// p4:hotpath
+func (ix *index) add(doc *Document) {
+	last := len(ix.segs) - 1
+	if last < 0 || len(ix.segs[last]) == cap(ix.segs[last]) {
+		last = ix.grow()
+	}
+	ix.segs[last] = append(ix.segs[last], *doc)
+	ix.n++
+}
+
+// grow opens the next segment and returns its position.
+//
+// p4:hotpath-exempt: once per segment, at most every minSegmentDocs documents and every maxSegmentDocs in a large index
+func (ix *index) grow() int {
+	size := minSegmentDocs
+	if n := len(ix.segs); n > 0 {
+		if size = 2 * cap(ix.segs[n-1]); size > maxSegmentDocs {
+			size = maxSegmentDocs
+		}
+	}
+	ix.segs = append(ix.segs, make([]Document, 0, size))
+	return len(ix.segs) - 1
 }
 
 // Count returns the number of documents in an index.
-func (s *Store) Count(index string) int {
+func (s *Store) Count(name string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.indices[index])
+	if ix := s.indices[name]; ix != nil {
+		return ix.n
+	}
+	return 0
 }
 
 // Indices lists the index names, sorted.
@@ -93,39 +227,52 @@ func (s *Store) Indices() []string {
 	return out
 }
 
-// Search returns the documents matching the query, in insertion order.
-func (s *Store) Search(q Query) []Document {
+// scan calls visit, under the read lock and in insertion order, on each
+// stored document matching q. visit must not keep the pointer.
+func (s *Store) scan(q Query, visit func(*Document)) {
+	type term struct {
+		f         *controlplane.Field
+		key, want string
+	}
+	terms := make([]term, 0, len(q.Terms))
+	for k, v := range q.Terms {
+		terms = append(terms, term{controlplane.LookupField(k), k, v})
+	}
+	timeField := controlplane.LookupField(q.TimeField)
+
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Document
-	for _, doc := range s.indices[q.Index] {
-		if !matches(doc, q) {
-			continue
-		}
-		out = append(out, doc)
+	ix := s.indices[q.Index]
+	if ix == nil {
+		return
 	}
-	return out
+	for _, seg := range ix.segs {
+	docs:
+		for i := range seg {
+			d := &seg[i]
+			for _, t := range terms {
+				if d.str(t.f, t.key) != t.want {
+					continue docs
+				}
+			}
+			if q.TimeField != "" {
+				t, ok := d.float(timeField, q.TimeField)
+				if !ok || (q.FromNs != 0 && t < float64(q.FromNs)) || (q.ToNs != 0 && t >= float64(q.ToNs)) {
+					continue
+				}
+			}
+			visit(d)
+		}
+	}
 }
 
-func matches(doc Document, q Query) bool {
-	for k, v := range q.Terms {
-		if doc.Str(k) != v {
-			return false
-		}
-	}
-	if q.TimeField != "" {
-		t, ok := doc.Float(q.TimeField)
-		if !ok {
-			return false
-		}
-		if q.FromNs != 0 && t < float64(q.FromNs) {
-			return false
-		}
-		if q.ToNs != 0 && t >= float64(q.ToNs) {
-			return false
-		}
-	}
-	return true
+// Search returns copies of the documents matching the query, in
+// insertion order; changing one does not change what is stored (its
+// Extra map, if it has one, is still the stored document's).
+func (s *Store) Search(q Query) []Document {
+	var out []Document
+	s.scan(q, func(d *Document) { out = append(out, *d) })
+	return out
 }
 
 // AggStats summarises a numeric field over a query result.
@@ -140,12 +287,12 @@ type AggStats struct {
 // Aggregate computes min/max/mean/sum of field over the matching
 // documents, mirroring the aggregations the perfSONAR dashboard issues.
 func (s *Store) Aggregate(q Query, field string) (AggStats, error) {
-	docs := s.Search(q)
 	var st AggStats
-	for _, d := range docs {
-		v, ok := d.Float(field)
+	f := controlplane.LookupField(field)
+	s.scan(q, func(d *Document) {
+		v, ok := d.float(f, field)
 		if !ok {
-			continue
+			return
 		}
 		if st.Count == 0 || v < st.Min {
 			st.Min = v
@@ -155,7 +302,7 @@ func (s *Store) Aggregate(q Query, field string) (AggStats, error) {
 		}
 		st.Sum += v
 		st.Count++
-	}
+	})
 	if st.Count == 0 {
 		return st, fmt.Errorf("psarchiver: no numeric %q values in %s", field, q.Index)
 	}

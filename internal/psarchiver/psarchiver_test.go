@@ -10,11 +10,15 @@ import (
 	"repro/internal/controlplane"
 )
 
+// obj is a decoded JSON object; Document{Extra: obj{...}} is the document
+// encoding/json's fallback builds from it.
+type obj = map[string]interface{}
+
 func TestStoreIndexAndCount(t *testing.T) {
 	s := NewStore()
-	s.Index("a", Document{"x": 1.0})
-	s.Index("a", Document{"x": 2.0})
-	s.Index("b", Document{"x": 3.0})
+	s.Index("a", Document{Extra: obj{"x": 1.0}})
+	s.Index("a", Document{Extra: obj{"x": 2.0}})
+	s.Index("b", Document{Extra: obj{"x": 3.0}})
 	if s.Count("a") != 2 || s.Count("b") != 1 || s.Count("zzz") != 0 {
 		t.Fatal("counts wrong")
 	}
@@ -26,9 +30,9 @@ func TestStoreIndexAndCount(t *testing.T) {
 
 func TestStoreSearchTerms(t *testing.T) {
 	s := NewStore()
-	s.Index("m", Document{"flow_id": "aa", "v": 1.0})
-	s.Index("m", Document{"flow_id": "bb", "v": 2.0})
-	s.Index("m", Document{"flow_id": "aa", "v": 3.0})
+	s.Index("m", Document{Extra: obj{"flow_id": "aa", "v": 1.0}})
+	s.Index("m", Document{Extra: obj{"flow_id": "bb", "v": 2.0}})
+	s.Index("m", Document{Extra: obj{"flow_id": "aa", "v": 3.0}})
 	got := s.Search(Query{Index: "m", Terms: map[string]string{"flow_id": "aa"}})
 	if len(got) != 2 {
 		t.Fatalf("got %d docs", len(got))
@@ -38,7 +42,7 @@ func TestStoreSearchTerms(t *testing.T) {
 func TestStoreSearchTimeRange(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 10; i++ {
-		s.Index("m", Document{"time_ns": float64(i * 1000)})
+		s.Index("m", Document{Extra: obj{"time_ns": float64(i * 1000)}})
 	}
 	got := s.Search(Query{Index: "m", TimeField: "time_ns", FromNs: 3000, ToNs: 7000})
 	if len(got) != 4 { // 3000,4000,5000,6000
@@ -49,7 +53,7 @@ func TestStoreSearchTimeRange(t *testing.T) {
 func TestStoreAggregate(t *testing.T) {
 	s := NewStore()
 	for _, v := range []float64{10, 20, 30} {
-		s.Index("m", Document{"value": v})
+		s.Index("m", Document{Extra: obj{"value": v}})
 	}
 	st, err := s.Aggregate(Query{Index: "m"}, "value")
 	if err != nil {
@@ -64,7 +68,7 @@ func TestStoreAggregate(t *testing.T) {
 }
 
 func TestDocumentAccessors(t *testing.T) {
-	d := Document{"f": 1.5, "i": 7, "s": "hi"}
+	d := Document{Extra: obj{"f": 1.5, "i": 7, "s": "hi"}}
 	if v, ok := d.Float("f"); !ok || v != 1.5 {
 		t.Fatal("float accessor")
 	}
@@ -83,16 +87,16 @@ func TestPipelineAddsMetadataAndRoutes(t *testing.T) {
 	p := NewPipeline()
 	store := NewStore()
 	p.OpenSearchOutput(store)
-	p.Process(Document{"kind": "metric", "time_ns": int64(42)})
+	p.Process(NewDocument(controlplane.Report{Kind: "metric", TimeNs: 42}, nil))
 	if store.Count("p4-psonar-metric") != 1 {
 		t.Fatalf("routing wrong: %v", store.Indices())
 	}
 	doc := store.Search(Query{Index: "p4-psonar-metric"})[0]
 	if doc.Str("host") != "p4-switch-cp" || doc.Str("@version") != "1" {
-		t.Fatalf("metadata missing: %v", doc)
+		t.Fatalf("metadata missing: %+v", doc)
 	}
-	if doc["@timestamp_ns"] != int64(42) {
-		t.Fatalf("timestamp not copied: %v", doc["@timestamp_ns"])
+	if ts, ok := doc.Float("@timestamp_ns"); !ok || ts != 42 {
+		t.Fatalf("timestamp not copied: %v %v", ts, ok)
 	}
 }
 
@@ -100,9 +104,9 @@ func TestPipelineFilterCanDrop(t *testing.T) {
 	p := NewPipeline()
 	store := NewStore()
 	p.OpenSearchOutput(store)
-	p.AddFilter(func(d Document) bool { return d.Str("kind") != "noise" })
-	p.Process(Document{"kind": "noise"})
-	p.Process(Document{"kind": "metric"})
+	p.AddFilter(func(d *Document) bool { return d.Str("kind") != "noise" })
+	p.Process(Document{Extra: obj{"kind": "noise"}})
+	p.Process(Document{Extra: obj{"kind": "metric"}})
 	if st := p.Stats(); st.Dropped != 1 || st.Shipped != 1 {
 		t.Fatalf("dropped=%d shipped=%d", st.Dropped, st.Shipped)
 	}
@@ -122,7 +126,7 @@ func TestPipelineEmitImplementsSink(t *testing.T) {
 		t.Fatalf("docs=%d", len(docs))
 	}
 	if docs[0].Str("metric") != "rtt" {
-		t.Fatalf("doc: %v", docs[0])
+		t.Fatalf("doc: %+v", docs[0])
 	}
 }
 
@@ -130,7 +134,7 @@ func TestPipelineUnknownKind(t *testing.T) {
 	p := NewPipeline()
 	store := NewStore()
 	p.OpenSearchOutput(store)
-	p.Process(Document{"v": 1.0})
+	p.Process(Document{Extra: obj{"v": 1.0}})
 	if store.Count("p4-psonar-unknown") != 1 {
 		t.Fatal("unknown kind not routed")
 	}

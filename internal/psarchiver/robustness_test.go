@@ -2,6 +2,7 @@ package psarchiver
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -184,7 +185,7 @@ func TestPipelineConcurrentProcessAndMutation(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < docs; i++ {
-				p.Process(Document{"kind": "metric", "w": w, "i": i})
+				p.Process(Document{Extra: obj{"kind": "metric", "w": w, "i": i}})
 			}
 		}(w)
 	}
@@ -193,7 +194,7 @@ func TestPipelineConcurrentProcessAndMutation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			p.AddFilter(func(d Document) bool { return true })
+			p.AddFilter(func(d *Document) bool { return true })
 			p.AddOutput(func(index string, doc Document) {})
 		}
 	}()
@@ -253,5 +254,103 @@ func TestPipelineEmitConcurrentWithTCPInput(t *testing.T) {
 	waitCount(t, "both paths ingested", 2*n, func() int { return store.Count("p4-psonar-metric") })
 	if in.Errors() != 0 {
 		t.Fatalf("errors=%d", in.Errors())
+	}
+}
+
+// TestTCPInputNonObjectJSONIsAnError is the regression test for the
+// one-line crash: "null" is valid JSON that decodes into a nil map
+// without an error, and the metadata filter then assigned into it — one
+// `printf 'null\n' | nc` panicked the archiver. JSON that is not an
+// object is one counted input error each, never a document, and the
+// connection keeps serving.
+func TestTCPInputNonObjectJSONIsAnError(t *testing.T) {
+	p := NewPipeline()
+	store := NewStore()
+	p.OpenSearchOutput(store)
+	l := faultnet.NewListener()
+	in := NewInputFromListener(p, l)
+	defer in.Close()
+
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	notObjects := []string{"null", "[]", "1", `"x"`, "true", " null ", "[{}]"}
+	for _, line := range notObjects {
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write([]byte(`{"kind":"metric","i":1}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	waitCount(t, "the object after them ingested", 1, func() int { return store.Count("p4-psonar-metric") })
+	waitCount(t, "each non-object counted", len(notObjects), func() int { return int(in.Errors()) })
+	if st := p.Stats(); st.Received != 1 || st.Shipped != 1 {
+		t.Fatalf("a non-object reached the pipeline: %+v", st)
+	}
+	var doc Document
+	for _, line := range notObjects {
+		if err := json.Unmarshal([]byte(line), &doc); err == nil {
+			t.Errorf("json.Unmarshal(%q) into a Document: no error", line)
+		}
+	}
+}
+
+// TestTCPInputCountsFallbackLines pins the fallback rule from outside: a
+// line of the shape Report.AppendJSONLine writes is decoded by the typed
+// decoder, any other valid object by encoding/json — counted, and with
+// the same meaning.
+func TestTCPInputCountsFallbackLines(t *testing.T) {
+	p := NewPipeline()
+	store := NewStore()
+	p.OpenSearchOutput(store)
+	l := faultnet.NewListener()
+	in := NewInputFromListener(p, l)
+	defer in.Close()
+
+	r := controlplane.Report{Kind: controlplane.KindMetric, TimeNs: 1_000_000_007, FlowID: "ab12", SrcPort: 40000, Metric: controlplane.MetricRTT, Value: 1.25, Unit: "ms"}
+	typed, err := r.MarshalJSONLine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range [][]byte{
+		typed,
+		[]byte(`{"time_ns":1000000007,"kind":"metric","flow_id":"ab12","src_port":40000,"metric":"rtt","value":1.25,"unit":"ms"}` + "\n"),  // key order
+		[]byte(`{"kind":"metric", "time_ns":1000000007,"flow_id":"ab12","src_port":4e4,"metric":"rtt","value":1.25,"unit":"ms"}` + "\r\n"), // a space, 4e4
+		[]byte(`{"kind":"metric","time_ns":1000000007,"flow_id":"ab12","src_port":40000,"metric":"rtt","value":1.25,"unit":"ms","host":"elsewhere"}` + "\n"),
+	} {
+		if _, err := conn.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.Close()
+	waitCount(t, "all four ingested", 4, func() int { return store.Count("p4-psonar-metric") })
+	if got := in.fallbacks.Load(); got != 3 || in.Errors() != 0 {
+		t.Fatalf("fallback lines = %d, errors = %d; want 3 and 0", got, in.Errors())
+	}
+	// One query over a schema field, a metadata constant and the copied
+	// timestamp finds all four, and all four read the same through the
+	// accessors, typed or not.
+	docs := store.Search(Query{
+		Index: "p4-psonar-metric", Terms: map[string]string{"flow_id": "ab12", "host": "p4-switch-cp"},
+		TimeField: "@timestamp_ns", FromNs: 1_000_000_007, ToNs: 1_000_000_008,
+	})
+	if len(docs) != 4 || docs[0].Report != r {
+		t.Fatalf("query matched %d of 4 documents, the first %+v", len(docs), docs[0].Report)
+	}
+	for i := range docs[1:] {
+		for _, k := range schemaKeys() {
+			wantNum, wantOK := docs[0].Float(k)
+			if got, ok := docs[i+1].Float(k); docs[i+1].Str(k) != docs[0].Str(k) || got != wantNum || ok != wantOK {
+				t.Errorf("line %d, %s: %q %v %v; the typed line reads %q %v %v", i+1, k, docs[i+1].Str(k), got, ok, docs[0].Str(k), wantNum, wantOK)
+			}
+		}
 	}
 }

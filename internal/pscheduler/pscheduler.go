@@ -10,6 +10,7 @@ package pscheduler
 import (
 	"fmt"
 
+	"repro/internal/controlplane"
 	"repro/internal/packet"
 	"repro/internal/psarchiver"
 	"repro/internal/simtime"
@@ -99,9 +100,7 @@ func (s *Scheduler) runThroughput(src, dst *tcp.Host, start, duration simtime.Ti
 			Retransmit: st.Retransmissions,
 		}
 		s.Throughput = append(s.Throughput, res)
-		s.archive(psarchiver.Document{
-			"kind":       "pscheduler_throughput",
-			"time_ns":    int64(st.StartTime),
+		s.archive("pscheduler_throughput", st.StartTime, map[string]interface{}{
 			"src":        res.Src,
 			"dst":        res.Dst,
 			"avg_bps":    res.AvgBps,
@@ -188,9 +187,7 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 			res.MeanRTT = sum / simtime.Time(len(rtts))
 		}
 		s.Latency = append(s.Latency, res)
-		s.archive(psarchiver.Document{
-			"kind":        "pscheduler_latency",
-			"time_ns":     int64(start),
+		s.archive("pscheduler_latency", start, map[string]interface{}{
 			"src":         res.Src,
 			"dst":         res.Dst,
 			"sent":        res.Sent,
@@ -202,9 +199,11 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 	})
 }
 
-func (s *Scheduler) archive(doc psarchiver.Document) {
+// archive ships one test result: kind and time_ns are Report_v1's, the
+// result's own keys ride beside the report.
+func (s *Scheduler) archive(kind string, at simtime.Time, result map[string]interface{}) {
 	if s.pipeline != nil {
-		s.pipeline.Process(doc)
+		s.pipeline.Process(psarchiver.NewDocument(controlplane.Report{Kind: kind, TimeNs: int64(at)}, result))
 	}
 }
 

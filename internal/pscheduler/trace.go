@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
-	"repro/internal/psarchiver"
 	"repro/internal/simtime"
 	"repro/internal/tcp"
 	"repro/internal/trafficgen"
@@ -104,15 +103,12 @@ func (s *Scheduler) runTrace(src, dst *tcp.Host, maxHops int) {
 		result.Hops = hops[:last]
 		s.Traces = append(s.Traces, *result)
 
-		doc := psarchiver.Document{
-			"kind":    "pscheduler_trace",
-			"time_ns": int64(start),
+		s.archive("pscheduler_trace", start, map[string]interface{}{
 			"src":     result.Src,
 			"dst":     result.Dst,
 			"reached": result.Reached,
 			"hops":    len(result.Hops),
-		}
-		s.archive(doc)
+		})
 	})
 }
 

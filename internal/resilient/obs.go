@@ -17,8 +17,9 @@ import (
 // holds in every /metrics scrape, not just at quiescent points (the
 // shipper moves records between states under the same lock the
 // snapshot takes). The trace ring records report-lifecycle and
-// ladder-transition events: ship, retry, replay, spill, fallback,
-// drop, dial_fail (until the breaker opens), connect, breaker_open,
+// ladder-transition events: ship (one per front: bytes accepted,
+// records shipped), retry, replay, spill, fallback, drop, drop_oldest,
+// dial_fail (until the breaker opens), connect, breaker_open,
 // breaker_close, spool_abandon.
 func (s *Shipper) RegisterObs(r *obs.Registry) {
 	s.RegisterObsAs(r, "p4_shipper")
@@ -38,7 +39,9 @@ func (s *Shipper) RegisterObsAs(r *obs.Registry, prefix string) {
 		w.Gauge(prefix+"_emitted", "Reports accepted by Emit.", st.Emitted)
 		w.Gauge(prefix+"_shipped", "Records fully delivered to a live archiver connection.", st.Shipped)
 		w.Gauge(prefix+"_replayed", "Records delivered off the disk spool after an outage.", st.Replayed)
-		w.Gauge(prefix+"_retried", "Write attempts that failed and left the record queued.", st.Retried)
+		w.Gauge(prefix+"_retried", "Write attempts not accepted in full, leaving records queued.", st.Retried)
+		w.Gauge(prefix+"_writes", "conn.Write calls on archiver connections.", st.Writes)
+		w.Gauge(prefix+"_write_bytes", "Bytes archiver connections accepted.", st.WriteBytes)
 		w.Gauge(prefix+"_dropped", "Records lost with certainty (overflow, encode, fallback errors).", st.Dropped)
 		w.Gauge(prefix+"_spilled", "Records appended to the disk spool.", st.Spilled)
 		w.Gauge(prefix+"_fallback", "Records degraded to the fallback writer.", st.Fallback)

@@ -14,6 +14,12 @@
 //	disk unavailable → records degrade to the fallback writer (stdout)
 //	memory spool full→ drop-oldest, with an exact dropped counter
 //
+// A healthy connection is written a front at a time: whatever is queued
+// when the run goroutine looks, up to 64 KB, in one Write, and exactly
+// the records whose last byte the connection accepted leave the queue.
+// No timer is involved, so an idle shipper adds no latency; the spool,
+// its replay and the fallback stay one record at a time.
+//
 // Every record is accounted for exactly once in Stats:
 //
 //	Emitted == Shipped + Replayed + Fallback + Dropped + Queued + SpoolPending
@@ -49,9 +55,14 @@ type Stats struct {
 	// disk spool after an outage (Replayed records are NOT counted in
 	// Shipped; the two are disjoint).
 	Replayed uint64
-	// Retried counts write attempts that failed and left the record
-	// queued for resend.
+	// Retried counts write attempts the connection did not accept in
+	// full, leaving the unaccepted records queued for resend.
 	Retried uint64
+	// Writes counts conn.Write calls on archiver connections and
+	// WriteBytes the bytes they accepted: (Shipped+Replayed)/Writes is
+	// the reports one syscall carries.
+	Writes     uint64
+	WriteBytes uint64
 	// Dropped counts records lost with certainty: memory-spool
 	// overflow (drop-oldest), encode failures, fallback write errors,
 	// and emits after Close.

@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +19,19 @@ type Shipper struct {
 	cfg Config
 	rng *simtime.RNG
 
-	mu      sync.Mutex
-	queue   [][]byte // ring buffer of encoded NDJSON lines
-	head    int
-	n       int
-	stats   Stats
-	closing bool
+	mu    sync.Mutex
+	queue [][]byte // ring buffer of encoded NDJSON lines
+	head  int
+	n     int
+	// A flight is the queue's oldest records while the run goroutine has
+	// them on the wire (or the disk, or the fallback writer): inflight
+	// of them, of which the first evicted lost their slot to a
+	// drop-oldest overflow meanwhile. An evicted record stays counted as
+	// queued until settle learns what became of it.
+	inflight int
+	evicted  int
+	stats    Stats
+	closing  bool
 
 	notify chan struct{} // cap 1: "the queue may be non-empty"
 	stop   chan struct{} // closed by Close
@@ -35,6 +43,7 @@ type Shipper struct {
 	trace atomic.Pointer[obs.Trace]
 
 	// Run-loop state, touched only by the run goroutine.
+	front       []byte // the flight's lines, back to back
 	conn        connWriter
 	consecFail  int
 	breakerOpen bool
@@ -90,16 +99,22 @@ func (s *Shipper) Emit(r controlplane.Report) {
 		s.tev("drop", 0, 0)
 		return
 	}
-	dropOldest := s.n == len(s.queue)
-	if dropOldest {
-		// Drop-oldest: stale telemetry is worth less than fresh.
+	dropOldest := false
+	if s.n == len(s.queue) {
+		// Drop-oldest: stale telemetry is worth less than fresh. The slot
+		// is freed either way; a record in flight is not dropped by it.
 		s.head = (s.head + 1) % len(s.queue)
 		s.n--
-		s.stats.Dropped++
+		if s.evicted < s.inflight {
+			s.evicted++
+		} else {
+			s.stats.Dropped++
+			dropOldest = true
+		}
 	}
 	s.queue[(s.head+s.n)%len(s.queue)] = line
 	s.n++
-	s.stats.Queued = uint64(s.n)
+	s.stats.Queued = uint64(s.n + s.evicted)
 	s.mu.Unlock()
 	if dropOldest {
 		s.tev("drop_oldest", uint64(len(s.queue)), 0)
@@ -189,78 +204,122 @@ func (s *Shipper) run() {
 				continue
 			}
 		}
-		line, ok := s.next()
+		front, k, ok := s.next(frontBytes)
 		if !ok {
 			s.finalize()
 			return
 		}
-		if line == nil {
+		if k == 0 {
 			continue // spurious wakeup; re-check state
 		}
-		if err := s.shipHead(line); err != nil {
+		if err := s.shipFront(front, k); err != nil {
 			s.connFailed("write: %v", err)
 		}
 	}
 }
 
-// next peeks the oldest queued record, blocking until one exists. It
-// returns ok=false when the shipper is closing and the queue is empty,
-// and (nil, true) on a spurious wakeup.
-func (s *Shipper) next() ([]byte, bool) {
+// frontBytes bounds the front one conn.Write carries: whatever is queued
+// when the run goroutine looks, up to this many bytes (and always one
+// record). An idle shipper therefore still writes a report the moment it
+// arrives; a busy one amortises the syscall over a few hundred.
+const frontBytes = 64 << 10
+
+// take starts a flight: the oldest queued records, up to limit bytes and
+// at least one, copied back to back into the front buffer. The records
+// stay queued until settle. It returns k == 0 when the queue is empty,
+// and whether the shipper is closing.
+func (s *Shipper) take(limit int) (front []byte, k int, closing bool) {
 	s.mu.Lock()
-	if s.n > 0 {
-		line := s.queue[s.head]
-		s.mu.Unlock()
-		return line, true
+	defer s.mu.Unlock()
+	front = s.front[:0]
+	for k < s.n {
+		line := s.queue[(s.head+k)%len(s.queue)]
+		if k > 0 && len(front)+len(line) > limit {
+			break
+		}
+		front = append(front, line...)
+		k++
 	}
-	closing := s.closing
-	s.mu.Unlock()
-	if closing {
-		return nil, false
+	s.front, s.inflight = front, k
+	return front, k, s.closing
+}
+
+// next is take, blocking until a record exists. It returns ok=false when
+// the shipper is closing and the queue is empty, and k == 0 with ok=true
+// on a spurious wakeup.
+func (s *Shipper) next(limit int) (front []byte, k int, ok bool) {
+	front, k, closing := s.take(limit)
+	if k > 0 || closing {
+		return front, k, k > 0
 	}
 	select {
 	case <-s.notify:
 	case <-s.stop:
 	}
-	return nil, true
+	return nil, 0, true
 }
 
-// pop removes the queue head after its record reached a terminal
-// state, crediting the given counter.
-func (s *Shipper) pop(counter *uint64) {
+// settle ends the flight: its first done records reached the terminal
+// state counter names and leave the queue; the rest stay queued for the
+// next attempt — except those an overflow evicted meanwhile, whose slot
+// is gone: they are the drop-oldest victims after all.
+func (s *Shipper) settle(done int, counter *uint64) {
 	s.mu.Lock()
-	s.popLocked(counter)
+	s.settleLocked(done, counter)
 	s.mu.Unlock()
 }
 
-// popLocked is pop with s.mu already held — used where the pop must be
-// atomic with other counter updates (the disk-spill transition) so a
-// concurrent Stats snapshot never sees a record in two states at once.
-func (s *Shipper) popLocked(counter *uint64) {
-	s.queue[s.head] = nil
-	s.head = (s.head + 1) % len(s.queue)
-	s.n--
+// settleLocked is settle with s.mu already held — used where it must be
+// atomic with other counter updates (the disk-spill transition, the
+// write counters) so a concurrent Stats snapshot never sees a record in
+// two states at once.
+func (s *Shipper) settleLocked(done int, counter *uint64) {
+	*counter += uint64(done)
+	if lost := s.evicted - done; lost > 0 {
+		s.stats.Dropped += uint64(lost)
+	}
+	for i := s.evicted; i < done; i++ {
+		s.queue[s.head] = nil
+		s.head = (s.head + 1) % len(s.queue)
+		s.n--
+	}
+	s.inflight, s.evicted = 0, 0
 	s.stats.Queued = uint64(s.n)
-	*counter++
 }
 
-// shipHead writes the queue head to the live connection. The record is
-// popped only once every byte was accepted, so a torn write leaves it
-// queued for resend on the next connection (the archiver discards the
-// torn prefix as one undecodable line).
-func (s *Shipper) shipHead(line []byte) error {
+// shipFront writes a flight of k records to the live connection in one
+// Write and settles exactly those whose last byte the connection
+// accepted: a torn write leaves the rest queued, to be resent from the
+// first unaccepted record on the next connection (the archiver discards
+// the torn prefix as one undecodable line).
+func (s *Shipper) shipFront(front []byte, k int) error {
 	// A deadline-set failure surfaces as a write failure right after;
 	// no separate handling needed.
 	_ = s.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	n, err := s.conn.Write(line)
-	if n == len(line) {
-		s.pop(&s.stats.Shipped)
-		s.tev("ship", uint64(n), 0)
-		return err // a fully-accepted write may still report the teardown
+	n, err := s.conn.Write(front)
+	done := k
+	if n < len(front) {
+		done = bytes.Count(front[:n], []byte{'\n'})
 	}
-	s.bump(&s.stats.Retried)
-	s.tev("retry", uint64(n), uint64(len(line)))
-	return err
+	s.mu.Lock()
+	s.stats.Writes++
+	s.stats.WriteBytes += uint64(n)
+	if done < k {
+		s.stats.Retried++
+	}
+	lost := s.evicted - done
+	s.settleLocked(done, &s.stats.Shipped)
+	s.mu.Unlock()
+	if done > 0 {
+		s.tev("ship", uint64(n), uint64(done))
+	}
+	if done < k {
+		s.tev("retry", uint64(n), uint64(len(front)))
+	}
+	if lost > 0 {
+		s.tev("drop_oldest", uint64(len(s.queue)), uint64(lost))
+	}
+	return err // a fully-accepted write may still report the teardown
 }
 
 // replaySpool streams pending disk records to the connection, oldest
@@ -288,14 +347,19 @@ func (s *Shipper) replaySpool() error {
 		}
 		_ = s.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		n, werr := s.conn.Write(line)
-		if n != len(line) {
-			s.bump(&s.stats.Retried)
-			return werr
-		}
-		if derr := s.spool.delivered(); derr != nil {
-			s.logf("resilient: spool bookkeeping: %v", derr)
+		if n == len(line) {
+			if derr := s.spool.delivered(); derr != nil {
+				s.logf("resilient: spool bookkeeping: %v", derr)
+			}
 		}
 		s.mu.Lock()
+		s.stats.Writes++
+		s.stats.WriteBytes += uint64(n)
+		if n != len(line) {
+			s.stats.Retried++
+			s.mu.Unlock()
+			return werr
+		}
 		s.stats.Replayed++
 		s.stats.SpoolPending = uint64(s.spool.pending)
 		s.mu.Unlock()
@@ -416,13 +480,10 @@ func (s *Shipper) sleep(d time.Duration) bool {
 // broken.
 func (s *Shipper) spillQueue() {
 	for {
-		s.mu.Lock()
-		if s.n == 0 {
-			s.mu.Unlock()
+		line, k, _ := s.take(0)
+		if k == 0 {
 			return
 		}
-		line := s.queue[s.head]
-		s.mu.Unlock()
 		s.spillOne(line)
 	}
 }
@@ -432,12 +493,12 @@ func (s *Shipper) spillOne(line []byte) {
 	if s.spool != nil {
 		switch err := s.spool.append(line); err {
 		case nil:
-			// One lock for SpoolPending and the pop: a concurrent
+			// One lock for SpoolPending and the settle: a concurrent
 			// Stats snapshot (the /metrics scrape) must never see the
 			// record counted as both queued and spool-pending.
 			s.mu.Lock()
 			s.stats.SpoolPending = uint64(s.spool.pending)
-			s.popLocked(&s.stats.Spilled)
+			s.settleLocked(1, &s.stats.Spilled)
 			s.mu.Unlock()
 			s.tev("spill", uint64(len(line)), 0)
 			return
@@ -447,33 +508,28 @@ func (s *Shipper) spillOne(line []byte) {
 			s.logf("resilient: disk spool write failed: %v; degrading to fallback", err)
 		}
 	}
+	s.toFallback(line)
+}
+
+// toFallback degrades a flight of one record to the fallback writer.
+func (s *Shipper) toFallback(line []byte) {
 	if _, err := s.cfg.Fallback.Write(line); err != nil {
-		s.pop(&s.stats.Dropped)
+		s.settle(1, &s.stats.Dropped)
 		s.tev("drop", uint64(len(line)), 0)
 		return
 	}
-	s.pop(&s.stats.Fallback)
+	s.settle(1, &s.stats.Fallback)
 	s.tev("fallback", uint64(len(line)), 0)
 }
 
 // terminalStep is the Dial == nil mode: one record from queue to
 // fallback, blocking while idle. Returns false when closing and empty.
 func (s *Shipper) terminalStep() bool {
-	line, ok := s.next()
-	if !ok {
-		return false
+	line, k, ok := s.next(0)
+	if ok && k > 0 {
+		s.toFallback(line)
 	}
-	if line == nil {
-		return true
-	}
-	if _, err := s.cfg.Fallback.Write(line); err != nil {
-		s.pop(&s.stats.Dropped)
-		s.tev("drop", uint64(len(line)), 0)
-		return true
-	}
-	s.pop(&s.stats.Fallback)
-	s.tev("fallback", uint64(len(line)), 0)
-	return true
+	return ok
 }
 
 // finalize is the shutdown flush: with no usable connection every

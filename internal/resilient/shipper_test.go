@@ -18,11 +18,12 @@ import (
 )
 
 // testArchiver accepts connections from a faultnet listener and
-// collects newline-delimited JSON records, counting undecodable lines
-// (torn writes) separately — a miniature Logstash TCP input.
+// collects newline-delimited JSON records, counting undecodable and
+// unterminated lines (torn writes) separately — a miniature Logstash
+// TCP input.
 type testArchiver struct {
 	mu      sync.Mutex
-	reports []controlplane.Report
+	reports [][]controlplane.Report // per connection, in accept order
 	badLine int
 	wg      sync.WaitGroup
 }
@@ -37,27 +38,35 @@ func newTestArchiver(l *faultnet.Listener) *testArchiver {
 			if err != nil {
 				return
 			}
+			a.mu.Lock()
+			id := len(a.reports)
+			a.reports = append(a.reports, nil)
+			a.mu.Unlock()
 			a.wg.Add(1)
 			go func(c net.Conn) {
 				defer a.wg.Done()
 				defer c.Close()
-				sc := bufio.NewScanner(c)
-				sc.Buffer(make([]byte, 64<<10), 1<<20)
-				for sc.Scan() {
-					line := sc.Bytes()
-					if len(line) == 0 {
-						continue
-					}
-					var r controlplane.Report
-					if err := json.Unmarshal(line, &r); err != nil {
+				r := bufio.NewReaderSize(c, 64<<10)
+				for {
+					line, err := r.ReadBytes('\n')
+					var rep controlplane.Report
+					switch {
+					case err != nil && len(line) == 0:
+						return
+					case err != nil, json.Unmarshal(line, &rep) != nil:
+						// Undecodable, or cut before its newline: the
+						// newline is the commit point, as in TCPInput.
 						a.mu.Lock()
 						a.badLine++
 						a.mu.Unlock()
-						continue
+					default:
+						a.mu.Lock()
+						a.reports[id] = append(a.reports[id], rep)
+						a.mu.Unlock()
 					}
-					a.mu.Lock()
-					a.reports = append(a.reports, r)
-					a.mu.Unlock()
+					if err != nil {
+						return
+					}
 				}
 			}(conn)
 		}
@@ -65,11 +74,7 @@ func newTestArchiver(l *faultnet.Listener) *testArchiver {
 	return a
 }
 
-func (a *testArchiver) count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.reports)
-}
+func (a *testArchiver) count() int { return len(a.timestamps()) }
 
 func (a *testArchiver) badLines() int {
 	a.mu.Lock()
@@ -78,13 +83,16 @@ func (a *testArchiver) badLines() int {
 }
 
 // timestamps returns the TimeNs of every archived report, in arrival
-// order.
+// order: connection by connection (the shipper has one at a time), and
+// within a connection as read.
 func (a *testArchiver) timestamps() []int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]int64, len(a.reports))
-	for i, r := range a.reports {
-		out[i] = r.TimeNs
+	var out []int64
+	for _, conn := range a.reports {
+		for _, r := range conn {
+			out = append(out, r.TimeNs)
+		}
 	}
 	return out
 }
