@@ -405,8 +405,7 @@ type view struct {
 // p4:hotpath
 func parseCopy(v *view, c tap.Copy) {
 	pkt := c.Pkt
-	ft := pkt.FiveTuple()
-	v.key.pack(&ft)
+	v.key.pack(pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort, pkt.Proto)
 	v.hash()
 	v.at, v.ipid, v.point = c.At, pkt.IPID, c.Point
 	if c.Point == tap.Egress {
@@ -532,7 +531,7 @@ func (d *DataPlane) processIngress(v *view) {
 	// Admission gate: only the cell's owner writes the exact per-flow
 	// registers; everyone else is counted in the sketch tier with
 	// (ε, δ)-bounded error instead of silently corrupting the cell.
-	if !d.admitCell(idx, id, v.key) {
+	if !d.admitCell(idx, id, &v.key) {
 		d.leanIngress(v)
 		return
 	}
@@ -591,9 +590,10 @@ func (d *DataPlane) processData(v *view, idx uint32, now simtime.Time) {
 	// Warm the lean tier's duplicate filter even while admitted: if
 	// this cell is later evicted, a retransmission of a segment sent
 	// during the admitted era must still test positive in the sketch
-	// tier. The result is discarded — the exact counter below owns
-	// loss accounting while the flow holds its cell.
-	d.lean.SeenSeq(v.key.sketchKey(), v.seqExt)
+	// tier. Nobody reads an answer here — the exact counter below owns
+	// loss accounting while the flow holds its cell — so the insert is
+	// write-behind: applied before this pipe's next filter test.
+	d.lean.NoteSeq(v.key.sketchKey(), v.seqExt)
 
 	// Algorithm 1, Seq branch: a sequence number below the previous one
 	// is a retransmission, i.e. evidence of packet loss.
@@ -629,7 +629,7 @@ func (d *DataPlane) processAck(v *view, now simtime.Time) {
 	// The data flow's cell: histogram, high-ACK and flight writes land
 	// there, so they require the reverse direction to own it.
 	rslot := uint32(revID) % d.tableN
-	revOwns := d.ownsCell(rslot, revID, v.key.Reverse())
+	revOwns := d.ownerLo.Read(rslot) == uint64(revID) && d.ownerKeys[rslot].reverses(&v.key)
 
 	ack := v.ackExt
 	sig := uint64(id)<<32 | (ack & 0xffffffff)
@@ -712,7 +712,7 @@ func (d *DataPlane) processEgress(v *view) {
 	// port-level microburst detector below sees every paired packet
 	// regardless of which tier the flow lives in.
 	slot := uint32(id) % d.tableN
-	if d.ownsCell(slot, id, v.key) {
+	if d.ownsCell(slot, id, &v.key) {
 		d.qdelayReg.Write(slot, uint64(qdelay))
 	}
 	d.lastQDelay = qdelay

@@ -33,8 +33,9 @@ func drainInBatches(trace []tap.Copy, batch int) (*DataPlane, []LongFlowEvent) {
 
 // assertSameState fails unless two pipelines hold byte-identical
 // observable state: every register cell, the stats counters, the
-// monitor table's hit/miss counters, and the CMS estimates for every
-// flow in the trace.
+// monitor table's hit/miss counters, the CMS estimates for every flow
+// in the trace, and the lean tier (sketch counters, the duplicate
+// filter with its logged inserts applied, the insert count).
 func assertSameState(t *testing.T, label string, want, got *DataPlane, flows int) {
 	t.Helper()
 	if want.Stats != got.Stats {
@@ -61,6 +62,9 @@ func assertSameState(t *testing.T, label string, want, got *DataPlane, flows int
 		if we, ge := want.Sketch().EstimateKey(k), got.Sketch().EstimateKey(k); we != ge {
 			t.Fatalf("%s: CMS estimate for flow %d: want %d, got %d", label, i, we, ge)
 		}
+	}
+	if !want.lean.Equal(got.lean) {
+		t.Fatalf("%s: lean tier diverges (sketch counters, duplicate-filter bits or insert count)", label)
 	}
 }
 

@@ -31,22 +31,23 @@ type FlowKey [13]byte
 // p4:hotpath
 func KeyOf(ft packet.FiveTuple) FlowKey {
 	var k FlowKey
-	k.pack(&ft)
+	k.pack(ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort, ft.Proto)
 	return k
 }
 
-// pack fills the key in place. The parser packs straight into the view
-// and hashes from there (flowHash.hash): its stores are the widths the
-// hash routines load, and no copy of the key sits between the two, so
-// the loads forward from the store buffer.
+// pack fills the key in place from the header fields. The parser packs
+// straight from the packet into the view and hashes from there
+// (flowHash.hash): no FiveTuple is built in between, its stores are the
+// widths the hash routines load, and no copy of the key sits between
+// the two, so the loads forward from the store buffer.
 //
 // p4:hotpath
-func (k *FlowKey) pack(ft *packet.FiveTuple) {
-	src, dst := ft.SrcIP.As4(), ft.DstIP.As4()
+func (k *FlowKey) pack(srcIP, dstIP netip.Addr, srcPort, dstPort uint16, proto packet.Proto) {
+	src, dst := srcIP.As4(), dstIP.As4()
 	binary.LittleEndian.PutUint64(k[0:8],
 		uint64(binary.LittleEndian.Uint32(src[:]))|uint64(binary.LittleEndian.Uint32(dst[:]))<<32)
-	binary.BigEndian.PutUint32(k[8:12], uint32(ft.SrcPort)<<16|uint32(ft.DstPort))
-	k[12] = uint8(ft.Proto)
+	binary.BigEndian.PutUint32(k[8:12], uint32(srcPort)<<16|uint32(dstPort))
+	k[12] = uint8(proto)
 }
 
 // Tuple unpacks the key: the inverse of KeyOf.
@@ -72,6 +73,17 @@ func (k FlowKey) Reverse() FlowKey {
 	copy(r[10:12], k[8:10]) // dst port <- src port
 	r[12] = k[12]
 	return r
+}
+
+// reverses reports whether k is o with source and destination swapped
+// (k == o.Reverse()), comparing word against rotated word so the packet
+// path never builds the reversed key.
+//
+// p4:hotpath
+func (k *FlowKey) reverses(o *FlowKey) bool {
+	return binary.LittleEndian.Uint64(k[0:8]) == bits.RotateLeft64(binary.LittleEndian.Uint64(o[0:8]), 32) &&
+		binary.LittleEndian.Uint32(k[8:12]) == bits.RotateLeft32(binary.LittleEndian.Uint32(o[8:12]), 16) &&
+		k[12] == o[12]
 }
 
 // Hash computes the flow ID exactly as the paper's pipeline does: a CRC

@@ -118,14 +118,14 @@ func (h *RTTHist) Quantile(q float64) simtime.Time {
 // including the rare full-ID collision where two keys share a CRC32.
 //
 // p4:hotpath
-func (d *DataPlane) admitCell(idx uint32, id FlowID, key FlowKey) bool {
+func (d *DataPlane) admitCell(idx uint32, id FlowID, key *FlowKey) bool {
 	owner := d.ownerLo.Read(idx)
 	if owner == 0 {
 		d.ownerLo.Write(idx, uint64(id))
-		d.ownerKeys[idx] = key
+		d.ownerKeys[idx] = *key
 		return true
 	}
-	if owner == uint64(id) && d.ownerKeys[idx] == key {
+	if owner == uint64(id) && d.ownerKeys[idx] == *key {
 		return true
 	}
 	if owner != uint64(id) {
@@ -140,8 +140,8 @@ func (d *DataPlane) admitCell(idx uint32, id FlowID, key FlowKey) bool {
 // writing into a cell the data path may not have admitted them to.
 //
 // p4:hotpath
-func (d *DataPlane) ownsCell(idx uint32, id FlowID, key FlowKey) bool {
-	return d.ownerLo.Read(idx) == uint64(id) && d.ownerKeys[idx] == key
+func (d *DataPlane) ownsCell(idx uint32, id FlowID, key *FlowKey) bool {
+	return d.ownerLo.Read(idx) == uint64(id) && d.ownerKeys[idx] == *key
 }
 
 // leanIngress counts one non-admitted ingress packet in the sketch
@@ -239,7 +239,7 @@ func (d *DataPlane) estimate(f *flowHash) FlowEstimate {
 	e.Bytes, e.Pkts, e.Loss = d.lean.EstimateHash(f.h)
 	e.BytesBound, e.PktsBound, e.LossBound = d.lean.Bounds()
 	idx := uint32(f.id) % d.tableN
-	if d.ownsCell(idx, f.id, f.key) {
+	if d.ownsCell(idx, f.id, &f.key) {
 		e.Admitted = true
 		e.ExactBytes = d.bytesReg.Read(idx)
 		e.ExactPkts = d.pktsReg.Read(idx)

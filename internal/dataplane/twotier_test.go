@@ -147,6 +147,104 @@ func TestAgeFlowsEvictsIdleToSketch(t *testing.T) {
 	}
 }
 
+// TestEvictedFlowRetransmitFindsLoggedInsert is the write-behind
+// regression: the exact tier only logs its duplicate-filter inserts
+// (Lean.NoteSeq), and the sketch tier must still find them. Flow a
+// sends three segments while admitted — far fewer than the log holds,
+// and nothing tests the filter, so all three are still logged when the
+// aging sweep evicts a. Flow b then takes the cell, and a's
+// retransmission of its first segment, now in the sketch tier, must
+// count as a loss. The same two-part trace fed per packet, as one front
+// per part and through two shards leaves the same lean tier.
+func TestEvictedFlowRetransmitFindsLoggedInsert(t *testing.T) {
+	cfg := Config{FlowTableSize: 1}
+	const mss = 1460
+	// b shares a's shard, so that at two shards it contends for the same
+	// one-cell table and the other shard stays empty.
+	a, b := ttFlow(1), ttFlow(2)
+	shardOf := func(ft packet.FiveTuple) int {
+		f := hashFlow(KeyOf(ft))
+		return f.shard(2)
+	}
+	for i := 3; shardOf(b) != shardOf(a); i++ {
+		b = ttFlow(i)
+	}
+	data := func(ft packet.FiveTuple, seg int, at simtime.Time) tap.Copy {
+		pkt := packet.NewTCP(ft, uint64(1+seg*mss), 0, packet.FlagACK|packet.FlagPSH, mss)
+		return tap.Copy{Pkt: pkt, Point: tap.Ingress, At: at}
+	}
+	admitted := []tap.Copy{
+		data(a, 0, 1*simtime.Millisecond),
+		data(a, 1, 2*simtime.Millisecond),
+		data(a, 2, 3*simtime.Millisecond),
+	}
+	evicted := []tap.Copy{
+		data(b, 0, 11*simtime.Second),
+		data(a, 0, 11*simtime.Second+simtime.Millisecond), // the retransmission
+		data(a, 3, 11*simtime.Second+2*simtime.Millisecond),
+		data(b, 1, 11*simtime.Second+3*simtime.Millisecond),
+	}
+	age := func(evict func(now, window simtime.Time) int) {
+		t.Helper()
+		if n := evict(10*simtime.Second, simtime.Second); n != 1 {
+			t.Fatalf("AgeFlows evicted %d flows, want 1", n)
+		}
+	}
+
+	perPacket := New(cfg)
+	for _, c := range admitted {
+		perPacket.ProcessCopy(c)
+	}
+	age(perPacket.AgeFlows)
+	for _, c := range evicted {
+		perPacket.ProcessCopy(c)
+	}
+	if _, _, loss := perPacket.lean.Totals(); loss != 1 {
+		t.Errorf("lean tier counted %d losses, want 1: the admitted-era insert was still logged at the test", loss)
+	}
+	if e := perPacket.EstimateFlow(KeyOf(a)); e.Admitted || e.Loss < 1 {
+		t.Errorf("evicted flow: admitted=%v loss=%d, want sketch-tier loss ≥ 1", e.Admitted, e.Loss)
+	}
+	if e := perPacket.EstimateFlow(KeyOf(b)); !e.Admitted || e.ExactPkts != 2 {
+		t.Errorf("colliding flow: admitted=%v exact pkts=%d, want the cell and 2 packets", e.Admitted, e.ExactPkts)
+	}
+
+	fronts := New(cfg)
+	f := NewFront(8)
+	for i, part := range [][]tap.Copy{admitted, evicted} {
+		for _, c := range part {
+			f.AppendCopy(c)
+		}
+		fronts.ProcessFront(f)
+		f.Reset()
+		if i == 0 {
+			age(fronts.AgeFlows)
+		}
+	}
+	if fronts.Stats != perPacket.Stats || !fronts.lean.Equal(perPacket.lean) {
+		t.Errorf("one front per part: stats %+v, per packet %+v, or lean tiers differ", fronts.Stats, perPacket.Stats)
+	}
+
+	sharded := NewPipes(cfg, 2)
+	for _, c := range admitted {
+		sharded.ProcessCopy(c)
+	}
+	age(sharded.AgeFlows)
+	for _, c := range evicted {
+		sharded.ProcessCopy(c)
+	}
+	if got := sharded.StatsSnapshot(); got != perPacket.Stats {
+		t.Errorf("two shards: stats %+v, per packet %+v", got, perPacket.Stats)
+	}
+	own := shardOf(a)
+	if !sharded.Shard(own).lean.Equal(perPacket.lean) {
+		t.Error("two shards: the owning shard's lean tier differs from the single pipe's")
+	}
+	if !sharded.Shard(1 - own).lean.Equal(New(cfg).lean) {
+		t.Error("two shards: the other shard's lean tier is not empty")
+	}
+}
+
 // TestAgeFlowsSkipsAnnouncedFlows: announced (directory-owned) cells
 // belong to the control plane's FIN/idle sweep, not the aging sweep.
 func TestAgeFlowsSkipsAnnouncedFlows(t *testing.T) {

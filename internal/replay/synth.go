@@ -151,20 +151,12 @@ func (s *Synth) Next(r *Record) bool {
 	if s.sinceAck[f] >= uint64(s.AckEvery) {
 		s.sinceAck[f] = 0
 		// Pure ACK from the receiver, cumulative up to everything sent.
-		*r = Record{
-			At:      s.at,
-			Ack:     s.seq[f],
-			SrcIP:   dst,
-			DstIP:   src,
-			SrcPort: synthServerPort,
-			DstPort: port,
-			// IPv4 + TCP headers only.
-			TotalLen: 40,
-			IPID:     s.ipid[f],
-			Proto:    6,
-			Flags:    0x10, // ACK
-			Point:    0,
-		}
+		// Written field by field, here and below: a Record literal is
+		// built on the stack and then copied out.
+		r.At, r.Seq, r.Ack = s.at, 0, s.seq[f]
+		r.SrcIP, r.DstIP, r.SrcPort, r.DstPort = dst, src, synthServerPort, port
+		r.TotalLen = 40 // IPv4 + TCP headers only
+		r.IPID, r.Proto, r.Flags, r.Point = s.ipid[f], 6, 0x10, 0
 		s.ipid[f]++
 		return true
 	}
@@ -179,19 +171,10 @@ func (s *Synth) Next(r *Record) bool {
 	}
 	s.sent[f]++
 	s.sinceAck[f]++
-	*r = Record{
-		At:       s.at,
-		Seq:      seq,
-		SrcIP:    src,
-		DstIP:    dst,
-		SrcPort:  port,
-		DstPort:  synthServerPort,
-		TotalLen: uint16(40 + s.MSS),
-		IPID:     s.ipid[f],
-		Proto:    6,
-		Flags:    0x10,
-		Point:    0,
-	}
+	r.At, r.Seq, r.Ack = s.at, seq, 0
+	r.SrcIP, r.DstIP, r.SrcPort, r.DstPort = src, dst, port, synthServerPort
+	r.TotalLen = uint16(40 + s.MSS)
+	r.IPID, r.Proto, r.Flags, r.Point = s.ipid[f], 6, 0x10, 0
 	if s.sent[f]%uint64(s.EgressEvery) == 0 {
 		s.pend = *r
 		s.pend.At = s.at + uint64(s.EgressDelay)

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Key is the packed wire-format 5-tuple the sketches index by — the
@@ -223,12 +224,27 @@ func (c *CMS) Clear() {
 // without any per-flow sequence register. No false negatives absent a
 // Clear; false positives (spurious loss counts) occur at the rate
 // FPRate computes from the actual insert count.
+//
+// Inserts whose answer nobody reads (Insert) are write-behind: the
+// pair's hash word waits in a small log and its bits are set when the
+// log fills or before the next TestAndSet, whichever comes first. OR
+// commutes and nothing tests in between, so at every test the bit array
+// is exactly what eager insertion would have left.
 type DupFilter struct {
 	bits    []uint64
 	mask    uint64 // bit-index mask (len(bits)*64 - 1, power of two)
 	hashes  int
 	inserts uint64
+	logN    int                 // hash words waiting in log
+	log     [dupLogWords]uint64 // k.mix(seq) of each pending Insert
 }
+
+// dupLogWords is the write-behind log's capacity. Draining sets the
+// bits of that many pairs in one loop with no branch on the bit array's
+// contents, so the cache misses of many packets overlap instead of
+// stalling each packet in turn; 256 words (2 KB) is where the measured
+// gain levels off.
+const dupLogWords = 256
 
 // NewDupFilter sizes a filter for an expected number of inserts at a
 // target false-positive rate: m = ⌈-n·ln(p)/ln²2⌉ bits rounded up to a
@@ -251,8 +267,9 @@ func NewDupFilter(expectedInserts int, targetFP float64) *DupFilter {
 		k = 1
 	}
 	// Cap the derived probe count at 8: beyond that the FP gain is
-	// marginal but every data packet pays the extra probes (the warm
-	// insert on the admitted path makes this a hot-path cost).
+	// marginal but every TCP data packet pays the extra probes — a test
+	// in the sketch tier, a logged insert (Insert) in the exact tier,
+	// whose drain still touches every probed word.
 	if k > 8 {
 		k = 8
 	}
@@ -276,12 +293,46 @@ func NewDupFilterBits(logBits, hashes int) *DupFilter {
 	}
 }
 
+// Insert records (k, seq) without reporting whether it was present:
+// TestAndSet for a caller that discards the answer. The insert counts
+// at once (FPRate is a pure read); its bits are set by the next drain.
+//
+// p4:hotpath
+func (f *DupFilter) Insert(k *Key, seq uint64) {
+	f.log[f.logN] = k.mix(seq)
+	f.logN++
+	f.inserts++
+	if f.logN == dupLogWords {
+		f.drain()
+	}
+}
+
+// drain sets the probe bits of every logged pair and empties the log.
+// The stores are unconditional, so no iteration waits on the word it
+// loads and the misses of successive pairs are in flight together.
+//
+// p4:hotpath
+func (f *DupFilter) drain() {
+	for _, h1 := range f.log[:f.logN] {
+		h2 := mix64(h1) | 1
+		for i := 0; i < f.hashes; i++ {
+			bit := (h1 + uint64(i)*h2) & f.mask
+			f.bits[bit>>6] |= 1 << (bit & 63)
+		}
+	}
+	f.logN = 0
+}
+
 // TestAndSet reports whether (k, seq) was already present, inserting
 // it either way. Double hashing (Kirsch–Mitzenmacher) derives all
-// probe positions from two mixes of the pair.
+// probe positions from two mixes of the pair. Pending Inserts are
+// applied first.
 //
 // p4:hotpath
 func (f *DupFilter) TestAndSet(k *Key, seq uint64) bool {
+	if f.logN != 0 {
+		f.drain()
+	}
 	h1 := k.mix(seq)
 	h2 := mix64(h1) | 1
 	seen := true
@@ -306,17 +357,19 @@ func (f *DupFilter) FPRate() float64 {
 	return math.Pow(1-math.Exp(-k*n/m), k)
 }
 
-// MemoryBytes returns the filter's bit-array footprint.
-func (f *DupFilter) MemoryBytes() uint64 { return uint64(len(f.bits)) * 8 }
+// MemoryBytes returns the filter's footprint: the bit array plus the
+// write-behind log.
+func (f *DupFilter) MemoryBytes() uint64 { return uint64(len(f.bits)+len(f.log)) * 8 }
 
-// Clear zeroes the filter. Duplicates spanning a clear go undetected —
-// the windowing trade-off Lean Algorithms accepts when the filter is
-// reset per measurement epoch.
+// Clear zeroes the filter and drops any pending Inserts. Duplicates
+// spanning a clear go undetected — the windowing trade-off Lean
+// Algorithms accepts when the filter is reset per measurement epoch.
 func (f *DupFilter) Clear() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
 	f.inserts = 0
+	f.logN = 0
 }
 
 // Config parameterises a Lean bundle. The zero value defaults to
@@ -410,6 +463,14 @@ func (l *Lean) SeenSeq(k *Key, seq uint64) bool {
 	return l.dup.TestAndSet(k, seq)
 }
 
+// NoteSeq records a TCP data packet's (key, seq) in the dup filter for
+// a caller that does not need SeenSeq's answer — the exact tier, which
+// counts its own losses but must leave the pair where a later SeenSeq
+// finds it.
+//
+// p4:hotpath
+func (l *Lean) NoteSeq(k *Key, seq uint64) { l.dup.Insert(k, seq) }
+
 // CountLoss adds one loss event for the hashed key.
 //
 // p4:hotpath
@@ -457,6 +518,21 @@ func (l *Lean) MemoryBytes() uint64 {
 	return l.bytes.MemoryBytes() + l.pkts.MemoryBytes() +
 		l.loss.MemoryBytes() + l.dup.MemoryBytes()
 }
+
+// Equal reports whether two bundles hold the same state: every counter
+// and total, every dup-filter bit and the insert count — what feeding
+// one packet stream whole, in fronts or per packet must leave equal.
+// Logged dup-filter inserts are applied first, which no reader can tell.
+func (l *Lean) Equal(o *Lean) bool {
+	l.dup.drain()
+	o.dup.drain()
+	return l.bytes.equal(o.bytes) && l.pkts.equal(o.pkts) && l.loss.equal(o.loss) &&
+		l.dup.hashes == o.dup.hashes && l.dup.inserts == o.dup.inserts &&
+		slices.Equal(l.dup.bits, o.dup.bits)
+}
+
+// equal reports whether two sketches hold the same counters and total.
+func (c *CMS) equal(o *CMS) bool { return c.total == o.total && slices.Equal(c.rows, o.rows) }
 
 // ClearWindow resets the dup filter only — the per-epoch windowing of
 // Lean Algorithms. The counting sketches (and their bounds) persist.
