@@ -1,11 +1,12 @@
 // Command p4lint runs the repository's domain-aware static-analysis
 // passes over package patterns and reports file:line diagnostics. It
-// exits non-zero when any diagnostic is found, so it gates CI alongside
-// go vet and the race detector.
+// exits non-zero when any diagnostic is found — a package that does not
+// type-check is one, whichever passes were selected — so it gates CI
+// alongside go vet and the race detector.
 //
 // Usage:
 //
-//	p4lint [-only locks,timeunits,...] [-json|-gha] [pattern ...]
+//	p4lint [-only lockorder,timeunits,...] [-json|-gha] [pattern ...]
 //
 // Patterns are directories, optionally ending in /... to recurse
 // (default "./..."). Examples:
@@ -62,14 +63,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "p4lint:", err)
 		os.Exit(2)
 	}
-	// Surface hard type-check failures: analyzers silently miss bugs in
-	// packages whose type information is incomplete.
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "p4lint: type error in %s: %v\n", pkg.Path, terr)
-		}
-	}
-
 	diags := analysis.Run(pkgs, analyzers)
 	switch {
 	case *asJSON:

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
 )
@@ -32,73 +33,95 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one static-analysis pass. Exactly one of Run (a
-// per-package syntactic/type pass) and RunProgram (a whole-program
-// dataflow pass over the call graph) is set.
+// Analyzer is one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the pass (used by -only and in diagnostics).
+	// Name identifies the pass (used by -only, in diagnostics and in
+	// p4:lint-exempt comments).
 	Name string
 	// Doc is a one-line description for usage output.
 	Doc string
-	// Run inspects a type-checked package, reporting findings through
+	// Run inspects the loaded program, reporting findings through
 	// pass.Reportf.
 	Run func(pass *Pass)
-	// RunProgram inspects the whole program at once; facts (hotpath
-	// annotations, atomic access sites, lock acquisitions) propagate
-	// across function and package boundaries through the Program's
-	// call graph.
-	RunProgram func(pass *ProgramPass)
 }
 
-// Pass bundles everything an analyzer needs to inspect one package.
+// Pass is what one analyzer sees of one Run: the requested packages,
+// and on demand the whole program around them.
 type Pass struct {
-	Pkg      *Package
 	Analyzer *Analyzer
+	// Pkgs are the requested packages. A pass that checks a package at
+	// a time loops over them; facts that cross package boundaries come
+	// from Program.
+	Pkgs []*Package
+	Fset *token.FileSet
 
-	diags []Diagnostic
+	run *run
 }
 
-// Reportf records a diagnostic at pos.
+// run is the state the passes of one Run share.
+type run struct {
+	prog   *Program // built by the first pass that asks
+	exempt map[exemptKey]bool
+	diags  []Diagnostic
+}
+
+// Program returns the import closure of the requested packages with
+// its call graph, built once per Run by the first pass that asks.
+func (p *Pass) Program() *Program {
+	if p.run.prog == nil {
+		p.run.prog = NewProgram(p.Pkgs)
+	}
+	return p.run.prog
+}
+
+// Exempt reports whether a justified `p4:lint-exempt` comment naming
+// this pass sits on pos's line or the line above. Reportf consults it,
+// so a finding on an exempted line never surfaces; passes that carry
+// facts away from a site (a time.Now that makes its callers
+// wall-clocked, a Lock that makes its hot-path root dirty) consult it
+// too, so an exempted site does not propagate to a distant root where
+// the line comment cannot reach.
+func (p *Pass) Exempt(pos token.Pos) bool {
+	at := p.Fset.Position(pos)
+	k := exemptKey{at.Filename, at.Line, p.Analyzer.Name}
+	if p.run.exempt[k] {
+		return true
+	}
+	k.line--
+	return p.run.exempt[k]
+}
+
+// Reportf records a diagnostic at pos unless the line is exempted.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Pkg.Fset.Position(pos),
+	if p.Exempt(pos) {
+		return
+	}
+	p.run.diags = append(p.run.diags, Diagnostic{
+		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// ProgramPass bundles what a whole-program analyzer needs.
-type ProgramPass struct {
-	Prog     *Program
-	Analyzer *Analyzer
-
-	diags []Diagnostic
+// eachPackage makes a pass of a check that looks at one package at a
+// time, by running it over every requested package.
+func eachPackage(check func(pass *Pass, pkg *Package)) func(*Pass) {
+	return func(pass *Pass) {
+		for _, pkg := range pass.Pkgs {
+			check(pass, pkg)
+		}
+	}
 }
 
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// All returns the full registry of passes, in reporting order: the
-// per-package syntactic passes (one AST walk each) first, then the
-// whole-program dataflow passes, which build the module call graph and
-// run cross-package fixpoints. One run loads and type-checks the
-// program once for all of them; -only selects a subset.
+// All returns the full registry of passes, in usage order. -only
+// selects a subset.
 func All() []*Analyzer {
 	return []*Analyzer{
-		LocksAnalyzer,
 		TimeUnitsAnalyzer,
 		RegWidthAnalyzer,
 		UncheckedErrAnalyzer,
 		GoLeakAnalyzer,
-		HotAllocAnalyzer,
 		DocCommentAnalyzer,
-
 		HotPathPropAnalyzer,
 		AtomicMixAnalyzer,
 		LockOrderAnalyzer,
@@ -133,42 +156,35 @@ func ByName(names []string) ([]*Analyzer, error) {
 
 // Run executes the given analyzers over the packages and returns the
 // combined diagnostics in deterministic order (file, line, pass,
-// column, message). Whole-program analyzers run once over the module
-// import closure of pkgs; per-package analyzers run per package.
-// Findings suppressed by a justified `p4:lint-exempt pass: reason`
-// comment are dropped; an exemption without a justification is itself
-// a finding.
+// column, message). Every pass sees the same loaded program: the
+// requested packages, and through Pass.Program their module import
+// closure. Findings on a line covered by a justified
+// `p4:lint-exempt pass: reason` comment are dropped; an exemption
+// without a justification is itself a finding. A requested package
+// that did not type-check yields one "typecheck" diagnostic per error
+// whichever analyzers run: the passes silently miss bugs where type
+// information is incomplete.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var out []Diagnostic
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		if prog == nil {
-			prog = NewProgram(pkgs)
-		}
-		pass := &ProgramPass{Prog: prog, Analyzer: a}
-		a.RunProgram(pass)
-		out = append(out, pass.diags...)
+	if len(pkgs) == 0 {
+		return nil
 	}
+	fset := pkgs[0].Fset
+	r := &run{exempt: map[exemptKey]bool{}}
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
+		for _, err := range pkg.TypeErrors {
+			d := Diagnostic{Pos: token.Position{Filename: pkg.Dir}, Analyzer: "typecheck", Message: err.Error()}
+			if terr, ok := err.(types.Error); ok {
+				d.Pos, d.Message = terr.Fset.Position(terr.Pos), terr.Msg
 			}
-			pass := &Pass{Pkg: pkg, Analyzer: a}
-			a.Run(pass)
-			out = append(out, pass.diags...)
+			r.diags = append(r.diags, d)
 		}
 	}
-
-	scope := pkgs
-	if prog != nil {
-		scope = prog.Pkgs
+	r.scanExemptions(importClosure(pkgs), analyzers)
+	for _, a := range analyzers {
+		a.Run(&Pass{Analyzer: a, Pkgs: pkgs, Fset: fset, run: r})
 	}
-	out = applyExemptions(out, scope, analyzers)
 
+	out := r.diags
 	sortDiagnostics(out)
 	// A package listed twice (overlapping patterns) must not double its
 	// findings.
@@ -188,32 +204,24 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // a reviewer can audit it without rediscovering the context.
 var exemptRe = regexp.MustCompile(`p4:lint-exempt\s+([a-z]+):[ \t]*(.*)`)
 
-// exemption is one parsed p4:lint-exempt directive.
-type exemption struct {
-	analyzer string
-	reason   string
-	pos      token.Position
+// exemptKey addresses one justified exemption: the comment's line and
+// the pass it names.
+type exemptKey struct {
+	file string
+	line int
+	pass string
 }
 
-// applyExemptions drops diagnostics covered by a justified exemption
-// comment on the same line or the line directly above, and reports
-// exemptions that name a running pass but carry no justification.
-// Exemptions for passes not in the run set are left alone (running
-// `-only locks` must not audit determinism exemptions it cannot
-// check).
-func applyExemptions(diags []Diagnostic, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+// scanExemptions reads every comment of the packages once, indexing the
+// justified exemptions for Pass.Exempt and reporting those that name a
+// running pass but carry no justification. Exemptions for passes not
+// in the run set are not audited (running `-only lockorder` must not
+// judge determinism exemptions it cannot check).
+func (r *run) scanExemptions(pkgs []*Package, analyzers []*Analyzer) {
 	running := map[string]bool{}
 	for _, a := range analyzers {
 		running[a.Name] = true
 	}
-	// (file, line, pass) -> exemption
-	type key struct {
-		file string
-		line int
-		pass string
-	}
-	index := map[key]exemption{}
-	var unjustified []exemption
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -222,41 +230,20 @@ func applyExemptions(diags []Diagnostic, pkgs []*Package, analyzers []*Analyzer)
 					if m == nil {
 						continue
 					}
-					ex := exemption{
-						analyzer: m[1],
-						reason:   strings.TrimSpace(m[2]),
-						pos:      pkg.Fset.Position(c.Pos()),
+					pos := pkg.Fset.Position(c.Pos())
+					if strings.TrimSpace(m[2]) != "" {
+						r.exempt[exemptKey{pos.Filename, pos.Line, m[1]}] = true
+					} else if running[m[1]] {
+						r.diags = append(r.diags, Diagnostic{
+							Pos:      pos,
+							Analyzer: m[1],
+							Message:  fmt.Sprintf("p4:lint-exempt %s has no justification: explain why the finding does not apply", m[1]),
+						})
 					}
-					if !running[ex.analyzer] {
-						continue
-					}
-					if ex.reason == "" {
-						unjustified = append(unjustified, ex)
-						continue
-					}
-					index[key{ex.pos.Filename, ex.pos.Line, ex.analyzer}] = ex
 				}
 			}
 		}
 	}
-	out := diags[:0]
-	for _, d := range diags {
-		if _, ok := index[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; ok {
-			continue
-		}
-		if _, ok := index[key{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}]; ok {
-			continue
-		}
-		out = append(out, d)
-	}
-	for _, ex := range unjustified {
-		out = append(out, Diagnostic{
-			Pos:      ex.pos,
-			Analyzer: ex.analyzer,
-			Message:  fmt.Sprintf("p4:lint-exempt %s has no justification: explain why the finding does not apply", ex.analyzer),
-		})
-	}
-	return out
 }
 
 // parentMap records the enclosing node of every AST node in a file,

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 )
 
@@ -19,17 +21,20 @@ type wantComment struct {
 	matched bool
 }
 
-// runFixture type-checks testdata/src/<fixture>, runs one analyzer over
-// it, and requires the diagnostics to line up one-to-one with the
-// fixture's want comments: every want must be matched by a diagnostic
-// on its line, and every diagnostic must be claimed by a want.
-func runFixture(t *testing.T, analyzerName, fixture string) {
+// sharedLoader is the one Loader every test in the package loads
+// through, so the standard library and the module packages the fixtures
+// import are type-checked from source once per test binary.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+
+// loadFixture type-checks testdata/src/<fixture> through the shared
+// loader.
+func loadFixture(t *testing.T, fixture string) []*Package {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	loader, err := NewLoader(dir)
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
+	dir := filepath.Join("testdata", "src", fixture)
 	pkgs, err := loader.Load(".", dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -37,12 +42,42 @@ func runFixture(t *testing.T, analyzerName, fixture string) {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages from %s, want 1", len(pkgs), dir)
 	}
+	return pkgs
+}
+
+// One test per registered analyzer, each over the fixture directory of
+// the analyzer's name.
+func TestTimeUnitsAnalyzer(t *testing.T)    { runFixture(t, "timeunits") }
+func TestRegWidthAnalyzer(t *testing.T)     { runFixture(t, "regwidth") }
+func TestUncheckedErrAnalyzer(t *testing.T) { runFixture(t, "uncheckederr") }
+func TestGoLeakAnalyzer(t *testing.T)       { runFixture(t, "goleak") }
+func TestDocCommentAnalyzer(t *testing.T)   { runFixture(t, "doccomment") }
+func TestHotPathProp(t *testing.T)          { runFixture(t, "hotpathprop") }
+func TestAtomicMix(t *testing.T)            { runFixture(t, "atomicmix") }
+func TestLockOrder(t *testing.T)            { runFixture(t, "lockorder") }
+func TestDeterminism(t *testing.T)          { runFixture(t, "determinism") }
+func TestConfigRead(t *testing.T)           { runFixture(t, "configread") }
+
+// TestEveryAnalyzerHasFixture fails when a registered analyzer has no
+// fixture directory, so a new pass cannot land untested.
+func TestEveryAnalyzerHasFixture(t *testing.T) {
+	for _, a := range All() {
+		if _, err := os.Stat(filepath.Join("testdata", "src", a.Name)); err != nil {
+			t.Errorf("analyzer %s has no fixture: %v", a.Name, err)
+		}
+	}
+}
+
+// runFixture runs the analyzer called name over testdata/src/<name> and
+// requires the diagnostics to line up one-to-one with the fixture's
+// want comments: every want must be matched by a diagnostic on its
+// line, and every diagnostic must be claimed by a want.
+func runFixture(t *testing.T, name string) {
+	t.Helper()
+	pkgs := loadFixture(t, name)
 	pkg := pkgs[0]
 	for _, e := range pkg.TypeErrors {
-		t.Errorf("fixture must type-check cleanly: %v", e)
-	}
-	if t.Failed() {
-		t.FailNow()
+		t.Fatalf("fixture must type-check cleanly: %v", e)
 	}
 
 	var wants []*wantComment
@@ -64,10 +99,10 @@ func runFixture(t *testing.T, analyzerName, fixture string) {
 		}
 	}
 	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no want comments", fixture)
+		t.Fatalf("fixture %s has no want comments", name)
 	}
 
-	analyzers, err := ByName([]string{analyzerName})
+	analyzers, err := ByName([]string{name})
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
@@ -89,7 +124,7 @@ func runFixture(t *testing.T, analyzerName, fixture string) {
 	}
 	for _, w := range wants {
 		if !w.matched {
-			t.Errorf("%s:%d: no %s diagnostic matching %q", w.file, w.line, analyzerName, w.pattern)
+			t.Errorf("%s:%d: no %s diagnostic matching %q", w.file, w.line, name, w.pattern)
 		}
 	}
 }

@@ -34,9 +34,9 @@ import (
 // under an exclusive-owner contract) is suppressed with a justified
 // `p4:lint-exempt` line comment naming this pass.
 var AtomicMixAnalyzer = &Analyzer{
-	Name:       "atomicmix",
-	Doc:        "fields accessed through sync/atomic must not be read or written plainly anywhere in the module",
-	RunProgram: runAtomicMix,
+	Name: "atomicmix",
+	Doc:  "fields accessed through sync/atomic must not be read or written plainly anywhere in the module",
+	Run:  runAtomicMix,
 }
 
 // atomicFuncPrefixes are the sync/atomic entry points whose first
@@ -50,8 +50,8 @@ func isAtomicFunc(name string) bool {
 	return false
 }
 
-func runAtomicMix(pass *ProgramPass) {
-	prog := pass.Prog
+func runAtomicMix(pass *Pass) {
+	prog := pass.Program()
 
 	// Phase one: find atomically-accessed objects and remember the
 	// exact AST nodes that form their atomic access paths, so phase two

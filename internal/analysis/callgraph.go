@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Program is the whole-program view the dataflow passes operate on: the
@@ -29,9 +28,9 @@ import (
 //     values we cannot know its call sites. Passes that rely on
 //     reachability document this as their known incompleteness.
 //
-// Function literal bodies are likewise not attributed to their
-// enclosing declaration: the literal may escape and run on a different
-// goroutine long after the declaring function returned.
+// Calls made inside a function literal likewise produce no edge from
+// the enclosing declaration: the literal may escape and run on a
+// different goroutine long after the declaring function returned.
 type Program struct {
 	// Pkgs is the analysis closure, sorted by import path.
 	Pkgs []*Package
@@ -72,37 +71,50 @@ type Edge struct {
 	Iface   string // interface name for dynamic edges, for messages
 }
 
-// NewProgram builds the whole-program view from the requested packages.
-// When the packages came from a shared Loader, the module import
-// closure is folded in so cross-package edges (a tcp hot function
-// calling into simtime) resolve; standalone packages analyze alone.
+// importClosure returns pkgs plus every module-internal package they
+// import, transitively, sorted by import path. The loader has already
+// type-checked them all (it had to, to check pkgs), so this is a walk
+// over what it memoised; standalone packages stand alone.
+func importClosure(pkgs []*Package) []*Package {
+	byPath := map[string]*Package{}
+	var add func(p *Package)
+	add = func(p *Package) {
+		if byPath[p.Path] != nil {
+			return
+		}
+		byPath[p.Path] = p
+		if p.loader == nil {
+			return
+		}
+		for _, imp := range p.Types.Imports() {
+			if dep := p.loader.pkgs[imp.Path()]; dep != nil {
+				add(dep)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		add(p)
+	}
+	out := make([]*Package, 0, len(byPath))
+	for _, p := range byPath {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
+}
+
+// NewProgram builds the whole-program view of the requested packages:
+// their import closure, so cross-package edges (a tcp hot function
+// calling into simtime) resolve, and the call graph over it.
 func NewProgram(pkgs []*Package) *Program {
 	if len(pkgs) == 0 {
 		return &Program{}
 	}
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	if l := pkgs[0].loader; l != nil {
-		for path, p := range l.pkgs {
-			if _, ok := byPath[path]; !ok {
-				byPath[path] = p
-			}
-		}
-	}
 	prog := &Program{
+		Pkgs:    importClosure(pkgs),
 		Fset:    pkgs[0].Fset,
 		funcs:   make(map[*types.Func]*FuncInfo),
 		callees: make(map[*types.Func][]Edge),
-	}
-	paths := make([]string, 0, len(byPath))
-	for path := range byPath {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		prog.Pkgs = append(prog.Pkgs, byPath[path])
 	}
 
 	// Index every function declaration in the closure.
@@ -255,24 +267,41 @@ func (prog *Program) dispatch(site token.Pos, recv types.Type, iface *types.Inte
 	return out
 }
 
-// CallChain reconstructs a shortest root→target call path from a BFS
-// parent map, rendered as "a -> b -> c" for diagnostics.
-type chainNode struct {
-	fn   *types.Func
-	prev *chainNode
+// callChain is one node of a breadth-first walk: a function and how the
+// walk first got there, so the chain is a shortest one.
+type callChain struct {
+	fn   *FuncInfo
+	prev *callChain
 }
 
-func renderChain(prog *Program, node *chainNode) string {
-	var names []string
-	for n := node; n != nil; n = n.prev {
-		if fi := prog.funcs[n.fn]; fi != nil {
-			names = append(names, fi.Name())
-		} else {
-			names = append(names, n.fn.Name())
+// String renders the chain from the walk's root as "a -> b -> c".
+func (c *callChain) String() string {
+	if c.prev == nil {
+		return c.fn.Name()
+	}
+	return c.prev.String() + " -> " + c.fn.Name()
+}
+
+// Reach walks the call graph breadth-first from root and calls visit
+// once for every declared function it reaches (root excluded), with
+// the edge that first reached it and the shortest call chain from
+// root. The walk does not continue through a function whose visit
+// returns false.
+func (prog *Program) Reach(root *FuncInfo, visit func(callee *FuncInfo, via Edge, chain *callChain) bool) {
+	visited := map[*types.Func]bool{root.Obj: true}
+	queue := []*callChain{{fn: root}}
+	for len(queue) > 0 {
+		node := queue[0]
+		queue = queue[1:]
+		for _, e := range prog.Callees(node.fn.Obj) {
+			callee := prog.FuncOf(e.Callee)
+			if callee == nil || visited[e.Callee] {
+				continue
+			}
+			visited[e.Callee] = true
+			if next := (&callChain{fn: callee, prev: node}); visit(callee, e, next) {
+				queue = append(queue, next)
+			}
 		}
 	}
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
-	}
-	return strings.Join(names, " -> ")
 }

@@ -9,18 +9,7 @@ import (
 // loadFixtureProgram loads one fixture package and builds its Program.
 func loadFixtureProgram(t *testing.T, fixture string) (*Program, *Package) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	loader, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(".", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
+	pkgs := loadFixture(t, fixture)
 	for _, e := range pkgs[0].TypeErrors {
 		t.Errorf("type error: %v", e)
 	}
@@ -142,4 +131,20 @@ func TestLoaderBrokenPackageYieldsTypeErrors(t *testing.T) {
 	// The analyzers must run over what was recovered without panicking.
 	diags := Run(pkgs, All())
 	_ = diags
+}
+
+// TestRunReportsTypeErrors requires a package that did not type-check
+// to fail the run whichever analyzers were selected — here none: the
+// passes miss bugs where type information is incomplete, so a clean
+// report on such a package would be a false all-clear.
+func TestRunReportsTypeErrors(t *testing.T) {
+	diags := Run(loadFixture(t, "broken"), nil)
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want the one type error: %v", len(diags), diags)
+	}
+	d := diags[0]
+	if d.Analyzer != "typecheck" || !strings.Contains(d.Message, "undefinedIdentifier") ||
+		filepath.Base(d.Pos.Filename) != "broken.go" || d.Pos.Line != 8 {
+		t.Fatalf("got %v, want a typecheck finding naming undefinedIdentifier at broken.go:8", d)
+	}
 }

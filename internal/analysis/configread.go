@@ -36,9 +36,9 @@ import (
 // acquired generation to a caller is legitimate but rare enough to
 // demand a justified `p4:lint-exempt configread:` line.
 var ConfigReadAnalyzer = &Analyzer{
-	Name:       "configread",
-	Doc:        "seed-only config fields (p4:gen-seed) must not be read outside seeding code (p4:gen-init), and every generation Acquire needs a Release",
-	RunProgram: runConfigRead,
+	Name: "configread",
+	Doc:  "seed-only config fields (p4:gen-seed) must not be read outside seeding code (p4:gen-init), and every generation Acquire needs a Release",
+	Run:  runConfigRead,
 }
 
 const (
@@ -55,8 +55,8 @@ func commentHas(cg *ast.CommentGroup, marker string) bool {
 	return strings.Contains(cg.Text(), marker)
 }
 
-func runConfigRead(pass *ProgramPass) {
-	prog := pass.Prog
+func runConfigRead(pass *Pass) {
+	prog := pass.Program()
 
 	// Phase one: collect the seed-only field objects across the whole
 	// closure, keyed by types.Object identity so reads are caught in

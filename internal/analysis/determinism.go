@@ -35,9 +35,9 @@ import (
 // comment naming this pass; exempted time.Now sites also stop the
 // transitive propagation.
 var DeterminismAnalyzer = &Analyzer{
-	Name:       "determinism",
-	Doc:        "wall clock, unseeded math/rand, and order-sensitive map iteration in the deterministic simulation scope",
-	RunProgram: runDeterminism,
+	Name: "determinism",
+	Doc:  "wall clock, unseeded math/rand, and order-sensitive map iteration in the deterministic simulation scope",
+	Run:  runDeterminism,
 }
 
 // determinismScopes are the package-path fragments forming the
@@ -49,12 +49,8 @@ var determinismScopes = []string{
 	"testdata/src/determinism",
 }
 
-func runDeterminism(pass *ProgramPass) {
-	prog := pass.Prog
-	exemptLn := exemptLines(prog.Pkgs, pass.Analyzer.Name)
-	skip := func(pos token.Pos) bool {
-		return exemptCovers(exemptLn, prog.Fset.Position(pos))
-	}
+func runDeterminism(pass *Pass) {
+	prog := pass.Program()
 
 	// Whole-program wall-clock facts: where each function calls time.Now
 	// directly (exempted sites do not count), then the transitive
@@ -70,7 +66,7 @@ func runDeterminism(pass *ProgramPass) {
 				return true
 			}
 			if fn := calledFunc(fi.Pkg.Info, call); fn != nil &&
-				fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Now" && !skip(call.Pos()) {
+				fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Now" && !pass.Exempt(call.Pos()) {
 				if _, seen := wallAt[fi.Obj]; !seen {
 					wallAt[fi.Obj] = call.Pos()
 				}
@@ -133,11 +129,11 @@ func runDeterminism(pass *ProgramPass) {
 			if callee == nil || pathInScope(callee.Pkg.Path, determinismScopes) {
 				continue // stdlib (direct time.Now caught above) or flagged in its own scope
 			}
-			if !reaches[e.Callee] || skip(e.Site) || reported[e.Site] {
+			if !reaches[e.Callee] || pass.Exempt(e.Site) || reported[e.Site] {
 				continue
 			}
 			reported[e.Site] = true
-			chain, at := wallChain(prog, e.Callee, wallAt)
+			chain, at := wallChain(prog, callee, wallAt)
 			pass.Reportf(e.Site, "call from deterministic package %s reaches time.Now via %s (at %s): thread the simulation clock through, or exempt the site with a justification", fi.Pkg.Types.Name(), chain, prog.Fset.Position(at))
 		}
 
@@ -174,30 +170,23 @@ func isGlobalRandFunc(fn *types.Func) bool {
 	return true
 }
 
-// wallChain reconstructs a shortest call chain from fn to a function
-// with a direct time.Now, returning the rendered chain and the clock
-// read's position.
-func wallChain(prog *Program, fn *types.Func, wallAt map[*types.Func]token.Pos) (string, token.Pos) {
-	visited := map[*types.Func]bool{fn: true}
-	queue := []*chainNode{{fn: fn}}
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
-		if at, ok := wallAt[node.fn]; ok {
-			return renderChain(prog, node), at
-		}
-		for _, e := range prog.Callees(node.fn) {
-			if !visited[e.Callee] {
-				visited[e.Callee] = true
-				queue = append(queue, &chainNode{fn: e.Callee, prev: node})
+// wallChain returns a shortest call chain from fn to a function with a
+// direct time.Now, rendered, and the clock read's position.
+func wallChain(prog *Program, fn *FuncInfo, wallAt map[*types.Func]token.Pos) (string, token.Pos) {
+	chain, at := fn.Name(), wallAt[fn.Obj]
+	prog.Reach(fn, func(callee *FuncInfo, _ Edge, c *callChain) bool {
+		if at == token.NoPos {
+			if p, ok := wallAt[callee.Obj]; ok {
+				chain, at = c.String(), p
 			}
 		}
-	}
-	return calleeName(prog, fn), token.NoPos
+		return at == token.NoPos
+	})
+	return chain, at
 }
 
 // checkMapOrder flags map iterations whose bodies are order-sensitive.
-func checkMapOrder(pass *ProgramPass, fi *FuncInfo) {
+func checkMapOrder(pass *Pass, fi *FuncInfo) {
 	info := fi.Pkg.Info
 
 	// Positions of sort-ish calls in the body (sort.Strings, sortTimes,

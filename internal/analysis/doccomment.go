@@ -24,12 +24,12 @@ import (
 var DocCommentAnalyzer = &Analyzer{
 	Name: "doccomment",
 	Doc:  "exported symbols or packages missing godoc comments",
-	Run:  runDocComment,
+	Run:  eachPackage(runDocComment),
 }
 
-func runDocComment(pass *Pass) {
-	checkPackageComment(pass)
-	for _, f := range pass.Pkg.Files {
+func runDocComment(pass *Pass, pkg *Package) {
+	checkPackageComment(pass, pkg)
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -44,16 +44,16 @@ func runDocComment(pass *Pass) {
 // checkPackageComment requires at least one file in the package to
 // carry a package comment; it reports once, on the first file's
 // package clause.
-func checkPackageComment(pass *Pass) {
-	if len(pass.Pkg.Files) == 0 {
+func checkPackageComment(pass *Pass, pkg *Package) {
+	if len(pkg.Files) == 0 {
 		return
 	}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		if f.Doc != nil && len(f.Doc.List) > 0 {
 			return
 		}
 	}
-	first := pass.Pkg.Files[0]
+	first := pkg.Files[0]
 	pass.Reportf(first.Name.Pos(), "package %s has no package comment in any file", first.Name.Name)
 }
 

@@ -19,15 +19,15 @@ import (
 var GoLeakAnalyzer = &Analyzer{
 	Name: "goleak",
 	Doc:  "go statements whose goroutine loops forever with no cancellation signal",
-	Run:  runGoLeak,
+	Run:  eachPackage(runGoLeak),
 }
 
-func runGoLeak(pass *Pass) {
-	info := pass.Pkg.Info
+func runGoLeak(pass *Pass, pkg *Package) {
+	info := pkg.Info
 	// Index same-package function declarations so `go s.loop()` can be
 	// analysed through its body.
 	decls := map[types.Object]*ast.FuncDecl{}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				if obj := info.Defs[fd.Name]; obj != nil {
@@ -36,7 +36,7 @@ func runGoLeak(pass *Pass) {
 			}
 		}
 	}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {

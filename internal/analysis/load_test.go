@@ -6,19 +6,7 @@ import (
 )
 
 func TestLoaderResolvesModuleInternalImports(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "regwidth")
-	loader, err := NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(".", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
+	pkg := loadFixture(t, "regwidth")[0]
 	// The fixture imports repro/internal/dataplane; a clean type-check
 	// proves the loader resolved it through the module, not GOPATH.
 	for _, e := range pkg.TypeErrors {
@@ -31,7 +19,7 @@ func TestLoaderResolvesModuleInternalImports(t *testing.T) {
 }
 
 func TestLoadRecursiveSkipsTestdata(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +40,7 @@ func TestLoadRecursiveSkipsTestdata(t *testing.T) {
 }
 
 func TestLoadHonorsBuildConstraints(t *testing.T) {
-	loader, err := NewLoader(".")
+	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +70,11 @@ func TestByNameRejectsUnknownAnalyzer(t *testing.T) {
 	if _, err := ByName([]string{"nosuchpass"}); err == nil {
 		t.Fatal("ByName must reject unknown analyzer names")
 	}
-	got, err := ByName([]string{"locks", "regwidth"})
+	got, err := ByName([]string{"lockorder", "regwidth"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "locks" || got[1].Name != "regwidth" {
+	if len(got) != 2 || got[0].Name != "lockorder" || got[1].Name != "regwidth" {
 		t.Fatalf("ByName resolved %v", got)
 	}
 }

@@ -9,17 +9,20 @@ import (
 	"strings"
 )
 
-// LockOrderAnalyzer guards the two deadlock classes the concurrent
-// subsystems (sharded data plane, resilient shipper, archiver pipeline)
-// are exposed to:
+// LockOrderAnalyzer owns the mutex discipline of the concurrent
+// subsystems (sharded data plane, resilient shipper, archiver pipeline,
+// collector daemon). One source-order walk of every function body —
+// declared functions and function literals alike, each a body of its
+// own — feeds four rules:
 //
 //  1. Inconsistent acquisition order. The pass builds a whole-program
-//     acquisition graph whose nodes are mutex identities — a struct
-//     field (Type.mu), a package-level mutex, or a type embedding one —
-//     and whose edges record "B acquired while A is held", including
+//     acquisition graph whose nodes are lock classes — a struct field
+//     (Type.mu), a package-level mutex, or a type embedding one — and
+//     whose edges record "B acquired while A is held", including
 //     acquisitions reached transitively through the call graph. Any
 //     cycle in that graph is a schedule where two goroutines hold one
-//     lock each and wait for the other's.
+//     lock each and wait for the other's. Two values of one class
+//     nested in each other are the same hazard without a second class.
 //
 //  2. Lock held across a blocking operation. In the packages that talk
 //     to the network or move data between goroutines
@@ -29,15 +32,30 @@ import (
 //     the lock for as long as the peer takes — the bug class the PR-4
 //     shipper redesign removed (conn.Write moved outside mu).
 //
-// The held-set tracking is a linear, source-order approximation of each
-// function body: Lock adds, Unlock removes, `defer Unlock` holds to the
-// function's end, and function literals are opaque (consistent with the
-// call graph). A deliberate release-reacquire pattern is excluded with
-// a justified `p4:lint-exempt` line comment naming this pass.
+//  3. Re-acquisition. Locking the expression this body already holds
+//     deadlocks the goroutine on itself: sync mutexes are not
+//     reentrant.
+//
+//  4. Lock held at return. A Lock that a return statement (or the end
+//     of the body) can reach with no Unlock in between and no deferred
+//     Unlock leaks the lock on that path. A TryLock is exempt: the
+//     idiomatic `if !mu.TryLock() { return }` holds nothing when it
+//     returns.
+//
+// Within a body a lock is the receiver expression it was taken through
+// (x.mu and y.mu are two locks, as are two elements of a map of
+// mutexes); only the order graph needs the coarser class. The walk is a
+// linear, branch-insensitive approximation, which matches how locks are
+// used here (short critical sections, unlocks in the same block or
+// deferred): Lock adds, Unlock removes, `defer Unlock` holds to the
+// body's end and covers every return. A deliberate exception is
+// excluded with a justified `p4:lint-exempt` line comment naming this
+// pass. A lock copied by value is `go vet`'s copylocks check, which
+// `make ci` runs beside this one.
 var LockOrderAnalyzer = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "whole-program mutex acquisition graph: order cycles, and locks held across I/O or channel operations",
-	RunProgram: runLockOrder,
+	Name: "lockorder",
+	Doc:  "mutex discipline: acquisition-order cycles, locks held across I/O or channel operations, re-acquisition, Lock without Unlock on a return path",
+	Run:  runLockOrder,
 }
 
 // lockIOScopes are the package-path fragments where rule 2 (lock held
@@ -57,8 +75,10 @@ var ioPkgs = map[string]bool{"net": true, "os": true, "net/http": true, "crypto/
 // loEvent is one occurrence inside a function body, in source order.
 type loEvent struct {
 	pos  token.Pos
-	kind int          // loEvLock, loEvUnlock, loEvDeferUnlock, loEvCall, loEvChan, loEvIO
-	obj  types.Object // lock identity for loEvLock/loEvUnlock
+	kind int
+	key  string       // mutex events: the receiver expression ("x.mu")
+	obj  types.Object // mutex events: the lock class, nil when it has none (a call result)
+	op   string       // mutex events: the method called (Lock, TryRLock, ...)
 	fn   *types.Func  // callee for loEvCall/loEvIO
 	what string       // operation description for loEvChan/loEvIO
 }
@@ -67,10 +87,40 @@ const (
 	loEvLock = iota
 	loEvUnlock
 	loEvDeferUnlock
+	loEvReturn
 	loEvCall
 	loEvChan
 	loEvIO
 )
+
+// loBody is one body and its events: a declared function or one of the
+// function literals inside it.
+type loBody struct {
+	fi     *FuncInfo // the enclosing declaration
+	name   string
+	events []loEvent
+}
+
+// loBodies flattens a declaration into its own body followed by every
+// function literal it contains.
+func loBodies(fi *FuncInfo) []loBody {
+	out := []loBody{{fi, fi.Name(), loEvents(fi, fi.Decl.Body)}}
+	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			out = append(out, loBody{fi, "func literal", loEvents(fi, lit.Body)})
+		}
+		return true
+	})
+	return out
+}
+
+// heldLock is a lock the walk currently holds.
+type heldLock struct {
+	pos    token.Pos
+	obj    types.Object
+	op     string
+	leaked bool // rule 4 already reported this acquisition
+}
 
 // lockEdge is "to acquired while from is held".
 type lockEdge struct {
@@ -78,21 +128,19 @@ type lockEdge struct {
 	via  string // empty for a direct acquisition, callee chain otherwise
 }
 
-func runLockOrder(pass *ProgramPass) {
-	prog := pass.Prog
-	exemptLn := exemptLines(prog.Pkgs, pass.Analyzer.Name)
-	skip := func(pos token.Pos) bool {
-		return exemptCovers(exemptLn, prog.Fset.Position(pos))
-	}
+func runLockOrder(pass *Pass) {
+	prog := pass.Program()
 
-	// Pass 1: per-function events and direct acquisition sets.
-	events := map[*types.Func][]loEvent{}
+	// Pass 1: per-body events and each declaration's direct acquisition
+	// set. A literal's acquisitions are not its declaration's: it runs
+	// when invoked, not where it is written.
+	var bodies []loBody
 	acquires := map[*types.Func]map[types.Object]bool{}
 	for _, fi := range prog.Functions() {
-		evs := loEvents(fi)
-		events[fi.Obj] = evs
-		for _, e := range evs {
-			if e.kind == loEvLock && !skip(e.pos) {
+		bs := loBodies(fi)
+		bodies = append(bodies, bs...)
+		for _, e := range bs[0].events {
+			if e.kind == loEvLock && e.obj != nil && !pass.Exempt(e.pos) {
 				if acquires[fi.Obj] == nil {
 					acquires[fi.Obj] = map[types.Object]bool{}
 				}
@@ -121,66 +169,103 @@ func runLockOrder(pass *ProgramPass) {
 	}
 
 	// Pass 2: linear scan of each body, building the acquisition graph
-	// and reporting rule-2 findings as they appear.
+	// and reporting rules 2–4 as they appear.
 	edges := map[[2]types.Object]lockEdge{}
 	addEdge := func(from, to types.Object, site token.Pos, via string) {
 		k := [2]types.Object{from, to}
-		if _, ok := edges[k]; !ok {
+		if _, ok := edges[k]; !ok && from != nil && to != nil && from != to {
 			edges[k] = lockEdge{site: site, via: via}
 		}
 	}
-	for _, fi := range prog.Functions() {
-		ioScoped := pathInScope(fi.Pkg.Path, lockIOScopes)
-		held := map[types.Object]token.Pos{}
-		heldSorted := func() []types.Object {
-			objs := make([]types.Object, 0, len(held))
-			for o := range held {
-				objs = append(objs, o)
+	for _, b := range bodies {
+		ioScoped := pathInScope(b.fi.Pkg.Path, lockIOScopes)
+		held := map[string]*heldLock{}
+		deferred := map[string]bool{}
+		label := func(key string) string {
+			if obj := held[key].obj; obj != nil {
+				return objectLabel(obj)
 			}
-			sort.Slice(objs, func(i, j int) bool { return objLabel(objs[i]) < objLabel(objs[j]) })
-			return objs
+			return key
 		}
-		for _, e := range events[fi.Obj] {
-			if skip(e.pos) {
-				if e.kind == loEvUnlock || e.kind == loEvDeferUnlock {
-					delete(held, e.obj)
+		heldSorted := func() []string {
+			keys := make([]string, 0, len(held))
+			for k := range held {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			return keys
+		}
+		// leaks reports rule 4, once per Lock, for everything the return
+		// at ret (or, with no ret, the body's end) finds held with no
+		// deferred release.
+		leaks := func(ret token.Pos) {
+			for _, k := range heldSorted() {
+				h := held[k]
+				if deferred[k] || h.leaked || strings.HasPrefix(h.op, "Try") {
+					continue
 				}
+				h.leaked = true
+				unlock := k + ".Unlock()"
+				if strings.HasSuffix(h.op, "RLock") {
+					unlock = k + ".RUnlock()"
+				}
+				if ret.IsValid() {
+					pass.Reportf(h.pos, "%s locked in %s but a return at %s is reachable without %s (add defer %s)",
+						k, b.name, prog.Fset.Position(ret), unlock, unlock)
+				} else {
+					pass.Reportf(h.pos, "%s locked in %s with no %s on any path", k, b.name, unlock)
+				}
+			}
+		}
+		for _, e := range b.events {
+			switch e.kind {
+			case loEvUnlock:
+				delete(held, e.key)
+				continue
+			case loEvDeferUnlock:
+				deferred[e.key] = true // held until return: stays in the set
+				continue
+			}
+			if pass.Exempt(e.pos) {
 				continue
 			}
 			switch e.kind {
 			case loEvLock:
-				if _, already := held[e.obj]; already {
-					pass.Reportf(e.pos, "%s acquired in %s while already held (locked at %s): sync mutexes are not reentrant, this goroutine deadlocks",
-						objLabel(e.obj), fi.Name(), prog.Fset.Position(held[e.obj]))
+				try := strings.HasPrefix(e.op, "Try")
+				if h := held[e.key]; h != nil {
+					if !try {
+						pass.Reportf(e.pos, "%s acquired in %s while already held (locked at %s): sync mutexes are not reentrant, this goroutine deadlocks",
+							label(e.key), b.name, prog.Fset.Position(h.pos))
+					}
 					continue
 				}
-				for _, h := range heldSorted() {
-					if h != e.obj {
-						addEdge(h, e.obj, e.pos, "")
+				for _, k := range heldSorted() {
+					if h := held[k]; h.obj != nil && h.obj == e.obj && !try {
+						pass.Reportf(e.pos, "%s acquired in %s while %s, another %s, is held (locked at %s): two goroutines nesting them in opposite order deadlock — fix an order between instances",
+							e.key, b.name, k, objectLabel(e.obj), prog.Fset.Position(h.pos))
+					} else {
+						addEdge(h.obj, e.obj, e.pos, "")
 					}
 				}
-				held[e.obj] = e.pos
-			case loEvUnlock:
-				delete(held, e.obj)
-			case loEvDeferUnlock:
-				// Held until return: keep it in the set.
+				held[e.key] = &heldLock{pos: e.pos, obj: e.obj, op: e.op}
+			case loEvReturn:
+				leaks(e.pos)
 			case loEvCall:
-				for obj := range acquires[e.fn] {
-					for _, h := range heldSorted() {
-						if h != obj {
-							addEdge(h, obj, e.pos, calleeName(prog, e.fn))
-						}
+				for _, h := range held {
+					for obj := range acquires[e.fn] {
+						addEdge(h.obj, obj, e.pos, calleeName(prog, e.fn))
 					}
 				}
 			case loEvChan, loEvIO:
 				if !ioScoped || len(held) == 0 {
 					continue
 				}
-				h := heldSorted()[0]
+				k := heldSorted()[0]
 				pass.Reportf(e.pos, "%s held across %s in %s (locked at %s): the lock stalls every contending goroutine for as long as the peer takes; move the blocking operation outside the critical section (the PR-4 shipper pattern)",
-					objLabel(h), e.what, fi.Name(), prog.Fset.Position(held[h]))
+					label(k), e.what, b.name, prog.Fset.Position(held[k].pos))
 			}
 		}
+		leaks(token.NoPos)
 	}
 
 	reportLockCycles(pass, edges)
@@ -188,14 +273,14 @@ func runLockOrder(pass *ProgramPass) {
 
 // reportLockCycles finds acquisition-order cycles and reports each once,
 // deterministically, at the lexically first edge that closes it.
-func reportLockCycles(pass *ProgramPass, edges map[[2]types.Object]lockEdge) {
-	prog := pass.Prog
+func reportLockCycles(pass *Pass, edges map[[2]types.Object]lockEdge) {
+	prog := pass.Program()
 	succ := map[types.Object][]types.Object{}
 	for k := range edges {
 		succ[k[0]] = append(succ[k[0]], k[1])
 	}
 	for _, next := range succ {
-		sort.Slice(next, func(i, j int) bool { return objLabel(next[i]) < objLabel(next[j]) })
+		sort.Slice(next, func(i, j int) bool { return objectLabel(next[i]) < objectLabel(next[j]) })
 	}
 	// path returns a shortest from→to node sequence (BFS), or nil.
 	path := func(from, to types.Object) []types.Object {
@@ -253,7 +338,7 @@ func reportLockCycles(pass *ProgramPass, edges map[[2]types.Object]lockEdge) {
 		cycle := append([]types.Object{from}, back...) // from -> to -> ... -> from
 		labels := make([]string, len(cycle))
 		for i, o := range cycle {
-			labels[i] = objLabel(o)
+			labels[i] = objectLabel(o)
 		}
 		canon := canonicalCycle(labels)
 		if seen[canon] {
@@ -265,7 +350,7 @@ func reportLockCycles(pass *ProgramPass, edges map[[2]types.Object]lockEdge) {
 			via = fmt.Sprintf(" (through call to %s)", ke.e.via)
 		}
 		pass.Reportf(ke.e.site, "lock order cycle %s: %s is acquired while %s is held%s, and the reverse order also occurs; two goroutines taking opposite orders deadlock — pick one global order",
-			strings.Join(labels, " -> "), objLabel(to), objLabel(from), via)
+			strings.Join(labels, " -> "), objectLabel(to), objectLabel(from), via)
 	}
 }
 
@@ -287,30 +372,42 @@ func canonicalCycle(labels []string) string {
 	return strings.Join(out, " -> ")
 }
 
-// loEvents flattens one function body into source-ordered lock,
-// unlock, call, channel, and I/O events. ast.Inspect visits in source
-// order, so the slice needs no extra sorting.
-func loEvents(fi *FuncInfo) []loEvent {
+// loEvents flattens one body into source-ordered lock, unlock, return,
+// call, channel, and I/O events, leaving nested function literals to
+// their own bodies. ast.Inspect visits in source order, so the slice
+// needs no extra sorting.
+func loEvents(fi *FuncInfo, body *ast.BlockStmt) []loEvent {
 	info := fi.Pkg.Info
 	var out []loEvent
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+	// mutexEvent appends the event for a sync.Mutex/RWMutex method call
+	// and reports whether call was one.
+	mutexEvent := func(pos token.Pos, call *ast.CallExpr, unlockKind int) bool {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !isMutexOp(sel.Sel.Name) {
+			return false
+		}
+		if fn, ok := info.Uses[sel.Sel].(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+			return false
+		}
+		kind := unlockKind
+		if !strings.HasSuffix(sel.Sel.Name, "Unlock") {
+			kind = loEvLock // `defer mu.Lock()` is almost surely a bug; model as an acquisition
+		}
+		out = append(out, loEvent{pos: pos, kind: kind, op: sel.Sel.Name,
+			key: exprString(fi.Pkg.Fset, sel.X), obj: lockIdentity(info, sel.X)})
+		return true
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.DeferStmt:
-			// The deferred call runs at return; classify its Lock/Unlock
-			// specially and skip the generic call handling.
-			if obj, op := mutexCallTarget(info, e.Call); obj != nil {
-				kind := loEvDeferUnlock
-				if op == "Lock" || op == "RLock" || op == "TryLock" || op == "TryRLock" {
-					kind = loEvLock // `defer mu.Lock()` is almost surely a bug; model as an acquisition
-				}
-				out = append(out, loEvent{pos: e.Pos(), kind: kind, obj: obj})
-				return false
-			}
-			// Other deferred calls are modelled at the defer site — a
-			// conservative approximation (they actually run at return).
-			return true
+			// The deferred call runs at return. Calls other than a mutex
+			// method are modelled at the defer site — a conservative
+			// approximation.
+			return !mutexEvent(e.Pos(), e.Call, loEvDeferUnlock)
+		case *ast.ReturnStmt:
+			out = append(out, loEvent{pos: e.Pos(), kind: loEvReturn})
 		case *ast.SendStmt:
 			out = append(out, loEvent{pos: e.Pos(), kind: loEvChan, what: "channel send"})
 		case *ast.UnaryExpr:
@@ -320,27 +417,14 @@ func loEvents(fi *FuncInfo) []loEvent {
 		case *ast.SelectStmt:
 			out = append(out, loEvent{pos: e.Pos(), kind: loEvChan, what: "select"})
 		case *ast.CallExpr:
-			if obj, op := mutexCallTarget(info, e); obj != nil {
-				kind := loEvUnlock
-				if op == "Lock" || op == "RLock" || op == "TryLock" || op == "TryRLock" {
-					kind = loEvLock
-				}
-				out = append(out, loEvent{pos: e.Pos(), kind: kind, obj: obj})
+			if mutexEvent(e.Pos(), e, loEvUnlock) {
 				return true
 			}
-			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-					if ioPkgs[fn.Pkg().Path()] {
-						out = append(out, loEvent{pos: e.Pos(), kind: loEvIO, fn: fn,
-							what: fn.Pkg().Name() + " " + fn.Name() + " I/O"})
-						return true
-					}
-					out = append(out, loEvent{pos: e.Pos(), kind: loEvCall, fn: fn})
-					return true
-				}
-			}
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if fn, ok := info.Uses[id].(*types.Func); ok {
+			if fn := calledFunc(info, e); fn != nil {
+				if fn.Pkg() != nil && ioPkgs[fn.Pkg().Path()] {
+					out = append(out, loEvent{pos: e.Pos(), kind: loEvIO, fn: fn,
+						what: fn.Pkg().Name() + " " + fn.Name() + " I/O"})
+				} else {
 					out = append(out, loEvent{pos: e.Pos(), kind: loEvCall, fn: fn})
 				}
 			}
@@ -348,24 +432,6 @@ func loEvents(fi *FuncInfo) []loEvent {
 		return true
 	})
 	return out
-}
-
-// mutexCallTarget resolves a call to a sync.Mutex/RWMutex method into
-// the lock's identity object and the operation name. Identity is the
-// struct field for s.mu.Lock(), the variable for a package-level mu,
-// and the receiver's named type for promoted methods on embedded locks —
-// the granularity the ordering graph needs to compare acquisitions
-// across instances.
-func mutexCallTarget(info *types.Info, call *ast.CallExpr) (types.Object, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isMutexOp(sel.Sel.Name) {
-		return nil, ""
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, ""
-	}
-	return lockIdentity(info, sel.X), sel.Sel.Name
 }
 
 // lockIdentity maps the receiver expression of a Lock/Unlock call to a
@@ -398,9 +464,6 @@ func lockIdentity(info *types.Info, x ast.Expr) types.Object {
 	}
 	return nil
 }
-
-// objLabel renders a lock identity for diagnostics.
-func objLabel(obj types.Object) string { return objectLabel(obj) }
 
 // calleeName renders a callee for "through call to X" notes.
 func calleeName(prog *Program, fn *types.Func) string {

@@ -26,20 +26,20 @@ import (
 var RegWidthAnalyzer = &Analyzer{
 	Name: "regwidth",
 	Doc:  "masks/shifts/conversions that exceed or truncate a P4 register's declared bit width",
-	Run:  runRegWidth,
+	Run:  eachPackage(runRegWidth),
 }
 
 // registerMethods whose value argument must respect the width.
 var registerValueMethods = map[string]int{"Write": 1, "Add": 1, "Max": 1}
 
-func runRegWidth(pass *Pass) {
-	widths := collectRegisterWidths(pass)
+func runRegWidth(pass *Pass, pkg *Package) {
+	widths := collectRegisterWidths(pass, pkg)
 	if len(widths) == 0 {
 		return
 	}
-	info := pass.Pkg.Info
-	parents := pass.Pkg.Parents()
-	for _, f := range pass.Pkg.Files {
+	info := pkg.Info
+	parents := pkg.Parents()
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -57,7 +57,7 @@ func runRegWidth(pass *Pass) {
 			if !ok || width >= 64 {
 				return true
 			}
-			name := exprString(pass.Pkg.Fset, sel.X)
+			name := exprString(pass.Fset, sel.X)
 			switch sel.Sel.Name {
 			case "Write", "Add", "Max":
 				if argIdx := registerValueMethods[sel.Sel.Name]; len(call.Args) > argIdx {
@@ -73,8 +73,8 @@ func runRegWidth(pass *Pass) {
 
 // collectRegisterWidths binds register variables/fields to the declared
 // width in their construction call.
-func collectRegisterWidths(pass *Pass) map[types.Object]int {
-	info := pass.Pkg.Info
+func collectRegisterWidths(pass *Pass, pkg *Package) map[types.Object]int {
+	info := pkg.Info
 	widths := map[types.Object]int{}
 	bind := func(target ast.Expr, width int) {
 		if id, ok := target.(*ast.Ident); ok {
@@ -92,7 +92,7 @@ func collectRegisterWidths(pass *Pass) map[types.Object]int {
 			widths[obj] = width
 		}
 	}
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.KeyValueExpr:

@@ -1,6 +1,6 @@
-// Package hotalloc is a fixture for the hotalloc analyzer: allocation
-// patterns inside (and outside) p4:hotpath-annotated functions.
-package hotalloc
+// The allocation half of the hotpathprop fixture: allocation patterns
+// inside (and outside) p4:hotpath-annotated functions.
+package hotpathprop
 
 import (
 	"fmt"
@@ -19,7 +19,7 @@ type Record struct {
 func badAppendFresh(r *Record, v uint64) []uint64 {
 	out := growElsewhere(r.Blocks)
 	out = append(out, v)         // self-append into out: accepted idiom
-	fresh := append(r.Blocks, v) // want "append result is not assigned back to its base slice"
+	fresh := append(r.Blocks, v) // want "append without capacity reuse in p4:hotpath function badAppendFresh"
 	return fresh
 }
 
@@ -29,8 +29,8 @@ func growElsewhere(in []uint64) []uint64 { return in }
 //
 // p4:hotpath
 func badMapLiteral(v uint64) int {
-	m := map[uint64]int{v: 1} // want "map literal allocates in p4:hotpath function badMapLiteral"
-	n := make(map[uint64]int) // want "make.map. allocates in p4:hotpath function badMapLiteral"
+	m := map[uint64]int{v: 1} // want "map literal allocation in p4:hotpath function badMapLiteral"
+	n := make(map[uint64]int) // want "make.map. allocation in p4:hotpath function badMapLiteral"
 	n[v] = 2
 	return len(m) + len(n)
 }
@@ -39,14 +39,28 @@ func badMapLiteral(v uint64) int {
 //
 // p4:hotpath
 func badNetipString(a netip.Addr) string {
-	return a.String() // want "netip String call allocates in p4:hotpath function badNetipString"
+	return a.String() // want "netip String allocation in p4:hotpath function badNetipString"
 }
 
 // badSprintf formats per packet.
 //
 // p4:hotpath
 func badSprintf(id uint32) string {
-	return fmt.Sprintf("%08x", id) // want "fmt.Sprintf allocates in p4:hotpath function badSprintf"
+	return fmt.Sprintf("%08x", id) // want "fmt.Sprintf allocation in p4:hotpath function badSprintf"
+}
+
+// badLiteralAlloc allocates inside a function literal: the literal runs
+// on the packet path when the root invokes it, so the root's contract
+// covers its body.
+//
+// p4:hotpath
+func badLiteralAlloc(v uint64) int {
+	count := func() int {
+		m := make(map[uint64]int) // want "make.map. allocation in p4:hotpath function badLiteralAlloc"
+		m[v] = 1
+		return len(m)
+	}
+	return count()
 }
 
 // goodSelfAppend is the capacity-reuse idiom: the result feeds back

@@ -26,7 +26,7 @@ import (
 var TimeUnitsAnalyzer = &Analyzer{
 	Name: "timeunits",
 	Doc:  "bare numeric literals or mis-scaled counters used as time.Duration/simtime.Time",
-	Run:  runTimeUnits,
+	Run:  eachPackage(runTimeUnits),
 }
 
 // unitConstNames are the scaling constants that make a bare number a
@@ -36,10 +36,10 @@ var unitConstNames = map[string]bool{
 	"Second": true, "Minute": true, "Hour": true,
 }
 
-func runTimeUnits(pass *Pass) {
-	info := pass.Pkg.Info
-	parents := pass.Pkg.Parents()
-	for _, f := range pass.Pkg.Files {
+func runTimeUnits(pass *Pass, pkg *Package) {
+	info := pkg.Info
+	parents := pkg.Parents()
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			expr, ok := n.(ast.Expr)
 			if !ok {

@@ -28,35 +28,6 @@ func isLockType(t types.Type) bool {
 	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
 }
 
-// containsLock reports whether a value of type t holds lock state by
-// value (so copying it copies the lock).
-func containsLock(t types.Type) bool {
-	return containsLockDepth(t, 0)
-}
-
-func containsLockDepth(t types.Type, depth int) bool {
-	if depth > 10 {
-		return false
-	}
-	if isLockType(t) || isNamed(t, "sync", "WaitGroup") || isNamed(t, "sync", "Once") || isNamed(t, "sync", "Cond") {
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockDepth(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockDepth(u.Elem(), depth+1)
-	}
-	return false
-}
-
 // isDurationType reports whether t is time.Duration.
 func isDurationType(t types.Type) bool { return isNamed(t, "time", "Duration") }
 
@@ -87,30 +58,4 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return ""
 	}
 	return buf.String()
-}
-
-// funcBodies yields every function body in the package together with
-// its name, covering both declarations and literals.
-type funcBody struct {
-	name string
-	node ast.Node // *ast.FuncDecl or *ast.FuncLit
-	body *ast.BlockStmt
-}
-
-func funcBodies(files []*ast.File) []funcBody {
-	var out []funcBody
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					out = append(out, funcBody{name: fn.Name.Name, node: fn, body: fn.Body})
-				}
-			case *ast.FuncLit:
-				out = append(out, funcBody{name: "func literal", node: fn, body: fn.Body})
-			}
-			return true
-		})
-	}
-	return out
 }

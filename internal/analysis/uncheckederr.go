@@ -16,7 +16,7 @@ import (
 var UncheckedErrAnalyzer = &Analyzer{
 	Name: "uncheckederr",
 	Doc:  "dropped error returns on I/O and archiver paths",
-	Run:  runUncheckedErr,
+	Run:  eachPackage(runUncheckedErr),
 }
 
 // errIgnorePkgFuncs are package-level functions whose errors are
@@ -33,9 +33,9 @@ var errIgnoreRecvTypes = []struct{ pkg, name string }{
 	{"bytes", "Buffer"},
 }
 
-func runUncheckedErr(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Pkg.Files {
+func runUncheckedErr(pass *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.DeferStmt:
@@ -109,5 +109,5 @@ func ignoredErrorSource(info *types.Info, call *ast.CallExpr) bool {
 }
 
 func callName(pass *Pass, call *ast.CallExpr) string {
-	return exprString(pass.Pkg.Fset, call.Fun)
+	return exprString(pass.Fset, call.Fun)
 }
