@@ -146,15 +146,14 @@ func (d *DataPlane) ownsCell(idx uint32, id FlowID, key *FlowKey) bool {
 
 // leanIngress counts one non-admitted ingress packet in the sketch
 // tier: bytes and packets always, plus dup-filter loss detection for
-// TCP data (a (key, seq) pair seen before is a retransmission).
+// TCP data (a (key, seq) pair seen before is a retransmission, counted
+// as a loss when the filter's log drains).
 //
 // p4:hotpath
 func (d *DataPlane) leanIngress(v *view) {
 	d.lean.ObserveHash(v.h, uint64(v.totalLen))
 	if v.data && v.proto == packet.ProtoTCP {
-		if d.lean.SeenSeq(v.key.sketchKey(), v.seqExt) {
-			d.lean.CountLoss(v.h)
-		}
+		d.lean.TestSeq(v.key.sketchKey(), v.seqExt, v.h)
 	}
 }
 

@@ -147,6 +147,16 @@ func TestAgeFlowsEvictsIdleToSketch(t *testing.T) {
 	}
 }
 
+// shardMate returns the first two-tier test flow after a that takes a's
+// shard at two shards.
+func shardMate(a packet.FiveTuple) packet.FiveTuple {
+	b := ttFlow(2)
+	for i := 3; shardOf(KeyOf(b), 2) != shardOf(KeyOf(a), 2); i++ {
+		b = ttFlow(i)
+	}
+	return b
+}
+
 // TestEvictedFlowRetransmitFindsLoggedInsert is the write-behind
 // regression: the exact tier only logs its duplicate-filter inserts
 // (Lean.NoteSeq), and the sketch tier must still find them. Flow a
@@ -161,14 +171,8 @@ func TestEvictedFlowRetransmitFindsLoggedInsert(t *testing.T) {
 	const mss = 1460
 	// b shares a's shard, so that at two shards it contends for the same
 	// one-cell table and the other shard stays empty.
-	a, b := ttFlow(1), ttFlow(2)
-	shardOf := func(ft packet.FiveTuple) int {
-		f := hashFlow(KeyOf(ft))
-		return f.shard(2)
-	}
-	for i := 3; shardOf(b) != shardOf(a); i++ {
-		b = ttFlow(i)
-	}
+	a := ttFlow(1)
+	b := shardMate(a)
 	data := func(ft packet.FiveTuple, seg int, at simtime.Time) tap.Copy {
 		pkt := packet.NewTCP(ft, uint64(1+seg*mss), 0, packet.FlagACK|packet.FlagPSH, mss)
 		return tap.Copy{Pkt: pkt, Point: tap.Ingress, At: at}
@@ -236,12 +240,40 @@ func TestEvictedFlowRetransmitFindsLoggedInsert(t *testing.T) {
 	if got := sharded.StatsSnapshot(); got != perPacket.Stats {
 		t.Errorf("two shards: stats %+v, per packet %+v", got, perPacket.Stats)
 	}
-	own := shardOf(a)
+	own := shardOf(KeyOf(a), 2)
 	if !sharded.Shard(own).lean.Equal(perPacket.lean) {
 		t.Error("two shards: the owning shard's lean tier differs from the single pipe's")
 	}
 	if !sharded.Shard(1 - own).lean.Equal(New(cfg).lean) {
 		t.Error("two shards: the other shard's lean tier is not empty")
+	}
+}
+
+// TestSketchLossReadAfterFront is the logged-test regression: the
+// sketch tier's dup-filter tests wait in the filter's log, and their
+// losses are counted only when it drains. A retransmission inside one
+// front, read straight after it through EstimateFlow, must already
+// count — at one shard and at two, where the front replays on a shard
+// goroutine and the read joins it first.
+func TestSketchLossReadAfterFront(t *testing.T) {
+	const mss = 1460
+	// b shares a's shard and so, with a one-cell table, its sketch tier.
+	a := ttFlow(1)
+	b := shardMate(a)
+	for _, shards := range []int{1, 2} {
+		p := NewPipes(Config{FlowTableSize: 1}, shards)
+		f := NewFront(8)
+		for i, c := range []struct {
+			ft  packet.FiveTuple
+			seg int
+		}{{a, 0}, {b, 0}, {b, 1}, {b, 0}} {
+			pkt := packet.NewTCP(c.ft, uint64(1+c.seg*mss), 0, packet.FlagACK|packet.FlagPSH, mss)
+			f.AppendCopy(tap.Copy{Pkt: pkt, Point: tap.Ingress, At: simtime.Time(i+1) * simtime.Millisecond})
+		}
+		p.ProcessFront(f)
+		if e := p.EstimateFlow(KeyOf(b)); e.Admitted || e.Loss != 1 {
+			t.Errorf("%d shards: aliased flow admitted=%v loss=%d, want the sketch tier's 1", shards, e.Admitted, e.Loss)
+		}
 	}
 }
 

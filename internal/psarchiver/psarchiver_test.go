@@ -161,9 +161,12 @@ func TestTCPInputIngestsJSONLines(t *testing.T) {
 	conn.Write([]byte("this is not json\n"))
 	conn.Close()
 
+	// The garbage line follows the fifth document on the same connection,
+	// so its error is counted only after that document is indexed: wait
+	// for both under one deadline.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if store.Count("p4-psonar-metric") == 5 {
+		if store.Count("p4-psonar-metric") == 5 && in.Errors() == 1 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -10,27 +10,51 @@ import (
 // connection's do.
 func dupPair(p uint16) (Key, uint64) { return keyFor(uint64(p & 7)), uint64(p >> 3) }
 
+// dupTag is the tag a logged test of pair p counts a positive at: one
+// per flow, chosen so that in a one-row, eight-column sketch flow p&7
+// owns column p&7 (the column is the tag's low 32 bits times the width,
+// shifted down 32) and the counters are the flows' positive counts.
+func dupTag(p uint16) Hash { return Hash(p&7) << 29 }
+
 // checkDupOps drives a write-behind filter and an eager reference — one
-// that does every insert through TestAndSet, as the exact tier did
-// before the log — through the same operations and fails on the first
-// observable difference: a TestAndSet answer, FPRate, and, after a
-// final drain, the bit array and the insert count.
+// that does every insert and every test through TestAndSet and counts
+// each positive test at its tag at once, as the pipeline did before the
+// log — through the same operations and fails on the first observable
+// difference: a TestAndSet answer, FPRate, and at every read the bit
+// array, the insert count and each tag's count of positives.
 //
 // ops is read two bytes at a time, (op, x), against a cursor c that
 // counts the pairs inserted so far:
 //
 //	op&3 == 0  Insert pairs c .. c+x
 //	op&3 == 1  TestAndSet pair c-1-x (inserted x+1 pairs ago), or with
-//	           op&4 set pair c+x (not inserted yet)
-//	op&3 == 2  FPRate
-//	op&3 == 3  Clear
+//	           op&4 set pair c+x (not inserted yet); with op&8 set a
+//	           logged test of that pair instead, tagged with its flow
+//	op&3 == 2  FPRate; with op&8 set also a read: drain, compare state
+//	op&3 == 3  Clear, with the positives counted so far (as Lean.Clear
+//	           clears the loss sketch with the filter)
 //
 // The filter is 4096 bits with 3 probes, so false positives are common
 // and an answer that depended on a bit set too late would show.
 func checkDupOps(t *testing.T, ops []byte) {
 	t.Helper()
 	f, ref := NewDupFilterBits(12, 3), NewDupFilterBits(12, 3)
+	f.hits = NewCMS(GeometryOf(8, 1))
+	var want [8]uint64 // the eager filter's positive tests per flow
 	var c uint16
+	same := func(i int) {
+		t.Helper()
+		f.drain()
+		if f.inserts != ref.inserts {
+			t.Fatalf("op %d: inserts = %d, eager filter counted %d", i/2, f.inserts, ref.inserts)
+		}
+		if !slices.Equal(f.bits, ref.bits) {
+			t.Fatalf("op %d: bit array differs from the eager filter's", i/2)
+		}
+		if !slices.Equal(f.hits.rows, want[:]) {
+			t.Fatalf("op %d: positive tests per flow %v, eager filter counted %v", i/2, f.hits.rows, want)
+		}
+	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		op, x := ops[i], uint16(ops[i+1])
 		switch op & 3 {
@@ -47,32 +71,41 @@ func checkDupOps(t *testing.T, ops []byte) {
 				p = c + x
 			}
 			k, seq := dupPair(p)
-			if got, want := f.TestAndSet(&k, seq), ref.TestAndSet(&k, seq); got != want {
-				t.Fatalf("op %d: TestAndSet(pair %d) = %v with %d inserts logged, eager filter says %v",
-					i/2, p, got, f.logN, want)
+			seen := ref.TestAndSet(&k, seq)
+			if op&8 != 0 {
+				f.test(&k, seq, dupTag(p))
+				if seen {
+					want[p&7]++
+				}
+				break
 			}
+			if got := f.TestAndSet(&k, seq); got != seen {
+				t.Fatalf("op %d: TestAndSet(pair %d) = %v with %d entries logged, eager filter says %v",
+					i/2, p, got, f.logN, seen)
+			}
+			same(i)
 		case 2:
 			if got, want := f.FPRate(), ref.FPRate(); got != want {
-				t.Fatalf("op %d: FPRate = %g with %d inserts logged, eager filter says %g",
+				t.Fatalf("op %d: FPRate = %g with %d entries logged, eager filter says %g",
 					i/2, got, f.logN, want)
+			}
+			if op&8 != 0 {
+				same(i)
 			}
 		case 3:
 			f.Clear()
+			f.hits.Clear()
 			ref.Clear()
+			want = [8]uint64{}
 		}
 	}
-	f.drain()
-	if f.inserts != ref.inserts {
-		t.Fatalf("inserts = %d, eager filter counted %d", f.inserts, ref.inserts)
-	}
-	if !slices.Equal(f.bits, ref.bits) {
-		t.Fatal("bit array differs from the eager filter's after the final drain")
-	}
+	same(len(ops))
 }
 
 // TestDupFilterLogMatchesEager runs checkDupOps over a long generated
-// interleaving: runs of 1..64 inserts, tests and FPRate reads that find
-// the log at whatever level the runs since the last test left it (full
+// interleaving: runs of 1..64 inserts, single tests — synchronous or
+// logged, of pairs inserted or not — FPRate and full reads that find
+// the log at whatever level the runs since the last drain left it (full
 // and drained included, some hundred times), the occasional Clear.
 func TestDupFilterLogMatchesEager(t *testing.T) {
 	rng := &testRNG{state: 23}
@@ -80,12 +113,14 @@ func TestDupFilterLogMatchesEager(t *testing.T) {
 	for len(ops) < cap(ops) {
 		r := rng.next()
 		switch sel := r & 0xff; {
-		case sel < 160: // a run of 1..64 inserts
+		case sel < 100: // a run of 1..64 inserts
 			ops = append(ops, 0, byte(r>>16)&63)
+		case sel < 200: // a logged test
+			ops = append(ops, 9|byte(r>>8)&4, byte(r>>16))
 		case sel < 235:
 			ops = append(ops, 1|byte(r>>8)&4, byte(r>>16))
 		case sel < 250:
-			ops = append(ops, 2, 0)
+			ops = append(ops, 2|byte(r>>8)&8, 0)
 		default:
 			ops = append(ops, 3, 0)
 		}
@@ -93,11 +128,13 @@ func TestDupFilterLogMatchesEager(t *testing.T) {
 	checkDupOps(t, ops)
 }
 
-// FuzzDupFilterLog: under any interleaving of Insert, TestAndSet, Clear
-// and FPRate the write-behind filter is indistinguishable from one that
-// inserts eagerly. The seed corpus in testdata/fuzz (a plain test under
-// `go test`) crosses the log-full boundary, tests and reads FPRate with
-// a non-empty log, and clears with a non-empty log.
+// FuzzDupFilterLog: under any interleaving of Insert, logged tests,
+// TestAndSet, Clear, FPRate and reads the write-behind filter is
+// indistinguishable from one that inserts, tests and counts eagerly.
+// The seed corpus in testdata/fuzz (a plain test under `go test`)
+// crosses the log-full boundary, tests and reads FPRate with a
+// non-empty log, clears with inserts and with tests logged, tests a
+// pair still logged as an insert and tests one pair twice in one log.
 func FuzzDupFilterLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) { checkDupOps(t, ops) })
 }

@@ -225,25 +225,30 @@ func (c *CMS) Clear() {
 // Clear; false positives (spurious loss counts) occur at the rate
 // FPRate computes from the actual insert count.
 //
-// Inserts whose answer nobody reads (Insert) are write-behind: the
-// pair's hash word waits in a small log and its bits are set when the
-// log fills or before the next TestAndSet, whichever comes first. OR
-// commutes and nothing tests in between, so at every test the bit array
-// is exactly what eager insertion would have left.
+// Inserts (Insert) and tests whose answer is only counted (test) are
+// write-behind: the pair's hash word waits in a small log, in arrival
+// order, and is applied when the log fills or before the next
+// TestAndSet, whichever comes first; a Lean also applies it before
+// every read. Applying the log in order probes exactly what eager
+// processing would have, so at every read the bit array, the insert
+// count and the counted positives are what eager processing leaves.
 type DupFilter struct {
 	bits    []uint64
 	mask    uint64 // bit-index mask (len(bits)*64 - 1, power of two)
 	hashes  int
 	inserts uint64
-	logN    int                 // hash words waiting in log
-	log     [dupLogWords]uint64 // k.mix(seq) of each pending Insert
+	logN    int                      // hash words waiting in log
+	log     [dupLogWords]uint64      // k.mix(seq) of each pending Insert or test
+	tests   [dupLogWords / 64]uint64 // bit i set: log[i] is a test
+	tags    [dupLogWords]Hash        // the tag of a pending test, at its log index
+	hits    *CMS                     // counts one at the tag of each positive test
 }
 
-// dupLogWords is the write-behind log's capacity. Draining sets the
-// bits of that many pairs in one loop with no branch on the bit array's
-// contents, so the cache misses of many packets overlap instead of
-// stalling each packet in turn; 256 words (2 KB) is where the measured
-// gain levels off.
+// dupLogWords is the write-behind log's capacity. Draining probes that
+// many pairs in one loop with no branch on the bit array's contents, so
+// the cache misses of many packets overlap instead of stalling each
+// packet in turn; 256 words (2 KB) is where the measured gain levels
+// off.
 const dupLogWords = 256
 
 // NewDupFilter sizes a filter for an expected number of inserts at a
@@ -267,9 +272,9 @@ func NewDupFilter(expectedInserts int, targetFP float64) *DupFilter {
 		k = 1
 	}
 	// Cap the derived probe count at 8: beyond that the FP gain is
-	// marginal but every TCP data packet pays the extra probes — a test
-	// in the sketch tier, a logged insert (Insert) in the exact tier,
-	// whose drain still touches every probed word.
+	// marginal but every TCP data packet pays the extra probes — logged
+	// as a test in the sketch tier and as an insert in the exact tier,
+	// the drain touches every probed word.
 	if k > 8 {
 		k = 8
 	}
@@ -307,45 +312,89 @@ func (f *DupFilter) Insert(k *Key, seq uint64) {
 	}
 }
 
-// drain sets the probe bits of every logged pair and empties the log.
-// The stores are unconditional, so no iteration waits on the word it
-// loads and the misses of successive pairs are in flight together.
+// test records (k, seq) and, if it was already present, counts one in
+// the filter's hits sketch at tag: TestAndSet for a caller that only
+// counts the positives. The pair waits in the log like an Insert and
+// counts as an insert at once; whether it was present is decided, and
+// counted, when the log drains.
+//
+// p4:hotpath
+func (f *DupFilter) test(k *Key, seq uint64, tag Hash) {
+	i := f.logN
+	f.log[i] = k.mix(seq)
+	f.tests[i>>6] |= 1 << (i & 63)
+	f.tags[i] = tag
+	f.logN++
+	f.inserts++
+	if f.logN == dupLogWords {
+		f.drain()
+	}
+}
+
+// drain applies every logged pair in log order and empties the log. A
+// log of Inserts only sets bits, in a loop of unconditional ORs.
+// Otherwise every pair is probed, and each test's tag is kept,
+// compacted to the front of tags, when all its probes were already set;
+// the kept tags are counted after the loop. No branch depends on a word
+// either loop loads, so the misses of successive pairs are in flight
+// together.
 //
 // p4:hotpath
 func (f *DupFilter) drain() {
-	for _, h1 := range f.log[:f.logN] {
-		h2 := mix64(h1) | 1
-		for i := 0; i < f.hashes; i++ {
-			bit := (h1 + uint64(i)*h2) & f.mask
-			f.bits[bit>>6] |= 1 << (bit & 63)
-		}
-	}
+	log := f.log[:f.logN]
 	f.logN = 0
+	if f.tests == [len(f.tests)]uint64{} {
+		for _, h1 := range log {
+			h2 := mix64(h1) | 1
+			for i := 0; i < f.hashes; i++ {
+				bit := (h1 + uint64(i)*h2) & f.mask
+				f.bits[bit>>6] |= 1 << (bit & 63)
+			}
+		}
+		return
+	}
+	kept := 0
+	for i, h1 := range log {
+		f.tags[kept] = f.tags[i]
+		kept += int(f.probe(h1) & (f.tests[i>>6] >> (i & 63)))
+	}
+	f.tests = [len(f.tests)]uint64{}
+	for _, tag := range f.tags[:kept] {
+		f.hits.Add(tag, 1)
+	}
+}
+
+// probe sets the probe bits of the pair whose mix is h1 and returns 1
+// if every one was already set, else 0: the one test TestAndSet and a
+// drain with tests share. Double hashing (Kirsch–Mitzenmacher) derives
+// all positions from h1 and one more mix of it. Every store is
+// unconditional and the answer is accumulated arithmetically, so
+// nothing waits on a branch over a loaded word.
+//
+// p4:hotpath
+func (f *DupFilter) probe(h1 uint64) uint64 {
+	h2 := mix64(h1) | 1
+	seen := uint64(1)
+	for i := 0; i < f.hashes; i++ {
+		bit := (h1 + uint64(i)*h2) & f.mask
+		w, s := bit>>6, bit&63
+		old := f.bits[w]
+		seen &= old >> s
+		f.bits[w] = old | 1<<s
+	}
+	return seen & 1
 }
 
 // TestAndSet reports whether (k, seq) was already present, inserting
-// it either way. Double hashing (Kirsch–Mitzenmacher) derives all
-// probe positions from two mixes of the pair. Pending Inserts are
-// applied first.
+// it either way. The log is applied first.
 //
 // p4:hotpath
 func (f *DupFilter) TestAndSet(k *Key, seq uint64) bool {
 	if f.logN != 0 {
 		f.drain()
 	}
-	h1 := k.mix(seq)
-	h2 := mix64(h1) | 1
-	seen := true
-	for i := 0; i < f.hashes; i++ {
-		bit := (h1 + uint64(i)*h2) & f.mask
-		word, shift := bit>>6, bit&63
-		if f.bits[word]&(1<<shift) == 0 {
-			seen = false
-			f.bits[word] |= 1 << shift
-		}
-	}
 	f.inserts++
-	return seen
+	return f.probe(k.mix(seq)) != 0
 }
 
 // FPRate returns the analytical false-positive probability at the
@@ -358,18 +407,23 @@ func (f *DupFilter) FPRate() float64 {
 }
 
 // MemoryBytes returns the filter's footprint: the bit array plus the
-// write-behind log.
-func (f *DupFilter) MemoryBytes() uint64 { return uint64(len(f.bits)+len(f.log)) * 8 }
+// write-behind log, its test mask and its tags.
+func (f *DupFilter) MemoryBytes() uint64 {
+	return uint64(len(f.bits)+len(f.log)+len(f.tests)+len(f.tags)) * 8
+}
 
-// Clear zeroes the filter and drops any pending Inserts. Duplicates
-// spanning a clear go undetected — the windowing trade-off Lean
-// Algorithms accepts when the filter is reset per measurement epoch.
+// Clear zeroes the filter and drops the log. A dropped test is never
+// counted, so the hits sketch must be cleared with it (Lean.Clear
+// does). Duplicates spanning a clear go undetected — the windowing
+// trade-off Lean Algorithms accepts when the filter is reset per
+// measurement epoch.
 func (f *DupFilter) Clear() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
 	f.inserts = 0
 	f.logN = 0
+	f.tests = [len(f.tests)]uint64{}
 }
 
 // Config parameterises a Lean bundle. The zero value defaults to
@@ -420,13 +474,15 @@ type Lean struct {
 func NewLean(cfg Config) *Lean {
 	cfg = cfg.withDefaults()
 	g := GeometryFor(cfg.Epsilon, cfg.Delta)
-	return &Lean{
+	l := &Lean{
 		bytes: NewCMS(g),
 		pkts:  NewCMS(g),
 		loss:  NewCMS(g),
 		dup:   NewDupFilter(cfg.DupExpectedInserts, cfg.DupTargetFP),
 		cfg:   cfg,
 	}
+	l.dup.hits = l.loss
+	return l
 }
 
 // Geometry returns the counting sketches' shared geometry.
@@ -465,16 +521,21 @@ func (l *Lean) SeenSeq(k *Key, seq uint64) bool {
 
 // NoteSeq records a TCP data packet's (key, seq) in the dup filter for
 // a caller that does not need SeenSeq's answer — the exact tier, which
-// counts its own losses but must leave the pair where a later SeenSeq
+// counts its own losses but must leave the pair where a later test
 // finds it.
 //
 // p4:hotpath
 func (l *Lean) NoteSeq(k *Key, seq uint64) { l.dup.Insert(k, seq) }
 
-// CountLoss adds one loss event for the hashed key.
+// TestSeq records a TCP data packet's (key, seq) in the dup filter and,
+// if it was already present — a retransmission (or a filter false
+// positive) — counts one loss for the hashed key h: SeenSeq plus the
+// loss count, write-behind. The pair waits in the filter's log and its
+// loss is counted when the log drains, which every reader of the loss
+// sketch does first, so no read can tell.
 //
 // p4:hotpath
-func (l *Lean) CountLoss(h Hash) { l.loss.Add(h, 1) }
+func (l *Lean) TestSeq(k *Key, seq uint64, h Hash) { l.dup.test(k, seq, h) }
 
 // Fold adds a flow's exact-tier totals into the sketches — the
 // eviction path: the flow's history must survive its register cells.
@@ -489,6 +550,7 @@ func (l *Lean) Fold(h Hash, bytes, pkts, loss uint64) {
 //
 // p4:hotpath
 func (l *Lean) EstimateHash(h Hash) (bytes, pkts, loss uint64) {
+	l.dup.drain()
 	return l.bytes.At(h), l.pkts.At(h), l.loss.At(h)
 }
 
@@ -500,11 +562,13 @@ func (l *Lean) Estimate(k *Key) (bytes, pkts, loss uint64) { return l.EstimateHa
 // Bounds returns the current analytical overcount bounds (⌈ε·N⌉ per
 // sketch, each holding with probability ≥ 1-δ).
 func (l *Lean) Bounds() (bytes, pkts, loss uint64) {
+	l.dup.drain()
 	return l.bytes.ErrorBound(), l.pkts.ErrorBound(), l.loss.ErrorBound()
 }
 
 // Totals returns each sketch's inserted total (the N of its bound).
 func (l *Lean) Totals() (bytes, pkts, loss uint64) {
+	l.dup.drain()
 	return l.bytes.Total(), l.pkts.Total(), l.loss.Total()
 }
 
@@ -522,7 +586,7 @@ func (l *Lean) MemoryBytes() uint64 {
 // Equal reports whether two bundles hold the same state: every counter
 // and total, every dup-filter bit and the insert count — what feeding
 // one packet stream whole, in fronts or per packet must leave equal.
-// Logged dup-filter inserts are applied first, which no reader can tell.
+// Both dup-filter logs are applied first, which no reader can tell.
 func (l *Lean) Equal(o *Lean) bool {
 	l.dup.drain()
 	o.dup.drain()
@@ -533,10 +597,6 @@ func (l *Lean) Equal(o *Lean) bool {
 
 // equal reports whether two sketches hold the same counters and total.
 func (c *CMS) equal(o *CMS) bool { return c.total == o.total && slices.Equal(c.rows, o.rows) }
-
-// ClearWindow resets the dup filter only — the per-epoch windowing of
-// Lean Algorithms. The counting sketches (and their bounds) persist.
-func (l *Lean) ClearWindow() { l.dup.Clear() }
 
 // Clear resets everything: sketches, totals and the dup filter.
 func (l *Lean) Clear() {

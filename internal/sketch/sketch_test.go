@@ -362,6 +362,7 @@ func TestLeanFoldAndEstimate(t *testing.T) {
 	truthBytes := make([]uint64, flows)
 	truthPkts := make([]uint64, flows)
 	truthLoss := make([]uint64, flows)
+	seen := make([]uint64, flows) // bit s: seq s sent
 	for i := 0; i < 40000; i++ {
 		f := rng.next() % flows
 		k := keyFor(f)
@@ -369,10 +370,11 @@ func TestLeanFoldAndEstimate(t *testing.T) {
 		truthBytes[f] += 1500
 		truthPkts[f]++
 		seq := rng.next() % 64 // heavy seq reuse → real duplicates
-		if l.SeenSeq(&k, seq) {
-			l.CountLoss(k.Hash())
-			truthLoss[f]++ // dup filter has no false negatives, so this is exact-or-over
+		if seen[f]&(1<<seq) != 0 {
+			truthLoss[f]++ // dup filter has no false negatives, so the estimate is exact-or-over
 		}
+		seen[f] |= 1 << seq
+		l.TestSeq(&k, seq, k.Hash())
 	}
 	// Eviction fold: flow 0 arrives with an exact history.
 	k0 := keyFor(0)
@@ -414,21 +416,15 @@ func TestLeanFoldAndEstimate(t *testing.T) {
 		t.Error("DupFPRate = 0 after inserts")
 	}
 
-	// ClearWindow resets only the dup filter; the sketches persist.
-	tb, tp, tl := l.Totals()
-	l.ClearWindow()
-	tb2, tp2, tl2 := l.Totals()
-	if tb2 != tb || tp2 != tp || tl2 != tl {
-		t.Error("ClearWindow disturbed sketch totals")
-	}
-	if !l.SeenSeq(&k0, 1) {
-		// First probe after a window clear must be unseen...
-	} else {
-		t.Error("dup filter retained state across ClearWindow")
-	}
+	// A retransmission still logged at the Clear is dropped with the
+	// filter it would have been tested against.
+	l.TestSeq(&k0, 1, k0.Hash())
 	l.Clear()
 	if b, p, lo := l.Totals(); b != 0 || p != 0 || lo != 0 {
 		t.Errorf("Clear left totals (%d,%d,%d)", b, p, lo)
+	}
+	if l.SeenSeq(&k0, 1) {
+		t.Error("dup filter retained state across Clear")
 	}
 }
 
