@@ -7,15 +7,18 @@ GO ?= go
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint chaos replay-bench cover obs scale federation docs ci
+.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint chaos replay-bench cover obs scale federation docs witness ci
 
 all: ci
 
 build:
 	$(GO) build ./...
 
+# vet also fails when a tracked Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -56,7 +59,7 @@ bench-pairs:
 bench-scaling:
 	bash scripts/bench_scaling.sh $(N)
 
-# lint runs the ten p4lint passes over one load of the module (parsed
+# lint runs the nine p4lint passes over one load of the module (parsed
 # and type-checked once, call graph built once) and fails on any
 # finding, a package that does not type-check included. Lock values
 # copied by value are `vet`'s copylocks check. Inside GitHub Actions it
@@ -125,4 +128,14 @@ federation:
 docs:
 	$(GO) run ./cmd/docscheck README.md ARCHITECTURE.md EXPERIMENTS.md OPERATIONS.md DESIGN.md
 
-ci: build vet test race bench-test lint docs
+# witness reruns every experiment at seed 42 and diffs stdout and the
+# CSVs against the committed results/, byte for byte: the standing
+# rule that a change which claims to keep the experiments' output
+# keeps it. The federation CSVs come from `run federation`, not `all`.
+witness:
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/p4psonar run -seed 42 -out $$tmp all > $$tmp/run_all.txt && \
+	diff -r -x 'federation_*' results $$tmp; \
+	status=$$?; rm -rf $$tmp; exit $$status
+
+ci: build vet test race bench-test lint docs witness

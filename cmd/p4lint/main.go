@@ -12,7 +12,7 @@
 // (default "./..."). Examples:
 //
 //	go run ./cmd/p4lint ./...
-//	go run ./cmd/p4lint -only regwidth ./internal/dataplane
+//	go run ./cmd/p4lint -only timeunits ./internal/dataplane
 //	go run ./cmd/p4lint -json ./internal/... > lint.json
 //	go run ./cmd/p4lint -gha ./...   # GitHub Actions ::error annotations
 package main

@@ -1,9 +1,9 @@
 // Package analysis is the repository's domain-aware static-analysis
 // layer: a small, stdlib-only analogue of golang.org/x/tools/go/analysis
 // specialised for the invariants this P4-perfSONAR reproduction must
-// preserve — register bit widths, nanosecond time units, lock
-// discipline on shared control-plane state, checked I/O errors on the
-// archiver paths, and cancellable goroutines in server code.
+// preserve — nanosecond time units, lock discipline on shared
+// control-plane state, checked I/O errors on the archiver paths, and
+// cancellable goroutines in server code.
 //
 // A shared Loader parses and type-checks every package once; each
 // Analyzer then walks the typed ASTs and reports Diagnostics. The
@@ -118,7 +118,6 @@ func eachPackage(check func(pass *Pass, pkg *Package)) func(*Pass) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		TimeUnitsAnalyzer,
-		RegWidthAnalyzer,
 		UncheckedErrAnalyzer,
 		GoLeakAnalyzer,
 		DocCommentAnalyzer,

@@ -48,7 +48,6 @@ func loadFixture(t *testing.T, fixture string) []*Package {
 // One test per registered analyzer, each over the fixture directory of
 // the analyzer's name.
 func TestTimeUnitsAnalyzer(t *testing.T)    { runFixture(t, "timeunits") }
-func TestRegWidthAnalyzer(t *testing.T)     { runFixture(t, "regwidth") }
 func TestUncheckedErrAnalyzer(t *testing.T) { runFixture(t, "uncheckederr") }
 func TestGoLeakAnalyzer(t *testing.T)       { runFixture(t, "goleak") }
 func TestDocCommentAnalyzer(t *testing.T)   { runFixture(t, "doccomment") }

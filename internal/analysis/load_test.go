@@ -6,13 +6,13 @@ import (
 )
 
 func TestLoaderResolvesModuleInternalImports(t *testing.T) {
-	pkg := loadFixture(t, "regwidth")[0]
-	// The fixture imports repro/internal/dataplane; a clean type-check
+	pkg := loadFixture(t, "timeunits")[0]
+	// The fixture imports repro/internal/simtime; a clean type-check
 	// proves the loader resolved it through the module, not GOPATH.
 	for _, e := range pkg.TypeErrors {
 		t.Errorf("type error: %v", e)
 	}
-	want := "repro/internal/analysis/testdata/src/regwidth"
+	want := "repro/internal/analysis/testdata/src/timeunits"
 	if pkg.Path != want {
 		t.Errorf("import path = %q, want %q", pkg.Path, want)
 	}
@@ -70,11 +70,11 @@ func TestByNameRejectsUnknownAnalyzer(t *testing.T) {
 	if _, err := ByName([]string{"nosuchpass"}); err == nil {
 		t.Fatal("ByName must reject unknown analyzer names")
 	}
-	got, err := ByName([]string{"lockorder", "regwidth"})
+	got, err := ByName([]string{"lockorder", "timeunits"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "lockorder" || got[1].Name != "regwidth" {
+	if len(got) != 2 || got[0].Name != "lockorder" || got[1].Name != "timeunits" {
 		t.Fatalf("ByName resolved %v", got)
 	}
 }

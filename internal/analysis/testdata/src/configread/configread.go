@@ -15,8 +15,8 @@ func (g *gen) Value() tuning { return g.v }
 // its Acquire/Release/Publish method set.
 type store struct{ cur *gen }
 
-func (s *store) Acquire() *gen  { return s.cur }
-func (s *store) Release(g *gen) {}
+func (s *store) Acquire() *gen                                    { return s.cur }
+func (s *store) Release(g *gen)                                   {}
 func (s *store) Publish(build func(tuning) (tuning, error)) error { return nil }
 
 // config is the boot configuration.

@@ -702,13 +702,13 @@ func (cp *ControlPlane) sweepTerminated(now simtime.Time) {
 	}
 	for _, f := range cp.sortedFlows() {
 		snap := cp.dp.ReadFlow(f.id, f.revID)
-		idle := snap.LastSeen > 0 && now-snap.LastSeen > cp.cfg.IdleTimeout
+		idle := snap.LastSeen > 0 && dataplane.Elapsed(now, snap.LastSeen) > cp.cfg.IdleTimeout
 		if !snap.FinSeen && !idle {
 			continue
 		}
 		start := snap.FirstSeen
 		end := snap.LastSeen
-		dur := end - start
+		dur := dataplane.Elapsed(end, start)
 		var avg float64
 		if dur > 0 {
 			avg = float64(snap.Bytes) * 8 / dur.Seconds()

@@ -595,3 +595,86 @@ func TestAgingWindowEvictsIdleUnannouncedFlows(t *testing.T) {
 		t.Fatalf("sketch pkts = %d, want >= 5", est.Pkts)
 	}
 }
+
+// TestStampsAcrossTheClockWrap runs one TCP flow whose packets straddle
+// 2^48 ns, where the 48-bit stamp registers wrap (after about 78 h, a
+// horizon a collector stepping one simulated second per wall second
+// reaches). Every difference of a stamp and a later time must be the
+// true elapsed time: the queue delay, RTT and IAT registers, the
+// microburst detector, the aging sweep, and the control plane's idle
+// test and flow-summary duration.
+func TestStampsAcrossTheClockWrap(t *testing.T) {
+	const wrap = simtime.Time(1) << 48
+	ms, us := simtime.Millisecond, simtime.Microsecond
+	for _, shards := range []int{1, 2} {
+		sink := &MemorySink{}
+		dp := dataplane.NewPipes(dataplane.Config{LongFlowBytes: 10_000}, shards)
+		cp := New(simtime.NewEngine(), dp, sink, Config{LinkCapacityBps: 1e9})
+		ft := flowTuple(40001)
+		id, rev := dataplane.HashFiveTuple(ft), dataplane.HashReverse(ft)
+		seq := uint64(1)
+		send := func(at simtime.Time) *packet.Packet {
+			p := packet.NewTCP(ft, seq, 0, packet.FlagACK|packet.FlagPSH, 1000)
+			p.IPID = uint16(seq)
+			seq += 1000
+			dp.ProcessCopy(tap.Copy{Pkt: p, Point: tap.Ingress, At: at})
+			return p
+		}
+		egress := func(p *packet.Packet, at simtime.Time) {
+			dp.ProcessCopy(tap.Copy{Pkt: p, Point: tap.Egress, At: at})
+		}
+
+		// A flow last seen ten seconds before the wrap: really idle.
+		feedFlow(dp, flowTuple(40002), wrap-10*simtime.Second, 1, 1000, ms)
+		// Twelve packets a millisecond apart announce the flow; the
+		// first pairs with its egress copy for a 1 ms queue baseline.
+		egress(send(wrap-12*ms), wrap-11*ms)
+		for k := 1; k < 12; k++ {
+			send(wrap - 12*ms + simtime.Time(k)*ms)
+		}
+		// pre is stamped before the wrap, post after it; both leave
+		// the queue after it, 4 µs and 1 µs later.
+		pre := send(wrap - us)
+		post := send(wrap + us)
+		egress(post, wrap+2*us)
+		egress(pre, wrap+3*us)
+		send(wrap + 2*ms)
+		timed := send(wrap + 5*ms) // the largest gap: 3 ms
+		ack := packet.NewTCP(ft.Reverse(), 1, timed.ExpectedAck(), packet.FlagACK, 0)
+		dp.ProcessCopy(tap.Copy{Pkt: ack, Point: tap.Ingress, At: wrap + 55*ms})
+		dp.Flush()
+
+		if n := dp.StatsSnapshot().Microbursts; n != 0 || len(sink.ByKind(KindMicroburst)) != 0 {
+			t.Errorf("shards=%d: %d microbursts from 1-4 µs queue delays", shards, n)
+		}
+		snap := dp.ReadFlow(id, rev)
+		if snap.QDelay != 4*us || snap.RTT != 50*ms || snap.MaxIAT != 3*ms {
+			t.Errorf("shards=%d: qdelay %v rtt %v max iat %v, want 4µs 50ms 3ms",
+				shards, snap.QDelay, snap.RTT, snap.MaxIAT)
+		}
+		if h := dp.ReadRTTHist(id); h.Count() != 1 || h.Quantile(1) < 50*ms || h.Quantile(1) >= 100*ms {
+			t.Errorf("shards=%d: rtt histogram %v does not hold one 50 ms sample", shards, h.Buckets)
+		}
+		// The ACK flow was seen 45 ms ago and stays; the idle flow goes.
+		if n := dp.AgeFlows(wrap+100*ms, simtime.Second); n != 1 {
+			t.Errorf("shards=%d: aging evicted %d cells, want the one idle flow", shards, n)
+		}
+		cp.sweepTerminated(wrap + 100*ms)
+		if cp.ActiveFlowCount() != 1 || len(sink.ByKind(KindFlowSummary)) != 0 {
+			t.Fatalf("shards=%d: a flow seen 95 ms ago was ended as idle", shards)
+		}
+
+		fin := packet.NewTCP(ft, seq, 0, packet.FlagACK|packet.FlagFIN, 0)
+		dp.ProcessCopy(tap.Copy{Pkt: fin, Point: tap.Ingress, At: wrap + 200*ms})
+		bytes := dp.ReadFlow(id, rev).Bytes
+		cp.sweepTerminated(wrap + 300*ms)
+		sums := sink.ByKind(KindFlowSummary)
+		if len(sums) != 1 {
+			t.Fatalf("shards=%d: %d flow summaries after FIN, want 1", shards, len(sums))
+		}
+		if want := float64(bytes) * 8 / (212 * ms).Seconds(); sums[0].AvgThroughputBps != want {
+			t.Errorf("shards=%d: summary throughput %.0f bps, want %.0f over 212 ms",
+				shards, sums[0].AvgThroughputBps, want)
+		}
+	}
+}

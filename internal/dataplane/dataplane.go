@@ -301,30 +301,30 @@ func New(cfg Config) *DataPlane {
 		cfg:    cfg,
 		tuning: genconfig.NewStore(TuningFrom(cfg)),
 		tun:    TuningFrom(cfg),
-		// Widths mirror the P4 program: Tofino's clock (and therefore
-		// every timestamp and timestamp difference) is 48-bit, flag
-		// registers are single bits, the queue signature packs a 32-bit
-		// flow ID over a 16-bit IP ID, and the paired 32-bit counters
-		// present as full 64-bit cells.
-		bytesReg:   NewRegister("flow_bytes", n),
-		pktsReg:    NewRegister("flow_pkts", n),
-		prevSeqReg: NewRegister("prev_seq", n),
-		pktLossReg: NewRegister("pkt_loss", n),
-		rttReg:     NewRegisterWidth("rtt", n, 48),
-		qdelayReg:  NewRegisterWidth("qdelay", n, 48),
-		highSeqReg: NewRegister("high_seq", n),
-		highAckReg: NewRegister("high_ack", n),
-		flightReg:  NewRegister("flight", n),
-		flightMaxW: NewRegister("flight_max_w", n),
-		flightMinW: NewRegister("flight_min_w", n),
-		lastArrReg: NewRegisterWidth("last_arrival", n, 48),
-		maxIATReg:  NewRegisterWidth("max_iat_w", n, 48),
-		firstSeen:  NewRegisterWidth("first_seen", n, 48),
-		lastSeen:   NewRegisterWidth("last_seen", n, 48),
-		finSeenReg: NewRegisterWidth("fin_seen", n, 1),
-		announced:  NewRegisterWidth("announced", n, 1),
-		ownerLo:    NewRegisterWidth("owner_lo", n, 32),
-		rttHist:    NewRegisterWidth("rtt_hist", n*RTTHistBuckets, 32),
+		// Widths mirror the P4 program and the cells enforce them:
+		// Tofino's clock (and therefore every timestamp and timestamp
+		// difference) is 48-bit, flag registers are single bits, the
+		// queue signature packs a 32-bit flow ID over a 16-bit IP ID, and
+		// the paired 32-bit counters present as full 64-bit cells.
+		bytesReg:   NewRegister("flow_bytes", n, 64),
+		pktsReg:    NewRegister("flow_pkts", n, 64),
+		prevSeqReg: NewRegister("prev_seq", n, 64),
+		pktLossReg: NewRegister("pkt_loss", n, 64),
+		rttReg:     NewRegister("rtt", n, 48),
+		qdelayReg:  NewRegister("qdelay", n, 48),
+		highSeqReg: NewRegister("high_seq", n, 64),
+		highAckReg: NewRegister("high_ack", n, 64),
+		flightReg:  NewRegister("flight", n, 64),
+		flightMaxW: NewRegister("flight_max_w", n, 64),
+		flightMinW: NewRegister("flight_min_w", n, 64),
+		lastArrReg: NewRegister("last_arrival", n, 48),
+		maxIATReg:  NewRegister("max_iat_w", n, 48),
+		firstSeen:  NewRegister("first_seen", n, 48),
+		lastSeen:   NewRegister("last_seen", n, 48),
+		finSeenReg: NewRegister("fin_seen", n, 1),
+		announced:  NewRegister("announced", n, 1),
+		ownerLo:    NewRegister("owner_lo", n, 32),
+		rttHist:    NewRegister("rtt_hist", n*RTTHistBuckets, 32),
 		ownerKeys:  make([]FlowKey, n),
 		tableN:     uint32(n),
 		one:        *NewFront(1),
@@ -334,10 +334,10 @@ func New(cfg Config) *DataPlane {
 			DupExpectedInserts: cfg.DupFilterInserts,
 			DupTargetFP:        cfg.DupFilterFP,
 		}),
-		eackSig: NewRegister("eack_sig", cfg.EACKTableSize),
-		eackTS:  NewRegisterWidth("eack_ts", cfg.EACKTableSize, 48),
-		qSig:    NewRegisterWidth("qsig", cfg.QSigTableSize, 48),
-		qTS:     NewRegisterWidth("qts", cfg.QSigTableSize, 48),
+		eackSig: NewRegister("eack_sig", cfg.EACKTableSize, 64),
+		eackTS:  NewRegister("eack_ts", cfg.EACKTableSize, 48),
+		qSig:    NewRegister("qsig", cfg.QSigTableSize, 48),
+		qTS:     NewRegister("qts", cfg.QSigTableSize, 48),
 		cms:     NewCMS(cfg.CMSWidth, cfg.CMSDepth),
 		monitorTable: NewTable("monitored_subnets", 256,
 			[]MatchKind{MatchLPM}, []int{32}),
@@ -563,8 +563,8 @@ func (d *DataPlane) processIngress(v *view) {
 func (d *DataPlane) processData(v *view, idx uint32, now simtime.Time) {
 	// Inter-arrival time (the mmWave blockage signal, §5.4.3).
 	if last := d.lastArrReg.Read(idx); last != 0 {
-		iat := uint64(now) - last
-		d.maxIATReg.Max(idx, iat)
+		iat := Elapsed(now, simtime.Time(last))
+		d.maxIATReg.Max(idx, uint64(iat))
 	}
 	d.lastArrReg.Write(idx, uint64(now))
 
@@ -637,7 +637,7 @@ func (d *DataPlane) processAck(v *view, now simtime.Time) {
 	if d.eackSig.Read(eidx) == sig {
 		ts := d.eackTS.Read(eidx)
 		if ts != 0 {
-			rtt := uint64(now) - ts
+			rtt := uint64(Elapsed(now, simtime.Time(ts)))
 			// Algorithm 1 stores the RTT at the ACK packet's flow ID;
 			// the control plane joins it back via the reversed ID.
 			d.rttReg.Write(uint32(id), rtt)
@@ -700,11 +700,11 @@ func (d *DataPlane) processEgress(v *view) {
 	ingressTS := d.qTS.Read(qidx)
 	d.qSig.Write(qidx, 0)
 	d.qTS.Write(qidx, 0)
-	if ingressTS == 0 || uint64(now) < ingressTS {
+	qdelay := Elapsed(now, simtime.Time(ingressTS))
+	if ingressTS == 0 || qdelay < 0 {
 		d.Stats.QSigMismatches++
 		return
 	}
-	qdelay := simtime.Time(uint64(now) - ingressTS)
 	if o := d.obs; o != nil {
 		o.qdelayNs.Observe(uint64(qdelay))
 	}

@@ -469,7 +469,7 @@ func TestCMSExactWhenSparse(t *testing.T) {
 }
 
 func TestRegisterSemantics(t *testing.T) {
-	r := NewRegister("t", 8)
+	r := NewRegister("t", 8, 64)
 	r.Write(3, 42)
 	if r.Read(3) != 42 || r.Read(11) != 42 { // 11 mod 8 == 3
 		t.Fatal("index folding broken")
@@ -493,6 +493,55 @@ func TestRegisterSemantics(t *testing.T) {
 	r.Clear()
 	if r.Read(3) != 0 {
 		t.Fatal("clear failed")
+	}
+}
+
+// TestRegisterTruncatesToWidth: a cell holds what a Tofino register of
+// the declared width holds. An over-wide Write keeps the low bits, Add
+// wraps at 2^width and Max compares the truncated value.
+func TestRegisterTruncatesToWidth(t *testing.T) {
+	for _, width := range []int{1, 32, 48} {
+		mod := uint64(1) << width
+		r := NewRegister("w", 4, width)
+		r.Write(0, mod+1)
+		if got := r.Read(0); got != 1 {
+			t.Errorf("width %d: Write(2^w+1) stored %d, want 1", width, got)
+		}
+		r.Write(1, mod-1)
+		r.Add(1, 2)
+		if got := r.Read(1); got != 1 {
+			t.Errorf("width %d: (2^w-1)+2 stored %d, want 1 (wrap)", width, got)
+		}
+		r.Max(2, mod) // truncates to 0: no raise
+		if got := r.Read(2); got != 0 {
+			t.Errorf("width %d: Max(2^w) raised the cell to %d", width, got)
+		}
+		r.Max(2, mod|1)
+		if got := r.Read(2); got != 1 {
+			t.Errorf("width %d: Max(2^w|1) stored %d, want 1", width, got)
+		}
+	}
+}
+
+func TestElapsed(t *testing.T) {
+	const wrap = simtime.Time(1) << 48
+	const half = simtime.Time(1)<<47 - 1
+	for _, c := range []struct {
+		now, stamp, want simtime.Time
+	}{
+		{0, 0, 0},
+		{5, 4, 1},
+		{4, 5, -1},
+		{half, 0, half},
+		{0, half, -half},
+		{wrap + 3, wrap - 2, 5},                // both sides of the wrap, full stamps
+		{wrap + 3, (wrap - 2) & (wrap - 1), 5}, // stamp as a 48-bit register holds it
+		{3, wrap - 2, 5},                       // now already folded past the wrap
+		{(wrap - 2) & (wrap - 1), wrap + 3, -5},
+	} {
+		if got := Elapsed(c.now, c.stamp); got != c.want {
+			t.Errorf("Elapsed(%d, %d) = %d, want %d", c.now, c.stamp, got, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"net/netip"
 	"sync"
 
@@ -368,28 +369,42 @@ func (p *Pipes) ReadRTTHist(id FlowID) RTTHist {
 }
 
 // ReadRegister flushes, then reads one merged register cell by P4
-// name. Returns false for an unknown register.
-func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, bool) {
-	reg := p.shards[0].RegisterByName(name)
-	if reg == nil {
-		return 0, false
+// name. It fails for an unknown register or an index past its size.
+func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, error) {
+	reg, err := p.runtimeCell(name, idx)
+	if err != nil {
+		return 0, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	return p.mergedRead(reg, idx), true
+	return p.mergedRead(reg, idx), nil
 }
 
-// WriteRegister flushes, then writes the value to the cell on every
-// shard (the runtime API's register reset semantics). Returns false
-// for an unknown register.
-func (p *Pipes) WriteRegister(name string, idx uint32, v uint64) bool {
+// ResetRegister flushes, then zeroes the cell on every shard (the
+// runtime API's register reset). It fails, touching nothing, for an
+// unknown register or an index past its size.
+func (p *Pipes) ResetRegister(name string, idx uint32) error {
+	reg, err := p.runtimeCell(name, idx)
+	if err != nil {
+		return err
+	}
+	p.onShards(func(d *DataPlane) { d.regs[reg.slot].Write(idx, 0) })
+	return nil
+}
+
+// runtimeCell resolves a runtime-API cell address. The packet path
+// folds any index onto its array; an address from the wire must name a
+// cell that exists, or it would silently land on another flow's.
+func (p *Pipes) runtimeCell(name string, idx uint32) (*Register, error) {
 	reg := p.shards[0].RegisterByName(name)
 	if reg == nil {
-		return false
+		return nil, fmt.Errorf("unknown register %q", name)
 	}
-	p.onShards(func(d *DataPlane) { d.regs[reg.slot].Write(idx, v) })
-	return true
+	if int(idx) >= reg.Size() {
+		return nil, fmt.Errorf("register %s index %d out of range (size %d)", name, idx, reg.Size())
+	}
+	return reg, nil
 }
 
 // RegisterNames lists the per-shard register instances (identical on

@@ -366,21 +366,22 @@ func TestPipesRegisterMergeSemantics(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		idx := uint32(HashFiveTuple(traceFlow(i)))
 		for _, name := range []string{"flow_bytes", "flow_pkts", "pkt_loss", "first_seen", "last_seen"} {
-			want, ok := base.ReadRegister(name, idx)
-			if !ok {
-				t.Fatalf("register %q unknown on single pipe", name)
+			idx := idx % uint32(base.Shard(0).RegisterByName(name).Size())
+			want, err := base.ReadRegister(name, idx)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got, ok := sharded.ReadRegister(name, idx)
-			if !ok || got != want {
-				t.Fatalf("register %q cell %d: merged %d (ok=%v), single-pipe %d", name, idx, got, ok, want)
+			got, err := sharded.ReadRegister(name, idx)
+			if err != nil || got != want {
+				t.Fatalf("register %q cell %d: merged %d (%v), single-pipe %d", name, idx, got, err, want)
 			}
 		}
 	}
-	if _, ok := sharded.ReadRegister("bogus", 0); ok {
+	if _, err := sharded.ReadRegister("bogus", 0); err == nil {
 		t.Fatal("unknown register accepted")
 	}
-	if !sharded.WriteRegister("flow_bytes", 3, 0) {
-		t.Fatal("reset of known register rejected")
+	if err := sharded.ResetRegister("flow_bytes", 3); err != nil {
+		t.Fatal(err)
 	}
 	if v, _ := sharded.ReadRegister("flow_bytes", 3); v != 0 {
 		t.Fatalf("cell not reset on every shard: %d", v)

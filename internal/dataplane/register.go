@@ -1,21 +1,23 @@
 package dataplane
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/simtime"
+)
 
 // Register is a fixed-size stateful register array, the P4 construct
 // the paper's per-flow statistics live in ("dedicated stateful
 // registers where the data plane can track 2048 active flows
-// simultaneously", §3.3.2). Cells are 64-bit, matching Tofino's paired
-// 32-bit register entries.
+// simultaneously", §3.3.2). Each cell holds what a Tofino register of
+// the declared width holds: every store truncates to it.
 type Register struct {
 	name  string
 	cells []uint64
-	// width is the declared bit width of each cell, 1..64. Cells are
-	// stored as uint64 regardless; the width is the P4-level contract
-	// (Tofino timestamps are 48-bit, flag registers 1-bit) that the
-	// regwidth static-analysis pass checks masks, shifts and
-	// conversions against.
-	width int
+	// mask keeps the low width bits of every stored value, so an
+	// over-wide write truncates and Add wraps at 2^width, as in P4's
+	// Register<bit<W>, _>.
+	mask uint64
 	// merge is how one cell combines across pipes and slot is the
 	// register's position in its pipeline's declaration order, the same
 	// on every shard; DataPlane.declare sets both (see Pipes.mergedRead).
@@ -45,30 +47,20 @@ const (
 	mergeMin
 )
 
-// NewRegister allocates a register array of full 64-bit cells.
-func NewRegister(name string, size int) *Register {
-	return NewRegisterWidth(name, size, 64)
-}
-
-// NewRegisterWidth allocates a register array whose cells carry a
-// declared bit width, mirroring the width annotation a P4 register
-// definition carries (e.g. Register<bit<48>, _>). The width is
-// metadata for tooling and the runtime API; storage stays uint64.
-func NewRegisterWidth(name string, size, width int) *Register {
+// NewRegister allocates a register array of size cells, each width
+// bits wide (1..64), the P4 declaration Register<bit<width>, _>(size).
+func NewRegister(name string, size, width int) *Register {
 	if size <= 0 {
 		panic(fmt.Sprintf("dataplane: register %s must have positive size", name))
 	}
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("dataplane: register %s width %d out of range 1..64", name, width))
 	}
-	return &Register{name: name, cells: make([]uint64, size), width: width}
+	return &Register{name: name, cells: make([]uint64, size), mask: ^uint64(0) >> (64 - width)}
 }
 
 // Name returns the register's P4 instance name.
 func (r *Register) Name() string { return r.name }
-
-// Width returns the declared bit width of each cell.
-func (r *Register) Width() int { return r.width }
 
 // Size returns the number of cells.
 func (r *Register) Size() int { return len(r.cells) }
@@ -79,18 +71,30 @@ func (r *Register) index(i uint32) uint32 { return i % uint32(len(r.cells)) }
 // Read returns cell i (mod size).
 func (r *Register) Read(i uint32) uint64 { return r.cells[r.index(i)] }
 
-// Write stores v at cell i (mod size).
-func (r *Register) Write(i uint32, v uint64) { r.cells[r.index(i)] = v }
+// Write stores the low width bits of v at cell i (mod size).
+func (r *Register) Write(i uint32, v uint64) { r.cells[r.index(i)] = v & r.mask }
 
-// Add increments cell i (mod size) by delta.
-func (r *Register) Add(i uint32, delta uint64) { r.cells[r.index(i)] += delta }
+// Add increments cell i (mod size) by delta, wrapping at 2^width.
+func (r *Register) Add(i uint32, delta uint64) {
+	idx := r.index(i)
+	r.cells[idx] = (r.cells[idx] + delta) & r.mask
+}
 
-// Max raises cell i to v if v is larger.
+// Max raises cell i to the low width bits of v if they are larger.
 func (r *Register) Max(i uint32, v uint64) {
 	idx := r.index(i)
-	if v > r.cells[idx] {
+	if v &= r.mask; v > r.cells[idx] {
 		r.cells[idx] = v
 	}
+}
+
+// Elapsed is the time from a 48-bit register stamp to now: the signed
+// serial difference of their low 48 bits, which equals now − stamp
+// whenever the two lie within 2^47 ns (about 39 h) of each other and
+// stays right across the 48-bit clock's wrap every 2^48 ns (about
+// 78 h). A stamp ahead of now reads negative.
+func Elapsed(now, stamp simtime.Time) simtime.Time {
+	return simtime.Time(int64(uint64(now-stamp)<<16) >> 16)
 }
 
 // Snapshot copies the register contents into dst (allocating if nil) —

@@ -174,7 +174,7 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 			continue
 		}
 		last := simtime.Time(d.lastSeen.Read(i))
-		if last == 0 || now-last <= window {
+		if last == 0 || Elapsed(now, last) <= window {
 			continue
 		}
 		d.lean.Fold(d.ownerKeys[i].sketchKey().Hash(), d.bytesReg.Read(i), d.pktsReg.Read(i), d.pktLossReg.Read(i))

@@ -310,8 +310,10 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 	pt.BytesPerFlow = float64(pt.ExactMemBytes+pt.LeanMemBytes) / float64(flows)
 
 	// Audit pass 2: age every cell out (idle beyond the window) and
-	// verify the folds kept each admitted flow's history queryable.
-	plane.AgeFlows(simtime.Second<<32, simtime.Second)
+	// verify the folds kept each admitted flow's history queryable. An
+	// hour past the start is past every stamp yet well inside the 48-bit
+	// stamps' horizon, where a far-future now would wrap.
+	plane.AgeFlows(3600*simtime.Second, simtime.Second)
 	for _, k := range admittedKeys {
 		t := truth[k]
 		est := plane.EstimateFlow(k)

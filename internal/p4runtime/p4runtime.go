@@ -173,15 +173,15 @@ func (s *Server) handleLocked(req Request) Response {
 	}
 	switch req.Op {
 	case OpRegisterRead:
-		v, ok := s.dp.ReadRegister(req.Register, req.Index)
-		if !ok {
-			return errResp("unknown register %q", req.Register)
+		v, err := s.dp.ReadRegister(req.Register, req.Index)
+		if err != nil {
+			return errResp("%v", err)
 		}
 		return Response{OK: true, Value: v}
 
 	case OpRegisterReset:
-		if !s.dp.WriteRegister(req.Register, req.Index, 0) {
-			return errResp("unknown register %q", req.Register)
+		if err := s.dp.ResetRegister(req.Register, req.Index); err != nil {
+			return errResp("%v", err)
 		}
 		return Response{OK: true}
 

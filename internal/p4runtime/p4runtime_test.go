@@ -1,7 +1,9 @@
 package p4runtime
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +43,32 @@ func TestServerRegisterRead(t *testing.T) {
 	resp := s.Handle(Request{Op: OpRegisterRead, Register: "flow_pkts", Index: uint32(id) % uint32(size)})
 	if !resp.OK || resp.Value != 5 {
 		t.Fatalf("resp: %+v", resp)
+	}
+}
+
+// TestServerRejectsOutOfRangeIndex: a wire index past the register's
+// size is an error naming both, and must not fold onto the flow cell
+// it aliases modulo the size.
+func TestServerRejectsOutOfRangeIndex(t *testing.T) {
+	dp := dataplane.NewPipes(dataplane.Config{}, 1)
+	feed(dp, 5)
+	s := NewServer(dp)
+
+	size := uint32(dp.Shard(0).RegisterByName("flow_pkts").Size())
+	cell := uint32(dataplane.HashFiveTuple(testFlow())) % size
+	for _, op := range []Op{OpRegisterReset, OpRegisterRead} {
+		resp := s.Handle(Request{Op: op, Register: "flow_pkts", Index: cell + size})
+		if resp.OK {
+			t.Fatalf("%s of index %d on a %d-cell register answered OK", op, cell+size, size)
+		}
+		for _, want := range []string{fmt.Sprint(cell + size), fmt.Sprint(size)} {
+			if !strings.Contains(resp.Error, want) {
+				t.Errorf("%s error %q does not name %s", op, resp.Error, want)
+			}
+		}
+	}
+	if resp := s.Handle(Request{Op: OpRegisterRead, Register: "flow_pkts", Index: cell}); !resp.OK || resp.Value != 5 {
+		t.Fatalf("aliased flow cell after rejected reset: %+v", resp)
 	}
 }
 
