@@ -184,6 +184,7 @@ type Field struct {
 	bits      int // of a numeric kind
 	off       uintptr
 	omitEmpty bool
+	pos       int // in the schema, which is Report's field order
 }
 
 var (
@@ -212,7 +213,7 @@ func buildSchema() []Field {
 		default:
 			panic("controlplane: the Report_v1 codec has no case for Report." + sf.Name + " (" + sf.Type.String() + ")")
 		}
-		out[i] = Field{name: name, key: `"` + name + `":`, kind: sf.Type.Kind(), off: sf.Offset, omitEmpty: opts == "omitempty"}
+		out[i] = Field{name: name, key: `"` + name + `":`, kind: sf.Type.Kind(), off: sf.Offset, omitEmpty: opts == "omitempty", pos: i}
 		if sf.Type.Kind() != reflect.String {
 			out[i].bits = sf.Type.Bits()
 		}
@@ -223,6 +224,22 @@ func buildSchema() []Field {
 // LookupField returns the schema row for a JSON name, nil when Report_v1
 // has no such field.
 func LookupField(name string) *Field { return fieldByName[name] }
+
+// Fields returns the schema's rows, the string fields apart from the
+// numeric ones, each in Report's field order.
+func Fields() (str, num []*Field) {
+	for i := range schema {
+		if schema[i].kind == reflect.String {
+			str = append(str, &schema[i])
+		} else {
+			num = append(num, &schema[i])
+		}
+	}
+	return str, num
+}
+
+// Pos is the field's position in Fields.
+func (f *Field) Pos() int { return f.pos }
 
 func (f *Field) signed() bool { return f.kind == reflect.Int64 || f.kind == reflect.Int }
 
@@ -262,21 +279,58 @@ func (f *Field) Str(r *Report) string {
 	return *(*string)(unsafe.Add(unsafe.Pointer(r), f.off))
 }
 
-// Float reads a numeric field as the float64 a JSON decoder would have
-// produced for it; 0 for a string field, and for an omitempty field the
-// wire never carried.
-func (f *Field) Float(r *Report) float64 {
+// SetStr writes a string field; a numeric field is left alone.
+func (f *Field) SetStr(r *Report, s string) {
+	if f.kind == reflect.String {
+		*(*string)(unsafe.Add(unsafe.Pointer(r), f.off)) = s
+	}
+}
+
+// Word reads a numeric field as one 64-bit word: a float's IEEE bits (so
+// -0.0 is not 0), an integer's two's complement; 0 for a string field.
+// The word is 0 exactly when the field holds +0, so an omitempty field
+// the wire never carried reads 0.
+func (f *Field) Word(r *Report) uint64 {
 	p := unsafe.Add(unsafe.Pointer(r), f.off)
+	switch f.kind {
+	case reflect.String:
+		return 0
+	case reflect.Float64:
+		return math.Float64bits(*(*float64)(p))
+	}
+	return f.load(p)
+}
+
+// SetWord writes back into a numeric field a word Word read from it; a
+// string field is left alone.
+func (f *Field) SetWord(r *Report, w uint64) {
+	p := unsafe.Add(unsafe.Pointer(r), f.off)
+	switch f.kind {
+	case reflect.String:
+	case reflect.Float64:
+		*(*float64)(p) = math.Float64frombits(w)
+	default:
+		f.store(p, w)
+	}
+}
+
+// WordFloat is Float of a report whose field holds the word w.
+func (f *Field) WordFloat(w uint64) float64 {
 	switch {
 	case f.kind == reflect.String:
 		return 0
 	case f.kind == reflect.Float64:
-		return *(*float64)(p)
+		return math.Float64frombits(w)
 	case f.signed():
-		return float64(int64(f.load(p)))
+		return float64(int64(w))
 	}
-	return float64(f.load(p))
+	return float64(w)
 }
+
+// Float reads a numeric field as the float64 a JSON decoder would have
+// produced for it; 0 for a string field, and for an omitempty field the
+// wire never carried.
+func (f *Field) Float(r *Report) float64 { return f.WordFloat(f.Word(r)) }
 
 // AppendJSONLine appends the report as one NDJSON line, byte for byte
 // what json.Marshal(r) plus '\n' produces (field order, omitempty, the

@@ -127,6 +127,40 @@ func TestFieldAccessors(t *testing.T) {
 	}
 }
 
+// TestFieldWordRoundTrip pins what psarchiver's columns build on: every
+// field survives Word/SetWord or Str/SetStr bit for bit (-0.0, NaN
+// payloads, negative integers, MaxUint64 included).
+func TestFieldWordRoundTrip(t *testing.T) {
+	rng := simtime.NewRNG(24)
+	str, num := Fields()
+	fields := append(str, num...)
+	seen := make(map[int]bool)
+	for _, f := range fields {
+		if seen[f.Pos()] || &schema[f.Pos()] != f {
+			t.Fatalf("%s: Pos %d", f.name, f.Pos())
+		}
+		seen[f.Pos()] = true
+	}
+	if len(seen) != reflect.TypeOf(Report{}).NumField() {
+		t.Fatalf("%d fields in the schema", len(seen))
+	}
+	for i := 0; i < 5000; i++ {
+		r := genReport(rng)
+		var back Report
+		for _, f := range str {
+			f.SetStr(&back, f.Str(&r))
+		}
+		for _, f := range num {
+			f.SetWord(&back, f.Word(&r))
+		}
+		for _, f := range fields {
+			if f.Word(&back) != f.Word(&r) || f.Str(&back) != f.Str(&r) {
+				t.Fatalf("%s: %#x %q read back as %#x %q", f.name, f.Word(&r), f.Str(&r), f.Word(&back), f.Str(&back))
+			}
+		}
+	}
+}
+
 // TestParseJSONLineDeclines lists lines the typed decoder must leave to
 // encoding/json — valid JSON all of them, but not what AppendJSONLine
 // writes — next to their nearest neighbours it must take.

@@ -394,6 +394,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	if cfg.Obs != nil {
 		coord.RegisterObs(cfg.Obs)
 		pipeline.RegisterObs(cfg.Obs)
+		store.RegisterObs(cfg.Obs)
 	}
 
 	// Build the fleet.

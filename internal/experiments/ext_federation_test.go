@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,6 +82,15 @@ func TestRunFederationWitnessStable(t *testing.T) {
 	if !strings.Contains(a.Witness(), "fleet docs=") {
 		t.Fatalf("witness shape: %s", a.Witness())
 	}
+	// `make witness` leaves the federation CSVs out, so this file is what
+	// pins CrossSite's answer: a deterministic change to it fails here.
+	want, err := os.ReadFile(filepath.Join("testdata", "federation_seed42.witness"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Witness() != string(want) {
+		t.Fatalf("witness differs from testdata/federation_seed42.witness:\n--- got ---\n%s--- want ---\n%s", a.Witness(), want)
+	}
 }
 
 func TestRunFederationObsAndRender(t *testing.T) {
@@ -98,6 +108,8 @@ func TestRunFederationObsAndRender(t *testing.T) {
 		"p4_fed_dead_transitions 1",
 		"p4_shipper_alpha_sw2_emitted",
 		"p4_archiver_pipeline_received",
+		fmt.Sprintf("p4_archiver_store_documents %d\n", r.Fleet.Documents),
+		"p4_archiver_store_bytes",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Fatalf("scrape missing %q", want)

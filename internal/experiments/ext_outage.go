@@ -127,7 +127,8 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	ln := faultnet.NewListener()
 	ln.Refuse(true)
 	pipeline := psarchiver.NewPipeline()
-	pipeline.OpenSearchOutput(psarchiver.NewStore())
+	store := psarchiver.NewStore()
+	pipeline.OpenSearchOutput(store)
 	leg, err := newShipLeg(ln, pipeline, cfg.MemSpool, cfg.SpoolDir, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -136,6 +137,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 		leg.shipper.RegisterObs(cfg.Obs)
 		leg.input.RegisterObs(cfg.Obs)
 		pipeline.RegisterObs(cfg.Obs)
+		store.RegisterObs(cfg.Obs)
 	}
 
 	sys := core.NewSystem(core.Options{

@@ -181,6 +181,9 @@ func TestExtOutageObsInvariant(t *testing.T) {
 	if got, want := archiver["pipeline_received"], res.Archived; got != want {
 		t.Errorf("p4_archiver_pipeline_received = %d, harness archived %d", got, want)
 	}
+	if got, want := archiver["store_documents"], res.Archived; got != want || archiver["store_bytes"] == 0 {
+		t.Errorf("p4_archiver_store_documents = %d (store_bytes %d), harness archived %d", got, archiver["store_bytes"], want)
+	}
 }
 
 // scrapeArchiver returns the p4_archiver_* samples keyed by suffix.

@@ -100,47 +100,72 @@ func CrossSite(store *Store, prefix string) FleetAggregate {
 		maxPackets float64
 		sites      map[string]bool
 	}
-	docsByMember := make(map[memberKey]int)
+	siteField, switchField, flowField := controlplane.LookupField("site_id"), controlplane.LookupField("switch_id"), controlplane.LookupField("flow_id")
+	bytesField, packetsField := controlplane.LookupField("bytes"), controlplane.LookupField("packets")
+	// member counts a (site, switch) pair's documents: one per pair of
+	// string-table ids in an index, and one per document with Extra.
+	type member struct {
+		key  memberKey
+		tap  string // "site/switch"
+		docs int
+	}
+	var members []*member
+	newMember := func(c *cursor) *member {
+		key := memberKey{c.str(siteField, "site_id"), c.str(switchField, "switch_id")}
+		m := &member{key: key, tap: key.site + "/" + key.sw}
+		members = append(members, m)
+		return m
+	}
 	flows := make(map[string]*flowObs)
 
-	siteField, switchField := controlplane.LookupField("site_id"), controlplane.LookupField("switch_id")
 	var agg FleetAggregate
 	for _, index := range store.Indices() {
 		if !strings.HasPrefix(index, prefix+"-") {
 			continue
 		}
-		store.scan(Query{Index: index}, func(doc *Document) {
+		byIDs := make(map[uint64]*member)
+		store.scan(Query{Index: index}, func(c *cursor) {
 			agg.Documents++
-			site, sw := doc.str(siteField, "site_id"), doc.str(switchField, "switch_id")
-			if site == "" && sw == "" {
-				agg.Unstamped++
+			var m *member
+			if c.extra == nil {
+				ids := uint64(c.id(siteField))<<32 | uint64(c.id(switchField))
+				if m = byIDs[ids]; m == nil {
+					m = newMember(c)
+					byIDs[ids] = m
+				}
+			} else {
+				m = newMember(c)
+			}
+			m.docs++
+			if m.key == (memberKey{}) || c.str(kindField, "kind") != controlplane.KindFlowSummary {
 				return
 			}
-			docsByMember[memberKey{site, sw}]++
-			if doc.str(kindField, "kind") != controlplane.KindFlowSummary {
-				return
-			}
-			id := doc.Str("flow_id")
+			id := c.str(flowField, "flow_id")
 			if id == "" {
 				return
 			}
-			bytes, _ := doc.Float("bytes")
-			packets, _ := doc.Float("packets")
+			bytes, _ := c.float(bytesField, "bytes")
+			packets, _ := c.float(packetsField, "packets")
 			f := flows[id]
 			if f == nil {
 				f = &flowObs{bySwitch: make(map[string]float64), sites: make(map[string]bool)}
 				flows[id] = f
 			}
-			tap := site + "/" + sw
-			if bytes > f.bySwitch[tap] || f.bySwitch[tap] == 0 {
-				f.bySwitch[tap] = bytes
+			if bytes > f.bySwitch[m.tap] || f.bySwitch[m.tap] == 0 {
+				f.bySwitch[m.tap] = bytes
 			}
 			if packets > f.maxPackets {
 				f.maxPackets = packets
 			}
-			f.sites[site] = true
+			f.sites[m.key.site] = true
 		})
 	}
+	docsByMember := make(map[memberKey]int)
+	for _, m := range members {
+		docsByMember[m.key] += m.docs
+	}
+	agg.Unstamped = docsByMember[memberKey{}]
+	delete(docsByMember, memberKey{})
 
 	// Per-site rollups from the member counts and flow observations.
 	bySite := make(map[string]*SiteAggregate)

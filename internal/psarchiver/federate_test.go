@@ -3,6 +3,8 @@ package psarchiver
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/controlplane"
 )
 
 func flowDoc(site, sw, flow string, bytes, packets float64) Document {
@@ -16,21 +18,29 @@ func flowDoc(site, sw, flow string, bytes, packets float64) Document {
 	}}
 }
 
+// typedFlowDoc is flowDoc as the control plane emits it, read from the
+// store's columns rather than from Extra.
+func typedFlowDoc(site, sw, flow string, bytes, packets uint64) Document {
+	return NewDocument(controlplane.Report{Kind: controlplane.KindFlowSummary, SiteID: site, SwitchID: sw, FlowID: flow, Bytes: bytes, Packets: packets}, nil)
+}
+
 func fleetStore() *Store {
 	s := NewStore()
 	// alpha/sw1 and alpha/sw2 tap the same flows (two tap points on one
 	// path); beta/sw1 sees its own flow. Flow f1 is snapshotted twice by
-	// sw1 (cumulative rounds) — only the fullest snapshot must count.
+	// sw1 (cumulative rounds) — only the fullest snapshot must count. A
+	// member's documents, typed or not, count as one member's.
 	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw1", "f1", 1000, 10))
-	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw1", "f1", 4000, 40))
-	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw2", "f1", 4000, 40))
+	s.Index("p4-psonar-throughput", typedFlowDoc("alpha", "sw1", "f1", 4000, 40))
+	s.Index("p4-psonar-throughput", typedFlowDoc("alpha", "sw2", "f1", 4000, 40))
 	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw1", "f2", 2000, 20))
-	s.Index("p4-psonar-throughput", flowDoc("alpha", "sw2", "f2", 1500, 20))
+	s.Index("p4-psonar-throughput", typedFlowDoc("alpha", "sw2", "f2", 1500, 20))
 	s.Index("p4-psonar-throughput", flowDoc("beta", "sw1", "f3", 6000, 60))
 	// An aggregate document counts toward member accounting but not flows.
-	s.Index("p4-psonar-aggregate", Document{Extra: obj{"kind": "aggregate", "site_id": "beta", "switch_id": "sw1"}})
-	// Unstamped: a single-switch stream sharing the store.
+	s.Index("p4-psonar-aggregate", NewDocument(controlplane.Report{Kind: controlplane.KindAggregate, SiteID: "beta", SwitchID: "sw1"}, nil))
+	// Unstamped: single-switch streams sharing the store.
 	s.Index("p4-psonar-throughput", flowDoc("", "", "legacy", 100, 1))
+	s.Index("p4-psonar-throughput", typedFlowDoc("", "", "legacy", 100, 1))
 	// Outside the prefix: ignored entirely.
 	s.Index("other-throughput", flowDoc("alpha", "sw1", "f9", 1, 1))
 	return s
@@ -38,7 +48,7 @@ func fleetStore() *Store {
 
 func TestCrossSiteRollups(t *testing.T) {
 	agg := CrossSite(fleetStore(), "p4-psonar")
-	if agg.Documents != 8 || agg.Unstamped != 1 {
+	if agg.Documents != 9 || agg.Unstamped != 2 {
 		t.Fatalf("documents=%d unstamped=%d", agg.Documents, agg.Unstamped)
 	}
 	if len(agg.Sites) != 2 || agg.Sites[0].Site != "alpha" || agg.Sites[1].Site != "beta" {

@@ -26,9 +26,10 @@ func schemaKeys() []string {
 // Report_v1's whole schema and whatever else the object carries — reads
 // through Str and Float as it reads from that map: the typed decoder,
 // its hand-off to encoding/json and the typed Document are invisible,
-// also on a second decode through the same interner and when the line
-// comes in through json.Unmarshal. After the metadata filter the four
-// Logstash fields read as stamped.
+// also on a second decode through the same interner, when the line
+// comes in through json.Unmarshal, and on each of those documents
+// stored and searched back out of the store's columns. After the
+// metadata filter the four Logstash fields read as stamped.
 // The seed corpus in testdata/fuzz makes it a plain test under `go test`.
 func FuzzReportLine(f *testing.F) {
 	keys := schemaKeys()
@@ -58,6 +59,11 @@ func FuzzReportLine(f *testing.F) {
 
 		same := func(stage string) {
 			t.Helper()
+			store := NewStore()
+			for _, d := range []*Document{&doc, &again, &viaJSON} {
+				store.Index("i", *d)
+			}
+			stored := store.Search(Query{Index: "i"})
 			check := func(d *Document, k string) {
 				t.Helper()
 				wantStr, _ := want[k].(string)
@@ -69,7 +75,7 @@ func FuzzReportLine(f *testing.F) {
 					t.Fatalf("%s: Float(%q) = %v, %v; the map holds %#v", stage, k, got, ok, want[k])
 				}
 			}
-			for _, d := range []*Document{&doc, &again, &viaJSON} {
+			for _, d := range []*Document{&doc, &again, &viaJSON, &stored[0], &stored[1], &stored[2]} {
 				for _, k := range keys {
 					check(d, k)
 				}

@@ -14,6 +14,21 @@ func (in *TCPInput) RegisterObs(r *obs.Registry) {
 	})
 }
 
+// RegisterObs exposes the store's documents and the bytes of their
+// columns and string tables, read under the read lock at each scrape.
+func (s *Store) RegisterObs(r *obs.Registry) {
+	r.Collect(func(w obs.MetricWriter) {
+		var docs, bytes int
+		s.mu.RLock()
+		for _, ix := range s.indices {
+			docs, bytes = docs+ix.n, bytes+ix.bytes
+		}
+		s.mu.RUnlock()
+		w.Gauge("p4_archiver_store_documents", "Documents in the store, across its indices.", uint64(docs))
+		w.Gauge("p4_archiver_store_bytes", "Bytes of the store's columns and string tables (Extra maps not counted).", uint64(bytes))
+	})
+}
+
 // RegisterObs exposes the pipeline counters as one gauge group read
 // through Stats, whose load order keeps received >= shipped + dropped in
 // every scrape.

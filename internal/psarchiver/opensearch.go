@@ -147,16 +147,47 @@ type Store struct {
 	indices map[string]*index
 }
 
-// index holds its documents by value in append-only segments: a stored
-// document is written once and never moves, so growing an index copies
-// nothing and a scan reads them in place.
+// index keeps its documents as columns, the way OpenSearch keeps doc
+// values: append-only segments, each with one column per Report_v1
+// field, a string field's values as ids into the index's string table.
+// A stored document never moves, and no column holds a pointer for the
+// collector to trace.
 type index struct {
-	segs [][]Document
+	segs []*segment
 	n    int
+
+	strs   []string          // the string table: strs[id], strs[0] = ""
+	ids    map[string]uint32 // its inverse, without ""
+	last   []string          // per field, the previous document's string: most fields repeat it
+	lastID []uint32          // and its id
+
+	bytes int // of the columns and the string table, for RegisterObs
 }
 
+// segment holds up to cap(flags) documents. A column is allocated, at
+// full size, when the first non-zero value of its field lands, and 0 in
+// it reads absent: the zero an omitempty field is never written with
+// (time_ns's presence is flagTime).
+type segment struct {
+	flags []uint8
+	ids   [][]uint32               // per field: string-table ids, for a string field
+	words [][]uint64               // per field: controlplane.Field.Word, for a numeric one
+	extra []map[string]interface{} // per document, allocated for the first with Extra
+}
+
+const (
+	flagTime uint8 = 1 << iota // Document.hasTime
+	flagMeta                   // Document.meta
+)
+
+var (
+	strFields, numFields = controlplane.Fields()
+	columns              = len(strFields) + len(numFields) // per segment, one per field
+	timeNsField          = controlplane.LookupField("time_ns")
+)
+
 // Segments start small, so an index of a few documents costs a few
-// kilobytes, and double up to maxSegmentDocs (~400 KB of documents).
+// kilobytes, and double up to maxSegmentDocs.
 const (
 	minSegmentDocs = 16
 	maxSegmentDocs = 1024
@@ -173,22 +204,72 @@ func (s *Store) Index(name string, doc Document) {
 	defer s.mu.Unlock()
 	ix := s.indices[name]
 	if ix == nil {
-		ix = &index{}
+		ix = &index{strs: []string{""}, ids: make(map[string]uint32), last: make([]string, columns), lastID: make([]uint32, columns)}
 		s.indices[name] = ix
 	}
 	ix.add(&doc)
 }
 
-// add is Index's steady state: one copy into the open segment.
+// add is Index's steady state: the document's non-zero fields into the
+// open segment's columns.
 //
 // p4:hotpath
 func (ix *index) add(doc *Document) {
 	last := len(ix.segs) - 1
-	if last < 0 || len(ix.segs[last]) == cap(ix.segs[last]) {
+	if last < 0 || len(ix.segs[last].flags) == cap(ix.segs[last].flags) {
 		last = ix.grow()
 	}
-	ix.segs[last] = append(ix.segs[last], *doc)
+	seg := ix.segs[last]
+	i, size := len(seg.flags), cap(seg.flags)
+	var fl uint8
+	if doc.hasTime {
+		fl |= flagTime
+	}
+	if doc.meta {
+		fl |= flagMeta
+	}
+	seg.flags = append(seg.flags, fl)
+	for _, f := range strFields {
+		if s, pos := f.Str(&doc.Report), f.Pos(); s != "" {
+			if seg.ids[pos] == nil {
+				seg.ids[pos] = make([]uint32, size)
+				ix.bytes += 4 * size
+			}
+			seg.ids[pos][i] = ix.intern(pos, s)
+		}
+	}
+	for _, f := range numFields {
+		if w, pos := f.Word(&doc.Report), f.Pos(); w != 0 {
+			if seg.words[pos] == nil {
+				seg.words[pos] = make([]uint64, size)
+				ix.bytes += 8 * size
+			}
+			seg.words[pos][i] = w
+		}
+	}
+	if doc.Extra != nil {
+		if seg.extra == nil {
+			seg.extra = make([]map[string]interface{}, size)
+		}
+		seg.extra[i] = doc.Extra
+	}
 	ix.n++
+}
+
+// intern returns s's id in the string table, adding it on first sight.
+func (ix *index) intern(pos int, s string) uint32 {
+	if ix.last[pos] == s {
+		return ix.lastID[pos]
+	}
+	id, ok := ix.ids[s]
+	if !ok {
+		id = uint32(len(ix.strs))
+		ix.strs = append(ix.strs, s)
+		ix.ids[s] = id
+		ix.bytes += len(s) + 16 + 20 // the text, its table slot, its map key and id
+	}
+	ix.last[pos], ix.lastID[pos] = s, id
+	return id
 }
 
 // grow opens the next segment and returns its position.
@@ -197,11 +278,16 @@ func (ix *index) add(doc *Document) {
 func (ix *index) grow() int {
 	size := minSegmentDocs
 	if n := len(ix.segs); n > 0 {
-		if size = 2 * cap(ix.segs[n-1]); size > maxSegmentDocs {
+		if size = 2 * cap(ix.segs[n-1].flags); size > maxSegmentDocs {
 			size = maxSegmentDocs
 		}
 	}
-	ix.segs = append(ix.segs, make([]Document, 0, size))
+	ix.segs = append(ix.segs, &segment{
+		flags: make([]uint8, 0, size),
+		ids:   make([][]uint32, columns),
+		words: make([][]uint64, columns),
+	})
+	ix.bytes += size
 	return len(ix.segs) - 1
 }
 
@@ -227,51 +313,125 @@ func (s *Store) Indices() []string {
 	return out
 }
 
-// scan calls visit, under the read lock and in insertion order, on each
-// stored document matching q. visit must not keep the pointer.
-func (s *Store) scan(q Query, visit func(*Document)) {
-	type term struct {
-		f         *controlplane.Field
-		key, want string
-	}
-	terms := make([]term, 0, len(q.Terms))
-	for k, v := range q.Terms {
-		terms = append(terms, term{controlplane.LookupField(k), k, v})
-	}
-	timeField := controlplane.LookupField(q.TimeField)
+// cursor is a scan's position on one stored document. A rule on a
+// schema field of a document without Extra reads the field's column;
+// any other rule reads the Document, rebuilt once from the columns, with
+// the same str and float a caller's Document answers with.
+type cursor struct {
+	ix    *index
+	seg   *segment
+	i     int
+	extra map[string]interface{} // the document's Extra
+	doc   Document
+	ready bool // doc is document i
+}
 
+func (c *cursor) document() *Document {
+	if !c.ready {
+		c.doc = Document{Extra: c.extra, hasTime: c.seg.flags[c.i]&flagTime != 0, meta: c.seg.flags[c.i]&flagMeta != 0}
+		for _, f := range strFields {
+			f.SetStr(&c.doc.Report, c.ix.strs[c.id(f)])
+		}
+		for _, f := range numFields {
+			f.SetWord(&c.doc.Report, c.word(f))
+		}
+		c.ready = true
+	}
+	return &c.doc
+}
+
+// id reads a string field's id; 0 for "" and for a numeric field.
+func (c *cursor) id(f *controlplane.Field) uint32 {
+	if col := c.seg.ids[f.Pos()]; col != nil {
+		return col[c.i]
+	}
+	return 0
+}
+
+// word reads a numeric field's word; 0 for +0 and for a string field.
+func (c *cursor) word(f *controlplane.Field) uint64 {
+	if col := c.seg.words[f.Pos()]; col != nil {
+		return col[c.i]
+	}
+	return 0
+}
+
+func (c *cursor) str(f *controlplane.Field, key string) string {
+	if f == nil || c.extra != nil {
+		return c.document().str(f, key)
+	}
+	return c.ix.strs[c.id(f)]
+}
+
+func (c *cursor) float(f *controlplane.Field, key string) (float64, bool) {
+	if f == nil || c.extra != nil {
+		return c.document().float(f, key)
+	}
+	v := f.WordFloat(c.word(f))
+	return v, v != 0 || f == timeNsField && c.seg.flags[c.i]&flagTime != 0
+}
+
+// term is one of a query's Terms, with want's string-table id: 0 for ""
+// and for a string the table lacks, which no column holds.
+type term struct {
+	f         *controlplane.Field
+	key, want string
+	id        uint32
+}
+
+// matches is str(t.f, t.key) == t.want, on a column one id comparison.
+func (c *cursor) matches(t *term) bool {
+	if t.f == nil || c.extra != nil {
+		return c.document().str(t.f, t.key) == t.want
+	}
+	return c.id(t.f) == t.id && (t.id != 0 || t.want == "")
+}
+
+// scan calls visit, under the read lock and in insertion order, on each
+// stored document matching q. visit must not keep the cursor.
+func (s *Store) scan(q Query, visit func(*cursor)) {
+	timeField := controlplane.LookupField(q.TimeField)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ix := s.indices[q.Index]
 	if ix == nil {
 		return
 	}
+	terms := make([]term, 0, len(q.Terms))
+	for k, v := range q.Terms {
+		terms = append(terms, term{controlplane.LookupField(k), k, v, ix.ids[v]})
+	}
+	c := cursor{ix: ix}
 	for _, seg := range ix.segs {
+		c.seg = seg
 	docs:
-		for i := range seg {
-			d := &seg[i]
-			for _, t := range terms {
-				if d.str(t.f, t.key) != t.want {
+		for i := range seg.flags {
+			c.i, c.extra, c.ready = i, nil, false
+			if seg.extra != nil {
+				c.extra = seg.extra[i]
+			}
+			for t := range terms {
+				if !c.matches(&terms[t]) {
 					continue docs
 				}
 			}
 			if q.TimeField != "" {
-				t, ok := d.float(timeField, q.TimeField)
+				t, ok := c.float(timeField, q.TimeField)
 				if !ok || (q.FromNs != 0 && t < float64(q.FromNs)) || (q.ToNs != 0 && t >= float64(q.ToNs)) {
 					continue
 				}
 			}
-			visit(d)
+			visit(&c)
 		}
 	}
 }
 
-// Search returns copies of the documents matching the query, in
-// insertion order; changing one does not change what is stored (its
-// Extra map, if it has one, is still the stored document's).
+// Search returns the documents matching the query, in insertion order;
+// changing one does not change what is stored (its Extra map, if it has
+// one, is still the stored document's).
 func (s *Store) Search(q Query) []Document {
 	var out []Document
-	s.scan(q, func(d *Document) { out = append(out, *d) })
+	s.scan(q, func(c *cursor) { out = append(out, *c.document()) })
 	return out
 }
 
@@ -289,8 +449,8 @@ type AggStats struct {
 func (s *Store) Aggregate(q Query, field string) (AggStats, error) {
 	var st AggStats
 	f := controlplane.LookupField(field)
-	s.scan(q, func(d *Document) {
-		v, ok := d.float(f, field)
+	s.scan(q, func(c *cursor) {
+		v, ok := c.float(f, field)
 		if !ok {
 			return
 		}
