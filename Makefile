@@ -20,13 +20,19 @@ vet:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
+# -shuffle=on runs tests in random order (the seed is printed), so a
+# test that leans on another's side effects fails instead of passing by
+# order; the experiment tests share cached runs across parallel tests.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
-# Race-instrumented experiment simulations can exceed go test's default
-# 10-minute per-package timeout on small (1–2 core) runners.
+# The race-instrumented experiment simulations are the slow package:
+# `go test -race ./internal/experiments` takes about 6 minutes on a
+# 2-CPU host with its tests in parallel (13 minutes when they ran one
+# by one), and a 1-CPU runner gets no overlap, so the timeout is raised
+# past go test's 10-minute default.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -shuffle=on -timeout 30m ./...
 
 # bench-test builds and tests the benchmark module. bench/ is a module
 # of its own (BENCHMARK.json's contract), so `./...` above never

@@ -122,9 +122,6 @@ func main() {
 			if *out != "" {
 				return r.SaveCSV(*out)
 			}
-		case "coexistence":
-			r := experiments.RunExtCoexistence(experiments.CoexistenceConfig{Scale: scale, Seed: *seed})
-			fmt.Println(r.Render())
 		case "reconfig":
 			r, err := experiments.RunReconfigUnderLoad(experiments.ReconfigConfig{Seed: *seed})
 			if err != nil {
@@ -172,7 +169,7 @@ func main() {
 	}
 
 	if len(targets) == 1 && targets[0] == "all" {
-		targets = []string{"table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "coexistence", "reconfig"}
+		targets = []string{"table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "reconfig"}
 	}
 	for _, name := range targets {
 		if err := run(name); err != nil {
@@ -199,5 +196,5 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: p4psonar run [-paper] [-shards N] [-out DIR] [-seed N] [-cpuprofile F] [-memprofile F] [-obs-addr ADDR] table1|fig9|fig10|fig11|fig12|fig13|fig14|coexistence|reconfig|scale|federation|all`)
+	fmt.Fprintln(os.Stderr, `usage: p4psonar run [-paper] [-shards N] [-out DIR] [-seed N] [-cpuprofile F] [-memprofile F] [-obs-addr ADDR] table1|fig9|fig10|fig11|fig12|fig13|fig14|reconfig|scale|federation|all`)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/psconfig"
 	"repro/internal/simtime"
@@ -21,7 +23,8 @@ import (
 //	src, dst   host names ("ps-local", "ps1", "dtn2", ...)
 //	interval   ISO-8601 duration between runs (task.Interval)
 //	duration   throughput test length (default PT5S)
-//	count      latency probe count / trace max hops (default 10)
+//	count      latency probe count (1–65535) / trace max hops (1–255);
+//	           default 10
 func (s *System) ApplyPSConfigTemplate(tpl *psconfig.Template) error {
 	// The paper's config-P4 tasks first.
 	cmds, err := tpl.P4Commands()
@@ -82,33 +85,36 @@ func (s *System) ApplyPSConfigTemplate(tpl *psconfig.Template) error {
 			s.Scheduler.ScheduleThroughput(src, dst, simtime.Second, interval, dur,
 				tcp.Config{MSS: 1448})
 		case "latency":
-			count := specInt(task.Spec, "count", 10)
+			count, err := specCount(task.Spec, math.MaxUint16)
+			if err != nil {
+				return fmt.Errorf("core: task %q: %w", name, err)
+			}
 			s.Scheduler.ScheduleLatency(src, dst, simtime.Second, interval,
 				count, 200*simtime.Millisecond)
 		case "trace":
-			hops := specInt(task.Spec, "count", 10)
+			hops, err := specCount(task.Spec, math.MaxUint8)
+			if err != nil {
+				return fmt.Errorf("core: task %q: %w", name, err)
+			}
 			s.Scheduler.ScheduleTrace(src, dst, simtime.Second, interval, hops)
 		}
 	}
 	return nil
 }
 
-func specInt(spec map[string]string, key string, def int) int {
-	v, ok := spec[key]
+// specCount reads a task's "count": 10 when the key is absent, else a
+// decimal in [1, hi]. hi is what the probe header can number: a
+// trace's TTL is 8 bits, a latency probe's IP ID 16.
+func specCount(spec map[string]string, hi int) (int, error) {
+	v, ok := spec["count"]
 	if !ok {
-		return def
+		return 10, nil
 	}
-	n := 0
-	for _, r := range v {
-		if r < '0' || r > '9' {
-			return def
-		}
-		n = n*10 + int(r-'0')
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 || n > hi {
+		return 0, fmt.Errorf("count %q: want an integer in 1–%d", v, hi)
 	}
-	if n == 0 {
-		return def
-	}
-	return n
+	return n, nil
 }
 
 // HostByName resolves a topology host by its name ("dtn-internal",

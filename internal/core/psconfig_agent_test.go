@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -76,6 +77,48 @@ func TestApplyTemplateErrors(t *testing.T) {
 		}
 		if err := s.ApplyPSConfigTemplate(tpl); err == nil {
 			t.Fatalf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestApplyTemplateCounts pins the "count" contract: a missing key is
+// 10, anything that is not an integer the probe header can number is an
+// error naming the task. The 2⁶³ row overflows int64.
+func TestApplyTemplateCounts(t *testing.T) {
+	s := NewSystem(scaledOptions())
+	cases := []struct {
+		typ, count string
+		ok         bool
+	}{
+		{"trace", "", true},
+		{"trace", "1", true},
+		{"trace", "255", true},
+		{"trace", "256", false},
+		{"trace", "0", false},
+		{"trace", "-3", false},
+		{"trace", "ten", false},
+		{"trace", "9223372036854775808", false},
+		{"latency", "65535", true},
+		{"latency", "65536", false},
+		{"latency", "0", false},
+		{"latency", "5x", false},
+	}
+	for _, c := range cases {
+		spec := `"src": "ps-local", "dst": "ps2"`
+		if c.count != "" {
+			spec += `, "count": "` + c.count + `"`
+		}
+		raw := `{"tasks": {"probe": {"type": "` + c.typ + `", "spec": {` + spec + `}}}}`
+		tpl, err := psconfig.ParseTemplate([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s count %q: template parse: %v", c.typ, c.count, err)
+		}
+		err = s.ApplyPSConfigTemplate(tpl)
+		if c.ok && err != nil {
+			t.Errorf("%s count %q: %v", c.typ, c.count, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), `task "probe"`)) {
+			t.Errorf("%s count %q: error %v, want one naming the task", c.typ, c.count, err)
 		}
 	}
 }

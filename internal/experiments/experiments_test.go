@@ -6,29 +6,20 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/controlplane"
 	"repro/internal/simtime"
 )
 
-// quickFig9 is a short fast-scale run shared by several tests; the
-// simulation is deterministic, so one cached run serves them all.
-var (
-	quickFig9Once   sync.Once
-	quickFig9Result *Fig9Result
-)
-
-func quickFig9(t *testing.T) *Fig9Result {
-	t.Helper()
-	quickFig9Once.Do(func() {
-		quickFig9Result = RunFig9(Fig9Config{
-			Duration: 45 * simtime.Second,
-			JoinAt:   15 * simtime.Second,
-		})
-	})
-	return quickFig9Result
-}
+// quickFig9 is a short fast-scale run shared by several parallel tests;
+// the simulation is deterministic, so one cached run serves them all.
+// The tests only read it.
+var quickFig9 = sync.OnceValue(func() *Fig9Result {
+	return RunFig9(Fig9Config{Duration: 45 * simtime.Second, JoinAt: 15 * simtime.Second})
+})
 
 func TestFig9ThreeFlowsVisible(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	if len(r.Throughput) != 3 {
 		t.Fatalf("throughput series for %d destinations, want 3", len(r.Throughput))
 	}
@@ -38,7 +29,8 @@ func TestFig9ThreeFlowsVisible(t *testing.T) {
 }
 
 func TestFig9ConvergesTowardFairShare(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	// After the join, each flow's late throughput should be in the
 	// neighbourhood of the fair share (paper: "around 5 Gbps for each"
 	// with 2 flows; a third joining pulls everyone toward ~3.3 Gbps).
@@ -60,14 +52,16 @@ func TestFig9ConvergesTowardFairShare(t *testing.T) {
 }
 
 func TestFig9JoinCausesLossSpike(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	if !r.JoinLossSpike {
 		t.Fatal("no loss spike observed at the third flow's join (paper: burst overflows the queue)")
 	}
 }
 
 func TestFig9RTTsReflectPaths(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	// Base RTTs are 50/75/100 ms; queueing can add up to the buffer
 	// drain time. Every reported RTT must be >= its base path RTT and
 	// within base + ~2x drain.
@@ -90,7 +84,8 @@ func TestFig9RTTsReflectPaths(t *testing.T) {
 }
 
 func TestFig10UtilizationAndFairnessDip(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	// Link utilisation approaches 1 once flows ramp (paper: "the link
 	// being fully utilized").
 	late := r.Utilization.Between(30*simtime.Second, 46*simtime.Second)
@@ -119,6 +114,7 @@ func TestFig10UtilizationAndFairnessDip(t *testing.T) {
 }
 
 func TestFig11MicroburstImpact(t *testing.T) {
+	t.Parallel()
 	r := RunFig11(Fig11Config{
 		Duration: 30 * simtime.Second,
 		BurstAt:  15 * simtime.Second,
@@ -154,28 +150,22 @@ func TestFig11MicroburstImpact(t *testing.T) {
 	}
 }
 
-var (
-	quickFig12Once   sync.Once
-	quickFig12Result *Fig12Result
-)
-
-func quickFig12(t *testing.T) *Fig12Result {
-	t.Helper()
-	quickFig12Once.Do(func() {
-		quickFig12Result = RunFig12(Fig12Config{Duration: 30 * simtime.Second})
-	})
-	return quickFig12Result
-}
+// quickFig12 is the run both Figure 12 tests read.
+var quickFig12 = sync.OnceValue(func() *Fig12Result {
+	return RunFig12(Fig12Config{Duration: 30 * simtime.Second})
+})
 
 func TestFig12VerdictsCorrect(t *testing.T) {
-	r := quickFig12(t)
+	t.Parallel()
+	r := quickFig12()
 	if !r.Correct() {
 		t.Fatalf("verdicts wrong: got %v, want %v", r.Verdicts, r.Expected)
 	}
 }
 
 func TestFig12SteadyVsFluctuating(t *testing.T) {
-	r := quickFig12(t)
+	t.Parallel()
+	r := quickFig12()
 	dtn2 := "192.168.2.10"
 	dtn3 := "192.168.3.10"
 	// DTN3 pinned at the pacing rate (paper: steady at 500 Mbps —
@@ -197,6 +187,7 @@ func TestFig12SteadyVsFluctuating(t *testing.T) {
 }
 
 func TestFig13IATOrdersOfMagnitude(t *testing.T) {
+	t.Parallel()
 	r := RunFig13(Fig13Config{})
 	if r.IATIncrease < 1000 {
 		t.Fatalf("IAT increase %.0fx, want orders of magnitude", r.IATIncrease)
@@ -207,6 +198,7 @@ func TestFig13IATOrdersOfMagnitude(t *testing.T) {
 }
 
 func TestFig14DetectorOrdering(t *testing.T) {
+	t.Parallel()
 	r := RunFig14(Fig13Config{})
 	if !r.OrderingHolds {
 		t.Fatalf("detector ordering violated: %+v", r.Results)
@@ -214,6 +206,7 @@ func TestFig14DetectorOrdering(t *testing.T) {
 }
 
 func TestTable1AllClaimsHold(t *testing.T) {
+	t.Parallel()
 	r := RunTable1(Table1Config{})
 	if !r.Holds() {
 		t.Fatalf("Table 1 claims not all backed:\n%s", r.Render())
@@ -228,7 +221,8 @@ func TestTable1AllClaimsHold(t *testing.T) {
 }
 
 func TestRendersProduceOutput(t *testing.T) {
-	f9 := quickFig9(t)
+	t.Parallel()
+	f9 := quickFig9()
 	for name, s := range map[string]string{
 		"fig9":  f9.Render(),
 		"fig10": f9.RenderFig10(),
@@ -243,7 +237,8 @@ func TestRendersProduceOutput(t *testing.T) {
 }
 
 func TestFig9SaveCSV(t *testing.T) {
-	r := quickFig9(t)
+	t.Parallel()
+	r := quickFig9()
 	dir := t.TempDir()
 	if err := r.SaveCSV(dir); err != nil {
 		t.Fatal(err)
@@ -251,6 +246,7 @@ func TestFig9SaveCSV(t *testing.T) {
 }
 
 func TestScales(t *testing.T) {
+	t.Parallel()
 	if Paper().Bottleneck() != 10e9 {
 		t.Fatal("paper bottleneck wrong")
 	}
@@ -262,22 +258,44 @@ func TestScales(t *testing.T) {
 	}
 }
 
-// TestFig9Deterministic also runs the exhibit through the sharded
-// front-end (-shards 2 and 4): every flow must stay visible whichever
-// pipe owns it, and the run must stay seed-deterministic.
+// TestFig9Deterministic runs the exhibit through the sharded front-end
+// at 1, 2 and 4 pipes, then at 4 once more. Every flow must stay
+// visible whichever pipe owns it, the reports other than microbursts
+// must not move with the shard count, and the repeat must match its
+// first run in full.
+//
+// Microbursts are the known exception (DESIGN §5.4): each shard's
+// detector sees only its own flows' egress samples from the one
+// bottleneck queue, so at seed 11 one pipe reports one burst, two pipes
+// two and four pipes three. The counts are pinned so that a change to
+// the gap, a fix included, shows up here.
 func TestFig9Deterministic(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	t.Parallel()
+	run := func(shards int) string {
 		cfg := Fig9Config{Scale: Fast(), Duration: 8 * simtime.Second, JoinAt: 3 * simtime.Second, Seed: 11}
 		cfg.Scale.Shards = shards
-		ra := RunFig9(cfg)
-		if len(ra.Throughput) != 3 {
-			t.Fatalf("shards=%d: throughput series for %d destinations, want 3", shards, len(ra.Throughput))
+		r := RunFig9(cfg)
+		if len(r.Throughput) != 3 {
+			t.Fatalf("shards=%d: throughput series for %d destinations, want 3", shards, len(r.Throughput))
 		}
-		sa := fingerprint(ra)
-		sb := fingerprint(RunFig9(cfg))
-		if sa != sb {
-			t.Fatalf("shards=%d: same seed produced different results:\n%s\nvs\n%s", shards, sa, sb)
+		return fingerprint(r)
+	}
+	wantBursts := map[int]int{1: 1, 2: 2, 4: 3}
+	var base, four string
+	for _, shards := range []int{1, 2, 4} {
+		four = run(shards)
+		rest, bursts := splitBursts(four)
+		if n := strings.Count(bursts, "\n"); n != wantBursts[shards] {
+			t.Errorf("shards=%d: %d microbursts, want %d:\n%s", shards, n, wantBursts[shards], bursts)
 		}
+		if shards == 1 {
+			base = rest
+		} else if rest != base {
+			t.Errorf("shards=%d: reports other than microbursts differ from shards=1", shards)
+		}
+	}
+	if run(4) != four {
+		t.Fatal("shards=4: same seed produced different results")
 	}
 }
 
@@ -288,4 +306,17 @@ func fingerprint(r *Fig9Result) string {
 		fmt.Fprintf(&b, "%s|%d|%s|%.6g|%s\n", rep.Kind, rep.TimeNs, rep.Metric, rep.Value, rep.FlowID)
 	}
 	return b.String()
+}
+
+// splitBursts separates a fingerprint's microburst lines from the rest.
+func splitBursts(fp string) (rest, bursts string) {
+	var r, b strings.Builder
+	for _, line := range strings.SplitAfter(fp, "\n") {
+		if strings.HasPrefix(line, controlplane.KindMicroburst+"|") {
+			b.WriteString(line)
+		} else {
+			r.WriteString(line)
+		}
+	}
+	return r.String(), b.String()
 }

@@ -23,6 +23,7 @@ func ciFederation(t *testing.T) FederationConfig {
 }
 
 func TestRunFederationAccounting(t *testing.T) {
+	t.Parallel()
 	r, err := RunFederation(ciFederation(t))
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +69,7 @@ func TestRunFederationAccounting(t *testing.T) {
 }
 
 func TestRunFederationWitnessStable(t *testing.T) {
+	t.Parallel()
 	a, err := RunFederation(ciFederation(t))
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +96,7 @@ func TestRunFederationWitnessStable(t *testing.T) {
 }
 
 func TestRunFederationObsAndRender(t *testing.T) {
+	t.Parallel()
 	cfg := ciFederation(t)
 	cfg.Obs = obs.NewRegistry()
 	r, err := RunFederation(cfg)
@@ -137,12 +140,14 @@ func TestRunFederationObsAndRender(t *testing.T) {
 }
 
 func TestRunFederationRequiresSpool(t *testing.T) {
+	t.Parallel()
 	if _, err := RunFederation(FederationConfig{}); err == nil {
 		t.Fatal("missing SpoolRoot must fail")
 	}
 }
 
 func TestFederationPaperTopology(t *testing.T) {
+	t.Parallel()
 	cfg := FederationPaper("/tmp/x").withDefaults()
 	var switches int
 	for _, s := range cfg.Sites {

@@ -72,6 +72,7 @@ func ladderBalance(vals map[string]uint64) error {
 // the shipper moves records between states under that same lock. A
 // transiently unbalanced scrape is a real race, not test flakiness.
 func TestExtOutageObsInvariant(t *testing.T) {
+	t.Parallel()
 	reg := obs.NewRegistry()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()

@@ -9,6 +9,7 @@ import "testing"
 // jitter RNG is seeded, so the scenario is deterministic in its
 // accounting on every run.
 func TestExtOutageExactAccounting(t *testing.T) {
+	t.Parallel()
 	res, err := RunExtOutage(OutageConfig{SpoolDir: t.TempDir(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +51,7 @@ func TestExtOutageExactAccounting(t *testing.T) {
 
 // TestExtOutageRequiresSpoolDir pins the config contract.
 func TestExtOutageRequiresSpoolDir(t *testing.T) {
+	t.Parallel()
 	if _, err := RunExtOutage(OutageConfig{}); err == nil {
 		t.Fatal("missing SpoolDir must error")
 	}

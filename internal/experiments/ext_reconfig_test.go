@@ -10,6 +10,7 @@ import (
 // storm against the witness, and the generation-boundary escalation
 // check. The name matches the chaos CI job's -run pattern.
 func TestReconfigUnderLoad(t *testing.T) {
+	t.Parallel()
 	res, err := RunReconfigUnderLoad(ReconfigConfig{
 		Packets:            40_000,
 		Writers:            3,
@@ -70,6 +71,7 @@ func TestReconfigUnderLoad(t *testing.T) {
 // the way a busy host does, must each accept exactly the two no-op
 // commands in every five.
 func TestReconfigWireStormCountIsStable(t *testing.T) {
+	t.Parallel()
 	cfg := ReconfigConfig{}.withDefaults()
 	want := uint64(2 * cfg.StormCommands / 5)
 	var wg sync.WaitGroup

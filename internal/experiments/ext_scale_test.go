@@ -8,6 +8,7 @@ import "testing"
 // estimates never undercounting and overcounting within ⌈ε·N⌉ at the
 // configured confidence, eviction folds lossless.
 func TestScaleSweep(t *testing.T) {
+	t.Parallel()
 	res := RunScaleSweep(ScaleSweepConfig{
 		FlowCounts:     []int{5_000, 20_000},
 		PacketsPerFlow: 16,
@@ -58,6 +59,7 @@ func TestScaleSweep(t *testing.T) {
 // pipeline: admission and the sketches are per-shard, the audit reads
 // the merged view.
 func TestScaleSweepSharded(t *testing.T) {
+	t.Parallel()
 	res := RunScaleSweep(ScaleSweepConfig{
 		FlowCounts:     []int{10_000},
 		PacketsPerFlow: 16,

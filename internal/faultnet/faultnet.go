@@ -194,21 +194,22 @@ func (l *Listener) Dials() int {
 
 // Dial returns the client half of a new connection, or ErrRefused
 // while refusal is scripted. The returned conn applies the next queued
-// fault script, if any.
+// fault script, if any. One critical section covers the refusal check
+// and the registration of the new conn, so a Dial falls wholly before
+// or after a Refuse + CutAll partition: none straddles it and escapes
+// the cut.
 func (l *Listener) Dial() (net.Conn, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.dials++
 	if l.closed {
-		l.mu.Unlock()
 		return nil, net.ErrClosed
 	}
 	if l.refusing {
-		l.mu.Unlock()
 		return nil, ErrRefused
 	}
 	if l.refuseN > 0 {
 		l.refuseN--
-		l.mu.Unlock()
 		return nil, ErrRefused
 	}
 	var script Script
@@ -216,29 +217,18 @@ func (l *Listener) Dial() (net.Conn, error) {
 		script = l.scripts[0]
 		l.scripts = l.scripts[1:]
 	}
-	l.mu.Unlock()
-
 	client, server := net.Pipe()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		_ = client.Close()
-		_ = server.Close()
-		return nil, net.ErrClosed
-	}
-	// The non-blocking send happens under mu so Close (which closes
-	// the backlog channel under the same lock ordering) cannot race a
-	// send-on-closed-channel panic.
+	// The non-blocking send happens under mu so Close (which marks the
+	// listener closed under mu before closing the backlog channel)
+	// cannot race a send-on-closed-channel panic.
 	select {
 	case l.backlog <- server:
 		l.conns = append(l.conns, client, server)
 	default:
-		l.mu.Unlock()
 		_ = client.Close()
 		_ = server.Close()
 		return nil, fmt.Errorf("faultnet: accept backlog full")
 	}
-	l.mu.Unlock()
 	if script != nil {
 		return Wrap(client, script), nil
 	}

@@ -344,6 +344,31 @@ func TestRequestLineCap(t *testing.T) {
 	waitCond(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// TestMalformedRequestAnswered: a line that is not a JSON request gets
+// one error response naming it, then the server closes the connection,
+// so the client reads why instead of a bare EOF.
+func TestMalformedRequestAnswered(t *testing.T) {
+	ln := faultnet.NewListener()
+	defer ln.Close()
+	go Serve(ln, NewServer(nil))
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("{\"op\": \n")); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(conn)
+	var resp Response
+	if err := dec.Decode(&resp); err != nil || resp.OK || !strings.Contains(resp.Error, "bad request") {
+		t.Fatalf("malformed request: %+v err=%v", resp, err)
+	}
+	if err := dec.Decode(&resp); err == nil {
+		t.Fatal("connection still open after a malformed request")
+	}
+}
+
 // waitCond polls until cond holds or the test deadline budget runs
 // out — shutdown and delivery are asynchronous, so assertions
 // synchronise on observed state, never on fixed sleeps.

@@ -43,7 +43,8 @@ func serveConn(conn net.Conn, s *Server) {
 		// A final request the peer did not terminate still counts.
 		if line = bytes.TrimSpace(line); len(line) > 0 {
 			var req Request
-			if json.Unmarshal(line, &req) != nil {
+			if err := json.Unmarshal(line, &req); err != nil {
+				_ = enc.Encode(errResp("bad request: %v", err))
 				return
 			}
 			if enc.Encode(s.Handle(req)) != nil {

@@ -10,7 +10,7 @@ import (
 // Config carries the per-connection knobs the experiments turn.
 type Config struct {
 	// CC selects the congestion-control algorithm: "cubic" (default,
-	// the Linux default the testbed DTNs run) or "reno".
+	// the Linux default the testbed DTNs run), "reno" or "bbr".
 	CC string
 	// MSS is the maximum segment payload in bytes. Defaults to 8960,
 	// the payload of a 9000-byte jumbo frame (standard for Science DMZ

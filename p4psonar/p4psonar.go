@@ -132,15 +132,6 @@ func RunFig14(cfg Fig13Config) *Fig14Result { return experiments.RunFig14(cfg) }
 // RunTable1 regenerates the Table 1 comparison.
 func RunTable1(cfg Table1Config) *Table1Result { return experiments.RunTable1(cfg) }
 
-// Coexistence extension (beyond the paper; from its related work).
-type (
-	// CoexistenceConfig parameterises the CUBIC/BBR coexistence and
-	// P4CCI-style identification experiment.
-	CoexistenceConfig = experiments.CoexistenceConfig
-	// CoexistenceResult reports shares and CCA verdicts.
-	CoexistenceResult = experiments.CoexistenceResult
-)
-
 // In-band Network Telemetry extension (AmLight-style, from the paper's
 // related work).
 type (
