@@ -219,18 +219,15 @@ func TestAllocBoundShardedLaunch(t *testing.T) {
 }
 
 // TestAllocFreeGenerationRead pins the reconfiguration model's hot
-// half: pinning a tuning generation (Acquire/Value/Release — the work
-// every packet front does once) allocates nothing, with and without a
-// concurrent history of publishes behind it. Publishing allocates (a
+// half: reading the live tuning generation (the one atomic load and
+// value copy every packet front does) allocates nothing, with and
+// without a history of publishes behind it. Publishing allocates (a
 // new snapshot by design); reading never may.
 func TestAllocFreeGenerationRead(t *testing.T) {
 	dp := dataplane.New(dataplane.Config{})
-	st := dp.TuningStore()
 	var sink uint64
-	assertZeroAllocs(t, "tuning Acquire/Value/Release", func() {
-		g := st.Acquire()
-		sink += g.Value().LongFlowBytes
-		st.Release(g)
+	assertZeroAllocs(t, "tuning read", func() {
+		sink += dp.CurrentTuning().LongFlowBytes
 	})
 	// A published successor must not change the read-side profile.
 	if err := dp.UpdateTuning(func(tn *dataplane.Tuning) error {
@@ -240,9 +237,7 @@ func TestAllocFreeGenerationRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertZeroAllocs(t, "tuning read after publish", func() {
-		g := st.Acquire()
-		sink += g.Value().LongFlowBytes
-		st.Release(g)
+		sink += dp.CurrentTuning().LongFlowBytes
 	})
 	if sink == 0 {
 		t.Fatal("generation reads returned no data")

@@ -18,13 +18,10 @@
 //	          [--shards N] [--spool-dir DIR] [--max-spool BYTES] [--mem-spool N]
 //	          [--backoff-min D] [--backoff-max D] [--write-timeout D]
 //	          [--obs-addr :9600] [--site NAME --switch-id NAME]
-//	          [--coordinator HOST:9559] [--heartbeat 1s]
 //
-// The federation flags make the collector a fleet member (DESIGN.md
-// §5.9): --site/--switch-id stamp every report with the member
-// identity so a shared archiver can attribute documents, and
-// --coordinator registers with a federation coordinator and heartbeats
-// on the --heartbeat interval, reporting the live config generation.
+// --site/--switch-id stamp every report with a fleet member identity
+// (DESIGN.md §5.9) so a shared archiver can attribute documents. The
+// federation coordinator itself runs only in the federation experiment.
 //
 // With --obs-addr the collector serves its own telemetry: Prometheus
 // text at /metrics (pipeline counters, extraction-latency histograms,
@@ -84,8 +81,6 @@ func main() {
 	agingWindow := flag.Duration("aging-window", 0, "evict unannounced flow-table cells idle longer than this to the sketch tier (0 disables aging)")
 	site := flag.String("site", "", "federation site identity stamped into every report as site_id (empty disables stamping)")
 	switchID := flag.String("switch-id", "", "federation switch identity stamped into every report as switch_id")
-	coordinator := flag.String("coordinator", "", "federation coordinator p4runtime address to register and heartbeat with (empty disables)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "heartbeat interval to the federation coordinator")
 	flag.Parse()
 
 	cfg := resilient.Config{
@@ -192,47 +187,6 @@ func main() {
 		defer rtLn.Close()
 		go p4runtime.Serve(rtLn, rtServer)
 		fmt.Fprintf(os.Stderr, "collector: p4runtime on %s\n", rtLn.Addr())
-	}
-
-	// Federation membership (opt-in): register with the coordinator and
-	// heartbeat on a timer, reporting the live config generation so the
-	// coordinator can spot lagging members after a fan-out.
-	if *coordinator != "" {
-		info := p4runtime.MemberInfo{
-			Site: *site, Switch: *switchID,
-			ConfigAddr: *listen,
-			Generation: sys.ControlPlane.ConfigGenerations().Seq,
-		}
-		coord, err := p4runtime.Dial(*coordinator, 5*time.Second)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collector:", err)
-			os.Exit(1)
-		}
-		defer coord.Close()
-		ack, err := coord.MemberRegister(info)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collector: register:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "collector: joined fleet as %s/%s (incarnation %d, fleet seq %d)\n",
-			*site, *switchID, ack.Incarnation, ack.FleetSeq)
-		hbStop := make(chan struct{})
-		defer close(hbStop)
-		go func() {
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-hbStop:
-					return
-				case <-t.C:
-					info.Generation = sys.ControlPlane.ConfigGenerations().Seq
-					if _, err := coord.MemberHeartbeat(info); err != nil {
-						fmt.Fprintln(os.Stderr, "collector: heartbeat:", err)
-					}
-				}
-			}
-		}()
 	}
 
 	// Flush-then-exit on SIGINT/SIGTERM: stop stepping the simulation,

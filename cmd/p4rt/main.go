@@ -11,7 +11,6 @@
 //	p4rt [-addr HOST:9559] flow-read FLOWID REVID     (hex ids from the digests)
 //	p4rt [-addr HOST:9559] table-skip PREFIX          (e.g. 10.9.0.0/16)
 //	p4rt [-addr HOST:9559] stats
-//	p4rt [-addr HOST:9559] members                    (federation coordinator only)
 package main
 
 import (
@@ -91,16 +90,6 @@ func main() {
 		}
 		fmt.Printf("monitor table: skip %s\n", args[1])
 
-	case "members":
-		ms, err := client.MemberList()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-24s %-8s %12s %11s\n", "member", "state", "incarnation", "config_seq")
-		for _, m := range ms {
-			fmt.Printf("%-24s %-8s %12d %11d\n", m.Site+"/"+m.Switch, m.State, m.Incarnation, m.ConfigSeq)
-		}
-
 	case "stats":
 		resp, err := client.Do(p4runtime.Request{Op: p4runtime.OpStats})
 		if err != nil {
@@ -118,7 +107,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: p4rt [-addr HOST:9559] registers|register-read NAME IDX|flow-read ID REV|table-skip PREFIX|stats|members`)
+	fmt.Fprintln(os.Stderr, `usage: p4rt [-addr HOST:9559] registers|register-read NAME IDX|flow-read ID REV|table-skip PREFIX|stats`)
 }
 
 func fatal(err error) {

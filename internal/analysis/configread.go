@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -27,17 +26,9 @@ import (
 // Rule one reports every read of a gen-seed field outside a gen-init
 // function. Writes are excluded: filling defaults in place is the
 // seeding path's business, and a write cannot leak a stale value.
-//
-// Rule two guards the pin protocol itself: a generation store is any
-// type exposing the Acquire/Release/Publish method set (the
-// genconfig.Store contract), and a function that calls Acquire on one
-// without a matching Release pins its generation forever — retirement
-// counters never drain and every superseded snapshot leaks. Handing an
-// acquired generation to a caller is legitimate but rare enough to
-// demand a justified `p4:lint-exempt configread:` line.
 var ConfigReadAnalyzer = &Analyzer{
 	Name: "configread",
-	Doc:  "seed-only config fields (p4:gen-seed) must not be read outside seeding code (p4:gen-init), and every generation Acquire needs a Release",
+	Doc:  "seed-only config fields (p4:gen-seed) must not be read outside seeding code (p4:gen-init)",
 	Run:  runConfigRead,
 }
 
@@ -84,104 +75,36 @@ func runConfigRead(pass *Pass) {
 		}
 	}
 
-	// Phase two: per function, flag seed reads outside gen-init code
-	// and Acquire calls with no Release on any path.
+	// Phase two: per function, flag seed reads outside gen-init code.
 	for _, pkg := range prog.Pkgs {
 		info := pkg.Info
 		parents := pkg.Parents()
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok || fd.Body == nil || commentHas(fd.Doc, genInitMarker) {
 					continue
 				}
-				isInit := commentHas(fd.Doc, genInitMarker)
-				acquires, releases := 0, 0
-				firstAcquire := token.NoPos
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch e := n.(type) {
-					case *ast.CallExpr:
-						switch genStoreCall(info, e) {
-						case "Acquire":
-							acquires++
-							if firstAcquire == token.NoPos {
-								firstAcquire = e.Pos()
-							}
-						case "Release":
-							releases++
-						}
-					case *ast.SelectorExpr:
-						if isInit {
-							return true
-						}
-						s, ok := info.Selections[e]
-						if !ok || s.Kind() != types.FieldVal {
-							return true
-						}
-						obj := s.Obj()
-						if !seedField[obj] {
-							return true
-						}
-						if isAssignTarget(parents, e) {
-							return true
-						}
-						pass.Reportf(e.Pos(), "read of seed-only config field %s bypasses the generation snapshot: the field only seeds generation zero (p4:gen-seed), so this read misses every reconfiguration since boot; pin a generation (Acquire/Value/Release) or mark the enclosing seeding helper p4:gen-init",
-							objectLabel(obj))
+					e, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
 					}
+					s, ok := info.Selections[e]
+					if !ok || s.Kind() != types.FieldVal {
+						return true
+					}
+					obj := s.Obj()
+					if !seedField[obj] || isAssignTarget(parents, e) {
+						return true
+					}
+					pass.Reportf(e.Pos(), "read of seed-only config field %s bypasses the generation snapshot: the field only seeds generation zero (p4:gen-seed), so this read misses every reconfiguration since boot; read the live generation (Store.Current) or mark the enclosing seeding helper p4:gen-init",
+						objectLabel(obj))
 					return true
 				})
-				if acquires > 0 && releases == 0 {
-					pass.Reportf(firstAcquire, "generation acquired in %s but never released: an unreleased generation pins every superseded snapshot (Outstanding never drains); pair each Acquire with a Release on all paths",
-						fd.Name.Name)
-				}
 			}
 		}
 	}
-}
-
-// genStoreCall classifies a call as Acquire/Release on a generation
-// store — a receiver type exposing the Acquire/Release/Publish method
-// set — returning "" for anything else.
-func genStoreCall(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	name := sel.Sel.Name
-	if name != "Acquire" && name != "Release" {
-		return ""
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	if !isGenStoreType(sig.Recv().Type()) {
-		return ""
-	}
-	return name
-}
-
-// isGenStoreType reports whether t (or its pointee) is a named type
-// with Acquire, Release and Publish methods. Named.Origin folds
-// instantiated generics (genconfig.Store[T]) back to one identity.
-func isGenStoreType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	named = named.Origin()
-	have := map[string]bool{}
-	for i := 0; i < named.NumMethods(); i++ {
-		have[named.Method(i).Name()] = true
-	}
-	return have["Acquire"] && have["Release"] && have["Publish"]
 }
 
 // isAssignTarget reports whether the expression is written rather than

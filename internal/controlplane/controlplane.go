@@ -225,7 +225,7 @@ type ControlPlane struct {
 	sink   Sink
 
 	// runtime is the generation store for everything config-P4 can
-	// change at run time. Each extraction tick pins exactly one
+	// change at run time. Each extraction tick loads exactly one
 	// generation and reads every tunable from it (see extract).
 	runtime *genconfig.Store[RuntimeConfig]
 
@@ -349,10 +349,9 @@ func (cp *ControlPlane) MetricConfigFor(m Metric) MetricConfig {
 // generation.
 func (cp *ControlPlane) RuntimeSnapshot() RuntimeConfig { return cp.runtime.Current() }
 
-// ConfigGenerations returns the runtime-config store's generation
-// accounting: Outstanding == 0 proves every superseded generation has
-// drained out of the extraction path.
-func (cp *ControlPlane) ConfigGenerations() genconfig.Counters { return cp.runtime.Counters() }
+// ConfigSeq returns the live runtime-config generation's sequence
+// number: the count of config-P4 updates applied since boot.
+func (cp *ControlPlane) ConfigSeq() uint64 { return cp.runtime.Seq() }
 
 // ActiveFlowCount returns the number of flows currently tracked.
 func (cp *ControlPlane) ActiveFlowCount() int { return len(cp.flows) }
@@ -422,12 +421,10 @@ func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 	// before this tick iterates the directory (no-op on one pipe).
 	cp.dp.Flush()
 	// One generation read per tick: the threshold, escalated rate and
-	// base interval this round uses all come from one pinned immutable
+	// base interval this round uses all come from one immutable
 	// snapshot, so a concurrent config-P4 publish is either entirely
 	// visible to this tick or entirely invisible — never half-applied.
-	gen := cp.runtime.Acquire()
-	defer cp.runtime.Release(gen)
-	mc := gen.Value().MetricConfig(m)
+	mc := cp.runtime.Current().MetricConfig(m)
 	if cp.obs != nil {
 		defer cp.observeExtract(time.Now(), len(cp.flows))
 	}
@@ -550,7 +547,7 @@ func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 }
 
 // retune re-arms a metric's extraction ticker to the interval implied
-// by the generation this tick pinned: the escalated rate while the
+// by the generation this tick read: the escalated rate while the
 // alert policy holds the metric escalated, the base rate otherwise.
 // The SetInterval call is conditional so an unchanged generation (a
 // no-op config storm) leaves the tick schedule — and therefore the
@@ -650,7 +647,7 @@ func (cp *ControlPlane) classifyLimitations(now simtime.Time) {
 // applyAlertPolicy raises an alert and escalates the sampling rate when
 // the metric's maximum observed value crosses the configured threshold,
 // and de-escalates (with 20% hysteresis) when it falls back. mc comes
-// from the generation the calling tick pinned — threshold and
+// from the generation the calling tick read — threshold and
 // escalated rate are always a coherent pair — and the interval change
 // itself happens in retune, from the same snapshot.
 func (cp *ControlPlane) applyAlertPolicy(m Metric, mc MetricConfig, maxValue float64, now simtime.Time) {

@@ -190,8 +190,8 @@ func TestSetRateReconfiguresTicker(t *testing.T) {
 		t.Fatal("bogus metric must error")
 	}
 	// A failed update publishes nothing.
-	if c := cp.ConfigGenerations(); c.Published != 1 {
-		t.Fatalf("published=%d after one valid + two invalid updates", c.Published)
+	if seq := cp.ConfigSeq(); seq != 1 {
+		t.Fatalf("seq=%d after one valid + two invalid updates", seq)
 	}
 }
 
@@ -236,8 +236,8 @@ func TestUpdateTransactional(t *testing.T) {
 	if got := cp.RuntimeSnapshot(); got != before {
 		t.Fatalf("config changed on failed transaction:\n got %+v\nwant %+v", got, before)
 	}
-	if c := cp.ConfigGenerations(); c.Published != 0 {
-		t.Fatalf("published=%d after failed transaction", c.Published)
+	if seq := cp.ConfigSeq(); seq != 0 {
+		t.Fatalf("seq=%d after failed transaction", seq)
 	}
 }
 

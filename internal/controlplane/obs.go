@@ -40,18 +40,9 @@ func (cp *ControlPlane) RegisterObs(r *obs.Registry) {
 	}
 	r.NewGaugeFunc("p4_controlplane_active_flows", "Long flows currently tracked in the directory.",
 		func() uint64 { return uint64(len(cp.flows)) })
-	// Runtime-config generation accounting (DESIGN.md §5.7), one
-	// Counters() snapshot per scrape. It reads lock-free atomics, so
-	// scrapes need no Sync with the engine: outstanding == 0 at any
-	// scrape proves every superseded generation has drained out of the
-	// extraction path.
-	r.Collect(func(w obs.MetricWriter) {
-		c := cp.runtime.Counters()
-		w.Gauge("p4_config_generation_seq", "Sequence number of the live runtime-config generation.", c.Seq)
-		w.Gauge("p4_config_generations_published_total", "Runtime-config generations published by config-P4 updates.", c.Published)
-		w.Gauge("p4_config_generations_retired_total", "Superseded runtime-config generations fully drained.", c.Retired)
-		w.Gauge("p4_config_generations_outstanding", "Superseded runtime-config generations a reader may still pin.", c.Outstanding)
-	})
+	// The live runtime-config generation (DESIGN.md §5.7): one atomic
+	// load, safe whether or not the scrape holds the engine.
+	r.NewGaugeFunc("p4_config_generation_seq", "Sequence number of the live runtime-config generation.", cp.runtime.Seq)
 	cp.obs = o
 	cp.sink = &obsSink{next: cp.sink, o: o}
 }

@@ -188,8 +188,8 @@ type DataPlane struct {
 
 	// tuning publishes the runtime-tunable thresholds as immutable
 	// generations (DESIGN.md §5.7); Pipes shares one store across all
-	// shards. tun is the generation snapshot the current batch pinned —
-	// a plain field, single-writer by the pipe contract, loaded once at
+	// shards. tun is the generation snapshot the current batch loaded —
+	// a plain field, single-writer by the pipe contract, copied once at
 	// each batch front so every packet in the batch sees one coherent
 	// parameter set.
 	tuning *genconfig.Store[Tuning]
@@ -422,7 +422,7 @@ func parseCopy(v *view, c tap.Copy) {
 // measurement and feed the microburst detector. Copies are not retained:
 // the TAP pair may recycle the packet as soon as this returns.
 // ProcessCopy is the front of one: the copy is parsed into the pipe's
-// own one-view front and drained by ProcessFront, so a lone packet pins
+// own one-view front and drained by ProcessFront, so a lone packet loads
 // one tuning generation and sees the monitor table as it is now (a
 // front never outlives the call), exactly like a batch.
 //
@@ -466,12 +466,10 @@ func (d *DataPlane) ProcessFront(f *Front) {
 		return
 	}
 	d.batch.monOK = false
-	// Pin one tuning generation for the whole batch: every view in the
-	// front sees the same thresholds, and the Release below is what
-	// lets a superseded generation retire (the drain proof the
-	// reconfigure-under-load experiment asserts on).
-	g := d.tuning.Acquire()
-	d.tun = g.Value()
+	// Load one tuning generation for the whole batch: every view in the
+	// front sees the same thresholds, even if a handler publishes a new
+	// generation mid-front; the next front reads it.
+	d.tun = d.tuning.Current()
 	var ingress, egress uint64
 	for k := range b {
 		if b[k].point == tap.Ingress {
@@ -484,7 +482,6 @@ func (d *DataPlane) ProcessFront(f *Front) {
 	}
 	d.Stats.IngressCopies += ingress
 	d.Stats.EgressCopies += egress
-	d.tuning.Release(g)
 }
 
 // processIngress executes the per-packet measurement program: byte and

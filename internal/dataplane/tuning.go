@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/genconfig"
 	"repro/internal/simtime"
 )
 
@@ -12,7 +11,7 @@ import (
 // thresholds a control plane may retune while packets flow, as opposed
 // to the compile-time table geometry in Config. It is a pure value, so
 // genconfig can publish it as an immutable generation; the pipeline
-// pins one generation per batch front (and per ProcessCopy) and reads
+// loads one generation per batch front (and per ProcessCopy) and reads
 // every threshold from that snapshot — a reconfiguration is either
 // entirely visible to a batch or entirely invisible (DESIGN.md §5.7).
 type Tuning struct {
@@ -69,7 +68,7 @@ func (t Tuning) Validate() error {
 // validated, and either the complete new generation is installed with
 // one CAS or nothing changes. Safe to call from any goroutine while
 // packets flow; in-flight batches finish on the generation they
-// pinned, and the next batch front reads the new one.
+// loaded, and the next batch front reads the new one.
 func (d *DataPlane) UpdateTuning(mut func(*Tuning) error) error {
 	_, err := d.tuning.Publish(func(cur Tuning) (Tuning, error) {
 		next := cur
@@ -87,15 +86,9 @@ func (d *DataPlane) UpdateTuning(mut func(*Tuning) error) error {
 // CurrentTuning returns a copy of the live tuning generation.
 func (d *DataPlane) CurrentTuning() Tuning { return d.tuning.Current() }
 
-// TuningGenerations returns the tuning store's generation accounting;
-// Outstanding == 0 proves no in-flight batch still reads a superseded
-// generation.
-func (d *DataPlane) TuningGenerations() genconfig.Counters { return d.tuning.Counters() }
-
-// TuningStore exposes the generation store itself, for harnesses that
-// pin generations alongside the pipeline (the reconfigure-under-load
-// experiment's torn-read observers).
-func (d *DataPlane) TuningStore() *genconfig.Store[Tuning] { return d.tuning }
+// TuningSeq returns the live tuning generation's sequence number: the
+// count of successful UpdateTuning calls.
+func (d *DataPlane) TuningSeq() uint64 { return d.tuning.Seq() }
 
 // UpdateTuning publishes a tuning change shared by every shard (the
 // front-end holds one store; the paper's control plane programs all
@@ -105,8 +98,5 @@ func (p *Pipes) UpdateTuning(mut func(*Tuning) error) error { return p.shards[0]
 // CurrentTuning returns a copy of the live tuning generation.
 func (p *Pipes) CurrentTuning() Tuning { return p.shards[0].CurrentTuning() }
 
-// TuningGenerations returns the shared tuning store's accounting.
-func (p *Pipes) TuningGenerations() genconfig.Counters { return p.shards[0].TuningGenerations() }
-
-// TuningStore exposes the shared generation store.
-func (p *Pipes) TuningStore() *genconfig.Store[Tuning] { return p.shards[0].TuningStore() }
+// TuningSeq returns the shared tuning store's sequence number.
+func (p *Pipes) TuningSeq() uint64 { return p.shards[0].TuningSeq() }

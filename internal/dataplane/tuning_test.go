@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/simtime"
 )
 
@@ -37,8 +38,8 @@ func TestUpdateTuningTransactional(t *testing.T) {
 	if d.CurrentTuning() != before {
 		t.Fatalf("failed update changed the live tuning: %+v", d.CurrentTuning())
 	}
-	if c := d.TuningGenerations(); c.Published != 0 {
-		t.Fatalf("failed update published a generation: %+v", c)
+	if seq := d.TuningSeq(); seq != 0 {
+		t.Fatalf("failed update published a generation: seq %d", seq)
 	}
 
 	// A mutation that errors itself publishes nothing either.
@@ -56,8 +57,8 @@ func TestUpdateTuningTransactional(t *testing.T) {
 	if got := d.CurrentTuning().LongFlowBytes; got != 5000 {
 		t.Fatalf("LongFlowBytes=%d after update", got)
 	}
-	if c := d.TuningGenerations(); c.Published != 1 || c.Outstanding != 0 {
-		t.Fatalf("counters after one update: %+v", c)
+	if seq := d.TuningSeq(); seq != 1 {
+		t.Fatalf("seq after one update: %d", seq)
 	}
 }
 
@@ -101,9 +102,6 @@ func TestUpdateTuningChangesLongFlowThreshold(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("new 2 kB threshold not applied: %d announcements", len(events))
 	}
-	if c := d.TuningGenerations(); c.Outstanding != 0 {
-		t.Fatalf("superseded generation never drained: %+v", c)
-	}
 }
 
 func TestPipesShareOneTuningStore(t *testing.T) {
@@ -119,27 +117,43 @@ func TestPipesShareOneTuningStore(t *testing.T) {
 			t.Fatalf("shard %d has a private tuning store", i)
 		}
 	}
-	if c := p.TuningGenerations(); c.Published != 1 {
-		t.Fatalf("counters: %+v", c)
+	if seq := p.TuningSeq(); seq != 1 {
+		t.Fatalf("seq: %d", seq)
 	}
 }
 
 func TestProcessFrontPinsOneGeneration(t *testing.T) {
-	// While a front is mid-flight the pinned generation must be
-	// counted outstanding; after the batch it must retire.
-	d := New(Config{})
-	g := d.TuningStore().Acquire() // simulate an in-flight batch
-	if err := d.UpdateTuning(func(tn *Tuning) error { tn.LongFlowBytes = 9000; return nil }); err != nil {
-		t.Fatal(err)
+	// A publish that lands mid-front — here from the long-flow handler
+	// the front's first packet fires — must not reach the rest of that
+	// front: every view reads the generation loaded at the front's
+	// start, and the lowered threshold applies from the next front.
+	d := New(Config{LongFlowBytes: 1400})
+	var announced []uint16
+	d.OnLongFlow = func(ev LongFlowEvent) {
+		announced = append(announced, ev.Tuple.SrcPort)
+		if err := d.UpdateTuning(func(tn *Tuning) error { tn.LongFlowBytes = 500; return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c := d.TuningGenerations(); c.Outstanding != 1 {
-		t.Fatalf("pinned superseded generation not outstanding: %+v", c)
+	from := func(port uint16) packet.FiveTuple {
+		ft := flow()
+		ft.SrcPort = port
+		return ft
 	}
-	if g.Value().LongFlowBytes == 9000 {
-		t.Fatal("pinned snapshot must keep the old generation's values")
+	f := NewFront(2)
+	f.AppendCopy(ingress(dataPkt(from(40001), 1, 1400, 1), 10)) // crosses 1400 B
+	f.AppendCopy(ingress(dataPkt(from(40002), 1, 600, 2), 20))  // crosses 500 B only
+	d.ProcessFront(f)
+	if got := d.CurrentTuning().LongFlowBytes; got != 500 {
+		t.Fatalf("handler's publish not live: LongFlowBytes=%d", got)
 	}
-	d.TuningStore().Release(g)
-	if c := d.TuningGenerations(); c.Outstanding != 0 {
-		t.Fatalf("generation did not retire on release: %+v", c)
+	if fmt.Sprint(announced) != "[40001]" {
+		t.Fatalf("front saw a mid-front publish: announced %v, want [40001]", announced)
+	}
+	f.Reset()
+	f.AppendCopy(ingress(dataPkt(from(40003), 1, 600, 3), 30))
+	d.ProcessFront(f)
+	if fmt.Sprint(announced) != "[40001 40003]" {
+		t.Fatalf("next front ignored the lowered threshold: announced %v, want [40001 40003]", announced)
 	}
 }

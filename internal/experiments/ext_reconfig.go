@@ -13,7 +13,6 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faultnet"
-	"repro/internal/genconfig"
 	"repro/internal/packet"
 	"repro/internal/psconfig"
 	"repro/internal/replay"
@@ -28,10 +27,10 @@ import (
 //	phase A  tuning storm vs packet path — writers publish hundreds of
 //	         valid and invalid data-plane tuning generations while a
 //	         sharded pipeline ingests a replay stream at full rate;
-//	         observers pin generations concurrently and check every
+//	         observers read generations concurrently and check every
 //	         value they see against the set of published candidates
-//	         (zero torn reads), and the generation counters must drain
-//	         to zero outstanding.
+//	         (zero torn reads), and the generation sequence must count
+//	         exactly the accepted publishes.
 //	phase B  no-op config storm vs witness — the same control-plane
 //	         scenario runs twice, once quiet and once under a config
 //	         storm of no-op, invalid, malformed and fault-injected
@@ -40,16 +39,12 @@ import (
 //	         sequence must advance by exactly the accepted commands.
 //	phase C  generation boundary semantics — raising the rtt alert
 //	         threshold mid-escalation must de-escalate the reporting
-//	         rate at the next tick that pins the new generation, not
+//	         rate at the next tick that reads the new generation, not
 //	         at the next natural rtt transition.
 type ReconfigConfig struct {
-	// Shards is the data-plane pipe count for phase A (default 2).
-	Shards int
 	// Packets is the replay workload size for phase A (default 200k
 	// TAP records).
 	Packets int
-	// Batch is the replay front capacity (default 256).
-	Batch int
 	// Writers and PublishesPerWriter size the phase A tuning storm
 	// (defaults 4 x 75 = 300 publish attempts, a third invalid).
 	Writers            int
@@ -60,21 +55,22 @@ type ReconfigConfig struct {
 	// StormCommands is the phase B wire-command count (default 200,
 	// cycling no-op / invalid / fault-injected / malformed).
 	StormCommands int
-	// Duration is the phase B/C virtual scenario length (default 9s:
-	// rtt degrades at 3s and recovers at 6s).
-	Duration simtime.Time
-	Seed     uint64
+	Seed          uint64
 }
 
+const (
+	// reconfigShards is phase A's data-plane pipe count and
+	// reconfigBatch its replay front capacity.
+	reconfigShards = 2
+	reconfigBatch  = 256
+	// reconfigDuration is the phase B/C virtual scenario length: rtt
+	// degrades at 3s and recovers at 6s.
+	reconfigDuration = 9 * simtime.Second
+)
+
 func (c ReconfigConfig) withDefaults() ReconfigConfig {
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
 	if c.Packets <= 0 {
 		c.Packets = 200_000
-	}
-	if c.Batch <= 0 {
-		c.Batch = 256
 	}
 	if c.Writers <= 0 {
 		c.Writers = 4
@@ -87,9 +83,6 @@ func (c ReconfigConfig) withDefaults() ReconfigConfig {
 	}
 	if c.StormCommands <= 0 {
 		c.StormCommands = 200
-	}
-	if c.Duration <= 0 {
-		c.Duration = 9 * simtime.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -107,7 +100,7 @@ type ReconfigResult struct {
 	TuningAccepted   uint64
 	TuningRejected   uint64
 	TornReads        uint64
-	Tuning           genconfig.Counters
+	TuningSeq        uint64
 
 	// Phase B: witness determinism under a wire-channel storm.
 	StormAccepted    uint64
@@ -117,7 +110,6 @@ type ReconfigResult struct {
 	StormSeqDelta    uint64
 	WitnessReports   int
 	WitnessIdentical bool
-	Runtime          genconfig.Counters
 
 	// Phase C: escalation transitions at generation boundaries.
 	AlertsControl          int
@@ -132,11 +124,9 @@ type ReconfigResult struct {
 func (r *ReconfigResult) Passed() bool {
 	return r.PacketsProcessed == r.PacketsOffered &&
 		r.TornReads == 0 &&
-		r.Tuning.Outstanding == 0 &&
-		r.Tuning.Published == r.TuningAccepted &&
+		r.TuningSeq == r.TuningAccepted &&
 		r.WitnessIdentical &&
 		r.StormSeqDelta == r.StormAccepted &&
-		r.Runtime.Outstanding == 0 &&
 		r.AlertsControl == 1 && r.AlertsRetuned == 1 &&
 		r.EscalatedWindowRetuned < r.EscalatedWindowControl
 }
@@ -148,8 +138,8 @@ func (r *ReconfigResult) Render() string {
 	for _, l := range r.Log {
 		fmt.Fprintf(&b, "  %s\n", l)
 	}
-	fmt.Fprintf(&b, "phase A: packets %d/%d, tuning publishes %d ok / %d rejected, torn reads %d, generations %+v\n",
-		r.PacketsProcessed, r.PacketsOffered, r.TuningAccepted, r.TuningRejected, r.TornReads, r.Tuning)
+	fmt.Fprintf(&b, "phase A: packets %d/%d, tuning publishes %d ok / %d rejected, torn reads %d, generation seq %d\n",
+		r.PacketsProcessed, r.PacketsOffered, r.TuningAccepted, r.TuningRejected, r.TornReads, r.TuningSeq)
 	fmt.Fprintf(&b, "phase B: storm %d ok / %d rejected / %d faulted / %d malformed, seq advanced %d, witness identical %v (%d reports)\n",
 		r.StormAccepted, r.StormRejected, r.StormFaulted, r.StormMalformed, r.StormSeqDelta, r.WitnessIdentical, r.WitnessReports)
 	fmt.Fprintf(&b, "phase C: alerts %d/%d, escalated-window reports control=%d retuned=%d\n",
@@ -250,7 +240,7 @@ func reconfigScenario(cfg ReconfigConfig, retuneAt simtime.Time, storm func(cp *
 		go storm(cp, stormDone.Done)
 	}
 	step := 100 * simtime.Millisecond
-	for vt := step; vt <= cfg.Duration; vt += step {
+	for vt := step; vt <= reconfigDuration; vt += step {
 		// Scripted rtt transitions land exactly on tick boundaries so
 		// every run observes them at the same virtual instant.
 		switch vt {
@@ -276,16 +266,15 @@ func reconfigScenario(cfg ReconfigConfig, retuneAt simtime.Time, storm func(cp *
 
 // runTuningStorm is phase A: a sharded pipeline ingests the replay
 // stream while writers publish tuning generations and observers check
-// every pinned value against the published set.
+// every value they read against the published set.
 func runTuningStorm(cfg ReconfigConfig, res *ReconfigResult) error {
-	pipes := dataplane.NewPipes(dataplane.Config{}, cfg.Shards)
-	store := pipes.TuningStore()
+	pipes := dataplane.NewPipes(dataplane.Config{}, reconfigShards)
 
 	// published is the ground-truth candidate set: writers record every
 	// value they build *inside* the mutation closure, before the store
-	// can publish it, so any generation an observer pins is already in
-	// the set. A pinned value outside the set is a torn read.
-	published := map[dataplane.Tuning]bool{store.Current(): true}
+	// can publish it, so any generation an observer reads is already in
+	// the set. A value read outside the set is a torn read.
+	published := map[dataplane.Tuning]bool{pipes.CurrentTuning(): true}
 	var pubMu sync.Mutex
 
 	var accepted, rejected, torn atomic.Uint64
@@ -336,20 +325,18 @@ func runTuningStorm(cfg ReconfigConfig, res *ReconfigResult) error {
 					return
 				default:
 				}
-				g := store.Acquire()
-				v := g.Value()
+				v := pipes.CurrentTuning()
 				pubMu.Lock()
 				ok := published[v]
 				pubMu.Unlock()
 				if !ok {
 					torn.Add(1)
 				}
-				store.Release(g)
 			}
 		}()
 	}
 
-	run := replay.Runner{Plane: pipes, Batch: cfg.Batch}.Run( //p4:lint-exempt determinism: Runner's wall-clock only stamps Result.Elapsed, which this phase discards; the invariants count packets
+	run := replay.Runner{Plane: pipes, Batch: reconfigBatch}.Run( //p4:lint-exempt determinism: Runner's wall-clock only stamps Result.Elapsed, which this phase discards; the invariants count packets
 		&replay.Synth{Packets: cfg.Packets})
 	writers.Wait()
 	close(stop)
@@ -361,14 +348,14 @@ func runTuningStorm(cfg ReconfigConfig, res *ReconfigResult) error {
 	res.TuningAccepted = accepted.Load()
 	res.TuningRejected = rejected.Load()
 	res.TornReads = torn.Load()
-	res.Tuning = pipes.TuningGenerations()
+	res.TuningSeq = pipes.TuningSeq()
 	wantAttempts := uint64(cfg.Writers * cfg.PublishesPerWriter)
 	if res.TuningAccepted+res.TuningRejected != wantAttempts {
 		return fmt.Errorf("experiments: tuning storm lost attempts: %d accepted + %d rejected != %d",
 			res.TuningAccepted, res.TuningRejected, wantAttempts)
 	}
 	res.Log = append(res.Log, fmt.Sprintf(
-		"phase A: %d-shard replay of %d records under %d tuning publishes", cfg.Shards, cfg.Packets, wantAttempts))
+		"phase A: %d-shard replay of %d records under %d tuning publishes", reconfigShards, cfg.Packets, wantAttempts))
 	return nil
 }
 
@@ -464,8 +451,7 @@ func RunReconfigUnderLoad(cfg ReconfigConfig) (*ReconfigResult, error) {
 	// Phase B: identical scenario, quiet vs under storm. Every storm
 	// command is a no-op, a reject or a fault, so the report stream —
 	// the witness — must not change by a single byte.
-	quietSink, quietCP := reconfigScenario(cfg, 0, nil)
-	seqBefore := uint64(0) // a fresh control plane starts at generation 0
+	quietSink, _ := reconfigScenario(cfg, 0, nil)
 	stormSink, stormCP := reconfigScenario(cfg, 0, runWireStorm(cfg, res))
 	quiet, err := json.Marshal(quietSink.Reports)
 	if err != nil {
@@ -477,21 +463,20 @@ func RunReconfigUnderLoad(cfg ReconfigConfig) (*ReconfigResult, error) {
 	}
 	res.WitnessReports = len(quietSink.Reports)
 	res.WitnessIdentical = bytes.Equal(quiet, stormed)
-	res.Runtime = stormCP.ConfigGenerations()
-	res.StormSeqDelta = res.Runtime.Seq - seqBefore
+	// A fresh control plane starts at generation 0.
+	res.StormSeqDelta = stormCP.ConfigSeq()
 	res.Log = append(res.Log, fmt.Sprintf(
 		"phase B: %d reports under a %d-command storm", len(stormSink.Reports), cfg.StormCommands))
 
 	// Phase C: the escalated window after the threshold raise. The
 	// control run keeps threshold 30 and stays escalated until rtt
 	// recovers at 6s; the retuned run publishes threshold 100 at 5s
-	// and must de-escalate at the first tick pinning that generation.
+	// and must de-escalate at the first tick reading that generation.
 	retunedSink, _ := reconfigScenario(cfg, 5*simtime.Second, nil)
 	res.AlertsControl = len(quietSink.ByKind(controlplane.KindAlert))
 	res.AlertsRetuned = len(retunedSink.ByKind(controlplane.KindAlert))
 	res.EscalatedWindowControl = rttReportsIn(quietSink, 5400*simtime.Millisecond, 6400*simtime.Millisecond)
 	res.EscalatedWindowRetuned = rttReportsIn(retunedSink, 5400*simtime.Millisecond, 6400*simtime.Millisecond)
-	_ = quietCP
 	res.Log = append(res.Log, fmt.Sprintf(
 		"phase C: escalated-window rtt reports %d (threshold 30) vs %d (raised to 100 at 5s)",
 		res.EscalatedWindowControl, res.EscalatedWindowRetuned))

@@ -40,6 +40,3 @@ func (m *MemberRuntime) Seq() uint64 { return m.store.Seq() }
 
 // Snapshot returns the live runtime config.
 func (m *MemberRuntime) Snapshot() controlplane.RuntimeConfig { return m.store.Current() }
-
-// Counters exposes the underlying generation accounting.
-func (m *MemberRuntime) Counters() genconfig.Counters { return m.store.Counters() }

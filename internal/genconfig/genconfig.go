@@ -1,19 +1,16 @@
-// Package genconfig is the repository's RCU-style configuration
-// publication primitive, modelled on yanet2's cp_config_gen idiom
-// (SNIPPETS.md snippets 1–3): all runtime-tunable state lives in an
-// immutable Generation snapshot published through a single atomic
-// pointer. Readers pin the live generation once per work quantum (one
-// control-plane tick, one batch front), read every field from that one
-// snapshot, and release it; writers build a complete successor off the
-// current snapshot and install it with one compare-and-swap.
+// Package genconfig is the repository's configuration publication
+// primitive: all runtime-tunable state lives in an immutable snapshot
+// published through a single atomic pointer. A reader loads the live
+// snapshot once per work quantum (one control-plane tick, one batch
+// front) and reads every field from that copy; a writer builds a
+// complete successor off the current snapshot and installs it with one
+// compare-and-swap.
 //
 // The discipline makes two failure modes structurally impossible:
 //
-//   - Torn reads. A reader holds exactly one *Gen for the whole
-//     quantum, and a Gen's value is never mutated after publication,
-//     so every (field A, field B) pair a reader observes comes from
-//     the same published snapshot — there is no instant at which half
-//     of a reconfiguration is visible.
+//   - Torn reads. A published value is never mutated, so the copy a
+//     reader takes comes from exactly one generation — there is no
+//     instant at which half of a reconfiguration is visible.
 //
 //   - Partial application. Publish runs the caller's build function
 //     against a scratch copy; an error publishes nothing, and the CAS
@@ -21,53 +18,17 @@
 //     the CAS race rebuild against the winner's snapshot and retry, so
 //     every published generation is a complete, validated state.
 //
-// Retirement is the drain proof: when a generation is superseded and
-// its last reader releases it, the store's retire counter advances.
-// Counters().Outstanding == 0 therefore certifies that no reader can
-// still observe any pre-reconfiguration value.
+// No reader holds a reference into the store, so there is nothing to
+// release: a superseded generation is garbage once the pointer moves.
 package genconfig
 
 import "sync/atomic"
 
-// Gen is one immutable configuration generation. The value is written
-// exactly once (before the generation is published) and never mutated
-// afterwards; readers share the pointer and copy the value out.
-type Gen[T any] struct {
+// gen is one published generation. Its value is written exactly once,
+// before the pointer to it is stored, and never mutated afterwards.
+type gen[T any] struct {
 	val T
 	seq uint64
-
-	// readers counts Acquire pins not yet Released.
-	readers atomic.Int64
-	// superseded is set once a successor generation has been published.
-	superseded atomic.Bool
-	// retired latches the one transition into the store's retire
-	// counter (several goroutines can race to retire; exactly one
-	// wins the CAS).
-	retired atomic.Bool
-}
-
-// Seq returns the generation's sequence number (0 for the initial
-// generation; each successful Publish increments it by one).
-func (g *Gen[T]) Seq() uint64 { return g.seq }
-
-// Value returns a copy of the generation's snapshot. The copy shares
-// nothing with the store, so callers may hold it past Release.
-func (g *Gen[T]) Value() T { return g.val }
-
-// Counters is a snapshot of a store's generation accounting.
-type Counters struct {
-	// Seq is the live generation's sequence number.
-	Seq uint64
-	// Published counts successful Publish calls (generation 0 from
-	// NewStore is not counted).
-	Published uint64
-	// Retired counts superseded generations whose last reader has
-	// released them.
-	Retired uint64
-	// Outstanding is Published - Retired: superseded generations that
-	// may still be pinned by a reader. Zero proves every old
-	// generation has drained.
-	Outstanding uint64
 }
 
 // Store publishes immutable generations of a config value T. T must be
@@ -75,73 +36,28 @@ type Counters struct {
 // of T must share nothing with the original, or the immutability
 // argument above does not hold.
 //
-// All methods are safe for concurrent use. Acquire/Release are
-// allocation-free (the per-packet benchmark gate depends on this);
-// Publish allocates one Gen per successful installation and runs off
-// the packet path.
+// All methods are safe for concurrent use. Current and Seq are one
+// atomic load and allocate nothing (the per-packet benchmark gate
+// depends on this); Publish allocates one generation per successful
+// installation and runs off the packet path.
 type Store[T any] struct {
-	cur       atomic.Pointer[Gen[T]]
-	published atomic.Uint64
-	retired   atomic.Uint64
+	cur atomic.Pointer[gen[T]]
 }
 
 // NewStore returns a store whose generation 0 holds initial.
 func NewStore[T any](initial T) *Store[T] {
 	s := &Store[T]{}
-	s.cur.Store(&Gen[T]{val: initial})
+	s.cur.Store(&gen[T]{val: initial})
 	return s
 }
 
-// Acquire pins the live generation and returns it. The caller must
-// Release the same pointer when its work quantum ends; between the two
-// calls every configuration read must come from the returned Gen. The
-// pin-then-revalidate loop guarantees the returned generation was the
-// live one at some instant after the pin was visible, so a concurrent
-// Publish either sees the reader (and defers retirement) or happened
-// entirely before the acquire.
-func (s *Store[T]) Acquire() *Gen[T] {
-	for {
-		g := s.cur.Load()
-		g.readers.Add(1)
-		if s.cur.Load() == g {
-			return g
-		}
-		// A publish raced between the load and the pin: the pin may
-		// have landed on an already-superseded generation after its
-		// retirement check. Undo and retry on the new head.
-		s.release(g)
-	}
-}
-
-// Release unpins a generation returned by Acquire. When the last
-// reader of a superseded generation leaves, the generation retires and
-// the store's retire counter advances.
-func (s *Store[T]) Release(g *Gen[T]) { s.release(g) }
-
-func (s *Store[T]) release(g *Gen[T]) {
-	if g.readers.Add(-1) == 0 && g.superseded.Load() {
-		s.tryRetire(g)
-	}
-}
-
-// tryRetire advances the retire counter exactly once per generation,
-// and only when no reader holds a pin. A stale Acquire may briefly
-// re-pin a retired generation during its revalidation loop; it never
-// returns it to a caller, so retirement remains the "no consumer can
-// observe this snapshot" certificate.
-func (s *Store[T]) tryRetire(g *Gen[T]) {
-	if g.readers.Load() == 0 && g.retired.CompareAndSwap(false, true) {
-		s.retired.Add(1)
-	}
-}
-
-// Current returns a copy of the live generation's value: the
-// single-atomic-load form of Acquire+Value+Release for callers whose
-// whole quantum is one read. The copy is torn-free for the same reason
-// a pinned read is — the snapshot behind the pointer never mutates.
+// Current returns a copy of the live generation's value. The copy
+// shares nothing with the store, so a reader may keep it for its whole
+// quantum while writers publish successors.
 func (s *Store[T]) Current() T { return s.cur.Load().val }
 
-// Seq returns the live generation's sequence number.
+// Seq returns the live generation's sequence number: 0 for the initial
+// generation, and each successful Publish increments it by one.
 func (s *Store[T]) Seq() uint64 { return s.cur.Load().seq }
 
 // Publish installs a new generation built by build, which receives a
@@ -158,34 +74,9 @@ func (s *Store[T]) Publish(build func(cur T) (T, error)) (uint64, error) {
 		if err != nil {
 			return old.seq, err
 		}
-		ng := &Gen[T]{val: next, seq: old.seq + 1}
-		if !s.cur.CompareAndSwap(old, ng) {
-			continue
+		ng := &gen[T]{val: next, seq: old.seq + 1}
+		if s.cur.CompareAndSwap(old, ng) {
+			return ng.seq, nil
 		}
-		s.published.Add(1)
-		// Readers already pinned on old keep reading it coherently;
-		// mark it superseded and retire it now if it is unread.
-		old.superseded.Store(true)
-		if old.readers.Load() == 0 {
-			s.tryRetire(old)
-		}
-		return ng.seq, nil
-	}
-}
-
-// Counters returns the store's generation accounting. Outstanding == 0
-// proves every superseded generation has drained (no reader can still
-// observe pre-publish values).
-func (s *Store[T]) Counters() Counters {
-	// Load retired before published: a concurrent publish+retire
-	// between the two loads can then only make Outstanding read high
-	// (never negative), keeping the drain certificate conservative.
-	retired := s.retired.Load()
-	published := s.published.Load()
-	return Counters{
-		Seq:         s.cur.Load().seq,
-		Published:   published,
-		Retired:     retired,
-		Outstanding: published - retired,
 	}
 }

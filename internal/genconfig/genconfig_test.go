@@ -46,50 +46,14 @@ func TestPublishErrorChangesNothing(t *testing.T) {
 	if got := s.Current(); got != (pair{7, 7}) {
 		t.Fatalf("config changed on failed publish: %+v", got)
 	}
-	c := s.Counters()
-	if c.Published != 0 || c.Seq != 0 {
-		t.Fatalf("counters moved on failed publish: %+v", c)
-	}
-}
-
-func TestAcquireReleaseRetires(t *testing.T) {
-	s := NewStore(pair{A: 1})
-	g := s.Acquire()
-	if _, err := s.Publish(func(cur pair) (pair, error) { cur.A = 2; return cur, nil }); err != nil {
-		t.Fatal(err)
-	}
-	// The old generation is pinned: superseded but not retired.
-	c := s.Counters()
-	if c.Published != 1 || c.Retired != 0 || c.Outstanding != 1 {
-		t.Fatalf("pinned counters: %+v", c)
-	}
-	// The pinned snapshot still reads the old value coherently.
-	if g.Value() != (pair{A: 1}) {
-		t.Fatalf("pinned value = %+v", g.Value())
-	}
-	s.Release(g)
-	c = s.Counters()
-	if c.Retired != 1 || c.Outstanding != 0 {
-		t.Fatalf("after release: %+v", c)
-	}
-}
-
-func TestUnreadGenerationRetiresOnPublish(t *testing.T) {
-	s := NewStore(pair{})
-	for i := 0; i < 5; i++ {
-		if _, err := s.Publish(func(cur pair) (pair, error) { cur.A++; return cur, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := s.Counters()
-	if c.Published != 5 || c.Retired != 5 || c.Outstanding != 0 {
-		t.Fatalf("counters: %+v", c)
+	if s.Seq() != 0 {
+		t.Fatalf("seq moved on failed publish: %d", s.Seq())
 	}
 }
 
 // TestConcurrentPublishersSerialize proves the CAS loop loses no
 // update: N goroutines each add 1 to a counter field, and the final
-// value is exactly N with exactly N publishes.
+// value is exactly N at sequence number N.
 func TestConcurrentPublishersSerialize(t *testing.T) {
 	const writers, each = 8, 200
 	s := NewStore(pair{})
@@ -114,18 +78,14 @@ func TestConcurrentPublishersSerialize(t *testing.T) {
 	if got := s.Current(); got.A != writers*each || got.B != writers*each {
 		t.Fatalf("lost updates: %+v", got)
 	}
-	c := s.Counters()
-	if c.Published != writers*each || c.Seq != writers*each {
-		t.Fatalf("counters: %+v", c)
-	}
-	if c.Outstanding != 0 {
-		t.Fatalf("outstanding after quiesce: %+v", c)
+	if s.Seq() != writers*each {
+		t.Fatalf("seq = %d, want %d", s.Seq(), writers*each)
 	}
 }
 
-// TestNoTornReadsUnderStorm runs readers (pinned and Current) against
-// concurrent publishers that always keep A == B. Any observation with
-// A != B is a torn read.
+// TestNoTornReadsUnderStorm runs Current readers against concurrent
+// publishers that always keep A == B. Any observation with A != B is a
+// torn read.
 func TestNoTornReadsUnderStorm(t *testing.T) {
 	s := NewStore(pair{})
 	done := make(chan struct{})
@@ -139,13 +99,6 @@ func TestNoTornReadsUnderStorm(t *testing.T) {
 				case <-done:
 					return
 				default:
-				}
-				g := s.Acquire()
-				v := g.Value()
-				s.Release(g)
-				if v.A != v.B {
-					t.Errorf("torn pinned read: %+v", v)
-					return
 				}
 				if v := s.Current(); v.A != v.B {
 					t.Errorf("torn Current read: %+v", v)
@@ -170,56 +123,20 @@ func TestNoTornReadsUnderStorm(t *testing.T) {
 	writers.Wait()
 	close(done)
 	readers.Wait()
-	c := s.Counters()
-	if c.Outstanding != 0 {
-		t.Fatalf("generations leaked: %+v", c)
-	}
-	if c.Retired != c.Published {
-		t.Fatalf("retired %d != published %d", c.Retired, c.Published)
-	}
 }
 
-// TestAcquireReleaseAllocFree pins the hot-path contract: pinned reads
-// allocate nothing (Publish may allocate; it is off the packet path).
+// TestAcquireReleaseAllocFree pins the hot-path contract: reading the
+// live generation allocates nothing (Publish may allocate; it is off
+// the packet path).
 func TestAcquireReleaseAllocFree(t *testing.T) {
 	s := NewStore(pair{A: 3, B: 3})
 	var sink uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		g := s.Acquire()
-		sink += g.Value().A
-		s.Release(g)
-		sink += s.Current().B
+		v := s.Current()
+		sink += v.A + v.B + s.Seq()
 	})
 	if allocs != 0 {
-		t.Fatalf("pinned read allocates %.1f/op (sink=%d)", allocs, sink)
-	}
-}
-
-// TestStaleAcquireRetries proves a reader that pins a generation just
-// as it is superseded retries onto the new head rather than returning
-// a retired snapshot — and that the accounting still balances.
-func TestStaleAcquireRetries(t *testing.T) {
-	s := NewStore(pair{})
-	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				g := s.Acquire()
-				s.Release(g)
-			}
-		}()
-	}
-	for i := 0; i < 2000; i++ {
-		if _, err := s.Publish(func(cur pair) (pair, error) { cur.A++; cur.B++; return cur, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	c := s.Counters()
-	if c.Outstanding != 0 || c.Retired != c.Published {
-		t.Fatalf("accounting off after churn: %+v", c)
+		t.Fatalf("generation read allocates %.1f/op (sink=%d)", allocs, sink)
 	}
 }
 

@@ -176,7 +176,7 @@ func TestApplyFailingAllMetricsChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := cp.ConfigGenerations().Published
+	gens := cp.ConfigSeq()
 
 	over := fmt.Sprintf("%g", controlplane.MaxSamplesPerSecond*2)
 	cmd, err := ParseConfigP4([]string{"--samples_per_second", over})
@@ -194,7 +194,7 @@ func TestApplyFailingAllMetricsChangesNothing(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("failed command mutated config:\nbefore %s\nafter  %s", before, after)
 	}
-	if got := cp.ConfigGenerations().Published; got != gens {
+	if got := cp.ConfigSeq(); got != gens {
 		t.Fatalf("failed command published a generation: %d -> %d", gens, got)
 	}
 }

@@ -37,19 +37,21 @@ func (c Command) ToWire() WireCommand {
 	return w
 }
 
-// FromWire reconstructs a Command, re-validating every field.
+// FromWire reconstructs a Command, re-validating every field: each
+// field the sender set (non-zero) goes through ParseConfigP4, so the
+// wire accepts exactly what the CLI does.
 func FromWire(w WireCommand) (Command, error) {
 	var args []string
 	if w.Metric != "" {
 		args = append(args, "--metric", w.Metric)
 	}
-	if w.SamplesPerSecond > 0 {
+	if w.SamplesPerSecond != 0 {
 		args = append(args, "--samples_per_second", fmt.Sprintf("%g", w.SamplesPerSecond))
 	}
 	if w.Alert {
 		args = append(args, "--alert")
 	}
-	if w.Threshold > 0 {
+	if w.Threshold != 0 {
 		args = append(args, "--threshold", fmt.Sprintf("%g", w.Threshold))
 	}
 	return ParseConfigP4(args)

@@ -28,6 +28,11 @@ head_sha=$(git rev-parse HEAD)
 git diff --quiet HEAD -- || head_sha="$head_sha+uncommitted"
 work="$root/.bench_build/pairs"
 base_dir="$work/base-$base_sha"
+# One exported base at a time: another BASE's tree copy goes, this one's
+# is refreshed in place (so repeated calls with one BASE reuse its build).
+for d in "$work"/base-*; do
+	[ "$d" = "$base_dir" ] || rm -rf "$d"
+done
 mkdir -p "$base_dir"
 git archive "$base_sha" | tar -x -C "$base_dir"
 
