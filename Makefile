@@ -118,13 +118,12 @@ scale:
 	$(GO) run ./cmd/p4psonar run scale
 
 # federation runs the fleet scenario end to end: the CI-sized 2×2
-# topology under -race (registration, fan-out, member-kill/rejoin,
-# exact cross-site accounting, byte-stable witness), then the CLI
-# wiring through cmd/p4psonar. The nightly workflow runs the
-# 10-switch -paper topology.
+# topology under -race (member partition, spill and replay, exact
+# cross-site accounting, byte-stable witness), then the CLI wiring
+# through cmd/p4psonar. The nightly workflow runs the 10-switch -paper
+# topology.
 federation:
 	$(GO) test -race -timeout 10m -run 'TestRunFederation|TestFederationPaper' ./internal/experiments
-	$(GO) test -race -timeout 10m -run 'TestMembership|TestServeShutdown' ./internal/p4runtime
 	$(GO) run ./cmd/p4psonar run federation
 
 # docs keeps the prose honest: every make target, CLI flag and obs
@@ -137,11 +136,13 @@ docs:
 # witness reruns every experiment at seed 42 and diffs stdout and the
 # CSVs against the committed results/, byte for byte: the standing
 # rule that a change which claims to keep the experiments' output
-# keeps it. The federation CSVs come from `run federation`, not `all`.
+# keeps it. The federation CSVs come from the paper-scale `run
+# federation` (about 2 s), not `all`.
 witness:
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/p4psonar run -seed 42 -out $$tmp all > $$tmp/run_all.txt && \
-	diff -r -x 'federation_*' results $$tmp; \
+	$(GO) run ./cmd/p4psonar run -paper -seed 42 -out $$tmp federation > /dev/null && \
+	diff -r results $$tmp; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 ci: build vet test race bench-test lint docs witness

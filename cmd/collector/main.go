@@ -20,8 +20,7 @@
 //	          [--obs-addr :9600] [--site NAME --switch-id NAME]
 //
 // --site/--switch-id stamp every report with a fleet member identity
-// (DESIGN.md §5.9) so a shared archiver can attribute documents. The
-// federation coordinator itself runs only in the federation experiment.
+// (DESIGN.md §5.9) so a shared archiver can attribute documents.
 //
 // With --obs-addr the collector serves its own telemetry: Prometheus
 // text at /metrics (pipeline counters, extraction-latency histograms,

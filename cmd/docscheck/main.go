@@ -216,7 +216,7 @@ var metricLiteralRe = regexp.MustCompile(`"(p4_[a-z0-9_]+)`)
 // metricsInventory harvests every metric-shaped string literal from
 // the non-test Go sources under dirs. The result is the generated
 // inventory documented metric names are verified against: literals
-// registered whole (p4_fed_members) and prefixes handed to
+// registered whole (p4_archiver_store_documents) and prefixes handed to
 // prefix-parameterised registrations (p4_shipper → the per-member
 // p4_shipper_<site>_<switch>_* families).
 func metricsInventory(dirs []string) (map[string]bool, error) {
@@ -250,14 +250,14 @@ func metricsInventory(dirs []string) (map[string]bool, error) {
 }
 
 // docMetricRe finds metric-shaped tokens inside documentation code
-// regions, including glob-style family references (p4_fed_*).
+// regions, including glob-style family references (p4_pipes_*).
 var docMetricRe = regexp.MustCompile(`\bp4_[a-z0-9_]+\*?`)
 
 // knownMetric reports whether a documented metric name resolves
 // against the inventory: exactly; as a suffixed expansion of a
 // registered name or prefix (prefix-parameterised shipper families,
 // histogram _bucket/_sum/_count series); or, for a glob family
-// reference like "p4_fed_*", when at least one registered name
+// reference like "p4_pipes_*", when at least one registered name
 // carries the prefix.
 func knownMetric(name string, metrics map[string]bool) bool {
 	if glob, ok := strings.CutSuffix(name, "*"); ok {

@@ -287,7 +287,7 @@ func inPanicArg(info *types.Info, parents parentMap, n ast.Node) bool {
 
 // recycledSlices collects local variables initialised from a slice trim
 // (buf := x[:0] or buf := x[:n]): appending into one reuses retained
-// capacity, the packet arena's idiom for SACK/INT scratch.
+// capacity, the packet arena's idiom for SACK scratch.
 func recycledSlices(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

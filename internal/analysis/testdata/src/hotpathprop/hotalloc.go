@@ -72,7 +72,7 @@ func goodSelfAppend(r *Record, v uint64) {
 }
 
 // goodTrimmedScratch appends into a locally trimmed buffer, the packet
-// arena's SACK/INT recycling pattern.
+// arena's SACK recycling pattern.
 //
 // p4:hotpath
 func goodTrimmedScratch(r *Record, vs []uint64) {

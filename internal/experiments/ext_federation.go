@@ -2,21 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/controlplane"
 	"repro/internal/dataplane"
 	"repro/internal/faultnet"
-	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/p4runtime"
 	"repro/internal/psarchiver"
-	"repro/internal/psconfig"
 	"repro/internal/replay"
 	"repro/internal/resilient"
 	"repro/internal/simtime"
@@ -25,23 +20,18 @@ import (
 // This file implements the fleet federation experiment (DESIGN.md
 // §5.9): N simulated switches across multiple sites — each its own
 // dataplane.Pipes fed by the replay front-end, its own identity-
-// stamping report path and resilient shipper — registering with one
-// federation coordinator and shipping into one shared archiver. The
-// run asserts the fleet-wide exact-accounting invariant member by
-// member,
+// stamping report path and resilient shipper — shipping into one
+// shared archiver. The run asserts the fleet-wide exact-accounting
+// invariant member by member,
 //
 //	archived(m) == emitted(m) − dropped(m) − fallback(m)   for every m
 //	Σ archived(m) == pipeline received == store documents
 //
-// exercises fan-out reconfiguration through the real psconfig wire
-// channel with per-member generation tracking, and runs a member-kill
-// chaos phase: one switch is partitioned mid-run (archiver and config
-// channels refuse, heartbeats stop), is suspected and declared dead on
-// the coordinator's deadlines, keeps measuring and spooling
-// autonomously, then rejoins with a stale config generation — the
-// coordinator reconciles it from the fleet command log and its spooled
-// reports replay into the archiver, after which the accounting still
-// balances exactly and the Witness is byte-stable at a fixed seed.
+// and runs a member-kill chaos phase: one switch's archiver channel is
+// partitioned mid-run, the switch keeps measuring and spools its
+// reports to disk, and when the partition heals the spool replays into
+// the archiver, after which the accounting still balances exactly and
+// the Witness is byte-stable at a fixed seed.
 
 // FedSite describes one site of the fleet topology.
 type FedSite struct {
@@ -77,9 +67,9 @@ type FederationConfig struct {
 	// chaos phase exercises the disk tier.
 	SpoolRoot string
 	Seed      uint64
-	// Obs, when set, receives the coordinator's fleet gauges, the
-	// shared pipeline counters and each member shipper's ladder group
-	// (prefixed p4_shipper_<site>_<switch>).
+	// Obs, when set, receives the shared pipeline and store counters
+	// and each member shipper's ladder group (prefixed
+	// p4_shipper_<site>_<switch>).
 	Obs *obs.Registry
 }
 
@@ -127,8 +117,6 @@ type MemberAccounting struct {
 	// this member.
 	Emitted  uint64
 	Archived uint64
-	// ConfigSeq is the member's final config generation.
-	ConfigSeq uint64
 	// Ship is the member shipper's final counter snapshot.
 	Ship resilient.Stats
 }
@@ -157,10 +145,6 @@ type FederationResult struct {
 	// record was lost or double-counted.
 	Pipeline  psarchiver.PipelineStats
 	TornLines uint64
-	// Coord is the coordinator's event accounting; FleetSeq its final
-	// config generation.
-	Coord    federation.Counters
-	FleetSeq uint64
 	// Victim identifies the killed member; VictimReplayed and
 	// VictimSpilled prove its outage went through the disk tier and
 	// came back.
@@ -194,26 +178,16 @@ func (r *FederationResult) Balanced() bool {
 }
 
 // Pass reports whether every federation guarantee held: exact
-// accounting, full config convergence (every member on the fleet
-// generation), the chaos phase's spool replay, and consistent path
+// accounting, the chaos phase's spool replay, and consistent path
 // joins.
 func (r *FederationResult) Pass() bool {
-	if !r.Balanced() || !r.PathsConsistent {
-		return false
-	}
-	for _, m := range r.Members {
-		if m.ConfigSeq != r.FleetSeq {
-			return false
-		}
-	}
-	return r.VictimSpilled > 0 && r.VictimReplayed > 0 &&
-		r.Coord.DeadTransitions >= 1 && r.Coord.Rejoined >= 1 &&
-		len(r.Fleet.Paths) > 0
+	return r.Balanced() && r.PathsConsistent && len(r.Fleet.Paths) > 0 &&
+		r.VictimSpilled > 0 && r.VictimReplayed > 0
 }
 
 // Witness renders the deterministic run fingerprint: only
 // order-independent, seed-determined quantities appear (emission
-// counts, store attributions and sums, fleet counters), never
+// counts, store attributions and sums), never
 // scheduling-dependent ones (retries, reconnects, shipped/replayed
 // splits), so two runs at the same seed produce byte-identical
 // witnesses.
@@ -222,19 +196,15 @@ func (r *FederationResult) Witness() string {
 	fmt.Fprintf(&b, "federation seed=%d members=%d rounds=%d flows_per_site=%d\n",
 		r.Config.Seed, len(r.Members), r.Config.Rounds, r.Config.FlowsPerSite)
 	for _, m := range r.Members {
-		fmt.Fprintf(&b, "member %s/%s emitted=%d archived=%d dropped=%d fallback=%d config_seq=%d\n",
-			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback, m.ConfigSeq)
+		fmt.Fprintf(&b, "member %s/%s emitted=%d archived=%d dropped=%d fallback=%d\n",
+			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback)
 	}
 	for _, s := range r.Fleet.Sites {
 		fmt.Fprintf(&b, "site %s docs=%d flows=%d bytes=%.0f fairness=%.6f\n",
 			s.Site, s.Documents, s.Flows, s.TotalBytes, s.Fairness)
 	}
-	fmt.Fprintf(&b, "fleet docs=%d unstamped=%d global_fairness=%.6f paths=%d fleet_seq=%d\n",
-		r.Fleet.Documents, r.Fleet.Unstamped, r.Fleet.GlobalFairness, len(r.Fleet.Paths), r.FleetSeq)
-	fmt.Fprintf(&b, "coord registered=%d rejoined=%d heartbeats=%d stale=%d suspect=%d dead=%d recovered=%d fanouts=%d fanout_ok=%d fanout_skipped=%d reconciled=%d\n",
-		r.Coord.Registered, r.Coord.Rejoined, r.Coord.HeartbeatsAccepted, r.Coord.StaleHeartbeats,
-		r.Coord.SuspectTransitions, r.Coord.DeadTransitions, r.Coord.Recovered,
-		r.Coord.FanOuts, r.Coord.FanOutOK, r.Coord.FanOutSkipped, r.Coord.Reconciled)
+	fmt.Fprintf(&b, "fleet docs=%d unstamped=%d global_fairness=%.6f paths=%d\n",
+		r.Fleet.Documents, r.Fleet.Unstamped, r.Fleet.GlobalFairness, len(r.Fleet.Paths))
 	return b.String()
 }
 
@@ -245,12 +215,11 @@ func (r *FederationResult) Render() string {
 	for _, l := range r.Log {
 		fmt.Fprintf(&b, "  %s\n", l)
 	}
-	fmt.Fprintf(&b, "\n%-18s %9s %9s %8s %8s %11s %9s\n",
-		"member", "emitted", "archived", "spilled", "replayed", "config_seq", "balanced")
+	fmt.Fprintf(&b, "\n%-18s %9s %9s %8s %8s %9s\n",
+		"member", "emitted", "archived", "spilled", "replayed", "balanced")
 	for _, m := range r.Members {
-		fmt.Fprintf(&b, "%-18s %9d %9d %8d %8d %11d %9v\n",
-			m.Site+"/"+m.Switch, m.Emitted, m.Archived, m.Ship.Spilled, m.Ship.Replayed,
-			m.ConfigSeq, m.Balanced())
+		fmt.Fprintf(&b, "%-18s %9d %9d %8d %8d %9v\n",
+			m.Site+"/"+m.Switch, m.Emitted, m.Archived, m.Ship.Spilled, m.Ship.Replayed, m.Balanced())
 	}
 	fmt.Fprintf(&b, "\n%-10s %9s %9s %14s %10s\n", "site", "docs", "flows", "bytes", "fairness")
 	for _, s := range r.Fleet.Sites {
@@ -258,9 +227,8 @@ func (r *FederationResult) Render() string {
 	}
 	fmt.Fprintf(&b, "\nreplayed %d records; %d multi-tap paths joined (consistent: %v), global fairness %.6f\n",
 		r.ReplayedRecords, len(r.Fleet.Paths), r.PathsConsistent, r.Fleet.GlobalFairness)
-	fmt.Fprintf(&b, "chaos: victim %s spilled=%d replayed=%d torn_lines=%d; coord: suspect=%d dead=%d rejoined=%d reconciled=%d\n",
-		r.Victim, r.VictimSpilled, r.VictimReplayed, r.TornLines,
-		r.Coord.SuspectTransitions, r.Coord.DeadTransitions, r.Coord.Rejoined, r.Coord.Reconciled)
+	fmt.Fprintf(&b, "chaos: victim %s spilled=%d replayed=%d torn_lines=%d\n",
+		r.Victim, r.VictimSpilled, r.VictimReplayed, r.TornLines)
 	fmt.Fprintf(&b, "accounting balanced: %v\npass: %v\n", r.Balanced(), r.Pass())
 	return b.String()
 }
@@ -285,11 +253,11 @@ func (r *FederationResult) SaveCSV(dir string) (err error) {
 		}
 		return f.Close()
 	}
-	members := []string{"site,switch,emitted,archived,dropped,fallback,spilled,replayed,config_seq,balanced"}
+	members := []string{"site,switch,emitted,archived,dropped,fallback,spilled,replayed,balanced"}
 	for _, m := range r.Members {
-		members = append(members, fmt.Sprintf("%s,%s,%d,%d,%d,%d,%d,%d,%d,%v",
+		members = append(members, fmt.Sprintf("%s,%s,%d,%d,%d,%d,%d,%d,%v",
 			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback,
-			m.Ship.Spilled, m.Ship.Replayed, m.ConfigSeq, m.Balanced()))
+			m.Ship.Spilled, m.Ship.Replayed, m.Balanced()))
 	}
 	if err := write("federation_members.csv", members); err != nil {
 		return err
@@ -318,34 +286,19 @@ func (l *limitSource) Next(r *replay.Record) bool {
 }
 
 // fedMember is one simulated switch: data plane, replay stream, report
-// path, shipper, config channel and coordinator client.
+// path and shipper.
 type fedMember struct {
-	id     federation.Identity
-	sink   controlplane.Sink // identity stamp → the leg's counter → shipper
-	leg    *shipLeg
-	plane  *dataplane.Pipes
-	synth  *replay.Synth
-	perRnd int
-	flowLo int // the member's site flow-number base
-
-	cfgLn   *faultnet.Listener
-	cfgAddr string
-	runtime *federation.MemberRuntime
-	cfgDone chan struct{}
-
-	client *p4runtime.Client
+	site, sw string
+	sink     controlplane.Sink // identity stamp → the leg's counter → shipper
+	leg      *shipLeg
+	plane    *dataplane.Pipes
+	synth    *replay.Synth
+	perRnd   int
+	flowLo   int // the member's site flow-number base
 }
 
-// memberInfo builds the member's membership announcement with its
-// current config generation.
-func (m *fedMember) memberInfo() p4runtime.MemberInfo {
-	return p4runtime.MemberInfo{
-		Site:       m.id.Site,
-		Switch:     m.id.Switch,
-		ConfigAddr: m.cfgAddr,
-		Generation: m.runtime.Seq(),
-	}
-}
+// name renders the member's identity as "site/switch".
+func (m *fedMember) name() string { return m.site + "/" + m.sw }
 
 // RunFederation runs the fleet scenario and returns the exact fleet
 // accounting. It returns an error only when the harness itself fails
@@ -366,33 +319,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	pipeline := psarchiver.NewPipeline()
 	store := psarchiver.NewStore()
 	pipeline.OpenSearchOutput(store)
-
-	// Coordinator, mounted on a real p4runtime server over an
-	// in-memory transport; its clock advances only on Tick, so every
-	// liveness decision is deterministic.
-	cfgListeners := make(map[string]*faultnet.Listener)
-	coord := federation.NewCoordinator(federation.Config{
-		SuspectAfter: 2 * simtime.Second,
-		DeadAfter:    3 * simtime.Second,
-		Apply: func(addr string, cmd psconfig.Command) error {
-			ln := cfgListeners[addr]
-			if ln == nil {
-				return fmt.Errorf("experiments: no config channel at %q", addr)
-			}
-			return cmd.SendWith(addr, psconfig.SendOptions{
-				Attempts: 1,
-				Seed:     cfg.Seed,
-				Dial:     func(string, time.Duration) (net.Conn, error) { return ln.Dial() },
-			})
-		},
-	})
-	coordLn := faultnet.NewListener()
-	coordSrv := p4runtime.NewServer(nil)
-	coordSrv.Members = coord
-	go p4runtime.Serve(coordLn, coordSrv)
-	defer coordLn.Close()
 	if cfg.Obs != nil {
-		coord.RegisterObs(cfg.Obs)
 		pipeline.RegisterObs(cfg.Obs)
 		store.RegisterObs(cfg.Obs)
 	}
@@ -402,10 +329,10 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	for si, site := range cfg.Sites {
 		for sw := 0; sw < site.Switches; sw++ {
 			m := &fedMember{
-				id:     federation.Identity{Site: site.Name, Switch: fmt.Sprintf("sw%d", sw+1)},
+				site:   site.Name,
+				sw:     fmt.Sprintf("sw%d", sw+1),
 				flowLo: si * cfg.FlowsPerSite,
 			}
-			m.cfgAddr = m.id.String() + ":config"
 			m.plane = dataplane.NewPipes(dataplane.Config{
 				LongFlowBytes:    1 << 62,
 				DupFilterInserts: cfg.FlowsPerSite * cfg.PacketsPerFlow,
@@ -417,7 +344,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			}
 			m.perRnd = m.synth.Packets / cfg.Rounds
 
-			spoolDir := filepath.Join(cfg.SpoolRoot, site.Name+"_"+m.id.Switch)
+			spoolDir := filepath.Join(cfg.SpoolRoot, m.site+"_"+m.sw)
 			if err := os.MkdirAll(spoolDir, 0o755); err != nil {
 				return nil, fmt.Errorf("experiments: federation spool dir: %w", err)
 			}
@@ -426,27 +353,9 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 				return nil, err
 			}
 			m.leg = leg
-			m.sink = controlplane.IdentitySink{SiteID: m.id.Site, SwitchID: m.id.Switch, Next: leg.counter}
+			m.sink = controlplane.IdentitySink{SiteID: m.site, SwitchID: m.sw, Next: leg.counter}
 			if cfg.Obs != nil {
-				leg.shipper.RegisterObsAs(cfg.Obs, "p4_shipper_"+m.id.Site+"_"+m.id.Switch)
-			}
-
-			m.runtime = federation.NewMemberRuntime(controlplane.RuntimeConfig{})
-			m.cfgLn = faultnet.NewListener()
-			cfgListeners[m.cfgAddr] = m.cfgLn
-			m.cfgDone = make(chan struct{})
-			go func(m *fedMember) {
-				defer close(m.cfgDone)
-				psconfig.ServeConfig(m.cfgLn, m.runtime)
-			}(m)
-
-			conn, err := coordLn.Dial()
-			if err != nil {
-				return nil, fmt.Errorf("experiments: federation coordinator dial: %w", err)
-			}
-			m.client = p4runtime.NewClient(conn)
-			if _, err := m.client.MemberRegister(m.memberInfo()); err != nil {
-				return nil, fmt.Errorf("experiments: federation register %s: %w", m.id, err)
+				leg.shipper.RegisterObsAs(cfg.Obs, "p4_shipper_"+m.site+"_"+m.sw)
 			}
 			members = append(members, m)
 		}
@@ -458,8 +367,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	// with ≥2 switches keeps producing path joins while one tap point
 	// is out.
 	victim := members[cfg.Sites[0].Switches-1]
-	res.Victim = victim.id.String()
-	partitioned := false
+	res.Victim = victim.name()
 
 	// extract emits one round's reports from a member: per-round flow
 	// summaries for the sampled flows plus one aggregate.
@@ -493,15 +401,10 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		})
 	}
 
-	fanout := func(args ...string) (psconfig.Command, error) {
-		return psconfig.ParseConfigP4(args)
-	}
-
 	// Round loop. Every member (including a partitioned one — the
 	// paper's measurement keeps running whether or not its archiver is
-	// reachable) replays its chunk and emits reports; live members
-	// heartbeat; the coordinator ticks its deadlines; then the round's
-	// scripted fleet event fires.
+	// reachable) replays its chunk and emits reports; then the round's
+	// scripted chaos event fires.
 	for round := 0; round < cfg.Rounds; round++ {
 		now := simtime.Time(round+1) * simtime.Second
 		for _, m := range members {
@@ -512,69 +415,28 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			run := replay.Runner{Plane: m.plane}.Run(&limitSource{src: m.synth, left: left}) //p4:lint-exempt determinism: Runner's wall clock only stamps Result.Elapsed; every counted quantity is register state
 			res.ReplayedRecords += run.Packets
 			extract(m, now)
-			if m != victim || !partitioned {
-				if _, err := m.client.MemberHeartbeat(m.memberInfo()); err != nil {
-					return nil, fmt.Errorf("experiments: federation heartbeat %s: %w", m.id, err)
-				}
-			}
 		}
-		coord.Tick(now)
 
 		switch round {
-		case 1:
-			// Fleet-wide reconfiguration #1 over the real config wire.
-			cmd, err := fanout("--samples_per_second", "4")
-			if err != nil {
-				return nil, err
-			}
-			fr := coord.FanOut(cmd, nil)
-			logf("round %d: fan-out #1 seq=%d applied=%d failed=%d", round, fr.Seq, len(fr.Applied), len(fr.Failed))
 		case 2:
-			// Kill: partition the victim — archiver and config channels
-			// refuse and cut, heartbeats stop. Measurement continues.
-			partitioned = true
+			// Kill: partition the victim — its archiver channel refuses
+			// and cuts. Measurement continues.
 			victim.leg.ln.Refuse(true)
 			victim.leg.ln.CutAll()
-			victim.cfgLn.Refuse(true)
-			logf("round %d: victim %s partitioned (archiver+config refused, heartbeats stopped)", round, victim.id)
-		case 4:
-			// Fleet-wide reconfiguration #2 while the victim is out: it
-			// must be skipped, everyone else advances, and the fleet
-			// config stays consistent per member.
-			cmd, err := fanout("--metric", "rtt", "--alert", "--threshold", "150", "--samples_per_second", "8")
-			if err != nil {
-				return nil, err
-			}
-			fr := coord.FanOut(cmd, nil)
-			logf("round %d: fan-out #2 seq=%d applied=%d skipped=%d", round, fr.Seq, len(fr.Applied), len(fr.Skipped))
-		case 5:
-			alive, suspect, dead := coord.States()
-			logf("round %d: liveness alive=%d suspect=%d dead=%d", round, alive, suspect, dead)
+			logf("round %d: victim %s partitioned (archiver refused)", round, victim.name())
 		case 6:
-			// Rejoin: channels recover, the member re-registers with its
-			// (now stale) generation, the coordinator reconciles it from
-			// the fleet command log, and its spool replays. Before the
-			// channels heal, wait for the victim's partition-era queue to
-			// finish spilling to disk: the breaker-open spill is an
-			// asynchronous wall-clock process, and rejoining first would
-			// let still-queued records ship directly instead of taking
-			// the spill→replay path the chaos phase exists to exercise.
-			if err := victim.leg.wait("federation member "+victim.id.String(), func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
+			// Heal: the archiver channel recovers and the victim's spool
+			// replays. Before the channel heals, wait for the victim's
+			// partition-era queue to finish spilling to disk: the
+			// breaker-open spill is an asynchronous wall-clock process,
+			// and healing first would let still-queued records ship
+			// directly instead of taking the spill→replay path the chaos
+			// phase exists to exercise.
+			if err := victim.leg.wait("federation member "+victim.name(), func(s resilient.Stats) bool { return s.Spilled > 0 && s.Queued == 0 }); err != nil {
 				return nil, fmt.Errorf("experiments: federation victim never spilled: %w", err)
 			}
 			victim.leg.ln.Refuse(false)
-			victim.cfgLn.Refuse(false)
-			partitioned = false
-			staleGen := victim.runtime.Seq()
-			ack, err := victim.client.MemberRegister(victim.memberInfo())
-			if err != nil {
-				return nil, fmt.Errorf("experiments: federation rejoin: %w", err)
-			}
-			n, err := coord.Reconcile(victim.id)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: federation reconcile: %w", err)
-			}
-			logf("round %d: victim rejoined (gen %d < fleet %d), %d commands reconciled", round, staleGen, ack.FleetSeq, n)
+			logf("round %d: victim %s healed, spool replaying", round, victim.name())
 		}
 	}
 
@@ -583,28 +445,22 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	// shipping path in order so every delivered line is ingested
 	// before the counters are read.
 	for _, m := range members {
-		if err := m.leg.drainClose("federation member " + m.id.String()); err != nil {
+		if err := m.leg.drainClose("federation member " + m.name()); err != nil {
 			return nil, err
 		}
-		_ = m.cfgLn.Close()
-		<-m.cfgDone
-		_ = m.client.Close()
 	}
 
 	// Ledgers and aggregation.
 	res.Fleet = psarchiver.CrossSite(store, "p4-psonar")
 	res.Pipeline = pipeline.Stats()
-	res.FleetSeq = coord.FleetSeq()
-	res.Coord = coord.Counters()
 	for _, m := range members {
 		res.TornLines += m.leg.input.Errors()
 		acct := MemberAccounting{
-			Site:      m.id.Site,
-			Switch:    m.id.Switch,
-			Emitted:   m.leg.counter.Count(),
-			Archived:  uint64(res.Fleet.MemberDocs(m.id.Site, m.id.Switch)),
-			ConfigSeq: m.runtime.Seq(),
-			Ship:      m.leg.shipper.Stats(),
+			Site:     m.site,
+			Switch:   m.sw,
+			Emitted:  m.leg.counter.Count(),
+			Archived: uint64(res.Fleet.MemberDocs(m.site, m.sw)),
+			Ship:     m.leg.shipper.Stats(),
 		}
 		res.Members = append(res.Members, acct)
 		if m == victim {
@@ -618,6 +474,6 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			res.PathsConsistent = false
 		}
 	}
-	logf("drained: %d docs archived, %d multi-tap paths, fleet seq %d", res.Fleet.Documents, len(res.Fleet.Paths), res.FleetSeq)
+	logf("drained: %d docs archived, %d multi-tap paths", res.Fleet.Documents, len(res.Fleet.Paths))
 	return res, nil
 }

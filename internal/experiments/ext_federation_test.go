@@ -53,18 +53,9 @@ func TestRunFederationAccounting(t *testing.T) {
 	if r.VictimSpilled == 0 || r.VictimReplayed == 0 {
 		t.Fatalf("victim never spilled/replayed: %+v", r)
 	}
-	if r.Coord.DeadTransitions == 0 || r.Coord.Rejoined == 0 || r.Coord.Reconciled == 0 {
-		t.Fatalf("coordinator chaos counters: %+v", r.Coord)
-	}
 	// Same-site tap points joined into paths with zero spread.
 	if len(r.Fleet.Paths) == 0 || !r.PathsConsistent {
 		t.Fatalf("path join: paths=%d consistent=%v", len(r.Fleet.Paths), r.PathsConsistent)
-	}
-	// Every member converged on the fleet generation.
-	for _, m := range r.Members {
-		if m.ConfigSeq != r.FleetSeq {
-			t.Fatalf("member %s/%s at generation %d, fleet at %d", m.Site, m.Switch, m.ConfigSeq, r.FleetSeq)
-		}
 	}
 }
 
@@ -84,8 +75,9 @@ func TestRunFederationWitnessStable(t *testing.T) {
 	if !strings.Contains(a.Witness(), "fleet docs=") {
 		t.Fatalf("witness shape: %s", a.Witness())
 	}
-	// `make witness` leaves the federation CSVs out, so this file is what
-	// pins CrossSite's answer: a deterministic change to it fails here.
+	// This file pins CrossSite's answer on the CI-sized fleet (`make
+	// witness` pins the paper-scale CSVs): a deterministic change to it
+	// fails here.
 	want, err := os.ReadFile(filepath.Join("testdata", "federation_seed42.witness"))
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +99,6 @@ func TestRunFederationObsAndRender(t *testing.T) {
 	cfg.Obs.WritePrometheus(&buf)
 	scrape := buf.String()
 	for _, want := range []string{
-		"p4_fed_members 4",
-		"p4_fed_dead_transitions 1",
 		"p4_shipper_alpha_sw2_emitted",
 		"p4_archiver_pipeline_received",
 		fmt.Sprintf("p4_archiver_store_documents %d\n", r.Fleet.Documents),

@@ -26,57 +26,7 @@ const (
 	OpTableSkip     Op = "table_skip"
 	OpListRegisters Op = "list_registers"
 	OpStats         Op = "stats"
-
-	// Fleet-membership operations (DESIGN.md §5.9). They travel over
-	// the same JSON-lines transport but are served by a Membership
-	// implementation (the federation coordinator) rather than the data
-	// plane; a server without one rejects them.
-	OpMemberRegister  Op = "member_register"
-	OpMemberHeartbeat Op = "member_heartbeat"
-	OpMemberList      Op = "member_list"
 )
-
-// MemberInfo identifies a fleet member in membership operations: who
-// is registering or heartbeating, where its config channel listens,
-// and which config generation it currently runs (the coordinator uses
-// Generation to detect members that rejoined with stale configuration).
-type MemberInfo struct {
-	Site       string `json:"site"`
-	Switch     string `json:"switch"`
-	ConfigAddr string `json:"config_addr,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-}
-
-// MemberAck answers a register or heartbeat: the incarnation the
-// coordinator assigned to this (re)registration, and the fleet-wide
-// config generation, so a member can tell it is running stale
-// configuration (Generation < FleetSeq).
-type MemberAck struct {
-	Incarnation uint64 `json:"incarnation"`
-	FleetSeq    uint64 `json:"fleet_seq"`
-}
-
-// MemberStatus is one member's registry entry as reported by
-// OpMemberList.
-type MemberStatus struct {
-	Site        string `json:"site"`
-	Switch      string `json:"switch"`
-	State       string `json:"state"`
-	Incarnation uint64 `json:"incarnation"`
-	ConfigSeq   uint64 `json:"config_seq"`
-}
-
-// Membership serves the fleet-membership operations. The federation
-// coordinator is the production implementation; the p4runtime server
-// only transports the calls.
-type Membership interface {
-	// MemberRegister admits (or re-admits) a member to the fleet.
-	MemberRegister(info MemberInfo) (MemberAck, error)
-	// MemberHeartbeat refreshes a member's liveness deadline.
-	MemberHeartbeat(info MemberInfo) (MemberAck, error)
-	// MemberList snapshots the registry.
-	MemberList() []MemberStatus
-}
 
 // Request is one runtime operation.
 type Request struct {
@@ -93,9 +43,6 @@ type Request struct {
 
 	// Table operations.
 	Prefix string `json:"prefix,omitempty"`
-
-	// Membership operations (OpMemberRegister, OpMemberHeartbeat).
-	Member *MemberInfo `json:"member,omitempty"`
 }
 
 // FlowReply carries one flow's register snapshot.
@@ -118,10 +65,6 @@ type Response struct {
 	Flow      *FlowReply       `json:"flow,omitempty"`
 	Registers []string         `json:"registers,omitempty"`
 	Stats     *dataplane.Stats `json:"stats,omitempty"`
-
-	// Membership answers.
-	Ack     *MemberAck     `json:"ack,omitempty"`
-	Members []MemberStatus `json:"members,omitempty"`
 }
 
 // Server executes runtime operations against the (possibly sharded)
@@ -137,18 +80,9 @@ type Server struct {
 	// Guard, when set, wraps every operation — the collector daemon
 	// uses it to serialise runtime access with the simulation stepper.
 	Guard func(func())
-
-	// Members, when set, serves the fleet-membership operations. The
-	// federation coordinator implements it; a plain collector leaves it
-	// nil and rejects membership requests. Membership implementations
-	// must be internally synchronised — the Guard only serialises
-	// data-plane access.
-	Members Membership
 }
 
-// NewServer wraps a sharded pipeline front-end. dp may be nil for a
-// membership-only server (the federation coordinator), which then
-// rejects every data-plane operation.
+// NewServer wraps a sharded pipeline front-end.
 func NewServer(dp *dataplane.Pipes) *Server { return &Server{dp: dp} }
 
 // Handle executes one operation.
@@ -164,13 +98,6 @@ func (s *Server) Handle(req Request) Response {
 }
 
 func (s *Server) handleLocked(req Request) Response {
-	switch req.Op {
-	case OpMemberRegister, OpMemberHeartbeat, OpMemberList:
-		return s.handleMember(req)
-	}
-	if s.dp == nil {
-		return errResp("no data plane attached")
-	}
 	switch req.Op {
 	case OpRegisterRead:
 		v, err := s.dp.ReadRegister(req.Register, req.Index)
@@ -216,33 +143,6 @@ func (s *Server) handleLocked(req Request) Response {
 
 	default:
 		return errResp("unknown op %q", req.Op)
-	}
-}
-
-func (s *Server) handleMember(req Request) Response {
-	if s.Members == nil {
-		return errResp("membership not served here")
-	}
-	switch req.Op {
-	case OpMemberRegister, OpMemberHeartbeat:
-		if req.Member == nil {
-			return errResp("%s: missing member info", req.Op)
-		}
-		var (
-			ack MemberAck
-			err error
-		)
-		if req.Op == OpMemberRegister {
-			ack, err = s.Members.MemberRegister(*req.Member)
-		} else {
-			ack, err = s.Members.MemberHeartbeat(*req.Member)
-		}
-		if err != nil {
-			return errResp("%v", err)
-		}
-		return Response{OK: true, Ack: &ack}
-	default: // OpMemberList
-		return Response{OK: true, Members: s.Members.MemberList()}
 	}
 }
 

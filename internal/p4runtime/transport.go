@@ -23,9 +23,9 @@ func Serve(ln net.Listener, s *Server) {
 }
 
 // maxRequestBytes bounds one request line, newline included. The
-// largest legitimate request (a member registration) is a few hundred
-// bytes; the port is open by default, so an unbounded line is an
-// unbounded buffer.
+// largest legitimate request (a register read or a table prefix) is
+// under a hundred bytes; the port is open by default, so an unbounded
+// line is an unbounded buffer.
 const maxRequestBytes = 64 << 10
 
 func serveConn(conn net.Conn, s *Server) {
@@ -74,8 +74,8 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 }
 
 // NewClient wraps an already-established connection (a faultnet pipe
-// in tests, a pre-dialled socket in the federation harness) in a
-// runtime client. The client owns the connection and closes it.
+// in tests, a pre-dialled socket) in a runtime client. The client owns
+// the connection and closes it.
 func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn: conn,
@@ -124,33 +124,4 @@ func (c *Client) TableSkip(prefix string) error {
 func (c *Client) ListRegisters() ([]string, error) {
 	resp, err := c.Do(Request{Op: OpListRegisters})
 	return resp.Registers, err
-}
-
-// MemberRegister registers (or re-registers) a fleet member with the
-// coordinator behind this server.
-func (c *Client) MemberRegister(info MemberInfo) (MemberAck, error) {
-	return c.memberOp(OpMemberRegister, info)
-}
-
-// MemberHeartbeat refreshes a member's liveness deadline.
-func (c *Client) MemberHeartbeat(info MemberInfo) (MemberAck, error) {
-	return c.memberOp(OpMemberHeartbeat, info)
-}
-
-// memberOp runs one acknowledged membership operation.
-func (c *Client) memberOp(op Op, info MemberInfo) (MemberAck, error) {
-	resp, err := c.Do(Request{Op: op, Member: &info})
-	if err != nil {
-		return MemberAck{}, err
-	}
-	if resp.Ack == nil {
-		return MemberAck{}, fmt.Errorf("p4runtime: %s: empty ack", op)
-	}
-	return *resp.Ack, nil
-}
-
-// MemberList snapshots the coordinator's member registry.
-func (c *Client) MemberList() ([]MemberStatus, error) {
-	resp, err := c.Do(Request{Op: OpMemberList})
-	return resp.Members, err
 }

@@ -49,17 +49,6 @@ type SackBlock struct {
 	Lo, Hi uint64
 }
 
-// INTHop is one In-band Network Telemetry stack entry: the per-hop
-// metadata an INT-enabled switch appends to transit packets. It lives
-// in this package so that packets can carry it without an import cycle;
-// the inband package provides the collection machinery.
-type INTHop struct {
-	SwitchID   string
-	IngressAt  simtime.Time
-	EgressAt   simtime.Time
-	QueueBytes int
-}
-
 // FiveTuple identifies a flow the way the paper's data plane does:
 // source IP, destination IP, source port, destination port, protocol.
 type FiveTuple struct {
@@ -143,11 +132,6 @@ type Packet struct {
 	// TSEcr, giving the sender one RTT sample per ACK — what real
 	// stacks (and HyStart) rely on. Zero means absent.
 	TSVal, TSEcr int64
-
-	// INTStack carries In-band Network Telemetry per-hop metadata
-	// appended by INT-enabled switches (the inband package's domain).
-	// Nil on un-instrumented paths.
-	INTStack []INTHop
 
 	// Simulation metadata (not on the wire).
 
@@ -266,9 +250,6 @@ func (p *Packet) Clone() *Packet {
 	q.pooled = false
 	if len(p.SackBlocks) > 0 {
 		q.SackBlocks = append([]SackBlock(nil), p.SackBlocks...)
-	}
-	if len(p.INTStack) > 0 {
-		q.INTStack = append([]INTHop(nil), p.INTStack...)
 	}
 	return &q
 }

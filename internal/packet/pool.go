@@ -23,8 +23,8 @@ import "sync"
 var pool = sync.Pool{New: func() any { return new(Packet) }}
 
 // Get returns a zeroed pooled packet. Slice capacity from previous use
-// is retained (length reset to zero) so SACK blocks and INT hops appended
-// later reuse the old backing arrays.
+// is retained (length reset to zero) so SACK blocks appended later reuse
+// the old backing array.
 func Get() *Packet {
 	if !poolEnabled {
 		return new(Packet)
@@ -45,27 +45,23 @@ func (p *Packet) Release() {
 		return
 	}
 	sack := p.SackBlocks[:0]
-	ints := p.INTStack[:0]
 	*p = Packet{}
 	p.SackBlocks = sack
-	p.INTStack = ints
 	pool.Put(p)
 }
 
 // ClonePooled copies the packet into an arena slot, reusing that slot's
-// retained SACK/INT backing arrays. TAPs use it for mirror copies when
+// retained SACK backing array. TAPs use it for mirror copies when
 // the attached monitor is known not to retain them.
 //
 // p4:hotpath
 func (p *Packet) ClonePooled() *Packet {
 	q := Get()
 	sack := q.SackBlocks[:0]
-	ints := q.INTStack[:0]
 	pooled := q.pooled
 	*q = *p
 	q.pooled = pooled
 	q.SackBlocks = append(sack, p.SackBlocks...)
-	q.INTStack = append(ints, p.INTStack...)
 	return q
 }
 

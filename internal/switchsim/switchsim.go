@@ -59,12 +59,6 @@ type Switch struct {
 	// forwards transparently (pure layer-2 behaviour).
 	RouterIP netip.Addr
 
-	// INTEnabled makes the switch an In-band Network Telemetry transit
-	// hop: it appends per-hop metadata (switch ID, ingress/egress
-	// timestamps, queue depth) to every transit packet — the AmLight
-	// deployment style of the paper's related work.
-	INTEnabled bool
-
 	// TTLExpired counts packets dropped for TTL exhaustion.
 	TTLExpired uint64 // keyed by link name
 
@@ -112,12 +106,6 @@ func (s *Switch) AddRoute(prefix netip.Prefix, link *netsim.Link, bufferBytes in
 			port.queuedBytes -= p.WireLen()
 			if s.EgressTap != nil {
 				s.EgressTap(p, at, link.Name())
-			}
-			// Complete this switch's INT entry with the departure time.
-			if s.INTEnabled {
-				if n := len(p.INTStack); n > 0 && p.INTStack[n-1].SwitchID == s.name {
-					p.INTStack[n-1].EgressAt = at
-				}
 			}
 		}
 	}
@@ -189,15 +177,6 @@ func (s *Switch) forward(pkt *packet.Packet) {
 		port.DroppedBytes += uint64(wire)
 		pkt.Release()
 		return
-	}
-	// INT transit: record the hop's ingress time and the queue depth
-	// the packet joins behind; the departure hook fills EgressAt.
-	if s.INTEnabled {
-		pkt.INTStack = append(pkt.INTStack, packet.INTHop{
-			SwitchID:   s.name,
-			IngressAt:  s.engine.Now(),
-			QueueBytes: port.queuedBytes,
-		})
 	}
 	port.queuedBytes += wire
 	port.EnqueuedPackets++

@@ -10,7 +10,7 @@ import (
 // Config carries the per-connection knobs the experiments turn.
 type Config struct {
 	// CC selects the congestion-control algorithm: "cubic" (default,
-	// the Linux default the testbed DTNs run), "reno" or "bbr".
+	// the Linux default the testbed DTNs run) or "reno".
 	CC string
 	// MSS is the maximum segment payload in bytes. Defaults to 8960,
 	// the payload of a 9000-byte jumbo frame (standard for Science DMZ
@@ -209,8 +209,6 @@ func newConn(h *Host, ft packet.FiveTuple, cfg Config, r role) *Conn {
 		c.cc = newReno(cfg.MSS, cfg.InitialCwnd)
 	case "cubic":
 		c.cc = newCubic(cfg.MSS, cfg.InitialCwnd)
-	case "bbr":
-		c.cc = newBBR(cfg.MSS, cfg.InitialCwnd)
 	default:
 		panic(fmt.Sprintf("tcp: unknown congestion control %q", cfg.CC))
 	}

@@ -41,11 +41,6 @@ type Host struct {
 	// latency tests, burst sinks). Unset, UDP is silently consumed.
 	OnUDP func(pkt *packet.Packet)
 
-	// OnINT, if set, receives packets carrying an In-band Network
-	// Telemetry stack before demultiplexing — the INT sink role. The
-	// handler is expected to strip the stack (inband.Extract).
-	OnINT func(pkt *packet.Packet)
-
 	// ReceivedPackets counts everything delivered to this host.
 	ReceivedPackets uint64
 }
@@ -93,15 +88,12 @@ func (h *Host) send(pkt *packet.Packet) {
 
 // Receive implements netsim.Node: demultiplex to an existing connection
 // or to a listener for SYN packets. The host is the packet's terminal
-// owner: handlers run synchronously and do not retain it (inband.Extract
-// detaches the INT stack it keeps), so the packet is recycled on return.
+// owner: handlers run synchronously and do not retain it, so the packet
+// is recycled on return.
 //
 // p4:hotpath
 func (h *Host) Receive(pkt *packet.Packet, from *netsim.Link) {
 	h.ReceivedPackets++
-	if len(pkt.INTStack) > 0 && h.OnINT != nil {
-		h.OnINT(pkt)
-	}
 	if pkt.Proto != packet.ProtoTCP {
 		if pkt.Proto == packet.ProtoUDP && h.OnUDP != nil {
 			h.OnUDP(pkt)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/inband"
 	"repro/internal/mmwave"
 	"repro/internal/psconfig"
 	"repro/internal/simtime"
@@ -131,20 +130,6 @@ func RunFig14(cfg Fig13Config) *Fig14Result { return experiments.RunFig14(cfg) }
 
 // RunTable1 regenerates the Table 1 comparison.
 func RunTable1(cfg Table1Config) *Table1Result { return experiments.RunTable1(cfg) }
-
-// In-band Network Telemetry extension (AmLight-style, from the paper's
-// related work).
-type (
-	// INTCollector aggregates per-hop telemetry reports.
-	INTCollector = inband.Collector
-	// INTReport is one collected packet's path telemetry.
-	INTReport = inband.Report
-	// INTHop is one hop's metadata entry.
-	INTHop = inband.HopMetadata
-)
-
-// ExtractINT strips a packet's telemetry stack (the sink operation).
-var ExtractINT = inband.Extract
 
 // mmWave blockage use case (§5.4.3).
 type (
