@@ -3,6 +3,7 @@ package controlplane
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -229,7 +230,10 @@ type ControlPlane struct {
 	// generation and reads every tunable from it (see extract).
 	runtime *genconfig.Store[RuntimeConfig]
 
-	flows   map[dataplane.FlowID]*flowEntry
+	// flows is the directory, sorted by flow ID: the order every tick
+	// reports in. onLongFlow inserts in place and sweepTerminated
+	// compacts in place, so no tick sorts.
+	flows   []*flowEntry
 	tickers map[Metric]*simtime.Ticker
 	// escalated tracks which metrics currently run at the alert rate.
 	escalated map[Metric]bool
@@ -238,10 +242,10 @@ type ControlPlane struct {
 	// addition to the sink records.
 	AlertLog []Report
 
-	// Scratch buffers reused across extraction ticks. sortedFlows and
-	// extract never nest their uses (aggregation runs after the read
-	// loop completes), so a single buffer of each kind suffices.
-	flowScratch []*flowEntry
+	// Scratch buffers reused across extraction ticks. snapScratch[i] is
+	// flows[i]'s register snapshot, read once per tick by extract and
+	// reused by the throughput tick's aggregate and classification.
+	snapScratch []dataplane.FlowSnapshot
 	tputScratch []float64
 
 	// obs is the optional self-telemetry hook (RegisterObs).
@@ -268,7 +272,6 @@ func New(e *simtime.Engine, dp dataplane.Plane, sink Sink, cfg Config) *ControlP
 		dp:        dp,
 		sink:      sink,
 		runtime:   genconfig.NewStore(rc),
-		flows:     make(map[dataplane.FlowID]*flowEntry),
 		tickers:   make(map[Metric]*simtime.Ticker),
 		escalated: make(map[Metric]bool),
 	}
@@ -356,12 +359,14 @@ func (cp *ControlPlane) ConfigSeq() uint64 { return cp.runtime.Seq() }
 // ActiveFlowCount returns the number of flows currently tracked.
 func (cp *ControlPlane) ActiveFlowCount() int { return len(cp.flows) }
 
-// onLongFlow registers an announced flow in the directory.
+// onLongFlow registers an announced flow in the directory, at its place
+// in ID order.
 func (cp *ControlPlane) onLongFlow(ev dataplane.LongFlowEvent) {
-	if _, ok := cp.flows[ev.ID]; ok {
+	i := sort.Search(len(cp.flows), func(i int) bool { return cp.flows[i].id >= ev.ID })
+	if i < len(cp.flows) && cp.flows[i].id == ev.ID {
 		return
 	}
-	cp.flows[ev.ID] = &flowEntry{
+	cp.flows = slices.Insert(cp.flows, i, &flowEntry{
 		id:       ev.ID,
 		revID:    ev.RevID,
 		tuple:    ev.Tuple,
@@ -371,7 +376,7 @@ func (cp *ControlPlane) onLongFlow(ev dataplane.LongFlowEvent) {
 		srcIPStr: ev.Tuple.SrcIP.String(),
 		dstIPStr: ev.Tuple.DstIP.String(),
 		protoStr: ev.Tuple.Proto.String(),
-	}
+	})
 }
 
 // onMicroburst forwards the data plane's nanosecond burst digest as a
@@ -399,21 +404,8 @@ func (cp *ControlPlane) occupancyPct(qdelay simtime.Time) float64 {
 	return float64(qdelay) / drainNs * 100
 }
 
-// sortedFlows returns directory entries in a deterministic order. The
-// returned slice aliases a scratch buffer that the next call overwrites;
-// callers iterate it to completion before triggering another call.
-func (cp *ControlPlane) sortedFlows() []*flowEntry {
-	out := cp.flowScratch[:0]
-	for _, f := range cp.flows {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	cp.flowScratch = out
-	return out
-}
-
 // extract performs one extraction round for a metric: read the
-// registers of every tracked flow, derive the value, report it, and
+// registers of every tracked flow once, derive the value, report it, and
 // apply the alert policy.
 func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 	// Establish the multi-pipe barrier first: any batched packet work
@@ -430,9 +422,11 @@ func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 	}
 	maxValue := 0.0
 	throughputs := cp.tputScratch[:0]
+	snaps := cp.snapScratch[:0]
 
-	for _, f := range cp.sortedFlows() {
+	for _, f := range cp.flows {
 		snap := cp.dp.ReadFlow(f.id, f.revID)
+		snaps = append(snaps, snap)
 		var value float64
 		var unit string
 		var p50, p95, p99 float64
@@ -536,10 +530,14 @@ func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 		cp.sink.Emit(r)
 	}
 
-	cp.tputScratch = throughputs
+	cp.tputScratch, cp.snapScratch = throughputs, snaps
 	if m == MetricThroughput {
-		cp.emitAggregate(now, throughputs)
-		cp.classifyLimitations(now)
+		// The snapshots above serve the aggregate and the classification
+		// too: the tick flushed at its top and nothing ingests before it
+		// returns, and directory flows own distinct cells, so one flow's
+		// ResetWindow leaves every other flow's snapshot as read.
+		cp.emitAggregate(now, throughputs, snaps)
+		cp.classifyLimitations(now, snaps)
 	}
 
 	cp.applyAlertPolicy(m, mc, maxValue, now)
@@ -568,11 +566,11 @@ func (cp *ControlPlane) retune(m Metric, mc MetricConfig) {
 
 // emitAggregate publishes the §5.3 control-plane statistics: link
 // utilisation, Jain's fairness index, active flow count and aggregate
-// totals.
-func (cp *ControlPlane) emitAggregate(now simtime.Time, throughputs []float64) {
+// totals. snaps are the tick's directory snapshots.
+func (cp *ControlPlane) emitAggregate(now simtime.Time, throughputs []float64, snaps []dataplane.FlowSnapshot) {
 	var totalBytes, totalPkts uint64
-	for _, f := range cp.sortedFlows() {
-		snap := cp.dp.ReadFlow(f.id, f.revID)
+	for i := range snaps {
+		snap := &snaps[i]
 		totalBytes += snap.Bytes
 		totalPkts += snap.Pkts
 	}
@@ -590,10 +588,10 @@ func (cp *ControlPlane) emitAggregate(now simtime.Time, throughputs []float64) {
 // classifyLimitations applies the §4.4 heuristic to every tracked flow:
 // stable flight size with no new losses means the endpoint is the
 // bottleneck; growing flight size punctuated by losses means the
-// network is.
-func (cp *ControlPlane) classifyLimitations(now simtime.Time) {
-	for _, f := range cp.sortedFlows() {
-		snap := cp.dp.ReadFlow(f.id, f.revID)
+// network is. snaps[i] is flows[i]'s snapshot from this tick.
+func (cp *ControlPlane) classifyLimitations(now simtime.Time, snaps []dataplane.FlowSnapshot) {
+	for i, f := range cp.flows {
+		snap := &snaps[i]
 		if !snap.HasFlightWindow() {
 			continue // reverse/ACK flows and idle flows: nothing to classify
 		}
@@ -697,10 +695,12 @@ func (cp *ControlPlane) sweepTerminated(now simtime.Time) {
 	if cp.cfg.AgingWindow > 0 {
 		cp.dp.AgeFlows(now, cp.cfg.AgingWindow)
 	}
-	for _, f := range cp.sortedFlows() {
+	kept := cp.flows[:0]
+	for _, f := range cp.flows {
 		snap := cp.dp.ReadFlow(f.id, f.revID)
 		idle := snap.LastSeen > 0 && dataplane.Elapsed(now, snap.LastSeen) > cp.cfg.IdleTimeout
 		if !snap.FinSeen && !idle {
+			kept = append(kept, f)
 			continue
 		}
 		start := snap.FirstSeen
@@ -733,6 +733,7 @@ func (cp *ControlPlane) sweepTerminated(now simtime.Time) {
 			AvgThroughputBps: avg,
 		})
 		cp.dp.ReleaseFlow(f.id)
-		delete(cp.flows, f.id)
 	}
+	clear(cp.flows[len(kept):]) // the released entries' slots
+	cp.flows = kept
 }

@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"encoding/json"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -677,4 +679,100 @@ func TestStampsAcrossTheClockWrap(t *testing.T) {
 				shards, sums[0].AvgThroughputBps, want)
 		}
 	}
+}
+
+// countingPlane is a data plane that counts the register reads made of
+// each flow.
+type countingPlane struct {
+	dataplane.Plane
+	reads map[dataplane.FlowID]int
+}
+
+func (c *countingPlane) ReadFlow(id, revID dataplane.FlowID) dataplane.FlowSnapshot {
+	c.reads[id]++
+	return c.Plane.ReadFlow(id, revID)
+}
+
+// TestExtractionReadsEachFlowOnce pins the extraction pass: a tick of any
+// metric reads each directory flow's registers exactly once, and reports
+// in flow-ID order. A flow announced between ticks takes its place in
+// that order, and a flow the sweep released is gone from the next tick.
+func TestExtractionReadsEachFlowOnce(t *testing.T) {
+	e := simtime.NewEngine()
+	dp := dataplane.NewPipes(dataplane.Config{LongFlowBytes: 10_000}, 1)
+	plane := &countingPlane{Plane: dp, reads: map[dataplane.FlowID]int{}}
+	sink := &MemorySink{}
+	cp := New(e, plane, sink, Config{LinkCapacityBps: 1e9})
+
+	var tuples []packet.FiveTuple
+	for port := uint16(40001); port <= 40008; port++ {
+		tuples = append(tuples, flowTuple(port))
+	}
+	sort.Slice(tuples, func(i, j int) bool {
+		return dataplane.HashFiveTuple(tuples[i]) < dataplane.HashFiveTuple(tuples[j])
+	})
+	announce := func(fts ...packet.FiveTuple) {
+		t.Helper()
+		for _, ft := range fts {
+			feedFlow(dp, ft, simtime.Millisecond, 20, 1000, simtime.Microsecond)
+		}
+		dp.Flush()
+	}
+
+	now := 500 * simtime.Millisecond
+	tick := func(want []packet.FiveTuple) {
+		t.Helper()
+		if got := cp.ActiveFlowCount(); got != len(want) {
+			t.Fatalf("directory holds %d flows, want %d", got, len(want))
+		}
+		for _, m := range AllMetrics() {
+			clear(plane.reads)
+			sink.Reports = sink.Reports[:0]
+			cp.extract(m, now)
+			if len(plane.reads) != len(want) {
+				t.Fatalf("%s tick read %d flows, want %d", m, len(plane.reads), len(want))
+			}
+			for _, ft := range want {
+				if n := plane.reads[dataplane.HashFiveTuple(ft)]; n != 1 {
+					t.Fatalf("%s tick read flow %v %d times, want once", m, ft, n)
+				}
+			}
+			if m == MetricRTT {
+				continue // no ACKs, no RTT samples, no RTT reports
+			}
+			var order []string
+			for _, r := range sink.Reports {
+				if r.Kind == KindMetric {
+					order = append(order, r.FlowID)
+				}
+			}
+			if len(order) != len(want) {
+				t.Fatalf("%s tick reported %d flows, want %d", m, len(order), len(want))
+			}
+			for i, ft := range want {
+				if id := fmt.Sprintf("%08x", uint32(dataplane.HashFiveTuple(ft))); order[i] != id {
+					t.Fatalf("%s tick: report %d is flow %s, want %s (reports in ID order)", m, i, order[i], id)
+				}
+			}
+		}
+		now += 100 * simtime.Millisecond
+	}
+
+	// The flow with the smallest ID comes in between ticks.
+	announce(tuples[1:]...)
+	tick(tuples[1:])
+	announce(tuples[0])
+	tick(tuples)
+
+	// A FIN ends one flow; the sweep releases it.
+	gone := tuples[3]
+	fin := packet.NewTCP(gone, 200_000, 1, packet.FlagFIN|packet.FlagACK, 0)
+	fin.IPID = 5000
+	dp.ProcessCopy(tap.Copy{Pkt: fin, Point: tap.Ingress, At: now})
+	sink.Reports = sink.Reports[:0]
+	cp.sweepTerminated(now)
+	if sums := sink.ByKind(KindFlowSummary); len(sums) != 1 || sums[0].FlowID != fmt.Sprintf("%08x", uint32(dataplane.HashFiveTuple(gone))) {
+		t.Fatalf("sweep summaries %+v, want one for %v", sums, gone)
+	}
+	tick(append(append([]packet.FiveTuple{}, tuples[:3]...), tuples[4:]...))
 }

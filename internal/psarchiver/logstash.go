@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,9 @@ import (
 )
 
 // Filter transforms a document in the Logstash pipeline; returning
-// false drops the event.
+// false drops the event. The document is the pipeline's own — the TCP
+// input's, reused for the connection's next line — so a filter must not
+// keep the pointer after it returns.
 type Filter func(*Document) bool
 
 // Output ships a processed document, like Logstash's output plugins.
@@ -43,9 +46,10 @@ var indexNames = func() map[string]string {
 // input plugin, pass the filter chain, and exit through the output,
 // routed to an OpenSearch index by their report kind.
 type Pipeline struct {
-	mu      sync.Mutex // guards the two chains; Process copies them out once per document
-	filters []Filter
-	outputs []Output
+	// chains is the filter and output chains, replaced whole (copy on
+	// write) by AddFilter and AddOutput and loaded once per document.
+	chains atomic.Pointer[chains]
+	mu     sync.Mutex // serialises the writers of chains
 
 	// The TCP input counts from per-connection goroutines while callers
 	// poll. received is bumped before the document's shipped or dropped,
@@ -54,6 +58,24 @@ type Pipeline struct {
 	received atomic.Uint64
 	dropped  atomic.Uint64
 	shipped  atomic.Uint64
+}
+
+// chains is one immutable pair of a pipeline's filter and output chains.
+type chains struct {
+	filters []Filter
+	outputs []Output
+}
+
+// update publishes the chains edit makes of a copy of the current ones.
+func (p *Pipeline) update(edit func(*chains)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	next := new(chains)
+	if cur := p.chains.Load(); cur != nil {
+		*next = chains{slices.Clone(cur.filters), slices.Clone(cur.outputs)}
+	}
+	edit(next)
+	p.chains.Store(next)
 }
 
 // PipelineStats is a snapshot of the pipeline counters in which
@@ -82,16 +104,12 @@ func NewPipeline() *Pipeline {
 
 // AddFilter appends a filter to the chain.
 func (p *Pipeline) AddFilter(f Filter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.filters = append(p.filters, f)
+	p.update(func(c *chains) { c.filters = append(c.filters, f) })
 }
 
 // AddOutput appends an output plugin.
 func (p *Pipeline) AddOutput(o Output) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.outputs = append(p.outputs, o)
+	p.update(func(c *chains) { c.outputs = append(c.outputs, o) })
 }
 
 // OpenSearchOutput wires the pipeline's output plugin to a Store.
@@ -111,14 +129,18 @@ func AddMetadata(doc *Document) bool {
 }
 
 // Process pushes one document through filters and outputs.
-func (p *Pipeline) Process(doc Document) {
-	p.received.Add(1)
-	p.mu.Lock()
-	filters, outputs := p.filters, p.outputs
-	p.mu.Unlock()
+func (p *Pipeline) Process(doc Document) { p.process(&doc) }
 
-	for _, f := range filters {
-		if !f(&doc) {
+// process is Process on a document the caller owns: the filters change
+// it in place, and each output gets a copy.
+func (p *Pipeline) process(doc *Document) {
+	p.received.Add(1)
+	var c chains
+	if cur := p.chains.Load(); cur != nil {
+		c = *cur
+	}
+	for _, f := range c.filters {
+		if !f(doc) {
 			p.dropped.Add(1)
 			return
 		}
@@ -131,8 +153,8 @@ func (p *Pipeline) Process(doc Document) {
 	if !ok {
 		index = indexPrefix + "-" + kind // pscheduler_* documents, foreign kinds
 	}
-	for _, o := range outputs {
-		o(index, doc)
+	for _, o := range c.outputs {
+		o(index, *doc)
 	}
 	p.shipped.Add(1)
 }
@@ -211,13 +233,13 @@ func (in *TCPInput) acceptLoop() {
 // oversized line or a read error, with no trace in any counter.)
 const maxLineBytes = 1 << 20
 
-// handleLine decodes one line and feeds it to the pipeline.
-func (in *TCPInput) handleLine(line []byte, strs *controlplane.Interner) {
+// handleLine decodes one line into doc, the connection's document, and
+// feeds it to the pipeline.
+func (in *TCPInput) handleLine(line []byte, strs *controlplane.Interner, doc *Document) {
 	if len(line) == 0 {
 		return
 	}
 	in.lines.Add(1)
-	var doc Document
 	fallback, err := doc.decode(line, strs)
 	if err != nil {
 		in.errors.Add(1)
@@ -226,7 +248,7 @@ func (in *TCPInput) handleLine(line []byte, strs *controlplane.Interner) {
 	if fallback {
 		in.fallbacks.Add(1)
 	}
-	in.pipeline.Process(doc)
+	in.pipeline.process(doc)
 }
 
 func (in *TCPInput) serve(conn net.Conn) {
@@ -236,6 +258,7 @@ func (in *TCPInput) serve(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
 	var strs controlplane.Interner // this connection's repeating strings
+	doc := new(Document)           // every line of the connection decodes into it
 	tooLong := false
 	for {
 		chunk, err := r.ReadSlice('\n')
@@ -256,7 +279,7 @@ func (in *TCPInput) serve(conn net.Conn) {
 			if !tooLong {
 				// Trim like bufio.ScanLines did: the newline plus an
 				// optional carriage return.
-				in.handleLine(bytes.TrimRight(buf, "\r\n"), &strs)
+				in.handleLine(bytes.TrimRight(buf, "\r\n"), &strs, doc)
 			}
 			tooLong = false
 			buf = buf[:0]

@@ -23,6 +23,10 @@ type Shipper struct {
 	queue [][]byte // ring buffer of encoded NDJSON lines
 	head  int
 	n     int
+	// arena is the chunk queued lines are carved from: each line is a
+	// capped slice of it, and a chunk is collected once no queue slot
+	// holds a line of it.
+	arena []byte
 	// A flight is the queue's oldest records while the run goroutine has
 	// them on the wire (or the disk, or the fallback writer): inflight
 	// of them, of which the first evicted lost their slot to a
@@ -90,7 +94,8 @@ func New(cfg Config) (*Shipper, error) {
 // Emit implements controlplane.Sink: encode, enqueue, never block on
 // the network. Overflow drops the oldest queued record and counts it.
 func (s *Shipper) Emit(r controlplane.Report) {
-	line, err := r.MarshalJSONLine()
+	var scratch [512]byte // a metric line is 220–330 B
+	line, err := r.AppendJSONLine(scratch[:0])
 	s.mu.Lock()
 	s.stats.Emitted++
 	if err != nil || s.closing {
@@ -112,7 +117,7 @@ func (s *Shipper) Emit(r controlplane.Report) {
 			dropOldest = true
 		}
 	}
-	s.queue[(s.head+s.n)%len(s.queue)] = line
+	s.queue[(s.head+s.n)%len(s.queue)] = s.carve(line)
 	s.n++
 	s.stats.Queued = uint64(s.n + s.evicted)
 	s.mu.Unlock()
@@ -123,6 +128,21 @@ func (s *Shipper) Emit(r controlplane.Report) {
 	case s.notify <- struct{}{}:
 	default:
 	}
+}
+
+// arenaBytes is the size of one arena chunk: a few hundred lines per
+// allocation.
+const arenaBytes = 64 << 10
+
+// carve copies line into the arena, under s.mu, and returns the copy
+// capped at its length, so nothing appended to it reaches the next line.
+func (s *Shipper) carve(line []byte) []byte {
+	if len(s.arena)+len(line) > cap(s.arena) {
+		s.arena = make([]byte, 0, arenaBytes)
+	}
+	start := len(s.arena)
+	s.arena = append(s.arena, line...)
+	return s.arena[start:len(s.arena):len(s.arena)]
 }
 
 // Stats returns a consistent snapshot of the counters.
