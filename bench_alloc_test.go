@@ -219,25 +219,23 @@ func TestAllocBoundShardedLaunch(t *testing.T) {
 }
 
 // TestAllocFreeGenerationRead pins the reconfiguration model's hot
-// half: reading the live tuning generation (the one atomic load and
-// value copy every packet front does) allocates nothing, with and
-// without a history of publishes behind it. Publishing allocates (a
-// new snapshot by design); reading never may.
+// half: reading the control plane's live runtime-config generation (the
+// one atomic load and value copy every extraction tick does) allocates
+// nothing, with and without a config-P4 publish behind it. Publishing
+// allocates (a new snapshot by design); reading never may.
 func TestAllocFreeGenerationRead(t *testing.T) {
-	dp := dataplane.New(dataplane.Config{})
-	var sink uint64
-	assertZeroAllocs(t, "tuning read", func() {
-		sink += dp.CurrentTuning().LongFlowBytes
+	cp := controlplane.New(simtime.NewEngine(), dataplane.NewPipes(dataplane.Config{}, 1),
+		&controlplane.MemorySink{}, controlplane.Config{LinkCapacityBps: 1e9})
+	var sink float64
+	assertZeroAllocs(t, "runtime-config read", func() {
+		sink += cp.RuntimeSnapshot().MetricConfig(controlplane.MetricRTT).SamplesPerSecond
 	})
 	// A published successor must not change the read-side profile.
-	if err := dp.UpdateTuning(func(tn *dataplane.Tuning) error {
-		tn.LongFlowBytes = 2 << 20
-		return nil
-	}); err != nil {
+	if err := cp.SetRate(controlplane.MetricRTT, 5); err != nil {
 		t.Fatal(err)
 	}
-	assertZeroAllocs(t, "tuning read after publish", func() {
-		sink += dp.CurrentTuning().LongFlowBytes
+	assertZeroAllocs(t, "runtime-config read after publish", func() {
+		sink += cp.RuntimeSnapshot().MetricConfig(controlplane.MetricRTT).SamplesPerSecond
 	})
 	if sink == 0 {
 		t.Fatal("generation reads returned no data")

@@ -151,10 +151,7 @@ func externalIP(i, host int) netip.Addr {
 	return packet.MustAddr(fmt.Sprintf("192.168.%d.%d", i+1, host))
 }
 
-// NewSystem builds the full testbed. It seeds the data-plane burst
-// floor from the bottleneck drain time before generation 0 is cut.
-//
-// p4:gen-init
+// NewSystem builds the full testbed.
 func NewSystem(opts Options) *System {
 	opts = opts.withDefaults()
 	e := simtime.NewEngine()

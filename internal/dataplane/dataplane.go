@@ -13,7 +13,6 @@ import (
 	"net/netip"
 	"sort"
 
-	"repro/internal/genconfig"
 	"repro/internal/packet"
 	"repro/internal/simtime"
 	"repro/internal/sketch"
@@ -36,8 +35,7 @@ type Config struct {
 	// long-flow detection.
 	CMSWidth, CMSDepth int
 	// LongFlowBytes is the byte volume at which a flow is declared
-	// "long" and announced to the control plane. Seed value only: the
-	// live threshold is the Tuning generation's copy (p4:gen-seed).
+	// "long" and announced to the control plane.
 	LongFlowBytes uint64
 	// Microburst detection (§3.3.3). A microburst is a *sudden* queue
 	// excursion, so the detector compares each packet's queuing delay
@@ -46,21 +44,18 @@ type Config struct {
 	// BurstFloor; it ends when the delay falls back below
 	// BurstEndFactor x baseline (or under half the floor). The adaptive
 	// baseline keeps slow phenomena — CUBIC's standing queue, gradual
-	// ramps — from registering as bursts. Seed values only; the live
-	// detector reads the Tuning generation (p4:gen-seed).
+	// ramps — from registering as bursts.
 	BurstFactor float64
-	// BurstEndFactor ends a burst (see BurstFactor). Seed value only
-	// (p4:gen-seed).
+	// BurstEndFactor ends a burst (see BurstFactor).
 	BurstEndFactor float64
 	// BurstFloor is the absolute delay floor below which no excursion
-	// counts as a burst (see BurstFactor). Seed value only
-	// (p4:gen-seed).
+	// counts as a burst (see BurstFactor).
 	BurstFloor simtime.Time
 	// BurstBaselineTau is the baseline's adaptation time constant. The
 	// baseline must adapt by elapsed time, not by packet count — a
 	// back-to-back packet train ramps the queue within microseconds,
 	// and a per-packet average would chase the ramp and never see it
-	// as sudden. Seed value only (p4:gen-seed).
+	// as sudden.
 	BurstBaselineTau simtime.Time
 	// SketchEpsilon and SketchDelta are the lean tier's (ε, δ) error
 	// target: a sketch estimate overcounts by more than ε·N with
@@ -77,8 +72,6 @@ type Config struct {
 }
 
 // WithDefaults fills unset fields with the paper-faithful defaults.
-//
-// p4:gen-init
 func (c Config) WithDefaults() Config {
 	if c.FlowTableSize <= 0 {
 		c.FlowTableSize = 2048
@@ -186,15 +179,6 @@ const flightNoSample = ^uint64(0)
 type DataPlane struct {
 	cfg Config
 
-	// tuning publishes the runtime-tunable thresholds as immutable
-	// generations (DESIGN.md §5.7); Pipes shares one store across all
-	// shards. tun is the generation snapshot the current batch loaded —
-	// a plain field, single-writer by the pipe contract, copied once at
-	// each batch front so every packet in the batch sees one coherent
-	// parameter set.
-	tuning *genconfig.Store[Tuning]
-	tun    Tuning
-
 	// Per-flow register arrays, indexed by hash(5-tuple) % FlowTableSize.
 	bytesReg   *Register // cumulative IPv4 total-length bytes
 	pktsReg    *Register // cumulative packets
@@ -289,18 +273,12 @@ type DataPlane struct {
 	Stats Stats
 }
 
-// New builds a pipeline with the given configuration. The tunable
-// subset of cfg seeds generation 0 of the Tuning store; from then on
-// the live thresholds are whatever UpdateTuning last published.
-//
-// p4:gen-init
+// New builds a pipeline with the given configuration.
 func New(cfg Config) *DataPlane {
 	cfg = cfg.WithDefaults()
 	n := cfg.FlowTableSize
 	d := &DataPlane{
-		cfg:    cfg,
-		tuning: genconfig.NewStore(TuningFrom(cfg)),
-		tun:    TuningFrom(cfg),
+		cfg: cfg,
 		// Widths mirror the P4 program and the cells enforce them:
 		// Tofino's clock (and therefore every timestamp and timestamp
 		// difference) is 48-bit, flag registers are single bits, the
@@ -422,9 +400,9 @@ func parseCopy(v *view, c tap.Copy) {
 // measurement and feed the microburst detector. Copies are not retained:
 // the TAP pair may recycle the packet as soon as this returns.
 // ProcessCopy is the front of one: the copy is parsed into the pipe's
-// own one-view front and drained by ProcessFront, so a lone packet loads
-// one tuning generation and sees the monitor table as it is now (a
-// front never outlives the call), exactly like a batch.
+// own one-view front and drained by ProcessFront, so a lone packet sees
+// the monitor table as it is now (a front never outlives the call),
+// exactly like a batch.
 //
 // p4:hotpath
 func (d *DataPlane) ProcessCopy(c tap.Copy) {
@@ -466,10 +444,6 @@ func (d *DataPlane) ProcessFront(f *Front) {
 		return
 	}
 	d.batch.monOK = false
-	// Load one tuning generation for the whole batch: every view in the
-	// front sees the same thresholds, even if a handler publishes a new
-	// generation mid-front; the next front reads it.
-	d.tun = d.tuning.Current()
 	var ingress, egress uint64
 	for k := range b {
 		if b[k].point == tap.Ingress {
@@ -567,7 +541,7 @@ func (d *DataPlane) processData(v *view, idx uint32, now simtime.Time) {
 
 	// Long-flow detection via the count-min sketch.
 	est := d.cms.s.Add(longFlowHash(v.id, v.h), uint64(v.totalLen))
-	if est >= d.tun.LongFlowBytes && d.announced.Read(idx) == 0 {
+	if est >= d.cfg.LongFlowBytes && d.announced.Read(idx) == 0 {
 		d.announced.Write(idx, 1)
 		if d.OnLongFlow != nil {
 			d.OnLongFlow(LongFlowEvent{
@@ -733,7 +707,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 		return
 	}
 	if !d.inBurst {
-		if q > d.tun.BurstFactor*d.qBaseline && qdelay >= d.tun.BurstFloor {
+		if q > d.cfg.BurstFactor*d.qBaseline && qdelay >= d.cfg.BurstFloor {
 			d.inBurst = true
 			d.burstStart = now - qdelay // the burst began as the queue built
 			if d.burstStart < 0 {
@@ -755,7 +729,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 	// congestion episode self-terminates instead of reporting as one
 	// endless microburst.
 	d.updateQBaseline(q, now, 0.25)
-	if q < d.tun.BurstEndFactor*d.qBaseline || qdelay < d.tun.BurstFloor/2 {
+	if q < d.cfg.BurstEndFactor*d.qBaseline || qdelay < d.cfg.BurstFloor/2 {
 		d.inBurst = false
 		d.Stats.Microbursts++
 		if o := d.obs; o != nil {
@@ -780,7 +754,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 // p4:hotpath
 func (d *DataPlane) updateQBaseline(q float64, now simtime.Time, scale float64) {
 	dt := float64(now - d.qBaseTs)
-	alpha := dt / float64(d.tun.BurstBaselineTau) * scale
+	alpha := dt / float64(d.cfg.BurstBaselineTau) * scale
 	if alpha > 1 {
 		alpha = 1
 	}

@@ -38,6 +38,15 @@ func ackPkt(ft packet.FiveTuple, ack uint64, ipid uint16) *packet.Packet {
 	return p
 }
 
+func TestConfigDefaultThresholds(t *testing.T) {
+	c := Config{}.WithDefaults()
+	if c.LongFlowBytes != 1<<20 || c.BurstFactor != 4 ||
+		c.BurstEndFactor != 1.5 || c.BurstFloor != simtime.Millisecond ||
+		c.BurstBaselineTau != 50*simtime.Millisecond {
+		t.Fatalf("detector thresholds do not match the defaults: %+v", c)
+	}
+}
+
 func TestHashDeterministicAndDirectional(t *testing.T) {
 	ft := flow()
 	if HashFiveTuple(ft) != HashFiveTuple(ft) {

@@ -99,14 +99,6 @@ func NewPipes(cfg Config, shards int) *Pipes {
 	for i := range p.shards {
 		p.shards[i] = New(cfg)
 	}
-	// All shards share one tuning store: a published generation is
-	// visible to every pipe at its next batch front, exactly as the
-	// control plane programs all of Tofino's pipes with one write.
-	shared := p.shards[0].tuning
-	for _, d := range p.shards[1:] {
-		d.tuning = shared
-		d.tun = shared.Current()
-	}
 	if p.n == 1 {
 		// Synchronous ingest: digests go straight up, in packet order.
 		p.shards[0].OnLongFlow = func(ev LongFlowEvent) {

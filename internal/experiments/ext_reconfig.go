@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/controlplane"
@@ -15,22 +14,14 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/packet"
 	"repro/internal/psconfig"
-	"repro/internal/replay"
 	"repro/internal/simtime"
 )
 
 // This file implements the reconfigure-under-load robustness
 // experiment: the paper's config-P4 channel (Figure 6) exercised
-// *while* the measurement pipeline carries traffic, proving the
+// *while* the control plane extracts reports, proving the
 // generation-based reconfiguration model of DESIGN.md §5.7:
 //
-//	phase A  tuning storm vs packet path — writers publish hundreds of
-//	         valid and invalid data-plane tuning generations while a
-//	         sharded pipeline ingests a replay stream at full rate;
-//	         observers read generations concurrently and check every
-//	         value they see against the set of published candidates
-//	         (zero torn reads), and the generation sequence must count
-//	         exactly the accepted publishes.
 //	phase B  no-op config storm vs witness — the same control-plane
 //	         scenario runs twice, once quiet and once under a config
 //	         storm of no-op, invalid, malformed and fault-injected
@@ -42,45 +33,17 @@ import (
 //	         rate at the next tick that reads the new generation, not
 //	         at the next natural rtt transition.
 type ReconfigConfig struct {
-	// Packets is the replay workload size for phase A (default 200k
-	// TAP records).
-	Packets int
-	// Writers and PublishesPerWriter size the phase A tuning storm
-	// (defaults 4 x 75 = 300 publish attempts, a third invalid).
-	Writers            int
-	PublishesPerWriter int
-	// Observers is the number of concurrent generation readers
-	// checking for torn values in phase A (default 4).
-	Observers int
 	// StormCommands is the phase B wire-command count (default 200,
 	// cycling no-op / invalid / fault-injected / malformed).
 	StormCommands int
 	Seed          uint64
 }
 
-const (
-	// reconfigShards is phase A's data-plane pipe count and
-	// reconfigBatch its replay front capacity.
-	reconfigShards = 2
-	reconfigBatch  = 256
-	// reconfigDuration is the phase B/C virtual scenario length: rtt
-	// degrades at 3s and recovers at 6s.
-	reconfigDuration = 9 * simtime.Second
-)
+// reconfigDuration is the phase B/C virtual scenario length: rtt
+// degrades at 3s and recovers at 6s.
+const reconfigDuration = 9 * simtime.Second
 
 func (c ReconfigConfig) withDefaults() ReconfigConfig {
-	if c.Packets <= 0 {
-		c.Packets = 200_000
-	}
-	if c.Writers <= 0 {
-		c.Writers = 4
-	}
-	if c.PublishesPerWriter <= 0 {
-		c.PublishesPerWriter = 75
-	}
-	if c.Observers <= 0 {
-		c.Observers = 4
-	}
 	if c.StormCommands <= 0 {
 		c.StormCommands = 200
 	}
@@ -90,17 +53,9 @@ func (c ReconfigConfig) withDefaults() ReconfigConfig {
 	return c
 }
 
-// ReconfigResult carries the outcome of all three phases.
+// ReconfigResult carries the outcome of both phases.
 type ReconfigResult struct {
 	Config ReconfigConfig
-
-	// Phase A: packet-path safety under a tuning storm.
-	PacketsOffered   uint64
-	PacketsProcessed uint64
-	TuningAccepted   uint64
-	TuningRejected   uint64
-	TornReads        uint64
-	TuningSeq        uint64
 
 	// Phase B: witness determinism under a wire-channel storm.
 	StormAccepted    uint64
@@ -122,10 +77,7 @@ type ReconfigResult struct {
 
 // Passed reports whether every reconfiguration invariant held.
 func (r *ReconfigResult) Passed() bool {
-	return r.PacketsProcessed == r.PacketsOffered &&
-		r.TornReads == 0 &&
-		r.TuningSeq == r.TuningAccepted &&
-		r.WitnessIdentical &&
+	return r.WitnessIdentical &&
 		r.StormSeqDelta == r.StormAccepted &&
 		r.AlertsControl == 1 && r.AlertsRetuned == 1 &&
 		r.EscalatedWindowRetuned < r.EscalatedWindowControl
@@ -138,8 +90,6 @@ func (r *ReconfigResult) Render() string {
 	for _, l := range r.Log {
 		fmt.Fprintf(&b, "  %s\n", l)
 	}
-	fmt.Fprintf(&b, "phase A: packets %d/%d, tuning publishes %d ok / %d rejected, torn reads %d, generation seq %d\n",
-		r.PacketsProcessed, r.PacketsOffered, r.TuningAccepted, r.TuningRejected, r.TornReads, r.TuningSeq)
 	fmt.Fprintf(&b, "phase B: storm %d ok / %d rejected / %d faulted / %d malformed, seq advanced %d, witness identical %v (%d reports)\n",
 		r.StormAccepted, r.StormRejected, r.StormFaulted, r.StormMalformed, r.StormSeqDelta, r.WitnessIdentical, r.WitnessReports)
 	fmt.Fprintf(&b, "phase C: alerts %d/%d, escalated-window reports control=%d retuned=%d\n",
@@ -264,101 +214,6 @@ func reconfigScenario(cfg ReconfigConfig, retuneAt simtime.Time, storm func(cp *
 	return sink, cp
 }
 
-// runTuningStorm is phase A: a sharded pipeline ingests the replay
-// stream while writers publish tuning generations and observers check
-// every value they read against the published set.
-func runTuningStorm(cfg ReconfigConfig, res *ReconfigResult) error {
-	pipes := dataplane.NewPipes(dataplane.Config{}, reconfigShards)
-
-	// published is the ground-truth candidate set: writers record every
-	// value they build *inside* the mutation closure, before the store
-	// can publish it, so any generation an observer reads is already in
-	// the set. A value read outside the set is a torn read.
-	published := map[dataplane.Tuning]bool{pipes.CurrentTuning(): true}
-	var pubMu sync.Mutex
-
-	var accepted, rejected, torn atomic.Uint64
-	stop := make(chan struct{})
-	var writers, observers sync.WaitGroup
-
-	for w := 0; w < cfg.Writers; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < cfg.PublishesPerWriter; i++ {
-				if i%3 == 2 {
-					// Deliberately invalid: must be rejected and must
-					// not perturb the live generation.
-					err := pipes.UpdateTuning(func(tn *dataplane.Tuning) error {
-						tn.LongFlowBytes = 1 << 10
-						tn.BurstFactor = 0.5 // below the >1 validity floor
-						return nil
-					})
-					if err == nil {
-						return // counted as a missing rejection below
-					}
-					rejected.Add(1)
-					continue
-				}
-				want := uint64(1<<20 + w*10_000 + i)
-				err := pipes.UpdateTuning(func(tn *dataplane.Tuning) error {
-					tn.LongFlowBytes = want
-					pubMu.Lock()
-					published[*tn] = true
-					pubMu.Unlock()
-					return nil
-				})
-				if err != nil {
-					return
-				}
-				accepted.Add(1)
-			}
-		}(w)
-	}
-	for o := 0; o < cfg.Observers; o++ {
-		observers.Add(1)
-		go func() {
-			defer observers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := pipes.CurrentTuning()
-				pubMu.Lock()
-				ok := published[v]
-				pubMu.Unlock()
-				if !ok {
-					torn.Add(1)
-				}
-			}
-		}()
-	}
-
-	run := replay.Runner{Plane: pipes, Batch: reconfigBatch}.Run( //p4:lint-exempt determinism: Runner's wall-clock only stamps Result.Elapsed, which this phase discards; the invariants count packets
-		&replay.Synth{Packets: cfg.Packets})
-	writers.Wait()
-	close(stop)
-	observers.Wait()
-	pipes.Flush()
-
-	res.PacketsOffered = uint64(cfg.Packets)
-	res.PacketsProcessed = run.Stats.IngressCopies + run.Stats.EgressCopies
-	res.TuningAccepted = accepted.Load()
-	res.TuningRejected = rejected.Load()
-	res.TornReads = torn.Load()
-	res.TuningSeq = pipes.TuningSeq()
-	wantAttempts := uint64(cfg.Writers * cfg.PublishesPerWriter)
-	if res.TuningAccepted+res.TuningRejected != wantAttempts {
-		return fmt.Errorf("experiments: tuning storm lost attempts: %d accepted + %d rejected != %d",
-			res.TuningAccepted, res.TuningRejected, wantAttempts)
-	}
-	res.Log = append(res.Log, fmt.Sprintf(
-		"phase A: %d-shard replay of %d records under %d tuning publishes", reconfigShards, cfg.Packets, wantAttempts))
-	return nil
-}
-
 // runWireStorm is phase B's storm callback factory: it serves the real
 // wire protocol on a fault-injection listener and fires StormCommands
 // commands at it — no-op reconfigurations, invalid rates, mid-record
@@ -438,15 +293,11 @@ func rttReportsIn(sink *controlplane.MemorySink, from, to simtime.Time) int {
 	return n
 }
 
-// RunReconfigUnderLoad runs all three reconfiguration phases and
-// returns their combined invariants.
+// RunReconfigUnderLoad runs both reconfiguration phases and returns
+// their combined invariants.
 func RunReconfigUnderLoad(cfg ReconfigConfig) (*ReconfigResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ReconfigResult{Config: cfg}
-
-	if err := runTuningStorm(cfg, res); err != nil {
-		return res, err
-	}
 
 	// Phase B: identical scenario, quiet vs under storm. Every storm
 	// command is a no-op, a reject or a fault, so the report stream —

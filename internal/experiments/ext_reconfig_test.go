@@ -6,36 +6,17 @@ import (
 )
 
 // TestReconfigUnderLoad runs the reconfiguration harness at reduced
-// scale: a tuning storm against a live replay stream, a wire-channel
-// storm against the witness, and the generation-boundary escalation
-// check. The name matches the chaos CI job's -run pattern.
+// scale: a wire-channel storm against the witness and the
+// generation-boundary escalation check. The name matches the chaos CI
+// job's -run pattern.
 func TestReconfigUnderLoad(t *testing.T) {
 	t.Parallel()
-	res, err := RunReconfigUnderLoad(ReconfigConfig{
-		Packets:            40_000,
-		Writers:            3,
-		PublishesPerWriter: 30,
-		Observers:          3,
-		StormCommands:      60,
-	})
+	res, err := RunReconfigUnderLoad(ReconfigConfig{StormCommands: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res.Render())
 
-	if res.PacketsProcessed != res.PacketsOffered {
-		t.Errorf("packet path dropped records under reconfiguration: %d/%d",
-			res.PacketsProcessed, res.PacketsOffered)
-	}
-	if res.TornReads != 0 {
-		t.Errorf("observers saw %d torn tuning reads", res.TornReads)
-	}
-	if res.TuningSeq != res.TuningAccepted {
-		t.Errorf("tuning seq %d but %d accepted updates", res.TuningSeq, res.TuningAccepted)
-	}
-	if res.TuningRejected == 0 {
-		t.Error("storm never exercised a rejected tuning update")
-	}
 	if !res.WitnessIdentical {
 		t.Errorf("witness diverged under a no-op config storm (%d reports)", res.WitnessReports)
 	}
