@@ -83,6 +83,10 @@ type Pipes struct {
 	lfPend [][]LongFlowEvent
 	mbPend [][]MicroburstEvent
 
+	// replays[i] replays shard i's flight and marks the replay done: built
+	// once, so a launch's go statement allocates no closure.
+	replays []func()
+
 	flushes      uint64
 	batchedViews uint64
 }
@@ -117,7 +121,12 @@ func NewPipes(cfg Config, shards int) *Pipes {
 	p.flight = make([]*Front, shards)
 	p.lfPend = make([][]LongFlowEvent, shards)
 	p.mbPend = make([][]MicroburstEvent, shards)
+	p.replays = make([]func(), shards)
 	for i, d := range p.shards {
+		p.replays[i] = func() {
+			defer p.replay.Done()
+			p.replayShard(i)
+		}
 		p.fronts[i] = NewFront(pipeBatch)
 		p.flight[i] = NewFront(pipeBatch)
 		d.OnLongFlow = func(ev LongFlowEvent) {
@@ -231,8 +240,9 @@ func (p *Pipes) flushLocked() {
 // launchLocked joins the replay in flight, then hands every pending
 // front to its shard: the two sets swap and each shard with work gets
 // one goroutine, placed by the Go scheduler, which nobody waits for
-// here. A launch that finds one shard busy replays it on the caller's
-// goroutine instead, spawning and allocating nothing. Each shard is
+// here. The goroutine runs the shard's prebuilt replay, so a launch
+// allocates nothing. A launch that finds one shard busy replays it on
+// the caller's goroutine instead, spawning nothing. Each shard is
 // replayed by exactly one goroutine at a time, so per-shard state stays
 // single-writer.
 func (p *Pipes) launchLocked() {
@@ -257,10 +267,7 @@ func (p *Pipes) launchLocked() {
 			continue
 		}
 		p.replay.Add(1)
-		go func() {
-			defer p.replay.Done()
-			p.replayShard(i)
-		}()
+		go p.replays[i]()
 	}
 }
 

@@ -15,7 +15,8 @@ func (in *TCPInput) RegisterObs(r *obs.Registry) {
 }
 
 // RegisterObs exposes the store's documents and the bytes of their
-// columns and string tables, read under the read lock at each scrape.
+// columns, string tables and identity tables, read under the read lock
+// at each scrape.
 func (s *Store) RegisterObs(r *obs.Registry) {
 	r.Collect(func(w obs.MetricWriter) {
 		var docs, bytes int
@@ -25,7 +26,7 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 		}
 		s.mu.RUnlock()
 		w.Gauge("p4_archiver_store_documents", "Documents in the store, across its indices.", uint64(docs))
-		w.Gauge("p4_archiver_store_bytes", "Bytes of the store's columns and string tables (Extra maps not counted).", uint64(bytes))
+		w.Gauge("p4_archiver_store_bytes", "Bytes of the store's columns, string tables and identity tables (Extra maps not counted).", uint64(bytes))
 	})
 }
 

@@ -150,8 +150,10 @@ type Store struct {
 // index keeps its documents as columns, the way OpenSearch keeps doc
 // values: append-only segments, each with one column per Report_v1
 // field, a string field's values as ids into the index's string table.
-// A stored document never moves, and no column holds a pointer for the
-// collector to trace.
+// The seven fields that name a document's flow share one column: an id
+// into the index's identity table, which holds each distinct identity
+// once. A stored document never moves, and no column holds a pointer for
+// the collector to trace.
 type index struct {
 	segs []*segment
 	n    int
@@ -161,7 +163,19 @@ type index struct {
 	last   []string          // per field, the previous document's string: most fields repeat it
 	lastID []uint32          // and its id
 
-	bytes int // of the columns and the string table, for RegisterObs
+	idents    []identity          // the identity table: idents[0] names no flow
+	identOf   map[identity]uint32 // its inverse
+	byFlow    map[string]uint32   // per flow_id, the identity its last document had
+	lastIdent uint32              // the previous document's identity
+
+	bytes int // of the columns and the string and identity tables, for RegisterObs
+}
+
+// identity is what names a document's flow: the string-table ids of the
+// identStrs fields and the identPorts fields' values.
+type identity struct {
+	ids   [5]uint32
+	ports [2]uint16
 }
 
 // segment holds up to cap(flags) documents. A column is allocated, at
@@ -170,8 +184,9 @@ type index struct {
 // (time_ns's presence is flagTime).
 type segment struct {
 	flags []uint8
-	ids   [][]uint32               // per field: string-table ids, for a string field
-	words [][]uint64               // per field: controlplane.Field.Word, for a numeric one
+	ident []uint32                 // identity-table ids, for the fields of an identity
+	ids   [][]uint32               // per field: string-table ids, for any other string field
+	words [][]uint64               // per field: controlplane.Field.Word, for any other numeric one
 	extra []map[string]interface{} // per document, allocated for the first with Extra
 }
 
@@ -184,7 +199,42 @@ var (
 	strFields, numFields = controlplane.Fields()
 	columns              = len(strFields) + len(numFields) // per segment, one per field
 	timeNsField          = controlplane.LookupField("time_ns")
+
+	// The fields of an identity, in its order: flow_id first, the key
+	// of index.byFlow.
+	identStrs  = lookupFields("flow_id", "rev_id", "src_ip", "dst_ip", "proto")
+	identPorts = lookupFields("src_port", "dst_port")
+	// identStr and identPort map a field's position to 1 + its place in
+	// identStrs or identPorts, 0 when it has a column of its own.
+	identStr, identPort = identSlots(identStrs), identSlots(identPorts)
+	// The fields with a column of their own.
+	colStrs, colNums = ownColumns(strFields), ownColumns(numFields)
 )
+
+func lookupFields(names ...string) []*controlplane.Field {
+	out := make([]*controlplane.Field, len(names))
+	for i, name := range names {
+		out[i] = controlplane.LookupField(name)
+	}
+	return out
+}
+
+func identSlots(fields []*controlplane.Field) []int {
+	slot := make([]int, columns)
+	for i, f := range fields {
+		slot[f.Pos()] = i + 1
+	}
+	return slot
+}
+
+func ownColumns(fields []*controlplane.Field) (out []*controlplane.Field) {
+	for _, f := range fields {
+		if identStr[f.Pos()] == 0 && identPort[f.Pos()] == 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
 
 // Segments start small, so an index of a few documents costs a few
 // kilobytes, and double up to maxSegmentDocs.
@@ -204,7 +254,8 @@ func (s *Store) Index(name string, doc Document) {
 	defer s.mu.Unlock()
 	ix := s.indices[name]
 	if ix == nil {
-		ix = &index{strs: []string{""}, ids: make(map[string]uint32), last: make([]string, columns), lastID: make([]uint32, columns)}
+		ix = &index{strs: []string{""}, ids: make(map[string]uint32), last: make([]string, columns), lastID: make([]uint32, columns),
+			idents: []identity{{}}, identOf: map[identity]uint32{{}: 0}, byFlow: make(map[string]uint32)}
 		s.indices[name] = ix
 	}
 	ix.add(&doc)
@@ -229,7 +280,14 @@ func (ix *index) add(doc *Document) {
 		fl |= flagMeta
 	}
 	seg.flags = append(seg.flags, fl)
-	for _, f := range strFields {
+	if k := ix.identify(&doc.Report); k != 0 {
+		if seg.ident == nil {
+			seg.ident = make([]uint32, size)
+			ix.bytes += 4 * size
+		}
+		seg.ident[i] = k
+	}
+	for _, f := range colStrs {
 		if s, pos := f.Str(&doc.Report), f.Pos(); s != "" {
 			if seg.ids[pos] == nil {
 				seg.ids[pos] = make([]uint32, size)
@@ -238,7 +296,7 @@ func (ix *index) add(doc *Document) {
 			seg.ids[pos][i] = ix.intern(pos, s)
 		}
 	}
-	for _, f := range numFields {
+	for _, f := range colNums {
 		if w, pos := f.Word(&doc.Report), f.Pos(); w != 0 {
 			if seg.words[pos] == nil {
 				seg.words[pos] = make([]uint64, size)
@@ -254,6 +312,65 @@ func (ix *index) add(doc *Document) {
 		seg.extra[i] = doc.Extra
 	}
 	ix.n++
+}
+
+// identify returns the id of r's identity. A stream of one flow's
+// documents repeats the previous document's identity; a stream that
+// interleaves flows repeats the identity its flow_id's last document
+// had, which byFlow holds: the steady state's one map probe.
+func (ix *index) identify(r *controlplane.Report) uint32 {
+	if ix.same(ix.lastIdent, r) {
+		return ix.lastIdent
+	}
+	k, seen := ix.byFlow[identStrs[0].Str(r)]
+	if !seen || !ix.same(k, r) {
+		k = ix.resolve(r, seen)
+	}
+	ix.lastIdent = k
+	return k
+}
+
+// same reports whether identity k is r's.
+func (ix *index) same(k uint32, r *controlplane.Report) bool {
+	id := &ix.idents[k]
+	for j, f := range identStrs {
+		if ix.strs[id.ids[j]] != f.Str(r) {
+			return false
+		}
+	}
+	for j, f := range identPorts {
+		if uint64(id.ports[j]) != f.Word(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// resolve is identify's slow path: r's identity from its fields through
+// the string table, added to the identity table on first sight, and made
+// its flow_id's latest. seen says whether byFlow has the flow_id.
+func (ix *index) resolve(r *controlplane.Report, seen bool) uint32 {
+	var key identity
+	for j, f := range identStrs {
+		if s := f.Str(r); s != "" {
+			key.ids[j] = ix.intern(f.Pos(), s)
+		}
+	}
+	for j, f := range identPorts {
+		key.ports[j] = uint16(f.Word(r))
+	}
+	k, ok := ix.identOf[key]
+	if !ok {
+		k = uint32(len(ix.idents))
+		ix.idents = append(ix.idents, key)
+		ix.identOf[key] = k
+		ix.bytes += 24 + 28 // its table slot, its map key and id
+	}
+	if !seen {
+		ix.bytes += 16 + 4 // the flow_id's byFlow key and id
+	}
+	ix.byFlow[ix.strs[key.ids[0]]] = k
+	return k
 }
 
 // intern returns s's id in the string table, adding it on first sight.
@@ -342,6 +459,9 @@ func (c *cursor) document() *Document {
 
 // id reads a string field's id; 0 for "" and for a numeric field.
 func (c *cursor) id(f *controlplane.Field) uint32 {
+	if j := identStr[f.Pos()]; j != 0 {
+		return c.identity().ids[j-1]
+	}
 	if col := c.seg.ids[f.Pos()]; col != nil {
 		return col[c.i]
 	}
@@ -350,10 +470,21 @@ func (c *cursor) id(f *controlplane.Field) uint32 {
 
 // word reads a numeric field's word; 0 for +0 and for a string field.
 func (c *cursor) word(f *controlplane.Field) uint64 {
+	if j := identPort[f.Pos()]; j != 0 {
+		return uint64(c.identity().ports[j-1])
+	}
 	if col := c.seg.words[f.Pos()]; col != nil {
 		return col[c.i]
 	}
 	return 0
+}
+
+// identity reads the document's identity.
+func (c *cursor) identity() *identity {
+	if c.seg.ident == nil {
+		return &c.ix.idents[0]
+	}
+	return &c.ix.idents[c.seg.ident[c.i]]
 }
 
 func (c *cursor) str(f *controlplane.Field, key string) string {

@@ -1,0 +1,80 @@
+//go:build !race
+
+// The race detector instruments allocations, so the allocation pin runs
+// only in the ordinary test configuration.
+package resilient
+
+import (
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/controlplane"
+)
+
+// heldConn is an archiver connection that accepts everything, but only
+// while the test does not hold hold.
+type heldConn struct {
+	net.Conn // nil: only the three methods the shipper uses are called
+	hold     *sync.Mutex
+}
+
+func (c *heldConn) Write(b []byte) (int, error) {
+	c.hold.Lock()
+	c.hold.Unlock()
+	return len(b), nil
+}
+
+func (c *heldConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *heldConn) Close() error                     { return nil }
+
+// TestAllocFreeBurst pins the arena's reuse: once one burst has been
+// queued and shipped, a burst of the same size allocates 0 B per report,
+// its lines going into the chunks the first burst left behind. The
+// connection holds the burst's first flight on the wire until the whole
+// burst is queued, so the burst needs as many chunks every time. The
+// count is TotalAlloc's, rounded down per report as AllocsPerRun rounds
+// allocations per run: the runtime may park the run goroutine on a fresh
+// 96 B wait record during a burst, while one chunk would read 16 B per
+// report.
+func TestAllocFreeBurst(t *testing.T) {
+	const burst = 4000 // about 19 chunks of metric lines
+	r := controlplane.Report{
+		Kind: controlplane.KindMetric, TimeNs: 2_200_000_000,
+		FlowID: "9f3c2a7d5be01846", RevID: "46180eb5d7a2c3f9", SrcIP: "10.0.3.17", DstIP: "10.1.0.1",
+		SrcPort: 40017, DstPort: 5201, Proto: "tcp",
+		Metric: controlplane.MetricRTT, Value: 20.125, Unit: "ms", RTTP50Ms: 16.777216, RTTP95Ms: 33.554432, RTTP99Ms: 33.554432,
+	}
+	var hold sync.Mutex
+	conn := &heldConn{hold: &hold}
+	s, err := New(Config{Dial: func() (net.Conn, error) { return conn, nil }, MemSpool: 2 * burst, Sleep: fastSleep, Fallback: &lockedBuffer{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var before, after runtime.MemStats
+	emit := func() uint64 {
+		hold.Lock()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < burst; i++ {
+			s.Emit(r)
+		}
+		runtime.ReadMemStats(&after)
+		hold.Unlock()
+		waitFor(t, "the burst shipped", func() bool { return s.Stats().Queued == 0 })
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if warm := emit(); warm == 0 {
+		t.Fatal("the first burst allocated nothing: no chunk was ever made")
+	}
+	for i := 0; i < 5; i++ {
+		if b := emit(); b/burst != 0 {
+			t.Fatalf("burst %d: %d B allocated, %.2f B per report, want 0", i+2, b, float64(b)/burst)
+		}
+	}
+	if st := s.Stats(); st.Shipped != 6*burst || st.Dropped != 0 {
+		t.Fatalf("%s, want all %d shipped", st, 6*burst)
+	}
+}
