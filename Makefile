@@ -65,7 +65,7 @@ bench-pairs:
 bench-scaling:
 	bash scripts/bench_scaling.sh $(N)
 
-# lint runs the nine p4lint passes over one load of the module (parsed
+# lint runs the seven p4lint passes over one load of the module (parsed
 # and type-checked once, call graph built once) and fails on any
 # finding, a package that does not type-check included. Lock values
 # copied by value are `vet`'s copylocks check. Inside GitHub Actions it
@@ -74,10 +74,11 @@ lint:
 	$(GO) run ./cmd/p4lint $(if $(GITHUB_ACTIONS),-gha) ./...
 
 # chaos runs the fault-injection suites under the race detector: the
-# scripted-outage shipper tests, the archiver ingest robustness tests,
-# the config-channel fault harness, the end-to-end outage and
-# reconfigure-under-load scenarios — plus the goleak pass proving the
-# shipper's goroutines terminate on Close.
+# faultnet harness itself, the scripted-outage shipper tests, the
+# archiver ingest robustness tests, the config-channel fault tests and
+# the generation store's; then, from internal/experiments, the
+# end-to-end outage (TestExtOutage*) and reconfiguration (TestReconfig*)
+# scenarios.
 chaos:
 	$(GO) test -race -timeout 30m ./internal/faultnet ./internal/resilient ./internal/psarchiver ./internal/psconfig ./internal/genconfig
 	$(GO) test -race -timeout 30m -run 'TestExtOutage|TestReconfig' ./internal/experiments

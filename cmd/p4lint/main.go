@@ -6,14 +6,13 @@
 //
 // Usage:
 //
-//	p4lint [-only lockorder,timeunits,...] [-json|-gha] [pattern ...]
+//	p4lint [-only lockorder,timeunits,...] [-gha] [pattern ...]
 //
 // Patterns are directories, optionally ending in /... to recurse
 // (default "./..."). Examples:
 //
 //	go run ./cmd/p4lint ./...
 //	go run ./cmd/p4lint -only timeunits ./internal/dataplane
-//	go run ./cmd/p4lint -json ./internal/... > lint.json
 //	go run ./cmd/p4lint -gha ./...   # GitHub Actions ::error annotations
 package main
 
@@ -28,7 +27,6 @@ import (
 
 func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	asGHA := flag.Bool("gha", false, "emit diagnostics as GitHub Actions ::error annotations")
 	flag.Usage = usage
 	flag.Parse()
@@ -64,15 +62,9 @@ func main() {
 		os.Exit(2)
 	}
 	diags := analysis.Run(pkgs, analyzers)
-	switch {
-	case *asJSON:
-		if err := analysis.RenderJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "p4lint:", err)
-			os.Exit(2)
-		}
-	case *asGHA:
+	if *asGHA {
 		analysis.RenderGitHub(os.Stdout, diags)
-	default:
+	} else {
 		analysis.RenderText(os.Stdout, diags)
 	}
 	if len(diags) > 0 {
@@ -82,7 +74,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: p4lint [-only a,b] [-json|-gha] [pattern ...]\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: p4lint [-only a,b] [-gha] [pattern ...]\n\nanalyzers:\n")
 	for _, a := range analysis.All() {
 		fmt.Fprintf(os.Stderr, "  %-13s %s\n", a.Name, a.Doc)
 	}

@@ -8,7 +8,7 @@
 // A shared Loader parses and type-checks every package once; each
 // Analyzer then walks the typed ASTs and reports Diagnostics. The
 // cmd/p4lint driver runs the registry over package patterns and prints
-// file:line: message lines (or JSON).
+// file:line: message lines (or GitHub Actions annotations).
 package analysis
 
 import (
@@ -122,10 +122,8 @@ func All() []*Analyzer {
 		GoLeakAnalyzer,
 		DocCommentAnalyzer,
 		HotPathPropAnalyzer,
-		AtomicMixAnalyzer,
 		LockOrderAnalyzer,
 		DeterminismAnalyzer,
-		ConfigReadAnalyzer,
 	}
 }
 

@@ -52,10 +52,8 @@ func TestUncheckedErrAnalyzer(t *testing.T) { runFixture(t, "uncheckederr") }
 func TestGoLeakAnalyzer(t *testing.T)       { runFixture(t, "goleak") }
 func TestDocCommentAnalyzer(t *testing.T)   { runFixture(t, "doccomment") }
 func TestHotPathProp(t *testing.T)          { runFixture(t, "hotpathprop") }
-func TestAtomicMix(t *testing.T)            { runFixture(t, "atomicmix") }
 func TestLockOrder(t *testing.T)            { runFixture(t, "lockorder") }
 func TestDeterminism(t *testing.T)          { runFixture(t, "determinism") }
-func TestConfigRead(t *testing.T)           { runFixture(t, "configread") }
 
 // TestEveryAnalyzerHasFixture fails when a registered analyzer has no
 // fixture directory, so a new pass cannot land untested.

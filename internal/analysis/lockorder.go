@@ -491,3 +491,33 @@ func pathInScope(path string, scopes []string) bool {
 	}
 	return false
 }
+
+// objectLabel renders a field or variable for messages as Type.field
+// or pkg.var.
+func objectLabel(obj types.Object) string {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		// Walk the package scope for the named type owning the field.
+		if pkg := v.Pkg(); pkg != nil {
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok {
+					continue
+				}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i) == v {
+						return tn.Name() + "." + v.Name()
+					}
+				}
+			}
+		}
+	}
+	if obj.Pkg() != nil {
+		return obj.Pkg().Name() + "." + obj.Name()
+	}
+	return obj.Name()
+}

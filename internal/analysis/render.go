@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -37,32 +36,6 @@ func RenderText(w io.Writer, diags []Diagnostic) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d.String())
 	}
-}
-
-// RenderJSON writes the diagnostics as an indented JSON array, the
-// machine-readable form consumed by dashboards and by the ordering
-// regression test.
-func RenderJSON(w io.Writer, diags []Diagnostic) error {
-	type jsonDiag struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // RenderGitHub writes GitHub Actions workflow commands, one ::error

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"go/token"
 	"math/rand"
 	"strings"
@@ -22,7 +21,7 @@ func diag(file string, line, col int, pass, msg string) Diagnostic {
 func TestDiagnosticOrdering(t *testing.T) {
 	want := []Diagnostic{
 		diag("a.go", 3, 9, "locks", "b"),
-		diag("a.go", 7, 1, "atomicmix", "x"),
+		diag("a.go", 7, 1, "goleak", "x"),
 		diag("a.go", 7, 1, "locks", "x"),
 		diag("a.go", 7, 2, "locks", "x"),
 		diag("a.go", 7, 2, "locks", "y"),
@@ -40,26 +39,6 @@ func TestDiagnosticOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("position %d: got %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestRenderJSON(t *testing.T) {
-	var b strings.Builder
-	diags := []Diagnostic{diag("a.go", 3, 9, "locks", "shared field written without mu")}
-	if err := RenderJSON(&b, diags); err != nil {
-		t.Fatalf("RenderJSON: %v", err)
-	}
-	var decoded []map[string]interface{}
-	if err := json.Unmarshal([]byte(b.String()), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, b.String())
-	}
-	if len(decoded) != 1 {
-		t.Fatalf("decoded %d diagnostics, want 1", len(decoded))
-	}
-	d := decoded[0]
-	if d["file"] != "a.go" || d["line"] != float64(3) || d["column"] != float64(9) ||
-		d["analyzer"] != "locks" || d["message"] != "shared field written without mu" {
-		t.Fatalf("unexpected JSON fields: %v", d)
 	}
 }
 

@@ -50,15 +50,13 @@ const MaxSamplesPerSecond = 1e6
 
 // RuntimeConfig is the runtime-tunable slice of the control plane's
 // configuration: everything a config-P4 command can change while
-// packets flow. It is a pure value — a fixed-size array plus scalars,
+// packets flow. It is a pure value — a fixed-size array of scalars,
 // no maps, slices or pointers — so copying one shares nothing, which
 // is what lets genconfig publish it as an immutable generation
 // (DESIGN.md §5.7).
 type RuntimeConfig struct {
 	// Metrics holds the per-metric schedules, indexed by MetricIndex.
 	Metrics [NumMetrics]MetricConfig
-	// CMSResetInterval is the long-flow sketch decay period.
-	CMSResetInterval simtime.Time
 }
 
 // MetricConfig returns the schedule slot for m (the zero MetricConfig
@@ -118,11 +116,8 @@ func validRate(what string, samplesPerSecond float64) error {
 // Config assembles the control plane's static parameters.
 type Config struct {
 	// Metrics holds the per-metric schedules; missing metrics default
-	// to 1 sample/second with no alerting. It seeds generation 0 of
-	// the runtime config — after New, the live schedules are read from
-	// the generation store, never from this map.
-	//
-	// p4:gen-seed
+	// to 1 sample/second with no alerting. New turns it into generation
+	// 0 of the runtime config and keeps no copy of it.
 	Metrics map[Metric]MetricConfig
 	// LinkCapacityBps is the monitored bottleneck capacity, needed for
 	// utilisation and queue-occupancy computation.
@@ -138,12 +133,6 @@ type Config struct {
 	// flows) from the fairness and utilisation aggregates. Default
 	// 0.1% of link capacity.
 	FairnessFloorBps float64
-	// CMSResetInterval periodically clears the long-flow sketch.
-	// Default 60 s. Like Metrics, it only seeds generation 0; the CMS
-	// ticker reads the live value from the generation store.
-	//
-	// p4:gen-seed
-	CMSResetInterval simtime.Time
 	// AgingWindow, when positive, turns on the data plane's flow-table
 	// aging: the 1 Hz sweep evicts unannounced register cells idle
 	// longer than this window, folding their counters into the sketch
@@ -153,29 +142,19 @@ type Config struct {
 	AgingWindow simtime.Time
 }
 
-// withDefaults fills the unset seed fields.
-//
-// p4:gen-init
-func (c Config) withDefaults() Config {
-	if c.Metrics == nil {
-		c.Metrics = map[Metric]MetricConfig{}
-	}
-	for _, m := range AllMetrics() {
-		if _, ok := c.Metrics[m]; !ok {
-			c.Metrics[m] = MetricConfig{SamplesPerSecond: 1}
-		}
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * simtime.Second
-	}
-	if c.FairnessFloorBps <= 0 {
-		c.FairnessFloorBps = c.LinkCapacityBps / 1000
-	}
-	if c.CMSResetInterval <= 0 {
-		c.CMSResetInterval = 60 * simtime.Second
-	}
-	return c
+// staticConfig is the part of Config a running control plane reads:
+// everything but Metrics, whose live values are in the generation
+// store. Tick code holds no field it could read a stale schedule from.
+type staticConfig struct {
+	LinkCapacityBps  float64
+	BufferBytes      int
+	IdleTimeout      simtime.Time
+	FairnessFloorBps float64
+	AgingWindow      simtime.Time
 }
+
+// cmsResetInterval is the long-flow sketch's decay period.
+const cmsResetInterval = 60 * simtime.Second
 
 // flowEntry is the control plane's directory record for one announced
 // long flow, joined from the data plane's LongFlowEvent digest.
@@ -220,7 +199,7 @@ type flowEntry struct {
 // while the engine runs (the psconfig wire server calls them from
 // connection handlers).
 type ControlPlane struct {
-	cfg    Config
+	cfg    staticConfig
 	engine *simtime.Engine
 	dp     dataplane.Plane
 	sink   Sink
@@ -257,17 +236,30 @@ type ControlPlane struct {
 // New wires a control plane to a data plane — *dataplane.Pipes at any
 // pipe count, or a scenario's scripted dataplane.Plane — and a report
 // sink. Call Start to begin extraction.
-//
-// p4:gen-init
 func New(e *simtime.Engine, dp dataplane.Plane, sink Sink, cfg Config) *ControlPlane {
-	cfg = cfg.withDefaults()
 	var rc RuntimeConfig
 	for _, m := range AllMetrics() {
-		rc.Metrics[MetricIndex(m)] = cfg.Metrics[m]
+		mc, ok := cfg.Metrics[m]
+		if !ok {
+			mc = MetricConfig{SamplesPerSecond: 1}
+		}
+		rc.Metrics[MetricIndex(m)] = mc
 	}
-	rc.CMSResetInterval = cfg.CMSResetInterval
+	sc := staticConfig{
+		LinkCapacityBps:  cfg.LinkCapacityBps,
+		BufferBytes:      cfg.BufferBytes,
+		IdleTimeout:      cfg.IdleTimeout,
+		FairnessFloorBps: cfg.FairnessFloorBps,
+		AgingWindow:      cfg.AgingWindow,
+	}
+	if sc.IdleTimeout <= 0 {
+		sc.IdleTimeout = 5 * simtime.Second
+	}
+	if sc.FairnessFloorBps <= 0 {
+		sc.FairnessFloorBps = sc.LinkCapacityBps / 1000
+	}
 	cp := &ControlPlane{
-		cfg:       cfg,
+		cfg:       sc,
 		engine:    e,
 		dp:        dp,
 		sink:      sink,
@@ -297,17 +289,8 @@ func (cp *ControlPlane) Start() {
 		})
 	}
 	simtime.NewTicker(cp.engine, cp.engine.Now()+simtime.Second, simtime.Second, cp.sweepTerminated)
-	// The CMS ticker re-arms itself from the live generation after
-	// each reset, so config-P4 changes to the decay period converge at
-	// the next reset without touching the engine off-thread.
-	var cmsTicker *simtime.Ticker
-	cmsTicker = simtime.NewTicker(cp.engine, cp.engine.Now()+rc.CMSResetInterval, rc.CMSResetInterval,
-		func(simtime.Time) {
-			cp.dp.ClearCMS()
-			if iv := cp.runtime.Current().CMSResetInterval; iv > 0 && iv != cmsTicker.Interval() {
-				cmsTicker.SetInterval(iv)
-			}
-		})
+	simtime.NewTicker(cp.engine, cp.engine.Now()+cmsResetInterval, cmsResetInterval,
+		func(simtime.Time) { cp.dp.ClearCMS() })
 }
 
 // Update transactionally publishes a runtime-config change: mut runs

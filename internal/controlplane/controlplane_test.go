@@ -219,6 +219,27 @@ func TestSweepConvergesSlowTicker(t *testing.T) {
 	}
 }
 
+// TestGenerationZeroFromConfig pins how New seeds the runtime config:
+// Config.Metrics becomes generation zero, and a metric it leaves out
+// reports at 1 sample/s with no alerting.
+func TestGenerationZeroFromConfig(t *testing.T) {
+	_, _, cp := newCP(&MemorySink{}, Config{
+		LinkCapacityBps: 1e9,
+		Metrics:         map[Metric]MetricConfig{MetricRTT: {SamplesPerSecond: 5}},
+	})
+	var want RuntimeConfig
+	for _, m := range AllMetrics() {
+		want.Metrics[MetricIndex(m)] = MetricConfig{SamplesPerSecond: 1}
+	}
+	want.Metrics[MetricIndex(MetricRTT)].SamplesPerSecond = 5
+	if got := cp.RuntimeSnapshot(); got != want {
+		t.Fatalf("generation zero:\n got %+v\nwant %+v", got, want)
+	}
+	if seq := cp.ConfigSeq(); seq != 0 {
+		t.Fatalf("seq=%d before any update", seq)
+	}
+}
+
 func TestUpdateTransactional(t *testing.T) {
 	sink := &MemorySink{}
 	_, _, cp := newCP(sink, Config{LinkCapacityBps: 1e9})
@@ -682,15 +703,39 @@ func TestStampsAcrossTheClockWrap(t *testing.T) {
 }
 
 // countingPlane is a data plane that counts the register reads made of
-// each flow.
+// each flow, and the sketch resets.
 type countingPlane struct {
 	dataplane.Plane
-	reads map[dataplane.FlowID]int
+	reads  map[dataplane.FlowID]int
+	clears int
 }
 
 func (c *countingPlane) ReadFlow(id, revID dataplane.FlowID) dataplane.FlowSnapshot {
 	c.reads[id]++
 	return c.Plane.ReadFlow(id, revID)
+}
+
+func (c *countingPlane) ClearCMS() {
+	c.clears++
+	c.Plane.ClearCMS()
+}
+
+// TestCMSResetPeriod pins the long-flow sketch's decay period at 60 s:
+// three resets in 185 s, whatever config-P4 publishes meanwhile.
+func TestCMSResetPeriod(t *testing.T) {
+	e := simtime.NewEngine()
+	dp := dataplane.NewPipes(dataplane.Config{LongFlowBytes: 10_000}, 1)
+	plane := &countingPlane{Plane: dp, reads: map[dataplane.FlowID]int{}}
+	cp := New(e, plane, &MemorySink{}, Config{LinkCapacityBps: 1e9})
+	cp.Start()
+	e.Run(30 * simtime.Second)
+	if err := cp.SetRate(MetricThroughput, 20); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(185 * simtime.Second)
+	if plane.clears != 3 {
+		t.Fatalf("ClearCMS ran %d times in 185 s, want 3", plane.clears)
+	}
 }
 
 // TestExtractionReadsEachFlowOnce pins the extraction pass: a tick of any

@@ -33,32 +33,32 @@ import (
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	v uint64
+	v atomic.Uint64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { atomic.AddUint64(&c.v, 1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct {
-	v uint64
+	v atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v uint64) { atomic.StoreUint64(&g.v, v) }
+func (g *Gauge) Set(v uint64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta (use the two's-complement of a
 // negative step to decrement).
-func (g *Gauge) Add(delta uint64) { atomic.AddUint64(&g.v, delta) }
+func (g *Gauge) Add(delta uint64) { g.v.Add(delta) }
 
 // Value returns the current value.
-func (g *Gauge) Value() uint64 { return atomic.LoadUint64(&g.v) }
+func (g *Gauge) Value() uint64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count: bucket 0 holds the value 0,
 // bucket i (1..64) holds values v with bits.Len64(v) == i, i.e. the
@@ -70,23 +70,23 @@ const histBuckets = 65
 // P4TG's RTT histograms: power-of-two buckets, preallocated, mutated
 // with atomic adds only. The zero value is ready to use.
 type Histogram struct {
-	buckets [histBuckets]uint64
-	count   uint64
-	sum     uint64
+	buckets [histBuckets]atomic.Uint64
+	count   atomic.Uint64
+	sum     atomic.Uint64
 }
 
 // Observe records one sample. It allocates nothing and takes no lock.
 func (h *Histogram) Observe(v uint64) {
-	atomic.AddUint64(&h.buckets[bits.Len64(v)], 1)
-	atomic.AddUint64(&h.count, 1)
-	atomic.AddUint64(&h.sum, v)
+	h.buckets[bits.Len64(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 }
 
 // Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return atomic.LoadUint64(&h.count) }
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 { return atomic.LoadUint64(&h.sum) }
+func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Snapshot returns an atomic-read copy of the histogram state. The
 // per-bucket loads are individually atomic; the snapshot as a whole is
@@ -95,10 +95,10 @@ func (h *Histogram) Sum() uint64 { return atomic.LoadUint64(&h.sum) }
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.buckets {
-		s.Buckets[i] = atomic.LoadUint64(&h.buckets[i])
+		s.Buckets[i] = h.buckets[i].Load()
 	}
-	s.Count = atomic.LoadUint64(&h.count)
-	s.Sum = atomic.LoadUint64(&h.sum)
+	s.Count = h.count.Load()
+	s.Sum = h.sum.Load()
 	return s
 }
 

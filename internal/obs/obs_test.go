@@ -63,12 +63,36 @@ func TestBucketUpper(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent drives Observe from many goroutines — under
-// -race this proves the atomic-only mutation contract.
+// TestHistogramConcurrent drives a Histogram, a Counter and two Gauges
+// from many goroutines while another reads them — under -race this
+// proves the atomic-only contract of every metric type — and checks
+// the exact totals.
 func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
+	var (
+		h           Histogram
+		c           Counter
+		level, last Gauge
+	)
 	const workers, each = 8, 1000
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var prev uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v := c.Value(); v < prev {
+				t.Errorf("counter went back from %d to %d", prev, v)
+			} else {
+				prev = v
+			}
+			_, _, _, _ = h.Snapshot(), level.Value(), last.Value(), h.Sum()
+		}
+	}()
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -76,12 +100,32 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				h.Observe(uint64(w*each + i))
+				c.Inc()
+				c.Add(2)
+				level.Add(3)
+				level.Add(^uint64(0)) // -1
+				last.Set(uint64(w))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*each {
-		t.Fatalf("count = %d, want %d", got, workers*each)
+	close(stop)
+	<-readerDone
+	const n = workers * each
+	if got := h.Count(); got != n {
+		t.Fatalf("histogram count = %d, want %d", got, n)
+	}
+	if got, want := h.Sum(), uint64(n*(n-1)/2); got != want {
+		t.Fatalf("histogram sum = %d, want %d", got, want)
+	}
+	if got := c.Value(); got != 3*n {
+		t.Fatalf("counter = %d, want %d", got, 3*n)
+	}
+	if got := level.Value(); got != 2*n {
+		t.Fatalf("gauge after Add = %d, want %d", got, 2*n)
+	}
+	if got := last.Value(); got >= workers {
+		t.Fatalf("gauge after Set = %d, want a value some worker set (< %d)", got, workers)
 	}
 }
 

@@ -250,17 +250,9 @@ func ServeConfigWith(ln net.Listener, target Target, opts ServeOptions) {
 func serveConn(conn net.Conn, target Target, opts ServeOptions) {
 	defer conn.Close()
 	resp := WireResponse{OK: true}
-	var w WireCommand
 	_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
-	// N+1 so a request of exactly MaxRequestBytes decodes while one
-	// byte more distinguishes "oversized" from a malformed document.
-	lr := &io.LimitedReader{R: conn, N: opts.MaxRequestBytes + 1}
-	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&w); err != nil {
-		if lr.N <= 0 {
-			resp = WireResponse{Error: fmt.Sprintf("psconfig: request exceeds %d bytes", opts.MaxRequestBytes)}
-		} else {
-			resp = WireResponse{Error: err.Error()}
-		}
+	if w, err := decodeWire(conn, opts.MaxRequestBytes); err != nil {
+		resp = WireResponse{Error: err.Error()}
 	} else if cmd, err := FromWire(w); err != nil {
 		resp = WireResponse{Error: err.Error()}
 	} else if err := cmd.Apply(target); err != nil {
@@ -269,4 +261,19 @@ func serveConn(conn net.Conn, target Target, opts ServeOptions) {
 	// Best-effort acknowledgment: the peer may already be gone.
 	_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
 	_ = json.NewEncoder(conn).Encode(resp)
+}
+
+// decodeWire reads one JSON request of at most limit bytes.
+func decodeWire(r io.Reader, limit int64) (WireCommand, error) {
+	var w WireCommand
+	// N+1 so a request of exactly limit bytes decodes while one byte
+	// more distinguishes "oversized" from a malformed document.
+	lr := &io.LimitedReader{R: r, N: limit + 1}
+	if err := json.NewDecoder(bufio.NewReader(lr)).Decode(&w); err != nil {
+		if lr.N <= 0 {
+			return w, fmt.Errorf("psconfig: request exceeds %d bytes", limit)
+		}
+		return w, err
+	}
+	return w, nil
 }
