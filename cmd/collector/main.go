@@ -47,25 +47,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/p4runtime"
 	"repro/internal/psconfig"
 	"repro/internal/resilient"
 	"repro/internal/simtime"
 	"repro/internal/tcp"
 )
 
-// engineGuard serialises engine stepping with the scrape/table paths
-// that still read engine-owned state (obs register scans, p4runtime).
-// psconfig commands no longer need it: ControlPlane.Update publishes
-// config generations lock-free, so the config channel can never stall
-// the simulation stepper (DESIGN.md §5.7).
-type engineGuard struct {
-	mu sync.Mutex
-}
-
 func main() {
 	listen := flag.String("listen", ":9161", "address for psconfig config-P4 commands")
-	p4rtAddr := flag.String("p4rt", ":9559", "address for p4runtime register/table access (empty disables)")
 	logstash := flag.String("logstash", "", "Logstash TCP input address (default: stdout)")
 	duration := flag.Int("duration", 60, "virtual seconds to run")
 	seed := flag.Uint64("seed", 42, "simulation seed")
@@ -127,7 +116,13 @@ func main() {
 			AgingWindow: simtime.Time(agingWindow.Nanoseconds()),
 		},
 	})
-	guard := &engineGuard{}
+	// stepMu serialises engine stepping with the one path that reads
+	// engine-owned state from another goroutine: the /metrics scrape's
+	// register scans. psconfig commands do not need it:
+	// ControlPlane.Update publishes config generations lock-free, so the
+	// config channel can never stall the simulation stepper (DESIGN.md
+	// §5.7).
+	var stepMu sync.Mutex
 
 	// Self-telemetry (opt-in): counters, histograms and the shipper
 	// trace ring behind /metrics, /trace, expvar and pprof. Scrapes of
@@ -136,8 +131,8 @@ func main() {
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		reg.Sync = func(f func()) {
-			guard.mu.Lock()
-			defer guard.mu.Unlock()
+			stepMu.Lock()
+			defer stepMu.Unlock()
 			f()
 		}
 		reg.AddProcessMetrics()
@@ -169,25 +164,6 @@ func main() {
 	go psconfig.ServeConfig(ln, sys.ControlPlane)
 	fmt.Fprintf(os.Stderr, "collector: config API on %s, running %d virtual seconds\n", ln.Addr(), *duration)
 
-	// The p4runtime endpoint: external tools (cmd/p4rt) read registers
-	// and program the monitor table on the live pipeline.
-	if *p4rtAddr != "" {
-		rtServer := p4runtime.NewServer(sys.DataPlane)
-		rtServer.Guard = func(f func()) {
-			guard.mu.Lock()
-			defer guard.mu.Unlock()
-			f()
-		}
-		rtLn, err := net.Listen("tcp", *p4rtAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collector:", err)
-			os.Exit(1)
-		}
-		defer rtLn.Close()
-		go p4runtime.Serve(rtLn, rtServer)
-		fmt.Fprintf(os.Stderr, "collector: p4runtime on %s\n", rtLn.Addr())
-	}
-
 	// Flush-then-exit on SIGINT/SIGTERM: stop stepping the simulation,
 	// let the shipper drain (to the archiver, the disk spool, or
 	// stdout), and print the accounting before exiting.
@@ -208,9 +184,9 @@ loop:
 			break loop
 		case <-ticker.C:
 		}
-		guard.mu.Lock()
+		stepMu.Lock()
 		sys.Engine.Run(vt)
-		guard.mu.Unlock()
+		stepMu.Unlock()
 	}
 
 	// Close flushes the in-memory queue: remaining records ship if the

@@ -22,7 +22,9 @@
 //
 // The same block can appear multiple times when several test binaries
 // ran the same package; blocks are deduplicated by position, keeping
-// the highest count, exactly like `go tool cover -func` does.
+// the highest count, exactly like `go tool cover -func` does. A
+// negative count, or a repeated block whose statement count differs,
+// is an error: either would let the total depend on a corrupt line.
 package main
 
 import (
@@ -44,7 +46,8 @@ type block struct {
 }
 
 // parseProfile reads a coverprofile and returns blocks keyed by
-// "file:start,end", with duplicate blocks merged by max count.
+// "file:start,end", with duplicate blocks merged by max count. The
+// result does not depend on the order of the block lines.
 func parseProfile(r *bufio.Scanner) (map[string]block, error) {
 	blocks := make(map[string]block)
 	lineNo := 0
@@ -70,14 +73,17 @@ func parseProfile(r *bufio.Scanner) (map[string]block, error) {
 			return nil, fmt.Errorf("line %d: malformed block %q", lineNo, line)
 		}
 		numStmts, err := strconv.Atoi(stmtsStr)
-		if err != nil {
+		if err != nil || numStmts < 0 {
 			return nil, fmt.Errorf("line %d: bad statement count %q", lineNo, stmtsStr)
 		}
 		count, err := strconv.Atoi(countStr)
-		if err != nil {
+		if err != nil || count < 0 {
 			return nil, fmt.Errorf("line %d: bad execution count %q", lineNo, countStr)
 		}
 		if b, dup := blocks[pos]; dup {
+			if numStmts != b.numStmts {
+				return nil, fmt.Errorf("line %d: block %s has %d statements, an earlier line says %d", lineNo, pos, numStmts, b.numStmts)
+			}
 			if count > b.count {
 				b.count = count
 				blocks[pos] = b

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,11 +48,54 @@ func TestParseProfileRejectsGarbage(t *testing.T) {
 		"mode: set\nmissing-fields\n",
 		"mode: set\nf.go:1.1,2.2 x 1\n",
 		"mode: set\nf.go:1.1,2.2 1 y\n",
+		"mode: set\nf.go:1.1,2.2 -500 0\n",
+		"mode: set\nf.go:1.1,2.2 1 -1\n",
+		"mode: set\nf.go:1.1,2.2 1 1\nf.go:1.1,2.2 3 0\n",
 	} {
 		if _, err := parseProfile(bufio.NewScanner(strings.NewReader(bad))); err == nil {
 			t.Errorf("profile %q parsed without error", bad)
 		}
 	}
+}
+
+// TestParseProfileNegativeCountNamesLine: a negative statement count
+// would subtract from the total and could lift a failing profile over
+// the ratchet; the error names the line that carries it.
+func TestParseProfileNegativeCountNamesLine(t *testing.T) {
+	for _, bad := range []string{
+		sampleProfile + "x.go:1.1,2.2 -500 0\n",
+		sampleProfile + "x.go:1.1,2.2 1 -3\n",
+	} {
+		_, err := parseProfile(bufio.NewScanner(strings.NewReader(bad)))
+		if err == nil || !strings.Contains(err.Error(), "line 7:") {
+			t.Errorf("profile ending %q: error %v, want one naming line 7", bad[len(sampleProfile):], err)
+		}
+	}
+}
+
+// FuzzParseProfile: no input panics; every accepted block has
+// non-negative counts; and the parse does not depend on the order of
+// the block lines (the mode line stays first): reversing them is
+// accepted exactly when the original is, to the same map.
+func FuzzParseProfile(f *testing.F) {
+	f.Add([]byte(sampleProfile))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		blocks, err := parseProfile(bufio.NewScanner(bytes.NewReader(in)))
+		for pos, b := range blocks {
+			if b.numStmts < 0 || b.count < 0 {
+				t.Fatalf("accepted block %s with counts %d %d", pos, b.numStmts, b.count)
+			}
+		}
+		lines := strings.Split(string(in), "\n")
+		slices.Reverse(lines[1:])
+		rev, revErr := parseProfile(bufio.NewScanner(strings.NewReader(strings.Join(lines, "\n"))))
+		if (err == nil) != (revErr == nil) {
+			t.Fatalf("in order: %v; block lines reversed: %v", err, revErr)
+		}
+		if !maps.Equal(blocks, rev) {
+			t.Fatalf("in order: %v; block lines reversed: %v", blocks, rev)
+		}
+	})
 }
 
 func TestPkgOf(t *testing.T) {

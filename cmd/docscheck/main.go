@@ -6,8 +6,9 @@
 // then scans the code regions of the given markdown files — fenced
 // blocks and inline `spans`, with backslash continuations joined and
 // shell comments stripped — and reports any `make <target>` whose
-// target the Makefile lacks, or any -flag/--flag on a command line
-// whose binary does not register it.
+// target the Makefile lacks, any cmd/<name> or bin/<name> path whose
+// command has no package under -cmd-dir, or any -flag/--flag on a
+// command line whose binary does not register it.
 //
 // It also generates a metrics inventory: every "p4_..." string
 // literal in the non-test Go sources is a registered metric name (or,
@@ -385,6 +386,14 @@ func checkSegment(file string, line int, segment string, targets map[string]bool
 		return problems // a make segment never also carries our CLI flags
 	}
 
+	// A path into cmd/ or bin/ must name a command that still exists:
+	// the flag check below cannot see a deleted binary's flags at all.
+	for _, tok := range tokens {
+		if m := commandPathRe.FindStringSubmatch(strings.Trim(tok, "[]")); m != nil && cmds[m[1]] == nil {
+			problems = append(problems, fmt.Sprintf("%s:%d: command %q has no package under the command directory", file, line, m[1]))
+		}
+	}
+
 	// Resolve the command context: a token naming one of our binaries
 	// (bare, ./bin/<name>, ./cmd/<name>, go run ./cmd/<name>).
 	var known map[string]bool
@@ -427,6 +436,11 @@ func checkSegment(file string, line int, segment string, targets map[string]bool
 	}
 	return problems
 }
+
+// commandPathRe matches a token that names a command by its path:
+// cmd/<name>, ./cmd/<name>, bin/<name> or ./bin/<name>, optionally
+// followed by a path inside it (cmd/collector/main.go:68).
+var commandPathRe = regexp.MustCompile(`^(?:\./)?(?:cmd|bin)/([A-Za-z][A-Za-z0-9_-]*)(?:[/:]|$)`)
 
 var flagNameRe = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_-]*$`)
 

@@ -185,6 +185,40 @@ func TestCheckSegmentContextRules(t *testing.T) {
 	if p := checkSegment("d", 1, "tool [-addr :1]", targets, cmds); len(p) != 0 {
 		t.Errorf("bracket stripping failed: %v", p)
 	}
+	// A path into cmd/ or bin/ must name a command that exists, in
+	// every spelling, whatever flags follow it.
+	for _, seg := range []string{"go run ./cmd/tool -addr :1", "./bin/tool -addr :1", "bin/other -deep", "cmd/tool/main.go:12"} {
+		if p := checkSegment("d", 1, seg, targets, cmds); len(p) != 0 {
+			t.Errorf("%q: live command flagged: %v", seg, p)
+		}
+	}
+	for _, seg := range []string{"go run ./cmd/gone -addr :1 stats", "bin/gone registers", "./bin/gone", "cmd/gone", "[cmd/gone/main.go:3]"} {
+		if p := checkSegment("d", 1, seg, targets, cmds); len(p) != 1 || !strings.Contains(p[0], `command "gone"`) {
+			t.Errorf("%q: deleted command not reported once: %v", seg, p)
+		}
+	}
+}
+
+// FuzzCodeRegions: no document panics the scanner; every region's line
+// is a line of the document; no region's text spans a newline; and a
+// document without a backtick has no code region at all.
+func FuzzCodeRegions(f *testing.F) {
+	f.Add("```sh\ntool --addr :1 \\\n    --shards 4   # c\n```\nUse `make test`.\n")
+	f.Fuzz(func(t *testing.T, doc string) {
+		regions := codeRegions(doc)
+		lines := strings.Count(doc, "\n") + 1
+		for _, r := range regions {
+			if r.line < 1 || r.line > lines {
+				t.Fatalf("region at line %d of a %d-line document", r.line, lines)
+			}
+			if strings.Contains(r.text, "\n") {
+				t.Fatalf("region at line %d spans a newline: %q", r.line, r.text)
+			}
+		}
+		if !strings.Contains(doc, "`") && len(regions) != 0 {
+			t.Fatalf("no backtick, yet regions %q", regions)
+		}
+	})
 }
 
 func TestMetricsInventory(t *testing.T) {

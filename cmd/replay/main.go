@@ -89,8 +89,8 @@ func main() {
 	fmt.Printf("elapsed    %v\n", res.Elapsed)
 	fmt.Printf("throughput %.2f Mpps, %.2f Gbps represented\n",
 		res.PPS()/1e6, res.Gbps())
-	fmt.Printf("pipeline   %d rtt samples, %d losses counted, %d microbursts, %d skipped\n",
-		res.Stats.RTTSamples, lossCount(plane), res.Stats.Microbursts, res.Stats.SkippedPackets)
+	fmt.Printf("pipeline   %d rtt samples, %d losses counted, %d microbursts\n",
+		res.Stats.RTTSamples, lossCount(plane), res.Stats.Microbursts)
 }
 
 // lossCount sums the pkt_loss register across the flow table — the

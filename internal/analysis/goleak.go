@@ -7,7 +7,7 @@ import (
 )
 
 // GoLeakAnalyzer looks for goroutines that can never be told to stop.
-// The collector daemon, the Logstash TCP input and the p4runtime server
+// The collector daemon, the Logstash TCP input and the config-P4 server
 // all spawn per-connection and accept-loop goroutines; under production
 // load a goroutine running an unbounded loop with no cancellation
 // signal is a leak that accretes until the process dies. A goroutine

@@ -82,7 +82,7 @@ func goodTrimmedScratch(r *Record, vs []uint64) {
 }
 
 // goodSliceLiteral builds a small slice literal: it stays on the stack
-// when it does not escape (the monitor-table lookup pattern), so the
+// when it does not escape (a small multi-field key), so the
 // pass leaves slice literals alone.
 //
 // p4:hotpath

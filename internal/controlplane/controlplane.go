@@ -426,8 +426,8 @@ func (cp *ControlPlane) extract(m Metric, now simtime.Time) {
 				break
 			}
 			if snap.Bytes < f.prevBytes {
-				// The cell restarted beneath the directory (released or
-				// reset through the runtime API): resync the baseline
+				// The cell restarted beneath the directory (released, or
+				// evicted and re-admitted): resync the baseline
 				// instead of producing a wrapped-around delta.
 				f.prevBytes = 0
 			}

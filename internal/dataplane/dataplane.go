@@ -10,7 +10,6 @@
 package dataplane
 
 import (
-	"net/netip"
 	"sort"
 
 	"repro/internal/packet"
@@ -151,7 +150,10 @@ type Stats struct {
 	QSigMismatches uint64 // egress copies whose ingress stamp was evicted
 	SlotCollisions uint64 // distinct flows aliasing one register cell
 	Microbursts    uint64
-	SkippedPackets uint64 // filtered out by the monitor table
+	// SkippedPackets is always 0: nothing filters packets. The
+	// benchmark's skipped_zero check still reads it; the field goes
+	// with that check in the next change to the benchmark.
+	SkippedPackets uint64
 	AliasedPackets uint64 // packets the admission gate routed to the sketch tier
 	Evictions      uint64 // flow-table cells evicted by the aging sweep
 }
@@ -225,13 +227,6 @@ type DataPlane struct {
 
 	cms *CMS
 
-	// monitorTable is the match-action table steering which traffic
-	// the measurement program processes: an LPM match on the IPv4
-	// destination with actions "monitor" and "skip". The default
-	// action monitors everything; the control plane programs "skip"
-	// entries to exclude subnets (e.g. management traffic).
-	monitorTable *Table
-
 	// Microburst detector state (per monitored queue; the paper taps
 	// one core-switch port).
 	inBurst    bool
@@ -251,8 +246,7 @@ type DataPlane struct {
 	// regs holds every register instance in declaration order (a
 	// register's slot indexes it, identically on every shard), the
 	// first perFlow of them indexed by flow-table cell; registry indexes
-	// the same instances by P4 name for the runtime API (register reads
-	// by name, like bfrt/P4Runtime).
+	// the same instances by P4 name for Pipes.ReadRegister.
 	regs     []*Register
 	perFlow  int
 	registry map[string]*Register
@@ -264,11 +258,6 @@ type DataPlane struct {
 	// one is the front ProcessCopy parses a lone copy into: capacity
 	// one, owned by the pipe, so the per-packet path allocates nothing.
 	one Front
-
-	// batch holds the per-batch hoisted state ProcessFront threads
-	// through the inner loop (monitor-table run cache, deferred
-	// counter deltas); zeroed at each batch start.
-	batch batchState
 
 	Stats Stats
 }
@@ -317,10 +306,7 @@ func New(cfg Config) *DataPlane {
 		qSig:    NewRegister("qsig", cfg.QSigTableSize, 48),
 		qTS:     NewRegister("qts", cfg.QSigTableSize, 48),
 		cms:     NewCMS(cfg.CMSWidth, cfg.CMSDepth),
-		monitorTable: NewTable("monitored_subnets", 256,
-			[]MatchKind{MatchLPM}, []int{32}),
 	}
-	d.monitorTable.DefaultAction = "monitor"
 	d.registry = make(map[string]*Register)
 	d.declare(mergeSum, d.bytesReg, d.pktsReg, d.pktLossReg, d.flightReg, d.rttHist)
 	d.declare(mergeFirst, d.firstSeen)
@@ -359,7 +345,6 @@ func (d *DataPlane) Config() Config { return d.cfg }
 type view struct {
 	flowHash
 	at       simtime.Time
-	dstKey   uint64 // packed IPv4 destination, monitor-table key
 	seqExt   uint64
 	ackExt   uint64
 	expAck   uint64 // precomputed ExpectedAck (pure function of the header)
@@ -389,7 +374,6 @@ func parseCopy(v *view, c tap.Copy) {
 	if c.Point == tap.Egress {
 		return
 	}
-	v.dstKey = ipKey(pkt.DstIP)
 	v.seqExt, v.ackExt, v.expAck = pkt.SeqExt, pkt.AckExt, pkt.ExpectedAck()
 	v.totalLen, v.proto, v.flags = pkt.TotalLen, pkt.Proto, pkt.Flags
 	v.data, v.ackOnly = pkt.CarriesData(), pkt.IsACKOnly()
@@ -400,9 +384,7 @@ func parseCopy(v *view, c tap.Copy) {
 // measurement and feed the microburst detector. Copies are not retained:
 // the TAP pair may recycle the packet as soon as this returns.
 // ProcessCopy is the front of one: the copy is parsed into the pipe's
-// own one-view front and drained by ProcessFront, so a lone packet sees
-// the monitor table as it is now (a front never outlives the call),
-// exactly like a batch.
+// own one-view front and drained by ProcessFront, exactly like a batch.
 //
 // p4:hotpath
 func (d *DataPlane) ProcessCopy(c tap.Copy) {
@@ -411,27 +393,12 @@ func (d *DataPlane) ProcessCopy(c tap.Copy) {
 	d.ProcessFront(&d.one)
 }
 
-// batchState is the state ProcessFront hoists out of the batch inner
-// loop: the monitor-table run cache. Within one batch the table cannot
-// change (batch execution is single-writer and control-plane table
-// writes barrier on the front-end flush first), so a run of packets to
-// the same destination resolves the match-action decision once; the
-// table's hit/miss counters are still advanced per packet, keeping
-// observable state identical to the per-packet path.
-type batchState struct {
-	monDstKey uint64
-	monSkip   bool
-	monHit    bool
-	monOK     bool
-}
-
 // ProcessFront drains a parsed batch through the entire ingress/egress
 // match-action program run-to-completion — the yanet2 packet_front
 // idiom — and is the only place a view is dispatched to the two
 // programs. Per-view cost approaches a few array ops: the copy counts
-// are accumulated in registers and committed once per batch, the
-// monitor-table decision is cached across same-destination runs, and
-// every view arrives already hashed. State after ProcessFront is
+// are accumulated in registers and committed once per batch, and every
+// view arrives already hashed. State after ProcessFront is
 // byte-identical to feeding the same views through ProcessCopy — the
 // front of one — one at a time (the batch equivalence property test
 // pins this). The front may be reused by the caller as soon as
@@ -443,7 +410,6 @@ func (d *DataPlane) ProcessFront(f *Front) {
 	if len(b) == 0 {
 		return
 	}
-	d.batch.monOK = false
 	var ingress, egress uint64
 	for k := range b {
 		if b[k].point == tap.Ingress {
@@ -465,29 +431,6 @@ func (d *DataPlane) ProcessFront(f *Front) {
 // p4:hotpath
 func (d *DataPlane) processIngress(v *view) {
 	now := v.at
-	// The monitor table decides whether this packet enters the
-	// measurement program at all. Within a batch, a run of packets to
-	// the same destination resolves the decision from the run cache
-	// (advancing the table's hit/miss counters exactly as the lookup
-	// would); the first packet of a run does the real lookup.
-	var skip bool
-	if d.batch.monOK && d.batch.monDstKey == v.dstKey {
-		skip = d.batch.monSkip
-		if d.batch.monHit {
-			d.monitorTable.Hits++
-		} else {
-			d.monitorTable.Misses++
-		}
-	} else {
-		action, _, hit := d.monitorTable.Lookup([]uint64{v.dstKey})
-		skip = action == "skip"
-		d.batch = batchState{monDstKey: v.dstKey, monSkip: skip, monHit: hit, monOK: true}
-	}
-	if skip {
-		d.Stats.SkippedPackets++
-		return
-	}
-
 	id := v.id
 	idx := uint32(id) % d.tableN
 
@@ -802,8 +745,8 @@ type Plane interface {
 	SetMicroburstHandler(func(MicroburstEvent))
 }
 
-// RegisterByName looks up a register instance by its P4 name, the way
-// the switch runtime API addresses state. Returns nil when unknown.
+// RegisterByName looks up a register instance by its P4 name. Returns
+// nil when unknown.
 func (d *DataPlane) RegisterByName(name string) *Register { return d.registry[name] }
 
 // RegisterNames lists the pipeline's register instances, sorted.
@@ -814,23 +757,4 @@ func (d *DataPlane) RegisterNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ipKey packs an IPv4 address into a 32-bit table key.
-func ipKey(a netip.Addr) uint64 {
-	b := a.As4()
-	return uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
-}
-
-// SkipSubnet programs the monitor table to exclude a destination
-// prefix from measurement.
-func (d *DataPlane) SkipSubnet(prefix netip.Prefix) error {
-	return d.monitorTable.Insert(TableEntry{
-		Match: []FieldMatch{{
-			Value:     ipKey(prefix.Addr()),
-			PrefixLen: prefix.Bits(),
-		}},
-		Action:   "skip",
-		Priority: prefix.Bits(),
-	})
 }

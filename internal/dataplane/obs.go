@@ -80,7 +80,6 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		w.Counter("p4_dataplane_egress_copies_total", "TAP egress copies processed.", sum.EgressCopies)
 		w.Counter("p4_dataplane_rtt_samples_total", "Algorithm 1 RTT samples produced.", sum.RTTSamples)
 		w.Counter("p4_dataplane_microbursts_total", "Microburst events detected.", sum.Microbursts)
-		w.Counter("p4_dataplane_skipped_packets_total", "Packets excluded by the monitor table.", sum.SkippedPackets)
 		w.Counter("p4_dataplane_aliased_packets_total", "Packets the admission gate routed to the sketch tier.", sum.AliasedPackets)
 		w.Counter("p4_dataplane_flow_evictions_total", "Flow-table cells evicted by the aging sweep.", sum.Evictions)
 		w.Gauge("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last completed replay).", cells)

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"net/netip"
 	"sync"
 
 	"repro/internal/obs"
@@ -368,47 +367,23 @@ func (p *Pipes) ReadRTTHist(id FlowID) RTTHist {
 }
 
 // ReadRegister flushes, then reads one merged register cell by P4
-// name. It fails for an unknown register or an index past its size.
+// name. The packet path folds any index onto its array; a by-name
+// address must name a cell that exists, or it would silently read
+// another flow's, so it fails for an unknown register or an index past
+// its size.
 func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, error) {
-	reg, err := p.runtimeCell(name, idx)
-	if err != nil {
-		return 0, err
+	reg := p.shards[0].RegisterByName(name)
+	if reg == nil {
+		return 0, fmt.Errorf("unknown register %q", name)
+	}
+	if int(idx) >= reg.Size() {
+		return 0, fmt.Errorf("register %s index %d out of range (size %d)", name, idx, reg.Size())
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
 	return p.mergedRead(reg, idx), nil
 }
-
-// ResetRegister flushes, then zeroes the cell on every shard (the
-// runtime API's register reset). It fails, touching nothing, for an
-// unknown register or an index past its size.
-func (p *Pipes) ResetRegister(name string, idx uint32) error {
-	reg, err := p.runtimeCell(name, idx)
-	if err != nil {
-		return err
-	}
-	p.onShards(func(d *DataPlane) { d.regs[reg.slot].Write(idx, 0) })
-	return nil
-}
-
-// runtimeCell resolves a runtime-API cell address. The packet path
-// folds any index onto its array; an address from the wire must name a
-// cell that exists, or it would silently land on another flow's.
-func (p *Pipes) runtimeCell(name string, idx uint32) (*Register, error) {
-	reg := p.shards[0].RegisterByName(name)
-	if reg == nil {
-		return nil, fmt.Errorf("unknown register %q", name)
-	}
-	if int(idx) >= reg.Size() {
-		return nil, fmt.Errorf("register %s index %d out of range (size %d)", name, idx, reg.Size())
-	}
-	return reg, nil
-}
-
-// RegisterNames lists the per-shard register instances (identical on
-// every shard), sorted.
-func (p *Pipes) RegisterNames() []string { return p.shards[0].RegisterNames() }
 
 // ResetWindow flushes, then clears the per-window registers on every
 // shard (only the owning shard holds state, but a broadcast is what a
@@ -448,21 +423,6 @@ func (p *Pipes) OccupiedCells() uint64 {
 	var n uint64
 	p.onShards(func(d *DataPlane) { n += d.OccupiedCells() })
 	return n
-}
-
-// SkipSubnet programs the skip entry into every shard's monitor table
-// (the paper's control plane programs all pipes identically),
-// stopping at the first error.
-func (p *Pipes) SkipSubnet(prefix netip.Prefix) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flushLocked()
-	for _, d := range p.shards {
-		if err := d.SkipSubnet(prefix); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // EstimateFlow flushes, then answers from the flow's owning shard: the

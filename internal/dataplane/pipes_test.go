@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -152,7 +153,7 @@ func AssertMergedEqualsSinglePipe(t testing.TB, got *Pipes, want *DataPlane, flo
 			}
 		}
 	}
-	for _, name := range got.RegisterNames() {
+	for _, name := range got.Shard(0).RegisterNames() {
 		if !perFlowRegister(want, name) {
 			continue
 		}
@@ -358,7 +359,9 @@ func TestPipesConcurrentExtraction(t *testing.T) {
 
 // TestPipesRegisterMergeSemantics exercises the by-name register
 // merge: additive cells sum across shards, first_seen takes the
-// earliest stamp, and unknown names are rejected.
+// earliest stamp, and an unknown name or an index past the register's
+// size is rejected with an error naming it, never folded onto the cell
+// it aliases.
 func TestPipesRegisterMergeSemantics(t *testing.T) {
 	trace := buildTrace(8, 20)
 	base, _ := runTrace(trace, 1)
@@ -380,11 +383,18 @@ func TestPipesRegisterMergeSemantics(t *testing.T) {
 	if _, err := sharded.ReadRegister("bogus", 0); err == nil {
 		t.Fatal("unknown register accepted")
 	}
-	if err := sharded.ResetRegister("flow_bytes", 3); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := sharded.ReadRegister("flow_bytes", 3); v != 0 {
-		t.Fatalf("cell not reset on every shard: %d", v)
+	for _, name := range sharded.Shard(0).RegisterNames() {
+		size := uint32(sharded.Shard(0).RegisterByName(name).Size())
+		if _, err := sharded.ReadRegister(name, size-1); err != nil {
+			t.Fatalf("register %q: last cell refused: %v", name, err)
+		}
+		_, err := sharded.ReadRegister(name, size)
+		if err == nil {
+			t.Fatalf("register %q: index %d on a %d-cell register accepted", name, size, size)
+		}
+		if want := fmt.Sprintf("index %d out of range (size %d)", size, size); !strings.Contains(err.Error(), want) {
+			t.Fatalf("register %q: error %q does not say %q", name, err, want)
+		}
 	}
 }
 

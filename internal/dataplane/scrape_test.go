@@ -82,7 +82,7 @@ func TestScrapeDuringReplay(t *testing.T) {
 	var text strings.Builder
 	r.WritePrometheus(&text)
 	for _, name := range []string{"ingress_copies", "egress_copies", "rtt_samples", "microbursts",
-		"skipped_packets", "aliased_packets", "flow_evictions"} {
+		"aliased_packets", "flow_evictions"} {
 		if want := "# TYPE p4_dataplane_" + name + "_total counter\n"; !strings.Contains(text.String(), want) {
 			t.Errorf("exposition lacks %q", want)
 		}

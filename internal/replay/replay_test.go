@@ -253,7 +253,7 @@ func TestRunnerMatchesPerPacketPath(t *testing.T) {
 			t.Fatalf("shards=%d: stats diverge\n batch %+v\nserial %+v",
 				shards, got.Stats, serial.StatsSnapshot())
 		}
-		for _, name := range batch.RegisterNames() {
+		for _, name := range batch.Shard(0).RegisterNames() {
 			for idx := uint32(0); idx < uint32(cfg.FlowTableSize); idx++ {
 				bv, _ := batch.ReadRegister(name, idx)
 				sv, _ := serial.ReadRegister(name, idx)

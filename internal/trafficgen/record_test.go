@@ -62,7 +62,7 @@ func TestRecorderTee(t *testing.T) {
 		t.Fatalf("replayed stats diverge from live run:\n replay %+v\n live   %+v",
 			res.Stats, live.StatsSnapshot())
 	}
-	for _, name := range live.RegisterNames() {
+	for _, name := range live.Shard(0).RegisterNames() {
 		for idx := uint32(0); idx < uint32(cfg.FlowTableSize); idx++ {
 			lv, _ := live.ReadRegister(name, idx)
 			rv, _ := replayed.ReadRegister(name, idx)
