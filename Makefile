@@ -7,7 +7,7 @@ GO ?= go
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint chaos replay-bench cover obs scale federation docs witness ci
+.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint chaos cover obs scale federation docs witness ci
 
 all: ci
 
@@ -82,14 +82,6 @@ lint:
 chaos:
 	$(GO) test -race -timeout 30m ./internal/faultnet ./internal/resilient ./internal/psarchiver ./internal/psconfig ./internal/genconfig
 	$(GO) test -race -timeout 30m -run 'TestExtOutage|TestReconfig' ./internal/experiments
-
-# replay-bench streams a large synthetic workload through the batch
-# ingest path and prints the machine's packets/sec and Gbps (the bare
-# data plane, without the control plane and archiver that bench/'s
-# `elephants` workload drives; EXPERIMENTS.md records representative
-# numbers).
-replay-bench:
-	$(GO) run ./cmd/replay -n 5000000
 
 # cover measures statement coverage across every package and enforces
 # the ratchet, with a per-package breakdown written to

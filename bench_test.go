@@ -1,12 +1,14 @@
 // Package repro's root benchmarks are the ablations called out in
-// DESIGN.md §5: they report collision, eviction and detection counts,
-// not time. The hot paths' zero-allocation assertions live in
-// bench_alloc_test.go; speed is measured and gated by the bench/ module
-// (make bench-pairs, bench-scaling, bench-test); the paper's exhibits
-// are regenerated by `p4psonar run <exhibit>` and asserted in
-// internal/experiments.
+// DESIGN.md §5, which report collision, eviction and detection counts,
+// not time, and BenchmarkIngestSynth, the entry point for a CPU profile
+// of the batch ingest path at machine speed. The hot paths'
+// zero-allocation assertions live in bench_alloc_test.go; speed is
+// gated by the bench/ module (make bench-pairs, bench-scaling,
+// bench-test); the paper's exhibits are regenerated by
+// `p4psonar run <exhibit>` and asserted in internal/experiments.
 //
 //	go test -run '^$' -bench . -benchmem
+//	go test -run '^$' -bench IngestSynth -cpuprofile cpu.out .
 package repro
 
 import (
@@ -16,9 +18,37 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/packet"
+	"repro/internal/replay"
 	"repro/internal/simtime"
 	"repro/internal/tap"
 )
+
+// BenchmarkIngestSynth streams the elephants shape — 64 flows of
+// 1460 B segments with their ACKs, egress copies and resends — through
+// replay.Runner in fronts of 1024 into a bare Pipes at 1 and 2 shards,
+// without the control plane and archiver that bench/ attaches. Each
+// iteration is a fresh pipeline fed 2,000,000 records; Mpps is the
+// Runner's wall-clock rate over all of them.
+func BenchmarkIngestSynth(b *testing.B) {
+	const records = 2_000_000
+	for _, shards := range []int{1, 2} {
+		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
+			var pkts, secs float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				plane := dataplane.NewPipes(dataplane.Config{}, shards)
+				b.StartTimer()
+				res := replay.Runner{Plane: plane, Batch: 1024}.Run(&replay.Synth{Flows: 64, MSS: 1460, Packets: records})
+				if res.Packets != records || res.Stats.RTTSamples == 0 {
+					b.Fatalf("ingested %d of %d records, %d RTT samples", res.Packets, records, res.Stats.RTTSamples)
+				}
+				pkts += float64(res.Packets)
+				secs += res.Elapsed.Seconds()
+			}
+			b.ReportMetric(pkts/secs/1e6, "Mpps")
+		})
+	}
+}
 
 // BenchmarkAblationFlowTableSize measures how the per-flow register
 // table size trades state for collision-corrupted flows.

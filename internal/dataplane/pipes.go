@@ -26,7 +26,9 @@ const pipeBatch = 1024
 //
 // Every control-plane method is one path at every shard count: take
 // the mutex, replay whatever is batched and join it (the barrier), then
-// visit the shards — reads through mergedRead, which applies the merge
+// visit the shards. A per-flow call (ReadFlow, ReadRTTHist, ResetWindow,
+// ReleaseFlow) goes to the one pipe that owns the flow's cell; a by-name
+// register read merges the cell through mergedRead, which applies the
 // rule each register declares and is the identity at one shard. Only
 // ingest chooses by shard count. One shard runs each copy or front
 // straight through its pipe, with digests delivered inline in packet
@@ -348,22 +350,39 @@ func (p *Pipes) SetMicroburstHandler(fn func(MicroburstEvent)) {
 	p.onMicroburst = fn
 }
 
-// ReadFlow flushes, then assembles the per-flow snapshot from merged
-// cells: the value a single pipe fed the whole trace would hold.
+// owner is the pipe whose flow table holds id's cell: the shard whose
+// owner_lo cell is id, or shard 0 when none is (so one pipe reads and
+// writes the cell as a bare DataPlane does). Each pipe runs its own
+// admission, so the same cell index can belong to different flows on
+// different shards: a forward flow's cell and another connection's
+// reverse direction, whose shard follows its own connection's key.
+// Merging or broadcasting a per-flow call would mix or erase them. The
+// caller holds the mutex and has flushed.
+func (p *Pipes) owner(id FlowID) *DataPlane {
+	for _, d := range p.shards {
+		if d.ownerLo.Read(uint32(id)) == uint64(id) {
+			return d
+		}
+	}
+	return p.shards[0]
+}
+
+// ReadFlow flushes, then reads the flow's snapshot from the pipe that
+// owns it.
 func (p *Pipes) ReadFlow(id, revID FlowID) FlowSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	return p.shards[0].snapshot(p.mergedRead, id, revID)
+	return p.owner(id).ReadFlow(id, revID)
 }
 
 // ReadRTTHist flushes, then extracts the flow's in-register RTT
-// histogram from merged cells.
+// histogram from the pipe that owns it.
 func (p *Pipes) ReadRTTHist(id FlowID) RTTHist {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flushLocked()
-	return p.shards[0].rttHistogram(p.mergedRead, id)
+	return p.owner(id).ReadRTTHist(id)
 }
 
 // ReadRegister flushes, then reads one merged register cell by P4
@@ -385,16 +404,22 @@ func (p *Pipes) ReadRegister(name string, idx uint32) (uint64, error) {
 	return p.mergedRead(reg, idx), nil
 }
 
-// ResetWindow flushes, then clears the per-window registers on every
-// shard (only the owning shard holds state, but a broadcast is what a
-// multi-pipe control plane issues).
+// ResetWindow flushes, then clears the per-window registers on the
+// pipe that owns the flow.
 func (p *Pipes) ResetWindow(id FlowID) {
-	p.onShards(func(d *DataPlane) { d.ResetWindow(id) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+	p.owner(id).ResetWindow(id)
 }
 
-// ReleaseFlow flushes, then releases the flow's cells on every shard.
+// ReleaseFlow flushes, then releases the flow's cells on the pipe that
+// owns it.
 func (p *Pipes) ReleaseFlow(id FlowID) {
-	p.onShards(func(d *DataPlane) { d.ReleaseFlow(id) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.flushLocked()
+	p.owner(id).ReleaseFlow(id)
 }
 
 // ClearCMS flushes, then clears every shard's long-flow sketch.

@@ -398,6 +398,61 @@ func TestPipesRegisterMergeSemantics(t *testing.T) {
 	}
 }
 
+// TestPipesPerFlowCallsGoToOwningShard: each pipe runs its own
+// admission, so at two shards a flow and another flow whose shard
+// follows the reverse direction's ID can own the same cell index on
+// different shards. Every per-flow call must reach only the flow's own
+// cell: a read counts its packets alone, a window reset and a release
+// leave the other flow's cell — and so its estimate — whole.
+func TestPipesPerFlowCallsGoToOwningShard(t *testing.T) {
+	const shards, cells = 2, 64
+	// a is a trace flow, whose shard follows its own ID; b sends in the
+	// reverse direction of another trace connection, so its shard
+	// follows that connection's forward ID, not b's.
+	var a, b packet.FiveTuple
+	for i := 0; i < 64 && a == b; i++ {
+		for j := 0; j < 64; j++ {
+			fa, fb := traceFlow(i), traceFlow(j).Reverse()
+			if uint32(HashFiveTuple(fa))%cells == uint32(HashFiveTuple(fb))%cells &&
+				shardOf(KeyOf(fa), shards) != shardOf(KeyOf(fb), shards) {
+				a, b = fa, fb
+				break
+			}
+		}
+	}
+	if a == b {
+		t.Fatal("no cross-shard pair sharing a cell among 64×64 candidates")
+	}
+	p := NewPipes(Config{FlowTableSize: cells}, shards)
+	at := simtime.Millisecond
+	send := func(ft packet.FiveTuple, n int) {
+		for k := 0; k < n; k++ {
+			at += simtime.Millisecond
+			pkt := packet.NewTCP(ft, uint64(1+k*1460), 0, packet.FlagACK, 1460)
+			p.ProcessCopy(tap.Copy{Pkt: pkt, Point: tap.Ingress, At: at})
+		}
+	}
+	send(a, 10) // 10 × 1500 B
+	send(b, 7)  // 7 × 1500 B
+	idA, revA := HashFiveTuple(a), HashReverse(a)
+	idB, revB := HashFiveTuple(b), HashReverse(b)
+	if got := p.ReadFlow(idA, revA).Bytes; got != 15000 {
+		t.Fatalf("ReadFlow(a).Bytes = %d, a sent 15000", got)
+	}
+	wantB := p.ReadFlow(idB, revB)
+	if wantB.Bytes != 10500 || wantB.MaxIAT == 0 {
+		t.Fatalf("ReadFlow(b) = %+v, b sent 10500 B a millisecond apart", wantB)
+	}
+	p.ResetWindow(idA)
+	if got := p.ReadFlow(idB, revB); got != wantB {
+		t.Fatalf("ResetWindow(a) changed b's cell: %+v, was %+v", got, wantB)
+	}
+	p.ReleaseFlow(idA)
+	if est := p.EstimateFlow(KeyOf(b)); !est.Admitted || est.Bytes < 10500 {
+		t.Fatalf("after ReleaseFlow(a), EstimateFlow(b) = %+v; b sent 10500 B", est)
+	}
+}
+
 // TestRegisterMergeRulesPinned pins the declared cross-shard merge rule
 // of every register the pipeline exposes: a new register must state a
 // rule in New (the zero rule is none) and be entered here, so it

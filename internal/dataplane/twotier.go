@@ -190,15 +190,10 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 // the distribution belongs to the flow whose segments were timed), so
 // pass the data-direction flow ID.
 func (d *DataPlane) ReadRTTHist(id FlowID) RTTHist {
-	return d.rttHistogram((*Register).Read, id)
-}
-
-// rttHistogram copies the flow's histogram cells out through read.
-func (d *DataPlane) rttHistogram(read cellReader, id FlowID) RTTHist {
 	var h RTTHist
 	base := (uint32(id) % d.tableN) * RTTHistBuckets
 	for b := uint32(0); b < RTTHistBuckets; b++ {
-		h.Buckets[b] = read(d.rttHist, base+b)
+		h.Buckets[b] = d.rttHist.Read(base + b)
 	}
 	return h
 }

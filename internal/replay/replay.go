@@ -1,10 +1,11 @@
 // Package replay is the batch-path ingest front-end: it streams
-// multi-million-packet workloads — synthetic traces or recorded binary
-// traces — directly into the data plane's run-to-completion Front
-// path, bypassing the netsim event loop entirely. Where the simulator
-// answers "what does the pipeline measure", replay answers "how fast
-// does the pipeline go": the Runner reports wall-clock packets/sec and
-// Gbps (bench/'s elephants workload is the gated reading of this path).
+// multi-million-packet synthetic workloads (Synth) directly into the
+// data plane's run-to-completion Front path, bypassing the netsim
+// event loop entirely. Where the simulator answers "what does the
+// pipeline measure", replay answers "how fast does the pipeline go":
+// the Runner reports wall-clock packets/sec and Gbps (bench/'s
+// elephants workload is the gated reading of this path, and the root
+// BenchmarkIngestSynth profiles it).
 //
 // The package deliberately lives outside the deterministic simulation
 // scope: record timestamps are simulated time (so the pipeline's
@@ -21,11 +22,9 @@ import (
 	"repro/internal/tap"
 )
 
-// Record is one TAP copy in trace form: exactly the fields the
-// data-plane parser reads, in value form, so a trace can be recorded
-// from a live simulation and replayed through the batch path without
-// reconstructing full packets. The wire encoding is fixed-size
-// little-endian (see recordSize and the trace file format in trace.go).
+// Record is one TAP copy in value form: exactly the fields the
+// data-plane parser reads, so a generator can stream copies through the
+// batch path without building full packets.
 type Record struct {
 	// At is the simulated nanosecond timestamp at the TAP.
 	At uint64
@@ -48,33 +47,12 @@ type Record struct {
 }
 
 // Source produces records one at a time into a caller-owned scratch
-// Record — the zero-allocation streaming contract shared by the
-// synthetic generator and the trace reader.
+// Record — the zero-allocation streaming contract the Runner drains.
+// Synth implements it; wrappers bound or interleave Synths.
 type Source interface {
 	// Next fills r with the next record and reports whether one was
 	// produced. After Next returns false the source is exhausted.
 	Next(r *Record) bool
-}
-
-// FromCopy captures a TAP copy into trace form.
-func (r *Record) FromCopy(c tap.Copy) {
-	pkt := c.Pkt
-	r.At = uint64(c.At)
-	r.Seq = pkt.SeqExt
-	r.Ack = pkt.AckExt
-	r.SrcIP = pkt.SrcIP.As4()
-	r.DstIP = pkt.DstIP.As4()
-	r.SrcPort = pkt.SrcPort
-	r.DstPort = pkt.DstPort
-	r.TotalLen = pkt.TotalLen
-	r.IPID = pkt.IPID
-	r.Proto = uint8(pkt.Proto)
-	r.Flags = pkt.Flags
-	if c.Point == tap.Egress {
-		r.Point = 1
-	} else {
-		r.Point = 0
-	}
 }
 
 // Fill decodes the record into a caller-owned scratch packet,
