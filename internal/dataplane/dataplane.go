@@ -63,9 +63,10 @@ type Config struct {
 	SketchEpsilon float64
 	SketchDelta   float64
 	// DupFilterInserts sizes the lean tier's duplicate filter for the
-	// expected number of (flow, seq) pairs per measurement window;
-	// DupFilterFP is the tolerated false-positive rate at that fill.
-	// Zero values take the sketch package defaults.
+	// expected number of (flow, seq) pairs; DupFilterFP is the
+	// tolerated false-positive rate at that fill. Nothing clears the
+	// filter, so it fills for the pipe's life, past this design point
+	// on a long run. Zero values take the sketch package defaults.
 	DupFilterInserts int
 	DupFilterFP      float64
 }
@@ -300,6 +301,7 @@ func New(cfg Config) *DataPlane {
 			Delta:              cfg.SketchDelta,
 			DupExpectedInserts: cfg.DupFilterInserts,
 			DupTargetFP:        cfg.DupFilterFP,
+			Cells:              n,
 		}),
 		eackSig: NewRegister("eack_sig", cfg.EACKTableSize, 64),
 		eackTS:  NewRegister("eack_ts", cfg.EACKTableSize, 48),
@@ -506,8 +508,9 @@ func (d *DataPlane) processData(v *view, idx uint32, now simtime.Time) {
 	// during the admitted era must still test positive in the sketch
 	// tier. Nobody reads an answer here — the exact counter below owns
 	// loss accounting while the flow holds its cell — so the insert is
-	// write-behind: applied before this pipe's next filter test.
-	d.lean.NoteSeq(v.key.sketchKey(), v.seqExt)
+	// deferred in the cell's run: its bits are set before this pipe's
+	// next filter test or read of the bits, never sooner.
+	d.lean.NoteSeq(idx, v.key.sketchKey(), v.seqExt, uint32(v.expAck-v.seqExt))
 
 	// Algorithm 1, Seq branch: a sequence number below the previous one
 	// is a retransmission, i.e. evidence of packet loss.

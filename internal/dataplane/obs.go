@@ -34,10 +34,11 @@ type dpObs struct {
 //
 // Everything but the histograms is one snapshot per scrape: a single
 // Collect takes the front-end mutex once, waits for the replay in
-// flight once, and copies out each shard's Stats and occupancy and the
-// launch counters — the world as of the last completed replay, with
-// the summed series exactly the sum of the per-shard ones. It launches
-// nothing pending and delivers no events — handlers mutate
+// flight once, and copies out each shard's Stats, occupancy and dup
+// filter load (DupLoad, a pure read: a scrape logs no deferred insert)
+// and the launch counters — the world as of the last completed replay,
+// with the summed series exactly the sum of the per-shard ones. It
+// launches nothing pending and delivers no events — handlers mutate
 // control-plane state and belong to the simulation's goroutine, and
 // barrier points must stay driven by the simulation, not by wall-clock
 // scrapes. One-shard ingest runs outside that mutex, so there the
@@ -65,13 +66,16 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		stats := make([]Stats, p.n)
 		occupied := make([]uint64, p.n)
 		var sum Stats
-		var cells uint64
+		var cells, dupInserts, dupDeferred uint64
 		p.mu.Lock()
 		p.replay.Wait()
 		for i, d := range p.shards {
 			stats[i], occupied[i] = d.Stats, d.OccupiedCells()
 			sum.add(stats[i])
 			cells += occupied[i]
+			ins, def := d.lean.DupLoad()
+			dupInserts += ins
+			dupDeferred += def
 		}
 		flushes, batched := p.flushes, p.batchedViews
 		p.mu.Unlock()
@@ -85,6 +89,8 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		w.Gauge("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last completed replay).", cells)
 		w.Gauge("p4_dataplane_flow_table_size", "Configured per-flow register cells per shard.", uint64(p.Config().FlowTableSize))
 		w.Gauge("p4_dataplane_sketch_memory_bytes", "Lean sketch tier storage footprint, summed over shards.", p.LeanMemoryBytes())
+		w.Counter("p4_dataplane_dup_filter_inserts_total", "(flow, seq) pairs inserted into the dup filter, summed over shards.", dupInserts)
+		w.Gauge("p4_dataplane_dup_filter_deferred_pairs", "Exact-tier dup-filter inserts deferred in open runs, not yet probed, summed over shards.", dupDeferred)
 		w.Gauge("p4_pipes_shards", "Configured data-plane pipes.", uint64(p.n))
 		w.Gauge("p4_pipes_flushes_total", "Launches that handed at least one pending front to a shard.", flushes)
 		w.Gauge("p4_pipes_batched_views_total", "TAP copies batched through the partition (none at one shard).", batched)

@@ -20,8 +20,10 @@ import (
 // The race detector is one assertion; the totals check that waiting is
 // all a scrape did (nothing lost, nothing replayed twice). The other is
 // that a scrape is one snapshot: in every one taken mid-replay the
-// per-shard copy counts sum to the p4_dataplane_* totals, and the seven
-// event totals are exposed as counters.
+// per-shard copy counts sum to the p4_dataplane_* totals, and the event
+// totals are exposed as counters. The dup filter's load is read in the
+// same snapshot, and reading it logs none of the inserts it counts as
+// deferred.
 func TestScrapeDuringReplay(t *testing.T) {
 	const fronts, batch = 200, 256
 	p := dataplane.NewPipes(dataplane.Config{LongFlowBytes: 64 << 10}, 4)
@@ -51,6 +53,11 @@ func TestScrapeDuringReplay(t *testing.T) {
 						t.Errorf("mid-replay scrape: shards sum to %d %s copies, total says %d", perShard, dir, total)
 						return
 					}
+				}
+				ins := series["p4_dataplane_dup_filter_inserts_total"].(uint64)
+				if def := series["p4_dataplane_dup_filter_deferred_pairs"].(uint64); def > ins {
+					t.Errorf("mid-replay scrape: %d dup-filter pairs deferred of %d inserted", def, ins)
+					return
 				}
 			}
 		}
@@ -94,5 +101,29 @@ func TestScrapeDuringReplay(t *testing.T) {
 	}
 	if perShard != st.IngressCopies {
 		t.Fatalf("per-shard gauges sum to %d ingress copies, merged snapshot %d", perShard, st.IngressCopies)
+	}
+
+	// The dup filter's load is the shards' sum, and reading it logs no
+	// deferred insert: the trace aliases nothing, so no test ever ran and
+	// a second scrape still finds every distinct pair deferred.
+	var ins, def uint64
+	for i := 0; i < p.NumShards(); i++ {
+		si, sd := p.Shard(i).Lean().DupLoad()
+		ins, def = ins+si, def+sd
+	}
+	if st.AliasedPackets != 0 || def == 0 {
+		t.Fatalf("aliased %d packets, %d pairs deferred: the trace must leave runs open", st.AliasedPackets, def)
+	}
+	for range 2 {
+		series = r.Snapshot()
+		if got := series["p4_dataplane_dup_filter_inserts_total"].(uint64); got != ins {
+			t.Errorf("p4_dataplane_dup_filter_inserts_total = %d, shards hold %d", got, ins)
+		}
+		if got := series["p4_dataplane_dup_filter_deferred_pairs"].(uint64); got != def {
+			t.Errorf("p4_dataplane_dup_filter_deferred_pairs = %d, shards hold %d", got, def)
+		}
+	}
+	if !strings.Contains(text.String(), "# TYPE p4_dataplane_dup_filter_inserts_total counter\n") {
+		t.Error("exposition lacks the dup-filter insert counter")
 	}
 }

@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"fmt"
+	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/packet"
@@ -158,11 +160,11 @@ func shardMate(a packet.FiveTuple) packet.FiveTuple {
 }
 
 // TestEvictedFlowRetransmitFindsLoggedInsert is the write-behind
-// regression: the exact tier only logs its duplicate-filter inserts
+// regression: the exact tier only defers its duplicate-filter inserts
 // (Lean.NoteSeq), and the sketch tier must still find them. Flow a
-// sends three segments while admitted — far fewer than the log holds,
-// and nothing tests the filter, so all three are still logged when the
-// aging sweep evicts a. Flow b then takes the cell, and a's
+// sends three segments while admitted and nothing tests the filter, so
+// all three still wait in the cell's run when the aging sweep evicts a.
+// Flow b then takes the cell, which logs a's run, and a's
 // retransmission of its first segment, now in the sketch tier, must
 // count as a loss. The same two-part trace fed per packet, as one front
 // per part and through two shards leaves the same lean tier.
@@ -246,6 +248,71 @@ func TestEvictedFlowRetransmitFindsLoggedInsert(t *testing.T) {
 	}
 	if !sharded.Shard(1 - own).lean.Equal(New(cfg).lean) {
 		t.Error("two shards: the other shard's lean tier is not empty")
+	}
+}
+
+// dupBitsSet counts the bits set in a lean tier's dup filter, read in
+// place: every reader through the API logs the open runs first.
+func dupBitsSet(l *sketch.Lean) int {
+	words := reflect.ValueOf(l).Elem().FieldByName("dup").Elem().FieldByName("bits")
+	n := 0
+	for i := range words.Len() {
+		n += bits.OnesCount64(words.Index(i).Uint())
+	}
+	return n
+}
+
+// TestWarmInsertsWaitForTheFirstTest pins the exact tier's deferred
+// warm inserts. An admitted flow's in-order segments and its resends
+// set no dup-filter bit while nothing reads them: every pair counts as
+// an insert at once, and each distinct one waits in the cell's run (a
+// resend is already there). One aliased data packet is a sketch-tier
+// test, so it logs the run ahead of itself; the lean tier is then equal
+// to one fed every warm pair eagerly (SeenSeq) and the aliased packet
+// as the sketch tier counts it.
+func TestWarmInsertsWaitForTheFirstTest(t *testing.T) {
+	d := New(Config{FlowTableSize: 1})
+	ref := sketch.NewLean(sketch.Config{})
+	a, b := ttFlow(1), ttFlow(2)
+	ka, kb := sketch.Key(KeyOf(a)), sketch.Key(KeyOf(b))
+	const mss = 1460
+	var sent, distinct uint64
+	at := simtime.Millisecond
+	send := func(seg int) {
+		seq := uint64(1 + seg*mss)
+		sendData(d, a, seq, mss, at)
+		ref.SeenSeq(&ka, seq)
+		sent++
+		at += simtime.Millisecond
+	}
+	for seg := range 40 {
+		send(seg)
+		distinct++
+		if seg%10 == 9 {
+			send(seg - 3) // a resend, inside the run
+		}
+	}
+	if d.Stats.AliasedPackets != 0 || d.pktLossReg.Read(0) != 4 {
+		t.Fatalf("aliased %d, exact losses %d: want 0 and the 4 resends", d.Stats.AliasedPackets, d.pktLossReg.Read(0))
+	}
+	if n := dupBitsSet(d.lean); n != 0 {
+		t.Errorf("%d dup-filter bits set before anything read them, want 0", n)
+	}
+	if ins, def := d.lean.DupLoad(); ins != sent || def != distinct {
+		t.Errorf("DupLoad = %d inserts, %d deferred; want the %d pairs sent, %d of them distinct", ins, def, sent, distinct)
+	}
+
+	sendData(d, b, 1, mss, at)
+	ref.ObserveHash(kb.Hash(), mss+40)
+	ref.TestSeq(&kb, 1, kb.Hash())
+	if d.Stats.AliasedPackets != 1 {
+		t.Fatalf("aliased %d packets, want 1", d.Stats.AliasedPackets)
+	}
+	if _, def := d.lean.DupLoad(); def != 0 {
+		t.Errorf("%d pairs still deferred after a sketch-tier test, want the run logged", def)
+	}
+	if !d.Lean().Equal(ref) {
+		t.Error("lean tier differs from one fed the same pairs eagerly")
 	}
 }
 

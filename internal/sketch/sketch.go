@@ -225,9 +225,19 @@ func (c *CMS) Clear() {
 // Clear; false positives (spurious loss counts) occur at the rate
 // FPRate computes from the actual insert count.
 //
-// Inserts (Insert) and tests whose answer is only counted (test) are
-// write-behind: the pair's hash word waits in a small log, in arrival
-// order, and is applied when the log fills or before the next
+// The exact tier's inserts (note) wait longer still. A Bloom insert is
+// idempotent and commutative, and only a test or a bit comparison
+// observes the array, so each flow-table cell keeps one open run of
+// the pairs noted there since the last test — a key, a first sequence
+// number, a segment length and a count — and the run's pairs are logged
+// only when a pair breaks it, before any test and before a read of the
+// bits (settle). A run never holds a pair from before a test, so the
+// pairs it logs late are ones eager processing would have set after
+// every test already logged: no test can tell.
+//
+// Logged pairs (inserts and tests whose answer is only counted, test)
+// are write-behind: the pair's hash word waits in a small log, in
+// arrival order, and is applied when the log fills or before the next
 // TestAndSet, whichever comes first; a Lean also applies it before
 // every read. Applying the log in order probes exactly what eager
 // processing would have, so at every read the bit array, the insert
@@ -238,10 +248,24 @@ type DupFilter struct {
 	hashes  int
 	inserts uint64
 	logN    int                      // hash words waiting in log
-	log     [dupLogWords]uint64      // k.mix(seq) of each pending Insert or test
+	log     [dupLogWords]uint64      // k.mix(seq) of each pending insert or test
 	tests   [dupLogWords / 64]uint64 // bit i set: log[i] is a test
 	tags    [dupLogWords]Hash        // the tag of a pending test, at its log index
 	hits    *CMS                     // counts one at the tag of each positive test
+
+	runs     []dupRun // one per flow-table cell; count 0: no open run
+	open     []uint32 // the cells whose run is open, capacity len(runs)
+	deferred uint64   // the pairs the open runs hold
+}
+
+// dupRun is the open run of one flow-table cell: count pairs of key at
+// sequence numbers first, first+step, …, first+(count-1)·step (mod
+// 2⁶⁴), noted since the filter's last test and not logged yet.
+type dupRun struct {
+	first uint64
+	count uint32
+	step  uint32
+	key   Key
 }
 
 // dupLogWords is the write-behind log's capacity. Draining probes that
@@ -298,28 +322,100 @@ func NewDupFilterBits(logBits, hashes int) *DupFilter {
 	}
 }
 
-// Insert records (k, seq) without reporting whether it was present:
-// TestAndSet for a caller that discards the answer. The insert counts
-// at once (FPRate is a pure read); its bits are set by the next drain.
+// withCells gives the filter one open run per cell for note.
+func (f *DupFilter) withCells(cells int) *DupFilter {
+	f.runs = make([]dupRun, cells)
+	f.open = make([]uint32, 0, cells)
+	return f
+}
+
+// note records (k, seq) for a caller that discards the answer: the
+// exact tier, whose flow owns flow-table cell cell and whose segment
+// starting at seq is length long. The pair counts as an insert at once
+// (FPRate is a pure read). It extends the cell's open run when it is
+// the run's next pair at the run's length, and is already in the run
+// when it is a resend of one at any length; anything else — a gap,
+// another length, another key — logs the run and opens a new one with
+// the pair. The length only guesses where the next pair will fall, so
+// any length leaves the bits eager processing would.
 //
 // p4:hotpath
-func (f *DupFilter) Insert(k *Key, seq uint64) {
-	f.log[f.logN] = k.mix(seq)
-	f.logN++
+func (f *DupFilter) note(cell uint32, k *Key, seq uint64, length uint32) {
 	f.inserts++
-	if f.logN == dupLogWords {
+	r := &f.runs[cell]
+	if r.count != 0 && r.key == *k {
+		d := seq - r.first
+		if d == uint64(r.count)*uint64(r.step) && length == r.step && r.count != math.MaxUint32 {
+			r.count++
+			f.deferred++
+			return
+		}
+		if r.step != 0 && d%uint64(r.step) == 0 && d/uint64(r.step) < uint64(r.count) {
+			return // a resend: its bits are already the run's
+		}
+	}
+	if r.count != 0 {
+		f.logRun(r)
+	} else {
+		f.open = append(f.open, cell)
+	}
+	*r = dupRun{first: seq, count: 1, step: length, key: *k}
+	f.deferred++
+}
+
+// logRun logs a run's pairs in order and closes it.
+//
+// p4:hotpath
+func (f *DupFilter) logRun(r *dupRun) {
+	f.deferred -= uint64(r.count)
+	seq := r.first
+	for range r.count {
+		f.log[f.logN] = r.key.mix(seq)
+		f.logN++
+		if f.logN == dupLogWords {
+			f.drain()
+		}
+		seq += uint64(r.step)
+	}
+	r.count = 0
+}
+
+// logRuns logs every open run, cell by cell; the bits a set of
+// inserts leaves do not depend on their order.
+//
+// p4:hotpath
+func (f *DupFilter) logRuns() {
+	for _, cell := range f.open {
+		f.logRun(&f.runs[cell])
+	}
+	f.open = f.open[:0]
+}
+
+// settle logs the open runs and applies the log: what every reader of
+// the bit array does first.
+//
+// p4:hotpath
+func (f *DupFilter) settle() {
+	if len(f.open) != 0 {
+		f.logRuns()
+	}
+	if f.logN != 0 {
 		f.drain()
 	}
 }
 
 // test records (k, seq) and, if it was already present, counts one in
 // the filter's hits sketch at tag: TestAndSet for a caller that only
-// counts the positives. The pair waits in the log like an Insert and
+// counts the positives. The open runs are logged first, so the test
+// comes after every pair noted before it. The pair waits in the log and
 // counts as an insert at once; whether it was present is decided, and
 // counted, when the log drains.
 //
 // p4:hotpath
 func (f *DupFilter) test(k *Key, seq uint64, tag Hash) {
+	if len(f.open) != 0 {
+		f.logRuns()
+	}
 	i := f.logN
 	f.log[i] = k.mix(seq)
 	f.tests[i>>6] |= 1 << (i & 63)
@@ -332,7 +428,7 @@ func (f *DupFilter) test(k *Key, seq uint64, tag Hash) {
 }
 
 // drain applies every logged pair in log order and empties the log. A
-// log of Inserts only sets bits, in a loop of unconditional ORs.
+// log of inserts only sets bits, in a loop of unconditional ORs.
 // Otherwise every pair is probed, and each test's tag is kept,
 // compacted to the front of tags, when all its probes were already set;
 // the kept tags are counted after the loop. No branch depends on a word
@@ -386,13 +482,11 @@ func (f *DupFilter) probe(h1 uint64) uint64 {
 }
 
 // TestAndSet reports whether (k, seq) was already present, inserting
-// it either way. The log is applied first.
+// it either way. The open runs are logged and the log is applied first.
 //
 // p4:hotpath
 func (f *DupFilter) TestAndSet(k *Key, seq uint64) bool {
-	if f.logN != 0 {
-		f.drain()
-	}
+	f.settle()
 	f.inserts++
 	return f.probe(k.mix(seq)) != 0
 }
@@ -407,16 +501,16 @@ func (f *DupFilter) FPRate() float64 {
 }
 
 // MemoryBytes returns the filter's footprint: the bit array plus the
-// write-behind log, its test mask and its tags.
+// write-behind log, its test mask and its tags. The runs are not
+// counted: they stand for probes not made yet, one per exact-tier cell,
+// not for anything the filter holds.
 func (f *DupFilter) MemoryBytes() uint64 {
 	return uint64(len(f.bits)+len(f.log)+len(f.tests)+len(f.tags)) * 8
 }
 
-// Clear zeroes the filter and drops the log. A dropped test is never
-// counted, so the hits sketch must be cleared with it (Lean.Clear
-// does). Duplicates spanning a clear go undetected — the windowing
-// trade-off Lean Algorithms accepts when the filter is reset per
-// measurement epoch.
+// Clear zeroes the filter and drops the log and the open runs. A
+// dropped test is never counted, so the hits sketch must be cleared
+// with it (Lean.Clear does). Duplicates spanning a clear go undetected.
 func (f *DupFilter) Clear() {
 	for i := range f.bits {
 		f.bits[i] = 0
@@ -424,6 +518,11 @@ func (f *DupFilter) Clear() {
 	f.inserts = 0
 	f.logN = 0
 	f.tests = [len(f.tests)]uint64{}
+	for _, cell := range f.open {
+		f.runs[cell].count = 0
+	}
+	f.open = f.open[:0]
+	f.deferred = 0
 }
 
 // Config parameterises a Lean bundle. The zero value defaults to
@@ -434,11 +533,16 @@ type Config struct {
 	// overcount: ≤ ε·N with probability ≥ 1-δ per query.
 	Epsilon, Delta float64
 	// DupExpectedInserts sizes the retransmission dup filter for the
-	// TCP data packets one measurement window is expected to carry.
+	// TCP data packets it is expected to hold. Nothing in the pipeline
+	// clears the filter, so it fills for the pipe's life: a design fill,
+	// not a per-window budget.
 	DupExpectedInserts int
 	// DupTargetFP is the dup filter's design false-positive rate at
 	// DupExpectedInserts.
 	DupTargetFP float64
+	// Cells is the exact tier's flow-table size: NoteSeq keeps one open
+	// run of deferred inserts per cell. Zero leaves NoteSeq unusable.
+	Cells int
 }
 
 // withDefaults fills unset fields.
@@ -478,7 +582,7 @@ func NewLean(cfg Config) *Lean {
 		bytes: NewCMS(g),
 		pkts:  NewCMS(g),
 		loss:  NewCMS(g),
-		dup:   NewDupFilter(cfg.DupExpectedInserts, cfg.DupTargetFP),
+		dup:   NewDupFilter(cfg.DupExpectedInserts, cfg.DupTargetFP).withCells(cfg.Cells),
 		cfg:   cfg,
 	}
 	l.dup.hits = l.loss
@@ -512,7 +616,7 @@ func (l *Lean) Observe(k *Key, wireBytes uint64) { l.ObserveHash(k.Hash(), wireB
 
 // SeenSeq records a TCP data packet's (key, seq) in the dup filter and
 // reports whether it was already present — a retransmission (or a
-// filter false positive).
+// filter false positive). The deferred inserts are logged first.
 //
 // p4:hotpath
 func (l *Lean) SeenSeq(k *Key, seq uint64) bool {
@@ -522,17 +626,22 @@ func (l *Lean) SeenSeq(k *Key, seq uint64) bool {
 // NoteSeq records a TCP data packet's (key, seq) in the dup filter for
 // a caller that does not need SeenSeq's answer — the exact tier, which
 // counts its own losses but must leave the pair where a later test
-// finds it.
+// finds it. cell is the flow's flow-table cell (below Config.Cells) and
+// length the segment's length, expected ACK minus seq: the insert is
+// deferred in the cell's open run until something reads the bits.
 //
 // p4:hotpath
-func (l *Lean) NoteSeq(k *Key, seq uint64) { l.dup.Insert(k, seq) }
+func (l *Lean) NoteSeq(cell uint32, k *Key, seq uint64, length uint32) {
+	l.dup.note(cell, k, seq, length)
+}
 
 // TestSeq records a TCP data packet's (key, seq) in the dup filter and,
 // if it was already present — a retransmission (or a filter false
 // positive) — counts one loss for the hashed key h: SeenSeq plus the
-// loss count, write-behind. The pair waits in the filter's log and its
-// loss is counted when the log drains, which every reader of the loss
-// sketch does first, so no read can tell.
+// loss count, write-behind. The deferred inserts are logged first; the
+// pair waits in the filter's log and its loss is counted when the log
+// drains, which every reader of the loss sketch does first, so no read
+// can tell.
 //
 // p4:hotpath
 func (l *Lean) TestSeq(k *Key, seq uint64, h Hash) { l.dup.test(k, seq, h) }
@@ -577,6 +686,11 @@ func (l *Lean) Totals() (bytes, pkts, loss uint64) {
 // count as losses.
 func (l *Lean) DupFPRate() float64 { return l.dup.FPRate() }
 
+// DupLoad returns the dup filter's pairs inserted so far and the pairs
+// of them still deferred in open runs — the probes the next test will
+// make first. A pure read: it logs no run and drains nothing.
+func (l *Lean) DupLoad() (inserts, deferred uint64) { return l.dup.inserts, l.dup.deferred }
+
 // MemoryBytes returns the bundle's total storage footprint.
 func (l *Lean) MemoryBytes() uint64 {
 	return l.bytes.MemoryBytes() + l.pkts.MemoryBytes() +
@@ -586,10 +700,11 @@ func (l *Lean) MemoryBytes() uint64 {
 // Equal reports whether two bundles hold the same state: every counter
 // and total, every dup-filter bit and the insert count — what feeding
 // one packet stream whole, in fronts or per packet must leave equal.
-// Both dup-filter logs are applied first, which no reader can tell.
+// Both dup filters log their open runs and apply their logs first,
+// which no reader can tell.
 func (l *Lean) Equal(o *Lean) bool {
-	l.dup.drain()
-	o.dup.drain()
+	l.dup.settle()
+	o.dup.settle()
 	return l.bytes.equal(o.bytes) && l.pkts.equal(o.pkts) && l.loss.equal(o.loss) &&
 		l.dup.hashes == o.dup.hashes && l.dup.inserts == o.dup.inserts &&
 		slices.Equal(l.dup.bits, o.dup.bits)
@@ -598,7 +713,9 @@ func (l *Lean) Equal(o *Lean) bool {
 // equal reports whether two sketches hold the same counters and total.
 func (c *CMS) equal(o *CMS) bool { return c.total == o.total && slices.Equal(c.rows, o.rows) }
 
-// Clear resets everything: sketches, totals and the dup filter.
+// Clear resets everything: sketches, totals and the dup filter. Only
+// tests call it: the pipeline never clears its lean tier, so the
+// sketches and the filter fill for the pipe's life.
 func (l *Lean) Clear() {
 	l.bytes.Clear()
 	l.pkts.Clear()
