@@ -1,9 +1,6 @@
 package dataplane
 
-import (
-	"repro/internal/packet"
-	"repro/internal/sketch"
-)
+import "repro/internal/sketch"
 
 // CMS is the count-min sketch the paper's data plane uses to detect
 // long flows before dedicating per-flow register state to them (§4),
@@ -27,26 +24,16 @@ func cmsHash(k *FlowKey) sketch.Hash {
 	return longFlowHash(id, k.sketchKey().Hash())
 }
 
-// Update adds count bytes to the flow's counters and returns the new
+// UpdateKey adds count bytes to the flow's counters and returns the new
 // estimate (the conservative minimum across rows).
-func (c *CMS) Update(ft packet.FiveTuple, count uint64) uint64 {
-	return c.UpdateKey(KeyOf(ft), count)
-}
-
-// UpdateKey is Update for a pre-packed flow key.
 //
 // p4:hotpath
 func (c *CMS) UpdateKey(k FlowKey, count uint64) uint64 {
 	return c.s.Add(cmsHash(&k), count)
 }
 
-// Estimate returns the sketch's byte estimate for the flow without
+// EstimateKey returns the sketch's byte estimate for the flow without
 // updating it.
-func (c *CMS) Estimate(ft packet.FiveTuple) uint64 {
-	return c.EstimateKey(KeyOf(ft))
-}
-
-// EstimateKey is Estimate for a pre-packed flow key.
 //
 // p4:hotpath
 func (c *CMS) EstimateKey(k FlowKey) uint64 {

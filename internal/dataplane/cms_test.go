@@ -63,22 +63,6 @@ func TestCMSKeyPathExactWhenSparse(t *testing.T) {
 	}
 }
 
-// TestCMSTuplePathsDelegate checks the FiveTuple entry points and the
-// packed-key ones read and write the same counters.
-func TestCMSTuplePathsDelegate(t *testing.T) {
-	cms := NewCMS(256, 3)
-	rng := rand.New(rand.NewSource(31))
-	ft := randomTuple(rng)
-	cms.Update(ft, 500)
-	if got := cms.EstimateKey(KeyOf(ft)); got != 500 {
-		t.Fatalf("EstimateKey after Update = %d, want 500", got)
-	}
-	cms.UpdateKey(KeyOf(ft), 250)
-	if got := cms.Estimate(ft); got != 750 {
-		t.Fatalf("Estimate after UpdateKey = %d, want 750", got)
-	}
-}
-
 func TestCMSClear(t *testing.T) {
 	cms := NewCMS(64, 2)
 	ft := packet.FiveTuple{
@@ -88,9 +72,9 @@ func TestCMSClear(t *testing.T) {
 		DstPort: 2,
 		Proto:   packet.ProtoTCP,
 	}
-	cms.Update(ft, 99)
+	cms.UpdateKey(KeyOf(ft), 99)
 	cms.Clear()
-	if got := cms.Estimate(ft); got != 0 {
+	if got := cms.EstimateKey(KeyOf(ft)); got != 0 {
 		t.Fatalf("estimate after Clear = %d, want 0", got)
 	}
 }

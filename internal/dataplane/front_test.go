@@ -43,8 +43,7 @@ func assertSameState(t *testing.T, label string, want, got *DataPlane, flows int
 	}
 	for _, name := range want.RegisterNames() {
 		w, g := want.RegisterByName(name), got.RegisterByName(name)
-		ws := w.Snapshot(nil)
-		gs := g.Snapshot(nil)
+		ws, gs := w.cells, g.cells
 		for i := range ws {
 			if ws[i] != gs[i] {
 				t.Fatalf("%s: register %s[%d]: want %d, got %d", label, name, i, ws[i], gs[i])
@@ -53,7 +52,7 @@ func assertSameState(t *testing.T, label string, want, got *DataPlane, flows int
 	}
 	for i := 0; i < flows; i++ {
 		k := KeyOf(traceFlow(i))
-		if we, ge := want.Sketch().EstimateKey(k), got.Sketch().EstimateKey(k); we != ge {
+		if we, ge := want.cms.EstimateKey(k), got.cms.EstimateKey(k); we != ge {
 			t.Fatalf("%s: CMS estimate for flow %d: want %d, got %d", label, i, we, ge)
 		}
 	}

@@ -264,7 +264,7 @@ func TestLongFlowEstimateExactForOwnedCells(t *testing.T) {
 			d.ProcessCopy(tap.Copy{Pkt: pkt, Point: tap.Ingress})
 		}
 		for g := base; g < base+flows; g++ {
-			if est := d.Sketch().Estimate(synthTuple(g)); est != wire {
+			if est := d.cms.EstimateKey(KeyOf(synthTuple(g))); est != wire {
 				t.Fatalf("base %d flow %d: long-flow estimate %d after one %d-byte packet", base, g, est, wire)
 			}
 		}

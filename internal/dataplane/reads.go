@@ -104,7 +104,3 @@ func (d *DataPlane) ReleaseFlow(id FlowID) {
 // ClearCMS resets the long-flow sketch; the control plane does this
 // periodically so stale counts do not keep old flows "long" forever.
 func (d *DataPlane) ClearCMS() { d.cms.Clear() }
-
-// Sketch exposes the long-flow CMS for white-box tests and the CMS
-// ablation bench.
-func (d *DataPlane) Sketch() *CMS { return d.cms }

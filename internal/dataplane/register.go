@@ -96,21 +96,3 @@ func (r *Register) Max(i uint32, v uint64) {
 func Elapsed(now, stamp simtime.Time) simtime.Time {
 	return simtime.Time(int64(uint64(now-stamp)<<16) >> 16)
 }
-
-// Snapshot copies the register contents into dst (allocating if nil) —
-// the bulk register read the control plane performs through the
-// switch-manufacturer APIs.
-func (r *Register) Snapshot(dst []uint64) []uint64 {
-	if dst == nil || len(dst) < len(r.cells) {
-		dst = make([]uint64, len(r.cells))
-	}
-	copy(dst, r.cells)
-	return dst[:len(r.cells)]
-}
-
-// Clear zeroes every cell.
-func (r *Register) Clear() {
-	for i := range r.cells {
-		r.cells[i] = 0
-	}
-}

@@ -217,17 +217,11 @@ type FlowEstimate struct {
 	Admitted bool
 }
 
-// EstimateFlow returns the flow's two-tier estimate. A flow that was
-// admitted, evicted and not re-admitted answers purely from the
-// sketches (where its eviction fold lives); a currently-admitted flow
-// adds its exact cell on top of whatever sketch residue pre-admission
-// or post-eviction traffic left.
-func (d *DataPlane) EstimateFlow(key FlowKey) FlowEstimate {
-	f := hashFlow(key)
-	return d.estimate(&f)
-}
-
-// estimate is EstimateFlow for an already-hashed key.
+// estimate returns the hashed flow's two-tier estimate (what
+// Pipes.EstimateFlow answers). A flow that was admitted, evicted and
+// not re-admitted answers purely from the sketches (where its eviction
+// fold lives); a currently-admitted flow adds its exact cell on top of
+// whatever sketch residue pre-admission or post-eviction traffic left.
 func (d *DataPlane) estimate(f *flowHash) FlowEstimate {
 	var e FlowEstimate
 	e.Bytes, e.Pkts, e.Loss = d.lean.EstimateHash(f.h)

@@ -30,6 +30,12 @@ func sendData(d *DataPlane, ft packet.FiveTuple, seq uint64, mss int, at simtime
 	d.ProcessCopy(tap.Copy{Pkt: pkt, Point: tap.Ingress, At: at})
 }
 
+// estimateFlow is Pipes.EstimateFlow for one bare pipe.
+func estimateFlow(d *DataPlane, key FlowKey) FlowEstimate {
+	f := hashFlow(key)
+	return d.estimate(&f)
+}
+
 // TestAdmissionRoutesAliasedFlowToSketch pins the admission gate: with
 // a one-cell table, the first flow owns the exact tier and the second
 // flow's traffic is counted — not silently merged into the first
@@ -58,7 +64,7 @@ func TestAdmissionRoutesAliasedFlowToSketch(t *testing.T) {
 	}
 
 	// The exact cell holds only the owner's traffic.
-	ea := d.EstimateFlow(KeyOf(a))
+	ea := estimateFlow(d, KeyOf(a))
 	if !ea.Admitted {
 		t.Fatal("owner flow not admitted")
 	}
@@ -68,7 +74,7 @@ func TestAdmissionRoutesAliasedFlowToSketch(t *testing.T) {
 
 	// The aliased flow answers from the sketch tier: never undercounts,
 	// and its overcount is within the analytical bound.
-	eb := d.EstimateFlow(KeyOf(b))
+	eb := estimateFlow(d, KeyOf(b))
 	if eb.Admitted {
 		t.Fatal("aliased flow reported admitted")
 	}
@@ -121,7 +127,7 @@ func TestAgeFlowsEvictsIdleToSketch(t *testing.T) {
 	}
 
 	// The history lives on in the sketch tier.
-	e := d.EstimateFlow(KeyOf(a))
+	e := estimateFlow(d, KeyOf(a))
 	if e.Admitted {
 		t.Fatal("evicted flow reported admitted")
 	}
@@ -132,7 +138,7 @@ func TestAgeFlowsEvictsIdleToSketch(t *testing.T) {
 	// A returning flow re-admits (its cell is free again) and the
 	// two-tier estimate keeps covering the full history.
 	sendData(d, a, uint64(1+8*mss), mss, 11*simtime.Second)
-	e = d.EstimateFlow(KeyOf(a))
+	e = estimateFlow(d, KeyOf(a))
 	if !e.Admitted {
 		t.Fatal("returning flow did not re-admit after eviction")
 	}
@@ -208,10 +214,10 @@ func TestEvictedFlowRetransmitFindsLoggedInsert(t *testing.T) {
 	if _, _, loss := perPacket.lean.Totals(); loss != 1 {
 		t.Errorf("lean tier counted %d losses, want 1: the admitted-era insert was still logged at the test", loss)
 	}
-	if e := perPacket.EstimateFlow(KeyOf(a)); e.Admitted || e.Loss < 1 {
+	if e := estimateFlow(perPacket, KeyOf(a)); e.Admitted || e.Loss < 1 {
 		t.Errorf("evicted flow: admitted=%v loss=%d, want sketch-tier loss ≥ 1", e.Admitted, e.Loss)
 	}
-	if e := perPacket.EstimateFlow(KeyOf(b)); !e.Admitted || e.ExactPkts != 2 {
+	if e := estimateFlow(perPacket, KeyOf(b)); !e.Admitted || e.ExactPkts != 2 {
 		t.Errorf("colliding flow: admitted=%v exact pkts=%d, want the cell and 2 packets", e.Admitted, e.ExactPkts)
 	}
 

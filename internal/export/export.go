@@ -1,10 +1,9 @@
-// Package export renders experiment results: CSV and JSON series files
-// for plotting, and ASCII charts for the terminal — the repository's
+// Package export renders experiment results: CSV series files for
+// plotting, and ASCII charts for the terminal — the repository's
 // stand-in for the paper's Grafana dashboards.
 package export
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -79,34 +78,6 @@ func SaveCSV(path string, series ...*metrics.Series) (err error) {
 		}
 	}()
 	return WriteCSV(f, series...)
-}
-
-// jsonPoint mirrors a sample for JSON output.
-type jsonPoint struct {
-	T float64 `json:"t_s"`
-	V float64 `json:"v"`
-}
-
-// SaveJSON writes the series as a JSON object keyed by series name.
-// (os.WriteFile already propagates the file's Close error, so unlike
-// SaveCSV it needs no extra handling.)
-func SaveJSON(path string, series ...*metrics.Series) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	out := map[string][]jsonPoint{}
-	for _, s := range series {
-		pts := make([]jsonPoint, len(s.Points))
-		for i, p := range s.Points {
-			pts[i] = jsonPoint{T: p.T.Seconds(), V: p.V}
-		}
-		out[s.Name] = pts
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // Chart renders series as an ASCII line chart of the given size.

@@ -57,7 +57,7 @@ func TestWriteCSVNoSeries(t *testing.T) {
 	}
 }
 
-func TestSaveCSVAndJSON(t *testing.T) {
+func TestSaveCSV(t *testing.T) {
 	a, b := twoSeries()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "sub", "out.csv")
@@ -66,14 +66,6 @@ func TestSaveCSVAndJSON(t *testing.T) {
 	}
 	if _, err := os.Stat(csvPath); err != nil {
 		t.Fatal(err)
-	}
-	jsonPath := filepath.Join(dir, "sub2", "out.json")
-	if err := SaveJSON(jsonPath, a, b); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(jsonPath)
-	if !strings.Contains(string(data), "\"alpha\"") || !strings.Contains(string(data), "\"t_s\"") {
-		t.Fatalf("json: %s", data)
 	}
 }
 
@@ -109,9 +101,6 @@ func TestSaveCSVReadOnlyDir(t *testing.T) {
 	if err := SaveCSV(filepath.Join(ro, "out.csv"), a); err == nil {
 		t.Fatal("SaveCSV into a read-only dir must error")
 	}
-	if err := SaveJSON(filepath.Join(ro, "out.json"), a); err == nil {
-		t.Fatal("SaveJSON into a read-only dir must error")
-	}
 }
 
 func TestSaveCSVPropagatesWriteError(t *testing.T) {
@@ -125,21 +114,6 @@ func TestSaveCSVPropagatesWriteError(t *testing.T) {
 	a, _ := twoSeries()
 	if err := SaveCSV("/dev/full", a); err == nil {
 		t.Fatal("SaveCSV to /dev/full must report the write failure")
-	}
-}
-
-func TestSaveJSONPropagatesErrors(t *testing.T) {
-	a, _ := twoSeries()
-	dir := t.TempDir()
-	blocker := filepath.Join(dir, "blocker")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveJSON(filepath.Join(blocker, "out.json"), a); err == nil {
-		t.Fatal("SaveJSON through a regular file must error")
-	}
-	if err := SaveJSON(dir, a); err == nil {
-		t.Fatal("SaveJSON onto a directory must error")
 	}
 }
 

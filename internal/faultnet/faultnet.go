@@ -87,13 +87,6 @@ func Wrap(conn net.Conn, script Script) *Conn {
 	return &Conn{Conn: conn, script: script}
 }
 
-// Written returns the number of bytes successfully written so far.
-func (c *Conn) Written() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written
-}
-
 // Write delivers b to the underlying connection, honouring the fault
 // script. It returns the number of bytes actually delivered.
 func (c *Conn) Write(b []byte) (int, error) {

@@ -39,14 +39,6 @@ func (s *Series) Append(t simtime.Time, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Last returns the most recent sample, or a zero Point if empty.
-func (s *Series) Last() Point {
-	if len(s.Points) == 0 {
-		return Point{}
-	}
-	return s.Points[len(s.Points)-1]
-}
-
 // Between returns the samples with T in [from, to).
 func (s *Series) Between(from, to simtime.Time) []Point {
 	lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= from })
@@ -54,34 +46,11 @@ func (s *Series) Between(from, to simtime.Time) []Point {
 	return s.Points[lo:hi]
 }
 
-// Values extracts the sample values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Max returns the maximum value, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	m := 0.0
 	for i, p := range s.Points {
 		if i == 0 || p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Min returns the minimum value, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points {
-		if p.V < m {
 			m = p.V
 		}
 	}
@@ -134,27 +103,4 @@ func Utilization(throughputBps []float64, capacityBps float64) float64 {
 	}
 	u := sum / capacityBps
 	return math.Min(math.Max(u, 0), 1)
-}
-
-// Percentile returns the p-th percentile (0-100) using linear
-// interpolation; the input is not modified.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -87,8 +87,8 @@ func TestSeriesAppendAndQuery(t *testing.T) {
 	if s.Len() != 10 {
 		t.Fatalf("len=%d", s.Len())
 	}
-	if s.Last().V != 9 {
-		t.Fatalf("last=%v", s.Last())
+	if s.Points[9].V != 9 {
+		t.Fatalf("last=%v", s.Points[9])
 	}
 	mid := s.Between(3*simtime.Second, 6*simtime.Second)
 	if len(mid) != 3 || mid[0].V != 3 || mid[2].V != 5 {
@@ -109,46 +109,14 @@ func TestSeriesRejectsTimeTravel(t *testing.T) {
 
 func TestSeriesStats(t *testing.T) {
 	s := NewSeries("x")
-	for _, v := range []float64{2, 8, 5} {
-		s.Append(s.Last().T+1, v)
+	for i, v := range []float64{2, 8, 5} {
+		s.Append(simtime.Time(i), v)
 	}
-	if s.Max() != 8 || s.Min() != 2 || s.Mean() != 5 {
-		t.Fatalf("max=%f min=%f mean=%f", s.Max(), s.Min(), s.Mean())
+	if s.Max() != 8 || s.Mean() != 5 {
+		t.Fatalf("max=%f mean=%f", s.Max(), s.Mean())
 	}
 	empty := NewSeries("e")
-	if empty.Max() != 0 || empty.Min() != 0 || empty.Mean() != 0 {
+	if empty.Max() != 0 || empty.Mean() != 0 {
 		t.Fatal("empty series stats must be 0")
-	}
-}
-
-func TestSeriesValues(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(1, 10)
-	s.Append(2, 20)
-	v := s.Values()
-	if len(v) != 2 || v[0] != 10 || v[1] != 20 {
-		t.Fatalf("values: %v", v)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(vals, 50); math.Abs(p-5.5) > 1e-9 {
-		t.Fatalf("p50=%f", p)
-	}
-	if p := Percentile(vals, 0); p != 1 {
-		t.Fatalf("p0=%f", p)
-	}
-	if p := Percentile(vals, 100); p != 10 {
-		t.Fatalf("p100=%f", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-	// Input must not be mutated.
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 {
-		t.Fatal("Percentile mutated its input")
 	}
 }

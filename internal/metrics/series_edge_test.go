@@ -14,36 +14,29 @@ func TestSeriesEmpty(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := s.Last(); got != (Point{}) {
-		t.Fatalf("Last = %+v, want zero Point", got)
-	}
 	if got := s.Between(0, simtime.Second); len(got) != 0 {
 		t.Fatalf("Between on empty = %v", got)
 	}
-	if got := s.Values(); len(got) != 0 {
-		t.Fatalf("Values on empty = %v", got)
-	}
-	if s.Max() != 0 || s.Min() != 0 || s.Mean() != 0 {
-		t.Fatalf("empty stats: max=%v min=%v mean=%v", s.Max(), s.Min(), s.Mean())
+	if s.Max() != 0 || s.Mean() != 0 {
+		t.Fatalf("empty stats: max=%v mean=%v", s.Max(), s.Mean())
 	}
 }
 
-// TestSeriesSinglePoint pins the one-sample case, where min == max ==
-// mean == last and every Between window either contains the point or
-// not.
+// TestSeriesSinglePoint pins the one-sample case, where max == mean
+// and every Between window either contains the point or not.
 func TestSeriesSinglePoint(t *testing.T) {
 	s := NewSeries("single")
 	s.Append(3*simtime.Second, -7.5)
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := s.Last(); got.T != 3*simtime.Second || got.V != -7.5 {
-		t.Fatalf("Last = %+v", got)
+	if got := s.Points[0]; got.T != 3*simtime.Second || got.V != -7.5 {
+		t.Fatalf("point = %+v", got)
 	}
 	// A negative value exercises Max's first-element seeding: a naive
 	// "m := 0" maximum would wrongly report 0.
-	if s.Max() != -7.5 || s.Min() != -7.5 || s.Mean() != -7.5 {
-		t.Fatalf("stats: max=%v min=%v mean=%v, want all -7.5", s.Max(), s.Min(), s.Mean())
+	if s.Max() != -7.5 || s.Mean() != -7.5 {
+		t.Fatalf("stats: max=%v mean=%v, want both -7.5", s.Max(), s.Mean())
 	}
 	if got := s.Between(0, 3*simtime.Second); len(got) != 0 {
 		t.Fatalf("half-open window must exclude T==to: %v", got)
@@ -62,8 +55,8 @@ func TestSeriesNonMonotonicAppend(t *testing.T) {
 	s.Append(simtime.Second, 1)
 	s.Append(simtime.Second, 2) // tie: allowed
 	s.Append(simtime.Second, 3)
-	if s.Len() != 3 || s.Last().V != 3 {
-		t.Fatalf("ties rejected: len=%d last=%+v", s.Len(), s.Last())
+	if s.Len() != 3 || s.Points[2].V != 3 {
+		t.Fatalf("ties rejected: len=%d points=%+v", s.Len(), s.Points)
 	}
 	if got := s.Between(simtime.Second, simtime.Second+1); len(got) != 3 {
 		t.Fatalf("Between must return all tied samples: %v", got)

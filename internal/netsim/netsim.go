@@ -29,10 +29,10 @@ func Gbps(g float64) float64 { return g * 1e9 }
 // Mbps expresses a link rate in bits per second.
 func Mbps(m float64) float64 { return m * 1e6 }
 
-// Link is a unidirectional channel between two nodes. Use NewDuplexLink
-// to build the usual bidirectional pair. Packets are serialised at the
-// link bandwidth (back-to-back packets queue behind each other at the
-// transmitter) and then experience the propagation delay.
+// Link is a unidirectional channel between two nodes. Packets are
+// serialised at the link bandwidth (back-to-back packets queue behind
+// each other at the transmitter) and then experience the propagation
+// delay.
 type Link struct {
 	name      string
 	engine    *simtime.Engine
@@ -87,9 +87,6 @@ func NewLink(e *simtime.Engine, name string, dst Node, bandwidthBps float64, del
 
 // Name returns the link's identifier.
 func (l *Link) Name() string { return l.name }
-
-// Dst returns the receiving node.
-func (l *Link) Dst() Node { return l.dst }
 
 // SerializationDelay returns how long the link needs to clock out a
 // packet of n bytes.
@@ -151,36 +148,6 @@ func (l *Link) Send(pkt *packet.Packet) {
 		return
 	}
 	l.engine.AtCall(txEnd+l.delay, arrivalThunk, l, pkt)
-}
-
-// QueuedDelay reports how long a packet handed to the link right now
-// would wait before starting serialisation (transmitter backlog).
-func (l *Link) QueuedDelay() simtime.Time {
-	now := l.engine.Now()
-	if l.busyUntil <= now {
-		return 0
-	}
-	return l.busyUntil - now
-}
-
-// Duplex is a bidirectional link: a matched pair of unidirectional
-// links between nodes A and B.
-type Duplex struct {
-	AtoB *Link
-	BtoA *Link
-}
-
-// NewDuplexLink wires a full-duplex link between a and b with symmetric
-// bandwidth and delay.
-func NewDuplexLink(e *simtime.Engine, name string, a, b Node, bandwidthBps float64, oneWayDelay simtime.Time, rng *simtime.RNG) *Duplex {
-	var r1, r2 *simtime.RNG
-	if rng != nil {
-		r1, r2 = rng.Fork(), rng.Fork()
-	}
-	return &Duplex{
-		AtoB: NewLink(e, name+":fwd", b, bandwidthBps, oneWayDelay, r1),
-		BtoA: NewLink(e, name+":rev", a, bandwidthBps, oneWayDelay, r2),
-	}
 }
 
 // Sink is a Node that counts and discards everything it receives; handy

@@ -66,22 +66,6 @@ func TestLinkSerializesBackToBack(t *testing.T) {
 	}
 }
 
-func TestLinkQueuedDelay(t *testing.T) {
-	e := simtime.NewEngine()
-	sink := &Sink{Label: "sink"}
-	l := NewLink(e, "l", sink, Mbps(8), 0, nil)
-	p := tcpPkt(946) // 1ms serialisation at 8 Mbps
-	l.Send(p)
-	l.Send(p.Clone())
-	if got := l.QueuedDelay(); got != 2*simtime.Millisecond {
-		t.Fatalf("QueuedDelay=%v, want 2ms", got)
-	}
-	e.Run(simtime.Second)
-	if got := l.QueuedDelay(); got != 0 {
-		t.Fatalf("QueuedDelay after drain=%v", got)
-	}
-}
-
 func TestLinkLossRate(t *testing.T) {
 	e := simtime.NewEngine()
 	sink := &Sink{Label: "sink"}
@@ -130,19 +114,6 @@ func TestLinkOnDepartureTiming(t *testing.T) {
 	e.Run(simtime.Second)
 	if departed != simtime.Millisecond {
 		t.Fatalf("departure at %v, want 1ms (excludes propagation)", departed)
-	}
-}
-
-func TestDuplexLinkBothDirections(t *testing.T) {
-	e := simtime.NewEngine()
-	a := &Sink{Label: "a"}
-	b := &Sink{Label: "b"}
-	d := NewDuplexLink(e, "ab", a, b, Gbps(1), simtime.Millisecond, simtime.NewRNG(1))
-	d.AtoB.Send(tcpPkt(100))
-	d.BtoA.Send(tcpPkt(100))
-	e.Run(simtime.Second)
-	if a.Packets != 1 || b.Packets != 1 {
-		t.Fatalf("a=%d b=%d", a.Packets, b.Packets)
 	}
 }
 

@@ -20,7 +20,9 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 		w.Gauge("p4_test_group_b", "Second of a consistent pair.", 3)
 	})
 
-	c.Add(12)
+	for i := 0; i < 12; i++ {
+		c.Inc()
+	}
 	g.Set(7)
 	for _, v := range []uint64{0, 1, 2, 3, 900, 1000} {
 		h.Observe(v)

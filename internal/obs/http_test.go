@@ -26,7 +26,9 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("p4_http_test_total", "HTTP test counter.")
-	c.Add(5)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	tr := r.NewTrace("lifecycle", 8)
 	tr.Add("open", 1, 0)
 

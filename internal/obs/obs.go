@@ -39,9 +39,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -52,10 +49,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v uint64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (use the two's-complement of a
-// negative step to decrement).
-func (g *Gauge) Add(delta uint64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() uint64 { return g.v.Load() }
@@ -81,12 +74,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Snapshot returns an atomic-read copy of the histogram state. The
 // per-bucket loads are individually atomic; the snapshot as a whole is

@@ -1,8 +1,7 @@
 // Package packet models the network packets the simulated Science DMZ
 // carries and the P4 data plane parses. Headers mirror real Ethernet,
-// IPv4, TCP and UDP layouts: packets can be marshalled to and parsed
-// from actual wire bytes, which is what the data-plane parser tests
-// exercise. Inside the simulator packets travel as structs for speed.
+// IPv4, TCP and UDP fields and lengths; packets travel as structs, and
+// the data plane consumes their parsed fields, never wire bytes.
 package packet
 
 import (
@@ -261,4 +260,14 @@ func (p *Packet) String() string {
 			p.FiveTuple(), p.SeqExt, p.AckExt, p.Flags, p.PayloadLen)
 	}
 	return fmt.Sprintf("%s len=%d", p.FiveTuple(), p.PayloadLen)
+}
+
+// MustAddr parses a dotted-quad address, panicking on malformed input.
+// Topology builders use it for literal addresses.
+func MustAddr(s string) netip.Addr {
+	a, err := netip.ParseAddr(s)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }

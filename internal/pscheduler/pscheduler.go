@@ -8,8 +8,6 @@
 package pscheduler
 
 import (
-	"fmt"
-
 	"repro/internal/controlplane"
 	"repro/internal/packet"
 	"repro/internal/psarchiver"
@@ -51,7 +49,6 @@ type Scheduler struct {
 	// records, for the Table 1 comparison harness.
 	Throughput []ThroughputResult
 	Latency    []LatencyResult
-	Traces     []TraceResult
 
 	nextProbePort uint16
 }
@@ -205,33 +202,4 @@ func (s *Scheduler) archive(kind string, at simtime.Time, result map[string]inte
 	if s.pipeline != nil {
 		s.pipeline.Process(psarchiver.NewDocument(controlplane.Report{Kind: kind, TimeNs: int64(at)}, result))
 	}
-}
-
-// Summary renders the scheduler's aggregated view — what the regular
-// perfSONAR dashboard would show.
-func (s *Scheduler) Summary() string {
-	out := ""
-	for _, t := range s.Throughput {
-		out += fmt.Sprintf("throughput %s->%s: avg %.2f Gbps (%d retransmits)\n",
-			t.Src, t.Dst, t.AvgBps/1e9, t.Retransmit)
-	}
-	for _, l := range s.Latency {
-		out += fmt.Sprintf("latency %s->%s: min/mean/max %.2f/%.2f/%.2f ms (loss %d/%d)\n",
-			l.Src, l.Dst, l.MinRTT.Millis(), l.MeanRTT.Millis(), l.MaxRTT.Millis(),
-			l.Sent-l.Received, l.Sent)
-	}
-	return out
-}
-
-// ThroughputMean returns the mean of all archived test averages — the
-// coarse longitudinal signal NetSage-style platforms consume.
-func (s *Scheduler) ThroughputMean() float64 {
-	if len(s.Throughput) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, t := range s.Throughput {
-		sum += t.AvgBps
-	}
-	return sum / float64(len(s.Throughput))
 }

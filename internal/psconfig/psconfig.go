@@ -1,14 +1,13 @@
-// Package psconfig models the perfSONAR configuration layer the paper
-// extends: the pSConfig template format plus the new `config-P4`
-// command (Figure 6) through which a perfSONAR node configures the
-// programmable switch's control plane at run time — reporting rates
-// per metric and alert thresholds with escalated rates.
+// Package psconfig models what the paper adds to the perfSONAR
+// configuration layer: the `config-P4` command (Figure 6) through which
+// a perfSONAR node configures the programmable switch's control plane
+// at run time — reporting rates per metric and alert thresholds with
+// escalated rates — and the TCP wire protocol that carries it from
+// cmd/psconfig to the collector.
 package psconfig
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/controlplane"
@@ -144,77 +143,4 @@ func (c Command) String() string {
 		s += fmt.Sprintf(" --samples_per_second %g", c.SamplesPerSecond)
 	}
 	return s
-}
-
-// Template is a minimal pSConfig template: the JSON document a
-// perfSONAR node consumes to learn its archives and scheduled tasks.
-// The paper's extension adds "p4" task entries whose spec holds
-// config-P4 style parameters.
-type Template struct {
-	Archives map[string]Archive `json:"archives"`
-	Tasks    map[string]Task    `json:"tasks"`
-}
-
-// Archive names a data sink, e.g. the OpenSearch archiver.
-type Archive struct {
-	Archiver string            `json:"archiver"`
-	Data     map[string]string `json:"data,omitempty"`
-}
-
-// Task is one scheduled activity: a classic pScheduler test
-// ("throughput", "latency") or the new "p4" monitoring configuration.
-type Task struct {
-	Type     string            `json:"type"`
-	Interval string            `json:"interval,omitempty"` // e.g. "PT6H" for actives
-	Spec     map[string]string `json:"spec,omitempty"`
-	Archives []string          `json:"archives,omitempty"`
-}
-
-// ParseTemplate decodes a pSConfig JSON template.
-func ParseTemplate(data []byte) (*Template, error) {
-	var t Template
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("psconfig: template: %w", err)
-	}
-	return &t, nil
-}
-
-// P4Commands extracts the config-P4 commands implied by the template's
-// "p4" tasks, in sorted task-name order for determinism.
-func (t *Template) P4Commands() ([]Command, error) {
-	names := make([]string, 0, len(t.Tasks))
-	for name, task := range t.Tasks {
-		if task.Type == "p4" {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var cmds []Command
-	for _, name := range names {
-		task := t.Tasks[name]
-		args := specToArgs(task.Spec)
-		cmd, err := ParseConfigP4(args)
-		if err != nil {
-			return nil, fmt.Errorf("psconfig: task %q: %w", name, err)
-		}
-		cmds = append(cmds, cmd)
-	}
-	return cmds, nil
-}
-
-func specToArgs(spec map[string]string) []string {
-	var args []string
-	if v, ok := spec["metric"]; ok {
-		args = append(args, "--metric", v)
-	}
-	if v, ok := spec["samples_per_second"]; ok {
-		args = append(args, "--samples_per_second", v)
-	}
-	if v, ok := spec["alert"]; ok && v == "true" {
-		args = append(args, "--alert")
-	}
-	if v, ok := spec["threshold"]; ok {
-		args = append(args, "--threshold", v)
-	}
-	return args
 }

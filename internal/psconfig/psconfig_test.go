@@ -198,53 +198,3 @@ func TestApplyFailingAllMetricsChangesNothing(t *testing.T) {
 		t.Fatalf("failed command published a generation: %d -> %d", gens, got)
 	}
 }
-
-func TestTemplateParsingAndP4Commands(t *testing.T) {
-	raw := []byte(`{
-	  "archives": {
-	    "opensearch": {"archiver": "opensearch", "data": {"url": "https://localhost:9200"}}
-	  },
-	  "tasks": {
-	    "p4-throughput": {"type": "p4", "spec": {"metric": "throughput", "samples_per_second": "1"}},
-	    "p4-qocc-alert": {"type": "p4", "spec": {"metric": "queue_occupancy", "alert": "true", "threshold": "30", "samples_per_second": "10"}},
-	    "classic-test": {"type": "throughput", "interval": "PT6H"}
-	  }
-	}`)
-	tpl, err := ParseTemplate(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tpl.Archives) != 1 || tpl.Archives["opensearch"].Archiver != "opensearch" {
-		t.Fatal("archives wrong")
-	}
-	cmds, err := tpl.P4Commands()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmds) != 2 {
-		t.Fatalf("p4 commands: %d", len(cmds))
-	}
-	// Sorted task-name order: p4-qocc-alert before p4-throughput.
-	if !cmds[0].Alert || cmds[0].Metric != "queue_occupancy" {
-		t.Fatalf("first command: %+v", cmds[0])
-	}
-	if cmds[1].Metric != "throughput" || cmds[1].SamplesPerSecond != 1 {
-		t.Fatalf("second command: %+v", cmds[1])
-	}
-}
-
-func TestTemplateBadJSON(t *testing.T) {
-	if _, err := ParseTemplate([]byte("{nope")); err == nil {
-		t.Fatal("bad JSON must error")
-	}
-}
-
-func TestTemplateBadP4Spec(t *testing.T) {
-	tpl, err := ParseTemplate([]byte(`{"tasks": {"bad": {"type": "p4", "spec": {"metric": "bogus"}}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tpl.P4Commands(); err == nil {
-		t.Fatal("bad p4 spec must error")
-	}
-}

@@ -83,10 +83,9 @@ type Engine struct {
 	// event free list: pop shortens the length and clears the vacated
 	// slot, push reuses the retained capacity, so a warmed engine
 	// schedules without allocating.
-	pq      []event
-	now     Time
-	seq     uint64
-	stopped bool
+	pq  []event
+	now Time
+	seq uint64
 
 	// Processed counts events executed; useful for benchmarks and as a
 	// runaway guard in tests.
@@ -109,17 +108,6 @@ func (e *Engine) Reserve(n int) {
 		copy(pq, e.pq)
 		e.pq = pq
 	}
-}
-
-// less orders events by timestamp, then by scheduling sequence — the
-// FIFO-within-instant rule every simulation relies on.
-//
-// p4:hotpath
-func (e *Engine) less(i, j int) bool {
-	if e.pq[i].at != e.pq[j].at {
-		return e.pq[i].at < e.pq[j].at
-	}
-	return e.pq[i].seq < e.pq[j].seq
 }
 
 // push appends ev and restores the 4-ary heap invariant. It sifts a
@@ -230,15 +218,11 @@ func (e *Engine) AtCall(t Time, call CallFunc, a, b any) {
 	e.push(event{at: t, seq: e.seq, call: call, a: a, b: b})
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run executes events in timestamp order until the queue drains or the
 // next event lies strictly beyond until. The clock is left at until (or
 // at the last executed event if the queue drained earlier than until).
 func (e *Engine) Run(until Time) {
-	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
+	for len(e.pq) > 0 {
 		if e.pq[0].at > until {
 			break
 		}
@@ -251,7 +235,7 @@ func (e *Engine) Run(until Time) {
 			next.call(next.at, next.a, next.b)
 		}
 	}
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.now = until
 	}
 }
@@ -259,8 +243,7 @@ func (e *Engine) Run(until Time) {
 // RunAll executes every queued event regardless of timestamp. Use only
 // in tests with a bounded event population.
 func (e *Engine) RunAll() {
-	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
+	for len(e.pq) > 0 {
 		next := e.pop()
 		e.now = next.at
 		e.Processed++
@@ -272,20 +255,16 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.pq) }
-
-// Ticker repeatedly invokes fn every interval starting at start, until
-// cancel is called. It is the building block for the control plane's
-// periodic register extraction. The rescheduling callback is materialised
-// once at construction and reused for every firing — rescheduling in
-// place costs one heap push and zero allocations per tick.
+// Ticker repeatedly invokes fn every interval starting at start. It is
+// the building block for the control plane's periodic register
+// extraction. The rescheduling callback is materialised once at
+// construction and reused for every firing — rescheduling in place
+// costs one heap push and zero allocations per tick.
 type Ticker struct {
 	engine   *Engine
 	interval Time
 	fn       func(Time)
 	tickFn   func() // bound once; reused every reschedule
-	stopped  bool
 }
 
 // NewTicker schedules fn to run at start and then every interval.
@@ -301,13 +280,8 @@ func NewTicker(e *Engine, start, interval Time, fn func(Time)) *Ticker {
 }
 
 func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
 	t.fn(t.engine.Now())
-	if !t.stopped {
-		t.engine.Schedule(t.interval, t.tickFn)
-	}
+	t.engine.Schedule(t.interval, t.tickFn)
 }
 
 // SetInterval changes the period applied after the next firing. This is
@@ -322,9 +296,6 @@ func (t *Ticker) SetInterval(interval Time) {
 
 // Interval returns the current period.
 func (t *Ticker) Interval() Time { return t.interval }
-
-// Stop cancels future firings.
-func (t *Ticker) Stop() { t.stopped = true }
 
 // Timer is a resettable one-shot timer. Unlike scheduling a fresh
 // closure per arm (the pattern TCP's retransmission timer used), a Timer

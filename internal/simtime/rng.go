@@ -1,7 +1,5 @@
 package simtime
 
-import "math"
-
 // RNG is a small, fast, deterministic random number generator
 // (SplitMix64). The simulator cannot use math/rand's global source or
 // wall-clock seeding: every run must be reproducible from an explicit
@@ -44,13 +42,4 @@ func (r *RNG) Intn(n int) int {
 // of existing ones.
 func (r *RNG) Fork() *RNG {
 	return NewRNG(r.Uint64())
-}
-
-// Exp returns an exponentially distributed value with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
 }

@@ -18,8 +18,8 @@
 //	P[ Estimate(k) > a(k) + ε·N ] ≤ δ                (CMS, Cormode & Muthukrishnan)
 //
 // The dup filter never misses a duplicate it has admitted (no false
-// negatives absent an explicit Clear); its false positives overcount
-// loss at the analytically-computable rate FPRate returns.
+// negatives: nothing clears it); its false positives overcount loss at
+// the analytically-computable rate FPRate returns.
 package sketch
 
 import (
@@ -190,11 +190,6 @@ func (c *CMS) At(h Hash) uint64 {
 // p4:hotpath
 func (c *CMS) Update(k *Key, count uint64) { c.Add(k.Hash(), count) }
 
-// Estimate is At for a caller holding only the key.
-//
-// p4:hotpath
-func (c *CMS) Estimate(k *Key) uint64 { return c.At(k.Hash()) }
-
 // Total returns the total count inserted since construction (or the
 // last Clear) — the N the ε·N bound scales with.
 func (c *CMS) Total() uint64 { return c.total }
@@ -221,9 +216,9 @@ func (c *CMS) Clear() {
 // DupFilter is a Bloom filter over (flow key, sequence number) pairs:
 // the lean tier's retransmission detector. A TCP data packet whose
 // (key, seq) was already admitted is a duplicate — evidence of loss —
-// without any per-flow sequence register. No false negatives absent a
-// Clear; false positives (spurious loss counts) occur at the rate
-// FPRate computes from the actual insert count.
+// without any per-flow sequence register. No false negatives; false
+// positives (spurious loss counts) occur at the rate FPRate computes
+// from the actual insert count.
 //
 // The exact tier's inserts (note) wait longer still. A Bloom insert is
 // idempotent and commutative, and only a test or a bit comparison
@@ -508,23 +503,6 @@ func (f *DupFilter) MemoryBytes() uint64 {
 	return uint64(len(f.bits)+len(f.log)+len(f.tests)+len(f.tags)) * 8
 }
 
-// Clear zeroes the filter and drops the log and the open runs. A
-// dropped test is never counted, so the hits sketch must be cleared
-// with it (Lean.Clear does). Duplicates spanning a clear go undetected.
-func (f *DupFilter) Clear() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.inserts = 0
-	f.logN = 0
-	f.tests = [len(f.tests)]uint64{}
-	for _, cell := range f.open {
-		f.runs[cell].count = 0
-	}
-	f.open = f.open[:0]
-	f.deferred = 0
-}
-
 // Config parameterises a Lean bundle. The zero value defaults to
 // ε = 1e-3, δ = 0.01 for the counting sketches and a dup filter sized
 // for 4M inserts at 1% false positives.
@@ -712,13 +690,3 @@ func (l *Lean) Equal(o *Lean) bool {
 
 // equal reports whether two sketches hold the same counters and total.
 func (c *CMS) equal(o *CMS) bool { return c.total == o.total && slices.Equal(c.rows, o.rows) }
-
-// Clear resets everything: sketches, totals and the dup filter. Only
-// tests call it: the pipeline never clears its lean tier, so the
-// sketches and the filter fill for the pipe's life.
-func (l *Lean) Clear() {
-	l.bytes.Clear()
-	l.pkts.Clear()
-	l.loss.Clear()
-	l.dup.Clear()
-}

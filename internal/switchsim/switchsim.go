@@ -6,7 +6,6 @@
 package switchsim
 
 import (
-	"fmt"
 	"net/netip"
 
 	"repro/internal/netsim"
@@ -41,9 +40,6 @@ type Port struct {
 	DroppedBytes    uint64
 	PeakQueueBytes  int
 }
-
-// Occupancy returns the current queue depth in bytes.
-func (p *Port) Occupancy() int { return p.queuedBytes }
 
 // Switch is a store-and-forward legacy switch.
 type Switch struct {
@@ -205,15 +201,4 @@ func (s *Switch) sendTTLExceeded(expired *packet.Packet) {
 	reply.IPID = expired.IPID
 	reply.FlowTag = "ttl-exceeded"
 	s.forward(reply)
-}
-
-// QueuingDelayFor estimates how long a packet enqueued now on the port
-// serving dst would wait before fully departing. Useful for assertions
-// in tests.
-func (s *Switch) QueuingDelayFor(dst netip.Addr, wireLen int) (simtime.Time, error) {
-	port := s.PortFor(dst)
-	if port == nil {
-		return 0, fmt.Errorf("switchsim: no route for %s", dst)
-	}
-	return port.Link.QueuedDelay() + port.Link.SerializationDelay(wireLen), nil
 }

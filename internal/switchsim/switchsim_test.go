@@ -81,15 +81,15 @@ func TestSwitchDropTailBuffer(t *testing.T) {
 	if port.DroppedPackets != 2 {
 		t.Fatalf("dropped %d, want 2", port.DroppedPackets)
 	}
-	if port.Occupancy() != 3000 {
-		t.Fatalf("occupancy %d, want 3000", port.Occupancy())
+	if port.queuedBytes != 3000 {
+		t.Fatalf("occupancy %d, want 3000", port.queuedBytes)
 	}
 	e.Run(simtime.Second)
 	if sink.Packets != 3 {
 		t.Fatalf("delivered %d, want 3", sink.Packets)
 	}
-	if port.Occupancy() != 0 {
-		t.Fatalf("queue should drain to 0, got %d", port.Occupancy())
+	if port.queuedBytes != 0 {
+		t.Fatalf("queue should drain to 0, got %d", port.queuedBytes)
 	}
 	if port.PeakQueueBytes != 3000 {
 		t.Fatalf("peak %d, want 3000", port.PeakQueueBytes)
@@ -130,24 +130,5 @@ func TestSwitchTapsSeeQueuingDelay(t *testing.T) {
 	// Packet 2: waits behind packet 1, transit 2 ms.
 	if d := outs[1].at - ins[1].at; d != 2*simtime.Millisecond {
 		t.Fatalf("pkt2 switch transit %v, want 2ms", d)
-	}
-}
-
-func TestQueuingDelayFor(t *testing.T) {
-	e := simtime.NewEngine()
-	sw := New(e, "core")
-	sink := &netsim.Sink{Label: "s"}
-	l := netsim.NewLink(e, "out", sink, netsim.Mbps(8), 0, nil)
-	sw.AddRoute(netip.MustParsePrefix("192.168.1.0/24"), l, 0)
-	sw.Receive(mkPkt("192.168.1.2", 946), nil)
-	d, err := sw.QueuingDelayFor(packet.MustAddr("192.168.1.9"), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2*simtime.Millisecond { // 1ms backlog + 1ms own serialisation
-		t.Fatalf("delay %v", d)
-	}
-	if _, err := sw.QueuingDelayFor(packet.MustAddr("1.2.3.4"), 100); err == nil {
-		t.Fatal("expected no-route error")
 	}
 }

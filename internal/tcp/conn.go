@@ -222,20 +222,8 @@ func newConn(h *Host, ft packet.FiveTuple, cfg Config, r role) *Conn {
 	return c
 }
 
-// FiveTuple returns the connection's outbound flow identity.
-func (c *Conn) FiveTuple() packet.FiveTuple { return c.ft }
-
 // Config returns the connection's configuration.
 func (c *Conn) Config() Config { return c.cfg }
-
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() float64 { return c.cc.window() }
-
-// SmoothedRTT returns the sender's smoothed RTT estimate.
-func (c *Conn) SmoothedRTT() simtime.Time { return c.rto.srtt }
-
-// Done reports whether the connection has closed.
-func (c *Conn) Done() bool { return c.state == stateClosed }
 
 // ---------------------------------------------------------------------
 // Handshake

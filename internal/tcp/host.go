@@ -63,9 +63,6 @@ func (h *Host) Name() string { return h.name }
 // IP returns the host address.
 func (h *Host) IP() netip.Addr { return h.ip }
 
-// Engine returns the event engine driving this host.
-func (h *Host) Engine() *simtime.Engine { return h.engine }
-
 // AttachUplink wires the host's outbound link (toward its first-hop
 // switch). Must be called before any traffic is generated.
 func (h *Host) AttachUplink(l *netsim.Link) { h.uplink = l }

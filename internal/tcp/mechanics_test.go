@@ -72,7 +72,7 @@ func TestOneCutPerWindow(t *testing.T) {
 	c.StartTimed(5 * simtime.Second)
 	n.engine.Run(simtime.Second)
 
-	w0 := c.Cwnd()
+	w0 := c.cc.window()
 	sendDups := func() {
 		for i := 0; i < 3; i++ {
 			dup := packet.NewTCP(c.ft.Reverse(), 1, c.sndUna, packet.FlagACK, 0)
@@ -85,7 +85,7 @@ func TestOneCutPerWindow(t *testing.T) {
 	if !c.inRecovery {
 		t.Fatal("not in recovery")
 	}
-	w1 := c.Cwnd()
+	w1 := c.cc.window()
 	if w1 >= w0 {
 		t.Fatalf("no cut applied: %.0f -> %.0f", w0, w1)
 	}
@@ -93,7 +93,7 @@ func TestOneCutPerWindow(t *testing.T) {
 	c.exitRecovery()
 	c.dupAcks = 0
 	sendDups()
-	if got := c.Cwnd(); got < w1*0.99 {
+	if got := c.cc.window(); got < w1*0.99 {
 		t.Fatalf("second cut within one window: %.0f -> %.0f", w1, got)
 	}
 }

@@ -304,7 +304,7 @@ func TestSRTTTracksPathRTT(t *testing.T) {
 	n.engine.Run(30 * simtime.Second)
 	// Path RTT is 50 ms (25 ms each way on the bottleneck hop); with
 	// light pacing there is no queueing, so SRTT must sit near 50 ms.
-	srtt := c.SmoothedRTT()
+	srtt := c.rto.srtt
 	if srtt < 45*simtime.Millisecond || srtt > 70*simtime.Millisecond {
 		t.Fatalf("SRTT %v, want ~50ms", srtt)
 	}

@@ -69,24 +69,6 @@ type Handle struct {
 	OnComplete  func(*Handle)
 }
 
-// GoodputBps returns the acknowledged application throughput over the
-// transfer's lifetime, or 0 before completion data exists.
-func (h *Handle) GoodputBps(now simtime.Time) float64 {
-	if h.Conn == nil {
-		return 0
-	}
-	st := h.Conn.Stats
-	end := h.CompletedAt
-	if end == 0 {
-		end = now
-	}
-	dur := end - st.StartTime
-	if dur <= 0 {
-		return 0
-	}
-	return float64(st.BytesAcked) * 8 / dur.Seconds()
-}
-
 // Burst injects a UDP microburst: count packets of payload bytes sent
 // back-to-back from the host at time at. At the host's access-link rate
 // the burst arrives at the core switch as a packet train that fills the

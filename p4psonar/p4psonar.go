@@ -1,8 +1,7 @@
 // Package p4psonar is the public facade of the P4-perfSONAR
 // reproduction: it re-exports the assembled system (topology + TAPs +
-// P4 data plane + control plane + perfSONAR archiver), the experiment
-// drivers for every table and figure in the paper, and the pSConfig
-// config-P4 command surface.
+// P4 data plane + control plane + perfSONAR archiver) and the
+// experiment drivers for the paper's figures.
 //
 // Quick start:
 //
@@ -20,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mmwave"
-	"repro/internal/psconfig"
 	"repro/internal/simtime"
 	"repro/internal/tcp"
 )
@@ -77,40 +75,23 @@ const (
 	LimitedByEndpoint = controlplane.LimitedByEndpoint
 )
 
-// pSConfig integration (Figure 6).
-type (
-	// ConfigCommand is a parsed `psconfig config-P4` invocation.
-	ConfigCommand = psconfig.Command
-)
-
-// ParseConfigP4 parses config-P4 arguments.
-func ParseConfigP4(args []string) (ConfigCommand, error) { return psconfig.ParseConfigP4(args) }
-
-// Experiments: one entry point per table/figure.
+// Experiments: one entry point per figure.
 type (
 	// Scale selects paper-scale or fast-scale experiment runs.
 	Scale = experiments.Scale
 )
 
-// PaperScale runs experiments at the testbed's 10 Gbps.
-func PaperScale() Scale { return experiments.Paper() }
-
-// FastScale runs experiments at 1/20 bandwidth for quick iteration.
-func FastScale() Scale { return experiments.Fast() }
-
 // Experiment configurations and results.
 type (
-	Fig9Config   = experiments.Fig9Config
-	Fig9Result   = experiments.Fig9Result
-	Fig11Config  = experiments.Fig11Config
-	Fig11Result  = experiments.Fig11Result
-	Fig12Config  = experiments.Fig12Config
-	Fig12Result  = experiments.Fig12Result
-	Fig13Config  = experiments.Fig13Config
-	Fig13Result  = experiments.Fig13Result
-	Fig14Result  = experiments.Fig14Result
-	Table1Config = experiments.Table1Config
-	Table1Result = experiments.Table1Result
+	Fig9Config  = experiments.Fig9Config
+	Fig9Result  = experiments.Fig9Result
+	Fig11Config = experiments.Fig11Config
+	Fig11Result = experiments.Fig11Result
+	Fig12Config = experiments.Fig12Config
+	Fig12Result = experiments.Fig12Result
+	Fig13Config = experiments.Fig13Config
+	Fig13Result = experiments.Fig13Result
+	Fig14Result = experiments.Fig14Result
 )
 
 // RunFig9 regenerates Figure 9 (and Figure 10's data).
@@ -127,9 +108,6 @@ func RunFig13(cfg Fig13Config) *Fig13Result { return experiments.RunFig13(cfg) }
 
 // RunFig14 regenerates Figure 14.
 func RunFig14(cfg Fig13Config) *Fig14Result { return experiments.RunFig14(cfg) }
-
-// RunTable1 regenerates the Table 1 comparison.
-func RunTable1(cfg Table1Config) *Table1Result { return experiments.RunTable1(cfg) }
 
 // mmWave blockage use case (§5.4.3).
 type (

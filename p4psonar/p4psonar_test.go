@@ -34,25 +34,6 @@ func TestFacadeBDP(t *testing.T) {
 	}
 }
 
-func TestFacadeConfigP4(t *testing.T) {
-	cmd, err := p4psonar.ParseConfigP4([]string{"--metric", "rtt", "--samples_per_second", "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmd.Metric != "rtt" || cmd.SamplesPerSecond != 2 {
-		t.Fatalf("cmd: %+v", cmd)
-	}
-}
-
-func TestFacadeScales(t *testing.T) {
-	if p4psonar.PaperScale().Bottleneck() != 10e9 {
-		t.Fatal("paper scale wrong")
-	}
-	if p4psonar.FastScale().Bottleneck() != 500e6 {
-		t.Fatal("fast scale wrong")
-	}
-}
-
 func TestFacadeMMWave(t *testing.T) {
 	r := p4psonar.RunFig14(p4psonar.Fig13Config{})
 	if !r.OrderingHolds {
