@@ -19,6 +19,11 @@
 // This closes the drift class where docs keep referencing a renamed
 // gauge.
 //
+// It also checks the speed ledger, PERF_LEDGER.tsv in the working
+// directory (appended by scripts/bench_pairs.sh): the header is the
+// expected one, every row has each column in its format, and the head
+// and base commits of every row exist in the repository.
+//
 // Usage:
 //
 //	docscheck [-makefile Makefile] [-cmd-dir cmd] [-metrics-src internal,cmd] [file.md ...]
@@ -36,6 +41,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -78,6 +84,12 @@ func main() {
 		}
 		problems = append(problems, checkDoc(doc, string(data), targets, cmds, metrics)...)
 	}
+	ledger, err := os.ReadFile(ledgerFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(2)
+	}
+	problems = append(problems, checkLedger(ledgerFile, string(ledger), gitCommitExists)...)
 	for _, p := range problems {
 		fmt.Println(p)
 	}
@@ -445,3 +457,129 @@ var commandPathRe = regexp.MustCompile(`^(?:\./)?(?:cmd|bin)/([A-Za-z][A-Za-z0-9
 var flagNameRe = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_-]*$`)
 
 func isFlagName(s string) bool { return flagNameRe.MatchString(s) }
+
+// ledgerFile is the speed ledger.
+const ledgerFile = "PERF_LEDGER.tsv"
+
+// ledgerColumns is PERF_LEDGER.tsv's header, the columns
+// scripts/bench_pairs.sh writes.
+var ledgerColumns = []string{"date", "head", "base", "workload", "seed", "metric", "n",
+	"base_median", "base_iqr_pct", "head_median", "head_iqr_pct", "pairs_ahead", "verdict",
+	"cpu_model", "nproc", "base_calibration_mb_s", "head_calibration_mb_s",
+	"base_per_calibration", "head_per_calibration", "source"}
+
+var (
+	ledgerDateRe   = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
+	ledgerCommitRe = regexp.MustCompile(`^([0-9a-f]{7,40})(\+uncommitted)?$`)
+	ledgerPairsRe  = regexp.MustCompile(`^\d+/\d+$`)
+	ledgerNameRe   = regexp.MustCompile(`^[a-z0-9_.]+$`)
+	// The verdicts: -compare's status for the metric in a "pairs" row;
+	// what the prose said of a claim in a "prose" row.
+	ledgerVerdicts = map[string]bool{"ok": true, "REGRESSED": true, "unresolved": true, "met": true, "-": true}
+)
+
+// checkLedger checks the speed ledger's text: the header, each row's
+// columns, and that commitExists knows each row's head and base commit
+// (a head measured on a dirty tree names its commit with +uncommitted).
+// A "prose" row, backfilled from CHANGES.md, has no calibration.
+func checkLedger(file, data string, commitExists func(string) bool) []string {
+	var problems []string
+	bad := func(line int, format string, args ...interface{}) {
+		problems = append(problems, fmt.Sprintf("%s:%d: %s", file, line, fmt.Sprintf(format, args...)))
+	}
+	lines := strings.Split(strings.TrimSuffix(data, "\n"), "\n")
+	if lines[0] != strings.Join(ledgerColumns, "\t") {
+		bad(1, "the header is not the %d columns %s", len(ledgerColumns), strings.Join(ledgerColumns, ","))
+		return problems
+	}
+	number := func(s string, dash bool) bool {
+		if dash && s == "-" {
+			return true
+		}
+		_, err := strconv.ParseFloat(s, 64)
+		return err == nil
+	}
+	integer := func(s string) bool {
+		n, err := strconv.Atoi(s)
+		return err == nil && n >= 0
+	}
+	index := make(map[string]int, len(ledgerColumns))
+	for j, c := range ledgerColumns {
+		index[c] = j
+	}
+	checked := map[string]bool{}
+	for i, line := range lines[1:] {
+		n := i + 2
+		f := strings.Split(line, "\t")
+		if len(f) != len(ledgerColumns) {
+			bad(n, "%d columns, want %d", len(f), len(ledgerColumns))
+			continue
+		}
+		col := func(name string) string { return f[index[name]] }
+		if !ledgerDateRe.MatchString(col("date")) {
+			bad(n, "date %q is not YYYY-MM-DD", col("date"))
+		}
+		for _, c := range []string{"head", "base"} {
+			m := ledgerCommitRe.FindStringSubmatch(col(c))
+			switch {
+			case m == nil:
+				bad(n, "%s %q is not a commit", c, col(c))
+			case !checked[m[1]] && !commitExists(m[1]):
+				bad(n, "%s commit %s does not exist", c, m[1])
+			default:
+				checked[m[1]] = true
+			}
+		}
+		for _, c := range []string{"workload", "metric"} {
+			if !ledgerNameRe.MatchString(col(c)) {
+				bad(n, "%s %q", c, col(c))
+			}
+		}
+		if !integer(col("seed")) || !integer(col("n")) || col("n") == "0" {
+			bad(n, "seed %q or n %q is not a count", col("seed"), col("n"))
+		}
+		for _, c := range []string{"base_median", "head_median"} {
+			if !number(col(c), false) {
+				bad(n, "%s %q is not a number", c, col(c))
+			}
+		}
+		for _, c := range []string{"base_iqr_pct", "head_iqr_pct"} {
+			if !number(col(c), true) {
+				bad(n, "%s %q is neither a number nor -", c, col(c))
+			}
+		}
+		if p := col("pairs_ahead"); p != "-" && !ledgerPairsRe.MatchString(p) {
+			bad(n, "pairs_ahead %q is neither won/run nor -", p)
+		}
+		if !ledgerVerdicts[col("verdict")] {
+			bad(n, "verdict %q", col("verdict"))
+		}
+		if col("cpu_model") == "" || (col("nproc") != "-" && !integer(col("nproc"))) {
+			bad(n, "cpu_model %q or nproc %q", col("cpu_model"), col("nproc"))
+		}
+		calibrated := []string{"base_calibration_mb_s", "head_calibration_mb_s", "base_per_calibration", "head_per_calibration"}
+		switch col("source") {
+		case "pairs":
+			for _, c := range calibrated {
+				if !number(col(c), true) {
+					bad(n, "%s %q is neither a number nor -", c, col(c))
+				}
+			}
+		case "prose":
+			for _, c := range calibrated {
+				if col(c) != "-" {
+					bad(n, "a prose row has no %s, but %q", c, col(c))
+				}
+			}
+		default:
+			bad(n, "source %q is neither pairs nor prose", col("source"))
+		}
+	}
+	return problems
+}
+
+// gitCommitExists reports whether the repository in the working
+// directory has the commit.
+func gitCommitExists(sha string) bool {
+	return exec.Command("git", "cat-file", "-e", sha+"^{commit}").Run() == nil
+}

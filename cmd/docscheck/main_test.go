@@ -281,3 +281,36 @@ func TestCheckDocMetrics(t *testing.T) {
 		t.Fatalf("problems = %v", problems)
 	}
 }
+
+func TestCheckLedger(t *testing.T) {
+	header := strings.Join(ledgerColumns, "\t")
+	row := func(cols ...string) string { return strings.Join(cols, "\t") }
+	good := []string{
+		row("2026-10-18", "abc1234+uncommitted", "abc1234", "report_storm", "42", "cpu_s", "10", "1.6", "8.2", "1.3", "5.1", "10/10", "ok", "Intel(R) Xeon(R) Processor", "2", "14000", "13900", "0.000114", "9.4e-05", "pairs"),
+		row("2026-10-17", "def5678", "abc1234", "elephants", "2026", "ingest_mpps", "10", "2.57", "6.5", "4.16", "-", "10/10", "met", "2-vCPU shared host", "2", "-", "-", "-", "-", "prose"),
+	}
+	exists := func(sha string) bool { return sha == "abc1234" || sha == "def5678" }
+	if p := checkLedger("L", header+"\n"+strings.Join(good, "\n")+"\n", exists); len(p) != 0 {
+		t.Fatalf("a good ledger: %v", p)
+	}
+	for name, bad := range map[string]string{
+		"header":        strings.Replace(header, "seed", "sead", 1) + "\n" + good[0],
+		"columns":       header + "\n" + good[0] + "\textra",
+		"date":          header + "\n" + strings.Replace(good[0], "2026-10-18", "18.10.2026", 1),
+		"no commit":     header + "\n" + strings.Replace(good[1], "def5678", "0000000", 1),
+		"not a commit":  header + "\n" + strings.Replace(good[1], "def5678", "HEAD~1", 1),
+		"median":        header + "\n" + strings.Replace(good[0], "\t1.6\t", "\tfast\t", 1),
+		"pairs":         header + "\n" + strings.Replace(good[0], "10/10", "ten", 1),
+		"verdict":       header + "\n" + strings.Replace(good[0], "\tok\t", "\tgreat\t", 1),
+		"source":        header + "\n" + strings.Replace(good[0], "pairs", "guess", 1),
+		"calibrated":    header + "\n" + strings.Replace(good[1], "\t-\tprose", "\t1\tprose", 1),
+		"n":             header + "\n" + strings.Replace(good[0], "cpu_s\t10", "cpu_s\t0", 1),
+		"seed":          header + "\n" + strings.Replace(good[0], "\t42\t", "\t-1\t", 1),
+		"calibration":   header + "\n" + strings.Replace(good[0], "14000", "n/a", 1),
+		"workload name": header + "\n" + strings.Replace(good[0], "report_storm", "report storm", 1),
+	} {
+		if p := checkLedger("L", bad+"\n", exists); len(p) != 1 {
+			t.Errorf("%s: %d problems, want 1: %v", name, len(p), p)
+		}
+	}
+}

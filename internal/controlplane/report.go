@@ -9,9 +9,12 @@
 package controlplane
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"strings"
@@ -180,6 +183,7 @@ func (r Report) MarshalJSONLine() ([]byte, error) {
 type Field struct {
 	name      string
 	key       string // `"name":`, as AppendJSONLine writes it
+	open      string // and a string's opening quote
 	kind      reflect.Kind
 	bits      int // of a numeric kind
 	off       uintptr
@@ -197,6 +201,20 @@ var (
 		return m
 	}()
 	timeField = fieldByName["time_ns"]
+	// keyHeads holds, per field, the first 8 bytes of its key as a
+	// little-endian word and the mask that keeps only a shorter key's
+	// bytes: the decoder compares a line's next 8 bytes with each in one
+	// step.
+	keyHeads = func() []struct{ head, mask uint64 } {
+		out := make([]struct{ head, mask uint64 }, len(schema))
+		for i := range schema {
+			var b [8]byte
+			k := copy(b[:], schema[i].key)
+			out[i].head = binary.LittleEndian.Uint64(b[:])
+			out[i].mask = ^uint64(0) >> (64 - 8*k)
+		}
+		return out
+	}()
 )
 
 func buildSchema() []Field {
@@ -213,7 +231,7 @@ func buildSchema() []Field {
 		default:
 			panic("controlplane: the Report_v1 codec has no case for Report." + sf.Name + " (" + sf.Type.String() + ")")
 		}
-		out[i] = Field{name: name, key: `"` + name + `":`, kind: sf.Type.Kind(), off: sf.Offset, omitEmpty: opts == "omitempty", pos: i}
+		out[i] = Field{name: name, key: `"` + name + `":`, open: `"` + name + `":"`, kind: sf.Type.Kind(), off: sf.Offset, omitEmpty: opts == "omitempty", pos: i}
 		if sf.Type.Kind() != reflect.String {
 			out[i].bits = sf.Type.Bits()
 		}
@@ -343,27 +361,21 @@ func (f *Field) Float(r *Report) float64 { return f.WordFloat(f.Word(r)) }
 func (r *Report) AppendJSONLine(dst []byte) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, '{')
-	for i := range schema {
-		f := &schema[i]
+	for m := r.present(); m != 0; m &= m - 1 {
+		f := &schema[bits.TrailingZeros64(m)]
 		p := unsafe.Add(unsafe.Pointer(r), f.off)
 		switch f.kind {
 		case reflect.String:
 			s := *(*string)(p)
-			if s == "" && f.omitEmpty {
-				continue
-			}
 			if !plain(s) {
 				return r.appendSlow(dst[:start])
 			}
-			dst = append(dst, f.key...)
-			dst = append(dst, '"')
+			dst = append(dst, f.open...)
 			dst = append(dst, s...)
-			dst = append(dst, '"')
+			dst = append(dst, '"', ',')
+			continue
 		case reflect.Float64:
 			v := *(*float64)(p)
-			if v == 0 && f.omitEmpty {
-				continue
-			}
 			if math.IsInf(v, 0) || math.IsNaN(v) {
 				return r.appendSlow(dst[:start])
 			}
@@ -371,9 +383,6 @@ func (r *Report) AppendJSONLine(dst []byte) ([]byte, error) {
 			dst = appendFloat(dst, v)
 		default:
 			v := f.load(p)
-			if v == 0 && f.omitEmpty {
-				continue
-			}
 			dst = append(dst, f.key...)
 			if f.signed() {
 				dst = strconv.AppendInt(dst, int64(v), 10)
@@ -387,6 +396,61 @@ func (r *Report) AppendJSONLine(dst []byte) ([]byte, error) {
 	dst = append(dst, '\n')
 	return dst, nil
 }
+
+// present returns the fields the encoding carries, bit i for schema row
+// i: every field but an omitempty one at its zero, read without a branch
+// per field. A field is at its zero when the word empties names for it
+// is 0: a string's length, a float's bits without the sign (-0 is
+// empty, as encoding/json has it), an integer's bits.
+func (r *Report) present() uint64 {
+	m := alwaysPresent
+	for i := range empties {
+		e := &empties[i]
+		w := *(*uint64)(unsafe.Add(unsafe.Pointer(r), e.off)) & e.mask
+		m |= (w | -w) >> 63 << (i & 63) // 1 when w != 0
+	}
+	return m
+}
+
+// emptyWord is where present reads a field's emptiness: the offset of an
+// 8-byte word inside Report and the mask that keeps the field's own bits
+// of it.
+type emptyWord struct {
+	off  uintptr
+	mask uint64
+}
+
+// empties holds each schema row's emptyWord, and alwaysPresent a bit for
+// each field without omitempty.
+var empties, alwaysPresent = func() ([]emptyWord, uint64) {
+	// A string's length word and an int fill an 8-byte word, and a
+	// uint16's bits are the word's low ones, only on a little-endian
+	// 64-bit platform.
+	if unsafe.Sizeof(uintptr(0)) != 8 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		panic("controlplane: present reads Report's fields as 8-byte little-endian words")
+	}
+	out := make([]emptyWord, len(schema))
+	var always uint64
+	for i := range schema {
+		f := &schema[i]
+		out[i].off, out[i].mask = f.off, ^uint64(0)
+		switch f.kind {
+		case reflect.String:
+			out[i].off += unsafe.Sizeof(uintptr(0)) // the length word
+		case reflect.Float64:
+			out[i].mask = ^uint64(1 << 63)
+		case reflect.Uint16:
+			out[i].mask = 1<<16 - 1
+		}
+		if out[i].off+8 > unsafe.Sizeof(Report{}) {
+			panic("controlplane: Report." + f.name + "'s emptiness word runs past the struct")
+		}
+		if !f.omitEmpty {
+			always |= 1 << i
+		}
+	}
+	return out, always
+}()
 
 // appendSlow is AppendJSONLine through encoding/json.
 //
@@ -404,19 +468,61 @@ func (r *Report) appendSlow(dst []byte) ([]byte, error) {
 // encoder escapes.
 func plain(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if strClass[s[i]]&strPlain == 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// strClass classifies the bytes of a JSON string's text: strPlain for
+// one encoding/json writes as it stands (printable ASCII but `"`, `\`
+// and the `<`, `>`, `&` its HTML-safe encoder escapes), strRaw for one
+// the typed decoder takes as it stands (printable ASCII but `"` and `\`).
+var strClass = func() (t [256]uint8) {
+	for c := 0x20; c <= 0x7e; c++ {
+		switch c {
+		case '"', '\\':
+		case '<', '>', '&':
+			t[c] = strRaw
+		default:
+			t[c] = strPlain | strRaw
+		}
+	}
+	return t
+}()
+
+const (
+	strPlain = 1 << iota
+	strRaw
+)
+
 // appendFloat is encoding/json's float64 rule: shortest round-trip
 // digits, exponent form below 1e-6 and from 1e21, a two-digit negative
-// exponent's leading zero dropped (e-09 → e-9).
+// exponent's leading zero dropped (e-09 → e-9). Two kinds of value skip
+// the shortest-digits search, because their shortest digits are known:
+// an integer below 2⁵³ in magnitude is its own decimal, and a value
+// that is exactly m/10⁶ rounded, for an integer m below 10¹⁵, is m's
+// digits with trailing zeros dropped (a decimal of at most 15
+// significant digits is the only one of that length that rounds to its
+// float64).
 func appendFloat(b []byte, v float64) []byte {
+	a := math.Abs(v)
+	if a >= 1 && a < 1<<53 {
+		if i := int64(v); float64(i) == v {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
+	if a >= 1e-6 && a < 1e9 {
+		if m := uint64(a*1e6 + 0.5); float64(m)/1e6 == a {
+			if v < 0 {
+				b = append(b, '-')
+			}
+			return appendMicros(b, m)
+		}
+	}
 	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if a != 0 && (a < 1e-6 || a >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, v, format, -1, 64)
@@ -427,19 +533,95 @@ func appendFloat(b []byte, v float64) []byte {
 	return b
 }
 
+// appendMicros writes m millionths in 'f' form, without trailing zeros.
+func appendMicros(b []byte, m uint64) []byte {
+	b = strconv.AppendUint(b, m/1e6, 10)
+	frac := m % 1e6
+	if frac == 0 {
+		return b
+	}
+	var digits [6]byte
+	n := len(digits)
+	for i := n - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	for digits[n-1] == '0' {
+		n--
+	}
+	b = append(b, '.')
+	b = append(b, digits[:n]...)
+	return b
+}
+
 // Interner is the bounded table of strings one report stream repeats
 // (kinds, units, flow IDs, addresses): a decoded document then shares
 // each with every other document that carries it instead of owning a
 // copy. It belongs to one goroutine — one per archiver connection.
+//
+// It also remembers, per flow_id, the text of the flow's identity run
+// (the fields from flow_id to proto, which the encoder writes back to
+// back) as its last lines carried it, and the values that text parsed
+// to: a line whose run repeats one of them byte for byte takes the
+// values instead of parsing the run again. A stream that interleaves
+// flows repeats a run from that flow's previous line, not from the
+// previous line; each flow keeps two runs, because its metric lines
+// carry rev_id and its limitation lines do not.
 type Interner struct {
-	last [64]string // per schema field, the previous line's value: most fields repeat it
-	seen map[string]string
+	last  [64]string // per schema field, the previous line's value: most fields repeat it
+	seen  map[string]string
+	flows map[string]*flowRuns
 }
 
-// internMax bounds an Interner. A full table is emptied and refilled, so
-// a long-lived connection whose flows churn keeps interning the current
-// ones.
-const internMax = 16384
+// flowRuns is one flow_id's remembered identity runs, the most recent
+// first.
+type flowRuns [2]identityRun
+
+// identityRun is the text of one identity run, from `"flow_id":` to the
+// end of its last field's value, with the values it parses to and the
+// schema position of its last field.
+type identityRun struct {
+	text string
+	id   identity
+	last int
+}
+
+// identity holds the fields of an identity run.
+type identity struct {
+	flowID, revID, srcIP, dstIP, proto string
+	srcPort, dstPort                   uint16
+}
+
+func (r *Report) identity() identity {
+	return identity{r.FlowID, r.RevID, r.SrcIP, r.DstIP, r.Proto, r.SrcPort, r.DstPort}
+}
+
+func (r *Report) setIdentity(id *identity) {
+	r.FlowID, r.RevID, r.SrcIP, r.DstIP, r.Proto, r.SrcPort, r.DstPort =
+		id.flowID, id.revID, id.srcIP, id.dstIP, id.proto, id.srcPort, id.dstPort
+}
+
+// The schema positions an identity run spans, checked at start-up to be
+// exactly identity's fields.
+var flowIDPos, protoPos = func() (int, int) {
+	first, last := LookupField("flow_id").pos, LookupField("proto").pos
+	var names []string
+	for _, f := range schema[first : last+1] {
+		names = append(names, f.name)
+	}
+	if strings.Join(names, ",") != "flow_id,rev_id,src_ip,dst_ip,src_port,dst_port,proto" {
+		panic("controlplane: Report_v1's identity run is " + strings.Join(names, ","))
+	}
+	return first, last
+}()
+
+// internMax bounds the Interner's table of strings, and flowsMax its
+// flows. A full table is emptied and refilled, so a long-lived
+// connection whose flows churn keeps interning the current ones.
+const (
+	internMax = 16384
+	flowsMax  = 8192
+)
 
 // str returns b, the value of schema field i, as a string.
 func (in *Interner) str(i int, b []byte) string {
@@ -467,6 +649,37 @@ func (in *Interner) add(s string) string {
 	return s
 }
 
+// runs returns the remembered runs of the flow_id whose key b starts
+// with, nil when there is none.
+func (in *Interner) runs(b []byte) *flowRuns {
+	end := bytes.IndexByte(b[min(flowIDKey, len(b)):], '"')
+	if end < 0 {
+		return nil
+	}
+	return in.flows[string(b[flowIDKey:flowIDKey+end])]
+}
+
+// flowIDKey is the length of `"flow_id":"`, where a run's flow_id starts.
+const flowIDKey = len(`"flow_id":"`)
+
+// remember makes text, whose identity run parsed to r's fields up to
+// schema position last, its flow's most recent run. A new flow's key in
+// flows is the flow_id inside the text, so that the probe and the
+// comparison that follows it read the same memory.
+//
+// p4:hotpath-exempt: a flow's first line, or the first after its identity changed or its other run was used
+func (in *Interner) remember(fr *flowRuns, text []byte, r *Report, last int) {
+	t := string(text)
+	if fr == nil {
+		if in.flows == nil || len(in.flows) >= flowsMax {
+			in.flows = make(map[string]*flowRuns)
+		}
+		fr = new(flowRuns)
+		in.flows[t[flowIDKey:flowIDKey+len(r.FlowID)]] = fr
+	}
+	fr[1], fr[0] = fr[0], identityRun{t, r.identity(), last}
+}
+
 // ParseJSONLine fills r from a line of exactly the shape AppendJSONLine
 // writes — one flat object, schema keys in schema order with time_ns
 // among them, strings of printable ASCII without escapes, JSON-grammar
@@ -484,46 +697,58 @@ func (r *Report) ParseJSONLine(line []byte, in *Interner) bool {
 	}
 	*r = Report{}
 	sawTime := false
+	// The identity run being parsed, to be remembered: its flow's runs,
+	// where its text starts (< 0 when there is none) and its last field.
+	var fr *flowRuns
+	runStart, runLast := -1, 0
 	for i, next := 1, 0; i < n; next++ {
 		// The key: the first field from the cursor on whose `"name":` is
 		// here. A key outside the schema, out of the encoder's order or
 		// repeated runs the cursor off the table.
 		rest := line[i:n]
+		if len(rest) < 8 { // shorter than any key and its value
+			return false
+		}
+		head := binary.LittleEndian.Uint64(rest)
 		for ; next < len(schema); next++ {
 			k := schema[next].key
-			if len(rest) > len(k) && rest[len(k)-2] == '"' && rest[1] == k[1] && string(rest[:len(k)]) == k {
+			if head&keyHeads[next].mask == keyHeads[next].head && len(rest) > len(k) && string(rest[:len(k)]) == k {
 				break
 			}
 		}
 		if next == len(schema) {
 			return false
 		}
-		f := &schema[next]
-		i += len(f.key)
-		p := unsafe.Add(unsafe.Pointer(r), f.off)
-		if f.kind == reflect.String {
-			start := i + 1
-			if line[i] != '"' {
-				return false
-			}
-			for i = start; i < n && line[i] != '"'; i++ {
-				if c := line[i]; c < 0x20 || c > 0x7e || c == '\\' {
-					return false
+		if runStart >= 0 && next > protoPos {
+			in.remember(fr, line[runStart:i-1], r, runLast)
+			runStart = -1
+		}
+		var w int
+		if next == flowIDPos && in != nil {
+			// A remembered run that this line repeats up to a field's end.
+			if fr = in.runs(rest); fr != nil {
+				for k := range fr {
+					run := &fr[k]
+					if w = len(run.text); len(rest) >= w && string(rest[:w]) == run.text && (w == len(rest) || rest[w] == ',') {
+						r.setIdentity(&run.id)
+						next = run.last
+						break
+					}
+					w = 0
 				}
 			}
-			if i == n || (i == start && f.omitEmpty) {
-				return false
-			}
-			*(*string)(p) = in.str(next, line[start:i])
-			i++
-		} else {
-			w := f.parseNumber(p, line[i:n])
 			if w == 0 {
+				runStart = i
+			}
+		}
+		if w == 0 {
+			if w = r.parseField(next, rest, in); w == 0 {
 				return false
 			}
-			i += w
+			runLast = next
 		}
-		sawTime = sawTime || f == timeField
+		i += w
+		sawTime = sawTime || next == timeField.pos
 		if i < n {
 			if line[i] != ',' || i+1 == n {
 				return false
@@ -531,75 +756,176 @@ func (r *Report) ParseJSONLine(line []byte, in *Interner) bool {
 			i++
 		}
 	}
+	if runStart >= 0 {
+		in.remember(fr, line[runStart:n], r, runLast)
+	}
 	return sawTime
 }
 
-// parseNumber stores the JSON number b starts with in a numeric field
-// and returns its width: 0 if there is none, if the field cannot hold it
-// exactly (5201.0 or 70000 in a port) or if it is the zero an omitempty
-// field is never written with.
-func (f *Field) parseNumber(p unsafe.Pointer, b []byte) int {
-	w := jsonNumber(b)
+// parseField stores the field at schema position pos from rest, which
+// starts with its key, and returns the width of its key and value: 0 if
+// the value is not one AppendJSONLine writes for the field.
+func (r *Report) parseField(pos int, rest []byte, in *Interner) int {
+	f := &schema[pos]
+	i := len(f.key)
+	p := unsafe.Add(unsafe.Pointer(r), f.off)
+	switch f.kind {
+	case reflect.String:
+		if rest[i] != '"' {
+			return 0
+		}
+		start := i + 1
+		for i = start; i < len(rest) && strClass[rest[i]]&strRaw != 0; i++ {
+		}
+		if i == len(rest) || rest[i] != '"' || (i == start && f.omitEmpty) {
+			return 0
+		}
+		*(*string)(p) = in.str(pos, rest[start:i])
+		return i + 1
+	}
+	var w int
+	if f.kind == reflect.Float64 {
+		w = f.parseFloat(p, rest[i:])
+	} else {
+		w = f.parseInt(p, rest[i:])
+	}
 	if w == 0 {
 		return 0
 	}
-	text := unsafe.String(&b[0], w)
-	var zero bool
-	var err error
-	switch {
-	case f.kind == reflect.Float64:
-		var v float64
-		v, err = strconv.ParseFloat(text, 64)
-		*(*float64)(p), zero = v, v == 0
-	case f.signed():
-		var v int64
-		v, err = strconv.ParseInt(text, 10, f.bits)
-		f.store(p, uint64(v))
-		zero = v == 0
-	default:
-		var v uint64
-		v, err = strconv.ParseUint(text, 10, f.bits)
-		f.store(p, v)
-		zero = v == 0
-	}
-	if err != nil || (zero && f.omitEmpty) {
-		return 0
-	}
-	return w
+	return i + w
 }
 
-// jsonNumber returns the width of the JSON-grammar number b starts with,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which is narrower than
-// what strconv's parsers accept; 0 if there is none.
-func jsonNumber(b []byte) int {
-	i := 0
-	digits := func() bool {
+// parseInt stores the JSON integer b starts with in an integer field and
+// returns its width: 0 if there is none, if it has a fraction or an
+// exponent (5201.0 is not a port), if the field cannot hold it (70000
+// in a port, -1 in an unsigned field), or if it is the zero an
+// omitempty field is never written with. It takes and declines what
+// strconv.ParseInt or ParseUint at the field's width would on the
+// number's JSON-grammar text.
+func (f *Field) parseInt(p unsafe.Pointer, b []byte) int {
+	i, neg := 0, b[0] == '-'
+	limit := uint64(1)<<f.bits - 1 // the largest magnitude the field holds
+	if f.signed() {
+		limit >>= 1
+		if neg {
+			limit++
+		}
+	} else if neg {
+		return 0
+	}
+	if neg {
+		i++
+	}
+	start := i
+	var v uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if i-start < 19 { // 19 digits never overflow a uint64
+			v = v*10 + uint64(b[i]-'0')
+			continue
+		}
+		hi, lo := bits.Mul64(v, 10)
+		lo, carry := bits.Add64(lo, uint64(b[i]-'0'), 0)
+		if hi|carry != 0 {
+			return 0
+		}
+		v = lo
+	}
+	if i == start || (b[start] == '0' && i > start+1) || v > limit || (v == 0 && f.omitEmpty) {
+		return 0
+	}
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0
+	}
+	if neg {
+		v = -v
+	}
+	f.store(p, v)
+	return i
+}
+
+// parseFloat stores the JSON number b starts with in a float field and
+// returns its width: 0 if there is none, if it is out of float64's range
+// or if it is the zero an omitempty field is never written with. A
+// number of at most 19 digits whose digits make an integer m below 2⁵³
+// and whose decimal exponent e is within ±22 is m·10ᵉ exactly rounded,
+// which one multiplication or division of two exact float64s gives;
+// any other goes to strconv.ParseFloat. Either way the value is
+// ParseFloat's.
+func (f *Field) parseFloat(p unsafe.Pointer, b []byte) int {
+	i, neg := 0, b[0] == '-'
+	if neg {
+		i++
+	}
+	sign := i
+	var m uint64
+	nd, exp := 0, 0 // digits read into m; the decimal exponent they need
+	digits := func(frac bool) bool {
 		start := i
-		for i < len(b) && b[i]-'0' <= 9 {
-			i++
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(b[i]-'0')
+			nd++
+			if frac {
+				exp--
+			}
 		}
 		return i > start
 	}
-	if b[0] == '-' {
-		i++
-	}
-	if start := i; !digits() || (b[start] == '0' && i > start+1) {
+	if start := i; !digits(false) || (b[start] == '0' && i > start+1) {
 		return 0
 	}
 	if i < len(b) && b[i] == '.' {
-		if i++; !digits() {
+		if i++; !digits(true) {
 			return 0
 		}
 	}
+	exact := nd <= 19 && m < 1<<53
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if !digits() {
+		e, start := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 1000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return 0
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	var v float64
+	switch {
+	case exact && exp >= 0 && exp <= 22:
+		v = float64(m) * float64pow10[exp]
+	case exact && exp < 0 && exp >= -22:
+		v = float64(m) / float64pow10[-exp]
+	default:
+		var err error
+		if v, err = strconv.ParseFloat(unsafe.String(&b[sign], i-sign), 64); err != nil {
 			return 0
 		}
 	}
+	if neg {
+		v = -v
+	}
+	if v == 0 && f.omitEmpty {
+		return 0
+	}
+	*(*float64)(p) = v
 	return i
+}
+
+// float64pow10 holds the powers of ten a float64 holds exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+	1e20, 1e21, 1e22,
 }
 
 // Sink receives the control plane's reports. The perfSONAR archiver's

@@ -213,3 +213,32 @@ func TestParseJSONLineDeclines(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFloatMatchesEncodingJSON checks the float rule's two shortcuts
+// against encoding/json on the values they take and on their neighbours:
+// integers on both sides of 2⁵³ and of every size up to 2⁶⁴, decimals
+// of up to 15 significant digits with up to 9 decimals (the shortcut
+// stops at 6), one ulp either side of each, and random bit patterns.
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	rng := simtime.NewRNG(25)
+	pow10 := []float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+	var vs []float64
+	for _, v := range []float64{1, 1 << 52, 1<<53 - 1, 1 << 53, 1<<53 + 2, 1e15, 1e15 - 1, 999999999.999999, 1e9, 1e-6, 1e-7, 0.5, 20.125, 16.777216} {
+		vs = append(vs, v)
+	}
+	for i := 0; i < 100000; i++ {
+		m := rng.Uint64() % []uint64{10, 1e3, 1e6, 1e9, 1e12, 1e15, 1 << 53}[rng.Uint64()%7]
+		vs = append(vs, float64(m)/pow10[rng.Uint64()%uint64(len(pow10))], math.Float64frombits(rng.Uint64()), float64(rng.Uint64()>>(rng.Uint64()%64)))
+	}
+	for _, v := range vs {
+		for _, w := range []float64{v, -v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+			if math.IsInf(w, 0) || math.IsNaN(w) {
+				continue
+			}
+			want, _ := json.Marshal(w)
+			if got := appendFloat(nil, w); !bytes.Equal(got, want) {
+				t.Fatalf("appendFloat(%v) = %s, encoding/json writes %s", w, got, want)
+			}
+		}
+	}
+}

@@ -167,11 +167,9 @@ func NewSystem(opts Options) *System {
 		s.ExternalPerf[i] = tcp.NewHost(e, fmt.Sprintf("ps%d", i+1), externalIP(i, 20))
 	}
 
-	// Switches. Router addresses make them traceroute-visible hops.
+	// Switches.
 	s.CoreSwitch = switchsim.New(e, "core-switch")
-	s.CoreSwitch.RouterIP = packet.MustAddr("172.16.0.1")
 	s.AggSwitch = switchsim.New(e, "agg-switch")
-	s.AggSwitch.RouterIP = packet.MustAddr("192.168.0.1")
 
 	const hostDelay = 50 * simtime.Microsecond
 	const interSwitchDelay = 2 * simtime.Millisecond

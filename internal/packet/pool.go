@@ -13,8 +13,8 @@ import "sync"
 //
 // Ownership rules:
 //
-//   - Whoever drops a packet (queue overflow, link loss, no route, TTL
-//     expiry) releases it.
+//   - Whoever drops a packet (queue overflow, link loss, no route)
+//     releases it.
 //   - The terminal receiver (tcp.Host after demux, the data plane after
 //     a mirrored copy is processed) releases it.
 //   - Components that retain packets (netsim.Sink, test recorders) must

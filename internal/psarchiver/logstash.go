@@ -2,7 +2,6 @@ package psarchiver
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -277,9 +276,13 @@ func (in *TCPInput) serve(conn net.Conn) {
 			// A complete line (buf ends in '\n') — or the tail of an
 			// oversized one we are discarding.
 			if !tooLong {
-				// Trim like bufio.ScanLines did: the newline plus an
-				// optional carriage return.
-				in.handleLine(bytes.TrimRight(buf, "\r\n"), &strs, doc)
+				// Trim the newline and any carriage returns and newlines
+				// before it, as bytes.TrimRight(buf, "\r\n") does.
+				line := buf
+				for n := len(line); n > 0 && (line[n-1] == '\n' || line[n-1] == '\r'); n-- {
+					line = line[:n-1]
+				}
+				in.handleLine(line, &strs, doc)
 			}
 			tooLong = false
 			buf = buf[:0]

@@ -7,6 +7,7 @@ package resilient
 import (
 	"net"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -35,10 +36,21 @@ func (c *heldConn) Close() error                     { return nil }
 // its lines going into the chunks the first burst left behind. The
 // connection holds the burst's first flight on the wire until the whole
 // burst is queued, so the burst needs as many chunks every time. The
-// count is TotalAlloc's, rounded down per report as AllocsPerRun rounds
-// allocations per run: the runtime may park the run goroutine on a fresh
-// 96 B wait record during a burst, while one chunk would read 16 B per
-// report.
+// count is the heap's cumulative allocated bytes, rounded down per report
+// as AllocsPerRun rounds allocations per run: the runtime may park the
+// run goroutine on a fresh 96 B wait record during a burst, while one
+// chunk would read 16 B per report.
+//
+// No stop-the-world may restart inside a burst: restarting the world
+// wakes an idle P on an idle thread, and on a loaded host, where the
+// thread woken by the previous restart has not parked yet, the runtime
+// starts a new one, whose m, g0 and signal stack (5504 B) a reading
+// around the burst would count as the burst's. So the burst starts after
+// a completed collection, which leaves every P's cache of spans flushed,
+// with runtime/metrics' cumulative allocated bytes, which does not stop
+// the world; and it ends with runtime.ReadMemStats, which flushes every
+// cache before it reads and restarts the world only after. Both read the
+// same sum, so the count is exact.
 func TestAllocFreeBurst(t *testing.T) {
 	const burst = 4000 // about 19 chunks of metric lines
 	r := controlplane.Report{
@@ -54,17 +66,19 @@ func TestAllocFreeBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var before, after runtime.MemStats
+	allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	var after runtime.MemStats
 	emit := func() uint64 {
 		hold.Lock()
-		runtime.ReadMemStats(&before)
+		runtime.GC()
+		metrics.Read(allocated)
 		for i := 0; i < burst; i++ {
 			s.Emit(r)
 		}
 		runtime.ReadMemStats(&after)
 		hold.Unlock()
 		waitFor(t, "the burst shipped", func() bool { return s.Stats().Queued == 0 })
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - allocated[0].Value.Uint64()
 	}
 	if warm := emit(); warm == 0 {
 		t.Fatal("the first burst allocated nothing: no chunk was ever made")

@@ -48,16 +48,6 @@ type Switch struct {
 	routes []route
 	ports  map[string]*Port
 
-	// RouterIP, when set, makes the switch a layer-3 hop: it
-	// decrements the IPv4 TTL of transit packets and answers expired
-	// ones with a TTL-exceeded notification sourced from this address
-	// — what traceroute-style tools rely on. Unset, the switch
-	// forwards transparently (pure layer-2 behaviour).
-	RouterIP netip.Addr
-
-	// TTLExpired counts packets dropped for TTL exhaustion.
-	TTLExpired uint64 // keyed by link name
-
 	// IngressTap and EgressTap are the two mirror points the paper's
 	// optical TAPs provide (§4.2): one copy as the packet enters the
 	// core switch, one as it exits. Either may be nil.
@@ -123,7 +113,8 @@ func (s *Switch) PortFor(dst netip.Addr) *Port {
 }
 
 // Receive implements netsim.Node: route the packet, apply drop-tail
-// admission against the output buffer, and forward.
+// admission against the output buffer, and forward. Dropped packets are
+// recycled here — the switch is the last owner on both drop paths.
 //
 // p4:hotpath
 func (s *Switch) Receive(pkt *packet.Packet, from *netsim.Link) {
@@ -137,25 +128,6 @@ func (s *Switch) Receive(pkt *packet.Packet, from *netsim.Link) {
 		s.IngressTap(pkt, now, fromName)
 	}
 
-	if s.RouterIP.IsValid() {
-		pkt.TTL--
-		if pkt.TTL == 0 {
-			s.TTLExpired++
-			s.sendTTLExceeded(pkt)
-			pkt.Release()
-			return
-		}
-	}
-
-	s.forward(pkt)
-}
-
-// forward routes and enqueues a packet on its output port, applying
-// drop-tail admission. Dropped packets are recycled here — the switch is
-// the last owner on both drop paths.
-//
-// p4:hotpath
-func (s *Switch) forward(pkt *packet.Packet) {
 	port := s.PortFor(pkt.DstIP)
 	if port == nil {
 		s.Unroutable++
@@ -181,24 +153,4 @@ func (s *Switch) forward(pkt *packet.Packet) {
 	}
 	s.ForwardedBytes += uint64(wire)
 	port.Link.Send(pkt)
-}
-
-// TTLExceededPort is the UDP source port of TTL-exceeded
-// notifications, standing in for the ICMP Time Exceeded message the
-// simulator's UDP-only host stack cannot carry.
-const TTLExceededPort = 33435
-
-// sendTTLExceeded answers an expired packet with a notification to its
-// source, quoting the probe's IP ID so the prober can correlate.
-func (s *Switch) sendTTLExceeded(expired *packet.Packet) {
-	reply := packet.NewUDP(packet.FiveTuple{
-		SrcIP:   s.RouterIP,
-		DstIP:   expired.SrcIP,
-		SrcPort: TTLExceededPort,
-		DstPort: expired.SrcPort,
-		Proto:   packet.ProtoUDP,
-	}, 36)
-	reply.IPID = expired.IPID
-	reply.FlowTag = "ttl-exceeded"
-	s.forward(reply)
 }

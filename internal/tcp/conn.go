@@ -222,9 +222,6 @@ func newConn(h *Host, ft packet.FiveTuple, cfg Config, r role) *Conn {
 	return c
 }
 
-// Config returns the connection's configuration.
-func (c *Conn) Config() Config { return c.cfg }
-
 // ---------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------

@@ -125,14 +125,11 @@ func TestPRRBudgetLimitsRecoveryOutput(t *testing.T) {
 	}
 }
 
-// TestTTLDecrementAndExpiry: routed switches decrement TTL and answer
-// expired packets with a notification to the source.
+// TestTTLDecrementAndExpiry checks that packets sent by hosts carry
+// TTL 64. No simulated switch decrements it, so it never expires; the
+// name is the test's historical one.
 func TestTTLDecrementAndExpiry(t *testing.T) {
 	n := newTestNet(t, netsim.Mbps(100), simtime.Millisecond, 0)
-	// The tcp test net's swNode is not a switchsim.Switch; this test
-	// only checks host-side plumbing of replies, so use the UDP path:
-	// covered in switchsim and pscheduler tests instead. Here verify
-	// packets sent by hosts carry TTL 64 by default.
 	p := packet.NewUDP(packet.FiveTuple{
 		SrcIP: n.client.IP(), DstIP: n.server.IP(),
 		SrcPort: 9, DstPort: 9, Proto: packet.ProtoUDP,
