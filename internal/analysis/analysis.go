@@ -119,7 +119,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		TimeUnitsAnalyzer,
 		UncheckedErrAnalyzer,
-		GoLeakAnalyzer,
 		DocCommentAnalyzer,
 		HotPathPropAnalyzer,
 		LockOrderAnalyzer,

@@ -49,7 +49,6 @@ func loadFixture(t *testing.T, fixture string) []*Package {
 // the analyzer's name.
 func TestTimeUnitsAnalyzer(t *testing.T)    { runFixture(t, "timeunits") }
 func TestUncheckedErrAnalyzer(t *testing.T) { runFixture(t, "uncheckederr") }
-func TestGoLeakAnalyzer(t *testing.T)       { runFixture(t, "goleak") }
 func TestDocCommentAnalyzer(t *testing.T)   { runFixture(t, "doccomment") }
 func TestHotPathProp(t *testing.T)          { runFixture(t, "hotpathprop") }
 func TestLockOrder(t *testing.T)            { runFixture(t, "lockorder") }

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -15,14 +14,12 @@ import (
 // declared functions and function literals alike, each a body of its
 // own — feeds four rules:
 //
-//  1. Inconsistent acquisition order. The pass builds a whole-program
-//     acquisition graph whose nodes are lock classes — a struct field
-//     (Type.mu), a package-level mutex, or a type embedding one — and
-//     whose edges record "B acquired while A is held", including
-//     acquisitions reached transitively through the call graph. Any
-//     cycle in that graph is a schedule where two goroutines hold one
-//     lock each and wait for the other's. Two values of one class
-//     nested in each other are the same hazard without a second class.
+//  1. No nesting. A Lock taken while another lock is held, directly or
+//     through a call whose callees (transitively, over the call graph)
+//     take one, is reported. A deadlock between two goroutines needs
+//     each to hold one lock while waiting for another, so a program
+//     that never nests has no acquisition-order cycle to search for.
+//     A TryLock never waits and is exempt.
 //
 //  2. Lock held across a blocking operation. In the packages that talk
 //     to the network or move data between goroutines
@@ -44,17 +41,18 @@ import (
 //
 // Within a body a lock is the receiver expression it was taken through
 // (x.mu and y.mu are two locks, as are two elements of a map of
-// mutexes); only the order graph needs the coarser class. The walk is a
-// linear, branch-insensitive approximation, which matches how locks are
-// used here (short critical sections, unlocks in the same block or
-// deferred): Lock adds, Unlock removes, `defer Unlock` holds to the
-// body's end and covers every return. A deliberate exception is
-// excluded with a justified `p4:lint-exempt` line comment naming this
-// pass. A lock copied by value is `go vet`'s copylocks check, which
-// `make ci` runs beside this one.
+// mutexes). The walk is a linear, branch-insensitive approximation,
+// which matches how locks are used here (short critical sections,
+// unlocks in the same block or deferred): Lock adds, Unlock removes,
+// `defer Unlock` holds to the body's end and covers every return. The
+// call graph draws no edge through a function value, so a lock taken
+// inside a callback called under another lock is not seen. A
+// deliberate exception is excluded with a justified `p4:lint-exempt`
+// line comment naming this pass. A lock copied by value is `go vet`'s
+// copylocks check, which `make ci` runs beside this one.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex discipline: acquisition-order cycles, locks held across I/O or channel operations, re-acquisition, Lock without Unlock on a return path",
+	Doc:  "mutex discipline: a lock taken while another is held, locks held across I/O or channel operations, re-acquisition, Lock without Unlock on a return path",
 	Run:  runLockOrder,
 }
 
@@ -122,61 +120,48 @@ type heldLock struct {
 	leaked bool // rule 4 already reported this acquisition
 }
 
-// lockEdge is "to acquired while from is held".
-type lockEdge struct {
-	site token.Pos
-	via  string // empty for a direct acquisition, callee chain otherwise
-}
-
 func runLockOrder(pass *Pass) {
 	prog := pass.Program()
 
-	// Pass 1: per-body events and each declaration's direct acquisition
-	// set. A literal's acquisitions are not its declaration's: it runs
-	// when invoked, not where it is written.
+	// Pass 1: per-body events and, for each declaration, one lock it
+	// takes itself. A literal's acquisitions are not its declaration's:
+	// it runs when invoked, not where it is written.
 	var bodies []loBody
-	acquires := map[*types.Func]map[types.Object]bool{}
+	acquires := map[*types.Func]string{}
 	for _, fi := range prog.Functions() {
 		bs := loBodies(fi)
 		bodies = append(bodies, bs...)
 		for _, e := range bs[0].events {
-			if e.kind == loEvLock && e.obj != nil && !pass.Exempt(e.pos) {
-				if acquires[fi.Obj] == nil {
-					acquires[fi.Obj] = map[types.Object]bool{}
+			if e.kind == loEvLock && !strings.HasPrefix(e.op, "Try") && !pass.Exempt(e.pos) {
+				acquires[fi.Obj] = e.key
+				if e.obj != nil {
+					acquires[fi.Obj] = objectLabel(e.obj)
 				}
-				acquires[fi.Obj][e.obj] = true
+				break
 			}
 		}
 	}
 
-	// Transitive closure of acquisitions over the call graph (fixpoint;
-	// the graph is small and the sets smaller).
+	// A declaration also acquires whatever its callees do (fixpoint over
+	// the call graph; one lock per function is enough to name).
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range prog.Functions() {
+			if acquires[fi.Obj] != "" {
+				continue
+			}
 			for _, e := range prog.Callees(fi.Obj) {
-				for obj := range acquires[e.Callee] {
-					if !acquires[fi.Obj][obj] {
-						if acquires[fi.Obj] == nil {
-							acquires[fi.Obj] = map[types.Object]bool{}
-						}
-						acquires[fi.Obj][obj] = true
-						changed = true
-					}
+				if l := acquires[e.Callee]; l != "" {
+					acquires[fi.Obj] = l
+					changed = true
+					break
 				}
 			}
 		}
 	}
 
-	// Pass 2: linear scan of each body, building the acquisition graph
-	// and reporting rules 2–4 as they appear.
-	edges := map[[2]types.Object]lockEdge{}
-	addEdge := func(from, to types.Object, site token.Pos, via string) {
-		k := [2]types.Object{from, to}
-		if _, ok := edges[k]; !ok && from != nil && to != nil && from != to {
-			edges[k] = lockEdge{site: site, via: via}
-		}
-	}
+	// Pass 2: linear scan of each body, reporting every rule as it
+	// appears.
 	for _, b := range bodies {
 		ioScoped := pathInScope(b.fi.Pkg.Path, lockIOScopes)
 		held := map[string]*heldLock{}
@@ -217,6 +202,12 @@ func runLockOrder(pass *Pass) {
 				}
 			}
 		}
+		// nested reports rule 1 for an acquisition of what at pos.
+		nested := func(pos token.Pos, what string) {
+			k := heldSorted()[0]
+			pass.Reportf(pos, "%s while %s is held (locked at %s): a goroutine that nests them the other way round deadlocks with this one; release %s first",
+				what, k, prog.Fset.Position(held[k].pos), k)
+		}
 		for _, e := range b.events {
 			switch e.kind {
 			case loEvUnlock:
@@ -239,22 +230,15 @@ func runLockOrder(pass *Pass) {
 					}
 					continue
 				}
-				for _, k := range heldSorted() {
-					if h := held[k]; h.obj != nil && h.obj == e.obj && !try {
-						pass.Reportf(e.pos, "%s acquired in %s while %s, another %s, is held (locked at %s): two goroutines nesting them in opposite order deadlock — fix an order between instances",
-							e.key, b.name, k, objectLabel(e.obj), prog.Fset.Position(h.pos))
-					} else {
-						addEdge(h.obj, e.obj, e.pos, "")
-					}
+				if len(held) > 0 && !try {
+					nested(e.pos, e.key+" acquired in "+b.name)
 				}
 				held[e.key] = &heldLock{pos: e.pos, obj: e.obj, op: e.op}
 			case loEvReturn:
 				leaks(e.pos)
 			case loEvCall:
-				for _, h := range held {
-					for obj := range acquires[e.fn] {
-						addEdge(h.obj, obj, e.pos, calleeName(prog, e.fn))
-					}
+				if l := acquires[e.fn]; l != "" && len(held) > 0 {
+					nested(e.pos, "call to "+calleeName(prog, e.fn)+" acquires "+l+" in "+b.name)
 				}
 			case loEvChan, loEvIO:
 				if !ioScoped || len(held) == 0 {
@@ -267,109 +251,6 @@ func runLockOrder(pass *Pass) {
 		}
 		leaks(token.NoPos)
 	}
-
-	reportLockCycles(pass, edges)
-}
-
-// reportLockCycles finds acquisition-order cycles and reports each once,
-// deterministically, at the lexically first edge that closes it.
-func reportLockCycles(pass *Pass, edges map[[2]types.Object]lockEdge) {
-	prog := pass.Program()
-	succ := map[types.Object][]types.Object{}
-	for k := range edges {
-		succ[k[0]] = append(succ[k[0]], k[1])
-	}
-	for _, next := range succ {
-		sort.Slice(next, func(i, j int) bool { return objectLabel(next[i]) < objectLabel(next[j]) })
-	}
-	// path returns a shortest from→to node sequence (BFS), or nil.
-	path := func(from, to types.Object) []types.Object {
-		type node struct {
-			obj  types.Object
-			prev *node
-		}
-		visited := map[types.Object]bool{from: true}
-		queue := []*node{{obj: from}}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			if n.obj == to {
-				var out []types.Object
-				for ; n != nil; n = n.prev {
-					out = append(out, n.obj)
-				}
-				for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-					out[i], out[j] = out[j], out[i]
-				}
-				return out
-			}
-			for _, s := range succ[n.obj] {
-				if !visited[s] {
-					visited[s] = true
-					queue = append(queue, &node{obj: s, prev: n})
-				}
-			}
-		}
-		return nil
-	}
-
-	type keyed struct {
-		k [2]types.Object
-		e lockEdge
-	}
-	sorted := make([]keyed, 0, len(edges))
-	for k, e := range edges {
-		sorted = append(sorted, keyed{k, e})
-	}
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := prog.Fset.Position(sorted[i].e.site), prog.Fset.Position(sorted[j].e.site)
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	seen := map[string]bool{}
-	for _, ke := range sorted {
-		from, to := ke.k[0], ke.k[1]
-		back := path(to, from)
-		if back == nil {
-			continue
-		}
-		cycle := append([]types.Object{from}, back...) // from -> to -> ... -> from
-		labels := make([]string, len(cycle))
-		for i, o := range cycle {
-			labels[i] = objectLabel(o)
-		}
-		canon := canonicalCycle(labels)
-		if seen[canon] {
-			continue
-		}
-		seen[canon] = true
-		via := ""
-		if ke.e.via != "" {
-			via = fmt.Sprintf(" (through call to %s)", ke.e.via)
-		}
-		pass.Reportf(ke.e.site, "lock order cycle %s: %s is acquired while %s is held%s, and the reverse order also occurs; two goroutines taking opposite orders deadlock — pick one global order",
-			strings.Join(labels, " -> "), objectLabel(to), objectLabel(from), via)
-	}
-}
-
-// canonicalCycle rotates a cycle rendering (first == last) so the
-// smallest label leads, making "A->B->A" and "B->A->B" the same cycle.
-func canonicalCycle(labels []string) string {
-	ring := labels[:len(labels)-1]
-	min := 0
-	for i := range ring {
-		if ring[i] < ring[min] {
-			min = i
-		}
-	}
-	out := make([]string, 0, len(labels))
-	for i := range ring {
-		out = append(out, ring[(min+i)%len(ring)])
-	}
-	out = append(out, ring[min])
-	return strings.Join(out, " -> ")
 }
 
 // loEvents flattens one body into source-ordered lock, unlock, return,

@@ -21,7 +21,7 @@ func diag(file string, line, col int, pass, msg string) Diagnostic {
 func TestDiagnosticOrdering(t *testing.T) {
 	want := []Diagnostic{
 		diag("a.go", 3, 9, "locks", "b"),
-		diag("a.go", 7, 1, "goleak", "x"),
+		diag("a.go", 7, 1, "doccomment", "x"),
 		diag("a.go", 7, 1, "locks", "x"),
 		diag("a.go", 7, 2, "locks", "x"),
 		diag("a.go", 7, 2, "locks", "y"),

@@ -1,5 +1,5 @@
-// Package lockorder exercises the whole-program lock-ordering pass:
-// acquisition-order cycles (direct and through calls) and locks held
+// Package lockorder exercises the whole-program lock pass: a lock taken
+// while another is held (directly and through a call) and locks held
 // across blocking operations.
 package lockorder
 
@@ -22,17 +22,17 @@ type b struct {
 func (x *a) forward() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.peer.mu.Lock() // want "lock order cycle a.mu -> b.mu -> a.mu"
+	x.peer.mu.Lock() // want "x.peer.mu acquired in a.forward while x.mu is held"
 	defer x.peer.mu.Unlock()
 	x.peer.peer = x
 }
 
 // backward acquires b.mu, then reaches a.mu transitively through
-// lockedTouch — the reverse order, closing the cycle.
+// lockedTouch — the reverse of forward's order.
 func (y *b) backward() {
 	y.mu.Lock()
 	defer y.mu.Unlock()
-	y.peer.lockedTouch()
+	y.peer.lockedTouch() // want "call to a.lockedTouch acquires a.mu in b.backward while y.mu is held"
 }
 
 func (x *a) lockedTouch() {

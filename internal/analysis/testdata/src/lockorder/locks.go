@@ -98,12 +98,12 @@ func badOtherInstance(x, y *Guarded) int {
 	return x.n
 }
 
-// badNestedInstances nests two values of one lock class: nothing
+// badNestedInstances nests two values of one type's lock: nothing
 // orders them, so a second goroutine may nest them the other way round.
 func badNestedInstances(x, y *Guarded) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	y.mu.Lock() // want "y.mu acquired in badNestedInstances while x.mu, another Guarded.mu, is held"
+	y.mu.Lock() // want "y.mu acquired in badNestedInstances while x.mu is held"
 	defer y.mu.Unlock()
 }
 
@@ -112,7 +112,7 @@ var registry = map[string]*sync.Mutex{}
 func lockFor(name string) *sync.Mutex { return registry[name] }
 
 // badCallResultLeak locks a mutex reached through a call: it has no
-// identity for the order graph, but its expression still pairs.
+// field or variable to name it, but its expression still pairs.
 func badCallResultLeak(name string) {
 	lockFor(name).Lock() // want "lockFor.name. locked in badCallResultLeak with no lockFor.name..Unlock"
 }

@@ -32,14 +32,6 @@ func (c *CMS) UpdateKey(k FlowKey, count uint64) uint64 {
 	return c.s.Add(cmsHash(&k), count)
 }
 
-// EstimateKey returns the sketch's byte estimate for the flow without
-// updating it.
-//
-// p4:hotpath
-func (c *CMS) EstimateKey(k FlowKey) uint64 {
-	return c.s.At(cmsHash(&k))
-}
-
 // Clear zeroes the sketch. The data plane periodically resets it so
 // stale flows do not saturate the counters.
 func (c *CMS) Clear() { c.s.Clear() }

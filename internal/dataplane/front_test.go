@@ -52,7 +52,7 @@ func assertSameState(t *testing.T, label string, want, got *DataPlane, flows int
 	}
 	for i := 0; i < flows; i++ {
 		k := KeyOf(traceFlow(i))
-		if we, ge := want.cms.EstimateKey(k), got.cms.EstimateKey(k); we != ge {
+		if we, ge := want.cms.s.At(cmsHash(&k)), got.cms.s.At(cmsHash(&k)); we != ge {
 			t.Fatalf("%s: CMS estimate for flow %d: want %d, got %d", label, i, we, ge)
 		}
 	}

@@ -264,7 +264,8 @@ func TestLongFlowEstimateExactForOwnedCells(t *testing.T) {
 			d.ProcessCopy(tap.Copy{Pkt: pkt, Point: tap.Ingress})
 		}
 		for g := base; g < base+flows; g++ {
-			if est := d.cms.EstimateKey(KeyOf(synthTuple(g))); est != wire {
+			k := KeyOf(synthTuple(g))
+			if est := d.cms.s.At(cmsHash(&k)); est != wire {
 				t.Fatalf("base %d flow %d: long-flow estimate %d after one %d-byte packet", base, g, est, wire)
 			}
 		}

@@ -2,11 +2,13 @@ package dataplane
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -608,8 +610,10 @@ func TestPipesEventsDeliveredAtJoinPoints(t *testing.T) {
 // TestPipesFlushLeavesNothingInFlight pins the barrier's postcondition:
 // after Flush no view is pending and no replay is running — the shards
 // may be read directly (the race detector checks that claim) and add up
-// to the merged snapshot — and a second Flush finds nothing to do.
+// to the merged snapshot, and no replay goroutine outlives the barrier —
+// and a second Flush finds nothing to do.
 func TestPipesFlushLeavesNothingInFlight(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	p := NewPipes(traceConfig, 4)
 	r := obs.NewRegistry()
 	p.RegisterObs(r)
@@ -644,6 +648,11 @@ func TestPipesFlushLeavesNothingInFlight(t *testing.T) {
 	launches := r.Snapshot()["p4_pipes_flushes_total"]
 	if launches.(uint64) == 0 {
 		t.Fatal("no launch counted")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("replay goroutines outlive Flush: baseline=%d now=%d", baseline, runtime.NumGoroutine())
+		}
 	}
 	p.Flush()
 	if again := r.Snapshot()["p4_pipes_flushes_total"]; again != launches {

@@ -1,19 +1,28 @@
 package experiments
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestReconfigUnderLoad runs the reconfiguration harness at reduced
 // scale: a wire-channel storm against the witness and the
 // generation-boundary escalation check. The name matches the chaos CI
-// job's -run pattern.
+// job's -run pattern. It is not parallel, so the goroutine count it
+// takes around the run is its own: the storm goroutine and the config
+// server it starts must both be gone once the run returns.
 func TestReconfigUnderLoad(t *testing.T) {
-	t.Parallel()
+	baseline := runtime.NumGoroutine()
 	res, err := RunReconfigUnderLoad(ReconfigConfig{StormCommands: 60})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: baseline=%d now=%d", baseline, runtime.NumGoroutine())
+		}
 	}
 	t.Logf("\n%s", res.Render())
 

@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -72,21 +74,33 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// TestServe scrapes the endpoint Serve starts, then requires Close to
+// end its serve goroutine and the connection it served.
 func TestServe(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	r := NewRegistry()
 	r.AddProcessMetrics()
 	srv, addr, err := r.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	client := &http.Client{Transport: &http.Transport{}}
+	resp, err := client.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if !strings.Contains(string(body), "p4_process_goroutines") {
 		t.Errorf("process metrics missing:\n%s", body)
+	}
+	client.CloseIdleConnections()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: baseline=%d now=%d", baseline, runtime.NumGoroutine())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,16 +224,44 @@ func TestTCPInputMultipleConnections(t *testing.T) {
 	}
 }
 
+// TestTCPInputCloseIdempotent closes an input that has served one
+// connection, twice, and requires its accept loop and the connection's
+// serve goroutine to be gone once the first Close returns.
 func TestTCPInputCloseIdempotent(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	p := NewPipeline()
+	store := NewStore()
+	p.OpenSearchOutput(store)
 	in, err := NewTCPInput(p, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.Close(); err != nil {
+	conn, err := net.Dial("tcp", in.Addr())
+	if err != nil {
 		t.Fatal(err)
+	}
+	fmt.Fprintln(conn, `{"kind":"metric"}`)
+	for deadline := time.Now().Add(2 * time.Second); store.Count("p4-psonar-metric") == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close()
+
+	closed := make(chan error, 1)
+	go func() { closed <- in.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return: the accept loop or a serve goroutine is still running")
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: baseline=%d now=%d", baseline, runtime.NumGoroutine())
+		}
 	}
 }

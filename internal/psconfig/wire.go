@@ -110,14 +110,8 @@ func (o SendOptions) withDefaults() SendOptions {
 	return o
 }
 
-// Send transmits the command to a collector at addr and waits for the
-// acknowledgment, retrying refused connections with the default
-// SendWith policy.
-func (c Command) Send(addr string, timeout time.Duration) error {
-	return c.SendWith(addr, SendOptions{Timeout: timeout})
-}
-
-// SendWith transmits the command under an explicit retry policy:
+// SendWith transmits the command to a collector at addr and waits for
+// the acknowledgment, under an explicit retry policy:
 // refused/unreachable dials back off with deterministic equal jitter
 // (half the current backoff fixed, half drawn from a seeded RNG) and
 // retry up to opts.Attempts times; anything after a successful dial —

@@ -75,7 +75,7 @@ func TestSendAndServeOverTCP(t *testing.T) {
 	go ServeConfig(ln, cp)
 
 	cmd, _ := ParseConfigP4([]string{"--metric", "throughput", "--samples_per_second", "8"})
-	if err := cmd.Send(ln.Addr().String(), 2*time.Second); err != nil {
+	if err := cmd.SendWith(ln.Addr().String(), SendOptions{Timeout: 2 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cp.MetricConfigFor(controlplane.MetricThroughput).SamplesPerSecond; got != 8 {
@@ -84,14 +84,14 @@ func TestSendAndServeOverTCP(t *testing.T) {
 
 	// An invalid command must come back as a rejection, not silence.
 	bad := Command{Metric: "throughput"} // nothing to configure
-	if err := bad.Send(ln.Addr().String(), 2*time.Second); err == nil {
+	if err := bad.SendWith(ln.Addr().String(), SendOptions{Timeout: 2 * time.Second}); err == nil {
 		t.Fatal("server must reject an empty command")
 	}
 }
 
 func TestSendConnectError(t *testing.T) {
 	cmd, _ := ParseConfigP4([]string{"--samples_per_second", "1"})
-	if err := cmd.Send("127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if err := cmd.SendWith("127.0.0.1:1", SendOptions{Timeout: 200 * time.Millisecond}); err == nil {
 		t.Fatal("connecting to a dead port must fail")
 	}
 }

@@ -8,13 +8,12 @@ import (
 	"repro/internal/faultnet"
 )
 
-// TestCloseTerminatesGoroutines is the runtime half of the goleak
-// gate (cmd/p4lint's static pass is the other half): every goroutine a
-// shipper starts — the run loop plus whatever per-connection servers
-// its dials induced — must be gone after Close, in every degradation
-// state. The harness (listener, archiver accept loop) is created
-// before the baseline count so only shipper-owned goroutines are
-// measured.
+// TestCloseTerminatesGoroutines counts the goroutines a shipper
+// starts — the run loop plus whatever per-connection servers its dials
+// induced — and requires every one to be gone after Close, in every
+// degradation state. The harness (listener, archiver accept loop) is
+// created before the baseline count so only shipper-owned goroutines
+// are measured.
 func TestCloseTerminatesGoroutines(t *testing.T) {
 	scenarios := map[string]func(t *testing.T) func() *Shipper{
 		"terminal": func(t *testing.T) func() *Shipper {

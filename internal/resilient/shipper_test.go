@@ -76,6 +76,16 @@ func newTestArchiver(l *faultnet.Listener) *testArchiver {
 
 func (a *testArchiver) count() int { return len(a.timestamps()) }
 
+// drain closes l and waits until the archiver has read every connection
+// it accepted to its end. A shipper's Write returns once net.Pipe has
+// handed the bytes to the archiver's reader, before the reader has
+// decoded them: after the shipper's Close, drain is what makes the
+// archived records final.
+func (a *testArchiver) drain(l *faultnet.Listener) {
+	l.Close()
+	a.wg.Wait()
+}
+
 func (a *testArchiver) badLines() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -278,6 +288,7 @@ func TestStalledArchiverHitsWriteDeadline(t *testing.T) {
 		t.Fatalf("stats: %s", st)
 	}
 	checkInvariant(t, st)
+	arch.drain(l)
 	if got := arch.count(); got != n {
 		t.Fatalf("archived %d, want %d", got, n)
 	}
@@ -311,6 +322,7 @@ func TestMemorySpoolDropsOldestExactly(t *testing.T) {
 	}
 	checkInvariant(t, s.Stats())
 	// The four newest records survive, in order.
+	arch.drain(l)
 	want := []int64{6, 7, 8, 9}
 	ts := arch.timestamps()
 	if len(ts) != len(want) {

@@ -83,22 +83,12 @@ type (
 
 // Experiment configurations and results.
 type (
-	Fig9Config  = experiments.Fig9Config
-	Fig9Result  = experiments.Fig9Result
-	Fig11Config = experiments.Fig11Config
-	Fig11Result = experiments.Fig11Result
 	Fig12Config = experiments.Fig12Config
 	Fig12Result = experiments.Fig12Result
 	Fig13Config = experiments.Fig13Config
 	Fig13Result = experiments.Fig13Result
 	Fig14Result = experiments.Fig14Result
 )
-
-// RunFig9 regenerates Figure 9 (and Figure 10's data).
-func RunFig9(cfg Fig9Config) *Fig9Result { return experiments.RunFig9(cfg) }
-
-// RunFig11 regenerates Figure 11.
-func RunFig11(cfg Fig11Config) *Fig11Result { return experiments.RunFig11(cfg) }
 
 // RunFig12 regenerates Figure 12.
 func RunFig12(cfg Fig12Config) *Fig12Result { return experiments.RunFig12(cfg) }

@@ -23,7 +23,10 @@ trap 'rm -rf "$work"' EXIT
 # reached DIR MAIN appends the symbols of the root in DIR to
 # $work/reached, written as the declarations below are keyed: module
 # path and receiver pointer dropped, generic shapes removed, main.X
-# renamed MAIN.X. Shapes hold spaces, so edges split on " -> ".
+# renamed MAIN.X. Shapes hold spaces, so edges split on " -> ". A
+# function's argument funcdata (F.arginfo1, F.argliveinfo) is not a
+# call of F: the linker shares such symbols by content, so another
+# function with the same argument layout may carry F's.
 reached() {
 	local dir=$1 main=$2
 	if ! (cd "$dir" && go build -o "$work/bin" -gcflags=all=-l -ldflags=-dumpdep .) 2>"$work/dep"; then
@@ -37,6 +40,7 @@ reached() {
 			if (s ~ /^main\./) s = main substr(s, 5)
 			else if (s ~ /^repro\//) s = substr(s, 7)
 			else continue
+			if (s ~ /\.(arginfo[0-9]+|argliveinfo)$/) continue
 			while (gsub(/\[[^][]*\]/, "", s)) {}
 			gsub(/\(\*|\)/, "", s)
 			print s
