@@ -108,13 +108,15 @@ obs:
 
 # scale gates the memory-bounded telemetry tier: the sketch, admission
 # and aging suites under the race detector, then the CI-sized
-# accuracy-vs-memory sweep (10k–200k flows) via the batch front-end.
+# accuracy-vs-memory sweep (10k–200k flows) via the batch front-end at
+# two seeds, each its own flow population audited against the oracle.
 # The nightly workflow runs the same sweep to the 1M-flow paper point.
 scale:
 	$(GO) test -race -timeout 30m ./internal/sketch
 	$(GO) test -race -timeout 30m -run 'TestAdmission|TestAgeFlows|TestRTTHist|TestRTTBucket|TestFlowTableMemory' ./internal/dataplane
 	$(GO) test -race -timeout 30m -run 'TestScaleSweep' ./internal/experiments
 	$(GO) run ./cmd/p4psonar run scale
+	$(GO) run ./cmd/p4psonar run -seed 2026 scale
 
 # federation runs the fleet scenario end to end: the CI-sized 2×2
 # topology under -race (member partition, spill and replay, exact

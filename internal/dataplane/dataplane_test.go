@@ -143,10 +143,12 @@ func TestAlgorithm1PacketLossOnSequenceRegression(t *testing.T) {
 	if s.PktLoss != 1 {
 		t.Fatalf("loss=%d, want 1", s.PktLoss)
 	}
-	// In-order continuation must not add losses.
+	// In-order continuation, and a resend of the latest segment (not
+	// below the previous one), must not add losses.
 	d.ProcessCopy(ingress(dataPkt(ft, 4345, 1448, 5), 4))
+	d.ProcessCopy(ingress(dataPkt(ft, 4345, 1448, 6), 5))
 	if got := d.ReadFlow(id, HashReverse(ft)).PktLoss; got != 1 {
-		t.Fatalf("loss=%d after in-order resume", got)
+		t.Fatalf("loss=%d after in-order resume and a resend of the latest segment", got)
 	}
 }
 

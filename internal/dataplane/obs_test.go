@@ -9,22 +9,22 @@ import (
 )
 
 // TestObsDataplaneSeriesAreShardCountIndependent scrapes an
-// instrumented front-end after the same alias-free trace at one shard
+// instrumented front-end after the same trace, whose sixteen flows
+// contend for no cell (the aliased-packets series says so), at one shard
 // and at four: the p4_dataplane_* name set must be identical and every
 // deterministic series must carry the same value — a sharded collector
 // sees the packet path exactly as an unsharded one does, with
 // p4_pipes_shard<i>_* as the only per-shard view.
 func TestObsDataplaneSeriesAreShardCountIndependent(t *testing.T) {
-	idxs := aliasFreeFlowIdx(16)
 	scrape := func(shards int) (map[string]interface{}, *Pipes) {
 		p := NewPipes(traceConfig, shards)
 		r := obs.NewRegistry()
 		p.RegisterObs(r)
-		for _, c := range buildTraceIdx(idxs, 40) {
+		for _, c := range buildTrace(16, 40) {
 			p.ProcessCopy(c)
 		}
 		p.Flush()
-		ft := traceFlow(idxs[0])
+		ft := traceFlow(0)
 		p.ReadFlow(HashFiveTuple(ft), HashReverse(ft))
 		series := r.Snapshot()
 		for name := range series {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/dataplane"
+	"repro/internal/oracle"
 	"repro/internal/packet"
 	"repro/internal/replay"
 	"repro/internal/simtime"
@@ -47,12 +48,11 @@ type ScaleSweepConfig struct {
 	// RetransEvery rewinds each flow's sequence cursor every N data
 	// segments, producing ground-truth loss events. Default 7.
 	RetransEvery int
-	// SampleFlows is the number of flows per point whose ground truth
-	// is tracked and audited. Default 128.
-	SampleFlows int
 	// Shards is the pipe count (0/1 = single pipe).
 	Shards int
-	Seed   uint64
+	// Seed picks the flow numbering (synthSource): each seed replays
+	// its own population.
+	Seed uint64
 }
 
 func (c ScaleSweepConfig) withDefaults() ScaleSweepConfig {
@@ -84,9 +84,6 @@ func (c ScaleSweepConfig) withDefaults() ScaleSweepConfig {
 	if c.RetransEvery <= 0 {
 		c.RetransEvery = 7
 	}
-	if c.SampleFlows <= 0 {
-		c.SampleFlows = 128
-	}
 	return c
 }
 
@@ -96,8 +93,12 @@ type ScalePoint struct {
 	Flows, Packets int
 	// PPS and Gbps are the batch path's measured replay rates.
 	PPS, Gbps float64
-	// Admitted and Sketched split the audited sample by tier.
+	// Admitted and Sketched split the audited flows, every data flow
+	// of the point, by tier.
 	Admitted, Sketched int
+	// ExactLoss and SketchLoss are the loss the two tiers report for
+	// the flows each holds; OracleLoss is the true total.
+	ExactLoss, SketchLoss, OracleLoss uint64
 	// AliasedPackets and Evictions are the pipeline's merged counters
 	// after the run (evictions from the post-run aging sweep).
 	AliasedPackets, Evictions uint64
@@ -107,7 +108,7 @@ type ScalePoint struct {
 	BytesPerFlow                float64
 	// PktsBound and BytesBound are the sketches' analytical ⌈ε·N⌉
 	// overcount caps at the end of the run; MaxPktsErr and MaxBytesErr
-	// the largest overcounts actually observed on sketch-tier samples.
+	// the largest overcounts actually observed on sketch-tier flows.
 	PktsBound, BytesBound   uint64
 	MaxPktsErr, MaxBytesErr uint64
 
@@ -119,7 +120,7 @@ type ScalePoint struct {
 	BoundViolations int // sketch query overcounting beyond bound + dup-FP allowance
 	FoldErrors      int // evicted flow whose estimate no longer covers its history
 	// BoundAllowance is the violation budget: with δ per query and
-	// three audited queries per sketch-tier sample, a handful of
+	// three audited queries per sketch-tier flow, a handful of
 	// excursions is expected noise, not a defect.
 	BoundAllowance int
 }
@@ -146,27 +147,22 @@ func (r *ScaleSweepResult) Pass() bool {
 	return len(r.Points) > 0
 }
 
-// flowTruth is one sampled flow's ground truth, tallied from a shadow
-// pass over the identical record stream.
-type flowTruth struct {
-	bytes, pkts, loss uint64
-	dataPkts          uint64
-	maxSeq            uint64
-}
-
 // synthSource builds the sweep point's workload. One constructor keeps
-// the measured run and the shadow truth pass byte-identical.
+// the measured run and the oracle's pass byte-identical. Seed k numbers
+// the flows from k·flows, modulo the numbers Synth can address, so two
+// seeds replay disjoint populations.
 func (c ScaleSweepConfig) synthSource(flows int) *replay.Synth {
 	return &replay.Synth{
 		Flows:        flows,
 		Packets:      flows * c.PacketsPerFlow,
 		MSS:          c.Scale.MSS,
 		RetransEvery: c.RetransEvery,
+		FlowBase:     int(c.Seed%uint64(replay.SynthFlowNumbers/flows)) * flows,
 	}
 }
 
 // RunScaleSweep replays each flow population through a fresh pipeline
-// and audits the two-tier guarantees against sampled ground truth.
+// and audits the two-tier guarantees of every flow against the oracle.
 func RunScaleSweep(cfg ScaleSweepConfig) *ScaleSweepResult {
 	cfg = cfg.withDefaults()
 	res := &ScaleSweepResult{Config: cfg}
@@ -197,46 +193,15 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 	// Measured run: the full stream through the batch path.
 	run := replay.Runner{Plane: plane}.Run(cfg.synthSource(flows)) //p4:lint-exempt determinism: Runner's wall clock only stamps Result.Elapsed (the PPS/Gbps figures); every audited quantity is counter state
 
-	// Shadow pass: regenerate the identical stream and tally ground
-	// truth for a stride-sampled subset of forward (data-direction)
-	// flow keys. A data record whose sequence sits below the flow's
-	// running maximum is a retransmission — one true loss event in
-	// both tiers.
-	samples := cfg.SampleFlows
-	if samples > flows {
-		samples = flows
-	}
-	truth := make(map[dataplane.FlowKey]*flowTruth, samples)
-	keys := make([]dataplane.FlowKey, samples)
-	stride := flows / samples
-	for i := range keys {
-		keys[i] = replay.SynthFlowKey(i * stride)
-		truth[keys[i]] = &flowTruth{}
-	}
-	shadow := cfg.synthSource(flows)
+	// Ground truth: the oracle is shown the identical stream after the
+	// measured run, so its cost stays out of the Mpps column.
+	truth := oracle.New()
 	var (
 		rec replay.Record
 		pkt packet.Packet
 	)
-	for shadow.Next(&rec) {
-		if rec.Point != 0 {
-			continue // egress copies carry no truth
-		}
-		// Keyed as the data plane's parser keys it; reverse ACKs and
-		// unsampled flows miss the map.
-		rec.Fill(&pkt)
-		t := truth[dataplane.KeyOf(pkt.FiveTuple())]
-		if t == nil {
-			continue
-		}
-		t.bytes += uint64(rec.TotalLen)
-		t.pkts++
-		t.dataPkts++
-		if rec.Seq < t.maxSeq {
-			t.loss++
-		} else {
-			t.maxSeq = rec.Seq
-		}
+	for src := cfg.synthSource(flows); src.Next(&rec); {
+		truth.Observe(rec.CopyInto(&pkt))
 	}
 
 	pt := ScalePoint{
@@ -256,52 +221,49 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 			dupFP = r
 		}
 	}
-	var admittedKeys []dataplane.FlowKey
-	for _, k := range keys {
-		t := truth[k]
-		est := plane.EstimateFlow(k)
-		if est.Bytes < t.bytes || est.Pkts < t.pkts {
-			pt.Undercounts++
-		}
+	var admitted []packet.FiveTuple
+	for _, ft := range truth.DataFlows() {
+		t, est := truth.Flow(ft), plane.EstimateFlow(dataplane.KeyOf(ft))
 		if est.Admitted {
 			pt.Admitted++
-			admittedKeys = append(admittedKeys, k)
-			if est.ExactBytes != t.bytes || est.ExactPkts != t.pkts || est.ExactLoss != t.loss {
+			pt.ExactLoss += est.ExactLoss
+			admitted = append(admitted, ft)
+			if est.ExactBytes != t.Bytes || est.ExactPkts != t.Pkts || est.ExactLoss != t.PktLoss {
 				pt.ExactMismatches++
 			}
 			continue
 		}
 		pt.Sketched++
-		// Loss can only undercount if the dup filter missed a
-		// duplicate, which it cannot.
-		if est.Loss < t.loss {
+		pt.SketchLoss += est.Loss
+		// The sketches never undercount, and loss could only if the dup
+		// filter missed a duplicate, which it cannot.
+		if est.Bytes < t.Bytes || est.Pkts < t.Pkts || est.Loss < t.PktLoss {
 			pt.Undercounts++
 			continue // the overcount math below assumes est >= truth
 		}
-		if est.Bytes < t.bytes || est.Pkts < t.pkts {
-			continue // already counted as an undercount above
-		}
-		if e := est.Bytes - t.bytes; e > pt.MaxBytesErr {
+		if e := est.Bytes - t.Bytes; e > pt.MaxBytesErr {
 			pt.MaxBytesErr = e
 		}
-		if e := est.Pkts - t.pkts; e > pt.MaxPktsErr {
+		if e := est.Pkts - t.Pkts; e > pt.MaxPktsErr {
 			pt.MaxPktsErr = e
 		}
-		if est.Bytes-t.bytes > est.BytesBound {
+		if est.Bytes-t.Bytes > est.BytesBound {
 			pt.BoundViolations++
 		}
-		if est.Pkts-t.pkts > est.PktsBound {
+		if est.Pkts-t.Pkts > est.PktsBound {
 			pt.BoundViolations++
 		}
 		// Loss additionally tolerates the dup filter's spurious
-		// positives at its analytical rate over this flow's inserts.
-		fpAllow := uint64(math.Ceil(dupFP*float64(t.dataPkts))) + 1
-		if est.Loss-t.loss > est.LossBound+fpAllow {
+		// positives at its analytical rate over this flow's tests (at
+		// most one per packet).
+		fpAllow := uint64(math.Ceil(dupFP*float64(t.Pkts))) + 1
+		if est.Loss-t.PktLoss > est.LossBound+fpAllow {
 			pt.BoundViolations++
 		}
 		pt.PktsBound, pt.BytesBound = est.PktsBound, est.BytesBound
 	}
-	// δ per query, three audited bound queries per sketch-tier sample;
+	pt.OracleLoss = truth.Loss()
+	// δ per query, three audited bound queries per sketch-tier flow;
 	// triple the expectation before calling noise a defect.
 	pt.BoundAllowance = int(math.Ceil(3*cfg.Delta*3*float64(pt.Sketched))) + 1
 
@@ -314,10 +276,10 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 	// hour past the start is past every stamp yet well inside the 48-bit
 	// stamps' horizon, where a far-future now would wrap.
 	plane.AgeFlows(3600*simtime.Second, simtime.Second)
-	for _, k := range admittedKeys {
-		t := truth[k]
-		est := plane.EstimateFlow(k)
-		if est.Admitted || est.Bytes < t.bytes || est.Pkts < t.pkts || est.Loss < t.loss {
+	for _, ft := range admitted {
+		t := truth.Flow(ft)
+		est := plane.EstimateFlow(dataplane.KeyOf(ft))
+		if est.Admitted || est.Bytes < t.Bytes || est.Pkts < t.Pkts || est.Loss < t.PktLoss {
 			pt.FoldErrors++
 		}
 	}
@@ -343,8 +305,9 @@ func (r *ScaleSweepResult) Render() string {
 	}
 	b.WriteByte('\n')
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%8d flows: %d/%d sampled admitted exact, %d sketched; aliased=%d evicted=%d undercnt=%d exactmis=%d boundviol=%d/%d fold=%d\n",
+		fmt.Fprintf(&b, "%8d flows: %d/%d admitted exact, %d sketched; loss exact=%d sketch=%d oracle=%d; aliased=%d evicted=%d undercnt=%d exactmis=%d boundviol=%d/%d fold=%d\n",
 			p.Flows, p.Admitted, p.Admitted+p.Sketched, p.Sketched,
+			p.ExactLoss, p.SketchLoss, p.OracleLoss,
 			p.AliasedPackets, p.Evictions,
 			p.Undercounts, p.ExactMismatches, p.BoundViolations, p.BoundAllowance, p.FoldErrors)
 	}

@@ -75,6 +75,10 @@ func synthEndpoints(g int) (src, dst [4]byte, port uint16) {
 	return src, dst, uint16(40000 + g>>16)
 }
 
+// SynthFlowNumbers is how many flow numbers (FlowBase included) the
+// addressing keeps distinct with the sender port at most 65535.
+const SynthFlowNumbers = (1<<16 - 40000) << 16
+
 // SynthFlowKey returns the forward (data-direction) flow key of Synth
 // flow number g, FlowBase included: the key the data plane files the
 // flow's data segments under.
