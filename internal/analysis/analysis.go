@@ -1,12 +1,13 @@
 // Package analysis is the repository's domain-aware static-analysis
 // layer: a small, stdlib-only analogue of golang.org/x/tools/go/analysis
 // specialised for the invariants this P4-perfSONAR reproduction must
-// preserve — nanosecond time units, lock discipline on shared
-// control-plane state, checked I/O errors on the archiver paths, and
-// cancellable goroutines in server code.
+// preserve — nanosecond time units, checked I/O errors on the archiver
+// paths, godoc on exported names, the p4:hotpath contract, lock
+// discipline on shared state, and seed-determined simulation output.
 //
 // A shared Loader parses and type-checks every package once; each
-// Analyzer then walks the typed ASTs and reports Diagnostics. The
+// Analyzer then reads the typed ASTs, or the Program's walked events
+// and propagated facts, and reports Diagnostics. The
 // cmd/p4lint driver runs the registry over package patterns and prints
 // file:line: message lines (or GitHub Actions annotations).
 package analysis
@@ -17,6 +18,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -131,21 +133,15 @@ func ByName(names []string) ([]*Analyzer, error) {
 	all := All()
 	var out []*Analyzer
 	for _, n := range names {
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == n })
+		if i < 0 {
 			known := make([]string, len(all))
 			for i, a := range all {
 				known[i] = a.Name
 			}
 			return nil, fmt.Errorf("analysis: unknown analyzer %q (known: %v)", n, known)
 		}
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -180,18 +176,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		a.Run(&Pass{Analyzer: a, Pkgs: pkgs, Fset: fset, run: r})
 	}
 
-	out := r.diags
-	sortDiagnostics(out)
+	sortDiagnostics(r.diags)
 	// A package listed twice (overlapping patterns) must not double its
 	// findings.
-	dedup := out[:0]
-	for i, d := range out {
-		if i > 0 && d == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, d)
-	}
-	return dedup
+	return slices.Compact(r.diags)
 }
 
 // exemptRe matches the line-level escape hatch

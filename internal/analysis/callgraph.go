@@ -39,6 +39,7 @@ type Program struct {
 	funcs   map[*types.Func]*FuncInfo
 	ordered []*FuncInfo
 	callees map[*types.Func][]Edge
+	walked  map[*types.Func][]body // bodies, walked on first use
 }
 
 // FuncInfo pairs a function object with its declaration and package.
@@ -51,16 +52,20 @@ type FuncInfo struct {
 // Name renders the function for diagnostics: Recv.Name for methods,
 // plain name for functions.
 func (fi *FuncInfo) Name() string {
-	if sig, ok := fi.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fi.Obj.Name()
-		}
+	if n := recvNamed(fi.Obj); n != nil {
+		return n.Obj().Name() + "." + fi.Obj.Name()
 	}
 	return fi.Obj.Name()
+}
+
+// recvNamed returns the named type of a method's receiver, or nil.
+func recvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	n, _ := derefPtr(sig.Recv().Type()).(*types.Named)
+	return n
 }
 
 // Edge is one call-graph edge, positioned at the call site.
@@ -115,6 +120,7 @@ func NewProgram(pkgs []*Package) *Program {
 		Fset:    pkgs[0].Fset,
 		funcs:   make(map[*types.Func]*FuncInfo),
 		callees: make(map[*types.Func][]Edge),
+		walked:  make(map[*types.Func][]body),
 	}
 
 	// Index every function declaration in the closure.
@@ -172,16 +178,8 @@ func (prog *Program) namedWithMethods() []*types.Named {
 	seen := map[*types.Named]bool{}
 	var out []*types.Named
 	for _, fi := range prog.ordered {
-		sig := fi.Obj.Type().(*types.Signature)
-		if sig.Recv() == nil {
-			continue
-		}
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		n, ok := t.(*types.Named)
-		if !ok || seen[n] {
+		n := recvNamed(fi.Obj)
+		if n == nil || seen[n] {
 			continue
 		}
 		seen[n] = true
@@ -210,30 +208,19 @@ func (prog *Program) collectEdges(fi *FuncInfo, named []*types.Named) []Edge {
 		if !ok {
 			return true
 		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			if fn, ok := info.Uses[fun].(*types.Func); ok {
-				edges = append(edges, Edge{Callee: fn, Site: call.Pos()})
-			}
-		case *ast.SelectorExpr:
+		fn := calledFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-				m, ok := sel.Obj().(*types.Func)
-				if !ok {
-					break
+				if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
+					edges = append(edges, prog.dispatch(call.Pos(), sel.Recv(), iface, fn.Name(), named)...)
+					return true
 				}
-				recv := sel.Recv()
-				if iface, ok := recv.Underlying().(*types.Interface); ok {
-					edges = append(edges, prog.dispatch(call.Pos(), recv, iface, m.Name(), named)...)
-				} else {
-					edges = append(edges, Edge{Callee: m, Site: call.Pos()})
-				}
-				break
-			}
-			// Qualified call: pkg.Func.
-			if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-				edges = append(edges, Edge{Callee: fn, Site: call.Pos()})
 			}
 		}
+		edges = append(edges, Edge{Callee: fn, Site: call.Pos()})
 		return true
 	})
 	return edges

@@ -9,31 +9,34 @@ import (
 
 // DeterminismAnalyzer guards the reproducibility contract of the
 // simulation-facing packages: every experiment run with the same seed
-// must produce byte-identical output (the witness gate diffs fig CSVs
-// against golden copies). Inside the deterministic scope
-// (internal/experiments, internal/simtime, internal/core) the pass
-// reports:
+// must produce byte-identical output. Inside the deterministic scope
+// (internal/experiments, internal/simtime, internal/core) it reads each
+// declaration's walked events and reports:
 //
-//   - time.Now — wall-clock reads vary run to run; the simulation
-//     clock (simtime) is the only time source the scope may consult;
-//   - calls that *transitively* reach time.Now through module functions
-//     outside the scope, resolved over the whole-program call graph and
-//     reported at the deterministic call site with the offending chain;
-//   - the global math/rand functions (Intn, Float64, Shuffle, Perm,
-//     ...) — the process-wide source is shared and, unseeded, differs
-//     across runs; randomness must flow from the experiment seed via
+//   - time.Now — the simulation clock (simtime) is the only time source
+//     the scope may consult;
+//   - calls that reach time.Now through module functions outside the
+//     scope (the wall-clock facts, propagated over the call graph),
+//     reported at the call site with the offending chain;
+//   - the global math/rand functions (Intn, Float64, Shuffle, ...):
+//     randomness must flow from the experiment seed via
 //     rand.New(rand.NewSource(seed));
 //   - map iteration whose body feeds an order-sensitive sink — a call
-//     per key (scheduling, registration, output), a channel send, or a
-//     string/slice accumulation that is never sorted afterwards. The
-//     collect-keys-then-sort idiom (append inside the range, sort.Strings
-//     after it) is recognised and accepted; per-key calls are flagged
-//     regardless, because the calls already happened in map order.
+//     per key, a channel send, or a string/slice accumulation that is
+//     never sorted afterwards (collect-then-sort is accepted; per-key
+//     calls are not, because they already happened in map order).
 //
-// A site that is deliberate (a real-TCP drain loop, telemetry
-// timestamps) is excluded with a justified `p4:lint-exempt` line
-// comment naming this pass; exempted time.Now sites also stop the
-// transitive propagation.
+// What it catches that nothing else does: `make witness` diffs the
+// runs it compares, so it misses a map order or clock read that does
+// not move their bytes — a one-key map at seed 42, a rounded-away
+// time.Now, a path only `-paper` or another seed takes — and the
+// next seed, scale or Go release diverges. With the tree's exemptions
+// disabled it reports 5 findings (a real-TCP convergence timeout, the
+// shipper's write deadlines, Runner's Elapsed stamp).
+//
+// A deliberate site is excluded with a justified `p4:lint-exempt` line
+// comment naming this pass; an exempted time.Now also stops the
+// propagation.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "wall clock, unseeded math/rand, and order-sensitive map iteration in the deterministic simulation scope",
@@ -52,75 +55,35 @@ var determinismScopes = []string{
 func runDeterminism(pass *Pass) {
 	prog := pass.Program()
 
-	// Whole-program wall-clock facts: where each function calls time.Now
-	// directly (exempted sites do not count), then the transitive
-	// closure over the call graph.
+	// Whole-program wall-clock facts: the first time.Now each function
+	// reads itself (exempted sites do not count), then every function
+	// that reaches one.
 	wallAt := map[*types.Func]token.Pos{}
 	for _, fi := range prog.Functions() {
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calledFunc(fi.Pkg.Info, call); fn != nil &&
-				fn.Pkg() != nil && fn.Pkg().Path() == "time" && fn.Name() == "Now" && !pass.Exempt(call.Pos()) {
-				if _, seen := wallAt[fi.Obj]; !seen {
-					wallAt[fi.Obj] = call.Pos()
-				}
-			}
-			return true
-		})
-	}
-	reaches := map[*types.Func]bool{}
-	for fn := range wallAt {
-		reaches[fn] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range prog.Functions() {
-			if reaches[fi.Obj] {
-				continue
-			}
-			for _, e := range prog.Callees(fi.Obj) {
-				if reaches[e.Callee] {
-					reaches[fi.Obj] = true
-					changed = true
-					break
-				}
+		for _, e := range prog.bodies(fi)[0].events {
+			if e.kind == evClock && !pass.Exempt(e.pos) {
+				wallAt[fi.Obj] = e.pos
+				break
 			}
 		}
 	}
+	reaches := propagate(prog, wallAt)
 
 	for _, fi := range prog.Functions() {
 		if !pathInScope(fi.Pkg.Path, determinismScopes) {
 			continue
 		}
-		info := fi.Pkg.Info
-
-		// Direct wall clock and global math/rand.
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
+		pkg := fi.Pkg.Types.Name()
+		for _, e := range prog.bodies(fi)[0].events {
+			switch e.kind {
+			case evClock:
+				pass.Reportf(e.pos, "time.Now in deterministic package %s: wall clock varies run to run; consult the simulation clock (simtime) instead", pkg)
+			case evRand:
+				pass.Reportf(e.pos, "global math/rand.%s in deterministic package %s: the process-wide source is not derived from the experiment seed; use rand.New(rand.NewSource(seed))", e.fn.Name(), pkg)
+			case evMapRange:
+				checkMapOrder(pass, fi, e.rng)
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calledFunc(info, call)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch {
-			case fn.Pkg().Path() == "time" && fn.Name() == "Now":
-				pass.Reportf(call.Pos(), "time.Now in deterministic package %s: wall clock varies run to run; consult the simulation clock (simtime) instead", fi.Pkg.Types.Name())
-			case fn.Pkg().Path() == "math/rand" && isGlobalRandFunc(fn):
-				pass.Reportf(call.Pos(), "global math/rand.%s in deterministic package %s: the process-wide source is not derived from the experiment seed; use rand.New(rand.NewSource(seed))", fn.Name(), fi.Pkg.Types.Name())
-			}
-			return true
-		})
+		}
 
 		// Transitive wall clock through out-of-scope module functions.
 		reported := map[token.Pos]bool{}
@@ -129,45 +92,14 @@ func runDeterminism(pass *Pass) {
 			if callee == nil || pathInScope(callee.Pkg.Path, determinismScopes) {
 				continue // stdlib (direct time.Now caught above) or flagged in its own scope
 			}
-			if !reaches[e.Callee] || pass.Exempt(e.Site) || reported[e.Site] {
+			if reaches[e.Callee] == token.NoPos || pass.Exempt(e.Site) || reported[e.Site] {
 				continue
 			}
 			reported[e.Site] = true
 			chain, at := wallChain(prog, callee, wallAt)
-			pass.Reportf(e.Site, "call from deterministic package %s reaches time.Now via %s (at %s): thread the simulation clock through, or exempt the site with a justification", fi.Pkg.Types.Name(), chain, prog.Fset.Position(at))
+			pass.Reportf(e.Site, "call from deterministic package %s reaches time.Now via %s (at %s): thread the simulation clock through, or exempt the site with a justification", pkg, chain, prog.Fset.Position(at))
 		}
-
-		// Order-sensitive map iteration.
-		checkMapOrder(pass, fi)
 	}
-}
-
-// calledFunc resolves a call expression to its *types.Func for both
-// ident and selector call forms, or nil.
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// isGlobalRandFunc reports whether fn is a math/rand package-level
-// generator (backed by the shared global source). Constructors are
-// fine: they are how seeded sources get built.
-func isGlobalRandFunc(fn *types.Func) bool {
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return false
-	}
-	switch fn.Name() {
-	case "New", "NewSource", "NewZipf":
-		return false
-	}
-	return true
 }
 
 // wallChain returns a shortest call chain from fn to a function with a
@@ -185,17 +117,27 @@ func wallChain(prog *Program, fn *FuncInfo, wallAt map[*types.Func]token.Pos) (s
 	return chain, at
 }
 
-// checkMapOrder flags map iterations whose bodies are order-sensitive.
-func checkMapOrder(pass *Pass, fi *FuncInfo) {
-	info := fi.Pkg.Info
+// checkMapOrder flags a map iteration whose body is order-sensitive.
+// An accumulation followed by a sort-ish call (sort.Strings, sortTimes,
+// sortedKeys...) is the accepted collect-then-sort idiom.
+func checkMapOrder(pass *Pass, fi *FuncInfo, rng *ast.RangeStmt) {
+	switch kind, ok := mapOrderSink(fi.Pkg.Info, rng); {
+	case !ok:
+	case kind != "collects":
+		pass.Reportf(rng.Pos(), "map iteration performs a %s per key in %s: the keys arrive in a different order every run; iterate over sorted keys (the sortedKeys idiom) so runs are reproducible", kind, fi.Name())
+	case !sortedAfter(fi.Decl.Body, rng.End()):
+		pass.Reportf(rng.Pos(), "map iteration accumulates output in nondeterministic order in %s and the result is never sorted: collect the keys, sort them, then iterate (the sortedKeys idiom)", fi.Name())
+	}
+}
 
-	// Positions of sort-ish calls in the body (sort.Strings, sortTimes,
-	// sortedKeys...), used to accept the collect-then-sort idiom.
-	var sortEnds []token.Pos
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
+// sortedAfter reports whether the body calls a sort-ish function after
+// pos.
+func sortedAfter(body *ast.BlockStmt, pos token.Pos) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if !ok || found {
+			return !found
 		}
 		name := ""
 		switch fun := ast.Unparen(call.Fun).(type) {
@@ -207,50 +149,10 @@ func checkMapOrder(pass *Pass, fi *FuncInfo) {
 				name = "sort" + name
 			}
 		}
-		if strings.Contains(strings.ToLower(name), "sort") {
-			sortEnds = append(sortEnds, call.Pos())
-		}
-		return true
+		found = call.Pos() > pos && strings.Contains(strings.ToLower(name), "sort")
+		return !found
 	})
-	sortedAfter := func(pos token.Pos) bool {
-		for _, p := range sortEnds {
-			if p > pos {
-				return true
-			}
-		}
-		return false
-	}
-
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		kind, ok := mapOrderSink(info, rng)
-		if !ok {
-			return true
-		}
-		switch kind {
-		case "collects":
-			if sortedAfter(rng.End()) {
-				return true // collect-then-sort idiom: accepted
-			}
-			pass.Reportf(rng.Pos(), "map iteration accumulates output in nondeterministic order in %s and the result is never sorted: collect the keys, sort them, then iterate (the sortedKeys idiom)", fi.Name())
-		default:
-			pass.Reportf(rng.Pos(), "map iteration performs a %s per key in %s: the keys arrive in a different order every run; iterate over sorted keys (the sortedKeys idiom) so runs are reproducible", kind, fi.Name())
-		}
-		return true
-	})
+	return found
 }
 
 // mapOrderSink classifies the body of a map range as order-sensitive:

@@ -10,46 +10,38 @@ import (
 
 // LockOrderAnalyzer owns the mutex discipline of the concurrent
 // subsystems (sharded data plane, resilient shipper, archiver pipeline,
-// collector daemon). One source-order walk of every function body —
-// declared functions and function literals alike, each a body of its
-// own — feeds four rules:
+// collector daemon). It reads the walked events of every function body
+// — declared functions and function literals alike, each a body of its
+// own — under four rules:
 //
 //  1. No nesting. A Lock taken while another lock is held, directly or
-//     through a call whose callees (transitively, over the call graph)
-//     take one, is reported. A deadlock between two goroutines needs
-//     each to hold one lock while waiting for another, so a program
-//     that never nests has no acquisition-order cycle to search for.
-//     A TryLock never waits and is exempt.
-//
-//  2. Lock held across a blocking operation. In the packages that talk
-//     to the network or move data between goroutines
-//     (internal/dataplane, internal/resilient, internal/psarchiver),
-//     holding a mutex across a channel send/receive/select or a
-//     net/os-level I/O call stalls every other goroutine contending for
-//     the lock for as long as the peer takes — the bug class the PR-4
+//     through a call whose callees (the acquisition facts, propagated
+//     over the call graph) take one. A program that never nests has no
+//     acquisition-order cycle to deadlock on. A TryLock never waits.
+//  2. Lock held across a blocking operation. In internal/dataplane,
+//     internal/resilient and internal/psarchiver, a mutex held across a
+//     channel operation or a net/os I/O call stalls every contending
+//     goroutine for as long as the peer takes — the bug class the PR-4
 //     shipper redesign removed (conn.Write moved outside mu).
+//  3. Re-acquisition: sync mutexes are not reentrant.
+//  4. Lock held at return: a Lock a return (or the body's end) reaches
+//     with no Unlock and no deferred Unlock. A TryLock is exempt: `if
+//     !mu.TryLock() { return }` holds nothing when it returns.
 //
-//  3. Re-acquisition. Locking the expression this body already holds
-//     deadlocks the goroutine on itself: sync mutexes are not
-//     reentrant.
-//
-//  4. Lock held at return. A Lock that a return statement (or the end
-//     of the body) can reach with no Unlock in between and no deferred
-//     Unlock leaks the lock on that path. A TryLock is exempt: the
-//     idiomatic `if !mu.TryLock() { return }` holds nothing when it
-//     returns.
+// What it catches that nothing else does: `-race` reports data races,
+// not deadlocks or locks held across I/O, and a test sees a deadlock
+// only on the schedule it happens to run; no type or `go vet` check
+// reads lock order. It has recorded no deadlock since PR 24: the module
+// nests no locks, and the pass keeps it so. A lock copied by value is
+// `go vet`'s copylocks.
 //
 // Within a body a lock is the receiver expression it was taken through
-// (x.mu and y.mu are two locks, as are two elements of a map of
-// mutexes). The walk is a linear, branch-insensitive approximation,
-// which matches how locks are used here (short critical sections,
-// unlocks in the same block or deferred): Lock adds, Unlock removes,
-// `defer Unlock` holds to the body's end and covers every return. The
-// call graph draws no edge through a function value, so a lock taken
-// inside a callback called under another lock is not seen. A
-// deliberate exception is excluded with a justified `p4:lint-exempt`
-// line comment naming this pass. A lock copied by value is `go vet`'s
-// copylocks check, which `make ci` runs beside this one.
+// (x.mu and y.mu are two locks). The walk is linear and
+// branch-insensitive, which matches the short critical sections here:
+// Lock adds, Unlock removes, `defer Unlock` holds to the body's end. A
+// lock taken inside a callback called under another lock is not seen
+// (no edge through a function value). A deliberate exception is
+// excluded with a justified `p4:lint-exempt` line comment.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "mutex discipline: a lock taken while another is held, locks held across I/O or channel operations, re-acquisition, Lock without Unlock on a return path",
@@ -64,54 +56,6 @@ var lockIOScopes = []string{
 	"testdata/src/lockorder",
 }
 
-// ioPkgs are stdlib packages whose calls mean "waiting on a peer or the
-// kernel" — the operations rule 2 bans under a lock. Buffered or
-// in-memory writers (bytes, strings, bufio flushes excepted) are not
-// listed: they cost memory, not latency.
-var ioPkgs = map[string]bool{"net": true, "os": true, "net/http": true, "crypto/tls": true}
-
-// loEvent is one occurrence inside a function body, in source order.
-type loEvent struct {
-	pos  token.Pos
-	kind int
-	key  string       // mutex events: the receiver expression ("x.mu")
-	obj  types.Object // mutex events: the lock class, nil when it has none (a call result)
-	op   string       // mutex events: the method called (Lock, TryRLock, ...)
-	fn   *types.Func  // callee for loEvCall/loEvIO
-	what string       // operation description for loEvChan/loEvIO
-}
-
-const (
-	loEvLock = iota
-	loEvUnlock
-	loEvDeferUnlock
-	loEvReturn
-	loEvCall
-	loEvChan
-	loEvIO
-)
-
-// loBody is one body and its events: a declared function or one of the
-// function literals inside it.
-type loBody struct {
-	fi     *FuncInfo // the enclosing declaration
-	name   string
-	events []loEvent
-}
-
-// loBodies flattens a declaration into its own body followed by every
-// function literal it contains.
-func loBodies(fi *FuncInfo) []loBody {
-	out := []loBody{{fi, fi.Name(), loEvents(fi, fi.Decl.Body)}}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, loBody{fi, "func literal", loEvents(fi, lit.Body)})
-		}
-		return true
-	})
-	return out
-}
-
 // heldLock is a lock the walk currently holds.
 type heldLock struct {
 	pos    token.Pos
@@ -123,45 +67,28 @@ type heldLock struct {
 func runLockOrder(pass *Pass) {
 	prog := pass.Program()
 
-	// Pass 1: per-body events and, for each declaration, one lock it
-	// takes itself. A literal's acquisitions are not its declaration's:
-	// it runs when invoked, not where it is written.
-	var bodies []loBody
-	acquires := map[*types.Func]string{}
+	// Each declaration's first lock taken in its own body (a literal's
+	// acquisitions are not its declaration's: it runs when invoked, not
+	// where it is written), then whatever its callees take.
+	direct := map[*types.Func]string{}
 	for _, fi := range prog.Functions() {
-		bs := loBodies(fi)
-		bodies = append(bodies, bs...)
-		for _, e := range bs[0].events {
-			if e.kind == loEvLock && !strings.HasPrefix(e.op, "Try") && !pass.Exempt(e.pos) {
-				acquires[fi.Obj] = e.key
+		for _, e := range prog.bodies(fi)[0].events {
+			if e.kind == evLock && !strings.HasPrefix(e.op, "Try") && !pass.Exempt(e.pos) {
+				direct[fi.Obj] = e.key
 				if e.obj != nil {
-					acquires[fi.Obj] = objectLabel(e.obj)
+					direct[fi.Obj] = objectLabel(e.obj)
 				}
 				break
 			}
 		}
 	}
+	acquires := propagate(prog, direct)
 
-	// A declaration also acquires whatever its callees do (fixpoint over
-	// the call graph; one lock per function is enough to name).
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range prog.Functions() {
-			if acquires[fi.Obj] != "" {
-				continue
-			}
-			for _, e := range prog.Callees(fi.Obj) {
-				if l := acquires[e.Callee]; l != "" {
-					acquires[fi.Obj] = l
-					changed = true
-					break
-				}
-			}
-		}
+	// A linear scan of each body reports every rule as it appears.
+	var bodies []body
+	for _, fi := range prog.Functions() {
+		bodies = append(bodies, prog.bodies(fi)...)
 	}
-
-	// Pass 2: linear scan of each body, reporting every rule as it
-	// appears.
 	for _, b := range bodies {
 		ioScoped := pathInScope(b.fi.Pkg.Path, lockIOScopes)
 		held := map[string]*heldLock{}
@@ -210,10 +137,10 @@ func runLockOrder(pass *Pass) {
 		}
 		for _, e := range b.events {
 			switch e.kind {
-			case loEvUnlock:
+			case evUnlock:
 				delete(held, e.key)
 				continue
-			case loEvDeferUnlock:
+			case evDeferUnlock:
 				deferred[e.key] = true // held until return: stays in the set
 				continue
 			}
@@ -221,7 +148,7 @@ func runLockOrder(pass *Pass) {
 				continue
 			}
 			switch e.kind {
-			case loEvLock:
+			case evLock:
 				try := strings.HasPrefix(e.op, "Try")
 				if h := held[e.key]; h != nil {
 					if !try {
@@ -234,13 +161,13 @@ func runLockOrder(pass *Pass) {
 					nested(e.pos, e.key+" acquired in "+b.name)
 				}
 				held[e.key] = &heldLock{pos: e.pos, obj: e.obj, op: e.op}
-			case loEvReturn:
+			case evReturn:
 				leaks(e.pos)
-			case loEvCall:
+			case evCall:
 				if l := acquires[e.fn]; l != "" && len(held) > 0 {
 					nested(e.pos, "call to "+calleeName(prog, e.fn)+" acquires "+l+" in "+b.name)
 				}
-			case loEvChan, loEvIO:
+			case evChan, evIO:
 				if !ioScoped || len(held) == 0 {
 					continue
 				}
@@ -251,68 +178,6 @@ func runLockOrder(pass *Pass) {
 		}
 		leaks(token.NoPos)
 	}
-}
-
-// loEvents flattens one body into source-ordered lock, unlock, return,
-// call, channel, and I/O events, leaving nested function literals to
-// their own bodies. ast.Inspect visits in source order, so the slice
-// needs no extra sorting.
-func loEvents(fi *FuncInfo, body *ast.BlockStmt) []loEvent {
-	info := fi.Pkg.Info
-	var out []loEvent
-	// mutexEvent appends the event for a sync.Mutex/RWMutex method call
-	// and reports whether call was one.
-	mutexEvent := func(pos token.Pos, call *ast.CallExpr, unlockKind int) bool {
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || !isMutexOp(sel.Sel.Name) {
-			return false
-		}
-		if fn, ok := info.Uses[sel.Sel].(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return false
-		}
-		kind := unlockKind
-		if !strings.HasSuffix(sel.Sel.Name, "Unlock") {
-			kind = loEvLock // `defer mu.Lock()` is almost surely a bug; model as an acquisition
-		}
-		out = append(out, loEvent{pos: pos, kind: kind, op: sel.Sel.Name,
-			key: exprString(fi.Pkg.Fset, sel.X), obj: lockIdentity(info, sel.X)})
-		return true
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			// The deferred call runs at return. Calls other than a mutex
-			// method are modelled at the defer site — a conservative
-			// approximation.
-			return !mutexEvent(e.Pos(), e.Call, loEvDeferUnlock)
-		case *ast.ReturnStmt:
-			out = append(out, loEvent{pos: e.Pos(), kind: loEvReturn})
-		case *ast.SendStmt:
-			out = append(out, loEvent{pos: e.Pos(), kind: loEvChan, what: "channel send"})
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				out = append(out, loEvent{pos: e.Pos(), kind: loEvChan, what: "channel receive"})
-			}
-		case *ast.SelectStmt:
-			out = append(out, loEvent{pos: e.Pos(), kind: loEvChan, what: "select"})
-		case *ast.CallExpr:
-			if mutexEvent(e.Pos(), e, loEvUnlock) {
-				return true
-			}
-			if fn := calledFunc(info, e); fn != nil {
-				if fn.Pkg() != nil && ioPkgs[fn.Pkg().Path()] {
-					out = append(out, loEvent{pos: e.Pos(), kind: loEvIO, fn: fn,
-						what: fn.Pkg().Name() + " " + fn.Name() + " I/O"})
-				} else {
-					out = append(out, loEvent{pos: e.Pos(), kind: loEvCall, fn: fn})
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // lockIdentity maps the receiver expression of a Lock/Unlock call to a
@@ -329,10 +194,7 @@ func lockIdentity(info *types.Info, x ast.Expr) types.Object {
 		if obj == nil {
 			return nil
 		}
-		t := obj.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
+		t := derefPtr(obj.Type())
 		if isLockType(t) {
 			return obj // a plain mutex variable
 		}

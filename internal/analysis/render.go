@@ -1,9 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,21 +13,9 @@ import (
 // message. Run applies it before returning; the ordering regression
 // test pins it down as a contract.
 func sortDiagnostics(out []Diagnostic) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Message < b.Message
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			strings.Compare(a.Analyzer, b.Analyzer), cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Message, b.Message))
 	})
 }
 

@@ -23,6 +23,11 @@ import (
 //   - converting an identifier whose name says milliseconds, micro-
 //     seconds or seconds directly to a nanosecond time type without
 //     multiplying by a unit constant.
+//
+// What it catches that nothing else does: an untyped constant converts
+// to a time type without complaint from the compiler or `go vet`, and a
+// mis-scaled value still yields plausible numbers, which the witness
+// pins rather than questions.
 var TimeUnitsAnalyzer = &Analyzer{
 	Name: "timeunits",
 	Doc:  "bare numeric literals or mis-scaled counters used as time.Duration/simtime.Time",
@@ -55,7 +60,7 @@ func runTimeUnits(pass *Pass, pkg *Package) {
 			// explicit conversion (simtime.Time(5)) is a deliberate
 			// choice; both are exempt.
 			if tv.Value != nil && isTimeQuantity(tv.Type) && constant.Sign(tv.Value) > 0 {
-				if bareConstant(info, expr) && !inScalarContext(parents, expr) &&
+				if !mentionsTimeConst(info, expr, false) && !inScalarContext(parents, expr) &&
 					!inConversion(info, parents, expr) && !declaresUnitConst(info, parents, expr) {
 					pass.Reportf(expr.Pos(), "bare constant %s used as %s: write it with a unit constant (e.g. %s)",
 						tv.Value, tv.Type, suggestUnit(tv.Type))
@@ -86,33 +91,6 @@ func runTimeUnits(pass *Pass, pkg *Package) {
 			return true
 		})
 	}
-}
-
-// bareConstant reports whether the constant expression mentions no unit
-// constant and is not declared as a typed duration elsewhere.
-func bareConstant(info *types.Info, expr ast.Expr) bool {
-	bare := true
-	ast.Inspect(expr, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if c, ok := obj.(*types.Const); ok {
-			if unitConstNames[c.Name()] && isTimeQuantity(c.Type()) {
-				bare = false
-			} else if isTimeQuantity(c.Type()) {
-				// Named constant already declared with a duration type:
-				// its declaration site is the place to check.
-				bare = false
-			}
-		}
-		return true
-	})
-	return bare
 }
 
 // inConversion reports whether expr is the operand of an explicit
@@ -214,7 +192,7 @@ func checkUnitConversion(pass *Pass, info *types.Info, parents parentMap, call *
 			if other == call {
 				other = be.Y
 			}
-			if mentionsUnitConst(info, other) {
+			if mentionsTimeConst(info, other, true) {
 				return
 			}
 		}
@@ -261,15 +239,19 @@ func splitNameTokens(name string) []string {
 	return tokens
 }
 
-func mentionsUnitConst(info *types.Info, expr ast.Expr) bool {
+// mentionsTimeConst reports whether expr names a constant of a time
+// type; unitOnly narrows it to the unit constants (time.Millisecond,
+// simtime.Second, ...). A constant declared with a time type has its
+// declaration site as the place to check it.
+func mentionsTimeConst(info *types.Info, expr ast.Expr, unitOnly bool) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			if c, ok := info.Uses[id].(*types.Const); ok && unitConstNames[c.Name()] && isTimeQuantity(c.Type()) {
+			if c, ok := info.Uses[id].(*types.Const); ok && isTimeQuantity(c.Type()) && (!unitOnly || unitConstNames[c.Name()]) {
 				found = true
 			}
 		}
-		return true
+		return !found
 	})
 	return found
 }

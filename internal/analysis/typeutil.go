@@ -12,10 +12,7 @@ import (
 // isNamed reports whether t is the named type pkgPath.name (after
 // stripping pointers).
 func isNamed(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := derefPtr(t).(*types.Named)
 	if !ok {
 		return false
 	}
@@ -23,13 +20,18 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
+// derefPtr strips one level of pointer.
+func derefPtr(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
+}
+
 // isLockType reports whether t itself is sync.Mutex or sync.RWMutex.
 func isLockType(t types.Type) bool {
 	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
 }
-
-// isDurationType reports whether t is time.Duration.
-func isDurationType(t types.Type) bool { return isNamed(t, "time", "Duration") }
 
 // isSimTime reports whether t is the simulation clock type
 // repro/internal/simtime.Time (matched by package suffix so the
@@ -47,7 +49,7 @@ func isSimTime(t types.Type) bool {
 // isTimeQuantity reports whether t carries nanosecond semantics in this
 // codebase.
 func isTimeQuantity(t types.Type) bool {
-	return isDurationType(t) || isSimTime(t)
+	return isNamed(t, "time", "Duration") || isSimTime(t)
 }
 
 // exprString renders an expression compactly, for use as a map key

@@ -12,7 +12,10 @@ import (
 // discard an error are reported. An explicit `_ =` assignment is
 // treated as an acknowledged discard, deferred cleanup calls are
 // idiomatic and skipped, and fmt printing plus the never-failing
-// in-memory writers (strings.Builder, bytes.Buffer) are excluded.
+// in-memory writers (strings.Builder, bytes.Buffer) are excluded. What
+// it catches that nothing else does: `go vet` has no dropped-error
+// check (unusedresult covers a fixed list of pure functions), and the
+// fault-injection suites exercise the shipper's writes only.
 var UncheckedErrAnalyzer = &Analyzer{
 	Name: "uncheckederr",
 	Doc:  "dropped error returns on I/O and archiver paths",
@@ -49,7 +52,7 @@ func runUncheckedErr(pass *Pass, pkg *Package) {
 					return true
 				}
 				pass.Reportf(call.Pos(), "error return of %s is dropped; handle it or assign to _ explicitly",
-					callName(pass, call))
+					exprString(pass.Fset, call.Fun))
 			}
 			return true
 		})
@@ -59,27 +62,11 @@ func runUncheckedErr(pass *Pass, pkg *Package) {
 // returnsError reports whether the call's only or last result is an
 // error.
 func returnsError(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[call]
-	if !ok {
-		return false
+	t := info.TypeOf(call)
+	if tup, ok := t.(*types.Tuple); ok && tup.Len() > 0 {
+		t = tup.At(tup.Len() - 1).Type()
 	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		if t.Len() == 0 {
-			return false
-		}
-		return isErrorType(t.At(t.Len() - 1).Type())
-	default:
-		return isErrorType(tv.Type)
-	}
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return t.String() == "error"
-	}
-	return named.Obj().Name() == "error" && named.Obj().Pkg() == nil
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
 // ignoredErrorSource applies the allowlist.
@@ -106,8 +93,4 @@ func ignoredErrorSource(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-func callName(pass *Pass, call *ast.CallExpr) string {
-	return exprString(pass.Fset, call.Fun)
 }

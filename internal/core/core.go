@@ -34,10 +34,6 @@ type Options struct {
 	// ("the link interconnecting these switches acts as a performance
 	// bottleneck, operating at a throughput of 10 Gbps").
 	BottleneckBps float64
-	// AccessBps is the host access-link rate; default 4x the
-	// bottleneck, so sender bursts queue at the monitored core-switch
-	// port rather than at the NIC.
-	AccessBps float64
 	// RTTs are the round-trip times from the internal DTN to the three
 	// external DTNs; default 50, 75, 100 ms (§5.1).
 	RTTs [ExternalNetworks]simtime.Time
@@ -66,9 +62,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.BottleneckBps <= 0 {
 		o.BottleneckBps = netsim.Gbps(10)
-	}
-	if o.AccessBps <= 0 {
-		o.AccessBps = 4 * o.BottleneckBps
 	}
 	var zero [ExternalNetworks]simtime.Time
 	if o.RTTs == zero {
@@ -174,6 +167,9 @@ func NewSystem(opts Options) *System {
 	const hostDelay = 50 * simtime.Microsecond
 	const interSwitchDelay = 2 * simtime.Millisecond
 	bigBuffer := 1 << 30
+	// Host access links run at 4x the bottleneck, so sender bursts
+	// queue at the monitored core-switch port rather than at the NIC.
+	accessBps := 4 * opts.BottleneckBps
 
 	// wireHost connects a host to its switch and returns the downlink
 	// (switch→host), the convenient impairment point.
@@ -185,8 +181,8 @@ func NewSystem(opts Options) *System {
 		return down
 	}
 	// Internal hosts <-> core switch.
-	wireHost(s.InternalDTN, s.CoreSwitch, opts.AccessBps, hostDelay)
-	wireHost(s.LocalPerfNode, s.CoreSwitch, opts.AccessBps, hostDelay)
+	wireHost(s.InternalDTN, s.CoreSwitch, accessBps, hostDelay)
+	wireHost(s.LocalPerfNode, s.CoreSwitch, accessBps, hostDelay)
 
 	// Inter-switch bottleneck.
 	s.BottleneckLink = netsim.NewLink(e, "core-agg", s.AggSwitch, opts.BottleneckBps, interSwitchDelay, rng.Fork())
@@ -201,8 +197,8 @@ func NewSystem(opts Options) *System {
 		if extDelay < 0 {
 			extDelay = 0
 		}
-		s.ExternalAccessLinks[i] = wireHost(s.ExternalDTNs[i], s.AggSwitch, opts.AccessBps, extDelay)
-		wireHost(s.ExternalPerf[i], s.AggSwitch, opts.AccessBps, extDelay)
+		s.ExternalAccessLinks[i] = wireHost(s.ExternalDTNs[i], s.AggSwitch, accessBps, extDelay)
+		wireHost(s.ExternalPerf[i], s.AggSwitch, accessBps, extDelay)
 	}
 
 	// Measurement chain: TAPs on the core switch feed the P4 pipeline.

@@ -27,35 +27,15 @@ type Config struct {
 	// EACKTableSize is the number of cells in the expected-ACK
 	// signature/timestamp registers of Algorithm 1.
 	EACKTableSize int
-	// QSigTableSize is the number of cells in the ingress-timestamp
-	// table used to pair the two TAP copies of a packet (§4.2).
-	QSigTableSize int
 	// CMSWidth and CMSDepth set the count-min sketch geometry used for
 	// long-flow detection.
 	CMSWidth, CMSDepth int
 	// LongFlowBytes is the byte volume at which a flow is declared
 	// "long" and announced to the control plane.
 	LongFlowBytes uint64
-	// Microburst detection (§3.3.3). A microburst is a *sudden* queue
-	// excursion, so the detector compares each packet's queuing delay
-	// against an exponentially-weighted baseline: a burst starts when
-	// the delay exceeds BurstFactor x baseline AND the absolute
-	// BurstFloor; it ends when the delay falls back below
-	// BurstEndFactor x baseline (or under half the floor). The adaptive
-	// baseline keeps slow phenomena — CUBIC's standing queue, gradual
-	// ramps — from registering as bursts.
-	BurstFactor float64
-	// BurstEndFactor ends a burst (see BurstFactor).
-	BurstEndFactor float64
-	// BurstFloor is the absolute delay floor below which no excursion
-	// counts as a burst (see BurstFactor).
+	// BurstFloor is the absolute queuing delay below which no
+	// excursion counts as a microburst (see burstFactor).
 	BurstFloor simtime.Time
-	// BurstBaselineTau is the baseline's adaptation time constant. The
-	// baseline must adapt by elapsed time, not by packet count — a
-	// back-to-back packet train ramps the queue within microseconds,
-	// and a per-packet average would chase the ramp and never see it
-	// as sudden.
-	BurstBaselineTau simtime.Time
 	// SketchEpsilon and SketchDelta are the lean tier's (ε, δ) error
 	// target: a sketch estimate overcounts by more than ε·N with
 	// probability at most δ (DESIGN.md §5.8). Zero values take the
@@ -79,9 +59,6 @@ func (c Config) WithDefaults() Config {
 	if c.EACKTableSize <= 0 {
 		c.EACKTableSize = 1 << 16
 	}
-	if c.QSigTableSize <= 0 {
-		c.QSigTableSize = 1 << 16
-	}
 	if c.CMSWidth <= 0 {
 		c.CMSWidth = 8192
 	}
@@ -91,20 +68,33 @@ func (c Config) WithDefaults() Config {
 	if c.LongFlowBytes == 0 {
 		c.LongFlowBytes = 1 << 20 // 1 MB
 	}
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 4
-	}
-	if c.BurstEndFactor == 0 {
-		c.BurstEndFactor = 1.5
-	}
 	if c.BurstFloor == 0 {
 		c.BurstFloor = simtime.Millisecond
 	}
-	if c.BurstBaselineTau == 0 {
-		c.BurstBaselineTau = 50 * simtime.Millisecond
-	}
 	return c
 }
+
+// qSigTableSize is the number of cells in the ingress-timestamp table
+// that pairs the two TAP copies of a packet (§4.2).
+const qSigTableSize = 1 << 16
+
+// Microburst detection (§3.3.3). A microburst is a *sudden* queue
+// excursion, so the detector compares each packet's queuing delay
+// against an exponentially-weighted baseline: a burst starts when the
+// delay exceeds burstFactor x baseline AND the absolute
+// Config.BurstFloor; it ends when the delay falls back below
+// burstEndFactor x baseline (or under half the floor). The adaptive
+// baseline keeps slow phenomena — CUBIC's standing queue, gradual
+// ramps — from registering as bursts. burstBaselineTau is the
+// baseline's adaptation time constant: it adapts by elapsed time, not
+// by packet count, because a back-to-back packet train ramps the queue
+// within microseconds and a per-packet average would chase the ramp and
+// never see it as sudden.
+const (
+	burstFactor      = 4
+	burstEndFactor   = 1.5
+	burstBaselineTau = 50 * simtime.Millisecond
+)
 
 // LongFlowEvent is the digest the data plane sends when a flow crosses
 // the long-flow threshold: "the ID of the flow, its source and
@@ -305,8 +295,8 @@ func New(cfg Config) *DataPlane {
 		}),
 		eackSig: NewRegister("eack_sig", cfg.EACKTableSize, 64),
 		eackTS:  NewRegister("eack_ts", cfg.EACKTableSize, 48),
-		qSig:    NewRegister("qsig", cfg.QSigTableSize, 48),
-		qTS:     NewRegister("qts", cfg.QSigTableSize, 48),
+		qSig:    NewRegister("qsig", qSigTableSize, 48),
+		qTS:     NewRegister("qts", qSigTableSize, 48),
 		cms:     NewCMS(cfg.CMSWidth, cfg.CMSDepth),
 	}
 	d.registry = make(map[string]*Register)
@@ -637,7 +627,7 @@ func (d *DataPlane) processEgress(v *view) {
 }
 
 // detectMicroburst compares each packet's queuing delay against the
-// adaptive EWMA baseline: a sudden excursion above BurstFactor x
+// adaptive EWMA baseline: a sudden excursion above burstFactor x
 // baseline (and the absolute floor) opens a burst; falling back toward
 // the baseline closes it and emits the event with nanosecond start
 // time and duration. The baseline keeps adapting slowly during a burst
@@ -653,7 +643,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 		return
 	}
 	if !d.inBurst {
-		if q > d.cfg.BurstFactor*d.qBaseline && qdelay >= d.cfg.BurstFloor {
+		if q > burstFactor*d.qBaseline && qdelay >= d.cfg.BurstFloor {
 			d.inBurst = true
 			d.burstStart = now - qdelay // the burst began as the queue built
 			if d.burstStart < 0 {
@@ -675,7 +665,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 	// congestion episode self-terminates instead of reporting as one
 	// endless microburst.
 	d.updateQBaseline(q, now, 0.25)
-	if q < d.cfg.BurstEndFactor*d.qBaseline || qdelay < d.cfg.BurstFloor/2 {
+	if q < burstEndFactor*d.qBaseline || qdelay < d.cfg.BurstFloor/2 {
 		d.inBurst = false
 		d.Stats.Microbursts++
 		if o := d.obs; o != nil {
@@ -700,7 +690,7 @@ func (d *DataPlane) detectMicroburst(qdelay simtime.Time, now simtime.Time) {
 // p4:hotpath
 func (d *DataPlane) updateQBaseline(q float64, now simtime.Time, scale float64) {
 	dt := float64(now - d.qBaseTs)
-	alpha := dt / float64(d.cfg.BurstBaselineTau) * scale
+	alpha := dt / float64(burstBaselineTau) * scale
 	if alpha > 1 {
 		alpha = 1
 	}

@@ -33,14 +33,21 @@ func splitSynth(flowBase int) *replay.Synth {
 // the trace is cut into fronts and single copies, and over however many
 // shards, every flow reads what the oracle says, every announcement
 // comes from the shard the partition picks, and where the single pipe
-// shows no contention, every merged read equals its answer. splits is
-// consumed cyclically: a zero byte sends the next record through
+// shows no contention, every merged read equals its answer. shardSel
+// picks the shard count, and from 128 up a 16-cell flow table for the
+// trace's 24 flows: cells are always contended, so aliasing, slot
+// collisions and expected-ACK evictions are part of the input. splits
+// is consumed cyclically: a zero byte sends the next record through
 // ProcessCopy, any other byte b sends the next b records as one front
 // through ProcessFront. The seed corpus in testdata/fuzz makes it a
 // plain test under `go test`.
 func FuzzPipesSplitInvariance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shardSel uint8, splits []byte, flowBase uint16) {
-		checkSplitInvariance(t, splitShards[int(shardSel)%len(splitShards)], splits, flowBase)
+		cfg := splitConfig
+		if shardSel >= 128 {
+			cfg.FlowTableSize = 16
+		}
+		checkSplitInvariance(t, cfg, splitShards[int(shardSel)%len(splitShards)], splits, flowBase)
 	})
 }
 
@@ -50,7 +57,7 @@ func FuzzPipesSplitInvariance(f *testing.F) {
 func TestPipesMergePropertyMatchesSinglePipe(t *testing.T) {
 	for i, flowBase := range []uint16{0, 2026, 7, 4242, 31337} {
 		t.Run(fmt.Sprintf("shards=%d", splitShards[i]), func(t *testing.T) {
-			if !checkSplitInvariance(t, splitShards[i], nil, flowBase) {
+			if !checkSplitInvariance(t, splitConfig, splitShards[i], nil, flowBase) {
 				t.Fatalf("flow base %d: the single pipe sees contention, so nothing was compared with it", flowBase)
 			}
 		})
@@ -59,11 +66,11 @@ func TestPipesMergePropertyMatchesSinglePipe(t *testing.T) {
 
 // checkSplitInvariance is the fuzz property for one input. It reports
 // whether the single pipe was uncontended, so the merge was compared.
-func checkSplitInvariance(t *testing.T, shards int, splits []byte, flowBase uint16) bool {
-	truth, single := oracle.New(), dataplane.New(splitConfig)
+func checkSplitInvariance(t *testing.T, cfg dataplane.Config, shards int, splits []byte, flowBase uint16) bool {
+	truth, single := oracle.New(), dataplane.New(cfg)
 	var singleAnnounced, announced []dataplane.FlowID
 	single.OnLongFlow = func(ev dataplane.LongFlowEvent) { singleAnnounced = append(singleAnnounced, ev.ID) }
-	p := dataplane.NewPipes(splitConfig, shards)
+	p := dataplane.NewPipes(cfg, shards)
 	p.SetLongFlowHandler(func(ev dataplane.LongFlowEvent) {
 		if want := dataplane.ShardOf(dataplane.KeyOf(ev.Tuple), shards); ev.Shard != want {
 			t.Errorf("flow %v announced by shard %d, the partition picks %d", ev.Tuple, ev.Shard, want)
@@ -123,7 +130,7 @@ func checkSplitInvariance(t *testing.T, shards int, splits []byte, flowBase uint
 		// An admitted flow holds its cell from its first segment, and
 		// the long-flow sketch never undercounts it.
 		_, found := slices.BinarySearch(announced, dataplane.HashFiveTuple(ft))
-		if b := truth.Flow(ft).Bytes; b >= splitConfig.LongFlowBytes && !found {
+		if b := truth.Flow(ft).Bytes; b >= cfg.LongFlowBytes && !found {
 			t.Errorf("flow %v sent %d B, over the long-flow threshold, and was not announced", ft, b)
 		}
 		// With every packet admitted, every expected ACK kept until

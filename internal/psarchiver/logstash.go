@@ -12,12 +12,6 @@ import (
 	"repro/internal/controlplane"
 )
 
-// Filter transforms a document in the Logstash pipeline; returning
-// false drops the event. The document is the pipeline's own — the TCP
-// input's, reused for the connection's next line — so a filter must not
-// keep the pointer after it returns.
-type Filter func(*Document) bool
-
 // Output ships a processed document, like Logstash's output plugins.
 type Output func(index string, doc Document)
 
@@ -42,73 +36,53 @@ var indexNames = func() map[string]string {
 }()
 
 // Pipeline is the Logstash stand-in of Figure 7: events enter from an
-// input plugin, pass the filter chain, and exit through the output,
-// routed to an OpenSearch index by their report kind.
+// input plugin, get the metadata the OpenSearch output needs
+// (AddMetadata, the one filter), and exit through the outputs, routed
+// to an OpenSearch index by their report kind.
 type Pipeline struct {
-	// chains is the filter and output chains, replaced whole (copy on
-	// write) by AddFilter and AddOutput and loaded once per document.
-	chains atomic.Pointer[chains]
-	mu     sync.Mutex // serialises the writers of chains
+	// outputs is the output chain, replaced whole (copy on write) by
+	// AddOutput and loaded once per document.
+	outputs atomic.Pointer[[]Output]
+	mu      sync.Mutex // serialises the writers of outputs
 
 	// The TCP input counts from per-connection goroutines while callers
-	// poll. received is bumped before the document's shipped or dropped,
-	// and Stats loads it last, so no snapshot shows more documents
-	// leaving than entering.
+	// poll. received is bumped before the document's shipped, and Stats
+	// loads it last, so no snapshot shows more documents leaving than
+	// entering.
 	received atomic.Uint64
-	dropped  atomic.Uint64
 	shipped  atomic.Uint64
-}
-
-// chains is one immutable pair of a pipeline's filter and output chains.
-type chains struct {
-	filters []Filter
-	outputs []Output
-}
-
-// update publishes the chains edit makes of a copy of the current ones.
-func (p *Pipeline) update(edit func(*chains)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	next := new(chains)
-	if cur := p.chains.Load(); cur != nil {
-		*next = chains{slices.Clone(cur.filters), slices.Clone(cur.outputs)}
-	}
-	edit(next)
-	p.chains.Store(next)
 }
 
 // PipelineStats is a snapshot of the pipeline counters in which
 // Received >= Shipped + Dropped, with equality once the pipeline is idle.
 type PipelineStats struct {
 	Received uint64
-	Dropped  uint64
-	Shipped  uint64
+	// Dropped is 0 by construction: the pipeline has no filter that
+	// drops a document. Undecodable TCP lines are the input's errors.
+	Dropped uint64
+	Shipped uint64
 }
 
 // Stats returns the current counters.
 func (p *Pipeline) Stats() PipelineStats {
-	st := PipelineStats{Dropped: p.dropped.Load(), Shipped: p.shipped.Load()}
+	st := PipelineStats{Shipped: p.shipped.Load()}
 	st.Received = p.received.Load()
 	return st
 }
 
-// NewPipeline builds a pipeline with the standard metadata filter
-// installed (the "adds the metadata required by the OpenSearch
-// database" step of Figure 7).
-func NewPipeline() *Pipeline {
-	p := &Pipeline{}
-	p.AddFilter(AddMetadata)
-	return p
-}
-
-// AddFilter appends a filter to the chain.
-func (p *Pipeline) AddFilter(f Filter) {
-	p.update(func(c *chains) { c.filters = append(c.filters, f) })
-}
+// NewPipeline builds a pipeline with no outputs.
+func NewPipeline() *Pipeline { return &Pipeline{} }
 
 // AddOutput appends an output plugin.
 func (p *Pipeline) AddOutput(o Output) {
-	p.update(func(c *chains) { c.outputs = append(c.outputs, o) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var next []Output
+	if cur := p.outputs.Load(); cur != nil {
+		next = slices.Clone(*cur)
+	}
+	next = append(next, o)
+	p.outputs.Store(&next)
 }
 
 // OpenSearchOutput wires the pipeline's output plugin to a Store.
@@ -116,33 +90,29 @@ func (p *Pipeline) OpenSearchOutput(store *Store) {
 	p.AddOutput(store.Index)
 }
 
-// AddMetadata is the default filter: it stamps the document with the
-// fields the OpenSearch output needs — @version, host, pipeline, and
-// @timestamp_ns when there is a time_ns to copy — producing Report_v2.
-func AddMetadata(doc *Document) bool {
+// AddMetadata is the pipeline's filter (the "adds the metadata
+// required by the OpenSearch database" step of Figure 7): it stamps the
+// document with the fields the OpenSearch output needs — @version,
+// host, pipeline, and @timestamp_ns when there is a time_ns to copy —
+// producing Report_v2.
+func AddMetadata(doc *Document) {
 	doc.meta = true
 	if t, ok := doc.Extra["time_ns"]; ok { // a document that did not arrive typed
 		doc.Extra["@timestamp_ns"] = t
 	}
-	return true
 }
 
-// Process pushes one document through filters and outputs.
+// Process pushes one document through the filter and the outputs.
 func (p *Pipeline) Process(doc Document) { p.process(&doc) }
 
-// process is Process on a document the caller owns: the filters change
+// process is Process on a document the caller owns: the filter changes
 // it in place, and each output gets a copy.
 func (p *Pipeline) process(doc *Document) {
 	p.received.Add(1)
-	var c chains
-	if cur := p.chains.Load(); cur != nil {
-		c = *cur
-	}
-	for _, f := range c.filters {
-		if !f(doc) {
-			p.dropped.Add(1)
-			return
-		}
+	AddMetadata(doc)
+	var outputs []Output
+	if cur := p.outputs.Load(); cur != nil {
+		outputs = *cur
 	}
 	kind := doc.str(kindField, "kind")
 	if kind == "" {
@@ -152,7 +122,7 @@ func (p *Pipeline) process(doc *Document) {
 	if !ok {
 		index = indexPrefix + "-" + kind // pscheduler_* documents, foreign kinds
 	}
-	for _, o := range c.outputs {
+	for _, o := range outputs {
 		o(index, *doc)
 	}
 	p.shipped.Add(1)

@@ -31,13 +31,12 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 }
 
 // RegisterObs exposes the pipeline counters as one gauge group read
-// through Stats, whose load order keeps received >= shipped + dropped in
-// every scrape.
+// through Stats, whose load order keeps received >= shipped in every
+// scrape.
 func (p *Pipeline) RegisterObs(r *obs.Registry) {
 	r.Collect(func(w obs.MetricWriter) {
 		st := p.Stats()
 		w.Gauge("p4_archiver_pipeline_received", "Documents entering the Logstash-model pipeline.", st.Received)
-		w.Gauge("p4_archiver_pipeline_dropped", "Documents rejected by a filter or undecodable.", st.Dropped)
 		w.Gauge("p4_archiver_pipeline_shipped", "Documents delivered to the output plugins.", st.Shipped)
 	})
 }

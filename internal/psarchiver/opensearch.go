@@ -1,5 +1,5 @@
 // Package psarchiver models the perfSONAR archiver of Figure 7: a
-// Logstash data-processing pipeline (input plugins → filters → output
+// Logstash data-processing pipeline (input plugins → filter → output
 // plugin) in front of an OpenSearch document store. The control plane's
 // Report_v1 records enter through the TCP input plugin (or directly,
 // in-simulation), gain the OpenSearch metadata Logstash adds

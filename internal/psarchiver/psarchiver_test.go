@@ -101,21 +101,6 @@ func TestPipelineAddsMetadataAndRoutes(t *testing.T) {
 	}
 }
 
-func TestPipelineFilterCanDrop(t *testing.T) {
-	p := NewPipeline()
-	store := NewStore()
-	p.OpenSearchOutput(store)
-	p.AddFilter(func(d *Document) bool { return d.Str("kind") != "noise" })
-	p.Process(Document{Extra: obj{"kind": "noise"}})
-	p.Process(Document{Extra: obj{"kind": "metric"}})
-	if st := p.Stats(); st.Dropped != 1 || st.Shipped != 1 {
-		t.Fatalf("dropped=%d shipped=%d", st.Dropped, st.Shipped)
-	}
-	if store.Count("p4-psonar-noise") != 0 {
-		t.Fatal("dropped doc reached the store")
-	}
-}
-
 func TestPipelineEmitImplementsSink(t *testing.T) {
 	p := NewPipeline()
 	store := NewStore()

@@ -170,7 +170,7 @@ func TestTCPInputOverFaultnetListener(t *testing.T) {
 }
 
 // TestPipelineConcurrentProcessAndMutation drives Process from many
-// goroutines while filters and outputs are appended concurrently —
+// goroutines while outputs are appended concurrently —
 // run under -race, it proves the pipeline's locking discipline.
 func TestPipelineConcurrentProcessAndMutation(t *testing.T) {
 	p := NewPipeline()
@@ -189,12 +189,11 @@ func TestPipelineConcurrentProcessAndMutation(t *testing.T) {
 			}
 		}(w)
 	}
-	// Mutate the chains while documents are in flight.
+	// Mutate the output chain while documents are in flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			p.AddFilter(func(d *Document) bool { return true })
 			p.AddOutput(func(index string, doc Document) {})
 		}
 	}()

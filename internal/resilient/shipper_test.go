@@ -249,7 +249,10 @@ func TestTornWriteIsResentNotLost(t *testing.T) {
 		t.Fatalf("nothing may be dropped: %s", st)
 	}
 	checkInvariant(t, st)
-	waitFor(t, "archiver saw the torn line", func() bool { return arch.badLines() == 1 })
+	arch.drain(l)
+	if got := arch.badLines(); got != 1 {
+		t.Fatalf("archiver saw %d torn lines, want 1", got)
+	}
 	// Exactly n good records, no duplicates, order preserved.
 	ts := arch.timestamps()
 	if len(ts) != n {
