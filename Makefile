@@ -7,7 +7,7 @@ GO ?= go
 # raises coverage; never lower it to make a build pass.
 COVER_MIN = 79.0
 
-.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint chaos cover obs scale federation docs witness ci
+.PHONY: all build vet test race bench-test bench-pairs bench-scaling lint unreached chaos cover obs scale federation docs witness ci
 
 all: ci
 
@@ -72,6 +72,12 @@ bench-scaling:
 # emits ::error annotations so findings land inline on the PR diff.
 lint:
 	$(GO) run ./cmd/p4lint $(if $(GITHUB_ACTIONS),-gha) ./...
+
+# unreached fails on a non-test function that no root (cmd/*,
+# examples/*, the bench module) reaches in the linker's own dead-code
+# graph, unless DESIGN.md §6.1 keeps it with a reason.
+unreached:
+	bash scripts/unreached.sh
 
 # chaos runs the fault-injection suites under the race detector: the
 # faultnet harness itself, the scripted-outage shipper tests, the
@@ -146,4 +152,4 @@ witness:
 	diff -r results $$tmp; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
-ci: build vet test race bench-test lint docs witness
+ci: build vet test race bench-test lint unreached docs witness

@@ -42,8 +42,6 @@ type Options struct {
 	BufferBytes int
 	// Seed drives every random stream in the simulation.
 	Seed uint64
-	// DataPlane tunes the P4 pipeline; zero values take the defaults.
-	DataPlane dataplane.Config
 	// Shards is the number of independent data-plane pipes the flows
 	// are partitioned across (the multi-pipe model of a Tofino ASIC).
 	// 0 or 1 runs the single-pipe pipeline with byte-identical output;
@@ -202,15 +200,10 @@ func NewSystem(opts Options) *System {
 	}
 
 	// Measurement chain: TAPs on the core switch feed the P4 pipeline.
-	// The microburst floor defaults to a tenth of the monitored
-	// buffer's drain time: excursions smaller than that are queueing
-	// noise, not bursts worth alerting on.
-	dpCfg := opts.DataPlane
-	if dpCfg.BurstFloor == 0 {
-		drain := simtime.Time(float64(opts.BufferBytes*8) / opts.BottleneckBps * 1e9)
-		dpCfg.BurstFloor = drain / 10
-	}
-	s.DataPlane = dataplane.NewPipes(dpCfg, opts.Shards)
+	// The microburst floor is a tenth of the monitored buffer's drain
+	// time: excursions smaller than that are queueing noise, not bursts
+	// worth alerting on.
+	s.DataPlane = dataplane.NewPipes(dataplane.Config{BurstFloor: s.MaxQueueDelay() / 10}, opts.Shards)
 	s.Taps = tap.NewPair(e, s.DataPlane)
 	// The egress TAP mirrors the WAN-side port only — the monitored
 	// bottleneck queue of §4.2 — so queue-delay and microburst signals
@@ -275,7 +268,6 @@ func (s *System) InjectMicroburst(i int, at simtime.Time, count, payload int) {
 		Count:   count,
 		Payload: payload,
 		At:      at,
-		Tag:     "microburst",
 	}.Launch(s.Engine)
 }
 

@@ -36,19 +36,17 @@ type Config struct {
 	// BurstFloor is the absolute queuing delay below which no
 	// excursion counts as a microburst (see burstFactor).
 	BurstFloor simtime.Time
-	// SketchEpsilon and SketchDelta are the lean tier's (ε, δ) error
-	// target: a sketch estimate overcounts by more than ε·N with
-	// probability at most δ (DESIGN.md §5.8). Zero values take the
-	// sketch package defaults (ε = 1e-3, δ = 0.01).
+	// SketchEpsilon is the lean tier's ε error target: a sketch
+	// estimate overcounts by more than ε·N with probability at most
+	// δ = 0.01 (DESIGN.md §5.8). Zero takes the sketch package default
+	// (ε = 1e-3).
 	SketchEpsilon float64
-	SketchDelta   float64
 	// DupFilterInserts sizes the lean tier's duplicate filter for the
-	// expected number of (flow, seq) pairs; DupFilterFP is the
-	// tolerated false-positive rate at that fill. Nothing clears the
-	// filter, so it fills for the pipe's life, past this design point
-	// on a long run. Zero values take the sketch package defaults.
+	// expected number of (flow, seq) pairs at a 1% false-positive rate.
+	// Nothing clears the filter, so it fills for the pipe's life, past
+	// this design point on a long run. Zero takes the sketch package
+	// default.
 	DupFilterInserts int
-	DupFilterFP      float64
 }
 
 // WithDefaults fills unset fields with the paper-faithful defaults.
@@ -288,9 +286,7 @@ func New(cfg Config) *DataPlane {
 		one:        *NewFront(1),
 		lean: sketch.NewLean(sketch.Config{
 			Epsilon:            cfg.SketchEpsilon,
-			Delta:              cfg.SketchDelta,
 			DupExpectedInserts: cfg.DupFilterInserts,
-			DupTargetFP:        cfg.DupFilterFP,
 			Cells:              n,
 		}),
 		eackSig: NewRegister("eack_sig", cfg.EACKTableSize, 64),

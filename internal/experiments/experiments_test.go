@@ -170,13 +170,13 @@ func TestFig12SteadyVsFluctuating(t *testing.T) {
 	dtn3 := "192.168.3.10"
 	// DTN3 pinned at the pacing rate (paper: steady at 500 Mbps —
 	// 25 Mbps at fast scale).
-	pace := r.Config.SenderPaceBps
+	pace := r.Config.Scale.Rate(senderPaceBps)
 	if m := r.SteadyMean[dtn3]; m < 0.85*pace || m > 1.1*pace {
 		t.Fatalf("DTN3 steady mean %.1f Mbps, want ~%.1f", m/1e6, pace/1e6)
 	}
 	// DTN2 near the receiver cap (paper: steady ~250 Mbps — 12.5 at
 	// fast scale).
-	cap2 := r.Config.ReceiverCapBps
+	cap2 := r.Config.Scale.Rate(receiverCapBps)
 	if m := r.SteadyMean[dtn2]; m < 0.5*cap2 || m > 1.3*cap2 {
 		t.Fatalf("DTN2 steady mean %.1f Mbps, want ~%.1f", m/1e6, cap2/1e6)
 	}

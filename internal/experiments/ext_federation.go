@@ -56,10 +56,6 @@ type FederationConfig struct {
 	// PacketsPerFlow is the average TAP records per flow over the whole
 	// run (default 8).
 	PacketsPerFlow int
-	// Rounds splits each member's replay stream into extraction rounds,
-	// one simulated second apart (default 8; minimum 8 so the chaos
-	// timeline fits).
-	Rounds int
 	// SampleFlows is how many flows per member get per-round flow
 	// summaries (default 64).
 	SampleFlows int
@@ -73,6 +69,12 @@ type FederationConfig struct {
 	Obs *obs.Registry
 }
 
+// fedRounds splits each member's replay stream into extraction rounds,
+// one simulated second apart. The chaos timeline partitions a member
+// after round 2 and heals it after round 6; the last round replays the
+// rest of each stream.
+const fedRounds = 8
+
 func (c FederationConfig) withDefaults() FederationConfig {
 	if len(c.Sites) == 0 {
 		c.Sites = []FedSite{{Name: "alpha", Switches: 2}, {Name: "beta", Switches: 2}}
@@ -82,9 +84,6 @@ func (c FederationConfig) withDefaults() FederationConfig {
 	}
 	if c.PacketsPerFlow <= 0 {
 		c.PacketsPerFlow = 8
-	}
-	if c.Rounds < 8 {
-		c.Rounds = 8
 	}
 	if c.SampleFlows <= 0 {
 		c.SampleFlows = 64
@@ -194,7 +193,7 @@ func (r *FederationResult) Pass() bool {
 func (r *FederationResult) Witness() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "federation seed=%d members=%d rounds=%d flows_per_site=%d\n",
-		r.Config.Seed, len(r.Members), r.Config.Rounds, r.Config.FlowsPerSite)
+		r.Config.Seed, len(r.Members), fedRounds, r.Config.FlowsPerSite)
 	for _, m := range r.Members {
 		fmt.Fprintf(&b, "member %s/%s emitted=%d archived=%d dropped=%d fallback=%d\n",
 			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback)
@@ -342,7 +341,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 				Packets:  cfg.FlowsPerSite * cfg.PacketsPerFlow,
 				FlowBase: m.flowLo,
 			}
-			m.perRnd = m.synth.Packets / cfg.Rounds
+			m.perRnd = m.synth.Packets / fedRounds
 
 			spoolDir := filepath.Join(cfg.SpoolRoot, m.site+"_"+m.sw)
 			if err := os.MkdirAll(spoolDir, 0o755); err != nil {
@@ -405,11 +404,11 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	// paper's measurement keeps running whether or not its archiver is
 	// reachable) replays its chunk and emits reports; then the round's
 	// scripted chaos event fires.
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < fedRounds; round++ {
 		now := simtime.Time(round+1) * simtime.Second
 		for _, m := range members {
 			left := m.perRnd
-			if round == cfg.Rounds-1 {
+			if round == fedRounds-1 {
 				left = m.synth.Packets // drain the remainder in the last round
 			}
 			run := replay.Runner{Plane: m.plane}.Run(&limitSource{src: m.synth, left: left}) //p4:lint-exempt determinism: Runner's wall clock only stamps Result.Elapsed; every counted quantity is register state

@@ -35,19 +35,6 @@ type ScaleSweepConfig struct {
 	// (the Synth round-robins records, so data, ACK and egress copies
 	// all count). Default 32.
 	PacketsPerFlow int
-	// FlowTableSize is the exact tier's cell count; default 2048 (the
-	// paper's table, deliberately orders of magnitude below the flow
-	// population so the sketch tier carries the load).
-	FlowTableSize int
-	// Epsilon and Delta are the lean tier's error target. Defaults
-	// ε = 1e-4, δ = 0.01.
-	Epsilon, Delta float64
-	// DupTargetFP is the duplicate filter's design false-positive rate
-	// at the point's expected insert count. Default 1%.
-	DupTargetFP float64
-	// RetransEvery rewinds each flow's sequence cursor every N data
-	// segments, producing ground-truth loss events. Default 7.
-	RetransEvery int
 	// Shards is the pipe count (0/1 = single pipe).
 	Shards int
 	// Seed picks the flow numbering (synthSource): each seed replays
@@ -69,23 +56,23 @@ func (c ScaleSweepConfig) withDefaults() ScaleSweepConfig {
 	if c.PacketsPerFlow <= 0 {
 		c.PacketsPerFlow = 32
 	}
-	if c.FlowTableSize <= 0 {
-		c.FlowTableSize = 2048
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 1e-4
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.01
-	}
-	if c.DupTargetFP == 0 {
-		c.DupTargetFP = 0.01
-	}
-	if c.RetransEvery <= 0 {
-		c.RetransEvery = 7
-	}
 	return c
 }
+
+// The sweep's fixed design point.
+const (
+	// sweepFlowTableSize is the exact tier's cell count: the paper's
+	// table, deliberately orders of magnitude below the flow population
+	// so the sketch tier carries the load.
+	sweepFlowTableSize = 2048
+	// sweepEpsilon is the lean tier's ε; sweepDelta is the δ the
+	// sketch package always builds for.
+	sweepEpsilon = 1e-4
+	sweepDelta   = 0.01
+	// sweepRetransEvery rewinds each flow's sequence cursor every N
+	// data segments, producing ground-truth loss events.
+	sweepRetransEvery = 7
+)
 
 // ScalePoint is one sweep point's outcome.
 type ScalePoint struct {
@@ -156,7 +143,7 @@ func (c ScaleSweepConfig) synthSource(flows int) *replay.Synth {
 		Flows:        flows,
 		Packets:      flows * c.PacketsPerFlow,
 		MSS:          c.Scale.MSS,
-		RetransEvery: c.RetransEvery,
+		RetransEvery: sweepRetransEvery,
 		FlowBase:     int(c.Seed%uint64(replay.SynthFlowNumbers/flows)) * flows,
 	}
 }
@@ -179,15 +166,13 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 		shards = 1
 	}
 	plane := dataplane.NewPipes(dataplane.Config{
-		FlowTableSize: cfg.FlowTableSize,
+		FlowTableSize: sweepFlowTableSize,
 		// The announce latch would exempt cells from aging; at sweep
 		// densities the long-flow CMS saturates, so disable it and let
 		// the post-run aging sweep evict every cell.
 		LongFlowBytes:    1 << 62,
-		SketchEpsilon:    cfg.Epsilon,
-		SketchDelta:      cfg.Delta,
+		SketchEpsilon:    sweepEpsilon,
 		DupFilterInserts: packets,
-		DupFilterFP:      cfg.DupTargetFP,
 	}, shards)
 
 	// Measured run: the full stream through the batch path.
@@ -264,8 +249,11 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 	}
 	pt.OracleLoss = truth.Loss()
 	// δ per query, three audited bound queries per sketch-tier flow;
-	// triple the expectation before calling noise a defect.
-	pt.BoundAllowance = int(math.Ceil(3*cfg.Delta*3*float64(pt.Sketched))) + 1
+	// triple the expectation before calling noise a defect. delta is a
+	// variable so each product rounds in float64; a constant expression
+	// would fold 3·δ·3 exactly and could move the ceiling.
+	delta := sweepDelta
+	pt.BoundAllowance = int(math.Ceil(3*delta*3*float64(pt.Sketched))) + 1
 
 	pt.ExactMemBytes = plane.FlowTableMemoryBytes()
 	pt.LeanMemBytes = plane.LeanMemoryBytes()
@@ -292,9 +280,9 @@ func runScalePoint(cfg ScaleSweepConfig, flows int) ScalePoint {
 // Render draws the sweep as a fixed-width table plus verdict lines.
 func (r *ScaleSweepResult) Render() string {
 	var b strings.Builder
-	g := sketch.GeometryFor(r.Config.Epsilon, r.Config.Delta)
+	g := sketch.GeometryFor(sweepEpsilon, sweepDelta)
 	fmt.Fprintf(&b, "two-tier scale sweep: %d-cell exact tier + %dx%d sketch rows (ε=%.1e δ=%.2f)\n\n",
-		r.Config.FlowTableSize, g.Depth, g.Width, g.Epsilon, g.Delta)
+		sweepFlowTableSize, g.Depth, g.Width, g.Epsilon, g.Delta)
 	fmt.Fprintf(&b, "%10s %10s %8s %7s %9s %9s %8s %11s %11s %6s\n",
 		"flows", "packets", "Mpps", "Gbps", "exactMem", "leanMem", "B/flow", "maxPktsErr", "pktsBound", "pass")
 	for _, p := range r.Points {

@@ -23,11 +23,7 @@ type Fig11Config struct {
 	Duration simtime.Time
 	// BurstAt is the microburst injection time; default 20 s.
 	BurstAt simtime.Time
-	// BurstPackets and BurstPayload size the UDP train; defaults fill
-	// half the (BDP/4) buffer instantaneously.
-	BurstPackets int
-	BurstPayload int
-	Seed         uint64
+	Seed    uint64
 }
 
 func (c Fig11Config) withDefaults() Fig11Config {
@@ -39,14 +35,6 @@ func (c Fig11Config) withDefaults() Fig11Config {
 	}
 	if c.BurstAt <= 0 {
 		c.BurstAt = 20 * simtime.Second
-	}
-	if c.BurstPayload <= 0 {
-		c.BurstPayload = c.Scale.MSS
-	}
-	if c.BurstPackets <= 0 {
-		// Half of the BDP/4 buffer, in burst packets.
-		buffer := core.BDPBytes(c.Scale.Bottleneck(), 100*simtime.Millisecond) / 4
-		c.BurstPackets = buffer / 2 / (c.BurstPayload + 42)
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -94,7 +82,9 @@ func RunFig11(cfg Fig11Config) *Fig11Result {
 	for i := 0; i < 3; i++ {
 		sys.TransferToExternal(i, 0, 0, cfg.Duration, sender, tcp.Config{})
 	}
-	sys.InjectMicroburst(0, cfg.BurstAt, cfg.BurstPackets, cfg.BurstPayload)
+	// The burst fills half the buffer instantaneously: buffer/2 bytes
+	// of MSS-payload UDP packets (42 B of headers each).
+	sys.InjectMicroburst(0, cfg.BurstAt, buffer/2/(cfg.Scale.MSS+42), cfg.Scale.MSS)
 	sys.Run(cfg.Duration)
 
 	res := &Fig11Result{

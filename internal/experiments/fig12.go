@@ -26,16 +26,20 @@ type Fig12Config struct {
 	Scale Scale
 	// Duration of the run; default 40 s.
 	Duration simtime.Time
-	// LossRate on DTN1's path; default 0.0001 (0.01%).
-	LossRate float64
-	// ReceiverCapBps is DTN2's intended ceiling; default 250 Mbps
-	// (paper scale), converted to a receive-buffer size via its RTT.
-	ReceiverCapBps float64
-	// SenderPaceBps is DTN3's pacing rate; default 500 Mbps (paper
-	// scale).
-	SenderPaceBps float64
-	Seed          uint64
+	Seed     uint64
 }
+
+// The three limits. The endpoint rates are at paper scale; Scale.Rate
+// scales them where they are used.
+const (
+	// dtn1LossRate is the random loss on DTN1's path (0.01%).
+	dtn1LossRate = 0.0001
+	// receiverCapBps is DTN2's intended ceiling, converted to a
+	// receive-buffer size via its RTT.
+	receiverCapBps = 250e6
+	// senderPaceBps is DTN3's pacing rate.
+	senderPaceBps = 500e6
+)
 
 func (c Fig12Config) withDefaults() Fig12Config {
 	if c.Scale.Factor == 0 {
@@ -43,15 +47,6 @@ func (c Fig12Config) withDefaults() Fig12Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 40 * simtime.Second
-	}
-	if c.LossRate <= 0 {
-		c.LossRate = 0.0001
-	}
-	if c.ReceiverCapBps <= 0 {
-		c.ReceiverCapBps = c.Scale.Rate(250e6)
-	}
-	if c.SenderPaceBps <= 0 {
-		c.SenderPaceBps = c.Scale.Rate(500e6)
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -86,7 +81,7 @@ func RunFig12(cfg Fig12Config) *Fig12Result {
 		Shards:        cfg.Scale.Shards,
 	})
 	// DTN1's path impairment: random loss on its access link.
-	sys.ExternalAccessLinks[0].LossRate = cfg.LossRate
+	sys.ExternalAccessLinks[0].LossRate = dtn1LossRate
 	sys.Start()
 
 	sender := tcp.Config{MSS: cfg.Scale.MSS}
@@ -96,12 +91,12 @@ func RunFig12(cfg Fig12Config) *Fig12Result {
 
 	// DTN2: receiver-limited. Buffer = cap * RTT2.
 	rtt2 := RTTs()[1]
-	rcvBuf := int(cfg.ReceiverCapBps * rtt2.Seconds() / 8)
+	rcvBuf := int(cfg.Scale.Rate(receiverCapBps) * rtt2.Seconds() / 8)
 	sys.TransferToExternal(1, 0, 0, cfg.Duration, sender, tcp.Config{RcvBufBytes: rcvBuf})
 
 	// DTN3: sender-limited by pacing.
 	paced := sender
-	paced.PacingBps = cfg.SenderPaceBps
+	paced.PacingBps = cfg.Scale.Rate(senderPaceBps)
 	sys.TransferToExternal(2, 0, 0, cfg.Duration, paced, tcp.Config{})
 
 	sys.Run(cfg.Duration)

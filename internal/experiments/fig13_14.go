@@ -12,22 +12,12 @@ import (
 // Fig13Config parameterises the mmWave blockage observation of §5.4.3.
 type Fig13Config struct {
 	Scale Scale
-	// BlockageAt is when the LOS is blocked; default t=7 s (Figure 13b).
-	BlockageAt simtime.Time
-	// BlockageDuration; default 2 s (the gray rectangle of Figure 14).
-	BlockageDuration simtime.Time
-	Seed             uint64
+	Seed  uint64
 }
 
 func (c Fig13Config) withDefaults() Fig13Config {
 	if c.Scale.Factor == 0 {
 		c.Scale = Fast()
-	}
-	if c.BlockageAt <= 0 {
-		c.BlockageAt = 7 * simtime.Second
-	}
-	if c.BlockageDuration <= 0 {
-		c.BlockageDuration = 2 * simtime.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -35,11 +25,11 @@ func (c Fig13Config) withDefaults() Fig13Config {
 	return c
 }
 
+// mmwave is the scenario of Figures 13 and 14: mmwave's default
+// blockage, t=7 s for 2 s.
 func (c Fig13Config) mmwave() mmwave.Config {
 	return mmwave.Config{
-		RateBps:          c.Scale.Rate(1e9) * 10, // multi-Gbps mmWave at paper scale
-		BlockageStart:    c.BlockageAt,
-		BlockageDuration: c.BlockageDuration,
+		RateBps: c.Scale.Rate(1e9) * 10, // multi-Gbps mmWave at paper scale
 	}
 }
 

@@ -26,14 +26,18 @@ type Table1Config struct {
 	Scale Scale
 	// Duration of the scenario; default 60 s.
 	Duration simtime.Time
-	// TestInterval is the regular perfSONAR test period; default 30 s
+	Seed     uint64
+}
+
+// The regular deployment's schedule.
+const (
+	// table1TestInterval is the regular perfSONAR test period
 	// (production deployments test every several hours; 30 s is already
 	// generous to the baseline).
-	TestInterval simtime.Time
-	// TestDuration is each active throughput test's length; default 5 s.
-	TestDuration simtime.Time
-	Seed         uint64
-}
+	table1TestInterval = 30 * simtime.Second
+	// table1TestDuration is each active throughput test's length.
+	table1TestDuration = 5 * simtime.Second
+)
 
 func (c Table1Config) withDefaults() Table1Config {
 	if c.Scale.Factor == 0 {
@@ -41,12 +45,6 @@ func (c Table1Config) withDefaults() Table1Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * simtime.Second
-	}
-	if c.TestInterval <= 0 {
-		c.TestInterval = 30 * simtime.Second
-	}
-	if c.TestDuration <= 0 {
-		c.TestDuration = 5 * simtime.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -96,9 +94,9 @@ func RunTable1(cfg Table1Config) *Table1Result {
 
 	// Regular perfSONAR: periodic active tests between perfSONAR nodes.
 	sys.Scheduler.ScheduleThroughput(sys.LocalPerfNode, sys.ExternalPerf[0],
-		simtime.Second, cfg.TestInterval, cfg.TestDuration, sender)
+		simtime.Second, table1TestInterval, table1TestDuration, sender)
 	sys.Scheduler.ScheduleLatency(sys.LocalPerfNode, sys.ExternalPerf[0],
-		simtime.Second, cfg.TestInterval, 10, 200*simtime.Millisecond)
+		simtime.Second, table1TestInterval, 10, 200*simtime.Millisecond)
 
 	// Real traffic: a bulk transfer plus an endpoint-limited transfer.
 	sys.TransferToExternal(1, 10*simtime.Second, 0, cfg.Duration-10*simtime.Second, sender, tcp.Config{})
@@ -155,7 +153,7 @@ func RunTable1(cfg Table1Config) *Table1Result {
 		},
 		{
 			Aspect:  "Visibility",
-			Regular: fmt.Sprintf("only during tests (%v of %v)", simtime.Time(res.ActiveTestResults/2)*cfg.TestDuration, cfg.Duration),
+			Regular: fmt.Sprintf("only during tests (%v of %v)", simtime.Time(res.ActiveTestResults/2)*table1TestDuration, cfg.Duration),
 			P4:      "continuous over all data transfers",
 		},
 		{

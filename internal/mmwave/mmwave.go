@@ -56,36 +56,32 @@ func (k DetectorKind) String() string {
 // Config parameterises a blockage scenario.
 type Config struct {
 	// RateBps is the CBR offered load; default 1 Gbps (multi-Gbps
-	// point-to-point mmWave).
+	// point-to-point mmWave). The mmWave and backup links run at twice
+	// this rate.
 	RateBps float64
-	// PktPayload is the payload per packet; default 1400 bytes.
-	PktPayload int
-	// LinkBps is the mmWave link capacity; default 2x RateBps.
-	LinkBps float64
 	// Duration is the total run; default 14 s (Figure 13 plots ~14 s).
 	Duration simtime.Time
 	// BlockageStart and BlockageDuration define the LOS loss window;
 	// defaults t=7 s and 2 s (Figures 13 and 14).
 	BlockageStart    simtime.Time
 	BlockageDuration simtime.Time
-
-	// Detector tuning.
-	IATThreshold  simtime.Time // P4 watchdog; default 1 ms
-	PollInterval  simtime.Time // throughput controller; default 100 ms
-	RSSIWindow    simtime.Time // averaging+hysteresis; default 1 s
-	RSSISameple   simtime.Time // RSSI sampling period; default 10 ms
-	ThroughputCut float64      // degradation fraction that triggers; default 0.5
 }
+
+// pktPayload is the CBR flow's payload per packet in bytes.
+const pktPayload = 1400
+
+// Detector tuning.
+const (
+	iatThreshold  = simtime.Millisecond       // P4 watchdog
+	pollInterval  = 100 * simtime.Millisecond // throughput controller
+	rssiWindow    = simtime.Second            // averaging+hysteresis
+	rssiSample    = 10 * simtime.Millisecond  // RSSI sampling period
+	throughputCut = 0.5                       // degradation fraction that triggers
+)
 
 func (c Config) withDefaults() Config {
 	if c.RateBps <= 0 {
 		c.RateBps = netsim.Gbps(1)
-	}
-	if c.PktPayload <= 0 {
-		c.PktPayload = 1400
-	}
-	if c.LinkBps <= 0 {
-		c.LinkBps = 2 * c.RateBps
 	}
 	if c.Duration <= 0 {
 		c.Duration = 14 * simtime.Second
@@ -96,27 +92,11 @@ func (c Config) withDefaults() Config {
 	if c.BlockageDuration <= 0 {
 		c.BlockageDuration = 2 * simtime.Second
 	}
-	if c.IATThreshold <= 0 {
-		c.IATThreshold = simtime.Millisecond
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * simtime.Millisecond
-	}
-	if c.RSSIWindow <= 0 {
-		c.RSSIWindow = simtime.Second
-	}
-	if c.RSSISameple <= 0 {
-		c.RSSISameple = 10 * simtime.Millisecond
-	}
-	if c.ThroughputCut <= 0 {
-		c.ThroughputCut = 0.5
-	}
 	return c
 }
 
 // Result reports one scenario run.
 type Result struct {
-	Kind Config
 	// Detector identifies the system under test.
 	Detector DetectorKind
 	// DetectedAt is when the detector declared blockage (0 = never).
@@ -152,7 +132,7 @@ func Run(kind DetectorKind, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	e := simtime.NewEngine()
 
-	res := Result{Kind: cfg, Detector: kind}
+	res := Result{Detector: kind}
 	res.Throughput = metrics.NewSeries("throughput-" + kind.String())
 	res.IAT = metrics.NewSeries("iat-" + kind.String())
 
@@ -164,8 +144,9 @@ func Run(kind DetectorKind, cfg Config) Result {
 	rx := &netsim.Sink{Label: "rx"}
 
 	// Paths: primary (mmWave, blockable) and backup.
-	primary := netsim.NewLink(e, "mmwave", rx, cfg.LinkBps, 5*simtime.Microsecond, simtime.NewRNG(1))
-	backup := netsim.NewLink(e, "backup", rx, cfg.LinkBps, 20*simtime.Microsecond, simtime.NewRNG(2))
+	linkBps := 2 * cfg.RateBps
+	primary := netsim.NewLink(e, "mmwave", rx, linkBps, 5*simtime.Microsecond, simtime.NewRNG(1))
+	backup := netsim.NewLink(e, "backup", rx, linkBps, 20*simtime.Microsecond, simtime.NewRNG(2))
 
 	// Watchdog for the P4 IAT detector.
 	var watchdogGen uint64
@@ -183,7 +164,7 @@ func Run(kind DetectorKind, cfg Config) Result {
 		}
 		watchdogGen++
 		gen := watchdogGen
-		e.Schedule(cfg.IATThreshold, func() {
+		e.Schedule(iatThreshold, func() {
 			if gen == watchdogGen && !handedOver {
 				triggerHandover(e.Now())
 			}
@@ -199,7 +180,7 @@ func Run(kind DetectorKind, cfg Config) Result {
 			}
 			// Subsample the IAT series to keep figures tractable: every
 			// 256th packet, plus every abnormal gap.
-			if rx.Packets%256 == 0 || iat > 10*cfg.IATThreshold {
+			if rx.Packets%256 == 0 || iat > 10*iatThreshold {
 				res.IAT.Append(now, iat.Seconds()*1e6) // microseconds
 			}
 		}
@@ -216,14 +197,14 @@ func Run(kind DetectorKind, cfg Config) Result {
 		DstPort: 7001,
 		Proto:   packet.ProtoUDP,
 	}
-	wire := cfg.PktPayload + packet.EthernetHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen
+	wire := pktPayload + packet.EthernetHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen
 	gap := simtime.Time(float64(wire*8) / cfg.RateBps * 1e9)
 	var send func()
 	send = func() {
 		if e.Now() >= cfg.Duration {
 			return
 		}
-		p := packet.NewUDP(ft, cfg.PktPayload)
+		p := packet.NewUDP(ft, pktPayload)
 		res.Offered++
 		if handedOver {
 			backup.Send(p)
@@ -241,11 +222,11 @@ func Run(kind DetectorKind, cfg Config) Result {
 	// Throughput-based controller.
 	if kind == DetectorThroughput {
 		var prev uint64
-		simtime.NewTicker(e, cfg.PollInterval, cfg.PollInterval, func(now simtime.Time) {
+		simtime.NewTicker(e, pollInterval, pollInterval, func(now simtime.Time) {
 			delta := rx.Bytes - prev
 			prev = rx.Bytes
-			rate := float64(delta*8) / cfg.PollInterval.Seconds()
-			if now > cfg.PollInterval && rate < cfg.ThroughputCut*cfg.RateBps {
+			rate := float64(delta*8) / pollInterval.Seconds()
+			if now > pollInterval && rate < throughputCut*cfg.RateBps {
 				triggerHandover(now)
 			}
 		})
@@ -258,7 +239,7 @@ func Run(kind DetectorKind, cfg Config) Result {
 		ewma := rssiLOS
 		belowSince := simtime.Time(-1)
 		rng := simtime.NewRNG(99)
-		simtime.NewTicker(e, cfg.RSSISameple, cfg.RSSISameple, func(now simtime.Time) {
+		simtime.NewTicker(e, rssiSample, rssiSample, func(now simtime.Time) {
 			raw := rssiLOS
 			if now >= cfg.BlockageStart && now < cfg.BlockageStart+cfg.BlockageDuration {
 				raw = rssiBlocked
@@ -268,7 +249,7 @@ func Run(kind DetectorKind, cfg Config) Result {
 			if ewma < rssiCut {
 				if belowSince < 0 {
 					belowSince = now
-				} else if now-belowSince >= cfg.RSSIWindow {
+				} else if now-belowSince >= rssiWindow {
 					triggerHandover(now)
 				}
 			} else {

@@ -49,7 +49,7 @@ func TestP4DetectorReactsWithinThreshold(t *testing.T) {
 	if r.DetectedAt == 0 {
 		t.Fatal("P4 detector never fired")
 	}
-	if r.DetectionLatency > 3*cfg.withDefaults().IATThreshold {
+	if r.DetectionLatency > 3*iatThreshold {
 		t.Fatalf("P4 detection latency %v, want ~IAT threshold", r.DetectionLatency)
 	}
 	if r.RecoveredAt == 0 {

@@ -110,8 +110,8 @@ type Packet struct {
 
 	// SeqExt and AckExt carry 64-bit extended sequence numbers so the
 	// simulator can move more than 4 GB per flow without wrap ambiguity
-	// (see DESIGN.md substitution table). Marshal truncates them to the
-	// 32-bit wire fields.
+	// (see DESIGN.md substitution table). Seq and Ack hold their low
+	// 32 bits, the wire fields.
 	SeqExt uint64
 	AckExt uint64
 
@@ -136,9 +136,6 @@ type Packet struct {
 
 	// SentAt is the virtual time the packet left its origin host.
 	SentAt simtime.Time
-	// FlowTag is an optional human-readable label set by traffic
-	// generators ("flow1", "dtn2-transfer") used by reports and figures.
-	FlowTag string
 
 	// pooled marks packets owned by the package arena (see pool.go).
 	// Release is a no-op on packets built with NewTCP/NewUDP or plain

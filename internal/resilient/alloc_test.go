@@ -5,10 +5,13 @@
 package resilient
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,7 +58,12 @@ func (c *heldConn) Close() error                     { return nil }
 // burst (readying the shipper's goroutine may wake an idle P), so a burst
 // during which the threadcreate profile's count moved is run again, up to
 // five tries; every try moving it fails the test.
+//
+// The test profiles every allocation (MemProfileRate 1), so a burst that
+// reads non-zero names the stacks that allocated in it.
 func TestAllocFreeBurst(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	const burst = 4000 // about 19 chunks of metric lines
 	r := controlplane.Report{
 		Kind: controlplane.KindMetric, TimeNs: 2_200_000_000,
@@ -76,10 +84,13 @@ func TestAllocFreeBurst(t *testing.T) {
 		emitted uint64
 		threads = pprof.Lookup("threadcreate")
 	)
+	var sitesBefore map[[32]uintptr]int64
 	emit := func() (bytes uint64, newThread bool) {
 		started := threads.Count()
 		hold.Lock()
 		runtime.GC()
+		sitesBefore = allocSites()
+		runtime.GC() // flushes the caches allocSites filled
 		metrics.Read(allocated)
 		for i := 0; i < burst; i++ {
 			s.Emit(r)
@@ -103,10 +114,50 @@ func TestAllocFreeBurst(t *testing.T) {
 			t.Fatalf("burst %d: a thread started during each of 5 tries", i+2)
 		}
 		if b/burst != 0 {
-			t.Fatalf("burst %d: %d B allocated, %.2f B per report, want 0", i+2, b, float64(b)/burst)
+			runtime.GC() // publishes the burst's allocations to the profile
+			t.Fatalf("burst %d: %d B allocated, %.2f B per report, want 0; allocating stacks:\n%s",
+				i+2, b, float64(b)/burst, allocDiff(sitesBefore, allocSites()))
 		}
 	}
 	if st := s.Stats(); st.Shipped != emitted || st.Dropped != 0 {
 		t.Fatalf("%s, want all %d shipped", st, emitted)
 	}
+}
+
+// allocSites returns the bytes allocated so far at each allocation
+// stack, as of the last completed collection.
+func allocSites() map[[32]uintptr]int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	sites := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		sites[r.Stack0] += r.AllocBytes
+	}
+	return sites
+}
+
+// allocDiff renders the stacks whose allocated bytes grew from before
+// to after, largest first, one line per stack. allocSites' own stacks
+// are left out: the before snapshot is taken inside the window.
+func allocDiff(before, after map[[32]uintptr]int64) string {
+	var lines []string
+	for stack, b := range after {
+		if b <= before[stack] {
+			continue
+		}
+		line := fmt.Sprintf("%9d B", b-before[stack])
+		rec := runtime.MemProfileRecord{Stack0: stack}
+		for frames, more := runtime.CallersFrames(rec.Stack()), true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			line += fmt.Sprintf(" %s:%d", f.Function, f.Line)
+		}
+		if !strings.Contains(line, "resilient.allocSites") {
+			lines = append(lines, line)
+		}
+	}
+	slices.Sort(lines) // the counts are right-aligned: by size
+	slices.Reverse(lines)
+	return strings.Join(lines, "\n")
 }

@@ -504,20 +504,17 @@ func (f *DupFilter) MemoryBytes() uint64 {
 }
 
 // Config parameterises a Lean bundle. The zero value defaults to
-// ε = 1e-3, δ = 0.01 for the counting sketches and a dup filter sized
-// for 4M inserts at 1% false positives.
+// ε = 1e-3 for the counting sketches and a dup filter sized for 4M
+// inserts.
 type Config struct {
-	// Epsilon and Delta bound the byte/packet/loss sketches'
-	// overcount: ≤ ε·N with probability ≥ 1-δ per query.
-	Epsilon, Delta float64
+	// Epsilon bounds the byte/packet/loss sketches' overcount: ≤ ε·N
+	// with probability ≥ 1-leanDelta per query.
+	Epsilon float64
 	// DupExpectedInserts sizes the retransmission dup filter for the
 	// TCP data packets it is expected to hold. Nothing in the pipeline
 	// clears the filter, so it fills for the pipe's life: a design fill,
 	// not a per-window budget.
 	DupExpectedInserts int
-	// DupTargetFP is the dup filter's design false-positive rate at
-	// DupExpectedInserts.
-	DupTargetFP float64
 	// Cells is the exact tier's flow-table size: NoteSeq keeps one open
 	// run of deferred inserts per cell. Zero leaves NoteSeq unusable.
 	Cells int
@@ -528,17 +525,19 @@ func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
 		c.Epsilon = 1e-3
 	}
-	if c.Delta == 0 {
-		c.Delta = 0.01
-	}
 	if c.DupExpectedInserts == 0 {
 		c.DupExpectedInserts = 4 << 20
 	}
-	if c.DupTargetFP == 0 {
-		c.DupTargetFP = 0.01
-	}
 	return c
 }
+
+const (
+	// leanDelta is the counting sketches' failure probability δ.
+	leanDelta = 0.01
+	// dupTargetFP is the dup filter's design false-positive rate at
+	// Config.DupExpectedInserts.
+	dupTargetFP = 0.01
+)
 
 // Lean bundles the lean tier's structures: byte, packet and loss
 // sketches sharing one geometry, plus the retransmission dup filter.
@@ -549,19 +548,17 @@ func (c Config) withDefaults() Config {
 type Lean struct {
 	bytes, pkts, loss *CMS
 	dup               *DupFilter
-	cfg               Config
 }
 
 // NewLean builds the bundle (zero-value cfg = package defaults).
 func NewLean(cfg Config) *Lean {
 	cfg = cfg.withDefaults()
-	g := GeometryFor(cfg.Epsilon, cfg.Delta)
+	g := GeometryFor(cfg.Epsilon, leanDelta)
 	l := &Lean{
 		bytes: NewCMS(g),
 		pkts:  NewCMS(g),
 		loss:  NewCMS(g),
-		dup:   NewDupFilter(cfg.DupExpectedInserts, cfg.DupTargetFP).withCells(cfg.Cells),
-		cfg:   cfg,
+		dup:   NewDupFilter(cfg.DupExpectedInserts, dupTargetFP).withCells(cfg.Cells),
 	}
 	l.dup.hits = l.loss
 	return l

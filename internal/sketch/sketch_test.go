@@ -356,7 +356,7 @@ func TestDupFilterFPRate(t *testing.T) {
 // observes plus an eviction fold, then never-undercount and bound
 // checks per flow.
 func TestLeanFoldAndEstimate(t *testing.T) {
-	l := NewLean(Config{Epsilon: 0.01, Delta: 0.05, DupExpectedInserts: 1 << 16, DupTargetFP: 0.01})
+	l := NewLean(Config{Epsilon: 0.01, DupExpectedInserts: 1 << 16})
 	rng := &testRNG{state: 99}
 	const flows = 2000
 	truthBytes := make([]uint64, flows)

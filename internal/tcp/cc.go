@@ -6,89 +6,17 @@ import (
 	"repro/internal/simtime"
 )
 
-// congestionControl abstracts the sender's window computation. Windows
-// are tracked in bytes.
-type congestionControl interface {
-	// window returns the current congestion window in bytes.
-	window() float64
-	// onAck processes a cumulative acknowledgment of ackedBytes outside
-	// fast recovery.
-	onAck(ackedBytes int, srtt simtime.Time, now simtime.Time)
-	// onLoss reacts to entering fast recovery (triple duplicate ACK).
-	onLoss(flightBytes int, now simtime.Time)
-	// onTimeout reacts to an RTO expiry.
-	onTimeout(flightBytes int)
-	// exitRecovery restores the window when recovery completes. (The
-	// sender uses RFC 6675-style pipe accounting during recovery, so
-	// no RFC 5681 window inflation is needed.)
-	exitRecovery()
-	// inSlowStart reports whether the algorithm is still in the
-	// exponential phase.
-	inSlowStart() bool
-	// exitSlowStart ends the exponential phase at the current window —
-	// the HyStart delay-based exit, triggered by the sender when RTT
-	// samples show the queue building.
-	exitSlowStart()
-}
-
-// ---------------------------------------------------------------------
-// NewReno
-// ---------------------------------------------------------------------
-
-type reno struct {
-	mss      float64
-	cwnd     float64
-	ssthresh float64
-}
-
-func newReno(mss, initialCwnd int) *reno {
-	return &reno{
-		mss:      float64(mss),
-		cwnd:     float64(initialCwnd) * float64(mss),
-		ssthresh: math.MaxFloat64,
-	}
-}
-
-func (r *reno) window() float64 { return r.cwnd }
-
-func (r *reno) onAck(acked int, _ simtime.Time, _ simtime.Time) {
-	if r.cwnd < r.ssthresh {
-		// Slow start: one MSS per acked segment, i.e. acked bytes.
-		r.cwnd += float64(acked)
-		if r.cwnd > r.ssthresh {
-			r.cwnd = r.ssthresh
-		}
-	} else {
-		// Congestion avoidance: ~one MSS per RTT.
-		r.cwnd += r.mss * r.mss / r.cwnd
-	}
-}
-
-func (r *reno) onLoss(flight int, _ simtime.Time) {
-	r.ssthresh = math.Max(float64(flight)/2, 2*r.mss)
-	r.cwnd = r.ssthresh
-}
-
-func (r *reno) onTimeout(flight int) {
-	r.ssthresh = math.Max(float64(flight)/2, 2*r.mss)
-	r.cwnd = r.mss
-}
-
-func (r *reno) exitRecovery() { r.cwnd = r.ssthresh }
-
-func (r *reno) inSlowStart() bool { return r.cwnd < r.ssthresh }
-
-func (r *reno) exitSlowStart() { r.ssthresh = r.cwnd }
-
-// ---------------------------------------------------------------------
-// CUBIC (RFC 8312)
-// ---------------------------------------------------------------------
-
 const (
 	cubicC    = 0.4 // aggressiveness constant, segments/sec^3
 	cubicBeta = 0.7 // multiplicative decrease factor
+	// initialCwnd is the initial congestion window in segments (RFC 6928).
+	initialCwnd = 10
 )
 
+// cubic is the sender's congestion control: CUBIC (RFC 8312), the
+// Linux default the testbed DTNs run. Windows are tracked in bytes.
+// Loss recovery (NewReno with SACK, RFC 6582/6675) is the sender's
+// (sender.go); this type only computes the window.
 type cubic struct {
 	mss      float64
 	cwnd     float64 // bytes
@@ -102,17 +30,19 @@ type cubic struct {
 	ackCnt float64
 }
 
-func newCubic(mss, initialCwnd int) *cubic {
+func newCubic(mss int) *cubic {
 	return &cubic{
 		mss:      float64(mss),
-		cwnd:     float64(initialCwnd) * float64(mss),
+		cwnd:     initialCwnd * float64(mss),
 		ssthresh: math.MaxFloat64,
 	}
 }
 
 func (c *cubic) window() float64 { return c.cwnd }
 
-func (c *cubic) onAck(acked int, srtt simtime.Time, now simtime.Time) {
+// onAck processes a cumulative acknowledgment of acked bytes outside
+// fast recovery.
+func (c *cubic) onAck(acked int, now simtime.Time) {
 	if c.cwnd < c.ssthresh {
 		c.cwnd += float64(acked)
 		if c.cwnd > c.ssthresh {
@@ -155,7 +85,8 @@ func (c *cubic) onAck(acked int, srtt simtime.Time, now simtime.Time) {
 	}
 }
 
-func (c *cubic) onLoss(flight int, now simtime.Time) {
+// onLoss reacts to entering fast recovery (triple duplicate ACK).
+func (c *cubic) onLoss() {
 	segs := c.cwnd / c.mss
 	// Fast convergence: release bandwidth faster when the window is
 	// still below the previous wMax (another flow is ramping up).
@@ -169,7 +100,8 @@ func (c *cubic) onLoss(flight int, now simtime.Time) {
 	c.hasEpoch = false
 }
 
-func (c *cubic) onTimeout(flight int) {
+// onTimeout reacts to an RTO expiry.
+func (c *cubic) onTimeout() {
 	segs := c.cwnd / c.mss
 	if segs < c.wMax {
 		c.wMax = segs * (1 + cubicBeta) / 2
@@ -181,10 +113,11 @@ func (c *cubic) onTimeout(flight int) {
 	c.hasEpoch = false
 }
 
-func (c *cubic) exitRecovery() {}
-
 func (c *cubic) inSlowStart() bool { return c.cwnd < c.ssthresh }
 
+// exitSlowStart ends the exponential phase at the current window: the
+// HyStart delay-based exit, triggered by the sender when RTT samples
+// show the queue building.
 func (c *cubic) exitSlowStart() {
 	c.ssthresh = c.cwnd
 	segs := c.cwnd / c.mss

@@ -1,24 +1,16 @@
 package tcp
 
 import (
-	"fmt"
-
 	"repro/internal/packet"
 	"repro/internal/simtime"
 )
 
 // Config carries the per-connection knobs the experiments turn.
 type Config struct {
-	// CC selects the congestion-control algorithm: "cubic" (default,
-	// the Linux default the testbed DTNs run) or "reno".
-	CC string
 	// MSS is the maximum segment payload in bytes. Defaults to 8960,
 	// the payload of a 9000-byte jumbo frame (standard for Science DMZ
 	// DTNs).
 	MSS int
-	// InitialCwnd is the initial congestion window in segments
-	// (default 10, per RFC 6928).
-	InitialCwnd int
 	// RcvBufBytes caps the receiver's advertised window. The Fig. 12
 	// DTN2 test shrinks this to make the receiver the bottleneck.
 	// Defaults to 1 GiB (effectively unlimited).
@@ -27,42 +19,14 @@ type Config struct {
 	// The Fig. 12 DTN3 test sets 500 Mbps to make the sender the
 	// bottleneck (an application-limited source).
 	PacingBps float64
-	// DelayedAckEvery makes the receiver acknowledge every Nth in-order
-	// segment (default 2). Out-of-order arrivals are acked immediately.
-	DelayedAckEvery int
-	// DelayedAckTimeout bounds how long a lone segment may wait for a
-	// companion before being acknowledged anyway (default 40 ms, the
-	// Linux quick-ack range). Without it, the final odd segment of a
-	// transfer would sit unacknowledged until the sender's RTO.
-	DelayedAckTimeout simtime.Time
-	// RTOMin floors the retransmission timeout (default 200 ms, the
-	// Linux value).
-	RTOMin simtime.Time
-	// FlowTag labels the flow in reports and figures.
-	FlowTag string
 }
 
 func (c Config) withDefaults() Config {
-	if c.CC == "" {
-		c.CC = "cubic"
-	}
 	if c.MSS <= 0 {
 		c.MSS = 8960
 	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 10
-	}
 	if c.RcvBufBytes <= 0 {
 		c.RcvBufBytes = 1 << 30
-	}
-	if c.DelayedAckEvery <= 0 {
-		c.DelayedAckEvery = 2
-	}
-	if c.DelayedAckTimeout <= 0 {
-		c.DelayedAckTimeout = 40 * simtime.Millisecond
-	}
-	if c.RTOMin <= 0 {
-		c.RTOMin = 200 * simtime.Millisecond
 	}
 	return c
 }
@@ -116,7 +80,7 @@ type Conn struct {
 	sndNxt  uint64 // next sequence to transmit
 	sndMax  uint64 // highest sequence ever transmitted
 	rwnd    int    // peer's advertised window, bytes
-	cc      congestionControl
+	cc      *cubic
 	rto     rtoEstimator
 	dupAcks int
 	// fast-recovery (NewReno + SACK) state
@@ -203,15 +167,8 @@ func newConn(h *Host, ft packet.FiveTuple, cfg Config, r role) *Conn {
 		rwnd:  1 << 30,
 		state: stateSynSent,
 	}
-	c.rto.init(cfg.RTOMin)
-	switch cfg.CC {
-	case "reno":
-		c.cc = newReno(cfg.MSS, cfg.InitialCwnd)
-	case "cubic":
-		c.cc = newCubic(cfg.MSS, cfg.InitialCwnd)
-	default:
-		panic(fmt.Sprintf("tcp: unknown congestion control %q", cfg.CC))
-	}
+	c.rto.init()
+	c.cc = newCubic(cfg.MSS)
 	if r == roleReceiver {
 		c.state = stateSynReceived
 	}
@@ -228,7 +185,6 @@ func newConn(h *Host, ft packet.FiveTuple, cfg Config, r role) *Conn {
 
 func (c *Conn) sendSYN() {
 	syn := packet.NewTCP(c.ft, 0, 0, packet.FlagSYN, 0)
-	syn.FlowTag = c.cfg.FlowTag
 	syn.Window = c.advertisedWindow()
 	c.sndUna, c.sndNxt, c.sndMax = 0, 1, 1
 	c.host.send(syn)
@@ -237,7 +193,6 @@ func (c *Conn) sendSYN() {
 
 func (c *Conn) sendSYNACK() {
 	sa := packet.NewTCP(c.ft, 0, c.rcvNxt, packet.FlagSYN|packet.FlagACK, 0)
-	sa.FlowTag = c.cfg.FlowTag
 	sa.Window = c.advertisedWindow()
 	c.host.send(sa)
 }

@@ -1,8 +1,8 @@
 // Package tcp implements packet-level TCP endpoints for the simulator:
-// NewReno and CUBIC congestion control, slow start, fast
-// retransmit/recovery, retransmission timeouts with exponential backoff,
-// delayed acknowledgments, receiver flow control, and application-rate
-// pacing. The model is deliberately scoped to what the paper's
+// CUBIC congestion control (the Linux default the testbed DTNs run),
+// slow start, fast retransmit and NewReno/SACK recovery, retransmission
+// timeouts with exponential backoff, delayed acknowledgments, receiver
+// flow control, and application-rate pacing. The model is deliberately scoped to what the paper's
 // experiments exercise — unidirectional bulk transfers whose dynamics
 // (slow-start bursts, loss sawtooth, fairness convergence, rwnd and
 // pacing caps) the P4 data plane observes.

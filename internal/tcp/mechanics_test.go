@@ -104,10 +104,10 @@ func TestOneCutPerWindow(t *testing.T) {
 func TestPRRBudgetLimitsRecoveryOutput(t *testing.T) {
 	c := &Conn{cfg: Config{MSS: 1000}.withDefaults()}
 	c.cfg.MSS = 1000
-	c.cc = newReno(1000, 10)
+	c.cc = newCubic(1000)
 	c.inRecovery = true
 	c.recoverFlight = 100_000
-	c.cc.(*reno).cwnd = 50_000 // post-cut window
+	c.cc.cwnd = 50_000 // post-cut window
 
 	// Nothing delivered yet: only the one-MSS slack is allowed.
 	if c.prrAllow(1000) && c.prrAllow(3000) {

@@ -2,6 +2,18 @@ package tcp
 
 import (
 	"repro/internal/packet"
+	"repro/internal/simtime"
+)
+
+const (
+	// delayedAckEvery makes the receiver acknowledge every second
+	// in-order segment. Out-of-order arrivals are acked immediately.
+	delayedAckEvery = 2
+	// delayedAckTimeout bounds how long a lone segment may wait for a
+	// companion before being acknowledged anyway (the Linux quick-ack
+	// range). Without it, the final odd segment of a transfer would sit
+	// unacknowledged until the sender's RTO.
+	delayedAckTimeout = 40 * simtime.Millisecond
 )
 
 // advertisedWindow converts the free receive-buffer space into the
@@ -46,7 +58,7 @@ func (c *Conn) handleData(pkt *packet.Packet) {
 		c.Stats.BytesRecv += delivered
 		c.absorbOOO()
 		c.unackedSegs++
-		if c.unackedSegs >= c.cfg.DelayedAckEvery {
+		if c.unackedSegs >= delayedAckEvery {
 			c.sendAck()
 		} else if !c.delackTimer.Armed() {
 			// Delayed-ACK timer: a lone segment must not wait for a
@@ -54,7 +66,7 @@ func (c *Conn) handleData(pkt *packet.Packet) {
 			// fires spuriously on the last odd segment of a transfer.
 			// When the timer fires it acknowledges whatever is pending
 			// — even segments that arrived after it was armed.
-			c.delackTimer.Reset(c.cfg.DelayedAckTimeout)
+			c.delackTimer.Reset(delayedAckTimeout)
 		}
 	default:
 		// Out of order: buffer and send an immediate duplicate ACK.
@@ -119,7 +131,6 @@ func (c *Conn) delackFire() {
 // p4:hotpath
 func (c *Conn) sendAck() {
 	ack := packet.GetTCP(c.ft, c.sndNxt, c.rcvNxt, packet.FlagACK, 0)
-	ack.FlowTag = c.cfg.FlowTag
 	ack.Window = c.advertisedWindow()
 	ack.TSEcr = c.tsRecent // echo the most recent timestamp (RFC 7323)
 	// RFC 2018: report the most recently changed range first, then

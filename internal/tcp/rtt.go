@@ -3,21 +3,23 @@ package tcp
 import "repro/internal/simtime"
 
 // rtoEstimator implements the RFC 6298 retransmission-timeout
-// computation: SRTT/RTTVAR smoothing with a configurable floor and
-// exponential backoff on consecutive timeouts.
+// computation: SRTT/RTTVAR smoothing with a floor and exponential
+// backoff on consecutive timeouts.
 type rtoEstimator struct {
 	srtt     simtime.Time
 	rttvar   simtime.Time
 	rto      simtime.Time
-	rtoMin   simtime.Time
 	sampled  bool
 	backoffN uint
 }
 
-const rtoMax = 60 * simtime.Second
+const (
+	// rtoMin floors the retransmission timeout (the Linux value).
+	rtoMin = 200 * simtime.Millisecond
+	rtoMax = 60 * simtime.Second
+)
 
-func (r *rtoEstimator) init(rtoMin simtime.Time) {
-	r.rtoMin = rtoMin
+func (r *rtoEstimator) init() {
 	r.rto = 1 * simtime.Second // RFC 6298 initial value
 }
 
@@ -39,8 +41,8 @@ func (r *rtoEstimator) sample(rtt simtime.Time) {
 	}
 	r.backoffN = 0
 	r.rto = r.srtt + 4*r.rttvar
-	if r.rto < r.rtoMin {
-		r.rto = r.rtoMin
+	if r.rto < rtoMin {
+		r.rto = rtoMin
 	}
 	if r.rto > rtoMax {
 		r.rto = rtoMax

@@ -94,7 +94,6 @@ const headerOverhead = packet.EthernetHeaderLen + packet.IPv4HeaderLen + packet.
 // p4:hotpath
 func (c *Conn) sendSegment(seq uint64, size int, isRetransmit bool) {
 	pkt := packet.GetTCP(c.ft, seq, c.rcvNxt, packet.FlagACK|packet.FlagPSH, size)
-	pkt.FlowTag = c.cfg.FlowTag
 	pkt.Window = c.advertisedWindow()
 	if !isRetransmit {
 		// TCP timestamps (RFC 7323): retransmissions carry no fresh
@@ -124,7 +123,6 @@ func (c *Conn) maybeFinish() {
 		return
 	}
 	fin := packet.NewTCP(c.ft, c.sndNxt, c.rcvNxt, packet.FlagFIN|packet.FlagACK, 0)
-	fin.FlowTag = c.cfg.FlowTag
 	fin.Window = c.advertisedWindow()
 	fin.TSVal = int64(c.host.engine.Now())
 	c.finSent = true
@@ -212,7 +210,7 @@ func (c *Conn) handleAck(pkt *packet.Packet) {
 				c.retransmitHoles(2)
 			}
 		} else {
-			c.cc.onAck(int(acked), c.rto.srtt, now)
+			c.cc.onAck(int(acked), now)
 		}
 
 		if c.sndUna == c.sndNxt {
@@ -408,7 +406,6 @@ func (c *Conn) exitRecovery() {
 	c.inRecovery = false
 	c.sacked = nil
 	c.holeScan = 0
-	c.cc.exitRecovery()
 }
 
 func (c *Conn) enterFastRecovery() {
@@ -423,8 +420,7 @@ func (c *Conn) enterFastRecovery() {
 	// One multiplicative decrease per window of data: chained
 	// recoveries within the same window belong to one congestion event.
 	if !c.hasCut || c.sndUna > c.cutSeq {
-		flight := int(c.sndNxt - c.sndUna)
-		c.cc.onLoss(flight, c.host.engine.Now())
+		c.cc.onLoss()
 		c.cutSeq = c.sndNxt
 		c.hasCut = true
 	}
@@ -445,7 +441,6 @@ func (c *Conn) retransmitHead() {
 	// A FIN occupying the last sequence number retransmits as FIN.
 	if c.finSent && c.sndUna == c.sndNxt-1 {
 		fin := packet.NewTCP(c.ft, c.sndUna, c.rcvNxt, packet.FlagFIN|packet.FlagACK, 0)
-		fin.FlowTag = c.cfg.FlowTag
 		fin.Window = c.advertisedWindow()
 		c.host.send(fin)
 		c.Stats.Retransmissions++
@@ -495,7 +490,6 @@ func (c *Conn) onTimeout() {
 	if c.state == stateSynSent {
 		// Re-send the lost SYN.
 		syn := packet.NewTCP(c.ft, 0, 0, packet.FlagSYN, 0)
-		syn.FlowTag = c.cfg.FlowTag
 		syn.Window = c.advertisedWindow()
 		c.host.send(syn)
 		c.rto.backoff()
@@ -510,12 +504,10 @@ func (c *Conn) onTimeout() {
 	c.sacked = nil
 	c.holeScan = 0
 	c.dupAcks = 0
-	flight := int(c.sndNxt - c.sndUna)
-	c.cc.onTimeout(flight)
+	c.cc.onTimeout()
 	if c.finSent && c.sndMax == c.sndUna+1 {
 		// Only the FIN is outstanding; resend it.
 		fin := packet.NewTCP(c.ft, c.sndUna, c.rcvNxt, packet.FlagFIN|packet.FlagACK, 0)
-		fin.FlowTag = c.cfg.FlowTag
 		fin.Window = c.advertisedWindow()
 		c.host.send(fin)
 		c.Stats.Retransmissions++

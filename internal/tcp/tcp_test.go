@@ -71,7 +71,7 @@ func TestHandshakeAndSmallTransfer(t *testing.T) {
 	done := false
 	var recvd *Conn
 	n.server.listeners[5201].OnAccept = func(c *Conn) { recvd = c }
-	c := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448, FlowTag: "t"})
+	c := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448})
 	c.OnComplete = func(*Conn) { done = true }
 	c.StartTransfer(100_000)
 	n.engine.Run(10 * simtime.Second)
@@ -227,26 +227,13 @@ func TestTimedTransferStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestRenoCongestionControl(t *testing.T) {
-	n := newTestNet(t, netsim.Mbps(100), 5*simtime.Millisecond, 0)
-	n.server.Listen(5201, Config{})
-	var end simtime.Time
-	c := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448, CC: "reno"})
-	c.OnComplete = func(*Conn) { end = n.engine.Now() }
-	c.StartTransfer(10_000_000)
-	n.engine.Run(60 * simtime.Second)
-	if end == 0 {
-		t.Fatal("reno transfer did not complete")
-	}
-}
-
 func TestTwoFlowsShareBottleneck(t *testing.T) {
 	// Two concurrent timed flows must split the bottleneck roughly
 	// fairly (same RTT, same CC) — the Fig. 9 convergence behaviour.
 	n := newTestNet(t, netsim.Mbps(100), 5*simtime.Millisecond, 125_000)
 	n.server.Listen(5201, Config{})
-	c1 := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448, FlowTag: "f1"})
-	c2 := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448, FlowTag: "f2"})
+	c1 := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448})
+	c2 := n.client.Dial(n.server.IP(), 5201, Config{MSS: 1448})
 	c1.StartTimed(20 * simtime.Second)
 	c2.StartTimed(20 * simtime.Second)
 	n.engine.Run(40 * simtime.Second)
@@ -268,7 +255,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 
 func TestRTOEstimator(t *testing.T) {
 	var r rtoEstimator
-	r.init(200 * simtime.Millisecond)
+	r.init()
 	if r.timeout() != simtime.Second {
 		t.Fatalf("initial RTO %v, want 1s", r.timeout())
 	}
@@ -289,7 +276,7 @@ func TestRTOEstimator(t *testing.T) {
 
 func TestRTOFloor(t *testing.T) {
 	var r rtoEstimator
-	r.init(200 * simtime.Millisecond)
+	r.init()
 	r.sample(1 * simtime.Millisecond)
 	if r.timeout() != 200*simtime.Millisecond {
 		t.Fatalf("RTO %v must respect the 200ms floor", r.timeout())
@@ -325,9 +312,9 @@ func TestOOOBufferMerges(t *testing.T) {
 }
 
 func TestCubicReducesOnLoss(t *testing.T) {
-	cc := newCubic(1448, 10)
+	cc := newCubic(1448)
 	w0 := cc.window()
-	cc.onLoss(int(w0), 0)
+	cc.onLoss()
 	// The base window must shrink by beta; window() additionally
 	// carries the transient 3-MSS recovery inflation (RFC 5681).
 	got := cc.cwnd
@@ -338,13 +325,13 @@ func TestCubicReducesOnLoss(t *testing.T) {
 }
 
 func TestCubicGrowsTowardWmax(t *testing.T) {
-	cc := newCubic(1448, 10)
+	cc := newCubic(1448)
 	cc.ssthresh = 0 // force congestion avoidance
 	cc.wMax = 100   // segments
 	now := simtime.Time(0)
 	for i := 0; i < 5000; i++ {
 		now += simtime.Millisecond
-		cc.onAck(1448, 20*simtime.Millisecond, now)
+		cc.onAck(1448, now)
 	}
 	segs := cc.cwnd / 1448
 	if segs < 90 {
@@ -352,37 +339,42 @@ func TestCubicGrowsTowardWmax(t *testing.T) {
 	}
 }
 
-func TestRenoSlowStartDoubles(t *testing.T) {
-	cc := newReno(1000, 10)
+func TestCubicSlowStartDoubles(t *testing.T) {
+	cc := newCubic(1000)
 	w0 := cc.window()
 	// One RTT worth of ACKs in slow start doubles the window.
 	for acked := 0; acked < int(w0); acked += 1000 {
-		cc.onAck(1000, 0, 0)
+		cc.onAck(1000, 0)
 	}
 	if cc.window() < 2*w0*0.99 {
 		t.Fatalf("slow start did not double: %v -> %v", w0, cc.window())
 	}
 }
 
-func TestRenoCongestionAvoidanceLinear(t *testing.T) {
-	cc := newReno(1000, 10)
+// TestCubicRenoFriendlyGrowthLinear: while the cubic curve sits below
+// the standard AIMD estimate (here the clock never advances past the
+// epoch, so the curve stays at 0.7·wMax), the window follows that
+// estimate and grows by about one MSS per window of ACKs, as Reno's
+// congestion avoidance would (RFC 8312 §4.2).
+func TestCubicRenoFriendlyGrowthLinear(t *testing.T) {
+	cc := newCubic(1000)
 	cc.ssthresh = cc.cwnd // enter CA immediately
 	w0 := cc.window()
-	for acked := 0.0; acked < w0; acked += 1000 {
-		cc.onAck(1000, 0, 0)
+	const rounds = 20
+	for r := 0; r < rounds; r++ {
+		for acked, w := 0.0, cc.window(); acked < w; acked += 1000 {
+			cc.onAck(1000, 0)
+		}
 	}
-	growth := cc.window() - w0
-	if growth < 900 || growth > 1100 {
-		t.Fatalf("CA growth per RTT %.0f, want ~1 MSS", growth)
+	perRound := (cc.window() - w0) / rounds
+	if perRound < 800 || perRound > 1100 {
+		t.Fatalf("CA growth per RTT %.0f, want ~1 MSS", perRound)
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.CC != "cubic" || cfg.MSS != 8960 || cfg.InitialCwnd != 10 {
-		t.Fatalf("bad defaults: %+v", cfg)
-	}
-	if cfg.DelayedAckEvery != 2 || cfg.RTOMin != 200*simtime.Millisecond {
+	if cfg.MSS != 8960 || cfg.RcvBufBytes != 1<<30 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
 }

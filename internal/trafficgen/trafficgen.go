@@ -24,7 +24,8 @@ type Transfer struct {
 	// Duration bounds a timed transfer (iperf3 -t); ignored when Bytes
 	// is set.
 	Duration simtime.Time
-	// SenderConfig tunes the sending endpoint (CC, MSS, pacing).
+	// SenderConfig tunes the sending endpoint (MSS, pacing); every
+	// sender runs CUBIC.
 	SenderConfig tcp.Config
 	// ReceiverConfig tunes the receiving endpoint (RcvBufBytes).
 	ReceiverConfig tcp.Config
@@ -76,12 +77,9 @@ type Handle struct {
 type Burst struct {
 	From    *tcp.Host
 	DstIP   netip.Addr
-	DstPort uint16
 	Count   int
 	Payload int
 	At      simtime.Time
-	// Tag labels burst packets for debugging.
-	Tag string
 }
 
 // Launch schedules the burst.
@@ -89,23 +87,18 @@ func (b Burst) Launch(e *simtime.Engine) {
 	if b.Count <= 0 || b.Payload <= 0 {
 		panic(fmt.Sprintf("trafficgen: burst needs positive count and payload, got %d x %d", b.Count, b.Payload))
 	}
-	if b.DstPort == 0 {
-		b.DstPort = 9 // discard
-	}
 	e.At(b.At, func() {
 		ft := packet.FiveTuple{
 			SrcIP:   b.From.IP(),
 			DstIP:   b.DstIP,
 			SrcPort: 30000,
-			DstPort: b.DstPort,
+			DstPort: 9, // discard
 			Proto:   packet.ProtoUDP,
 		}
 		// Burst packets come from the arena: the receiving host (or the
 		// drop point) recycles them, so a large train allocates nothing.
 		for i := 0; i < b.Count; i++ {
-			p := packet.GetUDP(ft, b.Payload)
-			p.FlowTag = b.Tag
-			b.From.SendPacket(p)
+			b.From.SendPacket(packet.GetUDP(ft, b.Payload))
 		}
 	})
 }
@@ -117,7 +110,6 @@ func EchoResponder(h *tcp.Host) {
 	h.OnUDP = func(pkt *packet.Packet) {
 		reply := packet.NewUDP(pkt.FiveTuple().Reverse(), pkt.PayloadLen)
 		reply.IPID = pkt.IPID // echo carries the probe identifier back
-		reply.FlowTag = pkt.FlowTag
 		h.SendPacket(reply)
 	}
 }

@@ -99,7 +99,7 @@ func TestBurstDeliversTrain(t *testing.T) {
 	w := newWire()
 	var got int
 	w.b.OnUDP = func(p *packet.Packet) {
-		if p.FlowTag == "burst" {
+		if p.SrcPort == 30000 { // Burst's source port
 			got++
 		}
 	}
@@ -109,7 +109,6 @@ func TestBurstDeliversTrain(t *testing.T) {
 		Count:   100,
 		Payload: 1200,
 		At:      simtime.Millisecond,
-		Tag:     "burst",
 	}.Launch(w.engine)
 	w.engine.Run(simtime.Second)
 	if got != 100 {

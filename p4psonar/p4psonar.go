@@ -30,9 +30,11 @@ type (
 	// Options configures the testbed; zero values select the paper's
 	// parameters (10 Gbps bottleneck, 50/75/100 ms RTTs, 1-BDP buffer).
 	Options = core.Options
-	// SenderConfig tunes a transfer's sending endpoint.
+	// SenderConfig tunes a transfer's sending endpoint: MSS and
+	// pacing. Congestion control is CUBIC, as on the testbed's DTNs.
 	SenderConfig = tcp.Config
-	// ReceiverConfig tunes a transfer's receiving endpoint.
+	// ReceiverConfig tunes a transfer's receiving endpoint: its
+	// receive buffer (the advertised window).
 	ReceiverConfig = tcp.Config
 )
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_pairs.sh BASE WORKLOAD [N] — the paired measurement a performance
-# claim rests on (ROADMAP item 1's "interleaved merge-base vs HEAD"):
+# claim rests on (ROADMAP item 17's trajectory of interleaved pairs):
 # N runs of bench/run.sh on BASE and N on this checkout, one workload,
 # alternating which side goes first so that drift of the host falls on
 # both; then each pair's reading of METRIC and bench's own -compare over

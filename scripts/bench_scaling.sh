@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench_scaling.sh [N] — the scaling check of ROADMAP item 3: does a
+# bench_scaling.sh [N] — the scaling check of ROADMAP item 12: does a
 # second pipe pay for itself on this host? N untraced runs each of
 # bench/run.sh's `elephants` (one shard) and `elephants_2shard` (the same
 # stream through two), alternated so that drift of the host falls on
