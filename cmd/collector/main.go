@@ -25,7 +25,7 @@
 // With --obs-addr the collector serves its own telemetry: Prometheus
 // text at /metrics (pipeline counters, extraction-latency histograms,
 // the shipper's degradation-ladder gauges), the report-lifecycle trace
-// ring at /trace, expvar at /debug/vars and pprof at /debug/pprof/.
+// ring at /trace and pprof at /debug/pprof/.
 //
 // Try it together with the other tools:
 //
@@ -65,7 +65,7 @@ func main() {
 	backoffMin := flag.Duration("backoff-min", 50*time.Millisecond, "initial reconnect backoff")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "reconnect backoff ceiling")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-write deadline on the archiver connection")
-	obsAddr := flag.String("obs-addr", "", "self-telemetry HTTP endpoint: /metrics, /trace, expvar, pprof (empty disables)")
+	obsAddr := flag.String("obs-addr", "", "self-telemetry HTTP endpoint: /metrics, /trace, pprof (empty disables)")
 	agingWindow := flag.Duration("aging-window", 0, "evict unannounced flow-table cells idle longer than this to the sketch tier (0 disables aging)")
 	site := flag.String("site", "", "federation site identity stamped into every report as site_id (empty disables stamping)")
 	switchID := flag.String("switch-id", "", "federation switch identity stamped into every report as switch_id")
@@ -125,7 +125,7 @@ func main() {
 	var stepMu sync.Mutex
 
 	// Self-telemetry (opt-in): counters, histograms and the shipper
-	// trace ring behind /metrics, /trace, expvar and pprof. Scrapes of
+	// trace ring behind /metrics, /trace and pprof. Scrapes of
 	// engine-owned state (register scans, the flow directory) run under
 	// the same mutex that serialises simulation stepping.
 	if *obsAddr != "" {

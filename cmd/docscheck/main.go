@@ -3,12 +3,18 @@
 // exist. It parses the Makefile for target names and the cmd/
 // packages for flag registrations (both flag.FlagSet calls and the
 // literal "--flag" tokens of manually parsed commands like psconfig),
-// then scans the code regions of the given markdown files — fenced
+// then scans the code regions of the five hand-kept docs — fenced
 // blocks and inline `spans`, with backslash continuations joined and
 // shell comments stripped — and reports any `make <target>` whose
 // target the Makefile lacks, any cmd/<name> or bin/<name> path whose
-// command has no package under -cmd-dir, or any -flag/--flag on a
-// command line whose binary does not register it.
+// command has no package under cmd/, or any -flag/--flag on a command
+// line whose binary does not register it.
+//
+// A fenced block whose info string names a file (```results/run_all.txt)
+// quotes that file: the file must lie under results/, and every line
+// of the block must be a line of it, trailing blanks aside. make
+// witness keeps results/ equal to what the code prints at seed 42, so a
+// measured number quoted in EXPERIMENTS.md cannot drift from the run.
 //
 // It also generates a metrics inventory: every "p4_..." string
 // literal in the non-test Go sources is a registered metric name (or,
@@ -19,29 +25,24 @@
 // This closes the drift class where docs keep referencing a renamed
 // gauge.
 //
-// It also checks the speed ledger, PERF_LEDGER.tsv in the working
-// directory (appended by scripts/bench_pairs.sh): the header is the
-// expected one, every row has each column in its format, and the head
-// and base commits of every row exist in the repository.
+// It also checks the speed ledger, PERF_LEDGER.tsv (appended by
+// scripts/bench_pairs.sh): the header is the expected one, every row
+// has each column in its format, and the head and base commits of
+// every row exist in the repository.
 //
-// Usage:
-//
-//	docscheck [-makefile Makefile] [-cmd-dir cmd] [-metrics-src internal,cmd] [file.md ...]
-//
-// Without file arguments it checks README.md, ARCHITECTURE.md and
-// OPERATIONS.md.
-// Exit status is 1 when any reference is stale, making it suitable as
-// a CI gate (the docs job runs `make docs`).
+// It takes no arguments and runs from the repository root. Exit status
+// is 1 when any reference is stale, making it suitable as a CI gate
+// (the docs job runs `make docs`).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -49,40 +50,44 @@ import (
 	"strings"
 )
 
-func main() {
-	makefile := flag.String("makefile", "Makefile", "Makefile to harvest targets from")
-	cmdDir := flag.String("cmd-dir", "cmd", "directory holding the command packages")
-	metricsSrc := flag.String("metrics-src", "internal,cmd", "comma-separated source trees to harvest the metrics inventory from")
-	flag.Parse()
-	docs := flag.Args()
-	if len(docs) == 0 {
-		docs = []string{"README.md", "ARCHITECTURE.md", "OPERATIONS.md"}
-	}
+// The inputs, relative to the repository root.
+const (
+	makefile   = "Makefile"
+	cmdDir     = "cmd"
+	resultsDir = "results"
+	ledgerFile = "PERF_LEDGER.tsv"
+)
 
-	targets, err := makefileTargets(*makefile)
+var (
+	metricsSrc = []string{"internal", "cmd"}
+	docFiles   = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "OPERATIONS.md", "DESIGN.md"}
+)
+
+func main() {
+	targets, err := makefileTargets(makefile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
-	cmds, err := commandFlags(*cmdDir)
+	cmds, err := commandFlags(cmdDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
-	metrics, err := metricsInventory(strings.Split(*metricsSrc, ","))
+	metrics, err := metricsInventory(metricsSrc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docscheck:", err)
 		os.Exit(2)
 	}
 
 	var problems []string
-	for _, doc := range docs {
+	for _, doc := range docFiles {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "docscheck:", err)
 			os.Exit(2)
 		}
-		problems = append(problems, checkDoc(doc, string(data), targets, cmds, metrics)...)
+		problems = append(problems, checkDoc(doc, string(data), ".", targets, cmds, metrics)...)
 	}
 	ledger, err := os.ReadFile(ledgerFile)
 	if err != nil {
@@ -235,10 +240,6 @@ var metricLiteralRe = regexp.MustCompile(`"(p4_[a-z0-9_]+)`)
 func metricsInventory(dirs []string) (map[string]bool, error) {
 	inv := map[string]bool{}
 	for _, dir := range dirs {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -296,8 +297,9 @@ func knownMetric(name string, metrics map[string]bool) bool {
 // codeRegion is one checkable chunk of a markdown file: a line of a
 // fenced code block or the contents of an inline `span`.
 type codeRegion struct {
-	line int // 1-based line in the source file
-	text string
+	line  int // 1-based line in the source file
+	text  string
+	fence string // the enclosing fence's info string; "" for a span
 }
 
 var inlineSpanRe = regexp.MustCompile("`([^`\n]+)`")
@@ -308,11 +310,11 @@ var inlineSpanRe = regexp.MustCompile("`([^`\n]+)`")
 func codeRegions(doc string) []codeRegion {
 	var regions []codeRegion
 	lines := strings.Split(doc, "\n")
-	inFence := false
+	inFence, fence := false, ""
 	for i := 0; i < len(lines); i++ {
 		line := lines[i]
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
+		if info, ok := strings.CutPrefix(strings.TrimSpace(line), "```"); ok {
+			inFence, fence = !inFence, strings.TrimSpace(info)
 			continue
 		}
 		if inFence {
@@ -323,7 +325,7 @@ func codeRegions(doc string) []codeRegion {
 				i++
 				joined += " " + strings.TrimSpace(lines[i])
 			}
-			regions = append(regions, codeRegion{line: start + 1, text: stripComment(joined)})
+			regions = append(regions, codeRegion{line: start + 1, text: stripComment(joined), fence: fence})
 			continue
 		}
 		for _, m := range inlineSpanRe.FindAllStringSubmatch(line, -1) {
@@ -347,12 +349,18 @@ func stripComment(line string) string {
 
 // checkDoc validates every code region of one document against the
 // harvested make targets, per-command flag sets and the metrics
-// inventory.
-func checkDoc(file, doc string, targets map[string]bool, cmds map[string]map[string]bool, metrics map[string]bool) []string {
+// inventory, and every quoted line against the file under root that
+// its fence names.
+func checkDoc(file, doc, root string, targets map[string]bool, cmds map[string]map[string]bool, metrics map[string]bool) []string {
 	var problems []string
+	quoted := map[string]map[string]bool{}
 	for _, region := range codeRegions(doc) {
+		if strings.Contains(region.fence, "/") {
+			problems = append(problems, checkQuote(file, root, region, quoted)...)
+			continue
+		}
 		// Pipelines and && chains carry independent command contexts.
-		for _, segment := range splitSegments(region.text) {
+		for _, segment := range segmentSplitRe.Split(region.text, -1) {
 			problems = append(problems, checkSegment(file, region.line, segment, targets, cmds)...)
 		}
 		for _, name := range docMetricRe.FindAllString(region.text, -1) {
@@ -364,11 +372,37 @@ func checkDoc(file, doc string, targets map[string]bool, cmds map[string]map[str
 	return problems
 }
 
-var segmentSplitRe = regexp.MustCompile(`\|\||&&|\|`)
-
-func splitSegments(line string) []string {
-	return segmentSplitRe.Split(line, -1)
+// checkQuote checks one line of a fence that names a file: the file
+// must lie under results/ and hold the line, with trailing blanks
+// trimmed on both sides (run_all.txt pads its table cells). quoted
+// caches each named file's lines, nil for one that is unusable, which
+// is reported once.
+func checkQuote(file, root string, region codeRegion, quoted map[string]map[string]bool) []string {
+	name := region.fence
+	lines, read := quoted[name]
+	if !read {
+		var data []byte
+		err := fmt.Errorf("not a file under %s/", resultsDir)
+		if path.Clean(name) == name && strings.HasPrefix(name, resultsDir+"/") {
+			data, err = os.ReadFile(filepath.Join(root, name))
+		}
+		quoted[name] = nil
+		if err != nil {
+			return []string{fmt.Sprintf("%s:%d: quoted file %q: %v", file, region.line, name, err)}
+		}
+		lines = map[string]bool{}
+		for _, l := range strings.Split(string(data), "\n") {
+			lines[strings.TrimRight(l, " \t\r")] = true
+		}
+		quoted[name] = lines
+	}
+	if lines != nil && !lines[region.text] {
+		return []string{fmt.Sprintf("%s:%d: quoted line is not a line of %s: %q", file, region.line, name, region.text)}
+	}
+	return nil
 }
+
+var segmentSplitRe = regexp.MustCompile(`\|\||&&|\|`)
 
 // checkSegment checks one command segment: make targets when the
 // segment invokes make, flag names when it invokes (or consists only
@@ -439,7 +473,7 @@ func checkSegment(file string, line int, segment string, targets map[string]bool
 		if i := strings.IndexByte(name, '='); i >= 0 {
 			name = name[:i]
 		}
-		if name == "" || !isFlagName(name) {
+		if !flagNameRe.MatchString(name) {
 			continue
 		}
 		if !known[name] {
@@ -455,11 +489,6 @@ func checkSegment(file string, line int, segment string, targets map[string]bool
 var commandPathRe = regexp.MustCompile(`^(?:\./)?(?:cmd|bin)/([A-Za-z][A-Za-z0-9_-]*)(?:[/:]|$)`)
 
 var flagNameRe = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_-]*$`)
-
-func isFlagName(s string) bool { return flagNameRe.MatchString(s) }
-
-// ledgerFile is the speed ledger.
-const ledgerFile = "PERF_LEDGER.tsv"
 
 // ledgerColumns is PERF_LEDGER.tsv's header, the columns
 // scripts/bench_pairs.sh writes.

@@ -136,7 +136,7 @@ func TestCheckDoc(t *testing.T) {
 		"go test -race ./...\n" +
 		"```\n" +
 		"Inline `make lint`, `make nope`, `-shards`, and `-missing` too.\n"
-	problems := checkDoc("doc.md", doc, targets, cmds, nil)
+	problems := checkDoc("doc.md", doc, t.TempDir(), targets, cmds, nil)
 	var got []string
 	for _, p := range problems {
 		got = append(got, p)
@@ -153,6 +153,43 @@ func TestCheckDoc(t *testing.T) {
 	for i, sub := range wantSubstrings {
 		if !strings.Contains(got[i], sub) {
 			t.Errorf("problem %d = %q, want substring %q", i, got[i], sub)
+		}
+	}
+}
+
+func TestCheckDocQuotes(t *testing.T) {
+	root := t.TempDir()
+	writeFile(t, filepath.Join(root, "results", "run.txt"), "=== fig11 ===\n"+
+		"destination   steady mean  cv     \n"+
+		"  burst at 402.706ms, duration 97.622ms, peak occupancy 11.7%\n")
+	writeFile(t, filepath.Join(root, "notes", "run.txt"), "  burst at 402.706ms, duration 97.622ms, peak occupancy 11.7%\n")
+	quote := func(fence string, lines ...string) string {
+		return "Prose.\n\n```" + fence + "\n" + strings.Join(lines, "\n") + "\n```\n"
+	}
+	const burst = "  burst at 402.706ms, duration 97.622ms, peak occupancy 11.7%"
+	for name, doc := range map[string]string{
+		"verbatim":         quote("results/run.txt", burst),
+		"padding trimmed":  quote("results/run.txt", "destination   steady mean  cv"),
+		"padding kept":     quote("results/run.txt", "destination   steady mean  cv     "),
+		"several lines":    quote("results/run.txt", "=== fig11 ===", burst),
+		"unlabelled fence": quote("", "12.3% of nothing") + quote("sh", "echo 11.8%"),
+	} {
+		if p := checkDoc("EXP.md", doc, root, nil, map[string]map[string]bool{}, nil); len(p) != 0 {
+			t.Errorf("%s: %v", name, p)
+		}
+	}
+	for name, c := range map[string]struct {
+		doc, want string
+	}{
+		"one digit changed": {quote("results/run.txt", "=== fig11 ===", strings.Replace(burst, "11.7", "11.8", 1)),
+			`EXP.md:5: quoted line is not a line of results/run.txt: "  burst at 402.706ms, duration 97.622ms, peak occupancy 11.8%"`},
+		"outside results": {quote("notes/run.txt", burst), `EXP.md:4: quoted file "notes/run.txt": not a file under results/`},
+		"escapes results": {quote("results/../notes/run.txt", burst), `EXP.md:4: quoted file "results/../notes/run.txt": not a file under results/`},
+		"missing file":    {quote("results/gone.txt", burst, burst), `EXP.md:4: quoted file "results/gone.txt": open `},
+	} {
+		p := checkDoc("EXP.md", c.doc, root, nil, map[string]map[string]bool{}, nil)
+		if len(p) != 1 || !strings.HasPrefix(p[0], c.want) {
+			t.Errorf("%s: problems %q, want one starting %q", name, p, c.want)
 		}
 	}
 }
@@ -276,7 +313,7 @@ func TestCheckDocMetrics(t *testing.T) {
 	inv := map[string]bool{"p4_fed_members": true, "p4_shipper": true}
 	doc := "Watch `p4_fed_members` and the `p4_shipper_site_sw_emitted` family.\n" +
 		"But `p4_fed_memberz` was renamed.\n"
-	problems := checkDoc("doc.md", doc, nil, map[string]map[string]bool{}, inv)
+	problems := checkDoc("doc.md", doc, t.TempDir(), nil, map[string]map[string]bool{}, inv)
 	if len(problems) != 1 || !strings.Contains(problems[0], `"p4_fed_memberz"`) {
 		t.Fatalf("problems = %v", problems)
 	}

@@ -38,10 +38,10 @@ func main() {
 	paper := fs.Bool("paper", false, "run at full 10 Gbps paper scale (slow)")
 	shards := fs.Int("shards", 1, "data-plane pipes to partition flows across (1 = single pipe)")
 	out := fs.String("out", "", "directory for CSV output (optional)")
-	seed := fs.Uint64("seed", 42, "simulation seed")
+	seed := fs.Uint64("seed", 42, "simulation seed (Figures 13 and 14 do not depend on it)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile over the selected experiments to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the experiments to this file")
-	obsAddr := fs.String("obs-addr", "", "self-telemetry HTTP endpoint: process /metrics, expvar, pprof (empty disables)")
+	obsAddr := fs.String("obs-addr", "", "self-telemetry HTTP endpoint: process /metrics, pprof (empty disables)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2) // flag.ExitOnError has already printed the problem
 	}
@@ -111,13 +111,13 @@ func main() {
 				return r.SaveCSV(*out)
 			}
 		case "fig13":
-			r := experiments.RunFig13(experiments.Fig13Config{Scale: scale, Seed: *seed})
+			r := experiments.RunFig13(experiments.Fig13Config{Scale: scale})
 			fmt.Println(r.Render())
 			if *out != "" {
 				return r.SaveCSV(*out)
 			}
 		case "fig14":
-			r := experiments.RunFig14(experiments.Fig13Config{Scale: scale, Seed: *seed})
+			r := experiments.RunFig14(experiments.Fig13Config{Scale: scale})
 			fmt.Println(r.Render())
 			if *out != "" {
 				return r.SaveCSV(*out)

@@ -10,17 +10,14 @@ import (
 )
 
 // Fig13Config parameterises the mmWave blockage observation of §5.4.3.
+// It has no seed: mmwave.Run seeds its own fixed streams.
 type Fig13Config struct {
 	Scale Scale
-	Seed  uint64
 }
 
 func (c Fig13Config) withDefaults() Fig13Config {
 	if c.Scale.Factor == 0 {
 		c.Scale = Fast()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }

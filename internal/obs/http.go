@@ -1,47 +1,21 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
-
-// expvarReg is the registry whose Snapshot backs the published "p4obs"
-// expvar variable. Handler stores the most recent registry it served;
-// the variable itself is published once per process (expvar.Publish
-// panics on duplicates).
-var (
-	expvarReg  atomic.Pointer[Registry]
-	expvarOnce sync.Once
-)
-
-func publishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("p4obs", expvar.Func(func() interface{} {
-			if reg := expvarReg.Load(); reg != nil {
-				return reg.Snapshot()
-			}
-			return nil
-		}))
-	})
-}
 
 // Handler returns the observability mux:
 //
 //	/metrics       Prometheus text exposition of every registered metric
 //	/trace         dump of every registered trace ring, oldest first
-//	/debug/vars    expvar JSON (registry published as "p4obs")
 //	/debug/pprof/  the standard pprof index, profile, symbol, trace
 //
 // The mux is self-contained; nothing is registered on
 // http.DefaultServeMux.
 func (r *Registry) Handler() http.Handler {
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -60,7 +34,6 @@ func (r *Registry) Handler() http.Handler {
 			}
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -75,7 +48,6 @@ func (r *Registry) Handler() http.Handler {
 		fmt.Fprint(w, "p4-psonar self-telemetry\n\n"+
 			"  /metrics       Prometheus text\n"+
 			"  /trace         event trace rings\n"+
-			"  /debug/vars    expvar JSON\n"+
 			"  /debug/pprof/  pprof profiles\n")
 	})
 	return mux

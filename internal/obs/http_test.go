@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,22 +44,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	code, body = get(t, srv, "/trace")
 	if code != http.StatusOK || !strings.Contains(body, "seq=0 open a=1 b=0") {
 		t.Errorf("/trace = %d:\n%s", code, body)
-	}
-
-	code, body = get(t, srv, "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v\n%s", err, body)
-	}
-	var obsVars map[string]interface{}
-	if err := json.Unmarshal(vars["p4obs"], &obsVars); err != nil {
-		t.Fatalf("p4obs var: %v", err)
-	}
-	if obsVars["p4_http_test_total"] != float64(5) {
-		t.Errorf("p4obs.p4_http_test_total = %v, want 5", obsVars["p4_http_test_total"])
 	}
 
 	if code, _ := get(t, srv, "/debug/pprof/cmdline"); code != http.StatusOK {

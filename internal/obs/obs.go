@@ -5,8 +5,8 @@
 // (preallocated, mutated with atomic adds only — safe to call from the
 // zero-allocation packet path), a bounded ring-buffer event trace for
 // report-lifecycle and ladder-transition events, and a Registry that
-// renders everything as Prometheus text, expvar JSON, and a /trace
-// dump next to net/http/pprof. Everything is stdlib-only.
+// renders everything as Prometheus text and a /trace dump next to
+// net/http/pprof. Everything is stdlib-only.
 //
 // Design constraints, in order:
 //

@@ -8,8 +8,8 @@ import (
 )
 
 // MetricWriter receives one scrape's worth of metric samples. The
-// Registry passes an implementation rendering Prometheus text or an
-// expvar map; Collect callbacks write into whichever is scraping.
+// Registry passes an implementation rendering Prometheus text or a
+// plain map; Collect callbacks write into whichever is scraping.
 type MetricWriter interface {
 	// Counter emits a monotonically increasing value.
 	Counter(name, help string, v uint64)
@@ -62,8 +62,7 @@ func (r *Registry) register(name, help string, fn func(w MetricWriter, name, hel
 	r.order = append(r.order, name)
 }
 
-// NewCounter registers and returns a counter. Duplicate names panic,
-// like expvar.Publish.
+// NewCounter registers and returns a counter. Duplicate names panic.
 func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(name, help, func(w MetricWriter, name, help string) {
@@ -214,8 +213,8 @@ func (p *promWriter) Histo(name, help string, s HistogramSnapshot) {
 	fmt.Fprintf(p.w, "%s_count %d\n", name, s.Count)
 }
 
-// Snapshot renders every metric as a plain map (for the expvar
-// endpoint): counters and gauges map to their value, histograms to a
+// Snapshot renders every metric as a plain map (for tests that read
+// values without parsing the exposition): counters and gauges map to their value, histograms to a
 // {count, sum, buckets} object keyed by inclusive upper bound.
 func (r *Registry) Snapshot() map[string]interface{} {
 	vw := &varsWriter{out: make(map[string]interface{})}
