@@ -10,6 +10,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"sort"
 
 	"repro/internal/packet"
@@ -410,6 +411,7 @@ func (d *DataPlane) ProcessFront(f *Front) {
 	}
 	d.Stats.IngressCopies += ingress
 	d.Stats.EgressCopies += egress
+	runtime.KeepAlive(d)
 }
 
 // processIngress executes the per-packet measurement program: byte and

@@ -2,9 +2,11 @@ package dataplane
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sram"
 )
 
 // dpObs is the pipeline's optional sample histograms: RTT and
@@ -89,6 +91,7 @@ func (p *Pipes) RegisterObs(r *obs.Registry) {
 		w.Gauge("p4_dataplane_flow_table_occupancy", "Flow-table cells owned by a flow, summed over shards (as of the last completed replay).", cells)
 		w.Gauge("p4_dataplane_flow_table_size", "Configured per-flow register cells per shard.", uint64(p.Config().FlowTableSize))
 		w.Gauge("p4_dataplane_sketch_memory_bytes", "Lean sketch tier storage footprint, summed over shards.", p.LeanMemoryBytes())
+		w.Gauge("p4_dataplane_mapped_bytes", "Zero-page state mapped for every live pipe and sketch in the process, this front-end's or not.", sram.MappedBytes())
 		w.Counter("p4_dataplane_dup_filter_inserts_total", "(flow, seq) pairs inserted into the dup filter, summed over shards.", dupInserts)
 		w.Gauge("p4_dataplane_dup_filter_deferred_pairs", "Exact-tier dup-filter inserts deferred in open runs, not yet probed, summed over shards.", dupDeferred)
 		w.Gauge("p4_pipes_shards", "Configured data-plane pipes.", uint64(p.n))
@@ -116,6 +119,7 @@ func (d *DataPlane) OccupiedCells() uint64 {
 			n++
 		}
 	}
+	runtime.KeepAlive(d)
 	return n
 }
 

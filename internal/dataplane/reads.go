@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"time"
 
 	"repro/internal/simtime"
@@ -43,7 +44,7 @@ func (d *DataPlane) ReadFlow(id, revID FlowID) FlowSnapshot {
 		defer d.observeExtract(time.Now())
 	}
 	idx := uint32(id)
-	return FlowSnapshot{
+	s := FlowSnapshot{
 		Bytes:      d.bytesReg.Read(idx),
 		Pkts:       d.pktsReg.Read(idx),
 		PktLoss:    d.pktLossReg.Read(idx),
@@ -57,6 +58,8 @@ func (d *DataPlane) ReadFlow(id, revID FlowID) FlowSnapshot {
 		LastSeen:   simtime.Time(d.lastSeen.Read(idx)),
 		FinSeen:    d.finSeenReg.Read(idx) == 1,
 	}
+	runtime.KeepAlive(d)
+	return s
 }
 
 // ResetWindow clears the flow's per-extraction-window registers
@@ -68,6 +71,7 @@ func (d *DataPlane) ResetWindow(id FlowID) {
 	d.flightMaxW.Write(idx, 0)
 	d.flightMinW.Write(idx, flightNoSample)
 	d.maxIATReg.Write(idx, 0)
+	runtime.KeepAlive(d)
 }
 
 // ReleaseFlow clears a terminated flow's announcement latch and

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/obs"
 	"repro/internal/packet"
@@ -182,6 +183,7 @@ func (d *DataPlane) AgeFlows(now, window simtime.Time) int {
 		evicted++
 	}
 	d.Stats.Evictions += uint64(evicted)
+	runtime.KeepAlive(d)
 	return evicted
 }
 
@@ -195,6 +197,7 @@ func (d *DataPlane) ReadRTTHist(id FlowID) RTTHist {
 	for b := uint32(0); b < RTTHistBuckets; b++ {
 		h.Buckets[b] = d.rttHist.Read(base + b)
 	}
+	runtime.KeepAlive(d)
 	return h
 }
 
@@ -236,6 +239,7 @@ func (d *DataPlane) estimate(f *flowHash) FlowEstimate {
 		e.Pkts += e.ExactPkts
 		e.Loss += e.ExactLoss
 	}
+	runtime.KeepAlive(d)
 	return e
 }
 

@@ -183,13 +183,23 @@ func (r *Fig11Result) Render() string {
 	b.WriteString(export.Chart("Figure 11: throughput (bps)", 72, 10, collect(r.Throughput)...))
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "buffer=BDP/4=%d bytes; microbursts detected: %d\n", r.BufferBytes, len(r.Bursts))
+	// The first five bursts, then every one from the injection on: the
+	// start-up excursions alone would hide the burst the run injects.
+	skipped := 0
 	for i, burst := range r.Bursts {
-		if i >= 5 {
-			fmt.Fprintf(&b, "  ... and %d more\n", len(r.Bursts)-5)
-			break
+		if i >= 5 && simtime.Time(burst.TimeNs) < r.Config.BurstAt {
+			skipped++
+			continue
+		}
+		if skipped > 0 {
+			fmt.Fprintf(&b, "  ... and %d more before the injected burst\n", skipped)
+			skipped = 0
 		}
 		fmt.Fprintf(&b, "  burst at %v, duration %v, peak occupancy %.1f%%\n",
 			simtime.Time(burst.TimeNs), simtime.Time(burst.DurationNs), burst.Value)
+	}
+	if skipped > 0 {
+		fmt.Fprintf(&b, "  ... and %d more before the injected burst\n", skipped)
 	}
 	fmt.Fprintf(&b, "worst window loss %.3f%%; flows >0.05%%: %d; flows >0.15%%: %d; throughput recovery %v\n",
 		r.MaxLossPct, r.FlowsOver005, r.FlowsOver015, r.RecoveryTime)
