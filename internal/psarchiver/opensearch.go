@@ -154,9 +154,10 @@ type Store struct {
 // The seven fields that name a document's flow share one column: an id
 // into the index's identity table, which holds each distinct identity
 // once. A stored document never moves, and no column holds a pointer for
-// the collector to trace. Only the last segment is open; grow seals the
-// full one before it, packing each of its columns as narrowly as the
-// column's own values allow.
+// the collector to trace. Only the last segment is open, with one word
+// per document in each column; grow seals the full one before it,
+// packing each of its columns as narrowly as the column's own values
+// allow.
 type index struct {
 	segs []*segment
 	n    int
@@ -172,11 +173,11 @@ type index struct {
 	lastIdent uint32              // the previous document's identity
 
 	seal *sealer // allocated at the first seal
-	// The open columns of the last full-size segment sealed, cleared, for
-	// the open segment to take instead of allocating its own.
-	spare   segment
-	spare32 [][]uint32
-	spare64 [][]uint64
+	// The open columns of full-size segments sealed, cleared, for the
+	// open segment to take instead of allocating its own, and the last
+	// one's slot list.
+	spare [][]uint64
+	slots [][]uint64
 
 	bytes int // of the columns and the string and identity tables, for RegisterObs
 }
@@ -188,23 +189,23 @@ type identity struct {
 	ports [2]uint16
 }
 
-// segment holds up to cap(flags) documents while it is open. A column is
-// allocated, at full size, when the first non-zero value of its field
-// lands, and 0 in it reads absent: the zero an omitempty field is never
-// written with (time_ns's presence is flagTime). A sealed segment keeps
-// its flags and present columns packed, in slot order, and the open
-// columns are dropped.
+// segment holds up to size documents while it is open, one word per
+// document in each slot's column: a string field's string-table id, a
+// numeric field's controlplane.Field.Word, the identity-table id or the
+// flags. A column is allocated, at full size, when the first non-zero
+// word of its slot lands, and 0 in it reads absent: the zero an
+// omitempty field is never written with (time_ns's presence is
+// flagTime). Sealing packs the present columns, in slot order, and drops
+// the open ones.
 type segment struct {
-	flags []uint8
-	ident []uint32                 // identity-table ids, for the fields of an identity
-	ids   [][]uint32               // per field: string-table ids, for any other string field
-	words [][]uint64               // per field: controlplane.Field.Word, for any other numeric one
+	n     int                      // its documents
+	size  int                      // the documents it holds when full
+	open  [][]uint64               // per slot, its column, nil for a slot no word has landed in; nil once sealed
 	extra []map[string]interface{} // per document, allocated for the first with Extra
 
-	has  uint64   // sealed: the slots cols holds, always flagSlot's; 0 while open
+	has  uint64   // sealed: the slots cols holds
 	cols []packed // sealed: one per slot in has, in slot order
 	data []uint64 // sealed: every column's table and codes
-	n    int      // sealed: its documents
 }
 
 // A slot names a column: a field's position for a column of its own,
@@ -218,9 +219,8 @@ var (
 const maxSlots = 64
 
 // strSlots is all ones at a string field's position and 0 at a numeric
-// one's: a sealed segment keeps both kinds of column in one slot space,
-// and a read of the other kind's must answer 0, as an open segment's
-// missing column does.
+// one's: a segment keeps both kinds of column in one slot space, and a
+// read of the other kind's must answer 0, as a missing column does.
 var strSlots = func() (m [maxSlots]uint64) {
 	if flagSlot >= maxSlots {
 		panic("psarchiver: Report_v1 has more fields than a sealed segment has slots")
@@ -246,30 +246,27 @@ type packed struct {
 	per  uint8  // log₂ of the codes a word holds: 6 − lg
 }
 
-// docs is the number of documents the segment holds.
-func (s *segment) docs() int {
-	if s.has != 0 {
-		return s.n
-	}
-	return len(s.flags)
-}
-
 // zeros is the column of a field no document of a segment holds.
 var zeros [maxSegmentDocs]uint64
 
 // column reads the column in slot as one word per document: an open
-// segment's uint64 column itself, any other open column widened into
-// *buf, a sealed column decoded into it; zeros for a column the segment
-// lacks. *buf is allocated on first use.
+// segment's column itself, a sealed one decoded into *buf, allocated on
+// first use; zeros for a column the segment lacks.
 func (s *segment) column(slot int, buf *[]uint64) []uint64 {
-	if s.has == 0 {
-		return s.openColumn(slot, buf)
+	if s.open != nil {
+		if col := s.open[slot]; col != nil {
+			return col[:s.n]
+		}
+		return zeros[:s.n]
 	}
 	bit := uint64(1) << slot
 	if s.has&bit == 0 {
 		return zeros[:s.n]
 	}
-	dst := words(buf, s.n)
+	if *buf == nil {
+		*buf = make([]uint64, maxSegmentDocs)
+	}
+	dst := (*buf)[:s.n]
 	p := &s.cols[bits.OnesCount64(s.has&(bit-1))]
 	if p.mask == 0 {
 		for i := range dst {
@@ -331,41 +328,9 @@ func (s *segment) mayHold(slot int, match func(uint64) bool) bool {
 	return true
 }
 
-func (s *segment) openColumn(slot int, buf *[]uint64) []uint64 {
-	n := len(s.flags)
-	switch {
-	case slot == flagSlot:
-		return widen(s.flags, words(buf, n))
-	case slot == identSlot:
-		if s.ident != nil {
-			return widen(s.ident[:n], words(buf, n))
-		}
-	case s.ids[slot] != nil:
-		return widen(s.ids[slot][:n], words(buf, n))
-	case s.words[slot] != nil:
-		return s.words[slot][:n]
-	}
-	return zeros[:n]
-}
-
-// words is *buf's first n words, allocating it on first use.
-func words(buf *[]uint64, n int) []uint64 {
-	if *buf == nil {
-		*buf = make([]uint64, maxSegmentDocs)
-	}
-	return (*buf)[:n]
-}
-
-func widen[T uint8 | uint32](col []T, dst []uint64) []uint64 {
-	for i, v := range col {
-		dst[i] = uint64(v)
-	}
-	return dst
-}
-
 const (
-	flagTime uint8 = 1 << iota // Document.hasTime
-	flagMeta                   // Document.meta
+	flagTime uint64 = 1 << iota // Document.hasTime
+	flagMeta                    // Document.meta
 )
 
 var (
@@ -434,57 +399,60 @@ func (s *Store) Index(name string, doc Document) {
 	ix.add(&doc)
 }
 
-// add is Index's steady state: the document's non-zero fields into the
-// open segment's columns.
+// add is Index's steady state: the document's flags, identity and
+// non-zero fields into the open segment's columns.
 //
 // p4:hotpath
 func (ix *index) add(doc *Document) {
 	last := len(ix.segs) - 1
-	if last < 0 || len(ix.segs[last].flags) == cap(ix.segs[last].flags) {
+	if last < 0 || ix.segs[last].n == ix.segs[last].size {
 		last = ix.grow()
 	}
 	seg := ix.segs[last]
-	i, size := len(seg.flags), cap(seg.flags)
-	var fl uint8
+	i := seg.n
+	var fl uint64
 	if doc.hasTime {
 		fl |= flagTime
 	}
 	if doc.meta {
 		fl |= flagMeta
 	}
-	seg.flags = append(seg.flags, fl)
-	if k := ix.identify(&doc.Report); k != 0 {
-		if seg.ident == nil {
-			seg.ident = ix.ids32(size)
-			ix.bytes += 4 * size
-		}
-		seg.ident[i] = k
-	}
+	ix.put(seg, flagSlot, i, fl)
+	ix.put(seg, identSlot, i, uint64(ix.identify(&doc.Report)))
 	for _, f := range colStrs {
 		if s, pos := f.Str(&doc.Report), f.Pos(); s != "" {
-			if seg.ids[pos] == nil {
-				seg.ids[pos] = ix.ids32(size)
-				ix.bytes += 4 * size
-			}
-			seg.ids[pos][i] = ix.intern(pos, s)
+			ix.put(seg, pos, i, uint64(ix.intern(pos, s)))
 		}
 	}
 	for _, f := range colNums {
-		if w, pos := f.Word(&doc.Report), f.Pos(); w != 0 {
-			if seg.words[pos] == nil {
-				seg.words[pos] = ix.words64(size)
-				ix.bytes += 8 * size
-			}
-			seg.words[pos][i] = w
-		}
+		ix.put(seg, f.Pos(), i, f.Word(&doc.Report))
 	}
 	if doc.Extra != nil {
 		if seg.extra == nil {
-			seg.extra = make([]map[string]interface{}, size)
+			seg.extra = make([]map[string]interface{}, seg.size)
 		}
 		seg.extra[i] = doc.Extra
 	}
+	seg.n++
 	ix.n++
+}
+
+// put writes a non-zero w as document i's word in the open segment's
+// column in slot, taking the column, zeroed, on its first word: a spare
+// in a full-size segment when there is one.
+func (ix *index) put(seg *segment, slot, i int, w uint64) {
+	if w == 0 {
+		return
+	}
+	if seg.open[slot] == nil {
+		if n := len(ix.spare); n > 0 && seg.size == maxSegmentDocs {
+			seg.open[slot], ix.spare = ix.spare[n-1], ix.spare[:n-1]
+		} else {
+			seg.open[slot] = make([]uint64, seg.size)
+		}
+		ix.bytes += 8 * seg.size
+	}
+	seg.open[slot][i] = w
 }
 
 // identify returns the id of r's identity. A stream of one flow's
@@ -570,22 +538,17 @@ func (ix *index) grow() int {
 	size := minSegmentDocs
 	if n := len(ix.segs); n > 0 {
 		full := ix.segs[n-1]
-		if size = 2 * full.docs(); size > maxSegmentDocs {
+		if size = 2 * full.n; size > maxSegmentDocs {
 			size = maxSegmentDocs
 		}
 		ix.sealSegment(full)
 	}
-	next := &segment{flags: ix.spare.flags, ids: ix.spare.ids, words: ix.spare.words}
-	if next.flags == nil || size != maxSegmentDocs {
-		next = &segment{
-			flags: make([]uint8, 0, size),
-			ids:   make([][]uint32, columns),
-			words: make([][]uint64, columns),
-		}
+	next := &segment{size: size, open: ix.slots}
+	if next.open == nil {
+		next.open = make([][]uint64, flagSlot+1)
 	}
-	ix.spare = segment{}
+	ix.slots = nil
 	ix.segs = append(ix.segs, next)
-	ix.bytes += size
 	return len(ix.segs) - 1
 }
 
@@ -604,22 +567,15 @@ type sealer struct {
 // tableMax is the most distinct words a table holds: 8-bit codes.
 const tableMax = 256
 
-// sealSegment packs a full segment's flags and present columns into one
-// allocation and drops the open columns.
+// sealSegment packs a full segment's present columns into one
+// allocation and drops the open ones. A full-size segment's columns and
+// slot list are cleared and kept for the next: in a large index no
+// segment allocates open columns of its own.
 func (ix *index) sealSegment(seg *segment) {
-	n := len(seg.flags)
-	has, open := uint64(1)<<flagSlot, n
-	if seg.ident != nil {
-		has |= 1 << identSlot
-		open += 4 * n
-	}
-	for pos := range seg.ids {
-		if seg.ids[pos] != nil {
-			has |= 1 << pos
-			open += 4 * n
-		} else if seg.words[pos] != nil {
-			has |= 1 << pos
-			open += 8 * n
+	var has uint64
+	for slot, col := range seg.open {
+		if col != nil {
+			has |= 1 << slot
 		}
 	}
 	if ix.seal == nil {
@@ -629,76 +585,28 @@ func (ix *index) sealSegment(seg *segment) {
 	sc.out = sc.out[:0]
 	cols := make([]packed, 0, bits.OnesCount64(has))
 	for rest := has; rest != 0; rest &= rest - 1 {
-		var p packed
-		switch slot := bits.TrailingZeros64(rest); {
-		case slot == flagSlot:
-			p = pack(sc, seg.flags)
-		case slot == identSlot:
-			p = pack(sc, seg.ident)
-		case seg.ids[slot] != nil:
-			p = pack(sc, seg.ids[slot])
-		default:
-			p = pack(sc, seg.words[slot])
+		col := seg.open[bits.TrailingZeros64(rest)]
+		cols = append(cols, pack(sc, col))
+		if seg.size == maxSegmentDocs {
+			clear(col)
+			ix.spare = append(ix.spare, col)
 		}
-		cols = append(cols, p)
 	}
 	seg.data = make([]uint64, len(sc.out))
 	copy(seg.data, sc.out)
-	if n == maxSegmentDocs {
-		ix.recycle(seg)
+	if seg.size == maxSegmentDocs {
+		clear(seg.open)
+		ix.slots = seg.open
 	}
-	seg.has, seg.cols, seg.n = has, cols, n
-	seg.flags, seg.ident, seg.ids, seg.words = nil, nil, nil, nil
-	ix.bytes += 8*len(seg.data) - open
-}
-
-// recycle keeps a full-size segment's open columns, cleared, for the
-// next: in a large index no segment allocates open columns of its own.
-func (ix *index) recycle(seg *segment) {
-	if seg.ident != nil {
-		clear(seg.ident)
-		ix.spare32 = append(ix.spare32, seg.ident)
-	}
-	for pos := range seg.ids {
-		if col := seg.ids[pos]; col != nil {
-			clear(col)
-			ix.spare32 = append(ix.spare32, col)
-		} else if col := seg.words[pos]; col != nil {
-			clear(col)
-			ix.spare64 = append(ix.spare64, col)
-		}
-	}
-	clear(seg.ids)
-	clear(seg.words)
-	ix.spare = segment{flags: seg.flags[:0], ids: seg.ids, words: seg.words}
-}
-
-// ids32 returns a zeroed column of size ids, a spare when there is one.
-func (ix *index) ids32(size int) []uint32 {
-	if n := len(ix.spare32); n > 0 && size == maxSegmentDocs {
-		col := ix.spare32[n-1]
-		ix.spare32 = ix.spare32[:n-1]
-		return col
-	}
-	return make([]uint32, size)
-}
-
-// words64 returns a zeroed column of size words, a spare when there is
-// one.
-func (ix *index) words64(size int) []uint64 {
-	if n := len(ix.spare64); n > 0 && size == maxSegmentDocs {
-		col := ix.spare64[n-1]
-		ix.spare64 = ix.spare64[:n-1]
-		return col
-	}
-	return make([]uint64, size)
+	ix.bytes += 8*len(seg.data) - 8*seg.size*len(cols)
+	seg.has, seg.cols, seg.open = has, cols, nil
 }
 
 // pack appends col's table and codes to sc.out and returns its column.
 // Frame of reference takes the code width the column's spread needs;
 // where that is over 8 bits, a table of its distinct words is tried, and
 // kept when it and its codes take fewer words.
-func pack[T uint8 | uint32 | uint64](sc *sealer, col []T) packed {
+func pack(sc *sealer, col []uint64) packed {
 	lo, hi := bounds(col)
 	p := packed{base: lo}
 	if lo == hi {
@@ -731,13 +639,13 @@ func pack[T uint8 | uint32 | uint64](sc *sealer, col []T) packed {
 		}
 	case lg == 6:
 		for i, v := range col {
-			codes[i] = uint64(v) - lo
+			codes[i] = v - lo
 		}
 	default:
 		for w := range codes {
 			var x uint64
 			for k, v := range col[w*per : min(w*per+per, n)] {
-				x |= (uint64(v) - lo) << (uint(k) << lg & 63)
+				x |= (v - lo) << (uint(k) << lg & 63)
 			}
 			codes[w] = x
 		}
@@ -748,18 +656,18 @@ func pack[T uint8 | uint32 | uint64](sc *sealer, col []T) packed {
 // bounds returns col's least and greatest word. Most columns of a
 // segment hold one word, so that is checked first: a compare per word,
 // where the bounds take two.
-func bounds[T uint8 | uint32 | uint64](col []T) (lo, hi uint64) {
+func bounds(col []uint64) (lo, hi uint64) {
 	first := col[0]
 	for i, v := range col {
 		if v != first {
-			lo, hi = uint64(first), uint64(first)
+			lo, hi = first, first
 			for _, v := range col[i:] {
-				lo, hi = min(lo, uint64(v)), max(hi, uint64(v))
+				lo, hi = min(lo, v), max(hi, v)
 			}
 			return lo, hi
 		}
 	}
-	return uint64(first), uint64(first)
+	return first, first
 }
 
 // codeLog is log₂ of the code width that holds codes up to v > 0: the
@@ -772,13 +680,12 @@ func codeWords(n int, lg uint8) int { return (n<<lg + 63) >> 6 }
 // tabulate gives each distinct word of col a code, in sc.table and
 // sc.codes, and returns how many there are; 0 when there are more than
 // tableMax.
-func tabulate[T uint8 | uint32 | uint64](sc *sealer, col []T) int {
+func tabulate(sc *sealer, col []uint64) int {
 	clear(sc.slots[:])
 	t := 0
 	var prev uint64
 	var code uint8
-	for i, v := range col {
-		w := uint64(v)
+	for i, w := range col {
 		if i == 0 || w != prev {
 			h := w * 0x9e3779b97f4a7c15 >> (64 - 9) // the set has 2 * tableMax = 1<<9 slots
 			for sc.slots[h] != 0 && sc.keys[h] != w {
@@ -864,7 +771,7 @@ func (c *cursor) load(slot int) {
 func (c *cursor) document() *Document {
 	if !c.ready {
 		fl := c.column(flagSlot)[c.i]
-		c.doc = Document{Extra: c.extra, hasTime: fl&uint64(flagTime) != 0, meta: fl&uint64(flagMeta) != 0}
+		c.doc = Document{Extra: c.extra, hasTime: fl&flagTime != 0, meta: fl&flagMeta != 0}
 		for _, f := range strFields {
 			f.SetStr(&c.doc.Report, c.ix.strs[c.id(f)])
 		}
@@ -920,7 +827,7 @@ func (c *cursor) float(f *controlplane.Field, key string) (float64, bool) {
 		return c.document().float(f, key)
 	}
 	v := f.WordFloat(c.word(f))
-	return v, v != 0 || f == timeNsField && c.column(flagSlot)[c.i]&uint64(flagTime) != 0
+	return v, v != 0 || f == timeNsField && c.column(flagSlot)[c.i]&flagTime != 0
 }
 
 // term is one of a query's Terms, with want's string-table id: 0 for ""
@@ -964,7 +871,7 @@ func (t *term) is(id uint32) bool { return id == t.id && (t.id != 0 || t.want ==
 // sealed segment without Extra whose column holds none of the ids t
 // wants, judged from the few words the column can hold.
 func (t *term) excludes(ix *index, seg *segment) bool {
-	if t.f == nil || seg.has == 0 || seg.extra != nil {
+	if t.f == nil || seg.open != nil || seg.extra != nil {
 		return false
 	}
 	pos := t.f.Pos()
@@ -1011,7 +918,7 @@ segs:
 			terms[t].enter(c)
 		}
 	docs:
-		for i, n := 0, seg.docs(); i < n; i++ {
+		for i := 0; i < seg.n; i++ {
 			c.i, c.extra, c.ready = i, nil, false
 			if seg.extra != nil {
 				c.extra = seg.extra[i]

@@ -263,7 +263,7 @@ func TestStoreMatchesReference(t *testing.T) {
 		var extra, lateMid, ruledOut bool
 		cc := term{f: identStrs[0], key: "flow_id", want: "cc", id: s.indices[name].ids["cc"]}
 		for _, seg := range s.indices[name].segs {
-			if seg.has == 0 {
+			if seg.open != nil {
 				continue
 			}
 			extra = extra || seg.extra != nil
@@ -292,7 +292,7 @@ func sealedSegments(s *Store, name string) int {
 	n := 0
 	if ix := s.indices[name]; ix != nil {
 		for _, seg := range ix.segs {
-			if seg.has != 0 {
+			if seg.open == nil {
 				n++
 			}
 		}

@@ -95,8 +95,8 @@ func sealSeeds() map[string][]byte {
 // every document reads back its exact word and flags (−0.0, NaN
 // payloads, ^uint64(0) and 0, which reads absent, included), mayHold
 // rules out none of the column's words, and index.bytes is what the
-// sealed segments' packed words and the open segment's columns take, no
-// more and no less.
+// sealed segments' packed words and the open segment's columns (8 B per
+// word, flags included) take, no more and no less.
 func FuzzSealColumn(f *testing.F) {
 	for _, seed := range sealSeeds() {
 		f.Add(seed)
@@ -115,8 +115,8 @@ func FuzzSealColumn(f *testing.F) {
 		packed := 0
 		for j, col := range cols {
 			seg := ix.segs[j]
-			if seg.has == 0 || seg.docs() != len(col) {
-				t.Fatalf("segment %d: sealed %v, %d documents, want %d", j, seg.has != 0, seg.docs(), len(col))
+			if seg.open != nil || seg.n != len(col) {
+				t.Fatalf("segment %d: sealed %v, %d documents, want %d", j, seg.open == nil, seg.n, len(col))
 			}
 			c.enter(seg)
 			for d, w := range col {
@@ -124,7 +124,7 @@ func FuzzSealColumn(f *testing.F) {
 				if got := c.word(value); got != w {
 					t.Fatalf("segment %d document %d: word %#x, stored %#x", j, d, got, w)
 				}
-				if fl, want := c.column(flagSlot)[d], uint64(flagTime); (fl == want) != (d%3 != 0) {
+				if fl, want := c.column(flagSlot)[d], flagTime; (fl == want) != (d%3 != 0) {
 					t.Fatalf("segment %d document %d: flags %#x", j, d, fl)
 				}
 			}
@@ -139,9 +139,10 @@ func FuzzSealColumn(f *testing.F) {
 			}
 			packed += 8 * len(seg.data)
 		}
-		// The open segment holds one document without a value: its flags.
-		if want := packed + maxSegmentDocs; ix.bytes != want {
-			t.Fatalf("index.bytes %d, the sealed segments pack %d B and the open one holds %d", ix.bytes, packed, maxSegmentDocs)
+		// The open segment holds one document without a value: its flags
+		// column, 8 B per document it can hold.
+		if open := 8 * maxSegmentDocs; ix.bytes != packed+open {
+			t.Fatalf("index.bytes %d, the sealed segments pack %d B and the open one holds %d", ix.bytes, packed, open)
 		}
 	})
 }
