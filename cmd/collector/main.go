@@ -99,19 +99,18 @@ func main() {
 	sink := &controlplane.CountingSink{Next: shipper}
 	// In a federated fleet each member stamps its identity before
 	// counting, so the shared archiver can attribute every document.
-	var extra controlplane.Sink = sink
+	var out controlplane.Sink = sink
 	if *site != "" || *switchID != "" {
-		extra = controlplane.IdentitySink{SiteID: *site, SwitchID: *switchID, Next: sink}
+		out = controlplane.IdentitySink{SiteID: *site, SwitchID: *switchID, Next: sink}
 	}
 
-	// A fast-scale Fig. 9-style workload provides live traffic; the
-	// resilient shipper receives every report alongside the in-memory
-	// mirror.
+	// A fast-scale Fig. 9-style workload provides live traffic; every
+	// report goes to the resilient shipper and none is kept in memory.
 	sys := core.NewSystem(core.Options{
 		BottleneckBps: netsim.Mbps(500),
 		Seed:          *seed,
 		Shards:        *shards,
-		ExtraSink:     extra,
+		Sink:          out,
 		ControlPlane: controlplane.Config{
 			AgingWindow: simtime.Time(agingWindow.Nanoseconds()),
 		},

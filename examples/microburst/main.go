@@ -50,11 +50,12 @@ func main() {
 	}
 
 	fmt.Println("\nalerts raised by the control plane:")
-	for _, a := range sys.ControlPlane.AlertLog {
+	alerts := sys.Archived(p4psonar.KindAlert, nil)
+	for _, a := range alerts {
 		fmt.Printf("  t=%v metric=%s value=%.1f threshold=%.1f\n",
 			p4psonar.Time(a.TimeNs), a.Metric, a.Value, a.Threshold)
 	}
-	if len(sys.ControlPlane.AlertLog) == 0 {
+	if len(alerts) == 0 {
 		fmt.Println("  (none configured — use psconfig config-P4 --alert to add thresholds)")
 	}
 }

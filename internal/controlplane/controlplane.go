@@ -217,10 +217,6 @@ type ControlPlane struct {
 	// escalated tracks which metrics currently run at the alert rate.
 	escalated map[Metric]bool
 
-	// AlertLog collects alerts for the administrator console, in
-	// addition to the sink records.
-	AlertLog []Report
-
 	// Scratch buffers reused across extraction ticks. snapScratch[i] is
 	// flows[i]'s register snapshot, read once per tick by extract and
 	// reused by the throughput tick's aggregate and classification.
@@ -642,16 +638,14 @@ func (cp *ControlPlane) applyAlertPolicy(m Metric, mc MetricConfig, maxValue flo
 	switch {
 	case maxValue > mc.AlertThreshold && !cp.escalated[m]:
 		cp.escalated[m] = true
-		alert := Report{
+		cp.sink.Emit(Report{
 			Kind:          KindAlert,
 			TimeNs:        int64(now),
 			Metric:        m,
 			Value:         maxValue,
 			Threshold:     mc.AlertThreshold,
 			EscalatedRate: mc.AlertSamplesPerSecond,
-		}
-		cp.AlertLog = append(cp.AlertLog, alert)
-		cp.sink.Emit(alert)
+		})
 	case cp.escalated[m] && maxValue < 0.8*mc.AlertThreshold:
 		cp.escalated[m] = false
 	}

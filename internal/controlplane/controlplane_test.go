@@ -111,10 +111,11 @@ func TestAlertEscalatesReportingRate(t *testing.T) {
 	})
 	e.Run(3 * simtime.Second)
 
-	if len(cp.AlertLog) == 0 {
+	alerts := sink.ByKind(KindAlert)
+	if len(alerts) == 0 {
 		t.Fatal("no alert raised")
 	}
-	a := cp.AlertLog[0]
+	a := alerts[0]
 	if a.Metric != MetricQueueOccupancy || a.Value < 30 {
 		t.Fatalf("alert wrong: %+v", a)
 	}

@@ -2,18 +2,6 @@ package controlplane
 
 import "sync"
 
-// TeeSink fans each report out to every member sink, in order. It
-// replaces the private tee implementations that core and the collector
-// each grew independently; both now share this one.
-type TeeSink []Sink
-
-// Emit implements Sink.
-func (t TeeSink) Emit(r Report) {
-	for _, s := range t {
-		s.Emit(r)
-	}
-}
-
 // IdentitySink stamps every report with a fleet member identity
 // before passing it on — the "which switch said this" provenance a
 // shared archiver needs when N members ship into one store (DESIGN.md

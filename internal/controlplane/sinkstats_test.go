@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-func TestTeeSinkFansOutInOrder(t *testing.T) {
-	a, b := &MemorySink{}, &MemorySink{}
-	tee := TeeSink{a, b}
-	for i := 0; i < 5; i++ {
-		tee.Emit(Report{Kind: KindMetric, TimeNs: int64(i + 1)})
-	}
-	if len(a.Reports) != 5 || len(b.Reports) != 5 {
-		t.Fatalf("fan-out: %d/%d", len(a.Reports), len(b.Reports))
-	}
-	for i := range a.Reports {
-		if a.Reports[i].TimeNs != b.Reports[i].TimeNs {
-			t.Fatalf("order diverges at %d", i)
-		}
-	}
-}
-
 func TestCountingSinkCountsConcurrently(t *testing.T) {
 	mem := &MemorySink{}
 	var mu sync.Mutex

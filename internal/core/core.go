@@ -51,10 +51,10 @@ type Options struct {
 	// ControlPlane tunes extraction and alerting; LinkCapacityBps and
 	// BufferBytes are filled in from the topology automatically.
 	ControlPlane controlplane.Config
-	// ExtraSink, when set, additionally receives every control-plane
-	// report (the live collector daemon streams them to Logstash this
-	// way).
-	ExtraSink controlplane.Sink
+	// Sink, when set, receives every control-plane report instead of
+	// Pipeline: the live collector streams them to Logstash this way,
+	// and Store then holds none of them.
+	Sink controlplane.Sink
 }
 
 func (o Options) withDefaults() Options {
@@ -116,18 +116,15 @@ type System struct {
 
 	// Measurement chain. DataPlane is the sharded front-end (a single
 	// pipe unless Options.Shards > 1); reads through it always see the
-	// merged multi-pipe view.
+	// merged multi-pipe view. Store is the archive, the one record of
+	// every report and pScheduler result: Archived and the series
+	// helpers read it, as Grafana reads OpenSearch.
 	Taps         *tap.Pair
 	DataPlane    *dataplane.Pipes
 	ControlPlane *controlplane.ControlPlane
 	Pipeline     *psarchiver.Pipeline
 	Store        *psarchiver.Store
 	Scheduler    *pscheduler.Scheduler
-
-	// Reports mirrors everything the control plane emitted, for direct
-	// inspection by experiments (the archiver holds the same data as
-	// Report_v2 documents).
-	Reports *controlplane.MemorySink
 }
 
 // internal addressing plan
@@ -218,16 +215,15 @@ func NewSystem(opts Options) *System {
 	s.Store = psarchiver.NewStore()
 	s.Pipeline = psarchiver.NewPipeline()
 	s.Pipeline.OpenSearchOutput(s.Store)
-	s.Reports = &controlplane.MemorySink{}
 
 	cpCfg := opts.ControlPlane
 	cpCfg.LinkCapacityBps = opts.BottleneckBps
 	cpCfg.BufferBytes = opts.BufferBytes
-	sinks := controlplane.TeeSink{s.Reports, s.Pipeline}
-	if opts.ExtraSink != nil {
-		sinks = append(sinks, opts.ExtraSink)
+	var sink controlplane.Sink = s.Pipeline
+	if opts.Sink != nil {
+		sink = opts.Sink
 	}
-	s.ControlPlane = controlplane.New(e, s.DataPlane, sinks, cpCfg)
+	s.ControlPlane = controlplane.New(e, s.DataPlane, sink, cpCfg)
 
 	s.Scheduler = pscheduler.New(e, s.Pipeline)
 	return s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/controlplane"
@@ -59,7 +60,7 @@ func TestEndToEndTransferProducesReports(t *testing.T) {
 		t.Fatal("transfer moved no data")
 	}
 
-	tput := s.Reports.MetricReports(controlplane.MetricThroughput, "")
+	tput := s.Archived(controlplane.KindMetric, map[string]string{"metric": string(controlplane.MetricThroughput)})
 	if len(tput) == 0 {
 		t.Fatal("no throughput reports from the measurement chain")
 	}
@@ -79,7 +80,7 @@ func TestEndToEndTransferProducesReports(t *testing.T) {
 	// indexed by the ACK flow's ID; the control plane joins it back to
 	// the data flow via the reversed ID, so the report's destination is
 	// the external DTN.
-	rtts := s.Reports.MetricReports(controlplane.MetricRTT, "")
+	rtts := s.Archived(controlplane.KindMetric, map[string]string{"metric": string(controlplane.MetricRTT)})
 	found := false
 	for _, r := range rtts {
 		if r.DstIP == s.ExternalDTNs[0].IP().String() && r.Value > 19 && r.Value < 120 {
@@ -99,13 +100,52 @@ func TestEndToEndArchiverReceivesDocuments(t *testing.T) {
 
 	// Report_v1 records must land in OpenSearch as Report_v2 documents
 	// with the Logstash metadata added (Figure 7).
-	idx := "p4-psonar-metric"
+	idx := psarchiver.IndexName(controlplane.KindMetric)
 	if s.Store.Count(idx) == 0 {
 		t.Fatalf("no documents in %s; indices: %v", idx, s.Store.Indices())
 	}
 	doc := s.Store.Search(psarchiver.Query{Index: idx})[0]
 	if doc.Str("host") != "p4-switch-cp" || doc.Str("@version") != "1" {
 		t.Fatalf("Logstash metadata missing: %v", doc)
+	}
+}
+
+// TestArchiveHoldsWhatTheSinkGets runs one seed twice, archiving and
+// with Options.Sink set: the archive must give back, kind by kind and
+// in order, exactly the reports the sink received, and a system with a
+// Sink must archive none of them.
+func TestArchiveHoldsWhatTheSinkGets(t *testing.T) {
+	run := func(sink controlplane.Sink) *System {
+		opts := scaledOptions()
+		opts.Sink = sink
+		opts.BufferBytes = BDPBytes(opts.BottleneckBps, 40*simtime.Millisecond) / 4
+		opts.ControlPlane.Metrics = map[controlplane.Metric]controlplane.MetricConfig{
+			controlplane.MetricQueueOccupancy: {SamplesPerSecond: 1, AlertThreshold: 1, AlertSamplesPerSecond: 4},
+		}
+		s := NewSystem(opts)
+		s.Start()
+		s.TransferToExternal(0, 0, 0, 3*simtime.Second, scaledSender(), tcp.Config{})
+		s.TransferToExternal(2, 0, 2_000_000, 0, scaledSender(), tcp.Config{})
+		s.InjectMicroburst(2, 2*simtime.Second, 300, 8960)
+		s.Run(5 * simtime.Second)
+		return s
+	}
+	archived, sink := run(nil), &controlplane.MemorySink{}
+	if indices := run(sink).Store.Indices(); len(indices) != 0 {
+		t.Errorf("a system with a Sink archived %v", indices)
+	}
+	byKind := map[string][]controlplane.Report{}
+	for _, r := range sink.Reports {
+		byKind[r.Kind] = append(byKind[r.Kind], r)
+	}
+	for kind, want := range byKind {
+		if got := archived.Archived(kind, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the archive holds %d reports, not the sink's %d in order", kind, len(got), len(want))
+		}
+	}
+	// All six kinds, and no index the sink has no kind for.
+	if n := len(archived.Store.Indices()); len(byKind) != 6 || n != len(byKind) {
+		t.Errorf("the sink got %d kinds, the archive %d indices; want 6", len(byKind), n)
 	}
 }
 

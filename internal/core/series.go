@@ -5,7 +5,20 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/metrics"
+	"repro/internal/psarchiver"
 )
+
+// Archived returns the archived reports of one kind whose string fields
+// equal terms (nil for all), in emission order: the archive keeps each
+// index in insertion order.
+func (s *System) Archived(kind string, terms map[string]string) []controlplane.Report {
+	docs := s.Store.Search(psarchiver.Query{Index: psarchiver.IndexName(kind), Terms: terms})
+	out := make([]controlplane.Report, len(docs))
+	for i := range docs {
+		out[i] = docs[i].Report
+	}
+	return out
+}
 
 // SeriesByDestination groups one metric's reports into per-destination
 // time series, exactly how the paper's Grafana dashboard groups the
@@ -14,8 +27,8 @@ import (
 // are included (the data direction); reverse ACK flows are skipped.
 func (s *System) SeriesByDestination(metric controlplane.Metric) map[string]*metrics.Series {
 	out := make(map[string]*metrics.Series)
-	for _, r := range s.Reports.MetricReports(metric, "") {
-		if !isExternal(r.DstIP) {
+	for _, r := range s.Archived(controlplane.KindMetric, map[string]string{"metric": string(metric)}) {
+		if !IsExternal(r.DstIP) {
 			continue
 		}
 		ser, ok := out[r.DstIP]
@@ -28,9 +41,9 @@ func (s *System) SeriesByDestination(metric controlplane.Metric) map[string]*met
 	return out
 }
 
-// isExternal reports whether ip belongs to one of the external
+// IsExternal reports whether ip belongs to one of the external
 // networks (192.168.0.0/16 in the addressing plan).
-func isExternal(ip string) bool {
+func IsExternal(ip string) bool {
 	return len(ip) >= 8 && ip[:8] == "192.168."
 }
 
@@ -40,7 +53,7 @@ func (s *System) AggregateSeries() (util, fairness, active *metrics.Series) {
 	util = metrics.NewSeries("utilization")
 	fairness = metrics.NewSeries("fairness")
 	active = metrics.NewSeries("active_flows")
-	for _, r := range s.Reports.ByKind(controlplane.KindAggregate) {
+	for _, r := range s.Archived(controlplane.KindAggregate, nil) {
 		util.Append(r.Time(), r.Utilization)
 		fairness.Append(r.Time(), r.Fairness)
 		active.Append(r.Time(), float64(r.ActiveFlows))
@@ -50,12 +63,12 @@ func (s *System) AggregateSeries() (util, fairness, active *metrics.Series) {
 
 // MicroburstReports returns the burst events, ordered by start time.
 func (s *System) MicroburstReports() []controlplane.Report {
-	reps := s.Reports.ByKind(controlplane.KindMicroburst)
+	reps := s.Archived(controlplane.KindMicroburst, nil)
 	sort.Slice(reps, func(i, j int) bool { return reps[i].TimeNs < reps[j].TimeNs })
 	return reps
 }
 
 // FlowSummaries returns the terminated-long-flow reports.
 func (s *System) FlowSummaries() []controlplane.Report {
-	return s.Reports.ByKind(controlplane.KindFlowSummary)
+	return s.Archived(controlplane.KindFlowSummary, nil)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/controlplane"
+	"repro/internal/psarchiver"
 	"repro/internal/simtime"
 )
 
@@ -299,11 +300,17 @@ func TestFig9Deterministic(t *testing.T) {
 	}
 }
 
-// fingerprint summarises every emitted report for determinism checks.
+// fingerprint summarises every archived document for determinism
+// checks: index by index in name order, each in insertion order (the
+// archive keeps no order across indices).
 func fingerprint(r *Fig9Result) string {
 	var b strings.Builder
-	for _, rep := range r.System.Reports.Reports {
-		fmt.Fprintf(&b, "%s|%d|%s|%.6g|%s\n", rep.Kind, rep.TimeNs, rep.Metric, rep.Value, rep.FlowID)
+	store := r.System.Store
+	for _, index := range store.Indices() {
+		for _, doc := range store.Search(psarchiver.Query{Index: index}) {
+			rep := doc.Report
+			fmt.Fprintf(&b, "%s|%d|%s|%.6g|%s\n", rep.Kind, rep.TimeNs, rep.Metric, rep.Value, rep.FlowID)
+		}
 	}
 	return b.String()
 }

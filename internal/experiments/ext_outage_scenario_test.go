@@ -144,7 +144,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 		BottleneckBps: cfg.Scale.Bottleneck(),
 		RTTs:          RTTs(),
 		Seed:          cfg.Seed,
-		ExtraSink:     leg.counter,
+		Sink:          leg.counter,
 		Shards:        cfg.Scale.Shards,
 	})
 	sys.Start()

@@ -145,8 +145,8 @@ func RunFig12(cfg Fig12Config) *Fig12Result {
 // the steady-state majority is the operator-facing answer.
 func dominantVerdicts(sys *core.System, from simtime.Time) map[string]string {
 	counts := map[string]map[string]int{}
-	for _, r := range sys.Reports.ByKind(controlplane.KindLimitation) {
-		if r.Time() < from || !isExternalIP(r.DstIP) {
+	for _, r := range sys.Archived(controlplane.KindLimitation, nil) {
+		if r.Time() < from || !core.IsExternal(r.DstIP) {
 			continue
 		}
 		if counts[r.DstIP] == nil {
@@ -165,10 +165,6 @@ func dominantVerdicts(sys *core.System, from simtime.Time) map[string]string {
 		out[dst] = best
 	}
 	return out
-}
-
-func isExternalIP(ip string) bool {
-	return len(ip) >= 8 && ip[:8] == "192.168."
 }
 
 // Correct reports whether every verdict matches the ground truth.

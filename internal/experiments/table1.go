@@ -7,6 +7,8 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/export"
+	"repro/internal/psarchiver"
+	"repro/internal/pscheduler"
 	"repro/internal/simtime"
 	"repro/internal/tcp"
 )
@@ -113,24 +115,22 @@ func RunTable1(cfg Table1Config) *Table1Result {
 	sys.Run(cfg.Duration)
 
 	res := &Table1Result{Config: cfg, System: sys}
-	res.ActiveTestResults = len(sys.Scheduler.Throughput) + len(sys.Scheduler.Latency)
-	for _, t := range sys.Scheduler.Throughput {
-		res.ActiveTestBytes += t.BytesMoved
-	}
+	// The regular deployment's column reads its archived test results,
+	// summed the way the dashboard aggregates them.
+	throughput := psarchiver.IndexName(pscheduler.KindThroughput)
+	res.ActiveTestResults = sys.Store.Count(throughput) + sys.Store.Count(psarchiver.IndexName(pscheduler.KindLatency))
+	probes, _ := sys.Store.Aggregate(psarchiver.Query{Index: throughput}, "bytes") // no test finished: Sum is 0
+	res.ActiveTestBytes = uint64(probes.Sum)
 	res.OverheadBytesActive = res.ActiveTestBytes
-	res.PassiveSamples = len(sys.Reports.ByKind(controlplane.KindMetric))
+	res.PassiveSamples = sys.Store.Count(psarchiver.IndexName(controlplane.KindMetric))
 	res.MicroburstsP4 = len(sys.MicroburstReports())
 	// Count every endpoint verdict over the run: the paced flow is
 	// endpoint-limited whenever the shared queue isn't dropping its
 	// packets, and any such report is a capability the regular
 	// deployment cannot produce at all.
-	for _, rep := range sys.Reports.ByKind(controlplane.KindLimitation) {
-		if rep.Limitation == controlplane.LimitedByEndpoint {
-			res.EndpointVerdictsP4++
-		}
-	}
+	res.EndpointVerdictsP4 = len(sys.Archived(controlplane.KindLimitation, map[string]string{"limitation": controlplane.LimitedByEndpoint}))
 	seen := map[string]bool{}
-	for _, r := range sys.Reports.MetricReports(controlplane.MetricThroughput, "") {
+	for _, r := range sys.Archived(controlplane.KindMetric, map[string]string{"metric": string(controlplane.MetricThroughput)}) {
 		seen[r.FlowID] = true
 	}
 	res.RealFlowsSeenByP4 = len(seen)

@@ -35,6 +35,18 @@ var indexNames = func() map[string]string {
 	return m
 }()
 
+// IndexName returns the index the pipeline routes a document of the
+// given kind to; a document without a kind goes to "unknown"'s.
+func IndexName(kind string) string {
+	if kind == "" {
+		kind = "unknown"
+	}
+	if index, ok := indexNames[kind]; ok {
+		return index
+	}
+	return indexPrefix + "-" + kind // pscheduler_* documents, foreign kinds
+}
+
 // Pipeline is the Logstash stand-in of Figure 7: events enter from an
 // input plugin, get the metadata the OpenSearch output needs
 // (AddMetadata, the one filter), and exit through the outputs, routed
@@ -114,14 +126,7 @@ func (p *Pipeline) process(doc *Document) {
 	if cur := p.outputs.Load(); cur != nil {
 		outputs = *cur
 	}
-	kind := doc.str(kindField, "kind")
-	if kind == "" {
-		kind = "unknown"
-	}
-	index, ok := indexNames[kind]
-	if !ok {
-		index = indexPrefix + "-" + kind // pscheduler_* documents, foreign kinds
-	}
+	index := IndexName(doc.str(kindField, "kind"))
 	for _, o := range outputs {
 		o(index, *doc)
 	}

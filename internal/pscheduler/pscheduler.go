@@ -16,45 +16,24 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// ThroughputResult is one aggregated iperf3-style test outcome: the
-// stock perfSONAR Logstash keeps only the average value (§2.3).
-type ThroughputResult struct {
-	Src, Dst   string
-	StartedAt  simtime.Time
-	Duration   simtime.Time
-	AvgBps     float64
-	BytesMoved uint64
-	Retransmit uint64
-}
-
-// LatencyResult is one aggregated ping-style test outcome: min, mean
-// and max RTT (§2.3).
-type LatencyResult struct {
-	Src, Dst  string
-	StartedAt simtime.Time
-	Sent      int
-	Received  int
-	MinRTT    simtime.Time
-	MeanRTT   simtime.Time
-	MaxRTT    simtime.Time
-}
+// The kinds of the scheduler's documents: the pipeline routes each to
+// an index of its own (psarchiver.IndexName).
+const (
+	KindThroughput = "pscheduler_throughput"
+	KindLatency    = "pscheduler_latency"
+)
 
 // Scheduler runs active tests between perfSONAR nodes over the same
-// simulated network the real traffic crosses.
+// simulated network the real traffic crosses, and archives each test's
+// aggregate as one document; it keeps no result of its own.
 type Scheduler struct {
-	engine   *simtime.Engine
-	pipeline *psarchiver.Pipeline
-
-	// Results retains everything locally, in addition to the archiver
-	// records, for the Table 1 comparison harness.
-	Throughput []ThroughputResult
-	Latency    []LatencyResult
-
+	engine        *simtime.Engine
+	pipeline      *psarchiver.Pipeline
 	nextProbePort uint16
 }
 
 // New creates a scheduler that archives results through the given
-// Logstash pipeline (nil disables archiving).
+// Logstash pipeline.
 func New(e *simtime.Engine, pipeline *psarchiver.Pipeline) *Scheduler {
 	return &Scheduler{engine: e, pipeline: pipeline, nextProbePort: 33434}
 }
@@ -63,13 +42,12 @@ func New(e *simtime.Engine, pipeline *psarchiver.Pipeline) *Scheduler {
 // from src to dst every interval, starting at first. This is the
 // periodic active measurement a regular perfSONAR deployment performs.
 func (s *Scheduler) ScheduleThroughput(src, dst *tcp.Host, first, interval, duration simtime.Time, cfg tcp.Config) {
-	run := func(now simtime.Time) {
-		s.runThroughput(src, dst, now, duration, cfg)
-	}
-	simtime.NewTicker(s.engine, first, interval, run)
+	simtime.NewTicker(s.engine, first, interval, func(simtime.Time) {
+		s.runThroughput(src, dst, duration, cfg)
+	})
 }
 
-func (s *Scheduler) runThroughput(src, dst *tcp.Host, start, duration simtime.Time, cfg tcp.Config) {
+func (s *Scheduler) runThroughput(src, dst *tcp.Host, duration simtime.Time, cfg tcp.Config) {
 	port := s.nextProbePort
 	s.nextProbePort++
 	h := trafficgen.Transfer{
@@ -87,22 +65,12 @@ func (s *Scheduler) runThroughput(src, dst *tcp.Host, start, duration simtime.Ti
 		if dur > 0 {
 			avg = float64(st.BytesAcked) * 8 / dur.Seconds()
 		}
-		res := ThroughputResult{
-			Src:        src.Name(),
-			Dst:        dst.Name(),
-			StartedAt:  st.StartTime,
-			Duration:   dur,
-			AvgBps:     avg, // Logstash keeps only the average (§2.3)
-			BytesMoved: st.BytesAcked,
-			Retransmit: st.Retransmissions,
-		}
-		s.Throughput = append(s.Throughput, res)
-		s.archive("pscheduler_throughput", st.StartTime, map[string]interface{}{
-			"src":        res.Src,
-			"dst":        res.Dst,
-			"avg_bps":    res.AvgBps,
-			"bytes":      res.BytesMoved,
-			"retransmit": res.Retransmit,
+		s.archive(KindThroughput, st.StartTime, map[string]interface{}{
+			"src":        src.Name(),
+			"dst":        dst.Name(),
+			"avg_bps":    avg, // Logstash keeps only the average (§2.3)
+			"bytes":      st.BytesAcked,
+			"retransmit": st.Retransmissions,
 		})
 	}
 }
@@ -111,10 +79,9 @@ func (s *Scheduler) runThroughput(src, dst *tcp.Host, start, duration simtime.Ti
 // interval: count UDP probes, one per probeGap, RTT measured against
 // the echo responder installed on dst.
 func (s *Scheduler) ScheduleLatency(src, dst *tcp.Host, first, interval simtime.Time, count int, probeGap simtime.Time) {
-	run := func(now simtime.Time) {
+	simtime.NewTicker(s.engine, first, interval, func(simtime.Time) {
 		s.runLatency(src, dst, count, probeGap)
-	}
-	simtime.NewTicker(s.engine, first, interval, run)
+	})
 }
 
 func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.Time) {
@@ -125,7 +92,6 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 
 	sentAt := make(map[uint16]simtime.Time, count)
 	var rtts []simtime.Time
-	received := 0
 
 	prevUDP := src.OnUDP
 	src.OnUDP = func(pkt *packet.Packet) {
@@ -138,7 +104,6 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 		if t0, ok := sentAt[pkt.IPID]; ok {
 			rtts = append(rtts, s.engine.Now()-t0)
 			delete(sentAt, pkt.IPID)
-			received++
 		}
 	}
 
@@ -162,36 +127,24 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 	// Collect after the train plus a grace period.
 	s.engine.Schedule(simtime.Time(count)*probeGap+2*simtime.Second, func() {
 		src.OnUDP = prevUDP
-		res := LatencyResult{
-			Src:       src.Name(),
-			Dst:       dst.Name(),
-			StartedAt: start,
-			Sent:      count,
-			Received:  received,
-		}
+		var minRTT, meanRTT, maxRTT simtime.Time
 		if len(rtts) > 0 {
 			var sum simtime.Time
-			res.MinRTT = rtts[0]
+			minRTT = rtts[0]
 			for _, r := range rtts {
-				if r < res.MinRTT {
-					res.MinRTT = r
-				}
-				if r > res.MaxRTT {
-					res.MaxRTT = r
-				}
+				minRTT, maxRTT = min(minRTT, r), max(maxRTT, r)
 				sum += r
 			}
-			res.MeanRTT = sum / simtime.Time(len(rtts))
+			meanRTT = sum / simtime.Time(len(rtts))
 		}
-		s.Latency = append(s.Latency, res)
-		s.archive("pscheduler_latency", start, map[string]interface{}{
-			"src":         res.Src,
-			"dst":         res.Dst,
-			"sent":        res.Sent,
-			"received":    res.Received,
-			"min_rtt_ms":  res.MinRTT.Millis(),
-			"mean_rtt_ms": res.MeanRTT.Millis(),
-			"max_rtt_ms":  res.MaxRTT.Millis(),
+		s.archive(KindLatency, start, map[string]interface{}{
+			"src":         src.Name(),
+			"dst":         dst.Name(),
+			"sent":        count,
+			"received":    len(rtts),
+			"min_rtt_ms":  minRTT.Millis(),
+			"mean_rtt_ms": meanRTT.Millis(),
+			"max_rtt_ms":  maxRTT.Millis(),
 		})
 	})
 }
@@ -199,7 +152,5 @@ func (s *Scheduler) runLatency(src, dst *tcp.Host, count int, probeGap simtime.T
 // archive ships one test result: kind and time_ns are Report_v1's, the
 // result's own keys ride beside the report.
 func (s *Scheduler) archive(kind string, at simtime.Time, result map[string]interface{}) {
-	if s.pipeline != nil {
-		s.pipeline.Process(psarchiver.NewDocument(controlplane.Report{Kind: kind, TimeNs: int64(at)}, result))
-	}
+	s.pipeline.Process(psarchiver.NewDocument(controlplane.Report{Kind: kind, TimeNs: int64(at)}, result))
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/psarchiver"
+	"repro/internal/pscheduler"
 	"repro/internal/simtime"
 	"repro/internal/tcp"
 )
@@ -25,25 +26,31 @@ func scaledSystem() *core.System {
 	})
 }
 
+// results returns the archived test results of one kind.
+func results(sys *core.System, kind string) []psarchiver.Document {
+	return sys.Store.Search(psarchiver.Query{Index: psarchiver.IndexName(kind)})
+}
+
 func TestThroughputTestProducesAggregatedResult(t *testing.T) {
 	sys := scaledSystem()
 	sys.Scheduler.ScheduleThroughput(sys.LocalPerfNode, sys.ExternalPerf[0],
 		simtime.Second, 60*simtime.Second, 3*simtime.Second, tcp.Config{MSS: 1448})
 	sys.Run(10 * simtime.Second)
 
-	if len(sys.Scheduler.Throughput) != 1 {
-		t.Fatalf("results: %d", len(sys.Scheduler.Throughput))
+	docs := results(sys, pscheduler.KindThroughput)
+	if len(docs) != 1 {
+		t.Fatalf("results: %d", len(docs))
 	}
-	r := sys.Scheduler.Throughput[0]
+	r := docs[0]
 	// A 3 s test at 40 ms RTT spends much of its life in slow start,
 	// so the average sits well below line rate but must be plausible.
-	if r.AvgBps < 20e6 || r.AvgBps > 200e6 {
-		t.Fatalf("avg %.1f Mbps", r.AvgBps/1e6)
+	if avg, _ := r.Float("avg_bps"); avg < 20e6 || avg > 200e6 {
+		t.Fatalf("avg %.1f Mbps", avg/1e6)
 	}
-	if r.Src != "ps-local" || r.Dst != "ps1" {
-		t.Fatalf("endpoints %s -> %s", r.Src, r.Dst)
+	if r.Str("src") != "ps-local" || r.Str("dst") != "ps1" {
+		t.Fatalf("endpoints %s -> %s", r.Str("src"), r.Str("dst"))
 	}
-	if r.BytesMoved == 0 {
+	if bytes, _ := r.Float("bytes"); bytes == 0 {
 		t.Fatal("no bytes recorded")
 	}
 }
@@ -53,8 +60,8 @@ func TestThroughputTestRepeatsOnSchedule(t *testing.T) {
 	sys.Scheduler.ScheduleThroughput(sys.LocalPerfNode, sys.ExternalPerf[1],
 		simtime.Second, 10*simtime.Second, 2*simtime.Second, tcp.Config{MSS: 1448})
 	sys.Run(25 * simtime.Second)
-	if len(sys.Scheduler.Throughput) != 3 { // t=1, 11, 21
-		t.Fatalf("test runs: %d, want 3", len(sys.Scheduler.Throughput))
+	if n := len(results(sys, pscheduler.KindThroughput)); n != 3 { // t=1, 11, 21
+		t.Fatalf("test runs: %d, want 3", n)
 	}
 }
 
@@ -64,18 +71,24 @@ func TestLatencyTestMinMeanMax(t *testing.T) {
 		simtime.Second, 60*simtime.Second, 10, 100*simtime.Millisecond)
 	sys.Run(10 * simtime.Second)
 
-	if len(sys.Scheduler.Latency) != 1 {
-		t.Fatalf("results: %d", len(sys.Scheduler.Latency))
+	docs := results(sys, pscheduler.KindLatency)
+	if len(docs) != 1 {
+		t.Fatalf("results: %d", len(docs))
 	}
-	r := sys.Scheduler.Latency[0]
-	if r.Sent != 10 || r.Received != 10 {
-		t.Fatalf("sent/received %d/%d", r.Sent, r.Received)
+	r := docs[0]
+	sent, _ := r.Float("sent")
+	received, _ := r.Float("received")
+	if sent != 10 || received != 10 {
+		t.Fatalf("sent/received %v/%v", sent, received)
 	}
 	// Path RTT to network 3 is 40 ms; idle network, so min≈mean≈max.
-	if r.MinRTT < 39*simtime.Millisecond || r.MaxRTT > 50*simtime.Millisecond {
-		t.Fatalf("rtt range %v..%v", r.MinRTT, r.MaxRTT)
+	lo, _ := r.Float("min_rtt_ms")
+	mean, _ := r.Float("mean_rtt_ms")
+	hi, _ := r.Float("max_rtt_ms")
+	if lo < 39 || hi > 50 {
+		t.Fatalf("rtt range %vms..%vms", lo, hi)
 	}
-	if r.MeanRTT < r.MinRTT || r.MeanRTT > r.MaxRTT {
+	if mean < lo || mean > hi {
 		t.Fatal("mean outside min..max")
 	}
 }
@@ -88,9 +101,10 @@ func TestLatencyTestCountsLoss(t *testing.T) {
 	sys.Scheduler.ScheduleLatency(sys.LocalPerfNode, sys.ExternalDTNs[0],
 		simtime.Second, 60*simtime.Second, 20, 50*simtime.Millisecond)
 	sys.Run(10 * simtime.Second)
-	r := sys.Scheduler.Latency[0]
-	if r.Received >= r.Sent {
-		t.Fatalf("expected probe loss, got %d/%d", r.Received, r.Sent)
+	r := results(sys, pscheduler.KindLatency)[0]
+	sent, _ := r.Float("sent")
+	if received, _ := r.Float("received"); received >= sent {
+		t.Fatalf("expected probe loss, got %v/%v", received, sent)
 	}
 }
 

@@ -71,6 +71,10 @@ const (
 	MetricQueueOccupancy = controlplane.MetricQueueOccupancy
 )
 
+// KindAlert is the kind of the control plane's threshold alerts, for
+// System.Archived.
+const KindAlert = controlplane.KindAlert
+
 // Limitation verdicts (§4.4).
 const (
 	LimitedByNetwork  = controlplane.LimitedByNetwork

@@ -23,9 +23,11 @@
 # every run) and the metric divided by it; and "pairs" as its source
 # (rows backfilled from CHANGES.md say "prose" and have no calibration).
 # A dirty checkout is recorded as HEAD's commit with "+uncommitted": the
-# change measured is the child of that commit which carries the row. The
-# ledger's own rows do not make a checkout dirty, so a chain of calls on
-# a clean commit names the bare commit in every row.
+# change measured is the child of that commit which carries the row.
+# Neither the ledger's own rows nor Markdown files make a checkout dirty
+# (nothing bench/run.sh builds reads Markdown: its one go:embed is
+# bench/golden/*.json), so a chain of calls on a clean commit names the
+# bare commit in every row, and so do runs while only docs are edited.
 set -euo pipefail
 
 base_rev=${1:?usage: bench_pairs.sh BASE WORKLOAD [N]}
@@ -39,7 +41,7 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 head_sha=$(git rev-parse HEAD)
-git diff --quiet HEAD -- . ':(exclude)PERF_LEDGER.tsv' || head_sha="$head_sha+uncommitted"
+git diff --quiet HEAD -- . ':(exclude)PERF_LEDGER.tsv' ':(exclude)*.md' || head_sha="$head_sha+uncommitted"
 work="$root/.bench_build/pairs"
 base_dir="$work/base-$base_sha"
 # One exported base at a time: another BASE's tree copy goes, this one's
