@@ -415,7 +415,8 @@ func TestAllocFreeRTTHistogram(t *testing.T) {
 // the extraction tick: encoding a report into a reused buffer and
 // decoding a line whose strings the connection has seen before allocate
 // nothing, and Shipper.Emit allocates nothing per report: it encodes on
-// the stack and queues a slice of a 64 KB chunk the shipper reuses.
+// the stack and queues a copy in a 512 B buffer from the shipper's free
+// list, which cuts a 64 KiB chunk into 128 of them when it runs dry.
 func TestAllocFreeReportPath(t *testing.T) {
 	r := controlplane.Report{
 		Kind: controlplane.KindMetric, TimeNs: 2_200_000_000, SiteID: "alpha", SwitchID: "sw1",

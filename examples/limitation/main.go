@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/p4psonar"
 )
@@ -22,8 +23,13 @@ func main() {
 	fmt.Println(r.Render())
 
 	fmt.Println("operator guidance (§3.3.4):")
-	for dst, verdict := range r.Verdicts {
-		switch verdict {
+	var dsts []string
+	for dst := range r.Verdicts {
+		dsts = append(dsts, dst)
+	}
+	sort.Strings(dsts)
+	for _, dst := range dsts {
+		switch verdict := r.Verdicts[dst]; verdict {
 		case p4psonar.LimitedByNetwork:
 			fmt.Printf("  %s: network-limited -> running active tests to localise the problem is justified\n", dst)
 		case p4psonar.LimitedByEndpoint:

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/p4psonar"
 )
@@ -45,8 +46,14 @@ func main() {
 	}
 
 	fmt.Println("\nimpact on the flows (loss % per destination):")
-	for dst, series := range sys.SeriesByDestination(p4psonar.MetricPacketLoss) {
-		fmt.Printf("  %s: worst window %.3f%%\n", dst, series.Max())
+	loss := sys.SeriesByDestination(p4psonar.MetricPacketLoss)
+	var dsts []string
+	for dst := range loss {
+		dsts = append(dsts, dst)
+	}
+	sort.Strings(dsts)
+	for _, dst := range dsts {
+		fmt.Printf("  %s: worst window %.3f%%\n", dst, loss[dst].Max())
 	}
 
 	fmt.Println("\nalerts raised by the control plane:")

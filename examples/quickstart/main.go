@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/p4psonar"
 )
@@ -37,7 +38,14 @@ func main() {
 		p4psonar.MetricQueueOccupancy,
 		p4psonar.MetricPacketLoss,
 	} {
-		for dst, series := range sys.SeriesByDestination(metric) {
+		byDst := sys.SeriesByDestination(metric)
+		var dsts []string
+		for dst := range byDst {
+			dsts = append(dsts, dst)
+		}
+		sort.Strings(dsts)
+		for _, dst := range dsts {
+			series := byDst[dst]
 			fmt.Printf("%-16s -> %-14s samples=%-4d mean=%10.3f max=%10.3f\n",
 				metric, dst, series.Len(), series.Mean(), series.Max())
 		}

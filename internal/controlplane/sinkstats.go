@@ -1,7 +1,5 @@
 package controlplane
 
-import "sync"
-
 // IdentitySink stamps every report with a fleet member identity
 // before passing it on — the "which switch said this" provenance a
 // shared archiver needs when N members ship into one store (DESIGN.md
@@ -27,33 +25,4 @@ func (s IdentitySink) Emit(r Report) {
 	if s.Next != nil {
 		s.Next.Emit(r)
 	}
-}
-
-// CountingSink wraps a sink with a thread-safe emit counter, the
-// cheapest observability a shipping path can have: when a downstream
-// sink degrades (drops, spools, falls back), comparing its own
-// counters against the CountingSink upstream of it bounds the loss.
-type CountingSink struct {
-	// Next receives every report after the count. Nil discards.
-	Next Sink
-
-	mu sync.Mutex
-	n  uint64
-}
-
-// Emit implements Sink.
-func (c *CountingSink) Emit(r Report) {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-	if c.Next != nil {
-		c.Next.Emit(r)
-	}
-}
-
-// Count returns the number of reports emitted so far.
-func (c *CountingSink) Count() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }

@@ -111,19 +111,17 @@ func FederationPaper(spoolRoot string) FederationConfig {
 // MemberAccounting is one member's end-of-run ledger.
 type MemberAccounting struct {
 	Site, Switch string
-	// Emitted counts reports stamped and handed to the member's
-	// shipper; Archived the documents the shared store attributes to
-	// this member.
-	Emitted  uint64
+	// Archived counts the documents the shared store attributes to this
+	// member.
 	Archived uint64
-	// Ship is the member shipper's final counter snapshot.
+	// Ship is the member shipper's final counter snapshot; its Emitted
+	// counts the reports stamped and handed to the shipper.
 	Ship resilient.Stats
 }
 
 // Balanced reports the member's exact-accounting identity.
 func (m MemberAccounting) Balanced() bool {
-	return m.Emitted == m.Ship.Emitted &&
-		m.Archived == m.Emitted-m.Ship.Dropped-m.Ship.Fallback &&
+	return m.Archived == m.Ship.Emitted-m.Ship.Dropped-m.Ship.Fallback &&
 		m.Ship.Queued == 0 && m.Ship.SpoolPending == 0
 }
 
@@ -196,7 +194,7 @@ func (r *FederationResult) Witness() string {
 		r.Config.Seed, len(r.Members), fedRounds, r.Config.FlowsPerSite)
 	for _, m := range r.Members {
 		fmt.Fprintf(&b, "member %s/%s emitted=%d archived=%d dropped=%d fallback=%d\n",
-			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback)
+			m.Site, m.Switch, m.Ship.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback)
 	}
 	for _, s := range r.Fleet.Sites {
 		fmt.Fprintf(&b, "site %s docs=%d flows=%d bytes=%.0f fairness=%.6f\n",
@@ -218,7 +216,7 @@ func (r *FederationResult) Render() string {
 		"member", "emitted", "archived", "spilled", "replayed", "balanced")
 	for _, m := range r.Members {
 		fmt.Fprintf(&b, "%-18s %9d %9d %8d %8d %9v\n",
-			m.Site+"/"+m.Switch, m.Emitted, m.Archived, m.Ship.Spilled, m.Ship.Replayed, m.Balanced())
+			m.Site+"/"+m.Switch, m.Ship.Emitted, m.Archived, m.Ship.Spilled, m.Ship.Replayed, m.Balanced())
 	}
 	fmt.Fprintf(&b, "\n%-10s %9s %9s %14s %10s\n", "site", "docs", "flows", "bytes", "fairness")
 	for _, s := range r.Fleet.Sites {
@@ -255,7 +253,7 @@ func (r *FederationResult) SaveCSV(dir string) (err error) {
 	members := []string{"site,switch,emitted,archived,dropped,fallback,spilled,replayed,balanced"}
 	for _, m := range r.Members {
 		members = append(members, fmt.Sprintf("%s,%s,%d,%d,%d,%d,%d,%d,%v",
-			m.Site, m.Switch, m.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback,
+			m.Site, m.Switch, m.Ship.Emitted, m.Archived, m.Ship.Dropped, m.Ship.Fallback,
 			m.Ship.Spilled, m.Ship.Replayed, m.Balanced()))
 	}
 	if err := write("federation_members.csv", members); err != nil {
@@ -352,7 +350,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 				return nil, err
 			}
 			m.leg = leg
-			m.sink = controlplane.IdentitySink{SiteID: m.site, SwitchID: m.sw, Next: leg.counter}
+			m.sink = controlplane.IdentitySink{SiteID: m.site, SwitchID: m.sw, Next: leg.shipper}
 			if cfg.Obs != nil {
 				leg.shipper.RegisterObsAs(cfg.Obs, "p4_shipper_"+m.site+"_"+m.sw)
 			}
@@ -457,7 +455,6 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		acct := MemberAccounting{
 			Site:     m.site,
 			Switch:   m.sw,
-			Emitted:  m.leg.counter.Count(),
 			Archived: uint64(res.Fleet.MemberDocs(m.site, m.sw)),
 			Ship:     m.leg.shipper.Stats(),
 		}

@@ -75,15 +75,14 @@ func (c OutageConfig) withDefaults() OutageConfig {
 type OutageResult struct {
 	Config OutageConfig
 
-	// Emitted is the control-plane side count (upstream of the
-	// shipper); Archived the number of documents the archiver pipeline
+	// Archived is the number of documents the archiver pipeline
 	// received; TornLines the undecodable fragments from mid-record
 	// connection cuts.
-	Emitted   uint64
 	Archived  uint64
 	TornLines uint64
 
-	// Ship is the shipper's final counter snapshot.
+	// Ship is the shipper's final counter snapshot; its Emitted is
+	// the control-plane side count.
 	Ship resilient.Stats
 
 	// Log records the phase transitions and per-phase counters.
@@ -94,9 +93,8 @@ type OutageResult struct {
 // every emitted record is either archived or counted as dropped, and
 // nothing is left queued or spooled after shutdown.
 func (r *OutageResult) Balanced() bool {
-	return r.Emitted == r.Ship.Emitted &&
-		r.Archived == r.Ship.Delivered() &&
-		r.Archived == r.Emitted-r.Ship.Dropped-r.Ship.Fallback &&
+	return r.Archived == r.Ship.Delivered() &&
+		r.Archived == r.Ship.Emitted-r.Ship.Dropped-r.Ship.Fallback &&
 		r.Ship.Queued == 0 && r.Ship.SpoolPending == 0
 }
 
@@ -107,7 +105,7 @@ func (r *OutageResult) Render() string {
 	for _, l := range r.Log {
 		fmt.Fprintf(&b, "  %s\n", l)
 	}
-	fmt.Fprintf(&b, "emitted=%d archived=%d torn_lines=%d\n", r.Emitted, r.Archived, r.TornLines)
+	fmt.Fprintf(&b, "emitted=%d archived=%d torn_lines=%d\n", r.Ship.Emitted, r.Archived, r.TornLines)
 	fmt.Fprintf(&b, "shipper: %s\n", r.Ship)
 	fmt.Fprintf(&b, "accounting balanced: %v\n", r.Balanced())
 	return b.String()
@@ -144,7 +142,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 		BottleneckBps: cfg.Scale.Bottleneck(),
 		RTTs:          RTTs(),
 		Seed:          cfg.Seed,
-		Sink:          leg.counter,
+		Sink:          leg.shipper,
 		Shards:        cfg.Scale.Shards,
 	})
 	sys.Start()
@@ -161,7 +159,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	// Phase 1: the archiver is down before the collector starts — the
 	// situation a fail-fast exporter cannot survive at all.
 	sys.Run(third)
-	logf("phase 1 [0s, %v): archiver down at startup, emitted=%d", third, leg.counter.Count())
+	logf("phase 1 [0s, %v): archiver down at startup, emitted=%d", third, leg.shipper.Stats().Emitted)
 	if err := leg.wait("outage phase 1", func(s resilient.Stats) bool {
 		return s.BreakerOpens >= 1 && s.Queued == 0
 	}); err != nil {
@@ -185,7 +183,7 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 	sys.Run(2 * third)
 	ln.Refuse(true)
 	ln.CutAll()
-	logf("phase 3 [%v, %v): archiver killed mid-run, emitted=%d", third, 2*third, leg.counter.Count())
+	logf("phase 3 [%v, %v): archiver killed mid-run, emitted=%d", third, 2*third, leg.shipper.Stats().Emitted)
 	sys.Run(cfg.Duration)
 	if err := leg.wait("outage phase 3", func(s resilient.Stats) bool { return s.Queued == 0 }); err != nil {
 		return nil, err
@@ -198,7 +196,6 @@ func RunExtOutage(cfg OutageConfig) (*OutageResult, error) {
 		return nil, err
 	}
 
-	res.Emitted = leg.counter.Count()
 	res.Ship = leg.shipper.Stats()
 	res.Archived = pipeline.Stats().Received
 	res.TornLines = leg.input.Errors()

@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/faultnet"
 	"repro/internal/psarchiver"
 	"repro/internal/resilient"
 )
 
 // shipLeg is one Figure 7 shipping leg over an in-memory
-// fault-injection listener: reports counted upstream of a resilient
-// shipper, Report_v1 over the listener, the Logstash TCP input feeding
-// an archiver pipeline. The outage and federation scenarios script
-// their faults on ln and read the leg's counters after drainClose.
+// fault-injection listener: a resilient shipper, which counts every
+// report it is handed, Report_v1 over the listener, the Logstash TCP
+// input feeding an archiver pipeline. The outage and federation
+// scenarios script their faults on ln and read the leg's counters after
+// drainClose.
 type shipLeg struct {
 	ln      *faultnet.Listener
 	input   *psarchiver.TCPInput
 	shipper *resilient.Shipper
-	counter *controlplane.CountingSink // emitted, upstream of the shipper
 }
 
 // newShipLeg builds the leg on ln, which the caller may already have
@@ -40,7 +39,6 @@ func newShipLeg(ln *faultnet.Listener, pipeline *psarchiver.Pipeline, memSpool i
 		ln:      ln,
 		input:   psarchiver.NewInputFromListener(pipeline, ln),
 		shipper: shipper,
-		counter: &controlplane.CountingSink{Next: shipper},
 	}, nil
 }
 

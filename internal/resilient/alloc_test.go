@@ -35,15 +35,16 @@ func (c *heldConn) Write(b []byte) (int, error) {
 func (c *heldConn) SetWriteDeadline(time.Time) error { return nil }
 func (c *heldConn) Close() error                     { return nil }
 
-// TestAllocFreeBurst pins the arena's reuse: once one burst has been
+// TestAllocFreeBurst pins the free list's reuse: once one burst has been
 // queued and shipped, a burst of the same size allocates 0 B per report,
-// its lines going into the chunks the first burst left behind. The
-// connection holds the burst's first flight on the wire until the whole
-// burst is queued, so the burst needs as many chunks every time. The
-// count is the heap's cumulative allocated bytes, rounded down per report
-// as AllocsPerRun rounds allocations per run: the runtime may park the
-// run goroutine on a fresh 96 B wait record during a burst, while one
-// chunk would read 16 B per report.
+// its lines going into the buffers the first burst put back on the free
+// list. The connection holds the burst's first flight on the wire until
+// the whole burst is queued, so the burst needs as many buffers every
+// time. The count is the heap's cumulative allocated bytes, rounded down
+// per report as AllocsPerRun rounds allocations per run: the runtime may
+// park the run goroutine on a fresh 96 B wait record during a burst,
+// while cutting one more 64 KiB chunk into buffers would read 16 B per
+// report.
 //
 // No stop-the-world may restart inside a burst: restarting the world
 // wakes an idle P on an idle thread, and on a loaded host, where the
@@ -64,7 +65,7 @@ func (c *heldConn) Close() error                     { return nil }
 func TestAllocFreeBurst(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
-	const burst = 4000 // about 19 chunks of metric lines
+	const burst = 4000 // the buffers of 32 chunks
 	r := controlplane.Report{
 		Kind: controlplane.KindMetric, TimeNs: 2_200_000_000,
 		FlowID: "9f3c2a7d5be01846", RevID: "46180eb5d7a2c3f9", SrcIP: "10.0.3.17", DstIP: "10.1.0.1",
@@ -103,7 +104,7 @@ func TestAllocFreeBurst(t *testing.T) {
 		return after.TotalAlloc - allocated[0].Value.Uint64(), newThread
 	}
 	if warm, _ := emit(); warm == 0 {
-		t.Fatal("the first burst allocated nothing: no chunk was ever made")
+		t.Fatal("the first burst allocated nothing: no chunk was ever cut")
 	}
 	for i := 0; i < 5; i++ {
 		b, moved := emit()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/simtime"
 )
 
-// Phases of the randomized arena test's archiver.
+// Phases of the randomized queue test's archiver.
 const (
 	phaseHealthy = iota // dials succeed, writes accept everything
 	phaseFlaky          // writes are slow and some are torn
@@ -65,10 +66,9 @@ func (c *scriptedConn) bytes() []byte {
 	return append([]byte(nil), c.received...)
 }
 
-// arenaReport is report i with a unit padded to pad bytes, so a chunk
-// holds anything from two lines to a few hundred, and now and then a
-// line outgrows a chunk.
-func arenaReport(i, pad int) controlplane.Report {
+// paddedReport is report i with a unit padded to pad bytes, so a line
+// fits a queue buffer or outgrows it, now and then by more than a chunk.
+func paddedReport(i, pad int) controlplane.Report {
 	r := report(i)
 	r.Unit = strings.Repeat("u", pad)
 	return r
@@ -81,15 +81,17 @@ func stallSleep(time.Duration) bool {
 	return true
 }
 
-// TestArenaRandomized mixes Emit bursts of lines of random size with
+// TestQueueRandomized mixes Emit bursts of lines of random size with
 // drop-oldest overflow, stalled and torn writes, failed dials and
 // breaker spills into a byte-capped disk spool and the fallback writer.
 // Whatever the interleaving, every line the connection, the spool (by
 // its replay) and the fallback receive is the encoding of one emitted
 // report, byte for byte; each sink gets its lines in emission order;
 // each report arrives once or is counted dropped; and once drained the
-// shipper holds no more chunks than the high-water it keeps.
-func TestArenaRandomized(t *testing.T) {
+// shipper's free list holds only lineBytes buffers, no more than a full
+// queue and one chunk's worth: a buffer that grew for a long line is
+// not recycled.
+func TestQueueRandomized(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		rng := simtime.NewRNG(seed)
 		var phase atomic.Int32
@@ -117,9 +119,9 @@ func TestArenaRandomized(t *testing.T) {
 		var want [][]byte // want[i]: the encoding of report i
 		for step := 0; step < 100; step++ {
 			phase.Store(int32(rng.Uint64() % 3))
-			// Small lines fill a chunk with hundreds; large ones with two
-			// or three, so the queue's head is often a chunk's last line
-			// when the next chunk is due.
+			// Small lines fit a queue buffer; large ones outgrow it, so
+			// their buffers, and the slots drop-oldest reuses in place,
+			// hold grown buffers that must not go back on the free list.
 			large := rng.Uint64()%2 == 0
 			burst := rng.Uint64() % 600
 			if large {
@@ -131,9 +133,9 @@ func TestArenaRandomized(t *testing.T) {
 				case large:
 					pad = 12<<10 + int(rng.Uint64()%(16<<10))
 				case rng.Uint64()%64 == 0:
-					pad = arenaBytes + int(rng.Uint64()%1024)
+					pad = chunkBytes + int(rng.Uint64()%1024)
 				}
-				r := arenaReport(len(want), pad)
+				r := paddedReport(len(want), pad)
 				line, err := r.MarshalJSONLine()
 				if err != nil {
 					t.Fatal(err)
@@ -152,10 +154,15 @@ func TestArenaRandomized(t *testing.T) {
 			return st.Queued == 0 && st.SpoolPending == 0
 		})
 		s.mu.Lock()
-		held, keep, peak := len(s.arena.chunks), s.arena.keep, s.arena.peak
+		spare := slices.Clone(s.spare)
 		s.mu.Unlock()
-		if held > max(keep, peak) {
-			t.Fatalf("seed %d: drained shipper holds %d chunks, its high-water is %d", seed, held, max(keep, peak))
+		if limit := s.cfg.MemSpool + chunkBytes/lineBytes; len(spare) > limit {
+			t.Fatalf("seed %d: drained shipper holds %d spare buffers, want at most %d", seed, len(spare), limit)
+		}
+		for i, buf := range spare {
+			if cap(buf) != lineBytes {
+				t.Fatalf("seed %d: spare buffer %d has cap %d, want %d", seed, i, cap(buf), lineBytes)
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package resilient
 
 import (
 	"bytes"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +23,9 @@ type Shipper struct {
 	queue [][]byte // ring buffer of encoded NDJSON lines
 	head  int
 	n     int
-	arena arena // what the queued lines are carved from
+	// spare is the free list of lineBytes buffers: a queued line's buffer
+	// goes back on it when the line leaves the queue.
+	spare [][]byte
 	// A flight is the queue's oldest records while the run goroutine has
 	// them on the wire (or the disk, or the fallback writer): inflight
 	// of them, of which the first evicted lost their slot to a
@@ -115,7 +116,20 @@ func (s *Shipper) Emit(r controlplane.Report) {
 			dropOldest = true
 		}
 	}
-	s.queue[(s.head+s.n)%len(s.queue)] = s.arena.carve(line, s.n)
+	// A slot freed by drop-oldest still holds its line's buffer, reused in
+	// place: a line in flight was already copied into front by take.
+	slot := &s.queue[(s.head+s.n)%len(s.queue)]
+	if *slot == nil {
+		if len(s.spare) == 0 {
+			block := make([]byte, chunkBytes)
+			for i := 0; i < chunkBytes; i += lineBytes {
+				s.spare = append(s.spare, block[i:i:i+lineBytes])
+			}
+		}
+		*slot = s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+	}
+	*slot = append((*slot)[:0], line...)
 	s.n++
 	s.stats.Queued = uint64(s.n + s.evicted)
 	s.mu.Unlock()
@@ -128,95 +142,13 @@ func (s *Shipper) Emit(r controlplane.Report) {
 	}
 }
 
-// arenaBytes is the size of one arena chunk: a few hundred lines.
-const arenaBytes = 64 << 10
-
-// arena holds the queued lines, back to back in arenaBytes chunks, and
-// reuses a chunk once every line carved from it has left the queue.
-// Lines leave in the order they were carved — settle and drop-oldest
-// both advance the queue's head — so the chunks in use form a FIFO, the
-// oldest freed once the head has passed its last line. A line that left
-// the queue while in flight is the flight's copy in front, so nothing
-// but a queue slot ever points into a chunk.
-//
-// The chunks are one ring: used of them in use from first on, oldest
-// first, the rest spare. Spares are kept up to the recent high-water of
-// chunks in use, so a burst no larger than a recent one allocates
-// nothing, and once the bursts shrink the ring gives back one chunk each
-// time the queue empties.
-type arena struct {
-	chunks      []chunk
-	first, used int
-	carved      uint64 // lines carved: the next line's sequence number
-	// peak is the most chunks in use since the queue was last empty, and
-	// keep how many the ring holds on to when it empties: the larger of
-	// peak and one less than the last keep.
-	peak, keep int
-}
-
-// chunk is one arena chunk and the sequence number of the last line
-// carved from it.
-type chunk struct {
-	buf  []byte
-	last uint64
-}
-
-// carve copies line into the arena, under the shipper's lock, and returns
-// the copy capped at its length, so nothing appended to it reaches the
-// next line. queued is the number of lines in the queue: the last ones
-// carved.
-func (a *arena) carve(line []byte, queued int) []byte {
-	seq := a.carved
-	a.carved++
-	if queued == 0 {
-		a.empty()
-	}
-	if len(line) > arenaBytes {
-		return append([]byte(nil), line...) // never in practice: a line is 220–330 B
-	}
-	var c *chunk
-	if a.used > 0 {
-		c = &a.chunks[(a.first+a.used-1)%len(a.chunks)]
-	}
-	if c == nil || len(c.buf)+len(line) > cap(c.buf) {
-		c = a.next(seq - uint64(queued))
-	}
-	start := len(c.buf)
-	c.buf = append(c.buf, line...)
-	c.last = seq
-	return c.buf[start:len(c.buf):len(c.buf)]
-}
-
-// next frees the chunks whose last line is older than head, the sequence
-// number of the oldest queued line, and starts the next chunk: a spare,
-// or a new one inserted into the ring when there is none.
-func (a *arena) next(head uint64) *chunk {
-	for a.used > 0 && a.chunks[a.first].last < head {
-		a.first = (a.first + 1) % len(a.chunks)
-		a.used--
-	}
-	if a.used == len(a.chunks) {
-		a.chunks = slices.Insert(a.chunks, a.first, chunk{buf: make([]byte, 0, arenaBytes)})
-		a.first = (a.first + 1) % len(a.chunks)
-	}
-	a.used++
-	a.peak = max(a.peak, a.used)
-	c := &a.chunks[(a.first+a.used-1)%len(a.chunks)]
-	c.buf = c.buf[:0]
-	return c
-}
-
-// empty frees every chunk, the queue having emptied, and gives back the
-// spares beyond keep.
-func (a *arena) empty() {
-	a.first, a.used = 0, 0
-	a.keep = max(a.peak, a.keep-1)
-	if len(a.chunks) > a.keep {
-		clear(a.chunks[a.keep:])
-		a.chunks = a.chunks[:a.keep]
-	}
-	a.peak = 0
-}
+// lineBytes is the size of one queue buffer, which holds every kind of
+// line (the longest, a flow summary with identity, is about 410 B);
+// chunkBytes is what Emit cuts into them when the free list is empty.
+const (
+	lineBytes  = 512
+	chunkBytes = 64 << 10
+)
 
 // Stats returns a consistent snapshot of the counters.
 func (s *Shipper) Stats() Stats {
@@ -372,6 +304,9 @@ func (s *Shipper) settleLocked(done int, counter *uint64) {
 		s.stats.Dropped += uint64(lost)
 	}
 	for i := s.evicted; i < done; i++ {
+		if buf := s.queue[s.head]; cap(buf) == lineBytes {
+			s.spare = append(s.spare, buf)
+		}
 		s.queue[s.head] = nil
 		s.head = (s.head + 1) % len(s.queue)
 		s.n--
